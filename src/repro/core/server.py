@@ -27,6 +27,7 @@ from repro.index.knn import (
     k_nearest,
     k_nearest_depth_first,
     k_nearest_einn,
+    poi_key,
 )
 from repro.index.pagestats import AccessBreakdown, BufferPool, PageAccessCounter
 from repro.index.rtree import RTree, RTreeConfig
@@ -168,15 +169,12 @@ class SpatialDatabaseServer:
         EINN advantage.  INN and the depth-first baseline ship everything.
         """
         if algorithm is ServerAlgorithm.EINN:
-            skip = {
-                (r.point.x, r.point.y, _payload_key(r.payload))
-                for r in known_certain
-            }
+            skip = {poi_key(r.point, r.payload) for r in known_certain}
         else:
             skip = set()
         shipped = 0
         for result in results:
-            key = (result.point.x, result.point.y, _payload_key(result.payload))
+            key = poi_key(result.point, result.payload)
             if key not in skip:
                 self.counter.record_object(key)
                 shipped += 1
@@ -203,9 +201,7 @@ class SpatialDatabaseServer:
             key=lambda r: r.distance,
         )
         for result in results:
-            self.counter.record_object(
-                (result.point.x, result.point.y, _payload_key(result.payload))
-            )
+            self.counter.record_object(poi_key(result.point, result.payload))
         breakdown = self.counter.finish_query()
         self.queries_served += 1
         if OBS.enabled:
@@ -236,9 +232,7 @@ class SpatialDatabaseServer:
             key=lambda r: r.distance,
         )
         for result in results:
-            self.counter.record_object(
-                (result.point.x, result.point.y, _payload_key(result.payload))
-            )
+            self.counter.record_object(poi_key(result.point, result.payload))
         breakdown = self.counter.finish_query()
         self.queries_served += 1
         if OBS.enabled:
@@ -296,15 +290,3 @@ class SpatialDatabaseServer:
             f"SpatialDatabaseServer({self.poi_count} POIs, "
             f"{self.algorithm.value}, {self.queries_served} queries served)"
         )
-
-
-def _payload_key(payload: Any) -> Any:
-    # Hashability probe for the shipped-object ledger: hash equality
-    # follows object equality, and the id() fallback only labels
-    # unhashable payloads within one run, so the key is observationally
-    # deterministic.
-    try:
-        hash(payload)  # repro: noqa(RPR010)
-    except TypeError:
-        return id(payload)  # repro: noqa(RPR010)
-    return payload

@@ -24,10 +24,9 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.tolerance import near_zero
-from repro.index.knn import NeighborResult
+from repro.index.knn import NeighborResult, poi_key
 from repro.network.dijkstra import network_distance
 from repro.network.graph import SpatialNetwork
-from repro.network.index import NetworkIndex
 from repro.network.ier import NetworkNeighbor, incremental_euclidean_restriction
 from repro.core.cache import CachedQueryResult
 from repro.core.senn import ResolutionTier, SennConfig, SennResult, senn_query
@@ -63,7 +62,6 @@ def snnn_query(
     peer_caches: Sequence[CachedQueryResult],
     config: SennConfig,
     server: Optional[SpatialBackend] = None,
-    index: Optional[NetworkIndex] = None,
 ) -> SnnnResult:
     """Run Algorithm 2.
 
@@ -72,12 +70,6 @@ def snnn_query(
     it.  ``server`` is consulted for Euclidean NNs beyond what the peers
     can certify (and is required whenever the peer caches cannot certify
     even the first ``k``).
-
-    ``index`` optionally supplies the network distances through a
-    :class:`repro.network.index.NetworkIndex` (e.g. the precomputed
-    hierarchy); its contract requires answers bit-identical to the
-    default per-candidate Dijkstra, so the results are unchanged --
-    only the settled-vertex cost drops.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -105,7 +97,7 @@ def snnn_query(
         """Certified SENN results first, then the server incrementally."""
         yielded: Set[Tuple[float, float, object]] = set()
         for neighbor in senn_result.neighbors:
-            key = _key(neighbor)
+            key = poi_key(neighbor.point, neighbor.payload)
             if key in yielded:
                 continue
             yielded.add(key)
@@ -114,7 +106,7 @@ def snnn_query(
         if server is None:
             return
         for neighbor in server.incremental_query(query):
-            key = _key(neighbor)
+            key = poi_key(neighbor.point, neighbor.payload)
             if key in yielded:
                 continue
             yielded.add(key)
@@ -122,10 +114,7 @@ def snnn_query(
             yield adjusted(neighbor)
 
     def network_distance_of(candidate: NeighborResult) -> float:
-        snapped = network.snap(candidate.point)
-        if index is not None:
-            return index.network_distance(origin, snapped)
-        return network_distance(network, origin, snapped)
+        return network_distance(network, origin, network.snap(candidate.point))
 
     neighbors = incremental_euclidean_restriction(
         euclidean_stream(), network_distance_of, k
@@ -143,14 +132,3 @@ def snnn_query(
         candidates_from_server=stats["server"],
     )
 
-
-def _key(neighbor: NeighborResult) -> Tuple[float, float, object]:
-    payload = neighbor.payload
-    # Hashability probe for the dedup key: hash equality follows object
-    # equality, and the id() fallback only labels unhashable payloads
-    # within one run, so the key is observationally deterministic.
-    try:
-        hash(payload)  # repro: noqa(RPR010)
-    except TypeError:
-        payload = id(payload)  # repro: noqa(RPR010)
-    return (neighbor.point.x, neighbor.point.y, payload)

@@ -56,6 +56,7 @@ __all__ = [
     "k_nearest",
     "k_nearest_depth_first",
     "k_nearest_einn",
+    "poi_key",
     "poi_tie_key",
 ]
 
@@ -84,6 +85,21 @@ def poi_tie_key(payload: Any) -> TieKey:
     if isinstance(payload, (int, float)) and not isinstance(payload, bool):
         return (1, float(payload), "")
     return (2, 0.0, str(payload))
+
+
+def poi_key(point: Point, payload: Any) -> Tuple[float, float, Any]:
+    """Identity of one POI for dedup sets and shipped-object ledgers.
+
+    Position plus payload; an unhashable payload is labelled by ``id()``.
+    Hash equality follows object equality and the ``id()`` fallback only
+    labels unhashable payloads within one run, so the key is
+    observationally deterministic.
+    """
+    try:
+        hash(payload)  # repro: noqa(RPR010)
+    except TypeError:
+        payload = id(payload)  # repro: noqa(RPR010)
+    return (point.x, point.y, payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,7 +328,7 @@ def k_nearest_einn(
     results: List[NeighborResult] = sorted(
         known_certain, key=lambda r: (r.distance, poi_tie_key(r.payload))
     )
-    known_keys = {_result_key(r) for r in results}
+    known_keys = {poi_key(r.point, r.payload) for r in results}
 
     def kth_cut() -> Tuple[float, TieKey]:
         # The client's upper bound caps the k-th *distance*; ties at the
@@ -334,7 +350,7 @@ def k_nearest_einn(
                 break
             if type(item) is _LeafBlock:
                 entry = item.advance(heap)
-                key = _result_key_entry(entry)
+                key = poi_key(entry.point, entry.payload)
                 if key in known_keys:
                     continue
                 _insert_sorted(
@@ -408,22 +424,3 @@ def _insert_sorted(results: List[NeighborResult], item: NeighborResult) -> None:
     ) > item_key:
         index -= 1
     results.insert(index, item)
-
-
-def _result_key(result: NeighborResult) -> Tuple[float, float, Any]:
-    return (result.point.x, result.point.y, _hashable(result.payload))
-
-
-def _result_key_entry(entry: LeafEntry) -> Tuple[float, float, Any]:
-    return (entry.point.x, entry.point.y, _hashable(entry.payload))
-
-
-def _hashable(payload: Any) -> Any:
-    # Hashability probe for the dedup key: hash equality follows object
-    # equality, and the id() fallback only labels unhashable payloads
-    # within one run, so the key is observationally deterministic.
-    try:
-        hash(payload)  # repro: noqa(RPR010)
-    except TypeError:
-        return id(payload)  # repro: noqa(RPR010)
-    return payload

@@ -8,23 +8,28 @@ search.  This package provides all of that from scratch:
 - :mod:`repro.network.graph` -- the modeling graph (junctions, segment
   endpoints and auxiliary points), road classes with speed limits, and
   point snapping onto edges;
-- :mod:`repro.network.dijkstra` -- single/multi-source shortest paths with
-  early termination, plus exact point-to-point network distance for
-  on-edge locations;
+- :mod:`repro.network.dijkstra` -- the one Dijkstra kernel
+  (:class:`DijkstraSearch`: multi-source, resumable, optionally confined
+  to a vertex set, predecessors kept) and its thin wrappers: shortest
+  path lengths, one concrete path, exact point-to-point network distance
+  for on-edge locations;
 - :mod:`repro.network.ier` -- Incremental Euclidean Restriction (IER) and
-  Incremental Network Expansion (INE) for network kNN queries;
+  Incremental Network Expansion (INE, the kernel with a k-th-candidate
+  bound) for network kNN queries;
 - :mod:`repro.network.generator` -- a seeded synthetic TIGER-like road
   network generator (the paper used TIGER/LINE vectors; see DESIGN.md for
   the substitution rationale);
 - :mod:`repro.network.index` -- the :class:`NetworkIndex` protocol with
   the Dijkstra reference implementation and the precomputed G-tree-style
-  partition hierarchy (see ``docs/network.md``);
+  partition hierarchy, both reading their distances off the kernel (see
+  ``docs/network.md``);
 - :mod:`repro.network.loaders` -- real road-graph loaders (TIGER edge
   lists, OSM XML), region coordinate frames, and the deterministic
   downsampler behind the committed CI extract.
 """
 
 from repro.network.dijkstra import (
+    DijkstraSearch,
     network_distance,
     shortest_path,
     shortest_path_lengths,
@@ -57,6 +62,7 @@ __all__ = [
     "LOS_ANGELES",
     "RIVERSIDE",
     "DijkstraIndex",
+    "DijkstraSearch",
     "Edge",
     "HierarchicalIndex",
     "IndexStats",

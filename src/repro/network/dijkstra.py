@@ -1,99 +1,196 @@
-"""Shortest paths over the spatial network.
+"""Shortest paths over the spatial network: one Dijkstra kernel.
 
 Dijkstra's algorithm [Dijkstra 1959] is the basis for all network-distance
-computations in the paper (Section 3.4).  Three entry points:
+computations in the paper (Section 3.4).  :class:`DijkstraSearch` is the
+only place in :mod:`repro.network` that pops a ``(distance, node)``
+frontier: a multi-source search that settles on demand, can be confined
+to an allowed vertex set, and keeps predecessors so a path can be read
+back.  Everything else is a thin wrapper over it:
 
-- :func:`shortest_path_lengths` -- single- or multi-source distances with
-  optional early termination (target set or distance cutoff);
+- :func:`shortest_path_lengths` -- single- or multi-source distances,
+  optionally stopping once a target set is settled;
 - :func:`shortest_path` -- one concrete node-to-node path (used by the
   road-network mobility model to drive along roads);
-- :func:`network_distance` -- exact distance between two *on-edge*
-  locations, handling the same-edge shortcut and the four endpoint
-  combinations.
+- :func:`origin_seeds` / :func:`distance_from` -- how an *on-edge*
+  location seeds a search and how a destination's two endpoint distances
+  fold into one value (same-edge shortcut included);
+- :func:`network_distance` -- exact distance between two on-edge
+  locations, i.e. the two above on a fresh search.
+
+Settled values and settle order are a function of the seeds and the graph
+alone: the frontier orders by ``(distance, node id)`` and a node is pushed
+only on strict improvement, so stopping early, resuming later or asking
+for targets in another order cannot change a single float.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Tuple
 
 from repro.network.graph import NetworkLocation, SpatialNetwork
 
-__all__ = ["shortest_path_lengths", "shortest_path", "network_distance"]
+__all__ = [
+    "DijkstraSearch",
+    "shortest_path_lengths",
+    "shortest_path",
+    "origin_seeds",
+    "distance_from",
+    "network_distance",
+]
+
+
+class DijkstraSearch:
+    """A resumable multi-source Dijkstra search over one network.
+
+    ``seeds`` are ``(node, initial_distance)`` pairs.  With ``allowed``
+    the search never enters a vertex outside that set (the seeds
+    themselves are taken as given).  ``settled`` maps every vertex
+    finalized so far to its exact distance; read it, do not write it.
+    """
+
+    __slots__ = (
+        "_network",
+        "_allowed",
+        "_pending",
+        "_tentative",
+        "_predecessor",
+        "settled",
+    )
+
+    def __init__(
+        self,
+        network: SpatialNetwork,
+        seeds: Iterable[Tuple[int, float]],
+        allowed: Optional[Container[int]] = None,
+    ) -> None:
+        self._network = network
+        self._allowed = allowed
+        self._pending: List[Tuple[float, int]] = []
+        self._tentative: Dict[int, float] = {}
+        self._predecessor: Dict[int, int] = {}
+        self.settled: Dict[int, float] = {}
+        for node, initial in seeds:
+            if initial < 0.0:
+                raise ValueError("source distances must be non-negative")
+            if initial < self._tentative.get(node, math.inf):
+                self._tentative[node] = initial
+                heapq.heappush(self._pending, (initial, node))
+
+    def expand(
+        self, stop: Container[int] = (), bound: float = math.inf
+    ) -> Optional[int]:
+        """Settle vertices in ``(distance, id)`` order; say why it paused.
+
+        Returns the first newly settled vertex found in ``stop``, or
+        ``None`` once the frontier is empty or its nearest vertex lies
+        beyond ``bound`` (that vertex stays on the frontier).  The
+        defaults run the search to exhaustion.
+        """
+        settled = self.settled
+        tentative = self._tentative
+        predecessor = self._predecessor
+        pending = self._pending
+        neighbors = self._network.neighbors
+        allowed = self._allowed
+        inf = math.inf
+        while pending:
+            dist, node = heapq.heappop(pending)
+            if node in settled:
+                continue
+            if dist > bound:
+                heapq.heappush(pending, (dist, node))
+                return None
+            settled[node] = dist
+            for neighbor, edge in neighbors(node):
+                if neighbor in settled:
+                    continue
+                if allowed is not None and neighbor not in allowed:
+                    continue
+                candidate = dist + edge.length
+                if candidate < tentative.get(neighbor, inf):
+                    tentative[neighbor] = candidate
+                    predecessor[neighbor] = node
+                    heapq.heappush(pending, (candidate, neighbor))
+            if node in stop:
+                return node
+        return None
+
+    def settle(self, node: int) -> float:
+        """Exact distance to ``node`` (``inf`` when unreachable),
+        expanding the search only as far as needed."""
+        if node not in self.settled:
+            self.expand((node,))
+        return self.settled.get(node, math.inf)
+
+    def path_to(self, node: int) -> Optional[List[int]]:
+        """Node sequence from a seed to the settled ``node``, else ``None``."""
+        if node not in self.settled:
+            return None
+        path = [node]
+        while (previous := self._predecessor.get(path[-1])) is not None:
+            path.append(previous)
+        path.reverse()
+        return path
 
 
 def shortest_path_lengths(
     network: SpatialNetwork,
     sources: Iterable[Tuple[int, float]],
     targets: Optional[Iterable[int]] = None,
-    cutoff: float = math.inf,
 ) -> Dict[int, float]:
     """Dijkstra from weighted sources.
 
     ``sources`` is an iterable of ``(node, initial_distance)`` -- the
     multi-source form lets on-edge locations seed the search with their
     two endpoint offsets.  The search stops once every node in ``targets``
-    is settled or all reachable nodes within ``cutoff`` are settled.
-    Returns settled distances only.
+    is settled, or runs to exhaustion without targets.  Returns settled
+    distances only.
     """
-    distances: Dict[int, float] = {}
-    pending: List[Tuple[float, int]] = []
-    for node, initial in sources:
-        if initial < 0.0:
-            raise ValueError("source distances must be non-negative")
-        heapq.heappush(pending, (initial, node))
-    remaining_targets = set(targets) if targets is not None else None
-
-    while pending:
-        dist, node = heapq.heappop(pending)
-        if node in distances:
-            continue
-        if dist > cutoff:
-            break
-        distances[node] = dist
-        if remaining_targets is not None:
-            remaining_targets.discard(node)
-            if not remaining_targets:
-                break
-        for neighbor, edge in network.neighbors(node):
-            if neighbor not in distances:
-                heapq.heappush(pending, (dist + edge.length, neighbor))
-    return distances
+    search = DijkstraSearch(network, sources)
+    if targets is None:
+        search.expand()
+    else:
+        for target in targets:
+            search.settle(target)
+    return search.settled
 
 
 def shortest_path(
     network: SpatialNetwork, source: int, target: int
 ) -> Optional[List[int]]:
     """Node sequence of a shortest path, or ``None`` when unreachable."""
-    if source == target:
-        return [source]
-    settled: Dict[int, float] = {}
-    tentative: Dict[int, float] = {source: 0.0}
-    predecessor: Dict[int, int] = {}
-    pending: List[Tuple[float, int]] = [(0.0, source)]
-    while pending:
-        dist, node = heapq.heappop(pending)
-        if node in settled:
-            continue
-        settled[node] = dist
-        if node == target:
-            break
-        for neighbor, edge in network.neighbors(node):
-            if neighbor in settled:
-                continue
-            candidate = dist + edge.length
-            if candidate < tentative.get(neighbor, math.inf):
-                tentative[neighbor] = candidate
-                predecessor[neighbor] = node
-                heapq.heappush(pending, (candidate, neighbor))
-    if target not in settled:
-        return None
-    path = [target]
-    while path[-1] != source:
-        path.append(predecessor[path[-1]])
-    path.reverse()
-    return path
+    search = DijkstraSearch(network, [(source, 0.0)])
+    search.expand((target,))
+    return search.path_to(target)
+
+
+def origin_seeds(origin: NetworkLocation) -> List[Tuple[int, float]]:
+    """Multi-source seeds for an on-edge location: its two endpoint
+    offsets.  Every search from a location must start here, or settled
+    values drift between implementations."""
+    return [
+        (origin.edge.u, origin.offset),
+        (origin.edge.v, origin.offset_from_v),
+    ]
+
+
+def distance_from(
+    search: DijkstraSearch, origin: NetworkLocation, destination: NetworkLocation
+) -> float:
+    """Distance to ``destination`` on a search seeded by ``origin_seeds(origin)``.
+
+    Both the direct along-edge route (when the two locations share an
+    edge) and the routes through the destination's endpoints are
+    considered; the minimum wins.  ``inf`` when disconnected.
+    """
+    best = math.inf
+    if origin.edge.key() == destination.edge.key():
+        best = abs(origin.offset - destination.offset)
+    via_u = search.settle(destination.edge.u) + destination.offset
+    via_v = search.settle(destination.edge.v) + destination.offset_from_v
+    return min(best, via_u, via_v)
 
 
 def network_distance(
@@ -101,22 +198,8 @@ def network_distance(
     origin: NetworkLocation,
     destination: NetworkLocation,
 ) -> float:
-    """Exact shortest network distance between two on-edge locations.
-
-    Both the direct along-edge route (when the two locations share an
-    edge) and all endpoint-to-endpoint routes are considered; the minimum
-    wins.  Returns ``inf`` when the locations are disconnected.
-    """
-    best = math.inf
-    if origin.edge.key() == destination.edge.key():
-        best = abs(origin.offset - destination.offset)
-
-    source_seeds = [
-        (origin.edge.u, origin.offset),
-        (origin.edge.v, origin.offset_from_v),
-    ]
-    target_nodes = {destination.edge.u, destination.edge.v}
-    settled = shortest_path_lengths(network, source_seeds, targets=target_nodes)
-    via_u = settled.get(destination.edge.u, math.inf) + destination.offset
-    via_v = settled.get(destination.edge.v, math.inf) + destination.offset_from_v
-    return min(best, via_u, via_v)
+    """Exact shortest network distance between two on-edge locations
+    (``inf`` when they are disconnected)."""
+    return distance_from(
+        DijkstraSearch(network, origin_seeds(origin)), origin, destination
+    )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -201,41 +202,40 @@ class SpatialNetwork:
         """Sum of all edge lengths (the total road mileage)."""
         return sum(edge.length for edge in self.edges())
 
-    def is_connected(self) -> bool:
-        """True when every node is reachable from every other node."""
-        if self.node_count == 0:
-            return True
-        start = next(iter(self._positions))
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for neighbor in self._adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return len(seen) == self.node_count
+    def component_labels(self) -> Dict[int, int]:
+        """Connected-component label per node.
 
-    def largest_component_nodes(self) -> List[int]:
-        """Node ids of the largest connected component."""
-        remaining = set(self._positions)
-        best: List[int] = []
-        while remaining:
-            start = next(iter(remaining))
-            component = [start]
-            seen = {start}
+        Components are numbered from 0 in ascending order of their
+        smallest node id; the mapping iterates in discovery order, one
+        component after another.
+        """
+        labels: Dict[int, int] = {}
+        label = -1
+        for start in self._positions:
+            if start in labels:
+                continue
+            label += 1
+            labels[start] = label
             stack = [start]
             while stack:
                 node = stack.pop()
                 for neighbor in self._adjacency[node]:
-                    if neighbor not in seen:
-                        seen.add(neighbor)
+                    if neighbor not in labels:
+                        labels[neighbor] = label
                         stack.append(neighbor)
-                        component.append(neighbor)
-            remaining -= seen
-            if len(component) > len(best):
-                best = component
-        return best
+        return labels
+
+    def is_connected(self) -> bool:
+        """True when every node is reachable from every other node."""
+        return len(set(self.component_labels().values())) <= 1
+
+    def largest_component_nodes(self) -> List[int]:
+        """Node ids of the largest connected component (the
+        lowest-numbered one among equals)."""
+        labels = self.component_labels()
+        sizes = Counter(labels.values())
+        largest = max(sizes, key=sizes.__getitem__, default=None)
+        return [node for node, label in labels.items() if label == largest]
 
     # ------------------------------------------------------------------
     # geometry

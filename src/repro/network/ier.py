@@ -8,9 +8,10 @@ first one:
   Euclidean NN, compute its network distance, and stop once the next
   Euclidean distance exceeds the current k-th network distance.  The
   Euclidean lower-bound property (``ED <= ND``) makes this correct.
-- *Incremental Network Expansion* (INE): a Dijkstra-style expansion from
-  the query location that discovers POIs in network-distance order,
-  included as the comparator and as a brute-force oracle for tests.
+- *Incremental Network Expansion* (INE): the Dijkstra kernel
+  (:class:`repro.network.dijkstra.DijkstraSearch`) expanded from the
+  query location until the k nearest POIs are final, included as the
+  comparator and as a brute-force oracle for tests.
 
 Both are written against abstract inputs -- an iterator of Euclidean
 neighbors and a network-distance function for IER; the graph plus POI
@@ -25,7 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
-from repro.index.knn import NeighborResult
+from repro.index.knn import NeighborResult, poi_tie_key
+from repro.network.dijkstra import DijkstraSearch, origin_seeds
 from repro.network.graph import NetworkLocation, SpatialNetwork
 
 __all__ = [
@@ -99,7 +101,10 @@ def incremental_network_expansion(
     ``pois`` are POIs snapped onto the network.  The expansion settles
     nodes in distance order; a POI's candidate distance (via its edge
     endpoints, or directly when it shares the origin's edge) becomes final
-    once the expansion frontier passes it.
+    once the expansion frontier passes it.  Ranks by ``(network_distance,
+    poi_tie_key(payload), position in pois)`` like every other network
+    kNN here, so the expansion only stops when the k-th candidate is
+    *strictly* below the frontier: a POI tied with it may still be ahead.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -108,54 +113,40 @@ def incremental_network_expansion(
 
     # Candidate network distance per POI index; improves as endpoints settle.
     candidates: Dict[int, float] = {}
+    # POIs by incident node, with the offset from that node.
+    pois_by_node: Dict[int, List[Tuple[int, float]]] = {}
     for index, (location, _) in enumerate(pois):
         if location.edge.key() == origin.edge.key():
             candidates[index] = abs(location.offset - origin.offset)
-
-    # Group POIs by incident node for O(1) updates when a node settles.
-    pois_by_node: Dict[int, List[Tuple[int, float]]] = {}
-    for index, (location, _) in enumerate(pois):
         pois_by_node.setdefault(location.edge.u, []).append((index, location.offset))
         pois_by_node.setdefault(location.edge.v, []).append(
             (index, location.offset_from_v)
         )
-
-    settled: Dict[int, float] = {}
-    pending: List[Tuple[float, int]] = [
-        (origin.offset, origin.edge.u),
-        (origin.offset_from_v, origin.edge.v),
-    ]
-    heapq.heapify(pending)
 
     def kth_candidate() -> float:
         if len(candidates) < k:
             return math.inf
         return sorted(candidates.values())[k - 1]
 
-    while pending:
-        frontier, node = heapq.heappop(pending)
-        if node in settled:
-            continue
-        # Once the k-th candidate cannot be improved by any unsettled node,
-        # the top-k is final.
-        if kth_candidate() <= frontier:
-            break
-        settled[node] = frontier
-        for index, extra in pois_by_node.get(node, ()):
+    # Candidates only change when a POI's endpoint settles, so that is
+    # the only time the bound needs recomputing.
+    search = DijkstraSearch(network, origin_seeds(origin))
+    while (node := search.expand(pois_by_node, kth_candidate())) is not None:
+        frontier = search.settled[node]
+        for index, extra in pois_by_node[node]:
             candidate = frontier + extra
             if candidate < candidates.get(index, math.inf):
                 candidates[index] = candidate
-        for neighbor, edge in network.neighbors(node):
-            if neighbor not in settled:
-                heapq.heappush(pending, (frontier + edge.length, neighbor))
 
-    ordered = sorted(candidates.items(), key=lambda item: item[1])[:k]
+    ordered = sorted(
+        candidates, key=lambda i: (candidates[i], poi_tie_key(pois[i][1]), i)
+    )[:k]
     results = []
-    for index, nd in ordered:
+    for index in ordered:
         location, payload = pois[index]
         results.append(
             # Euclidean by design: IER reports ED alongside ND as the
             # lower bound that justified the expansion order.
-            NetworkNeighbor(payload, nd, origin.point.distance_to(location.point))  # repro: noqa(RPR003)
+            NetworkNeighbor(payload, candidates[index], origin.point.distance_to(location.point))  # repro: noqa(RPR003)
         )
     return results

@@ -1,10 +1,13 @@
 """Network kNN indexes behind the :class:`NetworkIndex` protocol.
 
-SNNN (Section 4) needs exact network distances from the query location to
-its candidate POIs.  The seed implementation paid a full Dijkstra per
-candidate, which is hopeless on the 100k+-node street graphs the paper's
-LA / Riverside regions imply.  This module introduces the seam that fixes
-it without giving up the differential-testing story:
+Two engines for exact network distances and ranked network kNN over a
+registered POI set, both reading every reported distance off the one
+Dijkstra kernel (:class:`repro.network.dijkstra.DijkstraSearch`).  SNNN
+itself does not use them -- ``snnn_query`` calls
+:func:`repro.network.dijkstra.network_distance` per candidate -- their
+callers are ``repro-bench``, the ``network-index`` difftest check and
+the benchmark's traced pass (``docs/network.md`` records the verdict on
+the hierarchy).
 
 - :class:`NetworkIndex` -- the protocol every implementation satisfies:
   exact point-to-point distances, a registered POI set, and top-k by
@@ -23,12 +26,13 @@ Exactness contract
 The hierarchy is *bit-for-tie-key-identical* to the Dijkstra reference by
 construction, not by tolerance: partition matrices and Euclidean bounds
 are used only to decide *which* POIs need refinement, while every
-reported distance comes from :class:`_OriginCursor`, a resumable
-multi-source Dijkstra whose settled values follow exactly the recurrence
-of :func:`repro.network.dijkstra.shortest_path_lengths` (settled values
-are independent of where the search stops, so resuming cannot change
-them).  Pruning bounds are sound because the graph enforces the
-Euclidean lower-bound property (``SpatialNetwork.add_edge`` rejects
+reported distance is read off a
+:class:`repro.network.dijkstra.DijkstraSearch` seeded at the origin --
+the same kernel, seeds and endpoint fold :class:`DijkstraIndex` uses,
+only resumed candidate by candidate instead of run to exhaustion
+(settled values are independent of where the search stops, so resuming
+cannot change them).  Pruning bounds are sound because the graph enforces
+the Euclidean lower-bound property (``SpatialNetwork.add_edge`` rejects
 lengths below the chord), and a small safety margin absorbs float
 rounding in the assembled upper bounds.  The margin can only cause
 extra refinement, never a missed answer.
@@ -44,7 +48,6 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Optional,
     Protocol,
@@ -57,7 +60,7 @@ import numpy as np
 
 from repro.geometry.vecmath import FloatArray
 from repro.index.knn import TieKey, poi_tie_key
-from repro.network.dijkstra import shortest_path_lengths
+from repro.network.dijkstra import DijkstraSearch, distance_from, origin_seeds
 from repro.network.graph import NetworkLocation, SpatialNetwork
 from repro.network.ier import NetworkNeighbor
 from repro.obs import OBS
@@ -67,7 +70,6 @@ __all__ = [
     "HierarchicalIndex",
     "IndexStats",
     "NetworkIndex",
-    "origin_seeds",
 ]
 
 #: Relative / absolute slack added to pruning comparisons.  Assembled
@@ -77,10 +79,10 @@ __all__ = [
 _MARGIN_REL = 1e-9
 _MARGIN_ABS = 1e-7
 
-#: How many per-origin Dijkstra cursors :class:`HierarchicalIndex` keeps
+#: How many per-origin Dijkstra searches :class:`HierarchicalIndex` keeps
 #: alive.  SNNN evaluates many candidates from one origin before moving
 #: on, so a small LRU captures nearly all reuse.
-_CURSOR_CACHE = 16
+_SEARCH_CACHE = 16
 
 
 @dataclass
@@ -107,43 +109,9 @@ class IndexStats:
         self.pois_refined = 0
 
 
-def origin_seeds(origin: NetworkLocation) -> List[Tuple[int, float]]:
-    """Multi-source Dijkstra seeds for an on-edge location.
-
-    The two endpoint offsets, in the exact order used by
-    :func:`repro.network.dijkstra.network_distance` -- every implementation
-    must seed its search identically or settled values drift.
-    """
-    return [
-        (origin.edge.u, origin.offset),
-        (origin.edge.v, origin.offset_from_v),
-    ]
-
-
-def _combine(
-    origin: NetworkLocation,
-    destination: NetworkLocation,
-    dist_u: float,
-    dist_v: float,
-) -> float:
-    """Fold endpoint distances into the final on-edge distance.
-
-    Mirrors :func:`repro.network.dijkstra.network_distance` operation for
-    operation (same-edge shortcut, then ``min`` of the two endpoint
-    routes) so all implementations produce bit-identical floats from the
-    same settled values.
-    """
-    best = math.inf
-    if origin.edge.key() == destination.edge.key():
-        best = abs(origin.offset - destination.offset)
-    via_u = dist_u + destination.offset
-    via_v = dist_v + destination.offset_from_v
-    return min(best, via_u, via_v)
-
-
 @runtime_checkable
 class NetworkIndex(Protocol):
-    """What SNNN needs from a network-distance index.
+    """An exact network-distance and network-kNN engine over one graph.
 
     Implementations guarantee (the Dijkstra oracle checks all three):
 
@@ -186,61 +154,6 @@ class NetworkIndex(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Resumable origin Dijkstra
-# ----------------------------------------------------------------------
-
-
-class _OriginCursor:
-    """A pausable multi-source Dijkstra pinned to one origin.
-
-    ``distance_to`` resumes the frozen search until the requested node
-    settles.  Because Dijkstra's settled value for a node is a function
-    of the seeds and the graph alone (not of when the search stops), the
-    values are bit-identical to a fresh
-    :func:`~repro.network.dijkstra.shortest_path_lengths` run from the
-    same seeds -- which is what makes cursor-based refinement safe to
-    diff against the per-query oracle.
-    """
-
-    __slots__ = ("_network", "_settled", "_pending")
-
-    def __init__(
-        self, network: SpatialNetwork, seeds: Iterable[Tuple[int, float]]
-    ) -> None:
-        self._network = network
-        self._settled: Dict[int, float] = {}
-        self._pending: List[Tuple[float, int]] = []
-        for node, initial in seeds:
-            if initial < 0.0:
-                raise ValueError("source distances must be non-negative")
-            heapq.heappush(self._pending, (initial, node))
-
-    @property
-    def settled_count(self) -> int:
-        """Number of vertices settled so far."""
-        return len(self._settled)
-
-    def distance_to(self, node: int) -> float:
-        """Settled distance to ``node``, expanding as little as possible."""
-        settled = self._settled
-        if node in settled:
-            return settled[node]
-        pending = self._pending
-        network = self._network
-        while pending:
-            dist, current = heapq.heappop(pending)
-            if current in settled:
-                continue
-            settled[current] = dist
-            for neighbor, edge in network.neighbors(current):
-                if neighbor not in settled:
-                    heapq.heappush(pending, (dist + edge.length, neighbor))
-            if current == node:
-                return dist
-        return math.inf
-
-
-# ----------------------------------------------------------------------
 # Reference implementation
 # ----------------------------------------------------------------------
 
@@ -248,8 +161,8 @@ class _OriginCursor:
 class DijkstraIndex:
     """The reference :class:`NetworkIndex`: plain Dijkstra, no precompute.
 
-    Point-to-point distances delegate to the seed module with endpoint
-    targets; kNN settles the origin's entire component once (exactly what
+    Point-to-point distances run a fresh search up to the destination's
+    endpoints; kNN settles the origin's entire component once (exactly what
     the brute-force oracle does) and ranks every registered POI.  This is
     the implementation the differential harness trusts, and the cost
     baseline the hierarchy's settled-vertex speedup is measured against.
@@ -275,18 +188,10 @@ class DijkstraIndex:
     ) -> float:
         """Exact distance via a fresh endpoint-targeted Dijkstra."""
         self._stats.distance_queries += 1
-        settled = shortest_path_lengths(
-            self._network,
-            origin_seeds(origin),
-            targets={destination.edge.u, destination.edge.v},
-        )
-        self._stats.settled_vertices += len(settled)
-        return _combine(
-            origin,
-            destination,
-            settled.get(destination.edge.u, math.inf),
-            settled.get(destination.edge.v, math.inf),
-        )
+        search = DijkstraSearch(self._network, origin_seeds(origin))
+        distance = distance_from(search, origin, destination)
+        self._stats.settled_vertices += len(search.settled)
+        return distance
 
     def register_pois(
         self, pois: Sequence[Tuple[NetworkLocation, Any]]
@@ -299,21 +204,18 @@ class DijkstraIndex:
         self._stats.knn_queries += 1
         if k <= 0 or not self._pois:
             return []
-        settled = shortest_path_lengths(self._network, origin_seeds(origin))
-        self._stats.settled_vertices += len(settled)
+        search = DijkstraSearch(self._network, origin_seeds(origin))
+        search.expand()
+        settled = len(search.settled)
+        self._stats.settled_vertices += settled
         if OBS.enabled:
             OBS.registry.counter("network.knn_queries", impl="dijkstra").inc()
             OBS.registry.counter(
                 "network.settled_vertices", impl="dijkstra"
-            ).inc(len(settled))
+            ).inc(settled)
         ranked: List[Tuple[float, TieKey, int, NetworkLocation, Any]] = []
         for order, (location, payload) in enumerate(self._pois):
-            distance = _combine(
-                origin,
-                location,
-                settled.get(location.edge.u, math.inf),
-                settled.get(location.edge.v, math.inf),
-            )
+            distance = distance_from(search, origin, location)
             ranked.append(
                 (distance, poi_tie_key(payload), order, location, payload)
             )
@@ -389,27 +291,6 @@ def _bbox_mindist(
     return math.hypot(dx, dy)
 
 
-def _restricted_dijkstra(
-    network: SpatialNetwork, source: int, allowed: FrozenSet[int]
-) -> Dict[int, float]:
-    """Single-source Dijkstra confined to ``allowed`` vertices.
-
-    Used to fill the leaf matrices: distances that never leave the leaf
-    are exact within-leaf distances, which is all the hierarchy stores.
-    """
-    distances: Dict[int, float] = {}
-    pending: List[Tuple[float, int]] = [(0.0, source)]
-    while pending:
-        dist, node = heapq.heappop(pending)
-        if node in distances:
-            continue
-        distances[node] = dist
-        for neighbor, edge in network.neighbors(node):
-            if neighbor in allowed and neighbor not in distances:
-                heapq.heappush(pending, (dist + edge.length, neighbor))
-    return distances
-
-
 def _floyd_warshall_inplace(matrix: FloatArray) -> None:
     """Exact all-pairs min-plus closure of a small dense matrix.
 
@@ -453,7 +334,7 @@ class HierarchicalIndex:
         self._pois: List[Tuple[NetworkLocation, Any]] = []
         self._pois_by_edge: Dict[Tuple[int, int], List[int]] = {}
         self._buckets: Dict[int, List[int]] = {}
-        self._cursors: "OrderedDict[Tuple[Tuple[int, int], float], _OriginCursor]" = (
+        self._searches: "OrderedDict[Tuple[Tuple[int, int], float], DijkstraSearch]" = (
             OrderedDict()
         )
         self._parts: List[_Partition] = []
@@ -479,10 +360,10 @@ class HierarchicalIndex:
     def network_distance(
         self, origin: NetworkLocation, destination: NetworkLocation
     ) -> float:
-        """Exact distance via the origin's resumable Dijkstra cursor.
+        """Exact distance via the origin's resumable Dijkstra search.
 
         Disconnected pairs short-circuit to ``inf`` through the
-        precomputed component labels without touching the cursor.
+        precomputed component labels without touching the search.
         """
         self._stats.distance_queries += 1
         if (
@@ -490,14 +371,11 @@ class HierarchicalIndex:
             != self._component[destination.edge.u]
         ):
             return math.inf
-        cursor = self._cursor_for(origin)
-        before = cursor.settled_count
-        # _OriginCursor.distance_to is the resumable Dijkstra (network
-        # shortest path), not a Euclidean Point method.
-        dist_u = cursor.distance_to(destination.edge.u)  # repro: noqa(RPR003)
-        dist_v = cursor.distance_to(destination.edge.v)  # repro: noqa(RPR003)
-        self._stats.settled_vertices += cursor.settled_count - before
-        return _combine(origin, destination, dist_u, dist_v)
+        search = self._search_for(origin)
+        before = len(search.settled)
+        distance = distance_from(search, origin, destination)
+        self._stats.settled_vertices += len(search.settled) - before
+        return distance
 
     def register_pois(
         self, pois: Sequence[Tuple[NetworkLocation, Any]]
@@ -534,8 +412,8 @@ class HierarchicalIndex:
         self._stats.knn_queries += 1
         if k <= 0 or not self._pois or self._root is None:
             return []
-        cursor = self._cursor_for(origin)
-        settled_before = cursor.settled_count
+        search = self._search_for(origin)
+        settled_before = len(search.settled)
         origin_comp = self._component[origin.edge.u]
         origin_vecs = self._origin_vectors(origin)
 
@@ -612,18 +490,14 @@ class HierarchicalIndex:
                 if self._component[location.edge.u] != origin_comp:
                     distance = math.inf
                 else:
-                    # Network shortest-path refinement via the resumable
-                    # Dijkstra cursor, not a Euclidean Point method.
-                    dist_u = cursor.distance_to(location.edge.u)  # repro: noqa(RPR003)
-                    dist_v = cursor.distance_to(location.edge.v)  # repro: noqa(RPR003)
-                    distance = _combine(origin, location, dist_u, dist_v)
+                    distance = distance_from(search, origin, location)
                 bounds[ref] = distance
                 self._stats.pois_refined += 1
                 refined.append(
                     (distance, poi_tie_key(payload), ref, location, payload, key)
                 )
 
-        settled = cursor.settled_count - settled_before
+        settled = len(search.settled) - settled_before
         self._stats.settled_vertices += settled
         if OBS.enabled:
             OBS.registry.counter("network.knn_queries", impl="hierarchy").inc()
@@ -665,7 +539,7 @@ class HierarchicalIndex:
         """Construct the partition tree, borders and distance matrices."""
         network = self._network
         ids = sorted(network.node_ids())
-        self._component = _component_labels(network, ids)
+        self._component = network.component_labels()
         if not ids:
             return
         positions = {node: network.node_position(node) for node in ids}
@@ -762,8 +636,9 @@ class HierarchicalIndex:
                 (len(part.borders), len(part.members)), np.inf, dtype=np.float64
             )
             for row, border in enumerate(part.borders):
-                settled = _restricted_dijkstra(network, border, allowed)
-                for node, dist in settled.items():
+                search = DijkstraSearch(network, [(border, 0.0)], allowed)
+                search.expand()
+                for node, dist in search.settled.items():
                     matrix[row, part.member_col[node]] = dist
             part.matrix = matrix
 
@@ -922,18 +797,18 @@ class HierarchicalIndex:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _cursor_for(self, origin: NetworkLocation) -> _OriginCursor:
-        """LRU-cached resumable Dijkstra cursor for ``origin``."""
+    def _search_for(self, origin: NetworkLocation) -> DijkstraSearch:
+        """LRU-cached resumable Dijkstra search seeded at ``origin``."""
         key = (origin.edge.key(), origin.offset)
-        cursor = self._cursors.get(key)
-        if cursor is None:
-            cursor = _OriginCursor(self._network, origin_seeds(origin))
-            self._cursors[key] = cursor
-            if len(self._cursors) > _CURSOR_CACHE:
-                self._cursors.popitem(last=False)
+        search = self._searches.get(key)
+        if search is None:
+            search = DijkstraSearch(self._network, origin_seeds(origin))
+            self._searches[key] = search
+            if len(self._searches) > _SEARCH_CACHE:
+                self._searches.popitem(last=False)
         else:
-            self._cursors.move_to_end(key)
-        return cursor
+            self._searches.move_to_end(key)
+        return search
 
     @staticmethod
     def _kth_bound(bounds: Dict[int, float], k: int) -> float:
@@ -942,23 +817,3 @@ class HierarchicalIndex:
             return math.inf
         return heapq.nsmallest(k, bounds.values())[-1]
 
-
-def _component_labels(
-    network: SpatialNetwork, ids: Sequence[int]
-) -> Dict[int, int]:
-    """Deterministic connected-component label per node."""
-    labels: Dict[int, int] = {}
-    next_label = 0
-    for start in ids:
-        if start in labels:
-            continue
-        labels[start] = next_label
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for neighbor, _edge in network.neighbors(node):
-                if neighbor not in labels:
-                    labels[neighbor] = next_label
-                    stack.append(neighbor)
-        next_label += 1
-    return labels

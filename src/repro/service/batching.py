@@ -34,6 +34,7 @@ from repro.index.knn import (
     NeighborResult,
     TieKey,
     incremental_nearest,
+    poi_key,
     poi_tie_key,
 )
 from repro.index.pagestats import AccessBreakdown
@@ -71,7 +72,7 @@ class _ClientState:
             key=lambda entry: (entry[0], entry[1]),
         )[: request.k]
         self.known_keys: Set[Tuple[float, float, object]] = {
-            _poi_key(item.point, item.payload) for item in request.known_certain
+            poi_key(item.point, item.payload) for item in request.known_certain
         }
         self.shipped = 0
         self.done = False
@@ -97,7 +98,7 @@ class _ClientState:
         # are admissible regardless of tie key (EINN's kth_cut).
         if distance > self.request.bounds.upper:
             return
-        if _poi_key(neighbor.point, neighbor.payload) in self.known_keys:
+        if poi_key(neighbor.point, neighbor.payload) in self.known_keys:
             return
         tie = poi_tie_key(neighbor.payload)
         key = (distance, tie)
@@ -224,7 +225,7 @@ class BatchExecutor:
         skipped = 0
         for client in clients:
             for neighbor in client.neighbors():
-                key = _poi_key(neighbor.point, neighbor.payload)
+                key = poi_key(neighbor.point, neighbor.payload)
                 if key in client.known_keys:
                     skipped += 1
                     continue
@@ -277,19 +278,3 @@ def _amortize(
 def _split_even(count: int, parts: int) -> List[int]:
     base, remainder = divmod(count, parts)
     return [base + (1 if position < remainder else 0) for position in range(parts)]
-
-
-def _poi_key(point: Point, payload: object) -> Tuple[float, float, object]:
-    """Identity key for POI dedup (same semantics as EINN's result key)."""
-    return (point.x, point.y, _hashable(payload))
-
-
-def _hashable(payload: object) -> object:
-    # Hashability probe for the dedup key: hash equality follows object
-    # equality, and the id() fallback only labels unhashable payloads
-    # within one run, so the key is observationally deterministic.
-    try:
-        hash(payload)  # repro: noqa(RPR010)
-    except TypeError:
-        return id(payload)  # repro: noqa(RPR010)
-    return payload

@@ -1,0 +1,54 @@
+"""What ``bench_e2e/`` needs of the program still exists.
+
+``bench_e2e`` is outside the tier-1 ``testpaths`` and its traced pass
+replaces program names by string (``bench_e2e.tracing.PATCHES``), so a
+rename in ``src/repro`` would otherwise surface only when someone runs
+the benchmark.  This resolves every patch target the way
+``bench_e2e.tracing.installed`` does and imports every ``repro.*`` name
+the benchmark's sources import.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+from bench_e2e.tracing import PATCHES
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench_e2e"
+
+
+def _repro_imports():
+    """``(file, module, name-or-None)`` for every repro import in bench_e2e."""
+    found = set()
+    for path in sorted(BENCH_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                found.update((path.name, node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                found.update(
+                    (path.name, alias.name, None)
+                    for alias in node.names
+                    if alias.name.startswith("repro")
+                )
+    return sorted(found, key=str)
+
+
+@pytest.mark.parametrize("target", sorted({target for target, _span, _attrs in PATCHES}))
+def test_patch_target_resolves(target):
+    module_name, _, path = target.partition(":")
+    owner = importlib.import_module(module_name)
+    *parents, attribute = path.split(".")
+    for parent in parents:
+        owner = getattr(owner, parent)
+    raw = inspect.getattr_static(owner, attribute)
+    assert callable(raw) or isinstance(raw, (classmethod, staticmethod))
+
+
+@pytest.mark.parametrize("source, module_name, name", _repro_imports())
+def test_imported_name_exists(source, module_name, name):
+    module = importlib.import_module(module_name)
+    if name is not None:
+        assert hasattr(module, name), f"bench_e2e/{source} imports {module_name}.{name}"

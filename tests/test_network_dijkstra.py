@@ -1,6 +1,10 @@
 """Tests for repro.network.dijkstra, validated against networkx."""
 
+import json
 import math
+import random
+import struct
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -9,15 +13,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
-from repro.network.dijkstra import network_distance, shortest_path, shortest_path_lengths
+from repro.network.dijkstra import (
+    DijkstraSearch,
+    distance_from,
+    network_distance,
+    origin_seeds,
+    shortest_path,
+    shortest_path_lengths,
+)
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 from repro.network.graph import SpatialNetwork
+from repro.testing.oracles import oracle_network_knn
+from tests.test_network_index import (
+    adjacency_of,
+    flatten,
+    random_connected_network,
+    random_origin,
+    random_pois,
+)
+
+GRID_ROUTES = Path(__file__).parent / "golden" / "shortest_path_grid.json"
 
 
 def random_network(seed=0, size=2.0):
     spec = RoadNetworkSpec(width=size, height=size, secondary_spacing=size / 6,
                            seed=seed)
     return generate_road_network(spec)
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
 
 
 def to_networkx(network: SpatialNetwork) -> nx.Graph:
@@ -58,15 +83,6 @@ class TestShortestPathLengths:
         with pytest.raises(ValueError):
             shortest_path_lengths(network, [(source, -1.0)])
 
-    def test_cutoff_limits_settled(self):
-        network = random_network(2)
-        source = next(network.node_ids())
-        full = shortest_path_lengths(network, [(source, 0.0)])
-        cutoff = max(full.values()) / 2.0
-        limited = shortest_path_lengths(network, [(source, 0.0)], cutoff=cutoff)
-        assert all(dist <= cutoff for dist in limited.values())
-        assert len(limited) < len(full)
-
     def test_targets_early_exit(self):
         network = random_network(3)
         nodes = list(network.node_ids())
@@ -75,7 +91,83 @@ class TestShortestPathLengths:
         assert target in result
 
 
+class TestDijkstraSearch:
+    def test_bound_pauses_and_resumes(self):
+        network = random_network(2)
+        source = next(network.node_ids())
+        full = shortest_path_lengths(network, [(source, 0.0)])
+        bound = max(full.values()) / 2.0
+        search = DijkstraSearch(network, [(source, 0.0)])
+        assert search.expand(bound=bound) is None
+        assert search.settled == {n: d for n, d in full.items() if d <= bound}
+        assert len(search.settled) < len(full)
+        search.expand()
+        assert list(search.settled.items()) == list(full.items())
+
+    @given(seed=st.integers(min_value=0, max_value=2**31), restrict=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_resumed_in_any_order_is_bit_identical(self, seed, restrict):
+        """Lookups in a random order == one full run == the oracle, as
+        bit patterns, with and without an allowed-vertex set."""
+        rng = random.Random(seed)
+        network = random_connected_network(seed, n=rng.randint(8, 40))
+        origin = random_origin(network, rng)
+        nodes = list(network.node_ids())
+        adjacency = adjacency_of(network)
+        allowed = None
+        if restrict:
+            allowed = frozenset(rng.sample(nodes, k=max(1, 2 * len(nodes) // 3)))
+            adjacency = {
+                node: [(n, w) for n, w in edges if n in allowed]
+                for node, edges in adjacency.items()
+            }
+
+        full = DijkstraSearch(network, origin_seeds(origin), allowed)
+        full.expand()
+        resumed = DijkstraSearch(network, origin_seeds(origin), allowed)
+        rng.shuffle(nodes)
+        for node in nodes:
+            assert bits(resumed.settle(node)) == bits(
+                full.settled.get(node, math.inf)
+            )
+        # Same values in the same settle order, however it was driven.
+        assert list(resumed.settled.items()) == list(full.settled.items())
+
+        pois = random_pois(network, rng, rng.randint(1, 16))
+        expected = dict(
+            oracle_network_knn(
+                adjacency,
+                flatten(origin),
+                [(flatten(loc), payload) for loc, payload in pois],
+                len(pois),
+            )
+        )
+        lookups = DijkstraSearch(network, origin_seeds(origin), allowed)
+        rng.shuffle(pois)
+        for location, payload in pois:
+            assert bits(distance_from(lookups, origin, location)) == bits(
+                expected[payload]
+            )
+
+
 class TestShortestPath:
+    def test_grid_routes_match_golden(self):
+        """Node sequences on an exact grid, where equal-length routes
+        abound: pins the strict-improvement predecessor rule and the
+        ``(distance, id)`` settle order.  Recorded before the kernel
+        refactor; regenerate only if the generator itself changes."""
+        golden = json.loads(GRID_ROUTES.read_text())
+        network = generate_road_network(
+            RoadNetworkSpec(width=6, height=6, jitter=0.0, seed=0)
+        )
+        nodes = sorted(network.node_ids())
+        rng = np.random.default_rng(golden["pair_seed"])
+        assert len(golden["routes"]) == 50
+        for route in golden["routes"]:
+            source, target = (int(n) for n in rng.choice(nodes, size=2, replace=False))
+            assert (source, target) == (route["source"], route["target"])
+            assert shortest_path(network, source, target) == route["path"]
+
     def test_trivial_path(self):
         network = random_network(0)
         node = next(network.node_ids())

@@ -9,10 +9,12 @@ from repro.geometry.point import Point
 from repro.index.knn import NeighborResult
 from repro.network.dijkstra import network_distance
 from repro.network.generator import RoadNetworkSpec, generate_road_network
+from repro.network.graph import SpatialNetwork
 from repro.network.ier import (
     incremental_euclidean_restriction,
     incremental_network_expansion,
 )
+from repro.network.index import DijkstraIndex
 
 
 def build_scene(seed=0, poi_count=25, size=2.0):
@@ -174,6 +176,44 @@ class TestIne:
         assert result[0].network_distance == pytest.approx(
             abs(origin.offset - same_edge_poi.offset)
         )
+
+    @pytest.mark.parametrize(
+        "registered",
+        [
+            # Both 1.5 from the origin and found when b settles: only the
+            # ranking decides, and "z" is registered first.
+            [("z", "b", "c", 0.5), ("a", "b", "d", 0.5)],
+            # "z" sits on d and is a candidate at 2.0 once b settles; "a"
+            # sits on c, which is then on the frontier at exactly 2.0 and
+            # must still be expanded.
+            [("a", "c", "e", 0.0), ("z", "b", "d", 1.0)],
+        ],
+    )
+    def test_exact_ties_rank_by_tie_key(self, registered):
+        """A path a-b-c-e with a spur b-d, unit edges, origin at a: on an
+        exact distance tie INE must agree with the reference ranking
+        ``(distance, poi_tie_key, registration order)``."""
+        network = SpatialNetwork()
+        ids = {
+            name: network.add_node(Point(x, y))
+            for name, (x, y) in {
+                "a": (0, 0), "b": (1, 0), "c": (2, 0), "e": (3, 0), "d": (1, 1),
+            }.items()
+        }
+        for u, v in ["ab", "bc", "ce", "bd"]:
+            network.add_edge(ids[u], ids[v])
+        pois = []
+        for payload, u, v, offset in registered:
+            edge = network.edge_between(ids[u], ids[v])
+            assert edge.u == ids[u]
+            pois.append((network.location_at(edge, offset), payload))
+        origin = network.location_at_node(ids["a"])
+        reference = DijkstraIndex(network)
+        reference.register_pois(pois)
+        expected = [(n.payload, n.network_distance) for n in reference.knn(origin, 1)]
+        assert expected[0][0] == "a"
+        result = incremental_network_expansion(network, origin, pois, 1)
+        assert [(n.payload, n.network_distance) for n in result] == expected
 
     def test_results_sorted(self):
         network, origin, pois = build_scene(4)
