@@ -18,9 +18,10 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.geometry.point import Point
+from repro.obs import OBS
 
 __all__ = ["RoadClass", "Edge", "NetworkLocation", "SpatialNetwork"]
 
@@ -99,6 +100,164 @@ class NetworkLocation:
         return self.edge.length - self.offset
 
 
+#: How far past the best distance the snap search still looks, as a
+#: fraction of the coordinates' magnitude: a million times the rounding
+#: of the distances and cell lines it compares.
+_SNAP_SLACK = 1e-9
+
+
+class _EdgeGrid:
+    """Uniform grid over edge bounding boxes: the search behind ``snap``.
+
+    Square cells, about as many as there are edges, cover the extent of
+    the edges' endpoints; each cell lists, by rank in ``edges()`` order,
+    every edge whose bounding box overlaps it.
+    """
+
+    __slots__ = (
+        "_edges", "_positions", "_min_x", "_min_y", "_max_x", "_max_y",
+        "_cell", "_columns", "_rows", "_scale", "_cells",
+    )
+
+    def __init__(self, edges: List[Edge], positions: Mapping[int, Point]) -> None:
+        self._edges = edges
+        self._positions = positions
+        ends = [positions[node] for edge in edges for node in (edge.u, edge.v)]
+        self._min_x = min(end.x for end in ends)
+        self._max_x = max(end.x for end in ends)
+        self._min_y = min(end.y for end in ends)
+        self._max_y = max(end.y for end in ends)
+        width = self._max_x - self._min_x
+        height = self._max_y - self._min_y
+        # Edges join distinct points, so the longer side is positive.
+        self._cell = max(width, height) / math.ceil(math.sqrt(len(edges)))
+        self._columns = int(width / self._cell) + 1
+        self._rows = int(height / self._cell) + 1
+        self._scale = max(
+            abs(self._min_x), abs(self._max_x), abs(self._min_y), abs(self._max_y)
+        )
+        self._cells: List[Optional[List[int]]] = [None] * (self._columns * self._rows)
+        for rank, edge in enumerate(edges):
+            start, stop = positions[edge.u], positions[edge.v]
+            first_column, first_row = self._cell_of(
+                min(start.x, stop.x), min(start.y, stop.y)
+            )
+            last_column, last_row = self._cell_of(
+                max(start.x, stop.x), max(start.y, stop.y)
+            )
+            for row in range(first_row, last_row + 1):
+                for column in range(first_column, last_column + 1):
+                    key = row * self._columns + column
+                    bucket = self._cells[key]
+                    if bucket is None:
+                        bucket = self._cells[key] = []
+                    bucket.append(rank)
+
+    def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
+        """Column and row of the cell holding ``(x, y)``, clamped to the grid."""
+        column = min(max((x - self._min_x) / self._cell, 0.0), self._columns - 1)
+        row = min(max((y - self._min_y) / self._cell, 0.0), self._rows - 1)
+        return int(column), int(row)
+
+    def nearest(self, point: Point) -> Tuple[NetworkLocation, int]:
+        """The closest on-edge location to ``point`` and the edges scanned.
+
+        Starts at the point's cell (the nearest cell, for a point outside
+        the grid) and grows that block of cells by a ring per round: one
+        row or column on each side.  A side stops growing once the strip
+        of cells beyond it is farther away than the best edge found so
+        far, and a cell in a ring is skipped when its own rectangle is.
+        Both tests let ties and :data:`_SNAP_SLACK` through, so rounding
+        in either distance can hide neither the winner nor an edge tied
+        with it.
+        """
+        px, py = point.x, point.y
+        edges, positions = self._edges, self._positions
+        min_x, min_y, cell = self._min_x, self._min_y, self._cell
+        columns, rows, cells = self._columns, self._rows, self._cells
+        # How far outside the extent the point lies along each axis.  The
+        # strips span the extent's full width or height, so this is their
+        # gap to the point across the other axis.
+        off_x = max(min_x - px, 0.0, px - self._max_x)
+        off_y = max(min_y - py, 0.0, py - self._max_y)
+        slack = _SNAP_SLACK * (self._scale + abs(px) + abs(py))
+        low_column, low_row = high_column, high_row = self._cell_of(px, py)
+        best: Optional[Tuple[Edge, float, float, float]] = None
+        best_dist = math.inf
+        best_rank = -1
+        scanned = 0
+        ring = [(low_column, low_row)]
+        while ring:
+            for column, row in ring:
+                bucket = cells[row * columns + column]
+                if bucket is None:
+                    continue
+                left = min_x + column * cell
+                below = min_y + row * cell
+                if best_dist + slack < math.hypot(
+                    max(left - px, 0.0, px - (left + cell)),
+                    max(below - py, 0.0, py - (below + cell)),
+                ):
+                    continue
+                scanned += len(bucket)
+                for rank in bucket:
+                    edge = edges[rank]
+                    start = positions[edge.u]
+                    stop = positions[edge.v]
+                    sx, sy = start.x, start.y
+                    dx, dy = stop.x - sx, stop.y - sy
+                    # Euclidean by design: snapping projects onto the edge chord.
+                    length_sq = start.squared_distance_to(stop)  # repro: noqa(RPR003)
+                    t = ((px - sx) * dx + (py - sy) * dy) / length_sq
+                    t = min(1.0, max(0.0, t))
+                    x = sx + t * dx
+                    y = sy + t * dy
+                    # Euclidean by design: off-network displacement to the
+                    # chord (``point.distance_to`` without building a Point).
+                    dist = math.hypot(px - x, py - y)
+                    # Exact tie by design: a point on a node is equally far
+                    # from every incident edge, and the order cells are
+                    # visited in must not pick another than a scan would.
+                    if dist < best_dist or (
+                        dist == best_dist and rank < best_rank  # repro: noqa(RPR001)
+                    ):
+                        best = (edge, t, x, y)
+                        best_dist = dist
+                        best_rank = rank
+            reach = best_dist + slack
+            ring = []
+            if low_column > 0 and (
+                math.hypot(px - (min_x + low_column * cell), off_y) <= reach
+            ):
+                low_column -= 1
+                ring += [(low_column, row) for row in range(low_row, high_row + 1)]
+            if high_column < columns - 1 and (
+                math.hypot(min_x + (high_column + 1) * cell - px, off_y) <= reach
+            ):
+                high_column += 1
+                ring += [(high_column, row) for row in range(low_row, high_row + 1)]
+            if low_row > 0 and (
+                math.hypot(py - (min_y + low_row * cell), off_x) <= reach
+            ):
+                low_row -= 1
+                ring += [
+                    (column, low_row) for column in range(low_column, high_column + 1)
+                ]
+            if high_row < rows - 1 and (
+                math.hypot(min_y + (high_row + 1) * cell - py, off_x) <= reach
+            ):
+                high_row += 1
+                ring += [
+                    (column, high_row) for column in range(low_column, high_column + 1)
+                ]
+        if best is None:
+            raise ValueError(f"cannot snap the non-finite point {point!r}")
+        edge, t, x, y = best
+        # The offset is along the edge's *stored* length, which can exceed
+        # the chord length for curved segments.
+        return NetworkLocation(edge, t * edge.length, Point(x, y)), scanned
+
+
 class SpatialNetwork:
     """An undirected spatial graph with geometric nodes.
 
@@ -112,6 +271,8 @@ class SpatialNetwork:
         self._positions: Dict[int, Point] = {}
         self._adjacency: Dict[int, Dict[int, Edge]] = {}
         self._next_node_id = 0
+        # Built by the first ``snap``, dropped when an edge is added.
+        self._edge_grid: Optional[_EdgeGrid] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -156,6 +317,7 @@ class SpatialNetwork:
         edge = Edge(u, v, length, road_class)
         self._adjacency[u][v] = edge
         self._adjacency[v][u] = edge
+        self._edge_grid = None
         return edge
 
     # ------------------------------------------------------------------
@@ -264,34 +426,30 @@ class SpatialNetwork:
     def snap(self, point: Point) -> NetworkLocation:
         """Project ``point`` onto the nearest edge of the network.
 
-        Linear scan over edges; snapping happens once per host / POI at
-        setup time, so simplicity beats an index here.
+        Algorithm 2 places the query host and every Euclidean candidate
+        on the modeling graph before measuring them (Section 3.4), so
+        this runs several times per SNNN query and must not look at
+        every edge.  The search is a uniform grid over the edges'
+        bounding boxes (:class:`_EdgeGrid`), built on the first call and
+        rebuilt after the next ``add_edge``; it visits the cells around
+        the point outward until no unvisited cell can hold an edge as
+        close as the best one found.
+
+        Among edges at exactly the same distance -- every edge incident
+        to a node the point sits on -- the earliest in :meth:`edges`
+        order wins, whatever order the cells were visited in.
         """
-        best: Optional[NetworkLocation] = None
-        best_dist = math.inf
-        for edge in self.edges():
-            start = self._positions[edge.u]
-            end = self._positions[edge.v]
-            # Euclidean by design: snapping projects onto the edge chord.
-            length_sq = start.squared_distance_to(end)  # repro: noqa(RPR003)
-            t = (
-                (point.x - start.x) * (end.x - start.x)
-                + (point.y - start.y) * (end.y - start.y)
-            ) / length_sq
-            t = min(1.0, max(0.0, t))
-            projected = Point(
-                start.x + t * (end.x - start.x), start.y + t * (end.y - start.y)
-            )
-            # Euclidean by design: off-network displacement to the chord.
-            dist = point.distance_to(projected)  # repro: noqa(RPR003)
-            if dist < best_dist:
-                best_dist = dist
-                # The offset is along the edge's *stored* length, which can
-                # exceed the chord length for curved segments.
-                best = NetworkLocation(edge, t * edge.length, projected)
-        if best is None:
-            raise ValueError("cannot snap onto an empty network")
-        return best
+        grid = self._edge_grid
+        if grid is None:
+            edges = list(self.edges())
+            if not edges:
+                raise ValueError("cannot snap onto an empty network")
+            grid = self._edge_grid = _EdgeGrid(edges, self._positions)
+        location, scanned = grid.nearest(point)
+        if OBS.enabled:
+            OBS.registry.counter("network.snap.calls").inc()
+            OBS.registry.counter("network.snap.edges_scanned").inc(scanned)
+        return location
 
     def nearest_node(self, point: Point) -> int:
         """Id of the node geometrically closest to ``point``."""

@@ -141,17 +141,23 @@ class Simulation:
         params = self.config.parameters
         senn_config = self.config.senn_config()
         moving_share = params.m_percentage / 100.0
+        # Road mode draws each host's start node from this; built once, as
+        # an array, because ``rng.choice`` converts a list on every call.
+        start_nodes = np.array(
+            sorted(self.network.node_ids()) if self.network is not None else []
+        )
         for host_id in range(params.mh_number):
-            trajectory = self._make_trajectory(moving_share)
+            trajectory = self._make_trajectory(moving_share, start_nodes)
             self._trajectories.append(trajectory)
             self.hosts.append(MobileHost(host_id, trajectory.position, senn_config))
 
-    def _make_trajectory(self, moving_share: float) -> Trajectory:
+    def _make_trajectory(
+        self, moving_share: float, start_nodes: np.ndarray
+    ) -> Trajectory:
         params = self.config.parameters
         moving = bool(self.rng.uniform() < moving_share)
         if self.network is not None:
-            node_ids = sorted(self.network.node_ids())
-            start = int(self.rng.choice(node_ids))
+            start = int(self.rng.choice(start_nodes))
             if not moving:
                 return StationaryTrajectory(self.network.node_position(start))
             return RoadTrajectory(

@@ -10,7 +10,9 @@ Everything in this module recomputes ground truth from first principles:
   instead of a boolean so the differential runner can apply asymmetric
   margins (soundness vs. completeness);
 - :func:`oracle_network_knn` is an independent Dijkstra over a plain
-  adjacency mapping for cross-checking SNNN.
+  adjacency mapping for cross-checking SNNN;
+- :func:`oracle_snap` projects a point onto every edge in turn, the
+  reference for the grid search behind ``SpatialNetwork.snap``.
 
 Independence is the whole point: this file must not import the code under
 test.  ``repro-lint`` rule RPR007 enforces that no symbol from
@@ -39,6 +41,7 @@ __all__ = [
     "oracle_knn",
     "oracle_network_knn",
     "oracle_range",
+    "oracle_snap",
     "oracle_window",
     "tie_key",
 ]
@@ -300,3 +303,36 @@ def oracle_network_knn(
         scored.append((best, tie_key(payload), payload))
     scored.sort(key=lambda item: (item[0], item[1]))
     return [(payload, distance) for distance, _, payload in scored[:k]]
+
+
+# ----------------------------------------------------------------------
+# snapping by linear scan
+# ----------------------------------------------------------------------
+def oracle_snap(
+    edges: Sequence[Tuple[float, float, float, float, float]],
+    point: Tuple[float, float],
+) -> Tuple[int, float, Tuple[float, float]]:
+    """Nearest on-edge location to ``point`` by scanning every edge.
+
+    ``edges`` are ``(ux, uy, vx, vy, length)`` rows in the network's
+    ``edges()`` order; the answer is ``(row index, offset from u,
+    projected (x, y))``.  The first of several equally near edges wins.
+    Per edge this is, expression for expression, what
+    ``SpatialNetwork.snap`` computes, so the grid search there must
+    return these floats exactly.
+    """
+    if not edges:
+        raise ValueError("cannot snap onto an empty network")
+    px, py = point
+    best = (-1, 0.0, (0.0, 0.0))
+    best_dist = math.inf
+    for index, (ux, uy, vx, vy, length) in enumerate(edges):
+        length_sq = (ux - vx) * (ux - vx) + (uy - vy) * (uy - vy)
+        t = ((px - ux) * (vx - ux) + (py - uy) * (vy - uy)) / length_sq
+        t = min(1.0, max(0.0, t))
+        projected = (ux + t * (vx - ux), uy + t * (vy - uy))
+        dist = math.hypot(px - projected[0], py - projected[1])
+        if dist < best_dist:
+            best_dist = dist
+            best = (index, t * length, projected)
+    return best
