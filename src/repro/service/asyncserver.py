@@ -2,12 +2,16 @@
 
 One event loop, one :class:`~repro.service.engine.QueryService`, many
 connections.  kNN requests do not execute inline: they are enqueued to
-the *batching dispatcher*, which collects whatever is in flight (across
-all connections, waiting up to ``batch_window_s`` for stragglers) and
-hands the wave to the :class:`~repro.service.batching.BatchExecutor` --
-this is where co-located concurrent clients get merged into shared
-traversals.  Everything else (range/window queries, stream operations)
-is cheap and session-stateful, so it runs inline on the connection task.
+the *batching dispatcher*, which collects whatever is in flight across
+all connections and hands the wave to the
+:class:`~repro.service.batching.BatchExecutor` -- this is where
+co-located concurrent clients get merged into shared traversals.  A wave
+that already holds two requests in one batching cell is kept open for
+the rest of ``batch_window_s`` so more cell-mates can join; a wave
+without cell-mates (a lone request, or scattered ones) has nothing to
+gain from waiting and is dispatched at once.  Everything else
+(range/window queries, stream operations) is cheap and session-stateful,
+so it runs inline on the connection task.
 
 Flow control, per the issue's deployment knobs:
 
@@ -256,21 +260,51 @@ class AsyncQueryServer:
         loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
-            deadline = loop.time() + self.config.batch_window_s
-            while len(batch) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0.0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            while len(batch) < self.config.max_batch and not self._queue.empty():
-                batch.append(self._queue.get_nowait())
+            self._sweep(batch)
+            # Waiting can only pay off by merging traversals, so a wave
+            # is held only when it already has two requests in one cell.
+            hold_s: Optional[float] = None
+            if self._has_cell_mates(batch):
+                hold_s = await self._hold(batch)
+            self._note_dispatch(hold_s)
             self._note_queue_depth()
             await self._execute_batch(batch, loop.time())
+
+    def _sweep(self, batch: List[_Pending]) -> None:
+        """Move what is already queued into ``batch``, up to ``max_batch``."""
+        while len(batch) < self.config.max_batch and not self._queue.empty():
+            batch.append(self._queue.get_nowait())
+
+    def _has_cell_mates(self, batch: List[_Pending]) -> bool:
+        """Whether two requests of ``batch`` could share a traversal."""
+        cell_of = self.service.executor.cell_of
+        return len({cell_of(item.request.query) for item in batch}) < len(batch)
+
+    async def _hold(self, batch: List[_Pending]) -> float:
+        """Keep ``batch`` open for the rest of its window; return the wait.
+
+        The window runs from the oldest request's enqueue (the queue is
+        FIFO, so that is ``batch[0]``): time spent queued behind a
+        running batch counts toward the window instead of adding to it.
+        The hold ends early when the wave reaches ``max_batch``.
+        """
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        remaining = (
+            batch[0].enqueued_at + self.config.batch_window_s - started
+        )
+        if remaining > 0.0:
+            try:
+                await asyncio.wait_for(self._fill(batch), remaining)
+            except asyncio.TimeoutError:
+                pass
+        self._sweep(batch)
+        return loop.time() - started
+
+    async def _fill(self, batch: List[_Pending]) -> None:
+        """Append arrivals to ``batch`` until it reaches ``max_batch``."""
+        while len(batch) < self.config.max_batch:
+            batch.append(await self._queue.get())
 
     async def _execute_batch(
         self, batch: List[_Pending], now: float
@@ -324,6 +358,18 @@ class AsyncQueryServer:
             OBS.registry.gauge("service.queue_depth").set(
                 float(self._queue.qsize())
             )
+
+    def _note_dispatch(self, hold_s: Optional[float]) -> None:
+        """Count one wave; ``hold_s`` is ``None`` when it was not held."""
+        if OBS.enabled:
+            OBS.registry.counter(
+                "service.dispatch",
+                decision="immediate" if hold_s is None else "held",
+            ).inc()
+            if hold_s is not None:
+                OBS.registry.histogram(
+                    "service.hold_s", boundaries=DEFAULT_TIME_BUCKETS_S
+                ).observe(hold_s)
 
     def _note_latency(self, seconds: float) -> None:
         if OBS.enabled:

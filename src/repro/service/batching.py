@@ -150,7 +150,7 @@ class BatchExecutor:
         answers: List[Optional[QueryAnswer]] = [None] * len(requests)
         groups: Dict[Tuple[int, int], List[int]] = {}
         for index, request in enumerate(requests):
-            groups.setdefault(self._cell_of(request.query), []).append(index)
+            groups.setdefault(self.cell_of(request.query), []).append(index)
         for cell in sorted(groups):
             members = groups[cell]
             if OBS.enabled:
@@ -176,7 +176,12 @@ class BatchExecutor:
                     answers[member] = answer
         return [answer for answer in answers if answer is not None]
 
-    def _cell_of(self, point: Point) -> Tuple[int, int]:
+    def cell_of(self, point: Point) -> Tuple[int, int]:
+        """The batching cell of ``point``: the key :meth:`execute` groups by.
+
+        The dispatcher asks the same question before it decides to hold
+        a wave, so "could share a traversal" has one definition.
+        """
         return (
             math.floor(point.x / self.cell_size),
             math.floor(point.y / self.cell_size),

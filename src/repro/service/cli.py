@@ -10,6 +10,8 @@ concurrent TCP clients issuing co-located kNN and range queries, and
 verifies every answer against a reference in-process server built from
 the same POIs -- the answers must match bit for bit.  It exits non-zero
 on any mismatch, which is what the ``service-smoke`` CI job checks.
+With ``--clients 1`` nothing can batch, so it also exits non-zero if an
+answer reports a batch larger than one or the dispatcher held a wave.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.obs import OBS
 from repro.service.asyncserver import (
     AsyncQueryServer,
     BackgroundServer,
@@ -92,6 +95,14 @@ def _client_worker(
     return out
 
 
+def _dispatch_counts() -> Tuple[int, int]:
+    """Waves the dispatcher has sent ``(immediate, held)`` so far."""
+    return (
+        int(OBS.registry.value("service.dispatch", decision="immediate")),
+        int(OBS.registry.value("service.dispatch", decision="held")),
+    )
+
+
 def selftest(args: argparse.Namespace) -> int:
     """Start a server, hammer it with concurrent clients, verify."""
     pois = build_pois(args.pois, args.seed, args.extent)
@@ -127,6 +138,7 @@ def selftest(args: argparse.Namespace) -> int:
     mismatches = 0
     total = 0
     batch_sizes: List[int] = []
+    immediate_before, held_before = _dispatch_counts()
     with BackgroundServer(served, _service_config(args)) as running:
         host, port = running.address
         with ThreadPoolExecutor(max_workers=args.clients) as pool:
@@ -145,15 +157,28 @@ def selftest(args: argparse.Namespace) -> int:
                     # down to the last float, not within tolerance.
                     if key != expected[point_index]:  # repro: noqa(RPR001)
                         mismatches += 1
+    immediate, held = _dispatch_counts()
+    immediate -= immediate_before
+    held -= held_before
     mean_batch = sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
+    max_batch = max(batch_sizes, default=0)
     if not args.quiet:
         print(
             f"selftest: {total} queries over {args.clients} clients, "
             f"{mismatches} mismatches, mean batch size {mean_batch:.2f}, "
-            f"max batch size {max(batch_sizes) if batch_sizes else 0}"
+            f"max batch size {max_batch}, "
+            f"waves {immediate} immediate / {held} held"
         )
     if mismatches:
         print(f"FAILED: {mismatches} answers differed from the reference")
+        return 1
+    # One client has one request in flight: nothing can share a
+    # traversal, so nothing may wait for the batch window.
+    if args.clients == 1 and (max_batch > 1 or held):
+        print(
+            f"FAILED: a lone client saw max batch size {max_batch} "
+            f"and {held} held waves; expected 1 and 0"
+        )
         return 1
     return 0
 
@@ -198,7 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--buffer-capacity", type=int, default=0)
     parser.add_argument("--cell-size", type=float, default=0.25)
-    parser.add_argument("--batch-window-ms", type=float, default=2.0)
+    parser.add_argument(
+        "--batch-window-ms",
+        type=float,
+        default=2.0,
+        help="how long a wave that already holds co-located requests waits "
+        "for more; a wave without cell-mates is not held",
+    )
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--max-inflight", type=int, default=32)
     parser.add_argument("--timeout-s", type=float, default=30.0)

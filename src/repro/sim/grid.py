@@ -9,6 +9,7 @@ cells around the query point needs scanning.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.geometry.point import Point
@@ -83,10 +84,16 @@ class UniformGrid:
         if radius < 0.0:
             raise ValueError("radius must be non-negative")
         results: List[Hashable] = []
-        min_cx = math.floor((center.x - radius) / self.cell_size)
-        max_cx = math.floor((center.x + radius) / self.cell_size)
-        min_cy = math.floor((center.y - radius) / self.cell_size)
-        max_cy = math.floor((center.y + radius) / self.cell_size)
+        # The distance test below is rounded: a point can pass it while
+        # lying a few ulps outside ``center +- radius`` as rounded here
+        # (and so in the next cell), hence the slightly wider box.
+        reach = radius + 8.0 * sys.float_info.epsilon * (
+            abs(center.x) + abs(center.y) + radius
+        )
+        min_cx = math.floor((center.x - reach) / self.cell_size)
+        max_cx = math.floor((center.x + reach) / self.cell_size)
+        min_cy = math.floor((center.y - reach) / self.cell_size)
+        max_cy = math.floor((center.y + reach) / self.cell_size)
         for cx in range(min_cx, max_cx + 1):
             for cy in range(min_cy, max_cy + 1):
                 for item_id in self._cells.get((cx, cy), ()):

@@ -9,16 +9,19 @@ a wall-clock sleep.
 import asyncio
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
 
 from repro.geometry.point import Point
 from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.obs import DEFAULT_TIME_BUCKETS_S, OBS, MetricsRegistry, observed
 from repro.service.asyncserver import (
     AsyncQueryServer,
     BackgroundServer,
     ServiceConfig,
+    _Pending,
 )
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
@@ -214,6 +217,191 @@ class TestTimeouts:
         assert by_id[41].code is ErrorCode.TIMEOUT
         assert not isinstance(by_id[42], ErrorReply)
         assert len(by_id[42].neighbors) == 3
+
+
+# One batching cell of the default 0.25 grid, and four cells far apart.
+COLOCATED = [Point(2.01 + 0.02 * i, 2.03 + 0.01 * i) for i in range(8)]
+SCATTERED = [Point(0.6, 0.6), Point(1.6, 0.6), Point(0.6, 2.6), Point(3.1, 3.1)]
+
+
+def _send_burst(sock, first_id, points, k=5):
+    """Pipeline one request per point in a single write."""
+    sock.sendall(
+        b"".join(
+            encode_message(KnnRequest(first_id + i, point, k))
+            for i, point in enumerate(points)
+        )
+    )
+
+
+def _read_replies(sock, count):
+    return {reply.request_id: reply for reply in (_read_frame(sock) for _ in range(count))}
+
+
+class TestDispatchDecision:
+    """A wave waits for the window only if it holds cell-mates.
+
+    The 5 s windows below are never waited for: a test that takes a
+    second has found a wave held for nothing.
+    """
+
+    def test_lone_request_is_not_held(self):
+        pois = make_pois()
+        config = ServiceConfig(batch_window_s=5.0)
+        with BackgroundServer(make_server(pois), config) as running:
+            client = ServiceClient(TcpTransport(*running.address))
+            try:
+                started = time.monotonic()
+                answer = client.knn_query_detailed(Point(1.0, 1.0), 5)
+                elapsed = time.monotonic() - started
+            finally:
+                client.close()
+        assert elapsed < 1.0
+        assert answer.batch_size == 1
+        expected = make_server(pois).knn_query_detailed(Point(1.0, 1.0), 5)
+        assert answer_key(answer.neighbors) == answer_key(expected.neighbors)
+
+    def test_scattered_burst_is_not_held(self):
+        config = ServiceConfig(batch_window_s=5.0)
+        with BackgroundServer(make_server(make_pois()), config) as running:
+            with socket.create_connection(running.address, timeout=10.0) as sock:
+                started = time.monotonic()
+                _send_burst(sock, 1, SCATTERED)
+                replies = _read_replies(sock, len(SCATTERED))
+                elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        assert sorted(replies) == [1, 2, 3, 4]
+        assert [replies[i].batch_size for i in sorted(replies)] == [1, 1, 1, 1]
+
+    def test_colocated_bursts_on_two_sockets_share_one_traversal(self):
+        pois = make_pois()
+        reference = make_server(pois)
+        with BackgroundServer(make_server(pois), ServiceConfig()) as running:
+            with socket.create_connection(
+                running.address, timeout=10.0
+            ) as first, socket.create_connection(
+                running.address, timeout=10.0
+            ) as second:
+                _send_burst(first, 1, COLOCATED[:4])
+                _send_burst(second, 5, COLOCATED[4:])
+                replies = {**_read_replies(first, 4), **_read_replies(second, 4)}
+        assert sorted(replies) == list(range(1, 9))
+        for request_id, point in enumerate(COLOCATED, start=1):
+            reply = replies[request_id]
+            assert reply.batch_size == 8
+            expected = reference.knn_query_detailed(point, 5)
+            assert answer_key(reply.neighbors) == answer_key(expected.neighbors)
+
+    def test_held_wave_dispatches_when_it_reaches_max_batch(self):
+        config = ServiceConfig(batch_window_s=5.0, max_batch=4)
+        replies, elapsed, registry = _run_waves(
+            config, [(COLOCATED[:2], 0.0), (COLOCATED[2:4], 0.0)]
+        )
+        assert elapsed < 1.0
+        assert [reply.batch_size for reply in replies] == [4, 4, 4, 4]
+        assert registry.value("service.dispatch", decision="held") == 1.0
+        assert registry.value("service.dispatch", decision="immediate") == 0.0
+        hold = registry.histogram("service.hold_s", boundaries=DEFAULT_TIME_BUCKETS_S)
+        assert hold.count == 1
+        assert hold.sum < 1.0
+
+    def test_window_is_counted_from_the_oldest_enqueue(self):
+        """Ten seconds queued behind a running batch is a window spent."""
+        config = ServiceConfig(batch_window_s=5.0)
+        replies, elapsed, registry = _run_waves(config, [(COLOCATED[:2], 10.0)])
+        assert elapsed < 1.0
+        assert [reply.batch_size for reply in replies] == [2, 2]
+        assert registry.value("service.dispatch", decision="held") == 1.0
+
+    def test_scattered_wave_is_counted_immediate(self):
+        config = ServiceConfig(batch_window_s=5.0)
+        replies, elapsed, registry = _run_waves(config, [(SCATTERED, 0.0)])
+        assert elapsed < 1.0
+        assert [reply.batch_size for reply in replies] == [1, 1, 1, 1]
+        assert registry.value("service.dispatch", decision="immediate") == 1.0
+        assert registry.value("service.dispatch", decision="held") == 0.0
+
+    @pytest.mark.parametrize(
+        "first, second, together",
+        [
+            (Point(0.25, 0.1), Point(0.2499999, 0.1), False),  # on the edge
+            (Point(0.25, 0.1), Point(0.26, 0.1), True),
+            (Point(0.1, 0.5), Point(0.1, 0.4999999), False),
+            (Point(-0.01, 0.1), Point(0.01, 0.1), False),  # across zero
+            (Point(0.0, 0.0), Point(-0.0, 0.0), True),
+            (Point(-0.01, -0.01), Point(-0.2, -0.24), True),
+            (Point(-0.25, 0.0), Point(-0.2500001, 0.0), False),
+            (Point(-0.25, -0.5), Point(-0.01, -0.26), True),
+        ],
+    )
+    def test_decision_agrees_with_the_executors_grouping(
+        self, first, second, together
+    ):
+        running = AsyncQueryServer(make_server(make_pois()), ServiceConfig())
+        requests = [KnnRequest(1, first, 3), KnnRequest(2, second, 3)]
+        wave = [_Pending(r, 0.0, lambda m: None, lambda: None) for r in requests]
+        answers = running.service.executor.execute(requests)
+        merged = [answer.batch_size for answer in answers] == [2, 2]
+        assert running._has_cell_mates(wave) is merged
+        assert merged is together
+
+
+def _run_waves(config, waves):
+    """Feed ``waves`` to a dispatcher on a private loop, no sockets.
+
+    Each wave is ``(points, age_s)``: its requests are enqueued together,
+    stamped ``age_s`` in the past, once the dispatcher has taken the
+    wave before it.  Returns the replies in request order, the seconds
+    until the last one, and the metrics the dispatcher recorded.
+    """
+    total = sum(len(points) for points, _ in waves)
+
+    async def scenario():
+        running = AsyncQueryServer(make_server(make_pois()), config)
+        loop = asyncio.get_running_loop()
+        replies = []
+        all_replied = loop.create_future()
+
+        def respond(message):
+            replies.append(message)
+            if len(replies) == total:
+                all_replied.set_result(None)
+            future = loop.create_future()
+            future.set_result(None)
+            return future
+
+        dispatcher = loop.create_task(running._dispatch_loop())
+        started = loop.time()
+        try:
+            next_id = 1
+            for points, age_s in waves:
+                for point in points:
+                    running._queue.put_nowait(
+                        _Pending(
+                            KnnRequest(next_id, point, 3),
+                            loop.time() - age_s,
+                            respond,
+                            lambda: None,
+                        )
+                    )
+                    next_id += 1
+                # Let the dispatcher take the wave and decide on it.
+                while not running._queue.empty():
+                    await asyncio.sleep(0)
+                await asyncio.sleep(0)
+            await asyncio.wait_for(all_replied, 8.0)
+        finally:
+            dispatcher.cancel()
+        return sorted(replies, key=lambda r: r.request_id), loop.time() - started
+
+    previous = OBS.registry
+    with observed():
+        OBS.registry = MetricsRegistry()
+        try:
+            replies, elapsed = asyncio.run(scenario())
+            return replies, elapsed, OBS.registry
+        finally:
+            OBS.registry = previous
 
 
 class TestConfigValidation:

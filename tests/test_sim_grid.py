@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
@@ -86,6 +86,9 @@ class TestUniformGrid:
         st.floats(min_value=0.0, max_value=30.0),
         st.floats(min_value=0.1, max_value=10.0),
     )
+    # One ulp-scale step below a cell edge, at a distance that rounds to
+    # the radius: in range, but outside the unwidened cell block.
+    @example([(1.0, -2.0980942082711528e-296)], (1.0, 1.0), 1.0, 1.0)
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, items, center, radius, cell_size):
         grid = UniformGrid(cell_size)
