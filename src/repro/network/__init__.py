@@ -11,8 +11,8 @@ search.  This package provides all of that from scratch:
 - :mod:`repro.network.dijkstra` -- the one Dijkstra kernel
   (:class:`DijkstraSearch`: multi-source, resumable, optionally confined
   to a vertex set, predecessors kept) and its thin wrappers: shortest
-  path lengths, one concrete path, exact point-to-point network distance
-  for on-edge locations;
+  path lengths, one concrete path, one source's whole path tree, exact
+  point-to-point network distance for on-edge locations;
 - :mod:`repro.network.ier` -- Incremental Euclidean Restriction (IER) and
   Incremental Network Expansion (INE, the kernel with a k-th-candidate
   bound) for network kNN queries;
@@ -33,6 +33,7 @@ from repro.network.dijkstra import (
     network_distance,
     shortest_path,
     shortest_path_lengths,
+    shortest_path_tree,
 )
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 from repro.network.graph import Edge, NetworkLocation, RoadClass, SpatialNetwork
@@ -83,5 +84,6 @@ __all__ = [
     "network_distance",
     "shortest_path",
     "shortest_path_lengths",
+    "shortest_path_tree",
     "write_tiger",
 ]

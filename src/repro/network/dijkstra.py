@@ -9,8 +9,10 @@ back.  Everything else is a thin wrapper over it:
 
 - :func:`shortest_path_lengths` -- single- or multi-source distances,
   optionally stopping once a target set is settled;
-- :func:`shortest_path` -- one concrete node-to-node path (used by the
-  road-network mobility model to drive along roads);
+- :func:`shortest_path` -- one concrete node-to-node path;
+- :func:`shortest_path_tree` -- those paths from one source to every
+  node at once (the road-network mobility model plans its trips from
+  one such tree per start node);
 - :func:`origin_seeds` / :func:`distance_from` -- how an *on-edge*
   location seeds a search and how a destination's two endpoint distances
   fold into one value (same-edge shortcut included);
@@ -35,6 +37,7 @@ __all__ = [
     "DijkstraSearch",
     "shortest_path_lengths",
     "shortest_path",
+    "shortest_path_tree",
     "origin_seeds",
     "distance_from",
     "network_distance",
@@ -164,6 +167,19 @@ def shortest_path(
     search = DijkstraSearch(network, [(source, 0.0)])
     search.expand((target,))
     return search.path_to(target)
+
+
+def shortest_path_tree(network: SpatialNetwork, source: int) -> Dict[int, int]:
+    """Predecessor of every node reachable from ``source`` (which has none).
+
+    Walking it back from a target gives exactly the node sequence
+    :func:`shortest_path` returns for that target: a settled vertex's
+    predecessor is final, so running the same search to exhaustion
+    changes none of them.
+    """
+    search = DijkstraSearch(network, [(source, 0.0)])
+    search.expand()
+    return search._predecessor
 
 
 def origin_seeds(origin: NetworkLocation) -> List[Tuple[int, float]]:

@@ -3,7 +3,8 @@
 - :mod:`repro.sim.grid` -- uniform-grid spatial hash for peer discovery
   within the wireless transmission range;
 - :mod:`repro.sim.mobility` -- the random waypoint model (free movement)
-  and road-network mobility with per-segment speed limits;
+  and road-network mobility with per-segment speed limits, the route
+  planner road hosts share and the fleet that advances them in arrays;
 - :mod:`repro.sim.config` -- simulation parameter sets, including the Los
   Angeles / Riverside / Synthetic Suburbia configurations of Tables 3-4;
 - :mod:`repro.sim.stats` -- SQRR and resolution-tier metrics;
@@ -24,12 +25,19 @@ from repro.sim.config import (
 )
 from repro.sim.grid import UniformGrid
 from repro.sim.latency import LatencyModel
-from repro.sim.mobility import FreeTrajectory, RoadTrajectory, Trajectory
+from repro.sim.mobility import (
+    Fleet,
+    FreeTrajectory,
+    RoadTrajectory,
+    RoutePlanner,
+    Trajectory,
+)
 from repro.sim.simulation import Simulation
 from repro.sim.stats import SimulationMetrics
 from repro.sim.trace import QueryEvent, QueryTrace
 
 __all__ = [
+    "Fleet",
     "FreeTrajectory",
     "LatencyModel",
     "MovementMode",
@@ -37,6 +45,7 @@ __all__ = [
     "QueryEvent",
     "QueryTrace",
     "RoadTrajectory",
+    "RoutePlanner",
     "Simulation",
     "SimulationConfig",
     "SimulationMetrics",

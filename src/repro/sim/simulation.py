@@ -15,7 +15,10 @@ One :class:`Simulation` wires together:
 Movement advances in fixed ticks (default 2 s of simulated time: at
 50 mph a host moves ~45 m per tick, well under the 200 m transmission
 range), and the peer-discovery grid is refreshed each tick.  Queries
-arriving within a tick use the tick's positions.
+arriving within a tick use the tick's positions.  A tick moves the
+hosts in the grid's coordinate arrays only; a ``MobileHost.position``
+is brought up to date when the host queries or is polled as a peer, and
+for every host when :meth:`Simulation.run` returns.
 
 Metrics are recorded only after the warm-up fraction of the run, matching
 the paper's "all simulation results were recorded after the system
@@ -38,8 +41,10 @@ from repro.network.graph import SpatialNetwork
 from repro.sim.config import MovementMode, SimulationConfig
 from repro.sim.grid import UniformGrid
 from repro.sim.mobility import (
+    Fleet,
     FreeTrajectory,
     RoadTrajectory,
+    RoutePlanner,
     StationaryTrajectory,
     Trajectory,
 )
@@ -89,14 +94,14 @@ class Simulation:
 
         # --- hosts ---------------------------------------------------------
         self.hosts: List[MobileHost] = []
-        self._trajectories: List[Trajectory] = []
-        self._create_hosts()
+        self.fleet = self._create_hosts()
 
         # --- peer discovery grid -------------------------------------------
-        cell = max(params.tx_range_miles, 1e-6)
-        self.grid = UniformGrid(cell_size=cell)
-        for host in self.hosts:
-            self.grid.insert(host.host_id, host.position)
+        self.grid = UniformGrid(
+            max(params.tx_range_miles, 1e-6),
+            [host.position.x for host in self.hosts],
+            [host.position.y for host in self.hosts],
+        )
 
         self.metrics = SimulationMetrics()
         # The trace records every query, warm-up included, so steady-state
@@ -137,35 +142,36 @@ class Simulation:
             pois.append((raw, f"poi-{i}"))
         return pois
 
-    def _create_hosts(self) -> None:
+    def _create_hosts(self) -> Fleet:
         params = self.config.parameters
         senn_config = self.config.senn_config()
         moving_share = params.m_percentage / 100.0
-        # Road mode draws each host's start node from this; built once, as
-        # an array, because ``rng.choice`` converts a list on every call.
-        start_nodes = np.array(
-            sorted(self.network.node_ids()) if self.network is not None else []
-        )
+        # Road mode: one planner for every host, which also holds the
+        # node ids start nodes and destinations are drawn from.
+        planner = RoutePlanner(self.network) if self.network is not None else None
+        trajectories: List[Trajectory] = []
         for host_id in range(params.mh_number):
-            trajectory = self._make_trajectory(moving_share, start_nodes)
-            self._trajectories.append(trajectory)
+            trajectory = self._make_trajectory(moving_share, planner)
+            trajectories.append(trajectory)
             self.hosts.append(MobileHost(host_id, trajectory.position, senn_config))
+        return Fleet(trajectories)
 
     def _make_trajectory(
-        self, moving_share: float, start_nodes: np.ndarray
+        self, moving_share: float, planner: Optional[RoutePlanner]
     ) -> Trajectory:
         params = self.config.parameters
         moving = bool(self.rng.uniform() < moving_share)
-        if self.network is not None:
-            start = int(self.rng.choice(start_nodes))
+        if planner is not None:
+            start = int(self.rng.choice(planner.node_ids))
             if not moving:
-                return StationaryTrajectory(self.network.node_position(start))
+                return StationaryTrajectory(planner.network.node_position(start))
             return RoadTrajectory(
-                self.network,
+                planner.network,
                 desired_speed_mph=params.m_velocity,
                 rng=self.rng,
                 pause_max_s=self.config.pause_max_s,
                 start_node=start,
+                planner=planner,
             )
         start_point = Point(
             float(self.rng.uniform(0.0, self.area)),
@@ -208,25 +214,28 @@ class Simulation:
                     self._issue_query(record=next_query >= warmup_end,
                                       timestamp=next_query)
                 next_query += float(self.rng.exponential(1.0 / rate))
+        for host in self.hosts:
+            self._locate(host)
         return self.metrics
 
     def _advance_hosts(self, dt: float) -> None:
         if dt <= 0.0:
             return
-        for host, trajectory in zip(self.hosts, self._trajectories):
-            new_position = trajectory.advance(dt)
-            if new_position != host.position:
-                host.position = new_position
-                self.grid.update(host.host_id, new_position)
+        self.grid.move_many(*self.fleet.advance(dt))
+
+    def _locate(self, host: MobileHost) -> MobileHost:
+        """Bring ``host.position`` up to the last tick."""
+        host.position = self.grid.position_of(host.host_id)
+        return host
 
     def _issue_query(self, record: bool, timestamp: float) -> None:
-        host = self.hosts[int(self.rng.integers(len(self.hosts)))]
+        host = self._locate(self.hosts[int(self.rng.integers(len(self.hosts)))])
         peer_ids = self.grid.within_range(
             host.position,
             self.config.parameters.tx_range_miles,
             exclude=host.host_id,
         )
-        peers = [self.hosts[peer_id] for peer_id in peer_ids]
+        peers = [self._locate(self.hosts[peer_id]) for peer_id in peer_ids]
         probes_before = host.peer_probes_sent
         tuples_before = host.tuples_received
         is_range = (

@@ -20,6 +20,7 @@ from repro.network.dijkstra import (
     origin_seeds,
     shortest_path,
     shortest_path_lengths,
+    shortest_path_tree,
 )
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 from repro.network.graph import SpatialNetwork
@@ -172,6 +173,22 @@ class TestShortestPath:
         network = random_network(0)
         node = next(network.node_ids())
         assert shortest_path(network, node, node) == [node]
+
+    def test_tree_holds_every_shortest_path(self):
+        """Walking ``shortest_path_tree`` back from any target gives
+        ``shortest_path``'s node sequence, on the grid where ties decide."""
+        network = generate_road_network(
+            RoadNetworkSpec(width=6, height=6, jitter=0.0, seed=0)
+        )
+        source = 312
+        tree = shortest_path_tree(network, source)
+        assert source not in tree
+        assert set(tree) == set(network.node_ids()) - {source}
+        for target in list(network.node_ids())[::7]:
+            path = [target]
+            while path[-1] in tree:
+                path.append(tree[path[-1]])
+            assert path[::-1] == shortest_path(network, source, target)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_path_length_matches_distance(self, seed):

@@ -1,11 +1,23 @@
 """Tests for repro.sim.mobility."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.geometry.point import Point
+from repro.network.dijkstra import DijkstraSearch, shortest_path
 from repro.network.generator import RoadNetworkSpec, generate_road_network
-from repro.sim.mobility import FreeTrajectory, RoadTrajectory, StationaryTrajectory
+from repro.network.graph import SpatialNetwork
+from repro.sim import mobility
+from repro.sim.mobility import (
+    Fleet,
+    FreeTrajectory,
+    RoadTrajectory,
+    RoutePlanner,
+    StationaryTrajectory,
+)
+from tests.test_network_dijkstra import GRID_ROUTES
 
 
 def make_network(seed=0):
@@ -151,9 +163,169 @@ class TestRoadTrajectory:
             assert t1.advance(5.0) == t2.advance(5.0)
 
     def test_tiny_network_rejected(self):
-        from repro.network.graph import SpatialNetwork
-
         net = SpatialNetwork()
         net.add_node(Point(0, 0))
         with pytest.raises(ValueError):
             RoadTrajectory(net, 30.0, np.random.default_rng(0))
+
+    def test_shared_planner_keeps_the_draws(self):
+        """A host draws the same trips whether it plans for itself or
+        through a planner it shares."""
+        network = make_network(6)
+        alone = RoadTrajectory(network, 40.0, np.random.default_rng(3), pause_max_s=5.0)
+        shared = RoadTrajectory(
+            network, 40.0, np.random.default_rng(3), pause_max_s=5.0,
+            planner=RoutePlanner(network),
+        )
+        for _ in range(60):
+            assert alone.advance(9.0) == shared.advance(9.0)
+        assert alone.current_node == shared.current_node
+
+    def test_isolated_node_costs_one_search(self, monkeypatch):
+        """Ten failed destination draws per tick, every tick -- answered
+        from the one tree grown on the first."""
+        net = SpatialNetwork()
+        island = net.add_node(Point(5, 5))
+        a = net.add_node(Point(0, 0))
+        b = net.add_node(Point(1, 0))
+        net.add_edge(a, b)
+        searches = []
+        original = DijkstraSearch.__init__
+
+        def counting(self, *args, **kwargs):
+            searches.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DijkstraSearch, "__init__", counting)
+        rng = np.random.default_rng(0)
+        reference = np.random.default_rng(0)
+        traj = RoadTrajectory(net, 30.0, rng, start_node=island)
+        for _ in range(50):
+            assert traj.advance(2.0) == Point(5, 5)
+            # The draws are still made: ten a tick, from the same array.
+            for _ in range(10):
+                reference.choice(np.arange(3))
+            assert rng.bit_generator.state == reference.bit_generator.state
+        assert len(searches) == 1
+
+
+def grid_network():
+    return generate_road_network(RoadNetworkSpec(width=6, height=6, jitter=0.0, seed=0))
+
+
+class TestRoutePlanner:
+    """Planner paths are ``shortest_path``'s, tie-breaks included: the
+    golden routes of a jitter-free grid, where equal-length paths abound."""
+
+    @pytest.mark.parametrize("room", ["every tree", "one tree", "no tree"])
+    def test_golden_grid_routes(self, room, monkeypatch):
+        network = grid_network()
+        size = 4 * network.node_count
+        budget = {"every tree": size * network.node_count, "one tree": size, "no tree": size - 1}
+        monkeypatch.setattr(mobility, "_TREE_BUDGET_BYTES", budget[room])
+        planner = RoutePlanner(network)
+        routes = json.loads(GRID_ROUTES.read_text())["routes"]
+        for route in routes:
+            assert planner.path(route["source"], route["target"]) == route["path"]
+        kept = {"every tree": len({route["source"] for route in routes}), "one tree": 1, "no tree": 0}
+        assert len(planner._trees) == kept[room]
+
+    def test_default_budget_holds_every_tree_of_the_grid(self):
+        network = grid_network()
+        planner = RoutePlanner(network)
+        for source in network.node_ids():
+            planner.path(source, 0)
+        assert len(planner._trees) == network.node_count
+        assert sum(tree.nbytes for tree in planner._trees.values()) <= mobility._TREE_BUDGET_BYTES
+
+    def test_past_the_budget_a_plan_is_one_point_to_point_search(self, monkeypatch):
+        network = make_network(1)
+        monkeypatch.setattr(mobility, "_TREE_BUDGET_BYTES", 4 * network.node_count)
+        planner = RoutePlanner(network)
+        nodes = sorted(network.node_ids())
+        planner.path(nodes[0], nodes[-1])  # takes the only room there is
+        calls = []
+        monkeypatch.setattr(
+            mobility, "shortest_path",
+            lambda *args: calls.append(args) or shortest_path(*args),
+        )
+        for target in nodes[2:12]:
+            assert planner.path(nodes[1], target) == shortest_path(network, nodes[1], target)
+        assert len(calls) == 10
+        assert list(planner._trees) == [nodes[0]]
+
+    def test_matches_shortest_path_on_a_jittered_network(self):
+        network = make_network(2)
+        planner = RoutePlanner(network)
+        nodes = sorted(network.node_ids())
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            source, target = (int(n) for n in rng.choice(nodes, size=2))
+            assert planner.path(source, target) == shortest_path(network, source, target)
+
+    def test_unreachable_and_trivial(self):
+        net = SpatialNetwork()
+        a = net.add_node(Point(0, 0))
+        b = net.add_node(Point(1, 0))
+        c = net.add_node(Point(5, 5))
+        net.add_edge(a, b)
+        planner = RoutePlanner(net)
+        assert planner.path(a, c) is None
+        assert planner.path(c, a) is None
+        assert planner.path(a, a) == [a]
+        assert planner.path(a, b) == [a, b]
+        assert list(planner.node_ids) == [a, b, c]
+
+    def test_empty_network_rejected(self):
+        with pytest.raises(ValueError):
+            RoutePlanner(SpatialNetwork())
+
+
+class TestFleet:
+    def fleet(self, seed=0):
+        network = make_network(seed)
+        rng = np.random.default_rng(seed)
+        planner = RoutePlanner(network)
+        trajectories = [StationaryTrajectory(Point(0.5, 0.5))]
+        trajectories += [
+            RoadTrajectory(network, 45.0, rng, pause_max_s=10.0, planner=planner)
+            for _ in range(20)
+        ]
+        trajectories.append(FreeTrajectory(2.0, 2.0, 30.0, rng))
+        return Fleet(trajectories)
+
+    def test_negative_dt_raises(self):
+        with pytest.raises(ValueError):
+            self.fleet().advance(-1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, 1e-12])
+    def test_no_time_no_step(self, dt):
+        ids, xs, ys = self.fleet().advance(dt)
+        assert len(ids) == len(xs) == len(ys) == 0
+
+    def test_reports_every_moving_host_once(self):
+        fleet = self.fleet()
+        for _ in range(30):
+            ids, xs, ys = fleet.advance(3.0)
+            assert len(ids) == len(xs) == len(ys)
+            assert len(set(ids.tolist())) == len(ids)
+            assert 0 not in ids  # the stationary host
+            assert 21 in ids  # the free host always steps
+        # By now some road host sat out a pause for a whole tick.
+        seen = set()
+        for _ in range(200):
+            seen.add(len(fleet.advance(3.0)[0]))
+        assert min(seen) < 21
+
+    def test_most_steps_skip_the_scalar_advance(self, monkeypatch):
+        fleet = self.fleet(1)
+        fleet.advance(1.0)  # every host plans its first trip
+        calls = []
+        original = RoadTrajectory.advance
+        monkeypatch.setattr(
+            RoadTrajectory, "advance",
+            lambda self, dt: calls.append(self) or original(self, dt),
+        )
+        for _ in range(50):
+            fleet.advance(0.5)
+        assert len(calls) < 0.25 * 50 * 20
