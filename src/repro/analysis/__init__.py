@@ -7,27 +7,31 @@ that unit tests can only sample.  This package adds machine-checked
 guardrails on both sides of the build:
 
 - :mod:`repro.analysis.lint` / :mod:`repro.analysis.rules` --
-  ``repro-lint``, an AST-based lint engine with project-specific rules
-  (``RPR001`` .. ``RPR006``) and ``# repro: noqa(CODE)`` suppression;
+  ``repro-lint``, an AST-based lint engine with one rule catalogue,
+  per-module rules (``RPR001`` .. ``RPR007``, ``RPR014``) and
+  ``# repro: noqa(CODE)`` suppression;
+- :mod:`repro.analysis.deep` -- the whole-program analysis behind
+  ``repro-lint --deep``: one driver that builds the import graph, the
+  call graph (:mod:`~repro.analysis.callgraph`) and the inferred
+  effects (:mod:`~repro.analysis.purity`) once and hands them to every
+  pass -- dead code, purity and determinism zones, the distance
+  float-comparison dataflow with its paper-lemma table
+  (:mod:`~repro.analysis.floatcheck`), layering contracts
+  (:mod:`~repro.analysis.layers`), shared-field lock discipline,
+  asyncio hygiene and the static lock-order graph
+  (:mod:`~repro.analysis.concurrency`, :mod:`~repro.analysis.locks`),
+  page-billing and subcounter fold-once discipline
+  (:mod:`~repro.analysis.accounting`) and the hot-path rules
+  (:mod:`~repro.analysis.hotpath`); rules ``RPR008`` .. ``RPR013`` and
+  ``RPR015`` .. ``RPR025``;
 - :mod:`repro.analysis.runtime` -- the opt-in runtime sanitizer
   (``REPRO_SANITIZE=1`` or :func:`sanitized`) that validates R*-tree
   structure, candidate-heap state transitions and Lemma 3.8 soundness
-  after every mutation of those hot structures;
+  after every mutation of those hot structures, records the runtime
+  lock-order graph through :func:`named_lock` /
+  :func:`named_async_lock`, and audits page billing;
 - :mod:`repro.analysis.invariants` -- the validators themselves, also
-  callable directly from tests;
-- :mod:`repro.analysis.deep` and friends (:mod:`~repro.analysis.
-  callgraph`, :mod:`~repro.analysis.purity`, :mod:`~repro.analysis.
-  floatcheck`, :mod:`~repro.analysis.layers`) -- the whole-program
-  pass behind ``repro-lint --deep`` (rules ``RPR008`` .. ``RPR013``):
-  call-graph reachability and dead code, interprocedural purity and
-  determinism inference, distance-expression float-comparison dataflow
-  with a paper-lemma conformance table, and layering contracts;
-- :mod:`repro.analysis.concurrency` / :mod:`repro.analysis.locks` --
-  the concurrency pass behind ``repro-lint --concurrency`` (rules
-  ``RPR015`` .. ``RPR020``): shared-field lock discipline with a
-  guarded-by inference table, asyncio hygiene, and a static lock-order
-  graph whose runtime mirror the race sanitizer records through
-  :func:`named_lock` / :func:`named_async_lock`.
+  callable directly from tests.
 
 The package ``__init__`` resolves its exports lazily (PEP 562): the
 instrumented data structures (``core.heap``, ``index.rtree``) import
@@ -43,37 +47,27 @@ from __future__ import annotations
 from typing import List
 
 __all__ = [
-    "CONCURRENCY_RULES",
-    "ConcurrencyAnalysis",
-    "DEEP_RULES",
     "DeepAnalysis",
     "HEAP_TRANSITIONS",
     "InvariantViolation",
-    "LEMMA_TABLE",
     "LintReport",
     "Linter",
-    "LockOrderGraph",
+    "Policy",
     "Rule",
     "SANITIZER",
     "Sanitizer",
     "TrackedAsyncLock",
     "TrackedLock",
     "Violation",
-    "analyze_concurrency",
-    "analyze_project",
-    "build_call_graph",
-    "build_import_graph",
+    "analyze",
     "check_heap_structure",
     "check_heap_transition",
     "check_verification_soundness",
-    "infer_effects",
     "iter_rules",
     "lint_paths",
     "lint_source",
     "named_async_lock",
     "named_lock",
-    "run_concurrency",
-    "run_deep",
     "sanitized",
     "sanitizer_enabled",
     "validate_rtree",
@@ -106,17 +100,7 @@ _RUNTIME_EXPORTS = {
     "sanitized",
     "sanitizer_enabled",
 }
-_DEEP_EXPORTS = {"DEEP_RULES", "DeepAnalysis", "analyze_project", "run_deep"}
-_CONCURRENCY_EXPORTS = {
-    "CONCURRENCY_RULES",
-    "ConcurrencyAnalysis",
-    "analyze_concurrency",
-    "run_concurrency",
-}
-_LOCKS_EXPORTS = {"LockOrderGraph"}
-_CALLGRAPH_EXPORTS = {"build_call_graph", "build_import_graph"}
-_PURITY_EXPORTS = {"infer_effects"}
-_FLOATCHECK_EXPORTS = {"LEMMA_TABLE"}
+_DEEP_EXPORTS = {"DeepAnalysis", "Policy", "analyze"}
 
 
 def __getattr__(name: str) -> object:
@@ -136,26 +120,6 @@ def __getattr__(name: str) -> object:
         from repro.analysis import deep
 
         return getattr(deep, name)
-    if name in _CONCURRENCY_EXPORTS:
-        from repro.analysis import concurrency
-
-        return getattr(concurrency, name)
-    if name in _LOCKS_EXPORTS:
-        from repro.analysis import locks
-
-        return getattr(locks, name)
-    if name in _CALLGRAPH_EXPORTS:
-        from repro.analysis import callgraph
-
-        return getattr(callgraph, name)
-    if name in _PURITY_EXPORTS:
-        from repro.analysis import purity
-
-        return getattr(purity, name)
-    if name in _FLOATCHECK_EXPORTS:
-        from repro.analysis import floatcheck
-
-        return getattr(floatcheck, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -1,4 +1,4 @@
-"""Page-accounting analysis: the billing half of ``repro-lint --perf``.
+"""Page-accounting analysis (two passes of ``repro-lint --deep``).
 
 The paper's headline numbers (Figure 17's EINN-vs-INN page advantage,
 the SENN tier shares) are *accounting* claims: they hold only if every
@@ -16,9 +16,6 @@ RPR021    node-scan billing discipline inside the query-reachable
 RPR022    ``subcounter()`` fold-once protocol: every subcounter
           creation has exactly one absorb-into-history path on all
           exits, including error paths (the PR 6 bug class)
-RPR026    wire-protocol encode/decode symmetry: every encoder field
-          has a matching decoder field, in the same order and type
-          (the v2 ``AccessBreakdown`` widening is the drift precedent)
 ========  ============================================================
 
 **Billing model (RPR021).**  The checked scopes are the functions in
@@ -46,54 +43,33 @@ factory hop -- beyond that, the runtime accounting sanitizer
 (:mod:`repro.analysis.runtime`) owns the check.
 
 Known approximations, on the side of silence: keyword-passed nodes are
-not tracked, ambiguous bare-name callees carry no obligation, and
-branching (tagged-union) codecs are compared only for existence.
+not tracked and ambiguous bare-name callees carry no obligation.
+
+Wire-codec symmetry is not checked here: the hypothesis round-trip,
+trailing-bytes and truncation properties of
+``tests/test_service_protocol.py`` cover every message type.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.analysis import config
-from repro.analysis.callgraph import CallGraph, build_call_graph, build_import_graph
-from repro.analysis.lint import Violation
-from repro.analysis.project import Project, ProjectModule, load_project
-from repro.analysis.purity import module_reachability
+from repro.analysis.callgraph import GENERIC_ATTRS
+from repro.analysis.lint import Violation, _render, register_rule
+from repro.analysis.project import FunctionNode, FunctionScope, Project, ProjectModule
+
+if TYPE_CHECKING:
+    from repro.analysis.deep import DeepAnalysis
 
 __all__ = [
-    "ACCOUNTING_RULES",
-    "AccountingAnalysis",
     "BillingSite",
     "ScopeSummary",
     "accounting_report",
-    "analyze_accounting",
-    "run_accounting",
+    "billing_pass",
+    "fold_once_pass",
 ]
-
-#: Code -> (name, description), mirroring the other pass catalogues.
-ACCOUNTING_RULES: Dict[str, Tuple[str, str]] = {
-    "RPR021": (
-        "billing-discipline",
-        "node scan in a query-reachable billing module that is not "
-        "metered through read_node exactly once (unbilled or "
-        "double-billed), or a direct record/record_scan call bypassing "
-        "the chokepoint",
-    ),
-    "RPR022": (
-        "subcounter-fold-once",
-        "subcounter() creation without exactly one absorb-into-history "
-        "path on all exits (including error paths)",
-    ),
-    "RPR026": (
-        "codec-asymmetry",
-        "wire-protocol encoder and decoder disagree on a message's "
-        "field sequence (field missing, reordered or retyped on one "
-        "side)",
-    ),
-}
 
 #: The billing chokepoint: its own body legitimately scans the node it
 #: meters and calls ``record_scan`` directly.
@@ -102,18 +78,6 @@ _CHOKEPOINT = "read_node"
 #: / ``record_scan``); ``record_object`` is the data-record primitive
 #: and stays open to the query layer.
 _CHOKEPOINT_ONLY = frozenset({"record", "record_scan"})
-#: Wire primitive methods of ``_Writer``/``_Reader``.
-_WIRE_PRIMS = frozenset({"u8", "u16", "u32", "i64", "f64", "text"})
-#: ndarray/list-construction attrs excluded from callee obligation
-#: matching (ubiquitous stdlib names; same rationale as the concurrency
-#: pass's ``_GENERIC_ATTRS``).
-_GENERIC_ATTRS = frozenset(
-    {"get", "set", "put", "pop", "append", "add", "update", "items",
-     "keys", "values", "clear", "discard", "remove", "extend", "insert",
-     "setdefault", "popitem", "sort", "reverse", "copy", "join", "split",
-     "strip", "close", "read", "write", "send", "recv", "acquire",
-     "release", "wait", "notify", "start", "stop", "run", "cancel"}
-)
 
 
 # ----------------------------------------------------------------------
@@ -174,27 +138,6 @@ class ScopeSummary:
     unmetered_reads: List[int] = field(default_factory=list)
 
 
-@dataclass
-class AccountingAnalysis:
-    """Everything one accounting run produced."""
-
-    project: Project
-    graph: CallGraph
-    scopes: Dict[str, ScopeSummary] = field(default_factory=dict)
-    #: Checked-scope qualnames (reachable from the billing entry points).
-    checked: Set[str] = field(default_factory=set)
-    #: qualname -> parameter indices it scans without billing them.
-    scan_obligations: Dict[str, Set[int]] = field(default_factory=dict)
-    #: qualname -> parameter indices it bills itself.
-    billed_params: Dict[str, Set[int]] = field(default_factory=dict)
-    billing_sites: List[BillingSite] = field(default_factory=list)
-    violations: List[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # ----------------------------------------------------------------------
 # scope scanning
 # ----------------------------------------------------------------------
@@ -215,13 +158,6 @@ def _counter_arg(call: ast.Call) -> Optional[ast.expr]:
     return None
 
 
-def _render(expr: ast.expr) -> str:
-    try:
-        return ast.unparse(expr)
-    except Exception:  # pragma: no cover - unparse is total on 3.10+
-        return "<expr>"
-
-
 class _ScopeScanner:
     """Collect one scope's billing facts, skipping nested defs."""
 
@@ -230,7 +166,7 @@ class _ScopeScanner:
         #: Param name -> index, for bills_params attribution.
         self.param_index = {name: i for i, name in enumerate(scope.params)}
 
-    def scan(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+    def scan(self, node: FunctionNode) -> None:
         for stmt in node.body:
             self._stmt(stmt)
 
@@ -367,7 +303,7 @@ class _ScopeScanner:
                         counter=_render(func.value),
                     )
                 )
-        if callee and callee not in _GENERIC_ATTRS:
+        if callee and callee not in GENERIC_ATTRS:
             arg_names = tuple(
                 arg.id if isinstance(arg, ast.Name) else None
                 for arg in call.args
@@ -383,106 +319,18 @@ class _ScopeScanner:
             )
 
 
-def _iter_scopes(
-    module: ProjectModule,
-) -> List[Tuple[ScopeSummary, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    """Every function scope of a module, nested defs included."""
-    scopes: List[Tuple[ScopeSummary, ast.FunctionDef | ast.AsyncFunctionDef]] = []
-
-    def visit(
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        owner: str,
-        cls: Optional[str],
-    ) -> None:
-        qualname = f"{owner}.{node.name}"
-        args = node.args
-        params = tuple(
-            a.arg
-            for a in (*args.posonlyargs, *args.args)
-        )
-        decorators = {
-            d.id for d in node.decorator_list if isinstance(d, ast.Name)
-        }
-        is_method = cls is not None and "staticmethod" not in decorators
-        scope = ScopeSummary(
-            module=module.name,
-            qualname=qualname,
-            lineno=node.lineno,
-            params=params,
-            is_method=is_method,
-        )
-        scopes.append((scope, node))
-        for sub in node.body:
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(sub, qualname, None)
-
-    for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            visit(node, module.name, None)
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    visit(item, f"{module.name}.{node.name}", node.name)
-    return scopes
-
-
-# ----------------------------------------------------------------------
-# reachability (checked-scope selection)
-# ----------------------------------------------------------------------
-def _reachable_functions(
-    project: Project,
-    graph: CallGraph,
-    entry_points: FrozenSet[str],
-) -> Set[str]:
-    """Call-graph closure of the entry points.
-
-    Resolution mirrors the concurrency pass's lock-order fixpoint:
-    resolved candidates plus name-matched attribute calls restricted to
-    import-reachable modules, with the generic-attr stoplist.  The
-    broader ``CallGraph.edges_from`` (which also matches bare *references*)
-    would drag the insertion machinery into the query-reachable set.
-    """
-    import_graph = build_import_graph(project)
-    reachable_mods = module_reachability(import_graph)
-    seen: Set[str] = set()
-    frontier: List[str] = [q for q in entry_points if q in graph.functions]
-    seen.update(frontier)
-    while frontier:
-        qualname = frontier.pop()
-        info = graph.functions.get(qualname)
-        if info is None:
-            continue
-        allowed = reachable_mods.get(info.module, set())
-        for site in info.call_sites:
-            names = list(site.candidates)
-            if (
-                not site.resolved
-                and site.attr is not None
-                and site.attr not in _GENERIC_ATTRS
-            ):
-                names.extend(
-                    c
-                    for c in graph.by_name.get(site.attr, ())
-                    if graph.functions[c].module == info.module
-                    or graph.functions[c].module in allowed
-                )
-            for callee in names:
-                if callee not in seen:
-                    seen.add(callee)
-                    frontier.append(callee)
-    return seen
-
-
-def _top_qualname(qualname: str, known: Set[str]) -> str:
-    """Longest prefix of ``qualname`` that the call graph knows.
-
-    Nested scopes (``module.func.visit``) are checked iff their
-    enclosing graph-visible function is.
-    """
-    candidate = qualname
-    while candidate not in known and "." in candidate:
-        candidate = candidate.rsplit(".", 1)[0]
-    return candidate
+def _summarize(scope: FunctionScope, module: str) -> ScopeSummary:
+    args = scope.node.args
+    decorators = {
+        d.id for d in scope.node.decorator_list if isinstance(d, ast.Name)
+    }
+    return ScopeSummary(
+        module=module,
+        qualname=scope.qualname,
+        lineno=scope.node.lineno,
+        params=tuple(a.arg for a in (*args.posonlyargs, *args.args)),
+        is_method=scope.cls is not None and "staticmethod" not in decorators,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -563,15 +411,17 @@ def _obligation_fixpoint(
 # RPR021 verdicts
 # ----------------------------------------------------------------------
 def _billing_verdicts(
-    analysis: AccountingAnalysis,
-    paths: Dict[str, str],
-    violations: List[Violation],
-) -> None:
-    scopes = analysis.scopes
+    project: Project,
+    scopes: Dict[str, ScopeSummary],
+    checked: Set[str],
+    scan_obligations: Dict[str, Set[int]],
+    billed_params: Dict[str, Set[int]],
+) -> List[Violation]:
+    violations: List[Violation] = []
     by_name = _by_bare_name(scopes)
-    for qualname in sorted(analysis.checked):
+    for qualname in sorted(checked):
         scope = scopes[qualname]
-        path = paths[scope.module]
+        path = project.modules[scope.module].path
         param_index = {name: i for i, name in enumerate(scope.params)}
         for lineno in scope.unmetered_reads:
             violations.append(
@@ -629,16 +479,14 @@ def _billing_verdicts(
             for pos, name in enumerate(rec.arg_names):
                 callee_param = pos + offset
                 needs_billed = (
-                    callee_param in analysis.scan_obligations.get(target, ())
-                    and callee_param
-                    not in analysis.billed_params.get(target, ())
+                    callee_param in scan_obligations.get(target, ())
+                    and callee_param not in billed_params.get(target, ())
                 )
                 if not needs_billed:
                     if (
                         name is not None
                         and name in scope.billed
-                        and callee_param
-                        in analysis.billed_params.get(target, ())
+                        and callee_param in billed_params.get(target, ())
                     ):
                         violations.append(
                             Violation(
@@ -670,6 +518,7 @@ def _billing_verdicts(
                         "the page access is unbilled",
                     )
                 )
+    return violations
 
 
 # ----------------------------------------------------------------------
@@ -720,28 +569,8 @@ def _absorbed_in_finally(fn: ast.AST, name: str) -> bool:
     return False
 
 
-@dataclass
-class _ClassScan:
-    """Per-class facts the fold-once checker needs."""
-
-    module: str
-    name: str
-    node: ast.ClassDef
-    methods: Dict[str, ast.FunctionDef | ast.AsyncFunctionDef]
-
-
-def _scan_classes(module: ProjectModule) -> Dict[str, _ClassScan]:
-    classes: Dict[str, _ClassScan] = {}
-    for node in module.tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        methods = {
-            item.name: item
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        classes[node.name] = _ClassScan(module.name, node.name, node, methods)
-    return classes
+#: Per-class facts the fold-once checker needs: method name -> def.
+_Methods = Dict[str, FunctionNode]
 
 
 #: Fold-once obligation chain depth: 0 = the class owning the
@@ -754,21 +583,30 @@ def _scan_classes(module: ProjectModule) -> Dict[str, _ClassScan]:
 _FOLD_CHAIN_DEPTH = 1
 
 
-def _fold_once_verdicts(
-    project: Project,
-    paths: Dict[str, str],
-    violations: List[Violation],
-) -> None:
-    modules = [module for _, module in sorted(project.modules.items())]
-    all_classes: Dict[str, _ClassScan] = {}
+@register_rule(
+    "RPR022",
+    "subcounter-fold-once",
+    "subcounter() creation without exactly one absorb-into-history "
+    "path on all exits (including error paths)",
+    whole_program=True,
+)
+def fold_once_pass(analysis: DeepAnalysis) -> List[Violation]:
+    """RPR022 over every module of the project."""
+    violations: List[Violation] = []
+    modules = [module for _, module in sorted(analysis.project.modules.items())]
+    all_classes: Dict[str, _Methods] = {}
     for module in modules:
-        for name, scan in _scan_classes(module).items():
-            all_classes[name] = scan
+        for name in module.classes:
+            all_classes[name] = {}
+        for scope in module.functions:
+            if scope.cls is not None:
+                all_classes[scope.cls][scope.node.name] = scope.node
 
     #: (class name, method that must run, chain depth) obligations.
     obligations: List[Tuple[str, str, int]] = []
     for module in modules:
-        for fn_node, owner_cls in _iter_functions(module):
+        for scope in module.functions:
+            fn_node, owner_cls = scope.node, scope.cls
             if fn_node.name == "subcounter":
                 continue  # the factory primitive itself
             for stmt in ast.walk(fn_node):
@@ -786,7 +624,7 @@ def _fold_once_verdicts(
                     if not _absorbed_in_finally(fn_node, target.id):
                         violations.append(
                             Violation(
-                                paths[module.name],
+                                module.path,
                                 stmt.lineno,
                                 0,
                                 "RPR022",
@@ -806,7 +644,7 @@ def _fold_once_verdicts(
                     if fold is None:
                         violations.append(
                             Violation(
-                                paths[module.name],
+                                module.path,
                                 stmt.lineno,
                                 0,
                                 "RPR022",
@@ -821,7 +659,7 @@ def _fold_once_verdicts(
                 else:
                     violations.append(
                         Violation(
-                            paths[module.name],
+                            module.path,
                             stmt.lineno,
                             0,
                             "RPR022",
@@ -843,39 +681,21 @@ def _fold_once_verdicts(
             continue
         seen.add((cls_name, required))
         _check_constructions(
-            modules, paths, all_classes, cls_name, required, depth, queue,
-            violations,
+            modules, all_classes, cls_name, required, depth, queue, violations
         )
+    return violations
 
 
-def _find_fold_method(scan: _ClassScan, attr: str) -> Optional[str]:
-    for name, method in scan.methods.items():
-        for call in _calls_with_attr(method, "absorb"):
-            del call
-            if _references_self_attr(method, attr):
-                return name
+def _find_fold_method(methods: _Methods, attr: str) -> Optional[str]:
+    for name, method in methods.items():
+        if _calls_with_attr(method, "absorb") and _references_self_attr(method, attr):
+            return name
     return None
 
 
-def _iter_functions(
-    module: ProjectModule,
-) -> List[Tuple[ast.FunctionDef | ast.AsyncFunctionDef, Optional[str]]]:
-    """Top-level functions and class methods with their owning class."""
-    out: List[Tuple[ast.FunctionDef | ast.AsyncFunctionDef, Optional[str]]] = []
-    for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.append((node, None))
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    out.append((item, node.name))
-    return out
-
-
 def _check_constructions(
-    modules: Sequence[ProjectModule],
-    paths: Dict[str, str],
-    all_classes: Dict[str, _ClassScan],
+    modules: List[ProjectModule],
+    all_classes: Dict[str, _Methods],
     cls_name: str,
     required: str,
     depth: int,
@@ -888,7 +708,8 @@ def _check_constructions(
     #: class constructor itself plus factory methods returning it.
     factory_attrs: Set[str] = set()
     for module in modules:
-        for fn_node, _owner in _iter_functions(module):
+        for scope in module.functions:
+            fn_node = scope.node
             for stmt in ast.walk(fn_node):
                 if (
                     isinstance(stmt, ast.Return)
@@ -899,7 +720,8 @@ def _check_constructions(
                     factory_attrs.add(fn_node.name)
 
     for module in modules:
-        for fn_node, owner_cls in _iter_functions(module):
+        for scope in module.functions:
+            fn_node, owner_cls = scope.node, scope.cls
             for stmt in ast.walk(fn_node):
                 if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
                     continue
@@ -923,7 +745,7 @@ def _check_constructions(
                     if not _required_on_local(fn_node, target.id, required):
                         violations.append(
                             Violation(
-                                paths[module.name],
+                                module.path,
                                 stmt.lineno,
                                 0,
                                 "RPR022",
@@ -947,7 +769,7 @@ def _check_constructions(
                     if holder is None:
                         violations.append(
                             Violation(
-                                paths[module.name],
+                                module.path,
                                 stmt.lineno,
                                 0,
                                 "RPR022",
@@ -968,7 +790,7 @@ def _check_constructions(
                     if holder is None:
                         violations.append(
                             Violation(
-                                paths[module.name],
+                                module.path,
                                 stmt.lineno,
                                 0,
                                 "RPR022",
@@ -996,15 +818,13 @@ def _required_on_local(fn: ast.AST, name: str, required: str) -> bool:
     return False
 
 
-def _method_calling(scan: Optional[_ClassScan], attr: str) -> Optional[str]:
+def _method_calling(methods: Optional[_Methods], attr: str) -> Optional[str]:
     """A method of the class calling ``.attr(...)``; ``close`` preferred
     (it is the conventional all-streams cleanup entry point)."""
-    if scan is None:
+    if methods is None:
         return None
     candidates = sorted(
-        name
-        for name, method in scan.methods.items()
-        if _calls_with_attr(method, attr)
+        name for name, method in methods.items() if _calls_with_attr(method, attr)
     )
     if not candidates:
         return None
@@ -1012,13 +832,13 @@ def _method_calling(scan: Optional[_ClassScan], attr: str) -> Optional[str]:
 
 
 def _method_calling_on_self_attr(
-    scan: Optional[_ClassScan], attr: str, required: str
+    methods: Optional[_Methods], attr: str, required: str
 ) -> Optional[str]:
     """A method of the class calling ``self.<attr>.<required>()``."""
-    if scan is None:
+    if methods is None:
         return None
     candidates = []
-    for name, method in scan.methods.items():
+    for name, method in methods.items():
         for call in _calls_with_attr(method, required):
             func = call.func
             assert isinstance(func, ast.Attribute)
@@ -1032,326 +852,51 @@ def _method_calling_on_self_attr(
 
 
 # ----------------------------------------------------------------------
-# RPR026: codec symmetry
+# RPR021: the billing pass
 # ----------------------------------------------------------------------
-#: A wire-shape token: ("prim", name, allow_inf) | ("pair", suffix) |
-#: ("repeat", count-or-None, subshape).
-_Shape = Tuple[object, ...]
-
-
-def _shape_of(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Optional[_Shape]:
-    """The ordered wire shape of a codec function; None when branching."""
-    tokens: List[object] = []
-    if not _stmt_tokens(fn.body, tokens):
-        return None
-    return tuple(tokens)
-
-
-def _stmt_tokens(body: Sequence[ast.stmt], out: List[object]) -> bool:
-    """Append the wire tokens of ``body`` in order; False on branching."""
-    for stmt in body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+@register_rule(
+    "RPR021",
+    "billing-discipline",
+    "node scan in a query-reachable billing module that is not "
+    "metered through read_node exactly once (unbilled or "
+    "double-billed), or a direct record/record_scan call bypassing "
+    "the chokepoint",
+    whole_program=True,
+)
+def billing_pass(analysis: DeepAnalysis) -> List[Violation]:
+    """RPR021, and the ``checked`` / ``billing_sites`` tables of ``analysis``."""
+    project, policy = analysis.project, analysis.policy
+    scopes: Dict[str, ScopeSummary] = {}
+    tops: Dict[str, str] = {}
+    for name, module in sorted(project.modules.items()):
+        if name not in policy.billing_modules:
             continue
-        if isinstance(stmt, ast.If):
-            branch: List[object] = []
-            ok = _stmt_tokens(stmt.body, branch) and _stmt_tokens(
-                stmt.orelse, branch
-            )
-            if branch or not ok:
-                return False  # wire ops under a condition: tagged union
-            _expr_tokens(stmt.test, out)
-            continue
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            sub: List[object] = []
-            if not _stmt_tokens(stmt.body, sub):
-                return False
-            if sub:
-                count = (
-                    len(stmt.iter.elts)
-                    if isinstance(stmt.iter, (ast.Tuple, ast.List))
-                    else None
-                )
-                out.append(("repeat", count, tuple(sub)))
-            continue
-        if isinstance(stmt, ast.While):
-            sub = []
-            if not _stmt_tokens(stmt.body, sub):
-                return False
-            if sub:
-                return False  # unbounded wire loop: not comparable
-            continue
-        if isinstance(stmt, ast.Try):
-            if not _stmt_tokens(stmt.body, out):
-                return False
-            for handler in stmt.handlers:
-                probe: List[object] = []
-                if not _stmt_tokens(handler.body, probe) or probe:
-                    return False  # wire ops on an error path
-            if not _stmt_tokens(stmt.orelse, out):
-                return False
-            if not _stmt_tokens(stmt.finalbody, out):
-                return False
-            continue
-        _expr_tokens(stmt, out)
-    return True
-
-
-_PRIM_RECEIVERS_DEPTH = 1  # prims hang off the writer/reader parameter
-
-
-def _expr_tokens(node: ast.AST, out: List[object]) -> None:
-    """Wire tokens of one expression tree, in evaluation order."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _WIRE_PRIMS
-            and isinstance(func.value, ast.Name)
-        ):
-            allow_inf = any(
-                kw.arg == "allow_inf"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in node.keywords
-            )
-            out.append(("prim", func.attr, allow_inf))
-            return
-        if isinstance(func, ast.Name) and (
-            func.id.startswith("_write_") or func.id.startswith("_read_")
-        ):
-            suffix = func.id.split("_", 2)[2]
-            out.append(("pair", suffix))
-            return
-        if isinstance(node, ast.Call):
-            for sub in ast.iter_child_nodes(node):
-                _expr_tokens(sub, out)
-            return
-    if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
-        sub_tokens: List[object] = []
-        _expr_tokens(node.elt, sub_tokens)
-        if sub_tokens:
-            count: Optional[int] = None
-            if len(node.generators) == 1:
-                it = node.generators[0].iter
-                if (
-                    isinstance(it, ast.Call)
-                    and isinstance(it.func, ast.Name)
-                    and it.func.id == "range"
-                    and len(it.args) == 1
-                    and isinstance(it.args[0], ast.Constant)
-                    and isinstance(it.args[0].value, int)
-                ):
-                    count = it.args[0].value
-            out.append(("repeat", count, tuple(sub_tokens)))
-        return
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        return
-    for sub in ast.iter_child_nodes(node):
-        _expr_tokens(sub, out)
-
-
-def _render_shape(shape: Optional[_Shape]) -> str:
-    if shape is None:
-        return "<tagged>"
-
-    def one(token: object) -> str:
-        assert isinstance(token, tuple)
-        if token[0] == "prim":
-            return f"{token[1]}(inf)" if token[2] else str(token[1])
-        if token[0] == "pair":
-            return str(token[1])
-        count = token[1] if token[1] is not None else "n"
-        inner = ", ".join(one(t) for t in token[2])  # type: ignore[union-attr]
-        return f"{count}*[{inner}]"
-
-    return "[" + ", ".join(one(t) for t in shape) + "]"
-
-
-def _codec_verdicts(
-    project: Project,
-    protocol_modules: Sequence[str],
-    paths: Dict[str, str],
-    violations: List[Violation],
-) -> None:
-    for name in protocol_modules:
-        module = project.get(name)
-        if module is None:
-            continue
-        functions: Dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {
-            fn.name: fn for fn, _cls in _iter_functions(module)
-        }
-        pairs: List[Tuple[str, str, str, int]] = []
-        for node in module.tree.body:
-            if not (
-                isinstance(node, (ast.Assign, ast.AnnAssign))
-                and isinstance(getattr(node, "value", None), ast.Dict)
-            ):
-                continue
-            target = (
-                node.targets[0]
-                if isinstance(node, ast.Assign)
-                else node.target
-            )
-            if not (isinstance(target, ast.Name) and target.id == "_CODECS"):
-                continue
-            value = node.value
-            assert isinstance(value, ast.Dict)
-            for key, entry in zip(value.keys, value.values):
-                if not (
-                    isinstance(key, ast.Name)
-                    and isinstance(entry, ast.Tuple)
-                    and len(entry.elts) == 3
-                ):
-                    continue
-                enc, dec = entry.elts[1], entry.elts[2]
-                if isinstance(enc, ast.Name) and isinstance(dec, ast.Name):
-                    pairs.append((key.id, enc.id, dec.id, entry.lineno))
-        # Composite helper pairs referenced from any codec function.
-        helper_suffixes: Set[str] = set()
-        for fn in functions.values():
-            for sub in ast.walk(fn):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Name)
-                    and (
-                        sub.func.id.startswith("_write_")
-                        or sub.func.id.startswith("_read_")
-                    )
-                ):
-                    helper_suffixes.add(sub.func.id.split("_", 2)[2])
-        for suffix in sorted(helper_suffixes):
-            enc_name, dec_name = f"_write_{suffix}", f"_read_{suffix}"
-            if enc_name in functions and dec_name in functions:
-                pairs.append(
-                    (suffix, enc_name, dec_name, functions[dec_name].lineno)
-                )
-
-        for label, enc_name, dec_name, lineno in pairs:
-            enc_fn = functions.get(enc_name)
-            dec_fn = functions.get(dec_name)
-            if enc_fn is None or dec_fn is None:
-                violations.append(
-                    Violation(
-                        paths[name],
-                        lineno,
-                        0,
-                        "RPR026",
-                        f"codec pair for `{label}` is incomplete: "
-                        f"`{enc_name}`/`{dec_name}` not both defined",
-                    )
-                )
-                continue
-            enc_shape = _shape_of(enc_fn)
-            dec_shape = _shape_of(dec_fn)
-            if enc_shape is None or dec_shape is None:
-                continue  # tagged union: both sides branch on a tag
-            if enc_shape != dec_shape:
-                violations.append(
-                    Violation(
-                        paths[name],
-                        dec_fn.lineno,
-                        0,
-                        "RPR026",
-                        f"encoder/decoder drift for `{label}`: "
-                        f"`{enc_name}` writes {_render_shape(enc_shape)} "
-                        f"but `{dec_name}` reads {_render_shape(dec_shape)}",
-                    )
-                )
-
-
-# ----------------------------------------------------------------------
-# driver
-# ----------------------------------------------------------------------
-def analyze_accounting(
-    project: Project,
-    cached: Optional[CallGraph] = None,
-    *,
-    entry_points: Optional[FrozenSet[str]] = None,
-    billing_modules: Optional[Sequence[str]] = None,
-    protocol_modules: Optional[Sequence[str]] = None,
-) -> AccountingAnalysis:
-    """Run the accounting pass over an already-loaded project.
-
-    The keyword overrides exist for the test fixtures: synthetic
-    projects declare their own entry points and billing modules instead
-    of the policy tables in :mod:`repro.analysis.config`.
-    """
-    from repro.analysis.deep import apply_suppressions
-
-    entries = (
-        entry_points if entry_points is not None else config.BILLING_ENTRY_POINTS
-    )
-    billing = tuple(
-        billing_modules
-        if billing_modules is not None
-        else config.BILLING_MODULES
-    )
-    protocols = tuple(
-        protocol_modules
-        if protocol_modules is not None
-        else config.PROTOCOL_MODULES
-    )
-
-    graph = build_call_graph(project, cached)
-    analysis = AccountingAnalysis(project=project, graph=graph)
-    paths = {name: module.path for name, module in project.modules.items()}
-    violations: List[Violation] = []
-
-    billing_mods = [
-        module
-        for name, module in sorted(project.modules.items())
-        if name in billing
-    ]
-
-    # -- scope facts ---------------------------------------------------
-    for module in billing_mods:
-        for scope, node in _iter_scopes(module):
-            if scope.qualname.rsplit(".", 1)[-1] == _CHOKEPOINT:
+        for scope in module.scopes:
+            if scope.node.name == _CHOKEPOINT:
                 continue  # the billing primitive scans what it meters
-            _ScopeScanner(scope).scan(node)
-            analysis.scopes[scope.qualname] = scope
+            summary = _summarize(scope, name)
+            _ScopeScanner(summary).scan(scope.node)
+            scopes[scope.qualname] = summary
+            tops[scope.qualname] = scope.top
 
-    # -- checked-scope selection (call-graph reachability) -------------
-    reachable = _reachable_functions(project, graph, frozenset(entries))
-    known = set(graph.functions)
-    for qualname, scope in analysis.scopes.items():
-        top = _top_qualname(qualname, known)
-        if top in reachable or top in entries:
-            analysis.checked.add(qualname)
+    # Checked scopes: nested defs are checked iff their enclosing
+    # graph-visible function is query-reachable.
+    reachable = analysis.graph.call_closure(policy.billing_entry_points)
+    analysis.checked = {q for q, top in tops.items() if top in reachable}
 
-    # -- interprocedural obligations + verdicts ------------------------
-    by_name = _by_bare_name(analysis.scopes)
-    analysis.scan_obligations, analysis.billed_params = _obligation_fixpoint(
-        analysis.scopes, by_name
+    scan_obligations, billed_params = _obligation_fixpoint(
+        scopes, _by_bare_name(scopes)
     )
-    _billing_verdicts(analysis, paths, violations)
-    for qualname in sorted(analysis.scopes):
-        scope = analysis.scopes[qualname]
-        analysis.billing_sites.extend(scope.read_sites)
-        analysis.billing_sites.extend(scope.object_sites)
+    for qualname in sorted(scopes):
+        analysis.billing_sites.extend(scopes[qualname].read_sites)
+        analysis.billing_sites.extend(scopes[qualname].object_sites)
     analysis.billing_sites.sort(key=lambda s: (s.module, s.lineno))
-
-    # -- fold-once + codec symmetry ------------------------------------
-    _fold_once_verdicts(project, paths, violations)
-    _codec_verdicts(project, protocols, paths, violations)
-
-    violations = apply_suppressions(project, violations)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    analysis.violations = violations
-    return analysis
+    return _billing_verdicts(
+        project, scopes, analysis.checked, scan_obligations, billed_params
+    )
 
 
-def run_accounting(
-    roots: Sequence[Path],
-    reference_roots: Sequence[Path] = (),
-    cached: Optional[CallGraph] = None,
-) -> AccountingAnalysis:
-    """Load the project from disk and run the accounting pass."""
-    project = load_project(roots, reference_roots)
-    return analyze_accounting(project, cached=cached)
-
-
-def accounting_report(analysis: AccountingAnalysis) -> List[str]:
+def accounting_report(analysis: DeepAnalysis) -> List[str]:
     """The billing table (site -> counter), for ``--report``."""
     lines: List[str] = ["accounting: billing table (site -> counter)"]
     if analysis.billing_sites:

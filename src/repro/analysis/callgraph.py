@@ -15,32 +15,56 @@ Two graphs over the parsed :class:`~repro.analysis.project.Project`:
   therefore an over-approximation: reachability is sound for dead-code
   detection (RPR008) but may keep a same-named helper alive.
 
-The extracted per-module facts serialize to JSON
-(:meth:`CallGraph.facts_to_json`) keyed by source SHA-256, which is how
-CI shares the parse between the lint and deep jobs.
+"What can this call site reach" is decided in one place,
+:meth:`CallGraph.callees`; the purity fixpoint, the lock-order graph and
+the billing / hot-set closures (:meth:`CallGraph.call_closure`) all ask
+it.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.analysis import config
-from repro.analysis.project import Project, ProjectModule
+from repro.analysis.lint import _dotted
+from repro.analysis.project import FunctionScope, Project, ProjectModule
 
 __all__ = [
     "CallGraph",
     "CallSite",
     "FunctionInfo",
+    "GENERIC_ATTRS",
     "ImportGraph",
     "ImportRecord",
     "build_call_graph",
     "build_import_graph",
-    "dead_code_report",
 ]
+
+#: Attribute names excluded from name-matched call resolution: they are
+#: ubiquitous stdlib container/protocol methods, so matching them against
+#: same-named project methods floods the graph with false edges
+#: (``self._held.get(...)`` is a dict probe, not ``SomeCache.get``).  The
+#: purity fixpoint opts out (``generic=True``): an over-approximated
+#: effect is the safe side there.
+GENERIC_ATTRS = frozenset(
+    {"get", "set", "put", "pop", "append", "add", "update", "items",
+     "keys", "values", "clear", "discard", "remove", "extend", "insert",
+     "setdefault", "popitem", "sort", "reverse", "copy", "join", "split",
+     "strip", "close", "read", "write", "send", "recv", "acquire",
+     "release", "wait", "notify", "start", "stop", "run", "cancel"}
+)
 
 
 # ----------------------------------------------------------------------
@@ -70,6 +94,25 @@ class ImportGraph:
                 continue
             result.setdefault(record.source, set()).add(record.target)
         return result
+
+    def reachability(self) -> Dict[str, Set[str]]:
+        """Transitive closure of module imports (deferred imports included).
+
+        One traversal per module: deferred imports form cycles, and a
+        closure memoized across a cycle would depend on visiting order.
+        """
+        direct = self.edges(top_level_only=False)
+        closure: Dict[str, Set[str]] = {}
+        for module in direct:
+            reached: Set[str] = set()
+            stack = list(direct[module])
+            while stack:
+                target = stack.pop()
+                if target not in reached:
+                    reached.add(target)
+                    stack.extend(direct.get(target, ()))
+            closure[module] = reached
+        return closure
 
     def cycles(self) -> List[List[str]]:
         """Elementary cycles among top-level imports (Tarjan SCCs > 1)."""
@@ -237,10 +280,46 @@ class CallGraph:
     by_name: Dict[str, List[str]] = field(default_factory=dict)
     #: module name -> names referenced at module scope (includes __all__)
     module_references: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-    #: source SHA-256 per module, for the facts cache
-    hashes: Dict[str, str] = field(default_factory=dict)
+    #: module -> modules it can import, transitively (deferred included)
+    reachable_modules: Dict[str, Set[str]] = field(default_factory=dict)
 
     # -- queries -------------------------------------------------------
+    def callees(
+        self, info: FunctionInfo, site: CallSite, *, generic: bool = False
+    ) -> List[str]:
+        """Every function one call site of ``info`` may invoke.
+
+        The resolved candidates, plus -- for an unresolved attribute
+        call -- each same-named project function whose module is the
+        caller's own or import-reachable from it: ``result.add(...)``
+        inside ``repro.geometry`` cannot dispatch to ``CandidateHeap.add``
+        because geometry never imports core.  Names in
+        :data:`GENERIC_ATTRS` are matched only when ``generic`` is set.
+        """
+        names = list(site.candidates)
+        if (
+            not site.resolved
+            and site.attr is not None
+            and (generic or site.attr not in GENERIC_ATTRS)
+        ):
+            allowed = self.reachable_modules.get(info.module, set())
+            names.extend(
+                c
+                for c in self.by_name.get(site.attr, ())
+                if self.functions[c].module == info.module
+                or self.functions[c].module in allowed
+            )
+        return names
+
+    def calls_from(self, qualname: str) -> Set[str]:
+        """Callees of one function over :meth:`callees` (no bare references)."""
+        info = self.functions.get(qualname)
+        out: Set[str] = set()
+        if info is not None:
+            for site in info.call_sites:
+                out.update(self.callees(info, site))
+        return out
+
     def edges_from(self, qualname: str) -> Set[str]:
         """Callees of one function (resolved + name-matched)."""
         info = self.functions.get(qualname)
@@ -257,8 +336,9 @@ class CallGraph:
                     out.add(target)
         return out
 
-    def reachable(self, roots: Sequence[str]) -> Set[str]:
-        """Transitive closure over :meth:`edges_from`."""
+    def _closure(
+        self, roots: Iterable[str], successors: Callable[[str], Set[str]]
+    ) -> Set[str]:
         seen: Set[str] = set()
         stack = [root for root in roots if root in self.functions]
         while stack:
@@ -266,10 +346,17 @@ class CallGraph:
             if current in seen:
                 continue
             seen.add(current)
-            for succ in self.edges_from(current):
-                if succ not in seen:
-                    stack.append(succ)
+            stack.extend(succ for succ in successors(current) if succ not in seen)
         return seen
+
+    def call_closure(self, roots: Iterable[str]) -> Set[str]:
+        """Functions the roots can call, transitively (roots included).
+
+        Narrower than :meth:`live`, which also follows bare *references*
+        and would drag the insertion machinery into the query-reachable
+        set.
+        """
+        return self._closure(roots, self.calls_from)
 
     def liveness_roots(self) -> Set[str]:
         """Functions considered externally invoked."""
@@ -291,126 +378,26 @@ class CallGraph:
         return roots
 
     def live(self) -> Set[str]:
-        return self.reachable(sorted(self.liveness_roots()))
+        """Transitive closure of the liveness roots over :meth:`edges_from`."""
+        return self._closure(sorted(self.liveness_roots()), self.edges_from)
 
     def dead(self) -> List[FunctionInfo]:
+        """Functions no liveness root reaches, in (module, line) order."""
         live = self.live()
         return sorted(
             (info for qualname, info in self.functions.items() if qualname not in live),
             key=lambda info: (info.module, info.lineno),
         )
 
-    # -- facts cache ---------------------------------------------------
-    def facts_to_json(self) -> str:
-        payload = {
-            "version": 1,
-            "hashes": self.hashes,
-            "module_references": {
-                module: sorted(names)
-                for module, names in self.module_references.items()
-            },
-            "functions": [
-                {
-                    "qualname": info.qualname,
-                    "module": info.module,
-                    "name": info.name,
-                    "cls": info.cls,
-                    "lineno": info.lineno,
-                    "params": list(info.params),
-                    "decorators": list(info.decorators),
-                    "references": sorted(info.references),
-                    "call_sites": [
-                        {
-                            "lineno": site.lineno,
-                            "candidates": list(site.candidates),
-                            "resolved": site.resolved,
-                            "receiver_param": site.receiver_param,
-                            "param_args": [list(pair) for pair in site.param_args],
-                            "attr": site.attr,
-                        }
-                        for site in info.call_sites
-                    ],
-                }
-                for info in self.functions.values()
-            ],
-        }
-        return json.dumps(payload, indent=0, sort_keys=True)
 
-    @staticmethod
-    def facts_from_json(text: str) -> Optional["CallGraph"]:
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(payload, dict) or payload.get("version") != 1:
-            return None
-        graph = CallGraph()
-        graph.hashes = dict(payload.get("hashes", {}))
-        graph.module_references = {
-            module: frozenset(names)
-            for module, names in payload.get("module_references", {}).items()
-        }
-        for raw in payload.get("functions", []):
-            info = FunctionInfo(
-                qualname=raw["qualname"],
-                module=raw["module"],
-                name=raw["name"],
-                cls=raw.get("cls"),
-                lineno=raw["lineno"],
-                params=tuple(raw.get("params", ())),
-                decorators=tuple(raw.get("decorators", ())),
-                references=frozenset(raw.get("references", ())),
-                call_sites=tuple(
-                    CallSite(
-                        lineno=site["lineno"],
-                        candidates=tuple(site.get("candidates", ())),
-                        resolved=bool(site.get("resolved")),
-                        receiver_param=site.get("receiver_param"),
-                        param_args=tuple(
-                            (int(pos), str(name))
-                            for pos, name in site.get("param_args", ())
-                        ),
-                        attr=site.get("attr"),
-                    )
-                    for site in raw.get("call_sites", ())
-                ),
-            )
-            graph.functions[info.qualname] = info
-            graph.by_name.setdefault(info.name, []).append(info.qualname)
-        return graph
-
-
-def source_sha(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def build_call_graph(
-    project: Project, cached: Optional[CallGraph] = None
-) -> CallGraph:
-    """Extract facts from every module (reusing ``cached`` where hashes match)."""
-    graph = CallGraph()
-    cached_by_module: Dict[str, List[FunctionInfo]] = {}
-    if cached is not None:
-        for info in cached.functions.values():
-            cached_by_module.setdefault(info.module, []).append(info)
-
+def build_call_graph(project: Project, import_graph: ImportGraph) -> CallGraph:
+    """Extract call facts from every module of ``project``."""
+    graph = CallGraph(reachable_modules=import_graph.reachability())
+    symbols = _Symbols(project)
     for module in project.all_modules():
-        analyzed = module.name in project.modules
-        sha = source_sha(module.source)
-        graph.hashes[module.name] = sha
-        if (
-            cached is not None
-            and cached.hashes.get(module.name) == sha
-            and module.name in cached.module_references
-        ):
-            graph.module_references[module.name] = cached.module_references[module.name]
-            if analyzed:
-                for info in cached_by_module.get(module.name, []):
-                    graph.functions[info.qualname] = info
-                    graph.by_name.setdefault(info.name, []).append(info.qualname)
-            continue
-        _extract_module(graph, project, module, record_defs=analyzed)
-
+        _extract_module(
+            graph, symbols, module, record_defs=module.name in project.modules
+        )
     return graph
 
 
@@ -419,19 +406,15 @@ def build_call_graph(
 # ----------------------------------------------------------------------
 def _extract_module(
     graph: CallGraph,
-    project: Project,
+    symbols: "_Symbols",
     module: ProjectModule,
     record_defs: bool,
 ) -> None:
-    scope = _ModuleScope(project, module)
+    resolver = _ModuleScope(symbols, module)
     module_refs: Set[str] = set()
 
-    def collect_function(
-        node: ast.FunctionDef | ast.AsyncFunctionDef, cls: Optional[str]
-    ) -> None:
-        qualname = (
-            f"{module.name}.{cls}.{node.name}" if cls else f"{module.name}.{node.name}"
-        )
+    def collect_function(scope: FunctionScope) -> None:
+        node = scope.node
         params = tuple(
             arg.arg
             for arg in [
@@ -450,7 +433,7 @@ def _extract_module(
             elif isinstance(sub, ast.Attribute):
                 references.add(sub.attr)
             if isinstance(sub, ast.Call):
-                site = _resolve_call(scope, cls, set(params), sub)
+                site = _resolve_call(resolver, scope.cls, set(params), sub)
                 if site is not None:
                     call_sites.append(site)
         decorators = tuple(
@@ -459,10 +442,10 @@ def _extract_module(
         # Decorator names used on this function reference those functions.
         module_refs.update(name for name in decorators if name)
         info = FunctionInfo(
-            qualname=qualname,
+            qualname=scope.qualname,
             module=module.name,
             name=node.name,
-            cls=cls,
+            cls=scope.cls,
             lineno=node.lineno,
             params=params,
             decorators=tuple(d for d in decorators if d),
@@ -470,22 +453,24 @@ def _extract_module(
             call_sites=tuple(call_sites),
         )
         if record_defs:
-            graph.functions[qualname] = info
-            graph.by_name.setdefault(node.name, []).append(qualname)
+            graph.functions[scope.qualname] = info
+            graph.by_name.setdefault(node.name, []).append(scope.qualname)
         else:
             # Reference-only modules (tests, benchmarks): their bodies
             # keep project functions alive but are not analyzed.
             module_refs.update(references)
 
+    for scope in module.functions:
+        collect_function(scope)
+
+    # Everything at module and class scope that is not a function body.
     for node in module.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            collect_function(node, None)
-        elif isinstance(node, ast.ClassDef):
+            continue
+        if isinstance(node, ast.ClassDef):
             module_refs.add(node.name)
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    collect_function(item, node.name)
-                else:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     _collect_refs(item, module_refs)
             for base in node.bases + [kw.value for kw in node.keywords]:
                 _collect_refs(base, module_refs)
@@ -495,8 +480,7 @@ def _extract_module(
             _collect_refs(node, module_refs)
             _collect_all_exports(node, module_refs)
 
-    existing = graph.module_references.get(module.name, frozenset())
-    graph.module_references[module.name] = frozenset(module_refs) | existing
+    graph.module_references[module.name] = frozenset(module_refs)
 
 
 def _collect_refs(node: ast.AST, into: Set[str]) -> None:
@@ -534,41 +518,54 @@ def _decorator_name(node: ast.expr) -> str:
     return ""
 
 
-def _dotted_chain(node: ast.AST) -> str:
-    """Render ``a.b.c`` attribute/name chains; empty string otherwise."""
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return ""
+class _Symbols:
+    """Project-wide tables of top-level definitions, built once per graph."""
+
+    def __init__(self, project: Project) -> None:
+        self.project = project
+        #: qualname of every top-level function and class
+        self.defs: Set[str] = set()
+        #: class qualname -> qualnames of its methods, in source order
+        self.methods: Dict[str, List[str]] = {}
+        for module in project.all_modules():
+            for name in module.classes:
+                self.defs.add(f"{module.name}.{name}")
+                self.methods[f"{module.name}.{name}"] = []
+            for scope in module.functions:
+                if scope.cls is None:
+                    self.defs.add(scope.qualname)
+                else:
+                    self.methods[f"{module.name}.{scope.cls}"].append(
+                        scope.qualname
+                    )
+
+    def resolve_dotted(self, dotted: str) -> Optional[str]:
+        """``pkg.module.symbol`` -> itself when the module defines it."""
+        owner = self.project.resolve_import(dotted)
+        if owner is None or owner == dotted:
+            return None  # unknown, or a module rather than a function/class
+        if "." in dotted[len(owner) + 1 :]:
+            return None
+        return dotted if dotted in self.defs else None
+
+    def callable_targets(self, qualname: str) -> Tuple[str, ...]:
+        """Map a resolved symbol to callable targets (class -> its methods).
+
+        Constructing a class reaches ``__init__``/``__post_init__`` and,
+        conservatively, every method (instances escape the graph).
+        """
+        methods = self.methods.get(qualname)
+        return tuple(methods) if methods else (qualname,)
 
 
 class _ModuleScope:
-    """Name -> qualname resolution table for one module."""
+    """Name -> qualname resolution for one module."""
 
-    def __init__(self, project: Project, module: ProjectModule) -> None:
-        self.project = project
+    def __init__(self, symbols: _Symbols, module: ProjectModule) -> None:
+        self.symbols = symbols
         self.module = module
-        #: local top-level definitions: name -> qualname
-        self.defs: Dict[str, str] = {}
-        #: methods per class: class -> {method -> qualname}
-        self.methods: Dict[str, Dict[str, str]] = {}
         #: imported bare names: alias -> dotted target
         self.imports: Dict[str, str] = {}
-        for node in module.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.defs[node.name] = f"{module.name}.{node.name}"
-            elif isinstance(node, ast.ClassDef):
-                self.defs[node.name] = f"{module.name}.{node.name}"
-                table: Dict[str, str] = {}
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        table[item.name] = f"{module.name}.{node.name}.{item.name}"
-                self.methods[node.name] = table
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -584,30 +581,19 @@ class _ModuleScope:
 
     def resolve_name(self, name: str) -> Optional[str]:
         """Resolve a bare name to a project function/class qualname."""
-        if name in self.defs:
-            return self.defs[name]
+        local = f"{self.module.name}.{name}"
+        if local in self.symbols.defs:
+            return local
         dotted = self.imports.get(name)
         if dotted is None:
             return None
-        return self._resolve_dotted(dotted)
+        return self.symbols.resolve_dotted(dotted)
 
-    def _resolve_dotted(self, dotted: str) -> Optional[str]:
-        owner = self.project.resolve_import(dotted)
-        if owner is None:
-            return None
-        if owner == dotted:
-            return None  # a module, not a function/class
-        symbol = dotted[len(owner) + 1 :]
-        owner_module = self.project.get(owner)
-        if owner_module is None or "." in symbol:
-            return None
-        for node in owner_module.tree.body:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name == symbol
-            ):
-                return f"{owner}.{symbol}"
-        return None
+    def resolve_method(self, cls: str, name: str) -> Optional[str]:
+        """``self.name`` inside ``cls`` -> the method's qualname, if defined."""
+        owner = f"{self.module.name}.{cls}"
+        qualname = f"{owner}.{name}"
+        return qualname if qualname in self.symbols.methods.get(owner, ()) else None
 
 
 def _resolve_call(
@@ -616,6 +602,7 @@ def _resolve_call(
     params: Set[str],
     call: ast.Call,
 ) -> Optional[CallSite]:
+    symbols = scope.symbols
     param_args = tuple(
         (position, arg.id)
         for position, arg in enumerate(call.args)
@@ -625,7 +612,7 @@ def _resolve_call(
     if isinstance(func, ast.Name):
         resolved = scope.resolve_name(func.id)
         if resolved is not None:
-            candidates = _callable_targets(scope, resolved)
+            candidates = symbols.callable_targets(resolved)
             return CallSite(call.lineno, candidates, True, None, param_args)
         # Unknown bare name (builtin, closure); name matching by the
         # reference set covers liveness, nothing to record here.
@@ -637,55 +624,25 @@ def _resolve_call(
             if receiver.id in params:
                 receiver_param = receiver.id
             if receiver.id in ("self", "cls") and cls is not None:
-                table = scope.methods.get(cls, {})
-                if func.attr in table:
+                method = scope.resolve_method(cls, func.attr)
+                if method is not None:
                     return CallSite(
-                        call.lineno, (table[func.attr],), True, receiver_param, param_args
+                        call.lineno, (method,), True, receiver_param, param_args
                     )
-            dotted = _dotted_chain(func)
+            dotted = _dotted(func)
             if dotted:
-                resolved = scope._resolve_dotted(dotted)
+                resolved = symbols.resolve_dotted(dotted)
                 if resolved is None and "." in dotted:
                     head = dotted.split(".", 1)[0]
                     mapped = scope.imports.get(head)
                     if mapped is not None:
-                        resolved = scope._resolve_dotted(
+                        resolved = symbols.resolve_dotted(
                             dotted.replace(head, mapped, 1)
                         )
                 if resolved is not None:
-                    candidates = _callable_targets(scope, resolved)
+                    candidates = symbols.callable_targets(resolved)
                     return CallSite(call.lineno, candidates, True, receiver_param, param_args)
         # Fallback: record the bare attribute name; liveness is covered
         # by the reference set, purity matches the name itself.
         return CallSite(call.lineno, (), False, receiver_param, param_args, func.attr)
     return None
-
-
-def _callable_targets(scope: _ModuleScope, qualname: str) -> Tuple[str, ...]:
-    """Map a resolved symbol to callable targets (class -> its methods)."""
-    module_name, _, symbol = qualname.rpartition(".")
-    owner = scope.project.get(module_name)
-    if owner is None:
-        return (qualname,)
-    for node in owner.tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == symbol:
-            # Constructing a class reaches __init__/__post_init__ and,
-            # conservatively, every method (instances escape the graph).
-            targets = [
-                f"{qualname}.{item.name}"
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ]
-            return tuple(targets) if targets else (qualname,)
-    return (qualname,)
-
-
-def dead_code_report(graph: CallGraph) -> List[str]:
-    """Human-readable dead-code findings, one line per function."""
-    lines = []
-    for info in graph.dead():
-        lines.append(
-            f"{info.module}:{info.lineno}: {info.qualname} is unreachable "
-            "from every entry point"
-        )
-    return lines

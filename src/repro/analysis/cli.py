@@ -7,19 +7,20 @@ Also runnable without an installed entry point::
     PYTHONPATH=src python -m repro.analysis.cli src/repro tests
     PYTHONPATH=src python -m repro.analysis src/repro tests
 
-``--deep`` switches to the whole-program analysis suite (call graph,
-purity inference, float-comparison dataflow, layering contracts; rules
-RPR008-RPR013).  ``--concurrency`` runs the concurrency pass (shared
-fields, asyncio hygiene, lock order; rules RPR015-RPR020).  ``--perf``
-runs the performance-and-accounting pass (billing discipline, subcounter
-fold-once, codec symmetry, mirror/hot-loop rules; RPR021-RPR026).  The
-flags compose, sharing one project load and one baseline ratchet.
-Whole-program passes always analyze the full ``src/repro`` tree —
-cross-module reasoning needs the whole program — but ``--changed-only``
-restricts the *reported* findings to the given paths (or, with no
-paths, to the files ``git diff --name-only HEAD`` lists), which is what
-the pre-commit hook uses.  ``--report`` additionally prints the
-guarded-by table and lock-order graph the concurrency pass inferred.
+Plain ``repro-lint PATHS`` runs the per-module rules over the given
+files.  ``--deep`` instead runs every whole-program rule
+(:mod:`repro.analysis.deep`: dead code, purity and determinism zones,
+float-comparison dataflow and the lemma table, layering, concurrency,
+page accounting, hot paths) and must be started from the repository
+root: it always analyzes the full ``src/repro`` tree -- cross-module
+reasoning needs the whole program -- and ignores ``PATHS`` unless
+``--changed-only`` is given, which restricts the *reported* findings to
+those paths (or, with no paths, to the files ``git diff --name-only
+HEAD`` lists); that is what the pre-commit hook uses.  ``--report``
+additionally prints the six tables the passes derive.  ``--select``,
+``--ignore`` and ``--list-rules`` treat both kinds of rule alike; any
+finding fails the run, and ``# repro: noqa(CODE)`` with a reason is the
+one escape hatch.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.config import DEFAULT_BASELINE_NAME
-from repro.analysis.lint import Linter, iter_rules
+from repro.analysis.lint import PARSE_ERROR_CODE, Linter, iter_rules, select_rules
 
 __all__ = ["main", "build_parser"]
 
@@ -67,23 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress the summary line; print violations only",
     )
-    deep = parser.add_argument_group("deep analysis")
+    deep = parser.add_argument_group("whole-program analysis")
     deep.add_argument(
         "--deep",
         action="store_true",
-        help="run the whole-program passes (RPR008-RPR013) over src/repro",
-    )
-    deep.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path(DEFAULT_BASELINE_NAME),
-        metavar="FILE",
-        help="baseline file of known findings (default: %(default)s)",
-    )
-    deep.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
+        help=(
+            "run the whole-program rules (marked `(--deep)` in "
+            "--list-rules) over src/repro instead of the per-module ones"
+        ),
     )
     deep.add_argument(
         "--changed-only",
@@ -95,34 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     deep.add_argument(
-        "--callgraph-cache",
-        type=Path,
-        metavar="FILE",
-        help="read/write the call-graph facts cache (JSON, SHA-keyed)",
-    )
-    deep.add_argument(
-        "--concurrency",
-        action="store_true",
-        help=(
-            "run the whole-program concurrency pass (RPR015-RPR020) over "
-            "src/repro; composes with --deep"
-        ),
-    )
-    deep.add_argument(
-        "--perf",
-        action="store_true",
-        help=(
-            "run the performance-and-accounting pass (RPR021-RPR026) over "
-            "src/repro; composes with --deep and --concurrency"
-        ),
-    )
-    deep.add_argument(
         "--report",
         action="store_true",
         help=(
-            "with --concurrency, also print the inferred guarded-by table, "
-            "lock-order graph and thread entry points; with --perf, the "
-            "billing table, mutation table and hot set"
+            "also print the guarded-by table, lock-order graph, thread "
+            "entry points, billing table, mutation table and hot set"
         ),
     )
     return parser
@@ -147,10 +115,8 @@ def _git_changed_files() -> List[Path]:
     return [Path(line) for line in output.splitlines() if line.strip()]
 
 
-def _deep_main(args: argparse.Namespace) -> int:
+def _deep_main(args: argparse.Namespace, codes: List[str]) -> int:
     from repro.analysis import deep
-    from repro.analysis.callgraph import CallGraph
-    from repro.analysis.lint import Violation
     from repro.analysis.project import load_project
 
     src_root = Path("src/repro")
@@ -162,91 +128,27 @@ def _deep_main(args: argparse.Namespace) -> int:
         )
         return 2
 
-    cached = None
-    if args.callgraph_cache is not None:
-        cached = deep.load_cached_graph(args.callgraph_cache)
+    project = load_project([src_root], deep.default_reference_roots(Path(".")))
+    analysis = deep.analyze(project, select=codes)
+    if args.report:
+        for line in analysis.report():
+            print(line)
 
-    project = load_project(
-        [src_root], deep.default_reference_roots(Path("."))
-    )
-    violations: List[Violation] = []
-    modules_analyzed = len(project.modules)
-    graph: Optional[CallGraph] = None
-    if args.deep:
-        analysis = deep.analyze_project(project, cached=cached)
-        violations.extend(analysis.violations)
-        graph = analysis.graph
-    if args.concurrency:
-        from repro.analysis import concurrency
-
-        conc = concurrency.analyze_concurrency(project, cached=cached)
-        violations.extend(conc.violations)
-        graph = graph or conc.graph
-        if args.report:
-            for line in concurrency.concurrency_report(conc):
-                print(line)
-    if args.perf:
-        from repro.analysis import accounting, hotpath
-
-        acct = accounting.analyze_accounting(project, cached=cached)
-        violations.extend(acct.violations)
-        graph = graph or acct.graph
-        hot = hotpath.analyze_hotpath(project, cached=graph)
-        violations.extend(hot.violations)
-        if args.report:
-            for line in accounting.accounting_report(acct):
-                print(line)
-            for line in hotpath.hotpath_report(hot):
-                print(line)
-
-    if args.callgraph_cache is not None and graph is not None:
-        deep.save_graph_cache(args.callgraph_cache, graph)
-
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
+    violations = analysis.violations
     if args.changed_only:
         changed = args.paths if args.paths else _git_changed_files()
         allowed = {path.resolve() for path in changed}
-        violations = [
-            v for v in violations if Path(v.path).resolve() in allowed
-        ]
-
-    if args.update_baseline:
-        deep.save_baseline(args.baseline, violations)
-        if not args.quiet:
-            print(
-                f"repro-lint: baseline updated with {len(violations)} "
-                f"finding(s) -> {args.baseline}",
-                file=sys.stderr,
-            )
-        return 0
-
-    baseline = deep.load_baseline(args.baseline)
-    new, baselined, stale = deep.partition_violations(violations, baseline)
-    for violation in new:
+        violations = [v for v in violations if Path(v.path).resolve() in allowed]
+    for violation in violations:
         print(violation.render())
-    for entry in stale:
-        print(
-            f"repro-lint: stale baseline entry (no longer fires): {entry}",
-            file=sys.stderr,
-        )
     if not args.quiet:
-        flags = [
-            flag
-            for flag, on in (
-                ("--deep", args.deep),
-                ("--concurrency", args.concurrency),
-                ("--perf", args.perf),
-            )
-            if on
-        ]
-        noun = "finding" if len(new) == 1 else "findings"
+        noun = "finding" if len(violations) == 1 else "findings"
         print(
-            f"repro-lint {' '.join(flags)}: {modules_analyzed} modules "
-            f"analyzed, {len(new)} new "
-            f"{noun}, {len(baselined)} baselined, {len(stale)} stale",
+            f"repro-lint --deep: {len(project.modules)} modules analyzed, "
+            f"{len(violations)} {noun}",
             file=sys.stderr,
         )
-    return 1 if new or stale else 0
+    return 1 if violations else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -255,31 +157,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.list_rules:
         for rule in iter_rules():
-            print(f"{rule.code}  {rule.name}: {rule.description}")
-        if args.deep:
-            from repro.analysis.deep import DEEP_RULES
-
-            for code in sorted(DEEP_RULES):
-                name, description = DEEP_RULES[code]
-                print(f"{code}  {name}: {description}")
-        if args.concurrency:
-            from repro.analysis.concurrency import CONCURRENCY_RULES
-
-            for code in sorted(CONCURRENCY_RULES):
-                name, description = CONCURRENCY_RULES[code]
-                print(f"{code}  {name}: {description}")
-        if args.perf:
-            from repro.analysis.accounting import ACCOUNTING_RULES
-            from repro.analysis.hotpath import HOTPATH_RULES
-
-            perf_rules = {**ACCOUNTING_RULES, **HOTPATH_RULES}
-            for code in sorted(perf_rules):
-                name, description = perf_rules[code]
-                print(f"{code}  {name}: {description}")
+            kind = " (--deep)" if rule.whole_program else ""
+            print(f"{rule.code}  {rule.name}{kind}: {rule.description}")
+        print(f"{PARSE_ERROR_CODE}  parse-error: file cannot be read or parsed (always on)")
         return 0
 
-    if args.deep or args.concurrency or args.perf:
-        return _deep_main(args)
+    try:
+        rules = select_rules(
+            _split_codes(args.select), _split_codes(args.ignore), whole_program=args.deep
+        )
+    except ValueError as exc:
+        print(f"repro-lint: error: {exc}", file=sys.stderr)
+        return 2
+    codes = [rule.code for rule in rules]
+    if args.deep:
+        return _deep_main(args, codes)
 
     if not args.paths:
         parser.print_usage(sys.stderr)
@@ -291,13 +183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro-lint: error: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    try:
-        linter = Linter(select=_split_codes(args.select), ignore=_split_codes(args.ignore))
-    except ValueError as exc:
-        print(f"repro-lint: error: {exc}", file=sys.stderr)
-        return 2
-
-    report = linter.lint_paths(args.paths)
+    report = Linter(select=codes).lint_paths(args.paths)
     if report.violations:
         print(report.render())
     if not args.quiet:

@@ -1,4 +1,4 @@
-"""Whole-program concurrency analysis: ``repro-lint --concurrency``.
+"""Whole-program concurrency analysis (one pass of ``repro-lint --deep``).
 
 The service era (PR 6) mixed three execution contexts -- the caller's
 thread, the asyncio event-loop thread of
@@ -57,71 +57,25 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import config
-from repro.analysis.callgraph import (
-    CallGraph,
-    ImportGraph,
-    build_call_graph,
-    build_import_graph,
-)
-from repro.analysis.lint import Violation
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.lint import Violation, _dotted, register_rule
 from repro.analysis.locks import LockOrderGraph, LockSite, canonical_lock_name
-from repro.analysis.project import Project, ProjectModule, load_project
-from repro.analysis.purity import (
-    Effect,
-    FunctionEffects,
-    infer_effects,
-    function_nodes,
-    module_reachability,
-)
+from repro.analysis.project import FunctionNode, ProjectModule
+from repro.analysis.purity import Effect
+
+if TYPE_CHECKING:
+    from repro.analysis.deep import DeepAnalysis
 
 __all__ = [
-    "CONCURRENCY_RULES",
-    "ConcurrencyAnalysis",
     "FieldWrite",
     "LockDecl",
     "SharedClass",
-    "analyze_concurrency",
+    "concurrency_pass",
     "concurrency_report",
-    "run_concurrency",
 ]
-
-#: Code -> (name, description), mirroring the shallow/deep catalogues.
-CONCURRENCY_RULES: Dict[str, Tuple[str, str]] = {
-    "RPR015": (
-        "unguarded-shared-write",
-        "field of a cross-context class written without the lock its "
-        "other writes hold, or outside its declared guarded-by guard",
-    ),
-    "RPR016": (
-        "blocking-call-in-coroutine",
-        "coroutine can reach a blocking call (socket, time.sleep, "
-        "subprocess) without handing it to run_in_executor",
-    ),
-    "RPR017": (
-        "await-under-thread-lock",
-        "await expression while a threading.Lock is held (stalls every "
-        "task on the loop until release)",
-    ),
-    "RPR018": (
-        "dropped-task",
-        "create_task/ensure_future result discarded: the task can be "
-        "garbage-collected mid-flight and its exceptions are lost",
-    ),
-    "RPR019": (
-        "lock-order-cycle",
-        "two code paths acquire the same locks in opposite orders (or "
-        "re-acquire a non-reentrant lock): potential deadlock",
-    ),
-    "RPR020": (
-        "unannotated-shared-field",
-        "field of a cross-context class with unlocked writes and no "
-        "`# repro: guarded-by(<lock-or-owner>)` annotation",
-    ),
-}
 
 _INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 _TASK_FACTORIES = frozenset({"create_task", "ensure_future"})
@@ -133,20 +87,6 @@ _MUTATOR_METHODS = frozenset(
     {"append", "extend", "insert", "remove", "pop", "popitem", "clear",
      "add", "discard", "update", "setdefault"}
 )
-#: Attribute names excluded from name-matched call resolution in the
-#: lock-order fixpoint: they are ubiquitous stdlib container/protocol
-#: methods, so matching them against same-named project methods floods
-#: the graph with false edges (``self._held.get(...)`` is a dict probe,
-#: not ``SomeCache.get``).  Explicit-receiver ``.acquire()`` on a known
-#: lock is handled separately by the scanner, so it loses nothing here.
-_GENERIC_ATTRS = frozenset(
-    {"get", "set", "put", "pop", "append", "add", "update", "items",
-     "keys", "values", "clear", "discard", "remove", "extend", "insert",
-     "setdefault", "popitem", "sort", "reverse", "copy", "join", "split",
-     "strip", "close", "read", "write", "send", "recv", "acquire",
-     "release", "wait", "notify", "start", "stop", "run", "cancel"}
-)
-
 
 # ----------------------------------------------------------------------
 # facts
@@ -228,41 +168,9 @@ class _ModuleFacts:
     entries: List[str] = field(default_factory=list)
 
 
-@dataclass
-class ConcurrencyAnalysis:
-    """Everything one ``--concurrency`` run produced."""
-
-    project: Project
-    graph: CallGraph
-    import_graph: ImportGraph
-    effects: Dict[str, FunctionEffects]
-    shared_classes: Dict[str, SharedClass] = field(default_factory=dict)
-    #: ``Class.field`` -> canonical lock (or ``owner:<sentinel>``).
-    guarded_by: Dict[str, str] = field(default_factory=dict)
-    lock_graph: LockOrderGraph = field(default_factory=LockOrderGraph)
-    thread_entries: List[str] = field(default_factory=list)
-    violations: List[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # ----------------------------------------------------------------------
 # lock classification
 # ----------------------------------------------------------------------
-def _dotted(node: ast.expr) -> str:
-    parts: List[str] = []
-    current: ast.expr = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 def _lock_value(value: ast.expr) -> Optional[Tuple[str, bool, Optional[str]]]:
     """``(kind, reentrant, explicit_name)`` when ``value`` builds a lock."""
     if not isinstance(value, ast.Call):
@@ -373,7 +281,7 @@ class _FunctionScanner:
         return None
 
     # -- main walk -----------------------------------------------------
-    def scan(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+    def scan(self, node: FunctionNode) -> None:
         self._prescan_locals(node.body)
         self._stmts(node.body, ())
         self.facts.direct_acquires[self.qualname] = self.acquires
@@ -575,10 +483,7 @@ class _FunctionScanner:
 
 
 def _scan_dropped_tasks(
-    module: ProjectModule,
-    qualname: str,
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-    facts: _ModuleFacts,
+    qualname: str, node: FunctionNode, facts: _ModuleFacts
 ) -> None:
     """RPR018: expression statements whose value is a task factory call."""
     for sub in ast.walk(node):
@@ -595,28 +500,15 @@ def _scan_dropped_tasks(
 # ----------------------------------------------------------------------
 def _scan_module(module: ProjectModule) -> _ModuleFacts:
     facts = _ModuleFacts()
-
-    def scan_function(
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        cls: Optional[_ClassFacts],
-        locks: Dict[str, LockDecl],
-    ) -> None:
-        owner = f"{module.name}.{cls.name}" if cls is not None else module.name
-        qualname = f"{owner}.{node.name}"
-        scanner = _FunctionScanner(module, qualname, cls, locks, facts)
-        scanner.scan(node)
-        _scan_dropped_tasks(module, qualname, node, facts)
-
-    for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scan_function(node, None, {})
-        elif isinstance(node, ast.ClassDef):
-            cls = _ClassFacts(module.name, node.name, node.lineno)
-            cls.locks = _class_lock_table(node, node.name)
-            facts.classes[node.name] = cls
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    scan_function(item, cls, cls.locks)
+    for name, node in module.classes.items():
+        facts.classes[name] = _ClassFacts(
+            module.name, name, node.lineno, locks=_class_lock_table(node, name)
+        )
+    for scope in module.functions:
+        owner = facts.classes[scope.cls] if scope.cls is not None else None
+        locks = owner.locks if owner is not None else {}
+        _FunctionScanner(module, scope.qualname, owner, locks, facts).scan(scope.node)
+        _scan_dropped_tasks(scope.qualname, scope.node, facts)
     return facts
 
 
@@ -747,16 +639,10 @@ def _field_verdicts(
 # lock-order graph (RPR019)
 # ----------------------------------------------------------------------
 def _build_lock_graph(
-    project: Project,
-    graph: CallGraph,
-    per_module: Dict[str, _ModuleFacts],
-    reachable: Dict[str, Set[str]],
+    graph: CallGraph, per_module: Dict[str, _ModuleFacts]
 ) -> LockOrderGraph:
     lock_graph = LockOrderGraph()
-    module_of: Dict[str, str] = {}
     for name, facts in per_module.items():
-        for qualname in facts.direct_acquires:
-            module_of[qualname] = name
         for outer, inner, lineno in facts.nest_edges:
             lock_graph.add_edge(outer, inner, LockSite(name, lineno, "nested with"))
 
@@ -771,20 +657,8 @@ def _build_lock_graph(
         table: Dict[int, List[str]] = {}
         if info is None:
             return table
-        allowed = reachable.get(info.module, set())
         for site in info.call_sites:
-            names = list(site.candidates)
-            if (
-                not site.resolved
-                and site.attr is not None
-                and site.attr not in _GENERIC_ATTRS
-            ):
-                names.extend(
-                    c
-                    for c in graph.by_name.get(site.attr, ())
-                    if graph.functions[c].module == info.module
-                    or graph.functions[c].module in allowed
-                )
+            names = graph.callees(info, site)
             if names:
                 table.setdefault(site.lineno, []).extend(names)
         return table
@@ -832,34 +706,59 @@ def _build_lock_graph(
 
 
 # ----------------------------------------------------------------------
-# driver
+# the pass
 # ----------------------------------------------------------------------
-def analyze_concurrency(
-    project: Project, cached: Optional[CallGraph] = None
-) -> ConcurrencyAnalysis:
-    """Run the concurrency pass over an already-loaded project."""
-    from repro.analysis.deep import apply_suppressions, suppression_oracle
+@register_rule(
+    "RPR015",
+    "unguarded-shared-write",
+    "field of a cross-context class written without the lock its "
+    "other writes hold, or outside its declared guarded-by guard",
+    whole_program=True,
+)
+@register_rule(
+    "RPR016",
+    "blocking-call-in-coroutine",
+    "coroutine can reach a blocking call (socket, time.sleep, "
+    "subprocess) without handing it to run_in_executor",
+    whole_program=True,
+)
+@register_rule(
+    "RPR017",
+    "await-under-thread-lock",
+    "await expression while a threading.Lock is held (stalls every "
+    "task on the loop until release)",
+    whole_program=True,
+)
+@register_rule(
+    "RPR018",
+    "dropped-task",
+    "create_task/ensure_future result discarded: the task can be "
+    "garbage-collected mid-flight and its exceptions are lost",
+    whole_program=True,
+)
+@register_rule(
+    "RPR019",
+    "lock-order-cycle",
+    "two code paths acquire the same locks in opposite orders (or "
+    "re-acquire a non-reentrant lock): potential deadlock",
+    whole_program=True,
+)
+@register_rule(
+    "RPR020",
+    "unannotated-shared-field",
+    "field of a cross-context class with unlocked writes and no "
+    "`# repro: guarded-by(<lock-or-owner>)` annotation",
+    whole_program=True,
+)
+def concurrency_pass(analysis: DeepAnalysis) -> List[Violation]:
+    """RPR015-RPR020, and the concurrency tables of ``analysis``.
 
-    graph = build_call_graph(project, cached)
-    import_graph = build_import_graph(project)
-    oracle = suppression_oracle(project)
-    effects = infer_effects(
-        project, graph, import_graph=import_graph, is_suppressed=oracle
-    )
-    reachable = module_reachability(import_graph)
-    nodes = function_nodes(project, graph)
-    paths = {name: module.path for name, module in project.modules.items()}
-
-    per_module = {
-        name: _scan_module(module) for name, module in project.modules.items()
-    }
-
-    analysis = ConcurrencyAnalysis(
-        project=project,
-        graph=graph,
-        import_graph=import_graph,
-        effects=effects,
-    )
+    Fills in ``shared_classes``, ``guarded_by``, ``lock_graph`` and
+    ``thread_entries``.
+    """
+    modules = analysis.project.modules
+    graph, effects = analysis.graph, analysis.effects
+    per_module = {name: _scan_module(module) for name, module in modules.items()}
     violations: List[Violation] = []
 
     # -- shared classes + field discipline (RPR015/RPR020) ------------
@@ -888,23 +787,26 @@ def analyze_concurrency(
             )
             analysis.shared_classes[qualname] = shared
             _field_verdicts(
-                shared, known, paths[name], analysis.guarded_by, violations
+                shared, known, modules[name].path, analysis.guarded_by, violations
             )
         analysis.thread_entries.extend(facts.entries)
     analysis.thread_entries.sort()
 
     # -- asyncio hygiene (RPR016/RPR017/RPR018) ------------------------
-    for qualname in sorted(effects):
-        node = nodes.get(qualname)
-        if not isinstance(node, ast.AsyncFunctionDef):
-            continue
+    coroutines = {
+        scope.qualname
+        for module in modules.values()
+        for scope in module.functions
+        if isinstance(scope.node, ast.AsyncFunctionDef)
+    }
+    for qualname in sorted(coroutines):
         report = effects[qualname]
         if report.has(Effect.BLOCKING):
             info = graph.functions[qualname]
             witness = report.effects[Effect.BLOCKING]
             violations.append(
                 Violation(
-                    paths[info.module],
+                    modules[info.module].path,
                     witness.lineno,
                     0,
                     "RPR016",
@@ -918,7 +820,7 @@ def analyze_concurrency(
         for qualname, lock, lineno in facts.await_under_lock:
             violations.append(
                 Violation(
-                    paths[name],
+                    modules[name].path,
                     lineno,
                     0,
                     "RPR017",
@@ -930,7 +832,7 @@ def analyze_concurrency(
         for qualname, factory, lineno in facts.dropped_tasks:
             violations.append(
                 Violation(
-                    paths[name],
+                    modules[name].path,
                     lineno,
                     0,
                     "RPR018",
@@ -942,26 +844,20 @@ def analyze_concurrency(
             )
 
     # -- lock order (RPR019) -------------------------------------------
-    analysis.lock_graph = _build_lock_graph(
-        project, graph, per_module, reachable
-    )
+    analysis.lock_graph = _build_lock_graph(graph, per_module)
     for cycle in analysis.lock_graph.cycles():
-        site = _cycle_site(analysis.lock_graph, cycle)
+        module_name, lineno = _cycle_site(analysis.lock_graph, cycle)
         rendered = " -> ".join(cycle + [cycle[0]])
         violations.append(
             Violation(
-                site[0],
-                site[1],
+                modules[module_name].path,
+                lineno,
                 0,
                 "RPR019",
                 f"potential deadlock: lock-order cycle {rendered}",
             )
         )
-
-    violations = apply_suppressions(project, violations)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    analysis.violations = violations
-    return analysis
+    return violations
 
 
 def _cycle_site(lock_graph: LockOrderGraph, cycle: List[str]) -> Tuple[str, int]:
@@ -970,21 +866,11 @@ def _cycle_site(lock_graph: LockOrderGraph, cycle: List[str]) -> Tuple[str, int]
     for (outer, inner), sites in sorted(lock_graph.edges.items()):
         if outer in members and inner in members and sites:
             return sites[0].module, sites[0].lineno
-    return cycle[0], 1
+    raise AssertionError(f"lock-order cycle {cycle} has no witnessed edge")
 
 
-def run_concurrency(
-    roots: Sequence[Path],
-    reference_roots: Sequence[Path] = (),
-    cached: Optional[CallGraph] = None,
-) -> ConcurrencyAnalysis:
-    """Load the project from disk and run the concurrency pass."""
-    project = load_project(roots, reference_roots)
-    return analyze_concurrency(project, cached=cached)
-
-
-def concurrency_report(analysis: ConcurrencyAnalysis) -> List[str]:
-    """The guarded-by table + lock-order graph, for the deep report."""
+def concurrency_report(analysis: DeepAnalysis) -> List[str]:
+    """The guarded-by table + lock-order graph, for ``--report``."""
     lines: List[str] = ["concurrency: guarded-by table"]
     if analysis.guarded_by:
         width = max(len(k) for k in analysis.guarded_by)

@@ -1,11 +1,11 @@
-"""Configuration for the deep (whole-program) analysis passes.
+"""Configuration for the whole-program analysis passes (``--deep``).
 
 Everything the passes treat as *policy* rather than *mechanism* lives
 here, so a reviewer can audit the contracts in one place and a satellite
 change (a new entry point, a widened purity zone) is a one-line diff.
 
-See ``docs/static_analysis.md`` ("Deep analysis") for the rationale
-behind each table.
+See ``docs/static_analysis.md`` ("Whole-program analysis") for the
+rationale behind each table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "BILLING_ENTRY_POINTS",
     "BILLING_MODULES",
     "CONCURRENT_CLASSES",
-    "DEFAULT_BASELINE_NAME",
     "DETERMINISM_ZONES",
     "DOCSTRING_REQUIRED_PREFIXES",
     "ENTRY_POINTS",
@@ -28,14 +27,10 @@ __all__ = [
     "LIVENESS_REFERENCE_ROOTS",
     "LOCK_ALIASES",
     "MIRROR_MUTATION_MODULES",
-    "PROTOCOL_MODULES",
     "PURITY_ZONES",
     "STATIC_ANALYSIS_MODULES",
     "STRICT_FLOAT_MODULES",
 ]
-
-#: Default name of the committed deep-analysis baseline file (repo root).
-DEFAULT_BASELINE_NAME = "analysis_baseline.txt"
 
 # ----------------------------------------------------------------------
 # Call graph / dead code (RPR008)
@@ -191,7 +186,7 @@ CONCURRENT_CLASSES: FrozenSet[str] = frozenset(
 )
 
 # ----------------------------------------------------------------------
-# Performance & accounting (RPR021-RPR026)
+# Performance & accounting (RPR021-RPR025)
 # ----------------------------------------------------------------------
 
 #: Query entry points of the billing model (RPR021): the functions whose
@@ -235,10 +230,6 @@ HOT_ENTRY_POINTS: FrozenSet[str] = BILLING_ENTRY_POINTS | frozenset(
 #: *mechanism* (``repro.index.node``) is exempt: its tracked-list
 #: mutators perform the invalidation the table documents.
 MIRROR_MUTATION_MODULES: Tuple[str, ...] = ("repro.index.rtree",)
-
-#: Modules holding wire codec pairs checked for encode/decode symmetry
-#: (RPR026) via their ``_CODECS`` registry.
-PROTOCOL_MODULES: Tuple[str, ...] = ("repro.service.protocol",)
 
 # ----------------------------------------------------------------------
 # Layering (RPR013)

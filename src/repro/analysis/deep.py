@@ -1,11 +1,21 @@
-"""The deep (whole-program) analysis driver: ``repro-lint --deep``.
+"""The whole-program analysis driver: ``repro-lint --deep``.
 
 The per-module rules of :mod:`repro.analysis.rules` cannot see across
-files.  This driver loads the whole project once
-(:mod:`repro.analysis.project`), builds the import and call graphs
-(:mod:`repro.analysis.callgraph`), runs the interprocedural passes and
-folds their findings into the engine's :class:`~repro.analysis.lint.
-Violation` shape so suppression, rendering and CI treatment stay uniform:
+files.  :func:`analyze` takes a project loaded once
+(:mod:`repro.analysis.project`) and returns a :class:`DeepAnalysis`: the
+facts every pass shares -- import graph, call graph
+(:mod:`repro.analysis.callgraph`), inferred effects
+(:mod:`repro.analysis.purity`), each built at most once and only when a
+selected pass asks -- the tables the passes derive (``--report`` prints
+them), and the findings, folded into the engine's
+:class:`~repro.analysis.lint.Violation` shape so suppression, rendering
+and CI treatment stay uniform.
+
+Whole-program rules sit in the same catalogue as the per-module ones
+(:func:`repro.analysis.lint.register_rule` with ``whole_program=True``);
+a pass is the function registered under every code it can emit.  This
+module registers the first six and imports the modules that register the
+rest:
 
 ========  ============================================================
 RPR008    dead code: functions unreachable from every liveness root
@@ -14,46 +24,54 @@ RPR010    nondeterminism inside a determinism zone (replay surfaces)
 RPR011    raw float comparison on a distance-valued expression
 RPR012    lemma-conformance breach (direction flip, stale table entry)
 RPR013    layering-contract or import-cycle violation
+RPR015+   :mod:`repro.analysis.concurrency` (RPR015-RPR020),
+          :mod:`repro.analysis.accounting` (RPR021, RPR022),
+          :mod:`repro.analysis.hotpath` (RPR023-RPR025)
 ========  ============================================================
 
-``# repro: noqa(CODE)`` works on the reported line as usual; for RPR009/
-RPR010 a noqa at the *origin* of an effect (the ``hash()`` probe, the
-cache-fill assignment) additionally stops the effect from propagating,
-so one justified suppression covers the whole transitive caller set.
-
-Findings can be ratcheted through a committed baseline file
-(:func:`load_baseline` / :func:`partition_violations`): only findings
-not in the baseline fail the build, and stale entries are reported so
-the file can only shrink.  The call-graph facts cache
-(:func:`load_cached_graph` / :func:`save_graph_cache`) lets CI reuse the
-parse between jobs; modules are keyed by source SHA-256 so a stale cache
-degrades to a cold start, never to wrong results.
+``# repro: noqa(CODE)`` works on the reported line as usual and is the
+one escape hatch: any finding fails the run.  For RPR009/RPR010 a noqa
+at the *origin* of an effect (the ``hash()`` probe, the cache-fill
+assignment) additionally stops the effect from propagating, so one
+justified suppression covers the whole transitive caller set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis import config
+from repro.analysis.accounting import BillingSite, accounting_report
 from repro.analysis.callgraph import (
     CallGraph,
     ImportGraph,
     build_call_graph,
     build_import_graph,
 )
+from repro.analysis.concurrency import SharedClass, concurrency_report
 from repro.analysis.floatcheck import (
     float_comparison_violations,
     lemma_conformance_violations,
 )
+from repro.analysis.hotpath import (
+    MUTATION_TABLE,
+    MutationEntry,
+    MutationSite,
+    hotpath_report,
+)
 from repro.analysis.layers import cycle_violations, layer_violations
 from repro.analysis.lint import (
     ALL_CODES,
+    PARSE_ERROR_CODE,
     Violation,
-    _collect_suppressions,
+    register_rule,
+    select_rules,
 )
-from repro.analysis.project import Project, load_project
+from repro.analysis.locks import LockOrderGraph
+from repro.analysis.project import Project
 from repro.analysis.purity import (
     FunctionEffects,
     determinism_violations,
@@ -62,282 +80,297 @@ from repro.analysis.purity import (
 )
 
 __all__ = [
-    "DEEP_RULES",
     "DeepAnalysis",
-    "analyze_project",
+    "Policy",
+    "analyze",
     "apply_suppressions",
-    "baseline_key",
-    "load_baseline",
-    "load_cached_graph",
-    "partition_violations",
-    "run_deep",
-    "save_baseline",
-    "save_graph_cache",
-    "suppression_oracle",
+    "default_reference_roots",
 ]
 
-#: Code -> (name, description), mirroring the shallow rule catalogue.
-DEEP_RULES: Dict[str, Tuple[str, str]] = {
-    "RPR008": (
-        "dead-code",
-        "function unreachable from every entry point, export, dunder, "
-        "framework hook or test reference",
-    ),
-    "RPR009": (
-        "purity-zone-violation",
-        "I/O, global mutation or argument mutation inside a purity zone "
-        "(repro.testing.oracles, repro.geometry)",
-    ),
-    "RPR010": (
-        "determinism-zone-violation",
-        "wall-clock, global RNG, id()/hash(), or set-iteration order "
-        "inside a determinism zone (geometry, core, index, oracles)",
-    ),
-    "RPR011": (
-        "raw-distance-comparison",
-        "ordering/equality on a distance-valued expression bypassing "
-        "repro.geometry.tolerance in a strict-float module",
-    ),
-    "RPR012": (
-        "lemma-conformance",
-        "verifier/heap comparison deviating from its paper lemma "
-        "(direction, operands, required coverage call)",
-    ),
-    "RPR013": (
-        "layering-contract",
-        "top-level import against the declared layer order, into the "
-        "static-analysis zone, or forming a cycle",
-    ),
-}
+
+@dataclass(frozen=True)
+class Policy:
+    """The declared names and tables the passes check the code against.
+
+    The default is the repository's own policy; test fixtures pass
+    their own for synthetic projects.  Only what a fixture overrides is
+    a field: ``config.ENTRY_POINTS``, ``config.CONCURRENT_CLASSES`` and
+    ``floatcheck.LEMMA_TABLE`` are read where they are used.
+    """
+
+    billing_entry_points: FrozenSet[str] = config.BILLING_ENTRY_POINTS
+    billing_modules: Tuple[str, ...] = config.BILLING_MODULES
+    hot_entry_points: FrozenSet[str] = config.HOT_ENTRY_POINTS
+    mutation_modules: Tuple[str, ...] = config.MIRROR_MUTATION_MODULES
+    mutation_table: Tuple[MutationEntry, ...] = MUTATION_TABLE
 
 
 @dataclass
 class DeepAnalysis:
-    """Everything one deep run produced (reused by tests and the CLI)."""
+    """One ``--deep`` run: shared facts, derived tables and findings."""
 
     project: Project
-    graph: CallGraph
-    import_graph: ImportGraph
-    effects: Dict[str, FunctionEffects]
+    policy: Policy = Policy()
     violations: List[Violation] = field(default_factory=list)
+
+    # -- tables; a table stays empty when its pass was not selected ----
+    #: ``module.Class`` -> why the concurrency pass treats it as shared.
+    shared_classes: Dict[str, SharedClass] = field(default_factory=dict)
+    #: ``Class.field`` -> canonical lock (or ``owner:<sentinel>``).
+    guarded_by: Dict[str, str] = field(default_factory=dict)
+    lock_graph: LockOrderGraph = field(default_factory=LockOrderGraph)
+    thread_entries: List[str] = field(default_factory=list)
+    #: Billing scopes reachable from the billing entry points (RPR021).
+    checked: Set[str] = field(default_factory=set)
+    billing_sites: List[BillingSite] = field(default_factory=list)
+    mutation_sites: List[MutationSite] = field(default_factory=list)
+    #: Functions reachable from the hot entry points (RPR024/RPR025).
+    hot: Set[str] = field(default_factory=set)
+
+    # -- facts, built on first use -------------------------------------
+    @cached_property
+    def import_graph(self) -> ImportGraph:
+        """Module -> imported project modules."""
+        return build_import_graph(self.project)
+
+    @cached_property
+    def graph(self) -> CallGraph:
+        """The name-resolution call graph."""
+        return build_call_graph(self.project, self.import_graph)
+
+    @cached_property
+    def effects(self) -> Dict[str, FunctionEffects]:
+        """Inferred effect set of every function in the call graph."""
+        return infer_effects(self.project, self.graph)
 
     @property
     def ok(self) -> bool:
+        """No findings?"""
         return not self.violations
 
+    def report(self) -> List[str]:
+        """The six tables ``--report`` prints."""
+        return [
+            *concurrency_report(self),
+            *accounting_report(self),
+            *hotpath_report(self),
+        ]
 
-def run_deep(
-    roots: Sequence[Path],
-    reference_roots: Sequence[Path] = (),
-    cached: Optional[CallGraph] = None,
+
+def analyze(
+    project: Project,
+    select: Optional[Iterable[str]] = None,
+    policy: Policy = Policy(),
 ) -> DeepAnalysis:
-    """Load the project from disk and analyze it."""
-    project = load_project(roots, reference_roots)
-    return analyze_project(project, cached=cached)
+    """Run the whole-program passes that can emit the selected codes.
+
+    ``select`` defaults to every whole-program rule; an unknown or
+    per-module code raises ``ValueError``.  Files that failed to parse
+    are always reported (RPR900).
+    """
+    rules = select_rules(select, None, whole_program=True)
+    codes = {rule.code for rule in rules}
+    analysis = DeepAnalysis(project, policy)
+    found = [
+        Violation(path, 1, 0, PARSE_ERROR_CODE, f"cannot parse file: {message}")
+        for path, message in project.errors
+    ]
+    passes = {rule.check: None for rule in rules}  # ordered, one run per pass
+    for run_pass in passes:
+        found.extend(v for v in run_pass(analysis) if v.code in codes)
+    found.extend(_undefined_names(analysis, codes))
+    found = apply_suppressions(project, found)
+    found.sort(key=lambda v: (v.path, v.line, v.col, v.code))
+    analysis.violations = found
+    return analysis
 
 
-def analyze_project(
-    project: Project, cached: Optional[CallGraph] = None
-) -> DeepAnalysis:
-    """Run every deep pass over an already-loaded project."""
-    graph = build_call_graph(project, cached)
-    import_graph = build_import_graph(project)
-    oracle = suppression_oracle(project)
-    effects = infer_effects(
-        project, graph, import_graph=import_graph, is_suppressed=oracle
-    )
-    paths = {name: module.path for name, module in project.modules.items()}
-
-    violations: List[Violation] = []
-    for path, message in project.errors:
-        violations.append(Violation(path, 1, 0, "RPR900", f"cannot parse file: {message}"))
-
-    for info in graph.dead():
-        violations.append(
-            Violation(
-                paths[info.module],
-                info.lineno,
-                0,
-                "RPR008",
-                f"`{info.qualname}` is unreachable from every entry point, "
-                "export or test; delete it or add a liveness root "
-                "(repro.analysis.config.ENTRY_POINTS)",
-            )
+# ----------------------------------------------------------------------
+# the first six passes
+# ----------------------------------------------------------------------
+@register_rule(
+    "RPR008",
+    "dead-code",
+    "function unreachable from every entry point, export, dunder, "
+    "framework hook or test reference",
+    whole_program=True,
+)
+def _dead_code(analysis: DeepAnalysis) -> Iterator[Violation]:
+    for info in analysis.graph.dead():
+        yield Violation(
+            analysis.project.modules[info.module].path,
+            info.lineno,
+            0,
+            "RPR008",
+            f"`{info.qualname}` is unreachable from every entry point, "
+            "export or test; delete it or add a liveness root "
+            "(repro.analysis.config.ENTRY_POINTS)",
         )
 
-    for info, effect, witness in purity_violations(graph, effects):
-        violations.append(
-            Violation(
-                paths[info.module],
-                witness.lineno,
-                0,
-                "RPR009",
-                f"`{info.qualname}` {effect.value} inside a purity zone: "
-                f"{witness.description}",
-            )
+
+@register_rule(
+    "RPR009",
+    "purity-zone-violation",
+    "I/O, global mutation or argument mutation inside a purity zone "
+    "(repro.testing.oracles, repro.geometry)",
+    whole_program=True,
+)
+def _purity(analysis: DeepAnalysis) -> Iterator[Violation]:
+    for info, effect, witness in purity_violations(analysis.graph, analysis.effects):
+        yield Violation(
+            analysis.project.modules[info.module].path,
+            witness.lineno,
+            0,
+            "RPR009",
+            f"`{info.qualname}` {effect.value} inside a purity zone: "
+            f"{witness.description}",
         )
 
-    for info, witness in determinism_violations(graph, effects):
-        violations.append(
-            Violation(
-                paths[info.module],
-                witness.lineno,
-                0,
-                "RPR010",
-                f"`{info.qualname}` is nondeterministic inside a determinism "
-                f"zone: {witness.description}",
-            )
+
+@register_rule(
+    "RPR010",
+    "determinism-zone-violation",
+    "wall-clock, global RNG, id()/hash(), or set-iteration order "
+    "inside a determinism zone (geometry, core, index, oracles)",
+    whole_program=True,
+)
+def _determinism(analysis: DeepAnalysis) -> Iterator[Violation]:
+    for info, witness in determinism_violations(analysis.graph, analysis.effects):
+        yield Violation(
+            analysis.project.modules[info.module].path,
+            witness.lineno,
+            0,
+            "RPR010",
+            f"`{info.qualname}` is nondeterministic inside a determinism "
+            f"zone: {witness.description}",
         )
 
+
+@register_rule(
+    "RPR011",
+    "raw-distance-comparison",
+    "ordering/equality on a distance-valued expression bypassing "
+    "repro.geometry.tolerance in a strict-float module",
+    whole_program=True,
+)
+def _float_comparisons(analysis: DeepAnalysis) -> Iterator[Violation]:
+    project = analysis.project
     for site, message in float_comparison_violations(project):
-        violations.append(
-            Violation(paths[site.module], site.lineno, site.col, "RPR011", message)
+        yield Violation(
+            project.modules[site.module].path, site.lineno, site.col, "RPR011", message
         )
 
-    for module_name, lineno, message in lemma_conformance_violations(project):
-        violations.append(Violation(paths[module_name], lineno, 0, "RPR012", message))
 
-    for record, message in layer_violations(import_graph):
-        violations.append(
-            Violation(paths[record.source], record.lineno, 0, "RPR013", message)
-        )
-    for module_name, message in cycle_violations(import_graph):
-        violations.append(Violation(paths[module_name], 1, 0, "RPR013", message))
+@register_rule(
+    "RPR012",
+    "lemma-conformance",
+    "verifier/heap comparison deviating from its paper lemma "
+    "(direction, operands, required coverage call)",
+    whole_program=True,
+)
+def _lemma_conformance(analysis: DeepAnalysis) -> Iterator[Violation]:
+    project = analysis.project
+    for module, lineno, message in lemma_conformance_violations(project):
+        yield Violation(project.modules[module].path, lineno, 0, "RPR012", message)
 
-    violations = apply_suppressions(project, violations)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return DeepAnalysis(
-        project=project,
-        graph=graph,
-        import_graph=import_graph,
-        effects=effects,
-        violations=violations,
+
+@register_rule(
+    "RPR013",
+    "layering-contract",
+    "top-level import against the declared layer order, into the "
+    "static-analysis zone, or forming a cycle",
+    whole_program=True,
+)
+def _layering(analysis: DeepAnalysis) -> Iterator[Violation]:
+    modules = analysis.project.modules
+    for record, message in layer_violations(analysis.import_graph):
+        yield Violation(modules[record.source].path, record.lineno, 0, "RPR013", message)
+    for module, message in cycle_violations(analysis.import_graph):
+        yield Violation(modules[module].path, 1, 0, "RPR013", message)
+
+
+# ----------------------------------------------------------------------
+# declared names that resolve to nothing
+# ----------------------------------------------------------------------
+def _undefined_names(analysis: DeepAnalysis, codes: Set[str]) -> Iterator[Violation]:
+    """A policy name whose module is loaded but does not define it.
+
+    The passes start from whichever declared names the call graph
+    knows, so a misspelt entry point would otherwise shrink the checked
+    set in silence.  Reported under the code of the rule the name feeds,
+    at its line in ``config.py`` and at the top of the module that lost
+    the symbol (a rename there must survive ``--changed-only``); a
+    project that does not contain the named module at all (a fixture, a
+    partial run) stays silent.
+    """
+    project, policy = analysis.project, analysis.policy
+    declared = (
+        ("RPR008", "ENTRY_POINTS", config.ENTRY_POINTS),
+        ("RPR015", "CONCURRENT_CLASSES", config.CONCURRENT_CLASSES),
+        ("RPR021", "BILLING_ENTRY_POINTS", policy.billing_entry_points),
+        (
+            "RPR024",
+            "HOT_ENTRY_POINTS",
+            # The hot set extends the billing one; report a name once.
+            policy.hot_entry_points - policy.billing_entry_points,
+        ),
     )
+    declaring = project.modules.get(config.__name__)
+    for code, table, names in declared:
+        if code not in codes:
+            continue
+        for name in sorted(names):
+            owner = project.modules.get(project.resolve_import(name) or "")
+            if owner is None or owner.name == name:
+                continue
+            symbol = name[len(owner.name) + 1 :]
+            if symbol in owner.classes or any(
+                scope.qualname == name for scope in owner.functions
+            ):
+                continue
+            anchors = [(owner.path, 1)]
+            if declaring is not None:
+                quoted = f'"{name}"'
+                line = next(
+                    (n for n, text in enumerate(declaring.lines, 1) if quoted in text),
+                    1,
+                )
+                anchors.insert(0, (declaring.path, line))
+            for path, line in anchors:
+                yield Violation(
+                    path,
+                    line,
+                    0,
+                    code,
+                    f"`{name}` is declared in {table} but `{owner.name}` "
+                    f"defines no `{symbol}`; the rule would silently check "
+                    "less -- fix the name alongside the code",
+                )
 
 
 # ----------------------------------------------------------------------
 # suppression
 # ----------------------------------------------------------------------
-def suppression_oracle(project: Project) -> Callable[[str, int, str], bool]:
-    """``(module, lineno, code) -> suppressed?`` backed by noqa comments."""
-    cache: Dict[str, Dict[int, Set[str]]] = {}
-
-    def lookup(module: str) -> Dict[int, Set[str]]:
-        table = cache.get(module)
-        if table is None:
-            loaded = project.get(module)
-            table = _collect_suppressions(loaded.lines) if loaded is not None else {}
-            cache[module] = table
-        return table
-
-    def is_suppressed(module: str, lineno: int, code: str) -> bool:
-        codes = lookup(module).get(lineno)
-        if codes is None:
-            return False
-        return codes is ALL_CODES or code in codes
-
-    return is_suppressed
-
-
 def apply_suppressions(
     project: Project, violations: List[Violation]
 ) -> List[Violation]:
-    """Drop violations a ``# repro: noqa(CODE)`` comment covers.
-
-    Shared with :mod:`repro.analysis.concurrency`, which folds its
-    findings through the same machinery so suppression semantics stay
-    uniform across ``--deep`` and ``--concurrency``.
-    """
-    by_path: Dict[str, Dict[int, Set[str]]] = {}
-    file_wide: Dict[str, Set[str]] = {}
-    for module in project.modules.values():
-        table = _collect_suppressions(module.lines)
-        by_path[module.path] = table
-        named: Set[str] = set()
-        for codes in table.values():
-            if codes is not ALL_CODES:
-                named.update(codes)
-        file_wide[module.path] = named
-
+    """Drop violations a ``# repro: noqa(CODE)`` comment covers."""
+    by_path = {module.path: module.noqa for module in project.modules.values()}
     kept: List[Violation] = []
     for violation in violations:
-        codes = by_path.get(violation.path, {}).get(violation.line)
+        table = by_path.get(violation.path, {})
+        codes = table.get(violation.line)
         if codes is not None and (codes is ALL_CODES or violation.code in codes):
             continue
         # Findings anchored at line 1 are module-scope (stale table
         # entries, import cycles): a named directive anywhere suppresses.
-        if violation.line == 1 and violation.code in file_wide.get(violation.path, set()):
+        if violation.line == 1 and any(
+            named is not ALL_CODES and violation.code in named
+            for named in table.values()
+        ):
             continue
         kept.append(violation)
     return kept
-
-
-# ----------------------------------------------------------------------
-# baseline ratchet
-# ----------------------------------------------------------------------
-def baseline_key(violation: Violation) -> str:
-    """Line-number-free identity so unrelated edits do not churn the file."""
-    return f"{violation.path}: {violation.code} {violation.message}"
-
-
-def load_baseline(path: Path) -> List[str]:
-    """Baseline entries (one key per line; blanks and ``#`` comments skipped)."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return []
-    entries: List[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            entries.append(stripped)
-    return entries
-
-
-def save_baseline(path: Path, violations: Sequence[Violation]) -> None:
-    lines = [
-        "# repro-lint --deep baseline: known findings that do not fail CI.",
-        "# Regenerate with `repro-lint --deep --update-baseline`; the goal",
-        "# is for this file to stay empty.",
-    ]
-    lines.extend(sorted({baseline_key(v) for v in violations}))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def partition_violations(
-    violations: Sequence[Violation], baseline: Sequence[str]
-) -> Tuple[List[Violation], List[Violation], List[str]]:
-    """Split into (new, baselined) and report stale baseline entries."""
-    known = set(baseline)
-    seen: Set[str] = set()
-    new: List[Violation] = []
-    baselined: List[Violation] = []
-    for violation in violations:
-        key = baseline_key(violation)
-        if key in known:
-            baselined.append(violation)
-            seen.add(key)
-        else:
-            new.append(violation)
-    stale = sorted(known - seen)
-    return new, baselined, stale
-
-
-# ----------------------------------------------------------------------
-# call-graph facts cache
-# ----------------------------------------------------------------------
-def load_cached_graph(path: Path) -> Optional[CallGraph]:
-    """A previously saved facts cache, or None when unusable."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return None
-    return CallGraph.facts_from_json(text)
-
-
-def save_graph_cache(path: Path, graph: CallGraph) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(graph.facts_to_json(), encoding="utf-8")
 
 
 def default_reference_roots(base: Path) -> List[Path]:

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import config
-from repro.analysis.project import Project, ProjectModule
+from repro.analysis.project import FunctionNode, Project, ProjectModule
+from repro.analysis.rules import DISTANCE_ATTRIBUTE_NAMES, DISTANCE_CALL_NAMES
 
 __all__ = [
     "ComparisonSite",
@@ -57,19 +58,10 @@ __all__ = [
 # taint vocabulary
 # ----------------------------------------------------------------------
 
-#: Call names whose result is a distance (mirrors RPR001's catalogue).
-_DISTANCE_CALLS: Set[str] = {
-    "distance_to",
-    "squared_distance_to",
-    "distance",
-    "squared_distance",
-    "mindist",
-    "maxdist",
-    "network_distance",
-    "path_length",
-    "hypot",
-    "dist",
-    # Vectorized kernels (repro.geometry.vecmath): arrays of distances.
+#: Call names whose result is a distance: RPR001's catalogue plus the
+#: vectorized kernels (repro.geometry.vecmath), which return arrays of
+#: distances.
+_DISTANCE_CALLS: Set[str] = DISTANCE_CALL_NAMES | {
     "hypot_pairs",
     "point_distances",
     "point_distance_list",
@@ -77,11 +69,10 @@ _DISTANCE_CALLS: Set[str] = {
     "maxdist_arrays",
 }
 
-#: Attribute names holding distances.
-_DISTANCE_ATTRS: Set[str] = {
-    "distance",
-    "radius",
-    "certain_radius",
+#: Attribute names holding distances: RPR001's catalogue plus the bound
+#: attributes.  The extras must not move into RPR001's own set, which
+#: runs on every module and would flag ``s.lower() == "x"``.
+_DISTANCE_ATTRS: Set[str] = DISTANCE_ATTRIBUTE_NAMES | {
     "known_radius",
     "lower",
     "upper",
@@ -176,7 +167,8 @@ def collect_comparison_sites(module: ProjectModule) -> List[ComparisonSite]:
     top-level function (that is where the lemma lives).
     """
     sites: List[ComparisonSite] = []
-    for qualname, node in _top_level_functions(module):
+    for scope in module.functions:
+        qualname, node = scope.qualname, scope.node
         tainted = _tainted_names(node)
         for sub in ast.walk(node):
             if not isinstance(sub, ast.Compare):
@@ -206,19 +198,7 @@ def collect_comparison_sites(module: ProjectModule) -> List[ComparisonSite]:
     return sites
 
 
-def _top_level_functions(
-    module: ProjectModule,
-) -> Iterator[Tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield f"{module.name}.{node.name}", node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{module.name}.{node.name}.{item.name}", item
-
-
-def _tainted_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> Set[str]:
+def _tainted_names(node: FunctionNode) -> Set[str]:
     """Names bound to distance-valued expressions anywhere in the function."""
     tainted: Set[str] = set()
     args = node.args
@@ -609,12 +589,9 @@ def float_comparison_violations(
         for site in collect_comparison_sites(module):
             if site.tolerance_routed or site.zero_guard:
                 continue
-            entry = match_lemma_entry(site)
-            if entry is not None and entry.op == site.op:
-                continue
-            if entry is not None:
-                # Direction mismatch is RPR012's finding; avoid double
-                # reporting the same line.
+            if match_lemma_entry(site) is not None:
+                # Sanctioned -- or a direction mismatch, which is
+                # RPR012's finding; avoid double reporting the line.
                 continue
             yield (
                 site,
@@ -666,7 +643,9 @@ def lemma_conformance_violations(
         if entry_module is None:
             continue  # module not analyzed in this (partial) run
         if entry.is_call_entry:
-            if not _function_calls(project, entry.qualname, entry.requires_call):
+            if not _function_calls(
+                project.modules[entry_module], entry.qualname, entry.requires_call
+            ):
                 yield (
                     entry_module,
                     1,
@@ -684,21 +663,12 @@ def lemma_conformance_violations(
             )
 
 
-def _function_calls(project: Project, qualname: str, call_name: str) -> bool:
-    """Does the named function contain a call to ``call_name``?"""
-    module_name, func = qualname.rsplit(".", 1)
-    module = project.modules.get(module_name)
-    if module is None:
-        # Method qualname: module.Class.method
-        module_name, cls = module_name.rsplit(".", 1)
-        module = project.modules.get(module_name)
-        if module is None:
-            return False
-        func = f"{cls}.{func}"
-    for fn_qualname, node in _top_level_functions(module):
-        if fn_qualname != f"{module_name}.{func}":
+def _function_calls(module: ProjectModule, qualname: str, call_name: str) -> bool:
+    """Does the named function of ``module`` contain a call to ``call_name``?"""
+    for scope in module.functions:
+        if scope.qualname != qualname:
             continue
-        for sub in ast.walk(node):
+        for sub in ast.walk(scope.node):
             if isinstance(sub, ast.Call):
                 target = sub.func
                 name = target.attr if isinstance(target, ast.Attribute) else (
@@ -724,7 +694,7 @@ def _op_symbol(op: str) -> str:
 
 
 def lemma_table_lines() -> List[str]:
-    """The table rendered for ``--explain`` output and the docs."""
+    """The table rendered for the docs."""
     lines: List[str] = []
     for entry in LEMMA_TABLE:
         if entry.is_call_entry:

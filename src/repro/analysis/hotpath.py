@@ -1,4 +1,4 @@
-"""Hot-path analysis: the speed half of ``repro-lint --perf``.
+"""Hot-path analysis (two passes of ``repro-lint --deep``).
 
 PR 8's vectorized R-tree made two conventions load-bearing that, until
 this pass, existed only in comments:
@@ -36,45 +36,23 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis import config
-from repro.analysis.callgraph import CallGraph, build_call_graph
-from repro.analysis.lint import Violation
-from repro.analysis.project import Project, ProjectModule, load_project
+from repro.analysis.lint import Violation, _render, register_rule
+from repro.analysis.project import FunctionNode, ProjectModule
+
+if TYPE_CHECKING:
+    from repro.analysis.deep import DeepAnalysis
 
 __all__ = [
-    "HOTPATH_RULES",
-    "HotpathAnalysis",
     "MUTATION_TABLE",
     "MutationEntry",
-    "analyze_hotpath",
+    "MutationSite",
+    "hot_loop_pass",
     "hotpath_report",
-    "run_hotpath",
+    "mutation_pass",
 ]
-
-#: Code -> (name, description), mirroring the other pass catalogues.
-HOTPATH_RULES: Dict[str, Tuple[str, str]] = {
-    "RPR023": (
-        "mirror-mutation-discipline",
-        "Node.entries mutation site not declared in MUTATION_TABLE "
-        "with its NodeArrays mirror strategy (or a stale table entry "
-        "with no matching site)",
-    ),
-    "RPR024": (
-        "hot-loop-allocation",
-        "ndarray constructor or comprehension allocated inside a loop "
-        "body of a hot-set function "
-        "(suppress at origin: `# repro: hot-alloc(<reason>)`)",
-    ),
-    "RPR025": (
-        "unguarded-obs-in-hot-loop",
-        "obs instrumentation call in a hot loop outside an "
-        "`if OBS.enabled:` guard or a generation cache",
-    ),
-}
 
 _HOT_ALLOC_RE = re.compile(r"#\s*repro:\s*hot-alloc\(([^)]+)\)")
 
@@ -87,16 +65,6 @@ _NDARRAY_FUNCS = frozenset(
     {"array", "empty", "zeros", "ones", "full", "fromiter", "arange", "asarray"}
 )
 _NUMPY_ALIASES = frozenset({"np", "numpy"})
-
-#: Same stoplist as the concurrency/accounting passes: ubiquitous attr
-#: names never treated as project-call evidence.
-_GENERIC_ATTRS = frozenset(
-    {"get", "set", "put", "pop", "append", "add", "update", "items",
-     "keys", "values", "clear", "discard", "remove", "extend", "insert",
-     "setdefault", "popitem", "sort", "reverse", "copy", "join", "split",
-     "strip", "close", "read", "write", "send", "recv", "acquire",
-     "release", "wait", "notify", "start", "stop", "run", "cancel"}
-)
 
 
 @dataclass(frozen=True)
@@ -187,143 +155,87 @@ class MutationSite:
     target: str
 
 
-@dataclass
-class HotpathAnalysis:
-    """Everything one hot-path run produced."""
-
-    project: Project
-    graph: CallGraph
-    #: Graph qualnames reachable from the hot entry points.
-    hot: Set[str] = field(default_factory=set)
-    sites: List[MutationSite] = field(default_factory=list)
-    violations: List[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # ----------------------------------------------------------------------
 # RPR023: mutation-site discovery and table matching
 # ----------------------------------------------------------------------
-def _render(expr: ast.expr) -> str:
-    try:
-        return ast.unparse(expr)
-    except Exception:  # pragma: no cover - unparse is total on 3.10+
-        return "<expr>"
-
-
 def _entries_attr(expr: ast.expr) -> Optional[ast.Attribute]:
     if isinstance(expr, ast.Attribute) and expr.attr == "entries":
         return expr
     return None
 
 
-def _discover_mutations(
-    module: ProjectModule, owner: str, body: Sequence[ast.stmt]
-) -> List[MutationSite]:
+def _discover_mutations(module: ProjectModule) -> List[MutationSite]:
     sites: List[MutationSite] = []
-
-    def scan(qualname: str, stmts: Sequence[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scan(f"{qualname}.{stmt.name}", stmt.body)
-                continue
-            if isinstance(stmt, ast.ClassDef):
-                scan(f"{qualname}.{stmt.name}", stmt.body)
+    # The module body, then every def and class body at any depth: a
+    # mutation in a class nested in a function is still a mutation, and
+    # the scope index (functions only) does not reach those.
+    bodies: List[Tuple[str, Sequence[ast.stmt]]] = [(module.name, module.tree.body)]
+    while bodies:
+        qualname, body = bodies.pop()
+        for stmt in body:
+            if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                bodies.append((f"{qualname}.{stmt.name}", stmt.body))
                 continue
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and isinstance(
-                    node.func, ast.Attribute
-                ):
-                    owner_expr = _entries_attr(node.func.value)
-                    if (
-                        owner_expr is not None
-                        and node.func.attr in _MUTATOR_ATTRS
-                    ):
-                        sites.append(
-                            MutationSite(
-                                module.name,
-                                qualname,
-                                node.lineno,
-                                node.func.attr,
-                                _render(owner_expr),
-                            )
-                        )
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        if _entries_attr(target) is not None:
-                            sites.append(
-                                MutationSite(
-                                    module.name,
-                                    qualname,
-                                    node.lineno,
-                                    "rebind",
-                                    _render(target),
-                                )
-                            )
-                        elif isinstance(
-                            target, ast.Subscript
-                        ) and _entries_attr(target.value):
-                            sites.append(
-                                MutationSite(
-                                    module.name,
-                                    qualname,
-                                    node.lineno,
-                                    "item-assign",
-                                    _render(target.value),
-                                )
-                            )
-                elif isinstance(node, ast.Delete):
-                    for target in node.targets:
-                        if isinstance(
-                            target, ast.Subscript
-                        ) and _entries_attr(target.value):
-                            sites.append(
-                                MutationSite(
-                                    module.name,
-                                    qualname,
-                                    node.lineno,
-                                    "item-del",
-                                    _render(target.value),
-                                )
-                            )
-
-    scan(owner, body)
+                sites.extend(
+                    MutationSite(module.name, qualname, node.lineno, kind, target)
+                    for kind, target in _mutations_of(node)
+                )
     return sites
 
 
-def _mutation_verdicts(
-    project: Project,
-    mutation_modules: Sequence[str],
-    table: Sequence[MutationEntry],
-    paths: Dict[str, str],
-    analysis: HotpathAnalysis,
-    violations: List[Violation],
-) -> None:
-    sites: List[MutationSite] = []
-    for name in mutation_modules:
-        module = project.get(name)
-        if module is None:
-            continue
-        sites.extend(_discover_mutations(module, name, module.tree.body))
-    analysis.sites = sorted(sites, key=lambda s: (s.module, s.lineno))
+def _mutations_of(node: ast.AST) -> List[Tuple[str, str]]:
+    """``(kind, rendered target)`` for each entries mutation ``node`` performs."""
+    found: List[Tuple[str, str]] = []
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        owner_expr = _entries_attr(node.func.value)
+        if owner_expr is not None and node.func.attr in _MUTATOR_ATTRS:
+            found.append((node.func.attr, _render(owner_expr)))
+    elif isinstance(node, (ast.Assign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if _entries_attr(target) is not None:
+                found.append(("rebind", _render(target)))
+            elif isinstance(target, ast.Subscript) and _entries_attr(target.value):
+                found.append(("item-assign", _render(target.value)))
+    elif isinstance(node, ast.Delete):
+        for target in node.targets:
+            if isinstance(target, ast.Subscript) and _entries_attr(target.value):
+                found.append(("item-del", _render(target.value)))
+    return found
 
-    keys = {(e.qualname, e.kind, e.target) for e in table}
+
+@register_rule(
+    "RPR023",
+    "mirror-mutation-discipline",
+    "Node.entries mutation site not declared in MUTATION_TABLE "
+    "with its NodeArrays mirror strategy (or a stale table entry "
+    "with no matching site)",
+    whole_program=True,
+)
+def mutation_pass(analysis: DeepAnalysis) -> List[Violation]:
+    """RPR023, and the ``mutation_sites`` table of ``analysis``."""
+    project, policy = analysis.project, analysis.policy
+    violations: List[Violation] = []
+    sites: List[MutationSite] = []
+    for name in policy.mutation_modules:
+        module = project.get(name)
+        if module is not None:
+            sites.extend(_discover_mutations(module))
+    analysis.mutation_sites = sorted(sites, key=lambda s: (s.module, s.lineno))
+
+    keys = {(e.qualname, e.kind, e.target) for e in policy.mutation_table}
     matched: Set[Tuple[str, str, str]] = set()
-    for site in analysis.sites:
+    for site in analysis.mutation_sites:
         key = (site.qualname, site.kind, site.target)
         if key in keys:
             matched.add(key)
             continue
         violations.append(
             Violation(
-                paths[site.module],
+                project.modules[site.module].path,
                 site.lineno,
                 0,
                 "RPR023",
@@ -333,16 +245,16 @@ def _mutation_verdicts(
                 "strategy is undocumented and unenforced",
             )
         )
-    for entry in table:
+    for entry in policy.mutation_table:
         key = (entry.qualname, entry.kind, entry.target)
         if key in matched:
             continue
-        module_name = _table_module(entry.qualname, set(mutation_modules))
-        if module_name is None or module_name not in paths:
+        module_name = _table_module(entry.qualname, set(policy.mutation_modules))
+        if module_name is None or module_name not in project.modules:
             continue
         violations.append(
             Violation(
-                paths[module_name],
+                project.modules[module_name].path,
                 1,
                 0,
                 "RPR023",
@@ -350,6 +262,7 @@ def _mutation_verdicts(
                 f"`{entry.target}` found in `{entry.qualname}`",
             )
         )
+    return violations
 
 
 def _table_module(qualname: str, modules: Set[str]) -> Optional[str]:
@@ -362,33 +275,6 @@ def _table_module(qualname: str, modules: Set[str]) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# hot set
-# ----------------------------------------------------------------------
-def _hot_functions(
-    project: Project,
-    graph: CallGraph,
-    entry_points: FrozenSet[str],
-) -> Set[str]:
-    """Call-graph closure of the hot entry points.
-
-    Same resolution discipline as the accounting pass (resolved
-    candidates plus name-matched attribute calls within import-reachable
-    modules); the shared helper keeps the two ``--perf`` halves
-    consistent about what "reachable" means.
-    """
-    from repro.analysis.accounting import _reachable_functions
-
-    return _reachable_functions(project, graph, entry_points)
-
-
-def _top_qualname(qualname: str, known: Set[str]) -> str:
-    candidate = qualname
-    while candidate not in known and "." in candidate:
-        candidate = candidate.rsplit(".", 1)[0]
-    return candidate
-
-
-# ----------------------------------------------------------------------
 # RPR024 / RPR025: loop-body scanning
 # ----------------------------------------------------------------------
 class _LoopScanner:
@@ -396,22 +282,18 @@ class _LoopScanner:
     calls; nested defs are skipped (they are their own scopes)."""
 
     def __init__(
-        self,
-        module: ProjectModule,
-        qualname: str,
-        paths: Dict[str, str],
-        violations: List[Violation],
+        self, module: ProjectModule, qualname: str, violations: List[Violation]
     ) -> None:
         self.module = module
         self.qualname = qualname
-        self.path = paths[module.name]
+        self.path = module.path
         self.violations = violations
         #: Lines already flagged for RPR025: a chained obs call
         #: (``OBS.registry.counter(..).inc()``) is one finding, not one
         #: per nested call.
         self._obs_flagged: Set[int] = set()
 
-    def scan(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+    def scan(self, fn: FunctionNode) -> None:
         self._stmts(fn.body, in_loop=False, guarded=False)
 
     def _stmts(
@@ -548,106 +430,47 @@ def _mentions_obs(func: ast.expr) -> bool:
             return False
 
 
-def _iter_scopes(
-    module: ProjectModule,
-) -> List[Tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    """Every function scope of a module (nested defs included)."""
-    out: List[Tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]] = []
-
-    def visit(node: ast.FunctionDef | ast.AsyncFunctionDef, owner: str) -> None:
-        qualname = f"{owner}.{node.name}"
-        out.append((qualname, node))
-        for sub in node.body:
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(sub, qualname)
-
-    for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            visit(node, module.name)
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    visit(item, f"{module.name}.{node.name}")
-    return out
-
-
-# ----------------------------------------------------------------------
-# driver
-# ----------------------------------------------------------------------
-def analyze_hotpath(
-    project: Project,
-    cached: Optional[CallGraph] = None,
-    *,
-    entry_points: Optional[FrozenSet[str]] = None,
-    mutation_modules: Optional[Sequence[str]] = None,
-    table: Optional[Sequence[MutationEntry]] = None,
-) -> HotpathAnalysis:
-    """Run the hot-path pass over an already-loaded project.
-
-    The keyword overrides exist for the test fixtures: synthetic
-    projects declare their own hot entry points, mutation modules and
-    mutation-site tables.
-    """
-    from repro.analysis.deep import apply_suppressions
-
-    entries = (
-        entry_points if entry_points is not None else config.HOT_ENTRY_POINTS
-    )
-    mut_modules = tuple(
-        mutation_modules
-        if mutation_modules is not None
-        else config.MIRROR_MUTATION_MODULES
-    )
-    mut_table = tuple(table if table is not None else MUTATION_TABLE)
-
-    graph = build_call_graph(project, cached)
-    analysis = HotpathAnalysis(project=project, graph=graph)
-    paths = {name: module.path for name, module in project.modules.items()}
+@register_rule(
+    "RPR024",
+    "hot-loop-allocation",
+    "ndarray constructor or comprehension allocated inside a loop "
+    "body of a hot-set function "
+    "(suppress at origin: `# repro: hot-alloc(<reason>)`)",
+    whole_program=True,
+)
+@register_rule(
+    "RPR025",
+    "unguarded-obs-in-hot-loop",
+    "obs instrumentation call in a hot loop outside an "
+    "`if OBS.enabled:` guard or a generation cache",
+    whole_program=True,
+)
+def hot_loop_pass(analysis: DeepAnalysis) -> List[Violation]:
+    """RPR024 / RPR025, and the ``hot`` set of ``analysis``."""
     violations: List[Violation] = []
-
-    analysis.hot = _hot_functions(project, graph, frozenset(entries))
-    analysis.hot.update(q for q in entries if q in graph.functions)
-
-    _mutation_verdicts(
-        project, mut_modules, mut_table, paths, analysis, violations
-    )
-
-    known = set(graph.functions)
-    for name, module in sorted(project.modules.items()):
-        for qualname, fn in _iter_scopes(module):
-            if _top_qualname(qualname, known) not in analysis.hot:
-                continue
-            _LoopScanner(module, qualname, paths, violations).scan(fn)
-
-    violations = apply_suppressions(project, violations)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    analysis.violations = violations
-    return analysis
+    analysis.hot = analysis.graph.call_closure(analysis.policy.hot_entry_points)
+    for _name, module in sorted(analysis.project.modules.items()):
+        for scope in module.scopes:
+            # A nested def is hot iff its enclosing graph-visible function is.
+            if scope.top in analysis.hot:
+                _LoopScanner(module, scope.qualname, violations).scan(scope.node)
+    return violations
 
 
-def run_hotpath(
-    roots: Sequence[Path],
-    reference_roots: Sequence[Path] = (),
-    cached: Optional[CallGraph] = None,
-) -> HotpathAnalysis:
-    """Load the project from disk and run the hot-path pass."""
-    project = load_project(roots, reference_roots)
-    return analyze_hotpath(project, cached=cached)
-
-
-def hotpath_report(analysis: HotpathAnalysis) -> List[str]:
+def hotpath_report(analysis: DeepAnalysis) -> List[str]:
     """The mutation table and hot set, for ``--report``."""
     lines: List[str] = ["hotpath: Node.entries mutation table (site -> strategy)"]
-    if analysis.sites:
+    if analysis.mutation_sites:
         labels = [
             f"{site.module}:{site.lineno} {site.kind} {site.target}"
-            for site in analysis.sites
+            for site in analysis.mutation_sites
         ]
         by_key = {
-            (e.qualname, e.kind, e.target): e.strategy for e in MUTATION_TABLE
+            (e.qualname, e.kind, e.target): e.strategy
+            for e in analysis.policy.mutation_table
         }
         width = max(len(label) for label in labels)
-        for label, site in zip(labels, analysis.sites):
+        for label, site in zip(labels, analysis.mutation_sites):
             strategy = by_key.get(
                 (site.qualname, site.kind, site.target), "(undeclared)"
             )

@@ -22,7 +22,18 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 __all__ = [
     "LintReport",
@@ -34,6 +45,7 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "register_rule",
+    "select_rules",
 ]
 
 #: Code reserved for files that cannot be parsed at all.
@@ -60,13 +72,20 @@ class Violation:
 
 @dataclass(frozen=True)
 class Rule:
-    """A registered lint rule."""
+    """A registered lint rule.
+
+    A per-module rule's ``check`` takes a :class:`ModuleContext`.  A
+    whole-program rule's takes the :class:`repro.analysis.deep.
+    DeepAnalysis` of a ``--deep`` run; one such pass may be registered
+    under every code it can emit and still runs once.
+    """
 
     code: str
     name: str
     description: str
-    check: Callable[["ModuleContext"], Iterator[Violation]]
+    check: Callable[..., Iterable[Violation]]
     module_scope: bool = False
+    whole_program: bool = False
 
 
 @dataclass
@@ -100,18 +119,25 @@ class ModuleContext:
 
 _REGISTRY: Dict[str, Rule] = {}
 
+_Check = TypeVar("_Check", bound=Callable[..., Iterable[Violation]])
+
 
 def register_rule(
-    code: str, name: str, description: str, *, module_scope: bool = False
-) -> Callable[[Callable[[ModuleContext], Iterator[Violation]]], Callable[[ModuleContext], Iterator[Violation]]]:
-    """Class/function decorator adding a rule to the default registry."""
+    code: str,
+    name: str,
+    description: str,
+    *,
+    module_scope: bool = False,
+    whole_program: bool = False,
+) -> Callable[[_Check], _Check]:
+    """Function decorator adding a rule to the one catalogue."""
 
-    def decorator(
-        check: Callable[[ModuleContext], Iterator[Violation]]
-    ) -> Callable[[ModuleContext], Iterator[Violation]]:
+    def decorator(check: _Check) -> _Check:
         if code in _REGISTRY:
             raise ValueError(f"duplicate lint rule code {code!r}")
-        _REGISTRY[code] = Rule(code, name, description, check, module_scope)
+        _REGISTRY[code] = Rule(
+            code, name, description, check, module_scope, whole_program
+        )
         return check
 
     return decorator
@@ -123,9 +149,45 @@ def iter_rules() -> List[Rule]:
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 
+def select_rules(
+    select: Optional[Iterable[str]],
+    ignore: Optional[Iterable[str]],
+    *,
+    whole_program: bool,
+) -> List[Rule]:
+    """The rules of one mode after ``--select`` / ``--ignore``, in code order.
+
+    The mode is per-module (plain ``repro-lint``) or whole-program
+    (``--deep``).  Raises ``ValueError`` for a code the catalogue does
+    not know and for one that only runs in the other mode.
+    """
+    _ensure_default_rules()
+    ignored = set(ignore) if ignore is not None else set()
+    named = ignored | (set(select) if select is not None else set())
+    unknown = named - set(_REGISTRY)
+    if unknown:
+        raise ValueError(f"unknown lint rule codes: {', '.join(sorted(unknown))}")
+    mode = {
+        code
+        for code, rule in _REGISTRY.items()
+        if rule.whole_program == whole_program
+    }
+    misplaced = named - mode
+    if misplaced:
+        hint = (
+            "per-module rules, run them without --deep"
+            if whole_program
+            else "whole-program rules, run them with --deep"
+        )
+        raise ValueError(f"{', '.join(sorted(misplaced))}: {hint}")
+    chosen = (set(select) if select is not None else mode) - ignored
+    return [_REGISTRY[code] for code in sorted(chosen)]
+
+
 def _ensure_default_rules() -> None:
-    # Imported for its registration side effects; cycle-safe because
-    # rules.py only imports back the decorator.
+    # Imported for their registration side effects; cycle-safe because
+    # the imports are deferred to first use.
+    from repro.analysis import deep as _deep  # noqa: F401
     from repro.analysis import rules as _rules  # noqa: F401
 
 
@@ -152,15 +214,7 @@ class Linter:
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
     ) -> None:
-        _ensure_default_rules()
-        selected = set(select) if select is not None else set(_REGISTRY)
-        ignored = set(ignore) if ignore is not None else set()
-        unknown = (selected | ignored) - set(_REGISTRY)
-        if unknown:
-            raise ValueError(f"unknown lint rule codes: {', '.join(sorted(unknown))}")
-        self.rules = [
-            _REGISTRY[code] for code in sorted(selected - ignored)
-        ]
+        self.rules = select_rules(select, ignore, whole_program=False)
 
     # ------------------------------------------------------------------
     # entry points
@@ -278,6 +332,27 @@ def _module_name(path: str) -> str:
                 module_parts = module_parts[:-1]
             return ".".join(module_parts)
     return Path(path).stem
+
+
+def _dotted(node: ast.AST) -> str:
+    """Render ``a.b.c`` attribute/name chains; empty string otherwise."""
+    parts: List[str] = []
+    current = node
+    while isinstance(current, ast.Attribute):
+        parts.append(current.attr)
+        current = current.value
+    if isinstance(current, ast.Name):
+        parts.append(current.id)
+        return ".".join(reversed(parts))
+    return ""
+
+
+def _render(expr: ast.expr) -> str:
+    """Source text of an expression, for messages and report tables."""
+    try:
+        return ast.unparse(expr)
+    except Exception:  # pragma: no cover - unparse is total on 3.10+
+        return "<expr>"
 
 
 # ----------------------------------------------------------------------

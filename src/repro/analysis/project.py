@@ -1,11 +1,12 @@
 """Whole-program view of the ``repro`` source tree.
 
-The deep analysis passes (:mod:`repro.analysis.callgraph`,
-:mod:`repro.analysis.purity`, :mod:`repro.analysis.floatcheck`,
-:mod:`repro.analysis.layers`) all need the same raw material: every
-module of the project parsed once, keyed by dotted module name.  This
-module provides that loader and nothing else, so the passes stay
-decoupled from file-system layout.
+The whole-program passes behind :mod:`repro.analysis.deep` all need the
+same raw material: every module of the project parsed once, keyed by
+dotted module name, with what each pass would otherwise re-derive per
+module held on the :class:`ProjectModule` -- its top-level classes, its
+function scopes (top-level, method and nested) and its ``# repro: noqa``
+table.  This module provides that loader and nothing else, so the
+passes stay decoupled from file-system layout.
 
 A :class:`Project` can be built from directories (the normal case) or
 from in-memory sources (used by the fault-injection regression tests,
@@ -16,12 +17,42 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.lint import _module_name
+from repro.analysis.lint import ALL_CODES, _collect_suppressions, _module_name
 
-__all__ = ["Project", "ProjectModule", "load_project", "project_from_sources"]
+__all__ = [
+    "FunctionNode",
+    "FunctionScope",
+    "Project",
+    "ProjectModule",
+    "load_project",
+    "project_from_sources",
+]
+
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+@dataclass(frozen=True)
+class FunctionScope:
+    """One function body of a module: top-level, method or nested def."""
+
+    #: ``module.func``, ``module.Class.method`` or ``module.func.inner``.
+    qualname: str
+    node: FunctionNode
+    #: Owning top-level class of a method; None for functions and for
+    #: defs nested inside either.
+    cls: Optional[str]
+    #: The enclosing top-level function or method -- the unit the call
+    #: graph knows -- which is the scope itself unless it is nested.
+    top: str
+
+    @property
+    def nested(self) -> bool:
+        """Is this a def inside another function body?"""
+        return self.top != self.qualname
 
 
 @dataclass
@@ -37,6 +68,51 @@ class ProjectModule:
     def __post_init__(self) -> None:
         if not self.lines:
             self.lines = self.source.splitlines()
+
+    @cached_property
+    def classes(self) -> Dict[str, ast.ClassDef]:
+        """Top-level classes by name."""
+        return {
+            node.name: node
+            for node in self.tree.body
+            if isinstance(node, ast.ClassDef)
+        }
+
+    @cached_property
+    def scopes(self) -> Tuple[FunctionScope, ...]:
+        """Every function scope in source order, nested defs after their parent.
+
+        Covers top-level functions, methods of top-level classes, and
+        defs that are direct statements of another scope's body.
+        """
+        found: List[FunctionScope] = []
+
+        def visit(node: FunctionNode, owner: str, cls: Optional[str], top: str) -> None:
+            qualname = f"{owner}.{node.name}"
+            top = top or qualname
+            found.append(FunctionScope(qualname, node, cls, top))
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(sub, qualname, None, top)
+
+        for node in self.tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(node, self.name, None, "")
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        visit(item, f"{self.name}.{node.name}", node.name, "")
+        return tuple(found)
+
+    @cached_property
+    def functions(self) -> Tuple[FunctionScope, ...]:
+        """The scopes the call graph knows: top-level functions and methods."""
+        return tuple(scope for scope in self.scopes if not scope.nested)
+
+    @cached_property
+    def noqa(self) -> Dict[int, Set[str]]:
+        """Line -> codes a ``# repro: noqa`` comment suppresses there."""
+        return _collect_suppressions(self.lines)
 
     @property
     def package(self) -> str:
@@ -90,6 +166,12 @@ class Project:
                 return None
             candidate = candidate.rsplit(".", 1)[0]
         return None
+
+    def is_suppressed(self, module: str, lineno: int, code: str) -> bool:
+        """Does a ``# repro: noqa`` on that line of ``module`` cover ``code``?"""
+        loaded = self.get(module)
+        codes = loaded.noqa.get(lineno) if loaded is not None else None
+        return codes is not None and (codes is ALL_CODES or code in codes)
 
     def replace_source(self, name: str, source: str) -> "Project":
         """A copy of the project with one module's source swapped out.

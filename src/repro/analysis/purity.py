@@ -44,27 +44,19 @@ from __future__ import annotations
 import ast
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis import config
-from repro.analysis.callgraph import CallGraph, CallSite, FunctionInfo, ImportGraph
-from repro.analysis.project import Project
-
-#: ``is_suppressed(module, lineno, code)`` — lets the deep driver feed
-#: ``# repro: noqa`` knowledge into effect *seeding*: a justified
-#: suppression at the origin call kills the whole propagated chain,
-#: instead of forcing a noqa onto every transitive caller.
-SuppressionOracle = Callable[[str, int, str], bool]
+from repro.analysis.callgraph import CallGraph, CallSite, FunctionInfo
+from repro.analysis.lint import _dotted
+from repro.analysis.project import FunctionNode, Project
 
 __all__ = [
     "Effect",
     "EffectWitness",
     "FunctionEffects",
-    "SuppressionOracle",
     "determinism_violations",
-    "function_nodes",
     "infer_effects",
-    "module_reachability",
     "purity_violations",
 ]
 
@@ -211,35 +203,27 @@ class FunctionEffects:
         return True
 
 
-def _never_suppressed(module: str, lineno: int, code: str) -> bool:
-    return False
-
-
-def infer_effects(
-    project: Project,
-    graph: CallGraph,
-    import_graph: Optional[ImportGraph] = None,
-    is_suppressed: SuppressionOracle = _never_suppressed,
-) -> Dict[str, FunctionEffects]:
+def infer_effects(project: Project, graph: CallGraph) -> Dict[str, FunctionEffects]:
     """Seed intraprocedural effects, then propagate to a fixpoint.
 
-    ``import_graph`` (when given) restricts name-matched attribute calls
-    to candidates whose defining module is import-reachable from the
-    caller's module: ``result.add(...)`` inside ``repro.geometry`` cannot
-    dispatch to ``CandidateHeap.add`` because geometry never imports
-    core.  Without it every same-named method is a candidate.
+    A ``# repro: noqa`` at the line where an effect *originates* keeps it
+    from being seeded, so a justified suppression at the origin call
+    kills the whole propagated chain instead of forcing a noqa onto
+    every transitive caller.  Name-matched attribute calls dispatch
+    through :meth:`CallGraph.callees` with the generic names left in.
     """
-    nodes = _function_nodes(project, graph)
-    reachable_modules = (
-        _module_reachability(import_graph) if import_graph is not None else None
-    )
+    nodes = {
+        scope.qualname: scope.node
+        for module in project.modules.values()
+        for scope in module.functions
+    }
     effects: Dict[str, FunctionEffects] = {}
     for qualname, info in graph.functions.items():
         node = nodes.get(qualname)
         if node is None:
             effects[qualname] = FunctionEffects(qualname)
             continue
-        effects[qualname] = _scan_function(info, node, is_suppressed)
+        effects[qualname] = _scan_function(project, info, node)
 
     # Fixpoint propagation over call sites.
     changed = True
@@ -248,20 +232,7 @@ def infer_effects(
         for qualname, info in graph.functions.items():
             caller = effects[qualname]
             for site in info.call_sites:
-                candidates = list(site.candidates)
-                if not site.resolved and site.attr is not None:
-                    matched = graph.by_name.get(site.attr, ())
-                    if reachable_modules is None:
-                        candidates.extend(matched)
-                    else:
-                        allowed = reachable_modules.get(info.module, set())
-                        candidates.extend(
-                            c
-                            for c in matched
-                            if graph.functions[c].module == info.module
-                            or graph.functions[c].module in allowed
-                        )
-                for candidate in candidates:
+                for candidate in graph.callees(info, site, generic=True):
                     callee = effects.get(candidate)
                     if callee is None or candidate == qualname:
                         continue
@@ -269,27 +240,6 @@ def infer_effects(
                         caller, callee, graph.functions[candidate], site
                     )
     return effects
-
-
-def _module_reachability(import_graph: ImportGraph) -> Dict[str, Set[str]]:
-    """Transitive closure of module imports (deferred imports included)."""
-    direct = import_graph.edges(top_level_only=False)
-    closure: Dict[str, Set[str]] = {}
-
-    def visit(module: str) -> Set[str]:
-        if module in closure:
-            return closure[module]
-        closure[module] = set()  # cycle guard
-        reached: Set[str] = set()
-        for target in direct.get(module, ()):
-            reached.add(target)
-            reached.update(visit(target))
-        closure[module] = reached
-        return reached
-
-    for module in list(direct):
-        visit(module)
-    return closure
 
 
 def _propagate(
@@ -359,21 +309,6 @@ def _tainted_params(
 # ----------------------------------------------------------------------
 # intraprocedural scan
 # ----------------------------------------------------------------------
-def _function_nodes(
-    project: Project, graph: CallGraph
-) -> Dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
-    nodes: Dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-    for module in project.modules.values():
-        for node in module.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nodes[f"{module.name}.{node.name}"] = node
-            elif isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        nodes[f"{module.name}.{node.name}.{item.name}"] = item
-    return nodes
-
-
 #: Rule code under which each effect is reported / suppressed at origin.
 _EFFECT_CODE: Dict[Effect, str] = {
     Effect.MUTATES_ARG: "RPR009",
@@ -394,23 +329,23 @@ class _SuppressingEffects(FunctionEffects):
     call site be exempted too.
     """
 
-    def __init__(self, qualname: str, module: str, oracle: SuppressionOracle) -> None:
+    def __init__(self, qualname: str, module: str, project: Project) -> None:
         super().__init__(qualname)
         self._module = module
-        self._oracle = oracle
+        self._project = project
 
     def add(self, effect: Effect, witness: EffectWitness) -> bool:
-        if self._oracle(self._module, witness.lineno, _EFFECT_CODE[effect]):
+        if self._project.is_suppressed(
+            self._module, witness.lineno, _EFFECT_CODE[effect]
+        ):
             return False
         return super().add(effect, witness)
 
 
 def _scan_function(
-    info: FunctionInfo,
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-    is_suppressed: SuppressionOracle = _never_suppressed,
+    project: Project, info: FunctionInfo, node: FunctionNode
 ) -> FunctionEffects:
-    result = _SuppressingEffects(info.qualname, info.module, is_suppressed)
+    result = _SuppressingEffects(info.qualname, info.module, project)
     params = set(info.params)
     set_valued = _set_valued_names(node)
 
@@ -578,18 +513,6 @@ def _is_set_expr(node: ast.expr, set_valued: Set[str]) -> bool:
     return False
 
 
-def _dotted(node: ast.expr) -> str:
-    parts: List[str] = []
-    current: ast.expr = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 # ----------------------------------------------------------------------
 # contract front ends
 # ----------------------------------------------------------------------
@@ -629,14 +552,6 @@ def purity_violations(
             ):
                 continue
             yield info, effect, report.effects[effect]
-
-
-#: Public aliases for sibling passes: the concurrency pass
-#: (:mod:`repro.analysis.concurrency`) reuses the function-node table and
-#: the import-reachability closure so its name-matched dispatch is
-#: filtered exactly the way effect propagation is.
-function_nodes = _function_nodes
-module_reachability = _module_reachability
 
 
 def determinism_violations(

@@ -12,7 +12,7 @@ import ast
 import re
 from typing import Iterator, List, Optional, Set
 
-from repro.analysis.lint import ModuleContext, Violation, register_rule
+from repro.analysis.lint import ModuleContext, Violation, _dotted, register_rule
 
 __all__ = ["DISTANCE_CALL_NAMES", "DISTANCE_ATTRIBUTE_NAMES"]
 
@@ -44,19 +44,6 @@ def _call_name(node: ast.Call) -> Optional[str]:
     if isinstance(node.func, ast.Name):
         return node.func.id
     return None
-
-
-def _dotted(node: ast.AST) -> str:
-    """Render ``a.b.c`` attribute/name chains; empty string otherwise."""
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 # ----------------------------------------------------------------------

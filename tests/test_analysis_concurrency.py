@@ -1,10 +1,12 @@
-"""Acceptance tests for ``repro-lint --concurrency`` (RPR015-RPR020).
+"""Acceptance tests for the concurrency pass of ``repro-lint --deep``
+(RPR015-RPR020).
 
 Mirrors the structure of ``test_analysis_deep.py``:
 
 - fixture projects built with ``project_from_sources`` exercise each
   rule in isolation (positive and negative cases);
-- the real tree is analyzed once per module and must be clean at HEAD;
+- the real tree comes from the session's ``head_analysis`` and must be
+  clean at HEAD;
 - the acceptance-criteria fault injections (dropping the ``with
   self._lock:`` guard in ``TcpTransport.request``, adding an ``await``
   under a held ``threading.Lock`` in the dispatcher) must surface as
@@ -16,47 +18,24 @@ Mirrors the structure of ``test_analysis_deep.py``:
 """
 
 import asyncio
-import os
-import pathlib
-import subprocess
-import sys
-
-import pytest
 
 from repro.analysis import deep
-from repro.analysis.concurrency import (
-    CONCURRENCY_RULES,
-    analyze_concurrency,
-    concurrency_report,
-    run_concurrency,
-)
+from repro.analysis.concurrency import concurrency_report
 from repro.analysis.locks import LockOrderGraph, LockSite, canonical_lock_name
-from repro.analysis.project import load_project, project_from_sources
+from repro.analysis.project import project_from_sources
 from repro.analysis.runtime import (
     SANITIZER,
     named_async_lock,
     named_lock,
     sanitized,
 )
+from tests.conftest import violations_of, write_tree
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-SRC_ROOT = REPO_ROOT / "src" / "repro"
-
-
-@pytest.fixture(scope="module")
-def head_concurrency():
-    """One full concurrency run over the real tree, shared by this module."""
-    return run_concurrency([SRC_ROOT], deep.default_reference_roots(REPO_ROOT))
+CONCURRENCY_CODES = ["RPR015", "RPR016", "RPR017", "RPR018", "RPR019", "RPR020"]
 
 
-@pytest.fixture(scope="module")
-def head_project():
-    """The real tree as a Project, for fault-injection mutations."""
-    return load_project([SRC_ROOT], deep.default_reference_roots(REPO_ROOT))
-
-
-def violations_of(analysis, code):
-    return [v for v in analysis.violations if v.code == code]
+def analyze_concurrency(project):
+    return deep.analyze(project, select=CONCURRENCY_CODES)
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +406,18 @@ class TestLockOrder:
         assert len(flagged) == 1
         assert "AB.a_lock" in flagged[0].message
         assert "AB.b_lock" in flagged[0].message
+        # Reported at the witness's file path (not its dotted module
+        # name), which is what lets noqa and --changed-only match it.
+        assert (flagged[0].path, flagged[0].line) == ("repro/conc/ab.py", 11)
+        witness = "            with self.b_lock:\n                pass\n"
+        assert CYCLE_SOURCES["repro.conc.ab"].count(witness) == 1
+        suppressed = CYCLE_SOURCES["repro.conc.ab"].replace(
+            witness, witness.replace(":\n", ":  # repro: noqa(RPR019) fixture\n", 1)
+        )
+        analysis = analyze_concurrency(
+            project_from_sources({"repro.conc.ab": suppressed})
+        )
+        assert violations_of(analysis, "RPR019") == []
 
     def test_consistent_order_is_clean(self):
         sources = {
@@ -530,35 +521,37 @@ class TestLockOrderGraph:
 # the real tree
 # ----------------------------------------------------------------------
 class TestHeadTree:
-    def test_head_is_clean(self, head_concurrency):
-        assert head_concurrency.violations == []
+    def test_head_is_clean(self, head_analysis):
+        assert [
+            v for v in head_analysis.violations if v.code in CONCURRENCY_CODES
+        ] == []
 
-    def test_head_guarded_by_table(self, head_concurrency):
-        table = head_concurrency.guarded_by
+    def test_head_guarded_by_table(self, head_analysis):
+        table = head_analysis.guarded_by
         assert table["TcpTransport._sock"] == "TcpTransport._lock"
         assert table["Counter._value"] == "MetricsRegistry._lock"
         assert table["BackgroundServer._address"] == "owner:handshake"
 
-    def test_head_lock_graph_has_transport_metrics_edge(self, head_concurrency):
+    def test_head_lock_graph_has_transport_metrics_edge(self, head_analysis):
         assert (
             "TcpTransport._lock",
             "MetricsRegistry._lock",
-        ) in head_concurrency.lock_graph.edges
-        assert head_concurrency.lock_graph.cycles() == []
+        ) in head_analysis.lock_graph.edges
+        assert head_analysis.lock_graph.cycles() == []
 
-    def test_head_thread_entries(self, head_concurrency):
-        entries = " ".join(head_concurrency.thread_entries)
+    def test_head_thread_entries(self, head_analysis):
+        entries = " ".join(head_analysis.thread_entries)
         assert "thread -> self._run" in entries
         assert "executor -> _client_worker" in entries
 
-    def test_background_server_is_shared(self, head_concurrency):
-        shared = head_concurrency.shared_classes[
+    def test_background_server_is_shared(self, head_analysis):
+        shared = head_analysis.shared_classes[
             "repro.service.asyncserver.BackgroundServer"
         ]
         assert "threading.Thread" in shared.reason
 
-    def test_report_renders(self, head_concurrency):
-        lines = concurrency_report(head_concurrency)
+    def test_report_renders(self, head_analysis):
+        lines = concurrency_report(head_analysis)
         text = "\n".join(lines)
         assert "guarded-by table" in text
         assert "lock-order graph" in text
@@ -569,7 +562,8 @@ class TestHeadTree:
 # acceptance fault injections (static, no execution of mutated code)
 # ----------------------------------------------------------------------
 class TestFaultInjection:
-    def test_removing_transport_lock_guard_is_rpr015(self, head_project):
+    def test_removing_transport_lock_guard_is_rpr015(self, head_analysis):
+        head_project = head_analysis.project
         module = head_project.get("repro.service.transport")
         mutated = module.source.replace("with self._lock:", "if True:")
         assert mutated != module.source
@@ -579,7 +573,8 @@ class TestFaultInjection:
         flagged = violations_of(analysis, "RPR015")
         assert any("_sock" in v.message for v in flagged)
 
-    def test_await_under_thread_lock_in_dispatcher_is_rpr017(self, head_project):
+    def test_await_under_thread_lock_in_dispatcher_is_rpr017(self, head_analysis):
+        head_project = head_analysis.project
         module = head_project.get("repro.service.asyncserver")
         mutated = module.source.replace(
             "    async def _dispatch_loop(self) -> None:\n"
@@ -689,37 +684,28 @@ class TestRuntimeSanitizer:
 # ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
-def _run_cli(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analysis.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-    )
-
-
 class TestCli:
-    def test_concurrency_flag_is_clean_at_head(self):
-        result = _run_cli("--concurrency")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "0 new findings" in result.stderr
+    def test_concurrency_flag_is_clean_at_head(self, lint_cli):
+        # --concurrency is gone; --deep --select runs just this pass.
+        status, out, err = lint_cli("--deep", "--select", ",".join(CONCURRENCY_CODES))
+        assert status == 0, out + err
+        assert "0 findings" in err
 
-    def test_report_flag_prints_tables(self):
-        result = _run_cli("--concurrency", "--report", "--quiet")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "guarded-by table" in result.stdout
-        assert "lock-order graph" in result.stdout
+    def test_report_flag_prints_tables(self, lint_cli, tmp_path):
+        consistent = CYCLE_SOURCES["repro.conc.ab"].replace(
+            "        with self.b_lock:\n            with self.a_lock:\n",
+            "        with self.a_lock:\n            with self.b_lock:\n",
+        )
+        tree = write_tree(tmp_path, {"repro.conc.ab": consistent})
+        status, out, err = lint_cli(
+            "--deep", "--report", "--quiet", "--ignore", "RPR008", cwd=tree
+        )
+        assert status == 0, out + err
+        assert "guarded-by table" in out
+        assert "AB.a_lock -> AB.b_lock  (repro.conc.ab:11)" in out
 
-    def test_list_rules_includes_concurrency_catalogue(self):
-        result = _run_cli("--list-rules", "--concurrency")
-        assert result.returncode == 0
-        for code in CONCURRENCY_RULES:
-            assert code in result.stdout
-
-    def test_composes_with_deep(self):
-        result = _run_cli("--deep", "--concurrency")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "--deep --concurrency" in result.stderr
+    def test_list_rules_includes_concurrency_catalogue(self, lint_cli):
+        status, out, _ = lint_cli("--list-rules")
+        assert status == 0
+        for code in CONCURRENCY_CODES:
+            assert code in out

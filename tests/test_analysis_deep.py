@@ -1,23 +1,24 @@
-"""Acceptance tests for ``repro-lint --deep`` (rules RPR008-RPR013).
+"""Acceptance tests for ``repro-lint --deep``: the driver, its CLI and
+rules RPR008-RPR013 (RPR015-RPR020 live in ``test_analysis_concurrency``,
+RPR021-RPR025 in ``test_analysis_perf``).
 
 Two layers of coverage:
 
 - fixture projects built with ``project_from_sources`` exercise each
   pass in isolation (positive and negative cases per rule);
-- the real tree is analyzed once per module and must be clean at HEAD,
-  and seeded soundness mutations (the Lemma 3.2 ``<=`` -> ``<`` flip,
-  dropping the Lemma 3.8 ``covers_disk`` call) must surface as RPR012
-  findings *statically* -- no test execution of the mutated code.
+- the real tree is loaded and analyzed once per session (the
+  ``head_analysis`` fixture of ``conftest.py``) and must be clean at
+  HEAD, and seeded soundness mutations (the Lemma 3.2 ``<=`` -> ``<``
+  flip, dropping the Lemma 3.8 ``covers_disk`` call) must surface as
+  RPR012 findings *statically* -- no test execution of the mutated code.
 """
 
+import dataclasses
 import os
-import pathlib
 import subprocess
 import sys
 
-import pytest
-
-from repro.analysis import deep
+from repro.analysis import config, deep
 from repro.analysis.callgraph import build_call_graph, build_import_graph
 from repro.analysis.floatcheck import (
     LEMMA_TABLE,
@@ -28,7 +29,6 @@ from repro.analysis.floatcheck import (
     lemma_table_lines,
 )
 from repro.analysis.layers import cycle_violations, layer_violations
-from repro.analysis.lint import Violation
 from repro.analysis.project import project_from_sources
 from repro.analysis.purity import (
     Effect,
@@ -36,19 +36,7 @@ from repro.analysis.purity import (
     infer_effects,
     purity_violations,
 )
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-SRC_ROOT = REPO_ROOT / "src" / "repro"
-
-
-@pytest.fixture(scope="module")
-def head_analysis():
-    """One full deep run over the real tree, shared by this module."""
-    return deep.run_deep([SRC_ROOT], deep.default_reference_roots(REPO_ROOT))
-
-
-def violations_of(analysis, code):
-    return [v for v in analysis.violations if v.code == code]
+from tests.conftest import REPO_ROOT, violations_of, write_tree
 
 
 # ----------------------------------------------------------------------
@@ -75,13 +63,13 @@ DEAD_CODE_SOURCES = {
 
 class TestDeadCode:
     def test_unreferenced_function_is_flagged(self):
-        analysis = deep.analyze_project(project_from_sources(DEAD_CODE_SOURCES))
+        analysis = deep.analyze(project_from_sources(DEAD_CODE_SOURCES))
         flagged = violations_of(analysis, "RPR008")
         assert len(flagged) == 1
         assert "`repro.core.alpha.abandoned`" in flagged[0].message
 
     def test_transitive_callee_of_export_is_live(self):
-        analysis = deep.analyze_project(project_from_sources(DEAD_CODE_SOURCES))
+        analysis = deep.analyze(project_from_sources(DEAD_CODE_SOURCES))
         messages = " ".join(v.message for v in violations_of(analysis, "RPR008"))
         assert "helper" not in messages
         assert "used" not in messages
@@ -104,7 +92,7 @@ class TestPurityZones:
                 )
             }
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         flagged = violations_of(analysis, "RPR009")
         assert len(flagged) == 1
         assert "sneaky" in flagged[0].message
@@ -123,7 +111,7 @@ class TestPurityZones:
                 )
             }
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         assert {"outer", "fill"} <= {
             v.message.split("`")[1].rsplit(".", 1)[-1]
             for v in violations_of(analysis, "RPR009")
@@ -143,7 +131,7 @@ class TestPurityZones:
                 )
             }
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         assert violations_of(analysis, "RPR009") == []
 
     def test_local_mutation_is_not_an_effect(self):
@@ -158,7 +146,7 @@ class TestPurityZones:
                 )
             }
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         assert violations_of(analysis, "RPR009") == []
 
     def test_origin_noqa_kills_propagated_chain(self):
@@ -174,7 +162,7 @@ class TestPurityZones:
                 )
             }
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         assert violations_of(analysis, "RPR009") == []
 
 
@@ -198,7 +186,7 @@ class TestDeterminismZones:
                 )
             }
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         flagged = violations_of(analysis, "RPR010")
         assert {"stamp", "caller"} <= {
             v.message.split("`")[1].rsplit(".", 1)[-1] for v in flagged
@@ -216,7 +204,7 @@ class TestDeterminismZones:
                 )
             }
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         flagged = violations_of(analysis, "RPR010")
         assert len(flagged) == 1
         assert "hash order" in flagged[0].message
@@ -231,7 +219,7 @@ class TestDeterminismZones:
                 )
             }
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         assert violations_of(analysis, "RPR010") == []
 
     def test_origin_noqa_kills_propagated_chain(self):
@@ -250,7 +238,7 @@ class TestDeterminismZones:
                 )
             }
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         assert violations_of(analysis, "RPR010") == []
 
     def test_outside_zone_is_not_reported(self):
@@ -265,7 +253,7 @@ class TestDeterminismZones:
                 )
             }
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         assert violations_of(analysis, "RPR010") == []
 
 
@@ -333,7 +321,7 @@ class TestFloatComparisons:
             "def check(distance, limit):\n"
             "    return distance < limit  # repro: noqa(RPR011)\n"
         )
-        analysis = deep.analyze_project(project)
+        analysis = deep.analyze(project)
         assert violations_of(analysis, "RPR011") == []
 
     def test_head_tree_is_clean(self, head_analysis):
@@ -405,7 +393,7 @@ class TestLemmaConformance:
                 "distance + delta < certain_radius",
             ),
         )
-        analysis = deep.analyze_project(mutated, cached=head_analysis.graph)
+        analysis = deep.analyze(mutated, select=["RPR011", "RPR012"])
         flagged = violations_of(analysis, "RPR012")
         assert any("Lemma 3.2" in v.message for v in flagged)
         # The flip must not double-report as a raw comparison.
@@ -544,10 +532,8 @@ class TestLayering:
 class TestEffectInference:
     def effects_for(self, sources):
         project = project_from_sources(sources)
-        graph = build_call_graph(project)
-        return infer_effects(
-            project, graph, import_graph=build_import_graph(project)
-        )
+        graph = build_call_graph(project, build_import_graph(project))
+        return infer_effects(project, graph)
 
     def test_mutation_propagates_only_through_mutated_parameter(self):
         effects = self.effects_for(
@@ -609,10 +595,8 @@ class TestEffectInference:
             ),
         }
         project = project_from_sources(sources)
-        graph = build_call_graph(project)
-        effects = infer_effects(
-            project, graph, import_graph=build_import_graph(project)
-        )
+        graph = build_call_graph(project, build_import_graph(project))
+        effects = infer_effects(project, graph)
         impure = [info.qualname for info, _, _ in purity_violations(graph, effects)]
         nondet = [info.qualname for info, _ in determinism_violations(graph, effects)]
         assert impure == ["repro.testing.oracles.sneaky"]
@@ -620,94 +604,200 @@ class TestEffectInference:
 
 
 # ----------------------------------------------------------------------
-# baseline ratchet and facts cache
+# the driver: one of each fact, one catalogue, declared names that exist
 # ----------------------------------------------------------------------
-class TestBaseline:
-    def make(self, path, line, code, message):
-        return Violation(path, line, 0, code, message)
+class TestDriver:
+    def test_each_fact_is_built_once_per_analyze(self, monkeypatch):
+        calls = []
+        for name in ("build_import_graph", "build_call_graph", "infer_effects"):
+            real = getattr(deep, name)
 
-    def test_key_is_line_number_free(self):
-        a = self.make("src/x.py", 3, "RPR008", "dead")
-        b = self.make("src/x.py", 99, "RPR008", "dead")
-        assert deep.baseline_key(a) == deep.baseline_key(b)
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
 
-    def test_partition_new_baselined_stale(self):
-        known = self.make("src/x.py", 1, "RPR008", "known finding")
-        fresh = self.make("src/y.py", 2, "RPR011", "fresh finding")
-        baseline = [deep.baseline_key(known), "src/gone.py: RPR009 vanished"]
-        new, baselined, stale = deep.partition_violations([known, fresh], baseline)
-        assert new == [fresh]
-        assert baselined == [known]
-        assert stale == ["src/gone.py: RPR009 vanished"]
+            monkeypatch.setattr(deep, name, counted)
+        analysis = deep.analyze(project_from_sources(DEAD_CODE_SOURCES))
+        assert len(violations_of(analysis, "RPR008")) == 1
+        assert sorted(calls) == [
+            "build_call_graph",
+            "build_import_graph",
+            "infer_effects",
+        ]
 
-    def test_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.txt"
-        violations = [self.make("src/x.py", 5, "RPR010", "probe")]
-        deep.save_baseline(path, violations)
-        assert deep.load_baseline(path) == [deep.baseline_key(violations[0])]
-        # Comment header lines are skipped on load.
-        assert path.read_text().startswith("#")
+    def test_select_runs_only_the_passes_that_emit_the_code(self, monkeypatch):
+        def unwanted(*args):
+            raise AssertionError("RPR012 needs no call graph")
 
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert deep.load_baseline(tmp_path / "absent.txt") == []
-
-
-class TestFactsCache:
-    def test_round_trip_preserves_liveness(self, head_analysis):
-        from repro.analysis.callgraph import CallGraph
-
-        restored = CallGraph.facts_from_json(head_analysis.graph.facts_to_json())
-        rebuilt = build_call_graph(head_analysis.project, restored)
-        assert {i.qualname for i in rebuilt.dead()} == {
-            i.qualname for i in head_analysis.graph.dead()
-        }
-
-    def test_stale_cache_degrades_to_rebuild(self, head_analysis):
-        source = head_analysis.project.get("repro.core.heap").source
-        mutated = head_analysis.project.replace_source(
-            "repro.core.heap", source + "\n\ndef freshly_dead():\n    return 0\n"
+        monkeypatch.setattr(deep, "build_call_graph", unwanted)
+        analysis = deep.analyze(
+            project_from_sources(DEAD_CODE_SOURCES), select=["RPR012"]
         )
-        rebuilt = build_call_graph(mutated, head_analysis.graph)
-        assert "repro.core.heap.freshly_dead" in {
-            i.qualname for i in rebuilt.dead()
-        }
+        assert analysis.violations == []
 
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        assert deep.load_cached_graph(path) is None
+    def test_import_reachability_is_complete_on_cycles(self):
+        # Deferred imports form cycles; every member reaches every other.
+        project = project_from_sources(
+            {
+                "repro.core.a": "def f():\n    import repro.core.b\n",
+                "repro.core.b": "def g():\n    import repro.core.c\n",
+                "repro.core.c": "def h():\n    import repro.core.a\n",
+            }
+        )
+        ring = {"repro.core.a", "repro.core.b", "repro.core.c"}
+        closure = build_import_graph(project).reachability()
+        assert all(closure[name] == ring for name in ring)
+
+    def test_misspelt_billing_entry_point_is_reported(self, head_analysis):
+        good = "repro.core.server.SpatialDatabaseServer.range_query_detailed"
+        assert good in config.BILLING_ENTRY_POINTS
+        typo = good.replace("range_query", "rnage_query")
+        policy = dataclasses.replace(
+            head_analysis.policy,
+            billing_entry_points=config.BILLING_ENTRY_POINTS - {good} | {typo},
+        )
+        analysis = deep.analyze(
+            head_analysis.project, select=["RPR021"], policy=policy
+        )
+        # Once where the name is declared, once at the module that lacks
+        # it -- a rename there alone must survive --changed-only.
+        assert [v.code for v in analysis.violations] == ["RPR021", "RPR021"]
+        declared, owner = analysis.violations
+        assert declared.path.endswith("analysis/config.py")
+        assert (owner.path.endswith("core/server.py"), owner.line) == (True, 1)
+        assert "rnage_query_detailed" in declared.message == owner.message
+        assert "declared in BILLING_ENTRY_POINTS" in declared.message
+
+    def test_renamed_concurrent_class_is_reported(self):
+        assert "repro.obs.profiling.Obs" in config.CONCURRENT_CLASSES
+        project = project_from_sources(
+            {"repro.obs.profiling": "class Observatory:\n    pass\n"}
+        )
+        analysis = deep.analyze(project, select=["RPR015"])
+        assert [(v.code, v.path) for v in analysis.violations] == [
+            ("RPR015", "repro/obs/profiling.py")
+        ]
+        assert "defines no `Obs`" in analysis.violations[0].message
+
+    def test_declared_name_in_an_absent_module_is_silent(self):
+        # The default policy names repro.cli.main & co.; a fixture project
+        # that does not contain those modules owes nothing.
+        analysis = deep.analyze(project_from_sources(DEAD_CODE_SOURCES))
+        assert [v.code for v in analysis.violations] == ["RPR008"]
+
+    def test_head_is_clean(self, head_analysis):
+        assert head_analysis.violations == []
 
 
 # ----------------------------------------------------------------------
 # CLI end to end
 # ----------------------------------------------------------------------
+def seeded_tree(tmp_path):
+    """A tree small enough to analyze in milliseconds: one dead function."""
+    return write_tree(tmp_path, DEAD_CODE_SOURCES)
+
+
 class TestDeepCli:
-    def run_cli(self, *args, cwd=None):
+    def run_subprocess(self, *args, cwd=REPO_ROOT):
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         return subprocess.run(
-            [sys.executable, "-m", "repro.analysis.cli", *args],
-            cwd=cwd or REPO_ROOT,
+            [sys.executable, "-m", "repro.analysis", *args],
+            cwd=cwd,
             env=env,
             capture_output=True,
             text=True,
         )
 
-    def test_list_rules_includes_deep_catalogue(self):
-        proc = self.run_cli("--list-rules", "--deep")
-        assert proc.returncode == 0
-        for code in ("RPR008", "RPR011", "RPR013"):
-            assert code in proc.stdout
-
-    def test_head_is_clean_and_stale_entries_fail(self, tmp_path):
-        baseline = tmp_path / "baseline.txt"
-        clean = self.run_cli("--deep", "--quiet", "--baseline", str(baseline))
-        assert clean.returncode == 0, clean.stdout + clean.stderr
-        baseline.write_text("src/repro/core/heap.py: RPR008 long gone\n")
-        stale = self.run_cli("--deep", "--baseline", str(baseline))
-        assert stale.returncode == 1
-        assert "stale baseline entry" in stale.stderr
+    def test_whole_tree_gate_is_clean_and_prints_the_six_tables(self):
+        proc = self.run_subprocess("--deep", "--report")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "0 findings" in proc.stderr
+        for header in (
+            "concurrency: guarded-by table",
+            "concurrency: lock-order graph",
+            "concurrency: thread/executor entry points",
+            "accounting: billing table (site -> counter)",
+            "hotpath: Node.entries mutation table (site -> strategy)",
+            "hotpath: hot set (query-reachable functions)",
+        ):
+            assert header in proc.stdout
 
     def test_deep_outside_repo_root_is_a_usage_error(self, tmp_path):
-        proc = self.run_cli("--deep", cwd=tmp_path)
+        proc = self.run_subprocess("--deep", cwd=tmp_path)
         assert proc.returncode == 2
         assert "src/repro not found" in proc.stderr
+
+    def test_list_rules_includes_deep_catalogue(self, lint_cli):
+        # No other flag needed: one catalogue, 25 rules + RPR900.
+        status, out, _ = lint_cli("--list-rules")
+        assert status == 0
+        codes = [line.split()[0] for line in out.splitlines()]
+        assert codes == sorted(codes) and len(codes) == 26
+        assert {"RPR001", "RPR008", "RPR011", "RPR013", "RPR025", "RPR900"} <= set(
+            codes
+        )
+        assert "RPR026" not in codes
+
+    def test_finding_fails_the_run(self, lint_cli, tmp_path):
+        status, out, err = lint_cli("--deep", cwd=seeded_tree(tmp_path))
+        assert status == 1
+        assert "RPR008" in out and "abandoned" in out
+        assert "1 finding" in err
+
+    def test_unknown_code_is_a_usage_error_in_both_modes(self, lint_cli, tmp_path):
+        tree = seeded_tree(tmp_path)
+        status, _, err = lint_cli("--deep", "--select", "RPR999", cwd=tree)
+        assert status == 2 and "unknown lint rule codes: RPR999" in err
+        status, _, err = lint_cli("--ignore", "RPR999", "src", cwd=tree)
+        assert status == 2 and "RPR999" in err
+
+    def test_whole_program_code_without_deep_says_so(self, lint_cli, tmp_path):
+        status, _, err = lint_cli(
+            "--select", "RPR008", "src", cwd=seeded_tree(tmp_path)
+        )
+        assert status == 2
+        assert "RPR008" in err and "--deep" in err
+
+    def test_select_and_ignore_apply_to_whole_program_rules(self, lint_cli, tmp_path):
+        tree = seeded_tree(tmp_path)
+        status, out, _ = lint_cli("--deep", "--select", "RPR012", cwd=tree)
+        assert (status, out) == (0, "")
+        status, out, _ = lint_cli("--deep", "--ignore", "RPR008", cwd=tree)
+        assert (status, out) == (0, "")
+        status, out, _ = lint_cli("--deep", "--select", "rpr008", cwd=tree)
+        assert status == 1 and "RPR008" in out
+
+    def test_changed_only_filters_reported_findings(self, lint_cli, tmp_path):
+        tree = write_tree(seeded_tree(tmp_path), {"repro.core.beta": "__all__ = []\n"})
+        status, out, _ = lint_cli(
+            "--deep", "--changed-only", "src/repro/core/beta.py", cwd=tree
+        )
+        assert (status, out) == (0, "")
+        status, out, _ = lint_cli(
+            "--deep", "--changed-only", "src/repro/core/alpha.py", cwd=tree
+        )
+        assert status == 1 and "RPR008" in out
+
+    def test_changed_only_keeps_a_rename_that_orphans_a_declared_name(
+        self, lint_cli, tmp_path
+    ):
+        # config.py (unchanged) still says Obs; only profiling.py changed.
+        config_source = (REPO_ROOT / "src/repro/analysis/config.py").read_text()
+        tree = write_tree(
+            tmp_path,
+            {
+                "repro.analysis.config": config_source,
+                "repro.obs.profiling": "class Observatory:\n    pass\n",
+            },
+        )
+        args = ("--deep", "--select", "RPR015", "--quiet")
+        status, out, _ = lint_cli(*args, cwd=tree)
+        assert status == 1
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "src/repro/analysis/config.py",
+            "src/repro/obs/profiling.py",
+        ]
+        changed = "src/repro/obs/profiling.py"
+        status, out, _ = lint_cli(*args, "--changed-only", changed, cwd=tree)
+        assert status == 1
+        assert out.startswith(f"{changed}:1:") and out.count("\n") == 1

@@ -1,13 +1,7 @@
 """Acceptance tests for the repro-lint engine and its rules."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 from repro.analysis.lint import Linter, lint_paths, lint_source
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+from tests.conftest import REPO_ROOT, write_tree
 
 # One seeded violation per rule.  The pretend path places the module in
 # repro.network so the Euclidean-distance ban (RPR003) applies too.
@@ -177,41 +171,26 @@ class TestEngine:
 
 
 class TestCli:
-    def _run(self, *args, cwd=None):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        return subprocess.run(
-            [sys.executable, "-m", "repro.analysis.cli", *args],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=cwd or REPO_ROOT,
-        )
-
-    def test_cli_reports_seeded_fixture(self, tmp_path):
-        target = tmp_path / "src" / "repro" / "network" / "fixture_module.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(FIXTURE)
-        proc = self._run(str(target))
-        assert proc.returncode == 1
+    def test_cli_reports_seeded_fixture(self, lint_cli, tmp_path):
+        write_tree(tmp_path, {"repro.network.fixture_module": FIXTURE})
+        status, out, _ = lint_cli("src", cwd=tmp_path)
+        assert status == 1
         for code in ALL_RULE_CODES:
-            assert code in proc.stdout
+            assert code in out
 
-    def test_cli_clean_file_exits_zero(self, tmp_path):
+    def test_cli_clean_file_exits_zero(self, lint_cli, tmp_path):
         target = tmp_path / "clean.py"
         target.write_text('"""Clean."""\n\n__all__ = []\n')
-        proc = self._run(str(target))
-        assert proc.returncode == 0
+        assert lint_cli(target)[0] == 0
 
-    def test_cli_missing_path_is_usage_error(self, tmp_path):
-        proc = self._run(str(tmp_path / "absent.py"))
-        assert proc.returncode == 2
+    def test_cli_missing_path_is_usage_error(self, lint_cli, tmp_path):
+        assert lint_cli(tmp_path / "absent.py")[0] == 2
 
-    def test_cli_list_rules(self):
-        proc = self._run("--list-rules")
-        assert proc.returncode == 0
+    def test_cli_list_rules(self, lint_cli):
+        status, out, _ = lint_cli("--list-rules")
+        assert status == 0
         for code in ALL_RULE_CODES | {"RPR007"}:
-            assert code in proc.stdout
+            assert code in out
 
 
 class TestDocsHygieneRule:

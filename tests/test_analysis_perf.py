@@ -1,45 +1,30 @@
-"""Acceptance tests for ``repro-lint --perf`` (RPR021-RPR026).
+"""Acceptance tests for the accounting and hot-path passes of
+``repro-lint --deep`` (RPR021-RPR025).
 
 Mirrors the structure of ``test_analysis_concurrency.py``:
 
 - fixture projects built with ``project_from_sources`` exercise each
   rule in isolation (positive and negative cases);
-- the real tree is analyzed once per module and must be clean at HEAD;
+- the real tree comes from the session's ``head_analysis`` and must be
+  clean at HEAD;
 - the acceptance-criteria fault injections (deleting a ``read_node``
   call in the kNN hot path, dropping the session cleanup on the
-  connection-drop path, widening an encoder without its decoder) must
-  surface as RPR021/RPR022/RPR026 findings *statically*, and an
-  undeclared ``Node.entries`` mutation as RPR023;
+  connection-drop path) must surface as RPR021/RPR022 findings
+  *statically*, and an undeclared ``Node.entries`` mutation as RPR023;
 - the runtime half (the accounting sanitizer: billing attribution,
   subcounter fold-once, the conservation law) is driven over the golden
   scenario corpus and a live loopback server, cross-checking *runtime
   billing is a subset of the static billing model*.
 """
 
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 from repro.analysis import deep
-from repro.analysis.accounting import (
-    ACCOUNTING_RULES,
-    accounting_report,
-    analyze_accounting,
-    run_accounting,
-)
-from repro.analysis.hotpath import (
-    HOTPATH_RULES,
-    MUTATION_TABLE,
-    MutationEntry,
-    analyze_hotpath,
-    hotpath_report,
-    run_hotpath,
-)
-from repro.analysis.project import load_project, project_from_sources
+from repro.analysis.accounting import accounting_report
+from repro.analysis.hotpath import MUTATION_TABLE, MutationEntry, hotpath_report
+from repro.analysis.project import project_from_sources
 from repro.analysis.runtime import SANITIZER, Sanitizer, sanitized
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
@@ -51,32 +36,11 @@ from repro.service.client import ServiceClient
 from repro.service.engine import QueryService
 from repro.service.transport import LoopbackTransport
 from repro.testing.scenarios import ScenarioGen, decode_scenario
+from tests.conftest import violations_of, write_tree
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-SRC_ROOT = REPO_ROOT / "src" / "repro"
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-
-
-@pytest.fixture(scope="module")
-def head_accounting():
-    """One full accounting run over the real tree, shared by this module."""
-    return run_accounting([SRC_ROOT], deep.default_reference_roots(REPO_ROOT))
-
-
-@pytest.fixture(scope="module")
-def head_hotpath():
-    """One full hot-path run over the real tree, shared by this module."""
-    return run_hotpath([SRC_ROOT], deep.default_reference_roots(REPO_ROOT))
-
-
-@pytest.fixture(scope="module")
-def head_project():
-    """The real tree as a Project, for fault-injection mutations."""
-    return load_project([SRC_ROOT], deep.default_reference_roots(REPO_ROOT))
-
-
-def violations_of(analysis, code):
-    return [v for v in analysis.violations if v.code == code]
+ACCOUNTING_CODES = ["RPR021", "RPR022"]
+HOTPATH_CODES = ["RPR023", "RPR024", "RPR025"]
 
 
 # ----------------------------------------------------------------------
@@ -90,26 +54,20 @@ BILLING_PRELUDE = (
     "\n"
 )
 
-BILLING_ENTRIES = frozenset(
-    {
-        "repro.acct.mod.search",
-        "repro.acct.mod.bad_search",
-        "repro.acct.mod.double",
-        "repro.acct.mod.sneaky",
-        "repro.acct.mod.naked",
-        "repro.acct.mod.caller",
-    }
-)
+BILLING_ENTRIES = ("search", "bad_search", "double", "sneaky", "caller")
 
 
 def billing_analysis(body, entries=BILLING_ENTRIES):
     project = project_from_sources({"repro.acct.mod": BILLING_PRELUDE + body})
-    return analyze_accounting(
-        project,
-        entry_points=frozenset(entries),
+    policy = deep.Policy(
+        # Declare the entry points this body defines (an undefined one
+        # is a finding of its own).
+        billing_entry_points=frozenset(
+            f"repro.acct.mod.{name}" for name in entries if f"def {name}(" in body
+        ),
         billing_modules=("repro.acct.mod",),
-        protocol_modules=(),
     )
+    return deep.analyze(project, select=ACCOUNTING_CODES, policy=policy)
 
 
 class TestBillingDiscipline:
@@ -210,7 +168,7 @@ class TestBillingDiscipline:
             "def cold_path(tree):\n"
             "    for entry in tree.root.entries:\n"
             "        pass\n",
-            entries=frozenset(),
+            entries=(),
         )
         assert analysis.violations == []
         assert analysis.checked == set()
@@ -220,12 +178,7 @@ class TestBillingDiscipline:
 # RPR022: subcounter fold-once
 # ----------------------------------------------------------------------
 def fold_analysis(sources):
-    return analyze_accounting(
-        project_from_sources(sources),
-        entry_points=frozenset(),
-        billing_modules=(),
-        protocol_modules=(),
-    )
+    return deep.analyze(project_from_sources(sources), select=["RPR022"])
 
 
 class TestFoldOnce:
@@ -313,59 +266,6 @@ class TestFoldOnce:
 
 
 # ----------------------------------------------------------------------
-# RPR026: codec symmetry
-# ----------------------------------------------------------------------
-CODEC_TEMPLATE = (
-    "class Ping:\n"
-    "    pass\n"
-    "\n"
-    "\n"
-    "def _enc_ping(w, m):\n"
-    "    w.u32(m.a)\n"
-    "    w.f64(m.b)\n"
-    "\n"
-    "\n"
-    "def _dec_ping(r):\n"
-    "{decoder_body}"
-    "\n"
-    "\n"
-    "_CODECS = {{\n"
-    "    Ping: (1, _enc_ping, _dec_ping),\n"
-    "}}\n"
-)
-
-
-def codec_analysis(decoder_body):
-    project = project_from_sources(
-        {"repro.proto.mod": CODEC_TEMPLATE.format(decoder_body=decoder_body)}
-    )
-    return analyze_accounting(
-        project,
-        entry_points=frozenset(),
-        billing_modules=(),
-        protocol_modules=("repro.proto.mod",),
-    )
-
-
-class TestCodecSymmetry:
-    def test_symmetric_pair_is_clean(self):
-        analysis = codec_analysis("    return Ping(r.u32(), r.f64())\n")
-        assert analysis.violations == []
-
-    def test_missing_decoder_field_is_rpr026(self):
-        analysis = codec_analysis("    return Ping(r.u32())\n")
-        flagged = violations_of(analysis, "RPR026")
-        assert len(flagged) == 1
-        assert "encoder/decoder drift for `Ping`" in flagged[0].message
-        assert "[u32, f64]" in flagged[0].message
-        assert "[u32]" in flagged[0].message
-
-    def test_reordered_decoder_fields_are_rpr026(self):
-        analysis = codec_analysis("    return Ping(r.f64(), r.u32())\n")
-        assert len(violations_of(analysis, "RPR026")) == 1
-
-
-# ----------------------------------------------------------------------
 # RPR023: mirror mutation discipline
 # ----------------------------------------------------------------------
 MUTATION_SOURCE = {
@@ -387,12 +287,8 @@ DECLARED = (
 
 
 def mutation_analysis(sources, table):
-    return analyze_hotpath(
-        project_from_sources(sources),
-        entry_points=frozenset(),
-        mutation_modules=("repro.mut.mod",),
-        table=table,
-    )
+    policy = deep.Policy(mutation_modules=("repro.mut.mod",), mutation_table=table)
+    return deep.analyze(project_from_sources(sources), select=["RPR023"], policy=policy)
 
 
 class TestMirrorMutations:
@@ -406,7 +302,7 @@ class TestMirrorMutations:
     def test_declared_site_is_clean(self):
         analysis = mutation_analysis(MUTATION_SOURCE, table=DECLARED)
         assert analysis.violations == []
-        assert len(analysis.sites) == 1
+        assert len(analysis.mutation_sites) == 1
 
     def test_stale_table_entry_is_rpr023(self):
         stale = DECLARED + (
@@ -431,8 +327,31 @@ class TestMirrorMutations:
             )
         }
         analysis = mutation_analysis(sources, table=())
-        assert [s.kind for s in analysis.sites] == ["rebind"]
+        assert [s.kind for s in analysis.mutation_sites] == ["rebind"]
         assert len(violations_of(analysis, "RPR023")) == 1
+
+    def test_sites_in_nested_classes_are_discovered(self):
+        # Neither scope is in the function-scope index: a class nested in
+        # a function, and a class nested in a class.
+        sources = {
+            "repro.mut.mod": (
+                "def make():\n"
+                "    class Helper:\n"
+                "        def trim(self, node):\n"
+                "            node.entries.pop()\n"
+                "    return Helper\n"
+                "class Outer:\n"
+                "    class Inner:\n"
+                "        def grow(self, node, entry):\n"
+                "            node.entries.append(entry)\n"
+            )
+        }
+        analysis = mutation_analysis(sources, table=())
+        assert [(s.qualname, s.kind, s.lineno) for s in analysis.mutation_sites] == [
+            ("repro.mut.mod.make.Helper.trim", "pop", 4),
+            ("repro.mut.mod.Outer.Inner.grow", "append", 9),
+        ]
+        assert [v.line for v in violations_of(analysis, "RPR023")] == [4, 9]
 
 
 # ----------------------------------------------------------------------
@@ -440,12 +359,8 @@ class TestMirrorMutations:
 # ----------------------------------------------------------------------
 def hot_analysis(body):
     project = project_from_sources({"repro.hotm.mod": body})
-    return analyze_hotpath(
-        project,
-        entry_points=frozenset({"repro.hotm.mod.hot"}),
-        mutation_modules=(),
-        table=(),
-    )
+    policy = deep.Policy(hot_entry_points=frozenset({"repro.hotm.mod.hot"}))
+    return deep.analyze(project, select=["RPR024", "RPR025"], policy=policy)
 
 
 class TestHotLoops:
@@ -484,26 +399,21 @@ class TestHotLoops:
         assert analysis.violations == []
 
     def test_cold_function_is_not_scanned(self):
-        project = project_from_sources(
-            {
-                "repro.hotm.mod": (
-                    "import numpy as np\n"
-                    "\n"
-                    "\n"
-                    "def cold(items):\n"
-                    "    for item in items:\n"
-                    "        buf = np.zeros(4)\n"
-                    "    return buf\n"
-                )
-            }
-        )
-        analysis = analyze_hotpath(
-            project,
-            entry_points=frozenset({"repro.hotm.mod.hot"}),
-            mutation_modules=(),
-            table=(),
+        analysis = hot_analysis(
+            "import numpy as np\n"
+            "\n"
+            "\n"
+            "def hot(items):\n"
+            "    return len(items)\n"
+            "\n"
+            "\n"
+            "def cold(items):\n"
+            "    for item in items:\n"
+            "        buf = np.zeros(4)\n"
+            "    return buf\n"
         )
         assert analysis.violations == []
+        assert analysis.hot == {"repro.hotm.mod.hot"}
 
     def test_unguarded_obs_in_loop_is_rpr025(self):
         analysis = hot_analysis(
@@ -538,43 +448,47 @@ class TestHotLoops:
 # the real tree
 # ----------------------------------------------------------------------
 class TestHeadTree:
-    def test_head_accounting_is_clean(self, head_accounting):
-        assert head_accounting.violations == []
+    def test_head_accounting_is_clean(self, head_analysis):
+        assert [
+            v for v in head_analysis.violations if v.code in ACCOUNTING_CODES
+        ] == []
 
-    def test_head_hotpath_is_clean(self, head_hotpath):
-        assert head_hotpath.violations == []
+    def test_head_hotpath_is_clean(self, head_analysis):
+        assert [
+            v for v in head_analysis.violations if v.code in HOTPATH_CODES
+        ] == []
 
-    def test_every_read_node_site_passes_a_counter(self, head_accounting):
+    def test_every_read_node_site_passes_a_counter(self, head_analysis):
         read_sites = [
-            s for s in head_accounting.billing_sites if s.kind == "read_node"
+            s for s in head_analysis.billing_sites if s.kind == "read_node"
         ]
         assert read_sites, "expected read_node billing sites in the tree"
         assert all(site.counter for site in read_sites)
 
-    def test_checked_scopes_cover_the_query_layer(self, head_accounting):
-        checked = head_accounting.checked
+    def test_checked_scopes_cover_the_query_layer(self, head_analysis):
+        checked = head_analysis.checked
         assert any(q.endswith("k_nearest_einn") for q in checked)
         assert any(q.endswith("knn_query_detailed") for q in checked)
         assert any(q.endswith("_execute_shared") for q in checked)
 
-    def test_mutation_sites_match_the_declared_table(self, head_hotpath):
+    def test_mutation_sites_match_the_declared_table(self, head_analysis):
         keys = {
             (site.qualname, site.kind, site.target)
-            for site in head_hotpath.sites
+            for site in head_analysis.mutation_sites
         }
         assert keys == {(e.qualname, e.kind, e.target) for e in MUTATION_TABLE}
 
-    def test_hot_set_covers_the_entry_points(self, head_hotpath):
-        hot = head_hotpath.hot
+    def test_hot_set_covers_the_entry_points(self, head_analysis):
+        hot = head_analysis.hot
         assert any(q.endswith("verify_single_peer") for q in hot)
         assert any(q.endswith("incremental_nearest") for q in hot)
 
-    def test_reports_render(self, head_accounting, head_hotpath):
-        acct_text = "\n".join(accounting_report(head_accounting))
+    def test_reports_render(self, head_analysis):
+        acct_text = "\n".join(accounting_report(head_analysis))
         assert "billing table" in acct_text
         assert "read_node" in acct_text
         assert "checked scopes" in acct_text
-        hot_text = "\n".join(hotpath_report(head_hotpath))
+        hot_text = "\n".join(hotpath_report(head_analysis))
         assert "mutation table" in hot_text
         assert "hot set" in hot_text
         assert "extend-in-place" in hot_text
@@ -584,53 +498,39 @@ class TestHeadTree:
 # acceptance fault injections (static, no execution of mutated code)
 # ----------------------------------------------------------------------
 class TestFaultInjection:
-    def test_deleting_a_read_node_call_is_rpr021(self, head_project):
+    def test_deleting_a_read_node_call_is_rpr021(self, head_analysis):
+        head_project = head_analysis.project
         module = head_project.get("repro.index.knn")
         mutated = module.source.replace(
             "        tree.read_node(node, counter)\n", ""
         )
         assert mutated != module.source
-        analysis = analyze_accounting(
-            head_project.replace_source("repro.index.knn", mutated)
+        analysis = deep.analyze(
+            head_project.replace_source("repro.index.knn", mutated),
+            select=["RPR021"],
         )
         flagged = violations_of(analysis, "RPR021")
         assert len(flagged) == 1
         assert "unmetered" in flagged[0].message
         assert "visit" in flagged[0].message
 
-    def test_dropping_session_cleanup_on_drop_path_is_rpr022(self, head_project):
+    def test_dropping_session_cleanup_on_drop_path_is_rpr022(self, head_analysis):
+        head_project = head_analysis.project
         module = head_project.get("repro.service.asyncserver")
         mutated = module.source.replace(
             "            session.close()\n", "            pass\n"
         )
         assert mutated != module.source
-        analysis = analyze_accounting(
-            head_project.replace_source("repro.service.asyncserver", mutated)
+        analysis = deep.analyze(
+            head_project.replace_source("repro.service.asyncserver", mutated),
+            select=["RPR022"],
         )
         flagged = violations_of(analysis, "RPR022")
         assert len(flagged) == 1
         assert "ServiceSession" in flagged[0].message
 
-    def test_encoder_only_field_is_rpr026(self, head_project):
-        module = head_project.get("repro.service.protocol")
-        mutated = module.source.replace(
-            "def _enc_stream_close(w: _Writer, m: StreamClose) -> None:\n"
-            "    w.u32(m.request_id)\n"
-            "    w.u32(m.stream_id)\n",
-            "def _enc_stream_close(w: _Writer, m: StreamClose) -> None:\n"
-            "    w.u32(m.request_id)\n"
-            "    w.u32(m.stream_id)\n"
-            "    w.u32(0)\n",
-        )
-        assert mutated != module.source
-        analysis = analyze_accounting(
-            head_project.replace_source("repro.service.protocol", mutated)
-        )
-        flagged = violations_of(analysis, "RPR026")
-        assert len(flagged) == 1
-        assert "_enc_stream_close" in flagged[0].message
-
-    def test_undeclared_entries_mutation_is_rpr023(self, head_project):
+    def test_undeclared_entries_mutation_is_rpr023(self, head_analysis):
+        head_project = head_analysis.project
         module = head_project.get("repro.index.rtree")
         mutated = module.source.replace(
             "        leaf.entries.remove(entry)\n",
@@ -638,8 +538,9 @@ class TestFaultInjection:
             "        leaf.entries.append(entry)\n",
         )
         assert mutated != module.source
-        analysis = analyze_hotpath(
-            head_project.replace_source("repro.index.rtree", mutated)
+        analysis = deep.analyze(
+            head_project.replace_source("repro.index.rtree", mutated),
+            select=["RPR023"],
         )
         flagged = violations_of(analysis, "RPR023")
         assert len(flagged) == 1
@@ -664,7 +565,7 @@ def _golden_scenarios():
     return items
 
 
-def _allowed_billers(head_accounting):
+def _allowed_billers(head_analysis):
     """The static billing model as runtime (file, function) pairs.
 
     Node/scan billing always surfaces at the ``read_node`` chokepoint;
@@ -672,7 +573,7 @@ def _allowed_billers(head_accounting):
     accounting pass discovered.
     """
     allowed = {("rtree.py", "read_node")}
-    for site in head_accounting.billing_sites:
+    for site in head_analysis.billing_sites:
         if site.kind == "record_object":
             allowed.add(
                 (
@@ -684,7 +585,7 @@ def _allowed_billers(head_accounting):
 
 
 class TestAccountingSanitizer:
-    def test_golden_scenarios_conserve_and_bill_in_model(self, head_accounting):
+    def test_golden_scenarios_conserve_and_bill_in_model(self, head_analysis):
         scenarios = _golden_scenarios()
         assert len(scenarios) >= 20
         SANITIZER.reset_accounting()
@@ -704,12 +605,12 @@ class TestAccountingSanitizer:
                     assert Sanitizer.verify_conservation(counter) == []
             assert SANITIZER.accounting_violations == []
             assert SANITIZER.accounting_leftovers() == []
-            assert SANITIZER.billing_callers <= _allowed_billers(head_accounting)
+            assert SANITIZER.billing_callers <= _allowed_billers(head_analysis)
             assert ("rtree.py", "read_node") in SANITIZER.billing_callers
         finally:
             SANITIZER.reset_accounting()
 
-    def test_live_loopback_server_accounting(self, head_accounting):
+    def test_live_loopback_server_accounting(self, head_analysis):
         rng = np.random.default_rng(7)
         pois = [
             (Point(float(x), float(y)), f"poi-{i}")
@@ -742,7 +643,7 @@ class TestAccountingSanitizer:
                 transport.close()
             assert SANITIZER.accounting_violations == []
             assert SANITIZER.accounting_leftovers() == []
-            assert SANITIZER.billing_callers <= _allowed_billers(head_accounting)
+            assert SANITIZER.billing_callers <= _allowed_billers(head_analysis)
             assert Sanitizer.verify_conservation(server.counter) == []
         finally:
             SANITIZER.reset_accounting()
@@ -818,38 +719,32 @@ class TestAccountingSanitizer:
 # ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
-def _run_cli(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analysis.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-    )
-
-
 class TestCli:
-    def test_perf_flag_is_clean_at_head(self):
-        result = _run_cli("--perf")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "0 new findings" in result.stderr
+    def test_perf_flag_is_clean_at_head(self, lint_cli):
+        # --perf is gone; --deep --select runs just these passes.
+        codes = ",".join(ACCOUNTING_CODES + HOTPATH_CODES)
+        status, out, err = lint_cli("--deep", "--select", codes)
+        assert status == 0, out + err
+        assert "0 findings" in err
 
-    def test_report_flag_prints_tables(self):
-        result = _run_cli("--perf", "--report", "--quiet")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "billing table" in result.stdout
-        assert "mutation table" in result.stdout
-        assert "hot set" in result.stdout
+    def test_report_flag_prints_tables(self, lint_cli, tmp_path):
+        source = (
+            "__all__ = ['delete']\n\n\n"
+            "def delete(leaf, entry, counter):\n"
+            "    counter.record_object(entry)\n"
+            "    leaf.entries.remove(entry)\n"
+        )
+        tree = write_tree(tmp_path, {"repro.index.rtree": source})
+        status, out, err = lint_cli("--deep", "--report", "--quiet", cwd=tree)
+        assert status == 1, out + err
+        assert "repro.index.rtree:5 record_object [delete]  -> counter" in out
+        assert "repro.index.rtree:6 remove leaf.entries  -> (undeclared)" in out
+        assert "hotpath: hot set" in out
+        assert "src/repro/index/rtree.py:6:0: RPR023" in out
 
-    def test_list_rules_includes_perf_catalogue(self):
-        result = _run_cli("--list-rules", "--perf")
-        assert result.returncode == 0
-        for code in (*ACCOUNTING_RULES, *HOTPATH_RULES):
-            assert code in result.stdout
-
-    def test_composes_with_deep_and_concurrency(self):
-        result = _run_cli("--deep", "--concurrency", "--perf")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "--deep --concurrency --perf" in result.stderr
+    def test_list_rules_includes_perf_catalogue(self, lint_cli):
+        status, out, _ = lint_cli("--list-rules")
+        assert status == 0
+        for code in ACCOUNTING_CODES + HOTPATH_CODES:
+            assert code in out
+        assert "RPR026" not in out

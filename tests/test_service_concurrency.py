@@ -4,7 +4,7 @@ Two claims are checked here, both against a *live* server:
 
 1. **Runtime lock-order graph ⊆ static lock-order graph.**  Execution
    with ``REPRO_SANITIZE=1`` records every observed lock nesting; the
-   static pass (``repro-lint --concurrency``) predicts a superset.  An
+   static pass (``repro-lint --deep``, RPR019) predicts a superset.  An
    observed edge the static graph lacks means either an analysis gap or
    a genuinely dynamic acquisition order -- both are test failures.
 2. **Exactness under contention.**  ≥8 threads mixing per-thread
@@ -20,12 +20,9 @@ sets and query mixes while any failure is replayable.
 import threading
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import deep
-from repro.analysis.concurrency import run_concurrency
 from repro.analysis.locks import canonical_lock_name
 from repro.analysis.runtime import SANITIZER, sanitized
 from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
@@ -35,8 +32,6 @@ from repro.service.asyncserver import BackgroundServer, ServiceConfig
 from repro.service.client import ServiceClient
 from repro.service.engine import QueryService
 from repro.service.transport import LoopbackTransport, TcpTransport
-
-from tests.test_analysis_concurrency import REPO_ROOT, SRC_ROOT
 
 
 def make_pois(count, seed, extent=4.0):
@@ -58,18 +53,10 @@ def answer_key(neighbors):
     )
 
 
-@pytest.fixture(scope="module")
-def static_lock_graph():
-    analysis = run_concurrency(
-        [SRC_ROOT], deep.default_reference_roots(REPO_ROOT)
-    )
-    assert analysis.ok
-    return analysis.lock_graph
-
-
 class TestRuntimeMatchesStatic:
-    def test_observed_edges_are_predicted(self, static_lock_graph):
+    def test_observed_edges_are_predicted(self, head_analysis):
         """Drive the service, then diff runtime edges against static."""
+        assert head_analysis.ok
         pois = make_pois(200, seed=3)
         reference = make_server(pois)
         SANITIZER.reset_concurrency()
@@ -99,16 +86,16 @@ class TestRuntimeMatchesStatic:
                 for outer, inner in SANITIZER.lock_order_edges()
             ]
             assert observed_edges, "sanitizer recorded no lock nestings"
-            assert static_lock_graph.missing_edges(observed_edges) == []
+            assert head_analysis.lock_graph.missing_edges(observed_edges) == []
             assert SANITIZER.lock_order_violations == []
             assert SANITIZER.metric_violations == []
         finally:
             SANITIZER.reset_concurrency()
 
-    def test_transport_metrics_edge_is_exercised(self, static_lock_graph):
+    def test_transport_metrics_edge_is_exercised(self, head_analysis):
         """The headline edge exists statically AND fires at runtime."""
         edge = ("TcpTransport._lock", "MetricsRegistry._lock")
-        assert edge in static_lock_graph.edges
+        assert edge in head_analysis.lock_graph.edges
         pois = make_pois(100, seed=5)
         SANITIZER.reset_concurrency()
         try:
