@@ -13,17 +13,17 @@ guardrails on both sides of the build:
 - :mod:`repro.analysis.deep` -- the whole-program analysis behind
   ``repro-lint --deep``: one driver that builds the import graph, the
   call graph (:mod:`~repro.analysis.callgraph`) and the inferred
-  effects (:mod:`~repro.analysis.purity`) once and hands them to every
-  pass -- dead code, purity and determinism zones, the distance
+  blocking effect once and hands them to every pass -- the rules only
+  static analysis can enforce: dead code, the distance
   float-comparison dataflow with its paper-lemma table
   (:mod:`~repro.analysis.floatcheck`), layering contracts
   (:mod:`~repro.analysis.layers`), shared-field lock discipline,
   asyncio hygiene and the static lock-order graph
   (:mod:`~repro.analysis.concurrency`, :mod:`~repro.analysis.locks`),
-  page-billing and subcounter fold-once discipline
-  (:mod:`~repro.analysis.accounting`) and the hot-path rules
-  (:mod:`~repro.analysis.hotpath`); rules ``RPR008`` .. ``RPR013`` and
-  ``RPR015`` .. ``RPR025``;
+  subcounter fold-once on error paths
+  (:mod:`~repro.analysis.accounting`) and obs guards on hot paths
+  (:mod:`~repro.analysis.hotpath`); rules ``RPR008``, ``RPR011`` ..
+  ``RPR013``, ``RPR015`` .. ``RPR020``, ``RPR022`` and ``RPR025``;
 - :mod:`repro.analysis.runtime` -- the opt-in runtime sanitizer
   (``REPRO_SANITIZE=1`` or :func:`sanitized`) that validates R*-tree
   structure, candidate-heap state transitions and Lemma 3.8 soundness
@@ -52,7 +52,6 @@ __all__ = [
     "InvariantViolation",
     "LintReport",
     "Linter",
-    "Policy",
     "Rule",
     "SANITIZER",
     "Sanitizer",
@@ -100,7 +99,7 @@ _RUNTIME_EXPORTS = {
     "sanitized",
     "sanitizer_enabled",
 }
-_DEEP_EXPORTS = {"DeepAnalysis", "Policy", "analyze"}
+_DEEP_EXPORTS = {"DeepAnalysis", "analyze"}
 
 
 def __getattr__(name: str) -> object:

@@ -16,8 +16,8 @@ Two graphs over the parsed :class:`~repro.analysis.project.Project`:
   detection (RPR008) but may keep a same-named helper alive.
 
 "What can this call site reach" is decided in one place,
-:meth:`CallGraph.callees`; the purity fixpoint, the lock-order graph and
-the billing / hot-set closures (:meth:`CallGraph.call_closure`) all ask
+:meth:`CallGraph.callees`; the blocking-effect fixpoint, the lock-order
+graph and the hot-set closure (:meth:`CallGraph.call_closure`) all ask
 it.
 """
 
@@ -56,8 +56,8 @@ __all__ = [
 #: ubiquitous stdlib container/protocol methods, so matching them against
 #: same-named project methods floods the graph with false edges
 #: (``self._held.get(...)`` is a dict probe, not ``SomeCache.get``).  The
-#: purity fixpoint opts out (``generic=True``): an over-approximated
-#: effect is the safe side there.
+#: blocking-effect fixpoint opts out (``generic=True``): an
+#: over-approximated effect is the safe side there.
 GENERIC_ATTRS = frozenset(
     {"get", "set", "put", "pop", "append", "add", "update", "items",
      "keys", "values", "clear", "discard", "remove", "extend", "insert",
@@ -237,13 +237,8 @@ class CallSite:
     #: True when the candidates come from exact resolution rather than
     #: bare-name matching.
     resolved: bool
-    #: Caller parameter used as the receiver (``x.m()`` with ``x`` a
-    #: parameter; ``self`` included), if any.
-    receiver_param: Optional[str]
-    #: Caller parameters passed as positional arguments: (position, name).
-    param_args: Tuple[Tuple[int, str], ...]
     #: Bare method name for unresolved attribute calls (``x.append`` ->
-    #: ``append``); lets the purity pass name-match effects.
+    #: ``append``), which :meth:`CallGraph.callees` name-matches.
     attr: Optional[str] = None
 
 
@@ -256,7 +251,6 @@ class FunctionInfo:
     name: str
     cls: Optional[str]
     lineno: int
-    params: Tuple[str, ...]
     decorators: Tuple[str, ...]
     #: Bare names + attribute names referenced anywhere in the body.
     references: FrozenSet[str]
@@ -410,21 +404,11 @@ def _extract_module(
     module: ProjectModule,
     record_defs: bool,
 ) -> None:
-    resolver = _ModuleScope(symbols, module)
+    resolver = symbols.scope(module)
     module_refs: Set[str] = set()
 
     def collect_function(scope: FunctionScope) -> None:
         node = scope.node
-        params = tuple(
-            arg.arg
-            for arg in [
-                *node.args.posonlyargs,
-                *node.args.args,
-                *node.args.kwonlyargs,
-                *([node.args.vararg] if node.args.vararg else []),
-                *([node.args.kwarg] if node.args.kwarg else []),
-            ]
-        )
         references: Set[str] = set()
         call_sites: List[CallSite] = []
         for sub in ast.walk(node):
@@ -433,7 +417,7 @@ def _extract_module(
             elif isinstance(sub, ast.Attribute):
                 references.add(sub.attr)
             if isinstance(sub, ast.Call):
-                site = _resolve_call(resolver, scope.cls, set(params), sub)
+                site = _resolve_call(resolver, scope.cls, sub)
                 if site is not None:
                     call_sites.append(site)
         decorators = tuple(
@@ -447,7 +431,6 @@ def _extract_module(
             name=node.name,
             cls=scope.cls,
             lineno=node.lineno,
-            params=params,
             decorators=tuple(d for d in decorators if d),
             references=frozenset(references),
             call_sites=tuple(call_sites),
@@ -527,6 +510,7 @@ class _Symbols:
         self.defs: Set[str] = set()
         #: class qualname -> qualnames of its methods, in source order
         self.methods: Dict[str, List[str]] = {}
+        self._scopes: Dict[str, _ModuleScope] = {}
         for module in project.all_modules():
             for name in module.classes:
                 self.defs.add(f"{module.name}.{name}")
@@ -547,6 +531,12 @@ class _Symbols:
         if "." in dotted[len(owner) + 1 :]:
             return None
         return dotted if dotted in self.defs else None
+
+    def scope(self, module: ProjectModule) -> "_ModuleScope":
+        """The name-resolution scope of one module, built on first use."""
+        if module.name not in self._scopes:
+            self._scopes[module.name] = _ModuleScope(self, module)
+        return self._scopes[module.name]
 
     def callable_targets(self, qualname: str) -> Tuple[str, ...]:
         """Map a resolved symbol to callable targets (class -> its methods).
@@ -589,60 +579,90 @@ class _ModuleScope:
             return None
         return self.symbols.resolve_dotted(dotted)
 
+    def resolve_dotted(self, dotted: str) -> Optional[str]:
+        """Resolve ``mod.symbol`` as written here (import aliases applied)."""
+        resolved = self.symbols.resolve_dotted(dotted)
+        if resolved is None and "." in dotted:
+            head = dotted.split(".", 1)[0]
+            mapped = self.imports.get(head)
+            if mapped is not None:
+                resolved = self.symbols.resolve_dotted(dotted.replace(head, mapped, 1))
+        return resolved
+
     def resolve_method(self, cls: str, name: str) -> Optional[str]:
         """``self.name`` inside ``cls`` -> the method's qualname, if defined."""
         owner = f"{self.module.name}.{cls}"
         qualname = f"{owner}.{name}"
         return qualname if qualname in self.symbols.methods.get(owner, ()) else None
 
+    def resolve_super(self, cls: str, name: str) -> Optional[str]:
+        """``super().name`` inside ``cls`` -> the nearest project base's method.
+
+        Bases are searched depth-first in declaration order; a base the
+        project does not define (``ValueError``, ``list``) contributes
+        nothing, so under it the call reaches no project function.
+        """
+        seen: Set[str] = set()
+        pending = self._project_bases(cls)
+        while pending:
+            owner = pending.pop(0)
+            if owner in seen:
+                continue
+            seen.add(owner)
+            if f"{owner}.{name}" in self.symbols.methods[owner]:
+                return f"{owner}.{name}"
+            home, _, base_cls = owner.rpartition(".")
+            module = self.symbols.project.get(home)
+            if module is not None:
+                pending[:0] = self.symbols.scope(module)._project_bases(base_cls)
+        return None
+
+    def _project_bases(self, cls: str) -> List[str]:
+        """Qualnames of the project classes ``cls`` lists as bases, in order."""
+        node = self.module.classes.get(cls)
+        owners: List[str] = []
+        for base in node.bases if node is not None else ():
+            dotted = _dotted(base)
+            owner = (
+                self.resolve_dotted(dotted) if "." in dotted else self.resolve_name(dotted)
+            )
+            if owner is not None and owner in self.symbols.methods:
+                owners.append(owner)
+        return owners
+
 
 def _resolve_call(
-    scope: _ModuleScope,
-    cls: Optional[str],
-    params: Set[str],
-    call: ast.Call,
+    scope: _ModuleScope, cls: Optional[str], call: ast.Call
 ) -> Optional[CallSite]:
     symbols = scope.symbols
-    param_args = tuple(
-        (position, arg.id)
-        for position, arg in enumerate(call.args)
-        if isinstance(arg, ast.Name) and arg.id in params
-    )
     func = call.func
     if isinstance(func, ast.Name):
         resolved = scope.resolve_name(func.id)
         if resolved is not None:
-            candidates = symbols.callable_targets(resolved)
-            return CallSite(call.lineno, candidates, True, None, param_args)
+            return CallSite(call.lineno, symbols.callable_targets(resolved), True)
         # Unknown bare name (builtin, closure); name matching by the
         # reference set covers liveness, nothing to record here.
         return None
     if isinstance(func, ast.Attribute):
         receiver = func.value
-        receiver_param: Optional[str] = None
+        if (
+            isinstance(receiver, ast.Call)
+            and isinstance(receiver.func, ast.Name)
+            and receiver.func.id == "super"
+        ):
+            # Never by bare name: ``super().__init__()`` under a stdlib
+            # base would otherwise match every reachable ``__init__``.
+            method = scope.resolve_super(cls, func.attr) if cls is not None else None
+            return CallSite(call.lineno, (method,) if method else (), True)
         if isinstance(receiver, ast.Name):
-            if receiver.id in params:
-                receiver_param = receiver.id
             if receiver.id in ("self", "cls") and cls is not None:
                 method = scope.resolve_method(cls, func.attr)
                 if method is not None:
-                    return CallSite(
-                        call.lineno, (method,), True, receiver_param, param_args
-                    )
-            dotted = _dotted(func)
-            if dotted:
-                resolved = symbols.resolve_dotted(dotted)
-                if resolved is None and "." in dotted:
-                    head = dotted.split(".", 1)[0]
-                    mapped = scope.imports.get(head)
-                    if mapped is not None:
-                        resolved = symbols.resolve_dotted(
-                            dotted.replace(head, mapped, 1)
-                        )
-                if resolved is not None:
-                    candidates = symbols.callable_targets(resolved)
-                    return CallSite(call.lineno, candidates, True, receiver_param, param_args)
+                    return CallSite(call.lineno, (method,), True)
+            resolved = scope.resolve_dotted(_dotted(func))
+            if resolved is not None:
+                return CallSite(call.lineno, symbols.callable_targets(resolved), True)
         # Fallback: record the bare attribute name; liveness is covered
-        # by the reference set, purity matches the name itself.
-        return CallSite(call.lineno, (), False, receiver_param, param_args, func.attr)
+        # by the reference set, the callee query matches the name itself.
+        return CallSite(call.lineno, (), False, func.attr)
     return None

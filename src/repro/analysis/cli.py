@@ -9,15 +9,15 @@ Also runnable without an installed entry point::
 
 Plain ``repro-lint PATHS`` runs the per-module rules over the given
 files.  ``--deep`` instead runs every whole-program rule
-(:mod:`repro.analysis.deep`: dead code, purity and determinism zones,
-float-comparison dataflow and the lemma table, layering, concurrency,
-page accounting, hot paths) and must be started from the repository
+(:mod:`repro.analysis.deep`: dead code, float-comparison dataflow and
+the lemma table, layering, concurrency, subcounter fold-once, obs
+guards on hot paths) and must be started from the repository
 root: it always analyzes the full ``src/repro`` tree -- cross-module
 reasoning needs the whole program -- and ignores ``PATHS`` unless
 ``--changed-only`` is given, which restricts the *reported* findings to
 those paths (or, with no paths, to the files ``git diff --name-only
 HEAD`` lists); that is what the pre-commit hook uses.  ``--report``
-additionally prints the six tables the passes derive.  ``--select``,
+additionally prints the four tables the passes derive.  ``--select``,
 ``--ignore`` and ``--list-rules`` treat both kinds of rule alike; any
 finding fails the run, and ``# repro: noqa(CODE)`` with a reason is the
 one escape hatch.
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "also print the guarded-by table, lock-order graph, thread "
-            "entry points, billing table, mutation table and hot set"
+            "entry points and hot set"
         ),
     )
     return parser

@@ -11,6 +11,7 @@ RPR015    shared field written without the lock its other writes hold
           (or outside its declared ``guarded-by`` guard)
 RPR016    blocking call (socket, ``time.sleep``, subprocess) reachable
           from a coroutine without ``run_in_executor``
+          (:func:`infer_effects`, the one inferred effect)
 RPR017    ``await`` while holding a ``threading.Lock``
 RPR018    ``create_task``/``ensure_future`` result dropped on the floor
 RPR019    lock-order cycle (potential deadlock), incl. self-deadlock on
@@ -40,7 +41,7 @@ writes are RPR015; all-unlocked writes demand an explicit annotation
 **Lock order.**  Lexical ``with`` nesting plus one interprocedural hop
 (call under a held lock -> the callee's transitively acquired locks,
 fixpoint over the call graph with the same import-reachability filter
-the purity pass uses) builds a :class:`~repro.analysis.locks.
+the blocking effect uses) builds a :class:`~repro.analysis.locks.
 LockOrderGraph`; cycles are RPR019.  The runtime race sanitizer
 (:mod:`repro.analysis.runtime`) records the same graph from live
 acquisitions, and the service tests assert the observed edges are a
@@ -63,26 +64,27 @@ from repro.analysis import config
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.lint import Violation, _dotted, register_rule
 from repro.analysis.locks import LockOrderGraph, LockSite, canonical_lock_name
-from repro.analysis.project import FunctionNode, ProjectModule
-from repro.analysis.purity import Effect
+from repro.analysis.project import FunctionNode, Project, ProjectModule
 
 if TYPE_CHECKING:
     from repro.analysis.deep import DeepAnalysis
 
 __all__ = [
+    "EffectWitness",
     "FieldWrite",
     "LockDecl",
     "SharedClass",
     "concurrency_pass",
     "concurrency_report",
+    "infer_effects",
 ]
 
 _INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 _TASK_FACTORIES = frozenset({"create_task", "ensure_future"})
 _GUARDED_RE = re.compile(r"#\s*repro:\s*guarded-by\(([^)]+)\)")
 #: Receiver-mutating method names treated as writes of ``self.field``
-#: when called as ``self.field.method(...)`` (subset of the purity
-#: catalogue that matters for containers used as shared state).
+#: when called as ``self.field.method(...)`` (the builtin mutators that
+#: matter for containers used as shared state).
 _MUTATOR_METHODS = frozenset(
     {"append", "extend", "insert", "remove", "pop", "popitem", "clear",
      "add", "discard", "update", "setdefault"}
@@ -706,6 +708,93 @@ def _build_lock_graph(
 
 
 # ----------------------------------------------------------------------
+# the blocking effect (RPR016)
+# ----------------------------------------------------------------------
+#: Calls that can park the calling thread for an unbounded or
+#: network-scale time.  ``print`` and file writes finish promptly enough
+#: for a CLI banner and are not listed; ``.acquire()`` is deliberately
+#: absent -- lock blocking is RPR017/RPR019 territory, and seeding it
+#: here would flag every coroutine that touches an asyncio primitive
+#: whose method names mirror the threading ones.
+_BLOCKING_NAMES = frozenset({"input"})
+_BLOCKING_DOTTED = frozenset({"time.sleep"})
+_BLOCKING_DOTTED_PREFIXES: Tuple[str, ...] = ("socket.", "subprocess.")
+#: Socket-ish receiver methods: ``x.recv(...)`` blocks whatever ``x`` is
+#: in this codebase (only socket code spells these names).
+_BLOCKING_METHODS = frozenset(
+    {"accept", "makefile", "recv", "recv_into", "send", "sendall"}
+)
+
+
+@dataclass(frozen=True)
+class EffectWitness:
+    """Where blocking enters a function (directly or via a call chain)."""
+
+    lineno: int
+    description: str
+
+
+def infer_effects(project: Project, graph: CallGraph) -> Dict[str, EffectWitness]:
+    """Every function that can block its thread, with where it does.
+
+    Seeded by each function's first blocking call, then propagated to
+    callers until a fixpoint.  Name-matched attribute calls dispatch
+    through :meth:`CallGraph.callees` with the generic names left in,
+    and only to modules the caller can import; ``run_in_executor`` /
+    ``to_thread`` dispatch sites resolve to *no* candidates, so handing
+    blocking work to an executor does not taint the dispatching
+    coroutine.
+    """
+    blocking: Dict[str, EffectWitness] = {}
+    for module in project.modules.values():
+        for scope in module.functions:
+            witness = _first_blocking_call(scope.node)
+            if witness is not None:
+                blocking[scope.qualname] = witness
+
+    changed = True
+    while changed:
+        changed = False
+        for qualname, info in graph.functions.items():
+            if qualname in blocking:
+                continue
+            reached = next(
+                (
+                    (site.lineno, callee)
+                    for site in info.call_sites
+                    for callee in graph.callees(info, site, generic=True)
+                    if callee in blocking
+                ),
+                None,
+            )
+            if reached is not None:
+                lineno, callee = reached
+                blocking[qualname] = EffectWitness(
+                    lineno, f"calls {callee} ({blocking[callee].description})"
+                )
+                changed = True
+    return blocking
+
+
+def _first_blocking_call(node: FunctionNode) -> Optional[EffectWitness]:
+    for sub in ast.walk(node):
+        if not isinstance(sub, ast.Call):
+            continue
+        dotted = _dotted(sub.func)
+        if (
+            dotted in _BLOCKING_NAMES
+            or dotted in _BLOCKING_DOTTED
+            or dotted.startswith(_BLOCKING_DOTTED_PREFIXES)
+            or (
+                isinstance(sub.func, ast.Attribute)
+                and dotted.rsplit(".", 1)[-1] in _BLOCKING_METHODS
+            )
+        ):
+            return EffectWitness(sub.lineno, f"blocking call `{dotted}`")
+    return None
+
+
+# ----------------------------------------------------------------------
 # the pass
 # ----------------------------------------------------------------------
 @register_rule(
@@ -800,13 +889,11 @@ def concurrency_pass(analysis: DeepAnalysis) -> List[Violation]:
         if isinstance(scope.node, ast.AsyncFunctionDef)
     }
     for qualname in sorted(coroutines):
-        report = effects[qualname]
-        if report.has(Effect.BLOCKING):
-            info = graph.functions[qualname]
-            witness = report.effects[Effect.BLOCKING]
+        witness = effects.get(qualname)
+        if witness is not None:
             violations.append(
                 Violation(
-                    modules[info.module].path,
+                    modules[graph.functions[qualname].module].path,
                     witness.lineno,
                     0,
                     "RPR016",

@@ -2,7 +2,7 @@
 
 Everything the passes treat as *policy* rather than *mechanism* lives
 here, so a reviewer can audit the contracts in one place and a satellite
-change (a new entry point, a widened purity zone) is a one-line diff.
+change (a new entry point, a new strict-float module) is a one-line diff.
 
 See ``docs/static_analysis.md`` ("Whole-program analysis") for the
 rationale behind each table.
@@ -13,10 +13,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Mapping, Tuple
 
 __all__ = [
-    "BILLING_ENTRY_POINTS",
-    "BILLING_MODULES",
     "CONCURRENT_CLASSES",
-    "DETERMINISM_ZONES",
     "DOCSTRING_REQUIRED_PREFIXES",
     "ENTRY_POINTS",
     "FRAMEWORK_METHOD_PREFIXES",
@@ -26,8 +23,6 @@ __all__ = [
     "LAYER_RANKS",
     "LIVENESS_REFERENCE_ROOTS",
     "LOCK_ALIASES",
-    "MIRROR_MUTATION_MODULES",
-    "PURITY_ZONES",
     "STATIC_ANALYSIS_MODULES",
     "STRICT_FLOAT_MODULES",
 ]
@@ -63,39 +58,6 @@ FRAMEWORK_METHOD_PREFIXES: Tuple[str, ...] = (
 #: definitions alive even though the files themselves are not analyzed
 #: for contracts: a helper used only by the test suite is not dead.
 LIVENESS_REFERENCE_ROOTS: Tuple[str, ...] = ("tests", "benchmarks", "examples")
-
-# ----------------------------------------------------------------------
-# Purity / determinism (RPR009, RPR010)
-# ----------------------------------------------------------------------
-
-#: Modules whose functions must be externally pure: no I/O, no mutation
-#: of globals, and no mutation of their arguments (``self`` included for
-#: module-level functions; geometry builder methods legitimately mutate
-#: ``self`` and are covered by the ``allow_self_mutation`` flag).
-#: Maps module prefix -> allow_self_mutation.
-PURITY_ZONES: Mapping[str, bool] = {
-    # Oracles recompute ground truth from first principles; any side
-    # effect would let one differential check perturb the next.
-    "repro.testing.oracles": False,
-    # The tolerance helpers are the project's comparison vocabulary.
-    "repro.geometry.tolerance": False,
-    # Geometry predicates and constructors; mutating *self* is allowed
-    # (AngularIntervalSet.add, CertainRegion.add_circle are builders)
-    # but arguments and globals are off limits.
-    "repro.geometry": True,
-}
-
-#: Modules that must be bit-exact reproducible: no wall-clock reads, no
-#: global-state RNG, no ``id()``-dependent values, no iteration over
-#: sets (hash order varies across processes under PYTHONHASHSEED).
-#: Replay strings and oracle verdicts both depend on this.
-DETERMINISM_ZONES: Tuple[str, ...] = (
-    "repro.geometry",
-    "repro.testing.oracles",
-    "repro.testing.scenarios",
-    "repro.core",
-    "repro.index",
-)
 
 # ----------------------------------------------------------------------
 # Float-comparison dataflow (RPR011, RPR012)
@@ -186,15 +148,13 @@ CONCURRENT_CLASSES: FrozenSet[str] = frozenset(
 )
 
 # ----------------------------------------------------------------------
-# Performance & accounting (RPR021-RPR025)
+# Hot paths (RPR025)
 # ----------------------------------------------------------------------
 
-#: Query entry points of the billing model (RPR021): the functions whose
-#: call-graph closure constitutes the *checked scopes* -- everything a
-#: client-visible query can reach must bill its node scans.  The
-#: insertion/bulk-load machinery is deliberately outside this set (its
-#: scans are build-time, not billed by the paper's cost model).
-BILLING_ENTRY_POINTS: FrozenSet[str] = frozenset(
+#: Hot-set roots: the client-visible query entry points and the
+#: verification kernels, whose loops dominate SENN answer latency.  The
+#: insertion/bulk-load machinery is deliberately outside this set.
+HOT_ENTRY_POINTS: FrozenSet[str] = frozenset(
     {
         "repro.core.server.SpatialDatabaseServer.knn_query_detailed",
         "repro.core.server.SpatialDatabaseServer.range_query_detailed",
@@ -202,34 +162,10 @@ BILLING_ENTRY_POINTS: FrozenSet[str] = frozenset(
         "repro.core.server.SpatialDatabaseServer.incremental_query",
         "repro.service.batching.BatchExecutor.execute",
         "repro.service.engine.ServiceSession.handle",
-    }
-)
-
-#: Modules the billing model scans for access sites.  Everything that
-#: touches ``Node.entries`` on a query path lives here; the simulator
-#: and test harnesses consume only the already-billed detailed results.
-BILLING_MODULES: Tuple[str, ...] = (
-    "repro.index.knn",
-    "repro.index.rtree",
-    "repro.core.server",
-    "repro.service.batching",
-    "repro.service.engine",
-)
-
-#: Hot-set roots (RPR023-RPR025): the billing entry points plus the
-#: verification kernels, whose loops dominate SENN answer latency.
-HOT_ENTRY_POINTS: FrozenSet[str] = BILLING_ENTRY_POINTS | frozenset(
-    {
         "repro.core.verification.verify_single_peer",
         "repro.core.verification.verify_multi_peer",
     }
 )
-
-#: Modules whose ``Node.entries`` mutations must be declared in
-#: ``repro.analysis.hotpath.MUTATION_TABLE`` (RPR023).  The mirror
-#: *mechanism* (``repro.index.node``) is exempt: its tracked-list
-#: mutators perform the invalidation the table documents.
-MIRROR_MUTATION_MODULES: Tuple[str, ...] = ("repro.index.rtree",)
 
 # ----------------------------------------------------------------------
 # Layering (RPR013)
@@ -284,6 +220,5 @@ STATIC_ANALYSIS_MODULES: Tuple[str, ...] = (
     "repro.analysis.lint",
     "repro.analysis.locks",
     "repro.analysis.project",
-    "repro.analysis.purity",
     "repro.analysis.rules",
 )

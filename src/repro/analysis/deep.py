@@ -4,36 +4,34 @@ The per-module rules of :mod:`repro.analysis.rules` cannot see across
 files.  :func:`analyze` takes a project loaded once
 (:mod:`repro.analysis.project`) and returns a :class:`DeepAnalysis`: the
 facts every pass shares -- import graph, call graph
-(:mod:`repro.analysis.callgraph`), inferred effects
-(:mod:`repro.analysis.purity`), each built at most once and only when a
-selected pass asks -- the tables the passes derive (``--report`` prints
-them), and the findings, folded into the engine's
-:class:`~repro.analysis.lint.Violation` shape so suppression, rendering
-and CI treatment stay uniform.
+(:mod:`repro.analysis.callgraph`), the inferred blocking effect
+(:func:`repro.analysis.concurrency.infer_effects`), each built at most
+once and only when a selected pass asks -- the four tables the passes
+derive (``--report`` prints them), and the findings, folded into the
+engine's :class:`~repro.analysis.lint.Violation` shape so suppression,
+rendering and CI treatment stay uniform.
 
 Whole-program rules sit in the same catalogue as the per-module ones
 (:func:`repro.analysis.lint.register_rule` with ``whole_program=True``);
 a pass is the function registered under every code it can emit.  This
-module registers the first six and imports the modules that register the
-rest:
+module registers the first four and imports the modules that register
+the rest:
 
 ========  ============================================================
 RPR008    dead code: functions unreachable from every liveness root
-RPR009    side effect inside a purity zone (oracles, geometry)
-RPR010    nondeterminism inside a determinism zone (replay surfaces)
 RPR011    raw float comparison on a distance-valued expression
 RPR012    lemma-conformance breach (direction flip, stale table entry)
 RPR013    layering-contract or import-cycle violation
 RPR015+   :mod:`repro.analysis.concurrency` (RPR015-RPR020),
-          :mod:`repro.analysis.accounting` (RPR021, RPR022),
-          :mod:`repro.analysis.hotpath` (RPR023-RPR025)
+          :mod:`repro.analysis.accounting` (RPR022),
+          :mod:`repro.analysis.hotpath` (RPR025)
 ========  ============================================================
 
-``# repro: noqa(CODE)`` works on the reported line as usual and is the
-one escape hatch: any finding fails the run.  For RPR009/RPR010 a noqa
-at the *origin* of an effect (the ``hash()`` probe, the cache-fill
-assignment) additionally stops the effect from propagating, so one
-justified suppression covers the whole transitive caller set.
+These are the rules only static analysis can enforce; what a run-time
+gate already pins (page billing, mirror coherence, replay determinism)
+is left to that gate -- the yield table in ``docs/static_analysis.md``
+records the evidence.  ``# repro: noqa(CODE)`` on the reported line is
+the one escape hatch: any finding fails the run.
 """
 
 from __future__ import annotations
@@ -41,27 +39,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
+from repro.analysis import accounting as _accounting  # noqa: F401  registers RPR022
 from repro.analysis import config
-from repro.analysis.accounting import BillingSite, accounting_report
 from repro.analysis.callgraph import (
     CallGraph,
     ImportGraph,
     build_call_graph,
     build_import_graph,
 )
-from repro.analysis.concurrency import SharedClass, concurrency_report
+from repro.analysis.concurrency import (
+    EffectWitness,
+    SharedClass,
+    concurrency_report,
+    infer_effects,
+)
 from repro.analysis.floatcheck import (
     float_comparison_violations,
     lemma_conformance_violations,
 )
-from repro.analysis.hotpath import (
-    MUTATION_TABLE,
-    MutationEntry,
-    MutationSite,
-    hotpath_report,
-)
+from repro.analysis.hotpath import hotpath_report
 from repro.analysis.layers import cycle_violations, layer_violations
 from repro.analysis.lint import (
     ALL_CODES,
@@ -72,37 +70,13 @@ from repro.analysis.lint import (
 )
 from repro.analysis.locks import LockOrderGraph
 from repro.analysis.project import Project
-from repro.analysis.purity import (
-    FunctionEffects,
-    determinism_violations,
-    infer_effects,
-    purity_violations,
-)
 
 __all__ = [
     "DeepAnalysis",
-    "Policy",
     "analyze",
     "apply_suppressions",
     "default_reference_roots",
 ]
-
-
-@dataclass(frozen=True)
-class Policy:
-    """The declared names and tables the passes check the code against.
-
-    The default is the repository's own policy; test fixtures pass
-    their own for synthetic projects.  Only what a fixture overrides is
-    a field: ``config.ENTRY_POINTS``, ``config.CONCURRENT_CLASSES`` and
-    ``floatcheck.LEMMA_TABLE`` are read where they are used.
-    """
-
-    billing_entry_points: FrozenSet[str] = config.BILLING_ENTRY_POINTS
-    billing_modules: Tuple[str, ...] = config.BILLING_MODULES
-    hot_entry_points: FrozenSet[str] = config.HOT_ENTRY_POINTS
-    mutation_modules: Tuple[str, ...] = config.MIRROR_MUTATION_MODULES
-    mutation_table: Tuple[MutationEntry, ...] = MUTATION_TABLE
 
 
 @dataclass
@@ -110,7 +84,8 @@ class DeepAnalysis:
     """One ``--deep`` run: shared facts, derived tables and findings."""
 
     project: Project
-    policy: Policy = Policy()
+    #: Roots of the hot set; only the RPR025 test fixtures replace them.
+    hot_entry_points: FrozenSet[str] = config.HOT_ENTRY_POINTS
     violations: List[Violation] = field(default_factory=list)
 
     # -- tables; a table stays empty when its pass was not selected ----
@@ -120,11 +95,7 @@ class DeepAnalysis:
     guarded_by: Dict[str, str] = field(default_factory=dict)
     lock_graph: LockOrderGraph = field(default_factory=LockOrderGraph)
     thread_entries: List[str] = field(default_factory=list)
-    #: Billing scopes reachable from the billing entry points (RPR021).
-    checked: Set[str] = field(default_factory=set)
-    billing_sites: List[BillingSite] = field(default_factory=list)
-    mutation_sites: List[MutationSite] = field(default_factory=list)
-    #: Functions reachable from the hot entry points (RPR024/RPR025).
+    #: Functions reachable from the hot entry points (RPR025).
     hot: Set[str] = field(default_factory=set)
 
     # -- facts, built on first use -------------------------------------
@@ -139,8 +110,8 @@ class DeepAnalysis:
         return build_call_graph(self.project, self.import_graph)
 
     @cached_property
-    def effects(self) -> Dict[str, FunctionEffects]:
-        """Inferred effect set of every function in the call graph."""
+    def effects(self) -> Dict[str, EffectWitness]:
+        """The inferred effect: every function that can block, and where."""
         return infer_effects(self.project, self.graph)
 
     @property
@@ -149,28 +120,25 @@ class DeepAnalysis:
         return not self.violations
 
     def report(self) -> List[str]:
-        """The six tables ``--report`` prints."""
-        return [
-            *concurrency_report(self),
-            *accounting_report(self),
-            *hotpath_report(self),
-        ]
+        """The four tables ``--report`` prints."""
+        return [*concurrency_report(self), *hotpath_report(self)]
 
 
 def analyze(
     project: Project,
     select: Optional[Iterable[str]] = None,
-    policy: Policy = Policy(),
+    hot_entry_points: FrozenSet[str] = config.HOT_ENTRY_POINTS,
 ) -> DeepAnalysis:
     """Run the whole-program passes that can emit the selected codes.
 
     ``select`` defaults to every whole-program rule; an unknown or
-    per-module code raises ``ValueError``.  Files that failed to parse
-    are always reported (RPR900).
+    per-module code raises ``ValueError``.  ``hot_entry_points`` are the
+    roots of the RPR025 hot set.  Files that failed to parse are always
+    reported (RPR900).
     """
     rules = select_rules(select, None, whole_program=True)
     codes = {rule.code for rule in rules}
-    analysis = DeepAnalysis(project, policy)
+    analysis = DeepAnalysis(project, hot_entry_points)
     found = [
         Violation(path, 1, 0, PARSE_ERROR_CODE, f"cannot parse file: {message}")
         for path, message in project.errors
@@ -186,7 +154,7 @@ def analyze(
 
 
 # ----------------------------------------------------------------------
-# the first six passes
+# the first four passes
 # ----------------------------------------------------------------------
 @register_rule(
     "RPR008",
@@ -205,44 +173,6 @@ def _dead_code(analysis: DeepAnalysis) -> Iterator[Violation]:
             f"`{info.qualname}` is unreachable from every entry point, "
             "export or test; delete it or add a liveness root "
             "(repro.analysis.config.ENTRY_POINTS)",
-        )
-
-
-@register_rule(
-    "RPR009",
-    "purity-zone-violation",
-    "I/O, global mutation or argument mutation inside a purity zone "
-    "(repro.testing.oracles, repro.geometry)",
-    whole_program=True,
-)
-def _purity(analysis: DeepAnalysis) -> Iterator[Violation]:
-    for info, effect, witness in purity_violations(analysis.graph, analysis.effects):
-        yield Violation(
-            analysis.project.modules[info.module].path,
-            witness.lineno,
-            0,
-            "RPR009",
-            f"`{info.qualname}` {effect.value} inside a purity zone: "
-            f"{witness.description}",
-        )
-
-
-@register_rule(
-    "RPR010",
-    "determinism-zone-violation",
-    "wall-clock, global RNG, id()/hash(), or set-iteration order "
-    "inside a determinism zone (geometry, core, index, oracles)",
-    whole_program=True,
-)
-def _determinism(analysis: DeepAnalysis) -> Iterator[Violation]:
-    for info, witness in determinism_violations(analysis.graph, analysis.effects):
-        yield Violation(
-            analysis.project.modules[info.module].path,
-            witness.lineno,
-            0,
-            "RPR010",
-            f"`{info.qualname}` is nondeterministic inside a determinism "
-            f"zone: {witness.description}",
         )
 
 
@@ -293,7 +223,7 @@ def _layering(analysis: DeepAnalysis) -> Iterator[Violation]:
 # declared names that resolve to nothing
 # ----------------------------------------------------------------------
 def _undefined_names(analysis: DeepAnalysis, codes: Set[str]) -> Iterator[Violation]:
-    """A policy name whose module is loaded but does not define it.
+    """A declared name whose module is loaded but does not define it.
 
     The passes start from whichever declared names the call graph
     knows, so a misspelt entry point would otherwise shrink the checked
@@ -303,17 +233,11 @@ def _undefined_names(analysis: DeepAnalysis, codes: Set[str]) -> Iterator[Violat
     project that does not contain the named module at all (a fixture, a
     partial run) stays silent.
     """
-    project, policy = analysis.project, analysis.policy
+    project = analysis.project
     declared = (
         ("RPR008", "ENTRY_POINTS", config.ENTRY_POINTS),
         ("RPR015", "CONCURRENT_CLASSES", config.CONCURRENT_CLASSES),
-        ("RPR021", "BILLING_ENTRY_POINTS", policy.billing_entry_points),
-        (
-            "RPR024",
-            "HOT_ENTRY_POINTS",
-            # The hot set extends the billing one; report a name once.
-            policy.hot_entry_points - policy.billing_entry_points,
-        ),
+        ("RPR025", "HOT_ENTRY_POINTS", analysis.hot_entry_points),
     )
     declaring = project.modules.get(config.__name__)
     for code, table, names in declared:

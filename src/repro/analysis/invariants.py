@@ -271,11 +271,11 @@ def validate_rtree(tree: RTree, strict_fill: Optional[bool] = None) -> None:
         node, is_root = stack.pop()
         # id() here detects aliased node objects inside one tree walk; the
         # identities never escape the traversal, so replay is unaffected.
-        if id(node) in seen:  # repro: noqa(RPR010)
+        if id(node) in seen:
             raise InvariantViolation(
                 f"node page={node.page_id} is referenced more than once"
             )
-        seen.add(id(node))  # repro: noqa(RPR010)
+        seen.add(id(node))
 
         count = len(node.entries)
         if count > config.max_entries:

@@ -21,7 +21,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.lint import ALL_CODES, _collect_suppressions, _module_name
+from repro.analysis.lint import _collect_suppressions, _module_name
 
 __all__ = [
     "FunctionNode",
@@ -166,12 +166,6 @@ class Project:
                 return None
             candidate = candidate.rsplit(".", 1)[0]
         return None
-
-    def is_suppressed(self, module: str, lineno: int, code: str) -> bool:
-        """Does a ``# repro: noqa`` on that line of ``module`` cover ``code``?"""
-        loaded = self.get(module)
-        codes = loaded.noqa.get(lineno) if loaded is not None else None
-        return codes is not None and (codes is ALL_CODES or code in codes)
 
     def replace_source(self, name: str, source: str) -> "Project":
         """A copy of the project with one module's source swapped out.

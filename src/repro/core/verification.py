@@ -314,7 +314,7 @@ def _hashable(payload: object) -> object:
     # equality, and the id() fallback only labels unhashable payloads
     # within one run, so the key is observationally deterministic.
     try:
-        hash(payload)  # repro: noqa(RPR010)
+        hash(payload)
     except TypeError:
-        return id(payload)  # repro: noqa(RPR010)
+        return id(payload)
     return payload

@@ -209,7 +209,7 @@ def polygon_covered_by_polygons(
         for vertex in poly.vertices:
             if not _strictly_inside_polygon(target, vertex, tolerance):
                 continue
-            others = [  # repro: hot-alloc(per-vertex exclusion list; relevant covers are a handful of peer regions and this branch runs only for vertices strictly inside the target)
+            others = [
                 other for other in relevant if other is not poly
             ]
             if not _strictly_inside_union(others, vertex, tolerance):
@@ -335,7 +335,7 @@ class CertainRegion:
         if self._polygons is None:
             # Memoized derived state: the polygon cache is a pure function
             # of the frozen circles, so filling it is observationally pure.
-            self._polygons = [  # repro: noqa(RPR009)
+            self._polygons = [
                 Polygon.inscribed_in_circle(circle, sides=self.polygon_sides)
                 for circle in self.circles
                 if circle.radius > 0.0

@@ -96,9 +96,9 @@ def poi_key(point: Point, payload: Any) -> Tuple[float, float, Any]:
     observationally deterministic.
     """
     try:
-        hash(payload)  # repro: noqa(RPR010)
+        hash(payload)
     except TypeError:
-        payload = id(payload)  # repro: noqa(RPR010)
+        payload = id(payload)
     return (point.x, point.y, payload)
 
 

@@ -103,8 +103,7 @@ class NodeArrays:
     a matching entry extends the columns in place
     (:meth:`append_entry`, the incremental-mirror path), while every
     other mutation drops the whole object so the next access rebuilds
-    it.  The declared strategy per R-tree mutation site lives in
-    ``repro.analysis.hotpath.MUTATION_TABLE`` (RPR023).
+    it.
     """
 
     __slots__ = (

@@ -19,9 +19,10 @@ budget is asserted against (``tests/test_obs_overhead.py``).
 Two time-based hooks live here rather than in the engine: the
 :func:`span` context manager and the :func:`timed` decorator, both of
 which read ``time.perf_counter``. They are therefore **only** for the
-outer layers (``repro.sim``, ``repro.obs.bench``, experiments) — the
-determinism zones ``repro.core`` / ``repro.index`` (lint rule RPR010)
-must restrict themselves to counter increments.
+outer layers (``repro.sim``, ``repro.obs.bench``, experiments) —
+``repro.core`` / ``repro.index`` must stay bit-exact replayable (the
+difftest oracles and golden digests compare their outputs) and
+restrict themselves to counter increments.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def span(name: str, **attrs: Any) -> Iterator[None]:
 
     When a tracer is installed on :data:`OBS`, the block is also
     recorded as a trace span (against the *tracer's* clock, which may
-    be logical). Only for use outside the determinism zones — this
-    reads ``time.perf_counter``.
+    be logical). Only for use outside ``repro.core`` / ``repro.index``
+    — this reads ``time.perf_counter``.
     """
     if not OBS.enabled:
         yield

@@ -4,7 +4,7 @@ A :class:`Tracer` records a flat list of :class:`TraceRecord` objects —
 closed spans (with start/end timestamps and parent links) and point
 events. Two properties keep traces compatible with the determinism
 rules that govern the rest of the codebase (``repro.testing`` replay,
-lint rule RPR010's no-wall-clock zones):
+no wall-clock reads in ``repro.core`` / ``repro.index``):
 
 * **Deterministic by default.** The default clock is a
   :class:`LogicalClock` that returns 0, 1, 2, ... — so a trace of a

@@ -170,7 +170,7 @@ class BatchExecutor:
                     # One member list per batch group; the shared EINN
                     # traversal it enables amortizes far more page reads
                     # than the list costs.
-                    [requests[i] for i in members]  # repro: hot-alloc(per-batch member list)
+                    [requests[i] for i in members]
                 )
                 for member, answer in zip(members, shared):
                     answers[member] = answer

@@ -685,12 +685,6 @@ class TestRuntimeSanitizer:
 # CLI integration
 # ----------------------------------------------------------------------
 class TestCli:
-    def test_concurrency_flag_is_clean_at_head(self, lint_cli):
-        # --concurrency is gone; --deep --select runs just this pass.
-        status, out, err = lint_cli("--deep", "--select", ",".join(CONCURRENCY_CODES))
-        assert status == 0, out + err
-        assert "0 findings" in err
-
     def test_report_flag_prints_tables(self, lint_cli, tmp_path):
         consistent = CYCLE_SOURCES["repro.conc.ab"].replace(
             "        with self.b_lock:\n            with self.a_lock:\n",

@@ -1,6 +1,6 @@
-"""Acceptance tests for ``repro-lint --deep``: the driver, its CLI and
-rules RPR008-RPR013 (RPR015-RPR020 live in ``test_analysis_concurrency``,
-RPR021-RPR025 in ``test_analysis_perf``).
+"""Acceptance tests for ``repro-lint --deep``: the driver, its CLI, the
+call graph and rules RPR008, RPR011-RPR013 (RPR015-RPR020 live in
+``test_analysis_concurrency``, RPR022 and RPR025 in ``test_analysis_perf``).
 
 Two layers of coverage:
 
@@ -13,13 +13,13 @@ Two layers of coverage:
   RPR012 findings *statically* -- no test execution of the mutated code.
 """
 
-import dataclasses
 import os
 import subprocess
 import sys
 
 from repro.analysis import config, deep
 from repro.analysis.callgraph import build_call_graph, build_import_graph
+from repro.analysis.concurrency import infer_effects
 from repro.analysis.floatcheck import (
     LEMMA_TABLE,
     SELF_CHECK_SCOPES,
@@ -30,12 +30,6 @@ from repro.analysis.floatcheck import (
 )
 from repro.analysis.layers import cycle_violations, layer_violations
 from repro.analysis.project import project_from_sources
-from repro.analysis.purity import (
-    Effect,
-    determinism_violations,
-    infer_effects,
-    purity_violations,
-)
 from tests.conftest import REPO_ROOT, violations_of, write_tree
 
 
@@ -76,185 +70,6 @@ class TestDeadCode:
 
     def test_head_dead_code_report_is_empty(self, head_analysis):
         assert list(head_analysis.graph.dead()) == []
-
-
-# ----------------------------------------------------------------------
-# RPR009: purity zones
-# ----------------------------------------------------------------------
-class TestPurityZones:
-    def test_argument_mutation_in_oracle_zone(self):
-        project = project_from_sources(
-            {
-                "repro.testing.oracles": (
-                    "def sneaky(items):\n"
-                    "    items.append(1)\n"
-                    "    return items\n"
-                )
-            }
-        )
-        analysis = deep.analyze(project)
-        flagged = violations_of(analysis, "RPR009")
-        assert len(flagged) == 1
-        assert "sneaky" in flagged[0].message
-        assert flagged[0].line == 2
-
-    def test_mutation_reaches_zone_through_call_chain(self):
-        project = project_from_sources(
-            {
-                "repro.testing.oracles": (
-                    "def outer(acc):\n"
-                    "    fill(acc)\n"
-                    "\n"
-                    "\n"
-                    "def fill(acc):\n"
-                    "    acc.append(1)\n"
-                )
-            }
-        )
-        analysis = deep.analyze(project)
-        assert {"outer", "fill"} <= {
-            v.message.split("`")[1].rsplit(".", 1)[-1]
-            for v in violations_of(analysis, "RPR009")
-        }
-
-    def test_geometry_self_mutation_is_allowed(self):
-        project = project_from_sources(
-            {
-                "repro.geometry.builder": (
-                    "class RegionBuilder:\n"
-                    "    def __init__(self):\n"
-                    "        self.circles = []\n"
-                    "\n"
-                    "    def add_circle(self, circle):\n"
-                    "        self.circles.append(circle)\n"
-                    "        return self\n"
-                )
-            }
-        )
-        analysis = deep.analyze(project)
-        assert violations_of(analysis, "RPR009") == []
-
-    def test_local_mutation_is_not_an_effect(self):
-        project = project_from_sources(
-            {
-                "repro.testing.oracles": (
-                    "def collect(count):\n"
-                    "    out = []\n"
-                    "    for i in range(count):\n"
-                    "        out.append(i)\n"
-                    "    return out\n"
-                )
-            }
-        )
-        analysis = deep.analyze(project)
-        assert violations_of(analysis, "RPR009") == []
-
-    def test_origin_noqa_kills_propagated_chain(self):
-        project = project_from_sources(
-            {
-                "repro.testing.oracles": (
-                    "def outer(acc):\n"
-                    "    fill(acc)\n"
-                    "\n"
-                    "\n"
-                    "def fill(acc):\n"
-                    "    acc.append(1)  # repro: noqa(RPR009)\n"
-                )
-            }
-        )
-        analysis = deep.analyze(project)
-        assert violations_of(analysis, "RPR009") == []
-
-
-# ----------------------------------------------------------------------
-# RPR010: determinism zones
-# ----------------------------------------------------------------------
-class TestDeterminismZones:
-    def test_wall_clock_read_and_propagation(self):
-        project = project_from_sources(
-            {
-                "repro.core.clockwork": (
-                    "import time\n"
-                    "\n"
-                    "\n"
-                    "def stamp():\n"
-                    "    return time.time()\n"
-                    "\n"
-                    "\n"
-                    "def caller():\n"
-                    "    return stamp()\n"
-                )
-            }
-        )
-        analysis = deep.analyze(project)
-        flagged = violations_of(analysis, "RPR010")
-        assert {"stamp", "caller"} <= {
-            v.message.split("`")[1].rsplit(".", 1)[-1] for v in flagged
-        }
-        chained = next(v for v in flagged if "caller" in v.message)
-        assert "calls repro.core.clockwork.stamp" in chained.message
-
-    def test_set_iteration_is_nondeterministic(self):
-        project = project_from_sources(
-            {
-                "repro.core.setwalk": (
-                    "def drain(pending):\n"
-                    "    bag = {1, 2, 3}\n"
-                    "    return [item for item in bag]\n"
-                )
-            }
-        )
-        analysis = deep.analyze(project)
-        flagged = violations_of(analysis, "RPR010")
-        assert len(flagged) == 1
-        assert "hash order" in flagged[0].message
-
-    def test_sorted_set_is_deterministic(self):
-        project = project_from_sources(
-            {
-                "repro.core.setwalk": (
-                    "def drain():\n"
-                    "    bag = {1, 2, 3}\n"
-                    "    return sorted(bag)\n"
-                )
-            }
-        )
-        analysis = deep.analyze(project)
-        assert violations_of(analysis, "RPR010") == []
-
-    def test_origin_noqa_kills_propagated_chain(self):
-        project = project_from_sources(
-            {
-                "repro.core.clockwork": (
-                    "import time\n"
-                    "\n"
-                    "\n"
-                    "def stamp():\n"
-                    "    return time.time()  # repro: noqa(RPR010)\n"
-                    "\n"
-                    "\n"
-                    "def caller():\n"
-                    "    return stamp()\n"
-                )
-            }
-        )
-        analysis = deep.analyze(project)
-        assert violations_of(analysis, "RPR010") == []
-
-    def test_outside_zone_is_not_reported(self):
-        project = project_from_sources(
-            {
-                "repro.experiments.timing": (
-                    "import time\n"
-                    "\n"
-                    "\n"
-                    "def stamp():\n"
-                    "    return time.time()\n"
-                )
-            }
-        )
-        analysis = deep.analyze(project)
-        assert violations_of(analysis, "RPR010") == []
 
 
 # ----------------------------------------------------------------------
@@ -527,80 +342,79 @@ class TestLayering:
 
 
 # ----------------------------------------------------------------------
-# effects engine details (unit level)
+# call graph and effect inference details (unit level)
 # ----------------------------------------------------------------------
-class TestEffectInference:
-    def effects_for(self, sources):
-        project = project_from_sources(sources)
-        graph = build_call_graph(project, build_import_graph(project))
-        return infer_effects(project, graph)
+def graph_for(project):
+    return build_call_graph(project, build_import_graph(project))
 
-    def test_mutation_propagates_only_through_mutated_parameter(self):
-        effects = self.effects_for(
-            {
-                "repro.testing.oracles": (
-                    "def probe(region, point):\n"
-                    "    return region.classify(point)\n"
-                    "\n"
-                    "\n"
-                    "class Region:\n"
-                    "    def classify(self, point):\n"
-                    "        self.cache = {}\n"
-                    "        return point\n"
-                )
-            }
+
+class TestCallResolution:
+    def test_super_call_reaches_project_bases_and_never_a_bare_name(self):
+        graph = graph_for(
+            project_from_sources(
+                {
+                    "repro.core.errors": (
+                        "from repro.core.base import Base\n"
+                        "\n"
+                        "\n"
+                        "class Failure(ValueError):\n"
+                        "    def __init__(self, message):\n"
+                        "        super().__init__(message)\n"
+                        "\n"
+                        "\n"
+                        "class Child(Base):\n"
+                        "    def __init__(self):\n"
+                        "        super().__init__()\n"
+                    ),
+                    "repro.core.base": (
+                        "class Root:\n"
+                        "    def __init__(self):\n"
+                        "        self.ready = True\n"
+                        "\n"
+                        "\n"
+                        "class Base(Root):\n"
+                        "    pass\n"
+                        "\n"
+                        "\n"
+                        "class Unrelated:\n"
+                        "    def __init__(self):\n"
+                        "        self.ready = False\n"
+                    ),
+                }
+            )
         )
-        probe = effects["repro.testing.oracles.probe"]
-        assert probe.has(Effect.MUTATES_ARG)
-        # Only the receiver is tainted: ``point`` lands on an unmutated
-        # parameter of ``classify``.
-        assert probe.mutated_params == {"region"}
-
-    def test_name_match_requires_import_reachability(self):
-        effects = self.effects_for(
-            {
-                # Same method name as the mutator below, but the module
-                # never imports it, so the call cannot dispatch there.
-                "repro.geometry.shapes": (
-                    "def collect(result, value):\n"
-                    "    result.add(value)\n"
-                    "    return result\n"
-                ),
-                "repro.core.heap": (
-                    "class CandidateHeap:\n"
-                    "    def add(self, entry):\n"
-                    "        self.entries += [entry]\n"
-                ),
-            }
-        )
-        collect = effects["repro.geometry.shapes.collect"]
-        # ``result.add`` matches the builtin set/list mutator catalogue,
-        # so the direct effect stays; the point is that the *chain* must
-        # not cite the unreachable CandidateHeap.
-        witness = collect.effects[Effect.MUTATES_ARG]
-        assert "CandidateHeap" not in witness.description
-
-    def test_purity_and_determinism_front_ends_agree_with_driver(self):
-        sources = {
-            "repro.testing.oracles": (
-                "def sneaky(items):\n"
-                "    items.append(1)\n"
-            ),
-            "repro.core.clockwork": (
-                "import time\n"
-                "\n"
-                "\n"
-                "def stamp():\n"
-                "    return time.time()\n"
-            ),
+        # A stdlib base has no project method: the call reaches nothing,
+        # where a bare-name match reached every importable __init__.
+        assert graph.calls_from("repro.core.errors.Failure.__init__") == set()
+        # A project base is followed up its own bases to the definition.
+        assert graph.calls_from("repro.core.errors.Child.__init__") == {
+            "repro.core.base.Root.__init__"
         }
-        project = project_from_sources(sources)
-        graph = build_call_graph(project, build_import_graph(project))
-        effects = infer_effects(project, graph)
-        impure = [info.qualname for info, _, _ in purity_violations(graph, effects)]
-        nondet = [info.qualname for info, _ in determinism_violations(graph, effects)]
-        assert impure == ["repro.testing.oracles.sneaky"]
-        assert nondet == ["repro.core.clockwork.stamp"]
+
+
+class TestEffectInference:
+    def test_name_match_requires_import_reachability(self):
+        caller = "def pump(channel, frame):\n    channel.transmit(frame)\n"
+        project = project_from_sources(
+            {
+                # Same method name as the blocking one below, but the
+                # module never imports it, so the call cannot dispatch
+                # there ...
+                "repro.geometry.shapes": caller,
+                # ... and from a module that does, it can.
+                "repro.sim.driver": "import repro.service.wire\n\n\n" + caller,
+                "repro.service.wire": (
+                    "class Wire:\n"
+                    "    def transmit(self, frame):\n"
+                    "        self.sock.sendall(frame)\n"
+                ),
+            }
+        )
+        effects = infer_effects(project, graph_for(project))
+        assert "repro.geometry.shapes.pump" not in effects
+        assert effects["repro.sim.driver.pump"].description == (
+            "calls repro.service.wire.Wire.transmit (blocking call `self.sock.sendall`)"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -648,25 +462,23 @@ class TestDriver:
         closure = build_import_graph(project).reachability()
         assert all(closure[name] == ring for name in ring)
 
-    def test_misspelt_billing_entry_point_is_reported(self, head_analysis):
+    def test_misspelt_hot_entry_point_is_reported(self, head_analysis):
         good = "repro.core.server.SpatialDatabaseServer.range_query_detailed"
-        assert good in config.BILLING_ENTRY_POINTS
+        assert good in config.HOT_ENTRY_POINTS
         typo = good.replace("range_query", "rnage_query")
-        policy = dataclasses.replace(
-            head_analysis.policy,
-            billing_entry_points=config.BILLING_ENTRY_POINTS - {good} | {typo},
-        )
         analysis = deep.analyze(
-            head_analysis.project, select=["RPR021"], policy=policy
+            head_analysis.project,
+            select=["RPR025"],
+            hot_entry_points=config.HOT_ENTRY_POINTS - {good} | {typo},
         )
         # Once where the name is declared, once at the module that lacks
         # it -- a rename there alone must survive --changed-only.
-        assert [v.code for v in analysis.violations] == ["RPR021", "RPR021"]
+        assert [v.code for v in analysis.violations] == ["RPR025", "RPR025"]
         declared, owner = analysis.violations
         assert declared.path.endswith("analysis/config.py")
         assert (owner.path.endswith("core/server.py"), owner.line) == (True, 1)
         assert "rnage_query_detailed" in declared.message == owner.message
-        assert "declared in BILLING_ENTRY_POINTS" in declared.message
+        assert "declared in HOT_ENTRY_POINTS" in declared.message
 
     def test_renamed_concurrent_class_is_reported(self):
         assert "repro.obs.profiling.Obs" in config.CONCURRENT_CLASSES
@@ -680,7 +492,7 @@ class TestDriver:
         assert "defines no `Obs`" in analysis.violations[0].message
 
     def test_declared_name_in_an_absent_module_is_silent(self):
-        # The default policy names repro.cli.main & co.; a fixture project
+        # config.ENTRY_POINTS names repro.cli.main & co.; a fixture project
         # that does not contain those modules owes nothing.
         analysis = deep.analyze(project_from_sources(DEAD_CODE_SOURCES))
         assert [v.code for v in analysis.violations] == ["RPR008"]
@@ -708,19 +520,17 @@ class TestDeepCli:
             text=True,
         )
 
-    def test_whole_tree_gate_is_clean_and_prints_the_six_tables(self):
+    def test_whole_tree_gate_is_clean_and_prints_the_four_tables(self):
         proc = self.run_subprocess("--deep", "--report")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 findings" in proc.stderr
-        for header in (
+        headers = [line for line in proc.stdout.splitlines() if line[:1] != " "]
+        assert headers == [
             "concurrency: guarded-by table",
             "concurrency: lock-order graph",
             "concurrency: thread/executor entry points",
-            "accounting: billing table (site -> counter)",
-            "hotpath: Node.entries mutation table (site -> strategy)",
             "hotpath: hot set (query-reachable functions)",
-        ):
-            assert header in proc.stdout
+        ]
 
     def test_deep_outside_repo_root_is_a_usage_error(self, tmp_path):
         proc = self.run_subprocess("--deep", cwd=tmp_path)
@@ -728,15 +538,16 @@ class TestDeepCli:
         assert "src/repro not found" in proc.stderr
 
     def test_list_rules_includes_deep_catalogue(self, lint_cli):
-        # No other flag needed: one catalogue, 25 rules + RPR900.
+        # No other flag needed: one catalogue, 20 rules + RPR900.
         status, out, _ = lint_cli("--list-rules")
         assert status == 0
         codes = [line.split()[0] for line in out.splitlines()]
-        assert codes == sorted(codes) and len(codes) == 26
+        assert codes == sorted(codes) and len(codes) == 21
         assert {"RPR001", "RPR008", "RPR011", "RPR013", "RPR025", "RPR900"} <= set(
             codes
         )
-        assert "RPR026" not in codes
+        retired = {"RPR009", "RPR010", "RPR021", "RPR023", "RPR024", "RPR026"}
+        assert not retired & set(codes)
 
     def test_finding_fails_the_run(self, lint_cli, tmp_path):
         status, out, err = lint_cli("--deep", cwd=seeded_tree(tmp_path))
@@ -746,8 +557,10 @@ class TestDeepCli:
 
     def test_unknown_code_is_a_usage_error_in_both_modes(self, lint_cli, tmp_path):
         tree = seeded_tree(tmp_path)
-        status, _, err = lint_cli("--deep", "--select", "RPR999", cwd=tree)
-        assert status == 2 and "unknown lint rule codes: RPR999" in err
+        # RPR021 is retired, so as unknown as a code that never existed.
+        for code in ("RPR999", "RPR021"):
+            status, _, err = lint_cli("--deep", "--select", code, cwd=tree)
+            assert status == 2 and f"unknown lint rule codes: {code}" in err
         status, _, err = lint_cli("--ignore", "RPR999", "src", cwd=tree)
         assert status == 2 and "RPR999" in err
 

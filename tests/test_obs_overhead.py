@@ -3,7 +3,9 @@
 Two halves:
 
 - **Disabled means silent:** with ``observed(enabled=False)`` the global
-  registry must not move at all, however hard the engine works.
+  registry must not move at all, however hard the engine works.  Two
+  scenarios: the quickstart, and one that enters the hot loops the
+  quickstart skips (it is the run-time gate beside lint rule RPR025).
 - **Disabled means cheap:** the ≤2 % overhead budget on the quickstart
   scenario.  Measuring two end-to-end wall times and subtracting is
   hopelessly noisy at millisecond scale, so the budget is asserted the
@@ -17,8 +19,11 @@ Two halves:
 import time
 
 from repro.core import MobileHost, SennConfig, SpatialDatabaseServer
+from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.obs import OBS, MetricsRegistry, observed
+from repro.service.batching import BatchExecutor
+from repro.service.protocol import KnnRequest
 
 
 def _quickstart_scenario() -> None:
@@ -35,6 +40,44 @@ def _quickstart_scenario() -> None:
     for step in range(10):
         newcomer.position = Point(0.52 + 0.005 * step, 0.41)
         newcomer.query_knn(peers=[veteran], server=server)
+
+
+def _wide_scenario() -> None:
+    """The hot loops the quickstart never enters: the INN stream, the
+    Lemma 3.8 loop, a shared batch traversal, a range and a window query."""
+    stations = [
+        (Point(0.1 + 0.13 * i, 0.07 * ((i * 7) % 11)), f"station-{i}")
+        for i in range(16)
+    ]
+    server = SpatialDatabaseServer.from_points(stations)
+    stream = server.incremental_query(Point(0.5, 0.4))
+    for _ in range(5):
+        next(stream)
+    stream.close()
+    # Neither peer's two-POI cache certifies the newcomer's answer alone;
+    # the union of their certain circles does (verify_multi_peer).
+    config = SennConfig(k=2, transmission_range=0.124, cache_capacity=2)
+    peers = [
+        MobileHost(1, Point(0.45, 0.3), config),
+        MobileHost(2, Point(0.55, 0.3), config),
+    ]
+    for peer in peers:
+        peer.query_knn(peers=[], server=server)
+    MobileHost(3, Point(0.5, 0.3), config).query_knn(peers=peers, server=server)
+    pair = [KnnRequest(i, Point(0.5 + 0.01 * i, 0.4), 3) for i in range(2)]
+    BatchExecutor(server).execute(pair)
+    server.range_query_detailed(Point(0.5, 0.4), 0.3)
+    server.window_query_detailed(BoundingBox(0.2, 0.1, 0.9, 0.6))
+
+
+#: What an *enabled* run of ``_wide_scenario`` must record, so that the
+#: scenario cannot quietly stop reaching the loops it is there for.
+_WIDE_METRICS = {
+    "verify.candidates{lemma=3.8,outcome=certain}",
+    "service.shared_traversals",
+    "server.range_queries",
+    "server.window_queries",
+}
 
 
 def _time_scenario(repeats: int = 5) -> float:
@@ -70,6 +113,20 @@ class TestDisabledIsSilent:
                 assert OBS.registry.snapshot() == {}
             finally:
                 OBS.registry = MetricsRegistry()
+
+    def test_registry_untouched_on_the_paths_the_quickstart_skips(self):
+        previous = OBS.registry
+        try:
+            with observed(enabled=True):
+                OBS.registry = MetricsRegistry()
+                _wide_scenario()
+                assert _WIDE_METRICS <= set(OBS.registry.snapshot())
+            with observed(enabled=False):
+                OBS.registry = MetricsRegistry()
+                _wide_scenario()
+                assert OBS.registry.snapshot() == {}
+        finally:
+            OBS.registry = previous
 
     def test_observed_restores_previous_state(self):
         before = OBS.enabled

@@ -77,6 +77,17 @@ class TestQueriesMatchDirect:
         expected = direct.window_query_detailed(window)
         assert answer_key(windowed.neighbors) == answer_key(expected.neighbors)
         assert windowed.pages == expected.pages
+        # One data record per shipped neighbor survives the wire
+        # (``Answer.breakdown``); served == direct alone would also hold
+        # if both sides billed none.
+        for pages, shipped in (
+            (ranged.pages, len(ranged.neighbors)),
+            (windowed.pages, len(windowed.neighbors)),
+        ):
+            assert pages.data_records == shipped > 0
+            assert pages.total == (
+                pages.index_nodes + pages.leaf_nodes + pages.data_records
+            )
 
     def test_incremental_stream_prefix_matches(self):
         pois = make_pois(seed=3)
