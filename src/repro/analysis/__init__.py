@@ -19,11 +19,10 @@ guardrails on both sides of the build:
   (:mod:`~repro.analysis.floatcheck`), layering contracts
   (:mod:`~repro.analysis.layers`), shared-field lock discipline,
   asyncio hygiene and the static lock-order graph
-  (:mod:`~repro.analysis.concurrency`, :mod:`~repro.analysis.locks`),
-  subcounter fold-once on error paths
-  (:mod:`~repro.analysis.accounting`) and obs guards on hot paths
-  (:mod:`~repro.analysis.hotpath`); rules ``RPR008``, ``RPR011`` ..
-  ``RPR013``, ``RPR015`` .. ``RPR020``, ``RPR022`` and ``RPR025``;
+  (:mod:`~repro.analysis.concurrency`, :mod:`~repro.analysis.locks`)
+  and subcounter fold-once on error paths
+  (:mod:`~repro.analysis.accounting`); rules ``RPR008``, ``RPR011`` ..
+  ``RPR013``, ``RPR015`` .. ``RPR020`` and ``RPR022``;
 - :mod:`repro.analysis.runtime` -- the opt-in runtime sanitizer
   (``REPRO_SANITIZE=1`` or :func:`sanitized`) that validates R*-tree
   structure, candidate-heap state transitions and Lemma 3.8 soundness

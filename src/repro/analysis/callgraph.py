@@ -16,26 +16,15 @@ Two graphs over the parsed :class:`~repro.analysis.project.Project`:
   detection (RPR008) but may keep a same-named helper alive.
 
 "What can this call site reach" is decided in one place,
-:meth:`CallGraph.callees`; the blocking-effect fixpoint, the lock-order
-graph and the hot-set closure (:meth:`CallGraph.call_closure`) all ask
-it.
+:meth:`CallGraph.callees`; the blocking-effect fixpoint and the
+lock-order graph both ask it.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis import config
 from repro.analysis.lint import _dotted
@@ -330,28 +319,6 @@ class CallGraph:
                     out.add(target)
         return out
 
-    def _closure(
-        self, roots: Iterable[str], successors: Callable[[str], Set[str]]
-    ) -> Set[str]:
-        seen: Set[str] = set()
-        stack = [root for root in roots if root in self.functions]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(succ for succ in successors(current) if succ not in seen)
-        return seen
-
-    def call_closure(self, roots: Iterable[str]) -> Set[str]:
-        """Functions the roots can call, transitively (roots included).
-
-        Narrower than :meth:`live`, which also follows bare *references*
-        and would drag the insertion machinery into the query-reachable
-        set.
-        """
-        return self._closure(roots, self.calls_from)
-
     def liveness_roots(self) -> Set[str]:
         """Functions considered externally invoked."""
         roots: Set[str] = set()
@@ -373,7 +340,17 @@ class CallGraph:
 
     def live(self) -> Set[str]:
         """Transitive closure of the liveness roots over :meth:`edges_from`."""
-        return self._closure(sorted(self.liveness_roots()), self.edges_from)
+        seen: Set[str] = set()
+        stack = sorted(self.liveness_roots())
+        while stack:
+            current = stack.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            stack.extend(
+                succ for succ in self.edges_from(current) if succ not in seen
+            )
+        return seen
 
     def dead(self) -> List[FunctionInfo]:
         """Functions no liveness root reaches, in (module, line) order."""

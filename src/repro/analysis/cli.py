@@ -10,17 +10,16 @@ Also runnable without an installed entry point::
 Plain ``repro-lint PATHS`` runs the per-module rules over the given
 files.  ``--deep`` instead runs every whole-program rule
 (:mod:`repro.analysis.deep`: dead code, float-comparison dataflow and
-the lemma table, layering, concurrency, subcounter fold-once, obs
-guards on hot paths) and must be started from the repository
-root: it always analyzes the full ``src/repro`` tree -- cross-module
-reasoning needs the whole program -- and ignores ``PATHS`` unless
-``--changed-only`` is given, which restricts the *reported* findings to
-those paths (or, with no paths, to the files ``git diff --name-only
-HEAD`` lists); that is what the pre-commit hook uses.  ``--report``
-additionally prints the four tables the passes derive.  ``--select``,
-``--ignore`` and ``--list-rules`` treat both kinds of rule alike; any
-finding fails the run, and ``# repro: noqa(CODE)`` with a reason is the
-one escape hatch.
+the lemma table, layering, concurrency, subcounter fold-once) and
+must be started from the repository root: it always analyzes the full
+``src/repro`` tree -- cross-module reasoning needs the whole program --
+and ignores ``PATHS`` unless ``--changed-only`` is given, which
+restricts the *reported* findings to those paths (or, with no paths, to
+the files ``git diff --name-only HEAD`` lists); that is what the
+pre-commit hook uses.  ``--report`` additionally prints the three
+tables the passes derive.  ``--select``, ``--ignore`` and
+``--list-rules`` treat both kinds of rule alike; any finding fails the
+run, and ``# repro: noqa(CODE)`` with a reason is the one escape hatch.
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--report",
         action="store_true",
         help=(
-            "also print the guarded-by table, lock-order graph, thread "
-            "entry points and hot set"
+            "also print the guarded-by table, lock-order graph and "
+            "thread entry points"
         ),
     )
     return parser

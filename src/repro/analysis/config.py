@@ -18,7 +18,6 @@ __all__ = [
     "ENTRY_POINTS",
     "FRAMEWORK_METHOD_PREFIXES",
     "GUARDED_BY_OWNERS",
-    "HOT_ENTRY_POINTS",
     "KNOWN_PAPER_LEMMAS",
     "LAYER_RANKS",
     "LIVENESS_REFERENCE_ROOTS",
@@ -130,9 +129,14 @@ LOCK_ALIASES: Mapping[str, str] = {
 #:     only ever touched from the owning asyncio event-loop thread;
 #: ``single-writer``
 #:     one designated context writes, concurrent readers tolerate
-#:     (and the field is a single atomic reference/primitive).
+#:     (and the field is a single atomic reference/primitive);
+#: ``cache``
+#:     any context may write: the field memoizes what a guarded
+#:     structure owns, every write is one assignment of a
+#:     self-consistent value, and losing one costs a re-lookup there,
+#:     never an update.
 GUARDED_BY_OWNERS: FrozenSet[str] = frozenset(
-    {"setup", "handshake", "event-loop", "single-writer"}
+    {"setup", "handshake", "event-loop", "single-writer", "cache"}
 )
 
 #: Classes the concurrency pass must treat as cross-context shared even
@@ -140,30 +144,12 @@ GUARDED_BY_OWNERS: FrozenSet[str] = frozenset(
 #: target).  Lock-owning classes and ``threading.Thread(target=self.x)``
 #: owners are discovered automatically; list here only state that is
 #: shared by convention, like the process-wide ``OBS`` switchboard whose
-#: flags the service thread reads.
+#: flags the service thread reads, and the module-level instrument
+#: handles client threads and the event loop count through.
 CONCURRENT_CLASSES: FrozenSet[str] = frozenset(
     {
+        "repro.obs.profiling.Instrument",
         "repro.obs.profiling.Obs",
-    }
-)
-
-# ----------------------------------------------------------------------
-# Hot paths (RPR025)
-# ----------------------------------------------------------------------
-
-#: Hot-set roots: the client-visible query entry points and the
-#: verification kernels, whose loops dominate SENN answer latency.  The
-#: insertion/bulk-load machinery is deliberately outside this set.
-HOT_ENTRY_POINTS: FrozenSet[str] = frozenset(
-    {
-        "repro.core.server.SpatialDatabaseServer.knn_query_detailed",
-        "repro.core.server.SpatialDatabaseServer.range_query_detailed",
-        "repro.core.server.SpatialDatabaseServer.window_query_detailed",
-        "repro.core.server.SpatialDatabaseServer.incremental_query",
-        "repro.service.batching.BatchExecutor.execute",
-        "repro.service.engine.ServiceSession.handle",
-        "repro.core.verification.verify_single_peer",
-        "repro.core.verification.verify_multi_peer",
     }
 )
 
@@ -215,7 +201,6 @@ STATIC_ANALYSIS_MODULES: Tuple[str, ...] = (
     "repro.analysis.config",
     "repro.analysis.deep",
     "repro.analysis.floatcheck",
-    "repro.analysis.hotpath",
     "repro.analysis.layers",
     "repro.analysis.lint",
     "repro.analysis.locks",

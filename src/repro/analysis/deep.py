@@ -6,7 +6,7 @@ files.  :func:`analyze` takes a project loaded once
 facts every pass shares -- import graph, call graph
 (:mod:`repro.analysis.callgraph`), the inferred blocking effect
 (:func:`repro.analysis.concurrency.infer_effects`), each built at most
-once and only when a selected pass asks -- the four tables the passes
+once and only when a selected pass asks -- the three tables the passes
 derive (``--report`` prints them), and the findings, folded into the
 engine's :class:`~repro.analysis.lint.Violation` shape so suppression,
 rendering and CI treatment stay uniform.
@@ -23,15 +23,15 @@ RPR011    raw float comparison on a distance-valued expression
 RPR012    lemma-conformance breach (direction flip, stale table entry)
 RPR013    layering-contract or import-cycle violation
 RPR015+   :mod:`repro.analysis.concurrency` (RPR015-RPR020),
-          :mod:`repro.analysis.accounting` (RPR022),
-          :mod:`repro.analysis.hotpath` (RPR025)
+          :mod:`repro.analysis.accounting` (RPR022)
 ========  ============================================================
 
 These are the rules only static analysis can enforce; what a run-time
-gate already pins (page billing, mirror coherence, replay determinism)
-is left to that gate -- the yield table in ``docs/static_analysis.md``
-records the evidence.  ``# repro: noqa(CODE)`` on the reported line is
-the one escape hatch: any finding fails the run.
+gate already pins (page billing, mirror coherence, replay determinism,
+obs guards on the query paths) is left to that gate -- the yield table
+in ``docs/static_analysis.md`` records the evidence.
+``# repro: noqa(CODE)`` on the reported line is the one escape hatch:
+any finding fails the run.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.analysis import accounting as _accounting  # noqa: F401  registers RPR022
 from repro.analysis import config
@@ -59,7 +59,6 @@ from repro.analysis.floatcheck import (
     float_comparison_violations,
     lemma_conformance_violations,
 )
-from repro.analysis.hotpath import hotpath_report
 from repro.analysis.layers import cycle_violations, layer_violations
 from repro.analysis.lint import (
     ALL_CODES,
@@ -84,8 +83,6 @@ class DeepAnalysis:
     """One ``--deep`` run: shared facts, derived tables and findings."""
 
     project: Project
-    #: Roots of the hot set; only the RPR025 test fixtures replace them.
-    hot_entry_points: FrozenSet[str] = config.HOT_ENTRY_POINTS
     violations: List[Violation] = field(default_factory=list)
 
     # -- tables; a table stays empty when its pass was not selected ----
@@ -95,8 +92,6 @@ class DeepAnalysis:
     guarded_by: Dict[str, str] = field(default_factory=dict)
     lock_graph: LockOrderGraph = field(default_factory=LockOrderGraph)
     thread_entries: List[str] = field(default_factory=list)
-    #: Functions reachable from the hot entry points (RPR025).
-    hot: Set[str] = field(default_factory=set)
 
     # -- facts, built on first use -------------------------------------
     @cached_property
@@ -120,25 +115,22 @@ class DeepAnalysis:
         return not self.violations
 
     def report(self) -> List[str]:
-        """The four tables ``--report`` prints."""
-        return [*concurrency_report(self), *hotpath_report(self)]
+        """The three tables ``--report`` prints."""
+        return concurrency_report(self)
 
 
 def analyze(
-    project: Project,
-    select: Optional[Iterable[str]] = None,
-    hot_entry_points: FrozenSet[str] = config.HOT_ENTRY_POINTS,
+    project: Project, select: Optional[Iterable[str]] = None
 ) -> DeepAnalysis:
     """Run the whole-program passes that can emit the selected codes.
 
     ``select`` defaults to every whole-program rule; an unknown or
-    per-module code raises ``ValueError``.  ``hot_entry_points`` are the
-    roots of the RPR025 hot set.  Files that failed to parse are always
-    reported (RPR900).
+    per-module code raises ``ValueError``.  Files that failed to parse
+    are always reported (RPR900).
     """
     rules = select_rules(select, None, whole_program=True)
     codes = {rule.code for rule in rules}
-    analysis = DeepAnalysis(project, hot_entry_points)
+    analysis = DeepAnalysis(project)
     found = [
         Violation(path, 1, 0, PARSE_ERROR_CODE, f"cannot parse file: {message}")
         for path, message in project.errors
@@ -237,7 +229,6 @@ def _undefined_names(analysis: DeepAnalysis, codes: Set[str]) -> Iterator[Violat
     declared = (
         ("RPR008", "ENTRY_POINTS", config.ENTRY_POINTS),
         ("RPR015", "CONCURRENT_CLASSES", config.CONCURRENT_CLASSES),
-        ("RPR025", "HOT_ENTRY_POINTS", analysis.hot_entry_points),
     )
     declaring = project.modules.get(config.__name__)
     for code, table, names in declared:

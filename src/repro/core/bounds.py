@@ -27,9 +27,11 @@ import math
 
 from repro.core.heap import CandidateHeap, HeapState
 from repro.index.knn import PruningBounds
-from repro.obs import OBS
+from repro.obs import OBS, Counter, Instrument
 
 __all__ = ["derive_pruning_bounds"]
+
+_DERIVED = Instrument(Counter, "bounds.derived", "state")
 
 
 def derive_pruning_bounds(heap: CandidateHeap) -> PruningBounds:
@@ -55,5 +57,5 @@ def derive_pruning_bounds(heap: CandidateHeap) -> PruningBounds:
         if last_certain is not None:
             lower = last_certain
     if OBS.enabled:
-        OBS.registry.counter("bounds.derived", state=state.value).inc()
+        _DERIVED(state.value).inc()
     return PruningBounds(lower=lower, upper=upper)

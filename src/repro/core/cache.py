@@ -22,9 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult
-from repro.obs import OBS
+from repro.obs import OBS, Counter, Instrument
 
 __all__ = ["CachedQueryResult", "QueryCache"]
+
+_STORES = Instrument(Counter, "cache.stores", "truncated")
+_LOOKUPS = Instrument(Counter, "cache.lookups", "outcome")
 
 
 @dataclass(frozen=True)
@@ -126,18 +129,14 @@ class QueryCache:
             self._entries.pop(0)
         self.store_count += 1
         if OBS.enabled:
-            OBS.registry.counter(
-                "cache.stores", truncated="true" if truncated else "false"
-            ).inc()
+            _STORES("true" if truncated else "false").inc()
         return entry
 
     def get(self) -> Optional[CachedQueryResult]:
         """The most recent cached result, or ``None`` when cold."""
         entry = self._entries[-1] if self._entries else None
         if OBS.enabled:
-            OBS.registry.counter(
-                "cache.lookups", outcome="hit" if entry is not None else "miss"
-            ).inc()
+            _LOOKUPS("hit" if entry is not None else "miss").inc()
         return entry
 
     def snapshots(self) -> List[CachedQueryResult]:

@@ -32,9 +32,12 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.runtime import SANITIZER
 from repro.geometry.point import Point
-from repro.obs import OBS
+from repro.index.knn import poi_key
+from repro.obs import OBS, Counter, Instrument
 
 __all__ = ["CandidateHeap", "HeapEntry", "HeapState"]
+
+_OFFERS = Instrument(Counter, "heap.offers", "certain", "outcome")
 
 
 class HeapState(enum.Enum):
@@ -60,7 +63,7 @@ class HeapEntry:
 
     def key(self) -> Tuple[float, float, Any]:
         """Dedup identity of the candidate: coordinates plus payload."""
-        return (self.point.x, self.point.y, _hashable(self.payload))
+        return poi_key(self.point, self.payload)
 
 
 class CandidateHeap:
@@ -95,10 +98,9 @@ class CandidateHeap:
             stored = self._add(point, payload, distance, certain)
             SANITIZER.after_heap_add(self, before)
         if OBS.enabled:
-            OBS.registry.counter(
-                "heap.offers",
-                certain="true" if certain else "false",
-                outcome="stored" if stored else "rejected",
+            _OFFERS(
+                "true" if certain else "false",
+                "stored" if stored else "rejected",
             ).inc()
         return stored
 
@@ -201,7 +203,7 @@ class CandidateHeap:
 
     def is_certain(self, point: Point, payload: Any) -> bool:
         """True when this POI is stored as a certain entry."""
-        entry = self._index.get((point.x, point.y, _hashable(payload)))
+        entry = self._index.get(poi_key(point, payload))
         return entry is not None and entry.certain
 
     def certain_entries(self) -> List[HeapEntry]:
@@ -254,14 +256,3 @@ class CandidateHeap:
             f"CandidateHeap(k={self.capacity}, certain={self.certain_count}, "
             f"uncertain={self.uncertain_count}, state={self.state().value})"
         )
-
-
-def _hashable(payload: Any) -> Any:
-    # Hashability probe for the dedup key: hash equality follows object
-    # equality, and the id() fallback only labels unhashable payloads
-    # within one run, so the key is observationally deterministic.
-    try:
-        hash(payload)
-    except TypeError:
-        return id(payload)
-    return payload

@@ -32,9 +32,11 @@ from repro.core.bounds import derive_pruning_bounds
 from repro.core.cache import CachedQueryResult
 from repro.core.heap import CandidateHeap
 from repro.core.verification import verify_multi_peer, verify_single_peer
-from repro.obs import OBS
+from repro.obs import OBS, Counter, Instrument
 
 __all__ = ["ResolutionTier", "SennConfig", "SennResult", "senn_query"]
+
+_QUERIES = Instrument(Counter, "senn.queries", "tier")
 
 
 class ResolutionTier(enum.Enum):
@@ -195,9 +197,7 @@ def senn_query(
     ]
     if server is None:
         if OBS.enabled:
-            OBS.registry.counter(
-                "senn.queries", tier=ResolutionTier.SERVER.value
-            ).inc()
+            _QUERIES(ResolutionTier.SERVER.value).inc()
         return SennResult(certain, ResolutionTier.SERVER, heap, bounds, consulted)
 
     effective_k = k if server_k is None else max(k, server_k)
@@ -207,9 +207,7 @@ def senn_query(
         bounds = PruningBounds(lower=bounds.lower)
     answer = server.knn_query_detailed(query, effective_k, bounds, certain)
     if OBS.enabled:
-        OBS.registry.counter(
-            "senn.queries", tier=ResolutionTier.SERVER.value
-        ).inc()
+        _QUERIES(ResolutionTier.SERVER.value).inc()
     # The caller asked for k neighbors; the over-fetched surplus is cache
     # material only (policy 2), never part of the visible answer.
     return SennResult(
@@ -227,7 +225,7 @@ def _finish(
     heap: CandidateHeap, tier: ResolutionTier, peers_consulted: int
 ) -> SennResult:
     if OBS.enabled:
-        OBS.registry.counter("senn.queries", tier=tier.value).inc()
+        _QUERIES(tier.value).inc()
     entries = heap.entries() if tier is ResolutionTier.UNCERTAIN else heap.certain_entries()
     neighbors = [
         NeighborResult(entry.point, entry.payload, entry.distance)

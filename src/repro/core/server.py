@@ -32,9 +32,17 @@ from repro.index.knn import (
 from repro.index.pagestats import AccessBreakdown, BufferPool, PageAccessCounter
 from repro.index.rtree import RTree, RTreeConfig
 from repro.core.backend import QueryAnswer
-from repro.obs import DEFAULT_COUNT_BUCKETS, OBS
+from repro.obs import DEFAULT_COUNT_BUCKETS, OBS, Counter, Histogram, Instrument
 
 __all__ = ["ServerAlgorithm", "SpatialDatabaseServer"]
+
+_KNN_QUERIES = Instrument(Counter, "server.knn_queries", "algorithm")
+_RANGE_QUERIES = Instrument(Counter, "server.range_queries")
+_WINDOW_QUERIES = Instrument(Counter, "server.window_queries")
+_OBJECTS = Instrument(Counter, "server.objects", "outcome")
+_PAGES_PER_QUERY = Instrument(
+    Histogram, "server.pages_per_query", "algorithm", boundaries=DEFAULT_COUNT_BUCKETS
+)
 
 
 class ServerAlgorithm(enum.Enum):
@@ -131,14 +139,8 @@ class SpatialDatabaseServer:
         breakdown = self.counter.finish_query()
         self.queries_served += 1
         if OBS.enabled:
-            OBS.registry.counter(
-                "server.knn_queries", algorithm=chosen.value
-            ).inc()
-            OBS.registry.histogram(
-                "server.pages_per_query",
-                boundaries=DEFAULT_COUNT_BUCKETS,
-                algorithm=chosen.value,
-            ).observe(float(breakdown.total))
+            _KNN_QUERIES(chosen.value).inc()
+            _PAGES_PER_QUERY(chosen.value).observe(float(breakdown.total))
         return QueryAnswer(results, breakdown)
 
     def knn_query(
@@ -179,10 +181,8 @@ class SpatialDatabaseServer:
                 self.counter.record_object(key)
                 shipped += 1
         if OBS.enabled:
-            OBS.registry.counter("server.objects", outcome="shipped").inc(shipped)
-            OBS.registry.counter("server.objects", outcome="skipped").inc(
-                len(results) - shipped
-            )
+            _OBJECTS("shipped").inc(shipped)
+            _OBJECTS("skipped").inc(len(results) - shipped)
 
     def range_query_detailed(self, center: Point, radius: float) -> QueryAnswer:
         """All POIs within ``radius`` of ``center``, ascending by distance.
@@ -205,12 +205,8 @@ class SpatialDatabaseServer:
         breakdown = self.counter.finish_query()
         self.queries_served += 1
         if OBS.enabled:
-            OBS.registry.counter("server.range_queries").inc()
-            OBS.registry.histogram(
-                "server.pages_per_query",
-                boundaries=DEFAULT_COUNT_BUCKETS,
-                algorithm="range",
-            ).observe(float(breakdown.total))
+            _RANGE_QUERIES().inc()
+            _PAGES_PER_QUERY("range").observe(float(breakdown.total))
         return QueryAnswer(results, breakdown)
 
     def range_query(self, center: Point, radius: float) -> List[NeighborResult]:
@@ -236,12 +232,8 @@ class SpatialDatabaseServer:
         breakdown = self.counter.finish_query()
         self.queries_served += 1
         if OBS.enabled:
-            OBS.registry.counter("server.window_queries").inc()
-            OBS.registry.histogram(
-                "server.pages_per_query",
-                boundaries=DEFAULT_COUNT_BUCKETS,
-                algorithm="window",
-            ).observe(float(breakdown.total))
+            _WINDOW_QUERIES().inc()
+            _PAGES_PER_QUERY("window").observe(float(breakdown.total))
         return QueryAnswer(results, breakdown)
 
     def incremental_query(

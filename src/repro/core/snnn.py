@@ -31,9 +31,12 @@ from repro.network.ier import NetworkNeighbor, incremental_euclidean_restriction
 from repro.core.cache import CachedQueryResult
 from repro.core.senn import ResolutionTier, SennConfig, SennResult, senn_query
 from repro.core.backend import SpatialBackend
-from repro.obs import OBS
+from repro.obs import OBS, Counter, Instrument
 
 __all__ = ["SnnnResult", "snnn_query"]
+
+_QUERIES = Instrument(Counter, "snnn.queries")
+_CANDIDATES = Instrument(Counter, "snnn.candidates", "source")
 
 
 @dataclass
@@ -120,11 +123,9 @@ def snnn_query(
         euclidean_stream(), network_distance_of, k
     )
     if OBS.enabled:
-        OBS.registry.counter("snnn.queries").inc()
-        OBS.registry.counter("snnn.candidates", source="peers").inc(stats["peers"])
-        OBS.registry.counter("snnn.candidates", source="server").inc(
-            stats["server"]
-        )
+        _QUERIES().inc()
+        _CANDIDATES("peers").inc(stats["peers"])
+        _CANDIDATES("server").inc(stats["server"])
     return SnnnResult(
         neighbors,
         senn_result,

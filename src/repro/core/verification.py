@@ -24,7 +24,7 @@ in some peer's cache), which yields exact ranks (Lemma 3.7).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,49 +33,28 @@ from repro.geometry.circle import Circle
 from repro.geometry.coverage import CertainRegion, CoverageMethod
 from repro.geometry.point import Point
 from repro.geometry.vecmath import point_distance_list, point_distances
+from repro.index.knn import poi_key
 from repro.core.cache import CachedQueryResult
 from repro.core.heap import CandidateHeap
-from repro.obs import OBS
-from repro.obs.metrics import DEFAULT_COUNT_BUCKETS
+from repro.obs import DEFAULT_COUNT_BUCKETS, OBS, Counter, Histogram, Instrument
 
 __all__ = ["verify_single_peer", "verify_multi_peer", "collect_candidates"]
 
-#: Below this many candidates, plain Python lists beat ndarray dispatch
-#: overhead (peer caches are usually ``k <= 16`` entries).  Both branches
-#: perform the same exact IEEE operations, so the verdicts, distances and
-#: processing order are bit-identical either way.
-_SMALL_BATCH = 32
+#: ``_single_disk_covered`` keeps up to this many (circle, candidate)
+#: pairs on plain Python lists and broadcasts larger batches; both paths
+#: perform the same exact IEEE operations, so the verdicts are
+#: bit-identical.  Measured on a ``sim_rush``-shaped run the pair counts
+#: are median 42, p99 210, max 440 (147 / 575 / 960 at ``lambda_knn``
+#: 15), and broadcasting wins from about 50: moving the bound is ROADMAP
+#: item 3.  The per-candidate kernels have no such fork — a peer cache
+#: holds at most ``c_size`` = 20 entries and a multi-peer union at most
+#: 21 candidates (32 at ``lambda_knn`` 15), where lists beat ndarrays.
+_LIST_PATH_PAIRS = 1024
 
-#: Hoisted ``verify.*`` instruments: [registry, generation, {key: instrument}].
-#: The verifiers run once per peer cache on the SENN hot path; the registry
-#: lookup (name + label rendering + lock) is paid once per registry
-#: generation instead of once per verification call.  Instruments are
-#: created lazily on first use, matching the per-call lookup behaviour.
-_instrument_cache: List[Any] = [None, -1, {}]
-
-
-def _verify_instrument(kind: str, lemma: str, outcome: str = "") -> Any:
-    """A ``verify.batch_size`` / ``verify.candidates`` instrument, cached."""
-    registry = OBS.registry
-    cached = _instrument_cache
-    if cached[0] is not registry or cached[1] != registry.generation:
-        cached[0] = registry
-        cached[1] = registry.generation
-        cached[2] = {}
-    instruments: Dict[Tuple[str, str, str], Any] = cached[2]
-    key = (kind, lemma, outcome)
-    instrument = instruments.get(key)
-    if instrument is None:
-        if kind == "histogram":
-            instrument = registry.histogram(
-                "verify.batch_size", boundaries=DEFAULT_COUNT_BUCKETS, lemma=lemma
-            )
-        else:
-            instrument = registry.counter(
-                "verify.candidates", lemma=lemma, outcome=outcome
-            )
-        instruments[key] = instrument
-    return instrument
+_BATCH_SIZE = Instrument(
+    Histogram, "verify.batch_size", "lemma", boundaries=DEFAULT_COUNT_BUCKETS
+)
+_CANDIDATES = Instrument(Counter, "verify.candidates", "lemma", "outcome")
 
 
 def verify_single_peer(
@@ -112,27 +91,16 @@ def _verify_single_peer(
     # elementwise Lemma 3.2 comparison.  Both sides are the exact IEEE
     # operations the scalar loop performed per candidate (see
     # repro.geometry.vecmath), so each verdict is bit-identical.
-    if count <= _SMALL_BATCH:
-        distances = point_distance_list(
-            query.x,
-            query.y,
-            [n.point.x for n in neighbors],
-            [n.point.y for n in neighbors],
-        )
-        flags = [distance + delta <= certain_radius for distance in distances]
-        # Python's sort is stable, like argsort(kind="stable") below.
-        order = sorted(range(count), key=distances.__getitem__)
-        certified = sum(flags)
-    else:
-        xs = np.fromiter((n.point.x for n in neighbors), np.float64, count=count)
-        ys = np.fromiter((n.point.y for n in neighbors), np.float64, count=count)
-        distance = point_distances(query.x, query.y, xs, ys)
-        certain = distance + delta <= certain_radius
-        # Stable ascending order matches the scalar sorted() processing order.
-        order = np.argsort(distance, kind="stable").tolist()
-        distances = distance.tolist()
-        flags = certain.tolist()
-        certified = int(np.count_nonzero(certain))
+    distances = point_distance_list(
+        query.x,
+        query.y,
+        [n.point.x for n in neighbors],
+        [n.point.y for n in neighbors],
+    )
+    flags = [distance + delta <= certain_radius for distance in distances]
+    # Stable ascending order: the scalar sorted() processing order.
+    order = sorted(range(count), key=distances.__getitem__)
+    certified = sum(flags)
     heap.add_batch(
         (
             neighbors[index].point,
@@ -143,9 +111,9 @@ def _verify_single_peer(
         for index in order
     )
     if OBS.enabled:
-        _verify_instrument("histogram", "3.2").observe(float(count))
-        _verify_instrument("counter", "3.2", "certain").inc(certified)
-        _verify_instrument("counter", "3.2", "uncertain").inc(count - certified)
+        _BATCH_SIZE("3.2").observe(float(count))
+        _CANDIDATES("3.2", "certain").inc(certified)
+        _CANDIDATES("3.2", "uncertain").inc(count - certified)
     return certified
 
 
@@ -192,7 +160,7 @@ def _verify_multi_peer(
         query, region, [candidate[0] for candidate in candidates]
     )
     if OBS.enabled:
-        _verify_instrument("histogram", "3.8").observe(float(len(candidates)))
+        _BATCH_SIZE("3.8").observe(float(len(candidates)))
 
     certified = 0
     for index, (distance, point, payload) in enumerate(candidates):
@@ -205,14 +173,14 @@ def _verify_multi_peer(
             heap.add(point, payload, distance, certain=True)
             certified += 1
             if OBS.enabled:
-                _verify_instrument("counter", "3.8", "certain").inc()
+                _CANDIDATES("3.8", "certain").inc()
         else:
             # Monotonicity: a larger disk cannot be covered either.  The
             # remaining candidates stay uncertain; make sure the heap has
             # seen them at least once.
             heap.add(point, payload, distance, certain=False)
             if OBS.enabled:
-                _verify_instrument("counter", "3.8", "uncertain").inc()
+                _CANDIDATES("3.8", "uncertain").inc()
             break
     return certified
 
@@ -242,7 +210,7 @@ def _single_disk_covered(
     circles = region.circles
     count = len(circles)
     tolerance = region.tolerance
-    if count * len(distances) <= _SMALL_BATCH * _SMALL_BATCH:
+    if count * len(distances) <= _LIST_PATH_PAIRS:
         separations = point_distance_list(
             query.x,
             query.y,
@@ -276,45 +244,28 @@ def collect_candidates(
 
     The same physical POI may appear in several caches; the key is its
     coordinates plus payload identity.  Distances for the deduplicated
-    set are computed in one vectorized pass (bit-identical to the scalar
+    set are computed in one batched pass (bit-identical to the scalar
     metric); the stable sort preserves first-seen order on exact ties,
     as the scalar implementation did.
     """
     seen: Dict[Tuple[float, float, object], Tuple[Point, object]] = {}
     for cache in caches:
         for neighbor in cache.neighbors:
-            key = (neighbor.point.x, neighbor.point.y, _hashable(neighbor.payload))
+            key = poi_key(neighbor.point, neighbor.payload)
             if key not in seen:
                 seen[key] = (neighbor.point, neighbor.payload)
     if not seen:
         return []
     unique = list(seen.values())
-    count = len(unique)
-    if count <= _SMALL_BATCH:
-        distances = point_distance_list(
-            query.x,
-            query.y,
-            [point.x for point, _ in unique],
-            [point.y for point, _ in unique],
-        )
-    else:
-        xs = np.fromiter((point.x for point, _ in unique), np.float64, count=count)
-        ys = np.fromiter((point.y for point, _ in unique), np.float64, count=count)
-        distances = point_distances(query.x, query.y, xs, ys).tolist()
+    distances = point_distance_list(
+        query.x,
+        query.y,
+        [point.x for point, _ in unique],
+        [point.y for point, _ in unique],
+    )
     items = [
         (distance, point, payload)
         for distance, (point, payload) in zip(distances, unique)
     ]
     items.sort(key=lambda item: item[0])
     return items
-
-
-def _hashable(payload: object) -> object:
-    # Hashability probe for the dedup key: hash equality follows object
-    # equality, and the id() fallback only labels unhashable payloads
-    # within one run, so the key is observationally deterministic.
-    try:
-        hash(payload)
-    except TypeError:
-        return id(payload)
-    return payload

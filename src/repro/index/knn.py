@@ -47,7 +47,7 @@ from repro.geometry.vecmath import (
 from repro.index.node import LeafEntry, Node
 from repro.index.pagestats import PageAccessCounter
 from repro.index.rtree import RTree
-from repro.obs import OBS
+from repro.obs import OBS, Counter, Instrument
 
 __all__ = [
     "NeighborResult",
@@ -59,6 +59,8 @@ __all__ = [
     "poi_key",
     "poi_tie_key",
 ]
+
+_PRUNED_MBRS = Instrument(Counter, "einn.pruned_mbrs", "rule")
 
 #: Total order on POI payloads for breaking exact distance ties.
 TieKey = Tuple[int, float, str]
@@ -401,7 +403,7 @@ def _expand_einn(
         # Upward pruning: nothing in this MBR can enter the result.
         if (mindist, _NODE_TIE) > current_kth:
             if OBS.enabled:
-                OBS.registry.counter("einn.pruned_mbrs", rule="upward").inc()
+                _PRUNED_MBRS("upward").inc()
             continue
         # Downward pruning: the MBR is fully inside the certain circle;
         # every object in it is already known to the client.
@@ -409,7 +411,7 @@ def _expand_einn(
             maxdist = maxdists[index]
             if maxdist < bounds.lower:
                 if OBS.enabled:
-                    OBS.registry.counter("einn.pruned_mbrs", rule="downward").inc()
+                    _PRUNED_MBRS("downward").inc()
                 continue
         heapq.heappush(heap, (mindist, _NODE_TIE, next(tiebreak), child))
 

@@ -32,36 +32,13 @@ from repro.geometry.point import Point
 from repro.geometry.vecmath import FloatArray, hypot_pairs
 from repro.index.node import ChildEntry, Entry, LeafEntry, Node
 from repro.index.pagestats import PageAccessCounter
-from repro.obs import OBS
+from repro.obs import OBS, Counter, Instrument
 
 __all__ = ["RTree", "RTreeConfig", "SplitPolicy"]
 
-#: Hoisted ``rtree.node_reads`` counters: [registry, generation, leaf, index].
-#: read_node() is the hottest observability site in the tree; the registry
-#: lookup (name + label rendering + lock) is paid once per registry
-#: generation instead of once per page access.  Each kind's counter is
-#: created lazily, exactly when its first read happens — so the set of
-#: registered metrics matches the per-call lookup behaviour.
-_read_counter_cache: List[Any] = [None, -1, None, None]
-
-
-def _node_read_counter(is_leaf: bool) -> Any:
-    """The ``rtree.node_reads`` counter for the current registry."""
-    registry = OBS.registry
-    cached = _read_counter_cache
-    if cached[0] is not registry or cached[1] != registry.generation:
-        cached[0] = registry
-        cached[1] = registry.generation
-        cached[2] = None
-        cached[3] = None
-    slot = 2 if is_leaf else 3
-    counter = cached[slot]
-    if counter is None:
-        counter = registry.counter(
-            "rtree.node_reads", kind="leaf" if is_leaf else "index"
-        )
-        cached[slot] = counter
-    return counter
+_NODE_READS = Instrument(Counter, "rtree.node_reads", "kind")
+_SPLITS = Instrument(Counter, "rtree.splits", "policy")
+_REINSERTS = Instrument(Counter, "rtree.reinserts")
 
 
 class SplitPolicy(enum.Enum):
@@ -141,7 +118,7 @@ class RTree:
         metric intact while still exposing the scanned entry count.
         """
         if OBS.enabled:
-            _node_read_counter(node.is_leaf).inc()
+            _NODE_READS("leaf" if node.is_leaf else "index").inc()
         if counter is not None:
             counter.record_scan(node.page_id, node.is_leaf, len(node.entries))
         return node
@@ -434,9 +411,7 @@ class RTree:
                 new_node = self._split_node(node)
                 self.split_count += 1
                 if OBS.enabled:
-                    OBS.registry.counter(
-                        "rtree.splits", policy=self.config.split_policy.value
-                    ).inc()
+                    _SPLITS(self.config.split_policy.value).inc()
                 if parent is None:
                     self._grow_root(node, new_node)
                     return
@@ -486,7 +461,7 @@ class RTree:
         node.entries = list(keep)
         self.reinsert_count += 1
         if OBS.enabled:
-            OBS.registry.counter("rtree.reinserts").inc()
+            _REINSERTS().inc()
         # Ancestor MBRs must reflect the eviction before reinserting.
         for i in range(depth, 0, -1):
             self._refresh_child_entry(path[i - 1], path[i])

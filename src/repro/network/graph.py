@@ -14,16 +14,19 @@ computations operate on.
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.geometry.point import Point
-from repro.obs import OBS
+from repro.obs import OBS, Counter, Instrument
 
 __all__ = ["RoadClass", "Edge", "NetworkLocation", "SpatialNetwork"]
+
+_SNAP_CALLS = Instrument(Counter, "network.snap.calls")
+_SNAP_EDGES_SCANNED = Instrument(Counter, "network.snap.edges_scanned")
 
 
 class RoadClass(enum.Enum):
@@ -395,7 +398,7 @@ class SpatialNetwork:
         """Node ids of the largest connected component (the
         lowest-numbered one among equals)."""
         labels = self.component_labels()
-        sizes = Counter(labels.values())
+        sizes = collections.Counter(labels.values())
         largest = max(sizes, key=sizes.__getitem__, default=None)
         return [node for node, label in labels.items() if label == largest]
 
@@ -447,8 +450,8 @@ class SpatialNetwork:
             grid = self._edge_grid = _EdgeGrid(edges, self._positions)
         location, scanned = grid.nearest(point)
         if OBS.enabled:
-            OBS.registry.counter("network.snap.calls").inc()
-            OBS.registry.counter("network.snap.edges_scanned").inc(scanned)
+            _SNAP_CALLS().inc()
+            _SNAP_EDGES_SCANNED().inc(scanned)
         return location
 
     def nearest_node(self, point: Point) -> int:

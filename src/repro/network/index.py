@@ -63,7 +63,7 @@ from repro.index.knn import TieKey, poi_tie_key
 from repro.network.dijkstra import DijkstraSearch, distance_from, origin_seeds
 from repro.network.graph import NetworkLocation, SpatialNetwork
 from repro.network.ier import NetworkNeighbor
-from repro.obs import OBS
+from repro.obs import OBS, Counter, Instrument
 
 __all__ = [
     "DijkstraIndex",
@@ -71,6 +71,10 @@ __all__ = [
     "IndexStats",
     "NetworkIndex",
 ]
+
+_KNN_QUERIES = Instrument(Counter, "network.knn_queries", "impl")
+_SETTLED_VERTICES = Instrument(Counter, "network.settled_vertices", "impl")
+_POIS_REFINED = Instrument(Counter, "network.pois_refined")
 
 #: Relative / absolute slack added to pruning comparisons.  Assembled
 #: upper bounds and Euclidean lower bounds are float arithmetic over
@@ -209,10 +213,8 @@ class DijkstraIndex:
         settled = len(search.settled)
         self._stats.settled_vertices += settled
         if OBS.enabled:
-            OBS.registry.counter("network.knn_queries", impl="dijkstra").inc()
-            OBS.registry.counter(
-                "network.settled_vertices", impl="dijkstra"
-            ).inc(settled)
+            _KNN_QUERIES("dijkstra").inc()
+            _SETTLED_VERTICES("dijkstra").inc(settled)
         ranked: List[Tuple[float, TieKey, int, NetworkLocation, Any]] = []
         for order, (location, payload) in enumerate(self._pois):
             distance = distance_from(search, origin, location)
@@ -500,13 +502,9 @@ class HierarchicalIndex:
         settled = len(search.settled) - settled_before
         self._stats.settled_vertices += settled
         if OBS.enabled:
-            OBS.registry.counter("network.knn_queries", impl="hierarchy").inc()
-            OBS.registry.counter(
-                "network.settled_vertices", impl="hierarchy"
-            ).inc(settled)
-            OBS.registry.counter("network.pois_refined").inc(
-                sum(1 for _ in refined)
-            )
+            _KNN_QUERIES("hierarchy").inc()
+            _SETTLED_VERTICES("hierarchy").inc(settled)
+            _POIS_REFINED().inc(sum(1 for _ in refined))
         refined.sort(key=lambda item: (item[0], item[1], item[2]))
         return [
             NetworkNeighbor(

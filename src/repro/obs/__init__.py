@@ -6,8 +6,9 @@ Three small pieces, re-exported here:
   gauges and fixed-boundary histograms; deterministic snapshots.
 * :mod:`repro.obs.tracing` — :class:`Tracer` spans/events with JSONL
   export and an injectable (deterministic-by-default) clock.
-* :mod:`repro.obs.profiling` — the :data:`OBS` switchboard plus the
-  :func:`span` / :func:`timed` wall-time hooks for the outer layers.
+* :mod:`repro.obs.profiling` — the :data:`OBS` switchboard, the
+  :class:`Instrument` handle every call site counts through, and the
+  :func:`span` wall-time hook for the outer layers.
 
 ``repro.obs`` sits at rank 0 of the layering DAG (like
 ``repro.analysis.runtime``) so the engine's hot paths — R\\*-tree node
@@ -29,7 +30,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profiling import OBS, Obs, observed, span, timed
+from repro.obs.profiling import OBS, Instrument, Obs, observed, span
 from repro.obs.tracing import LogicalClock, TraceRecord, Tracer, records_from_jsonl
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS_S",
     "Gauge",
     "Histogram",
+    "Instrument",
     "LogicalClock",
     "MetricsRegistry",
     "OBS",
@@ -47,5 +49,4 @@ __all__ = [
     "observed",
     "records_from_jsonl",
     "span",
-    "timed",
 ]

@@ -1,9 +1,9 @@
-"""``repro-bench``: the pinned micro/macro performance suite.
+"""``repro-bench``: the pinned suite of the paper's counts.
 
-Runs a fixed, seeded benchmark suite over the engine's hot paths and
-emits ``BENCH_baseline.json`` — the committed first point on the repo's
-performance trajectory and the regression gate future perf PRs diff
-against (``repro-bench --fast --check``).
+Runs a fixed, seeded suite over the engine's hot paths and emits
+``BENCH_baseline.json`` — page counts, certification counts, SQRR
+shares and the counter snapshot behind them — the regression gate
+``repro-bench --fast --check`` diffs against.
 
 Five sections, every one driven through the instrumentation this layer
 added rather than ad-hoc counters in the benchmark script:
@@ -28,10 +28,10 @@ added rather than ad-hoc counters in the benchmark script:
   speedup; the suite *requires* answers bit-identical across the two
   implementations and a >= 10x settled-vertex reduction.
 
-The output separates ``deterministic`` results (seeded, bit-stable
-across runs on one machine; compared by ``--check`` with a tolerance
-that absorbs cross-platform libm drift) from ``timings_s``
-(informational wall-clock, never compared).
+Every result is ``deterministic``: seeded, bit-stable across runs on
+one machine, compared by ``--check`` with a tolerance that absorbs
+cross-platform libm drift.  The suite reads no clock; speed is
+``bench_e2e``'s job (``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import json
 import math
 import random
 import sys
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -158,25 +157,18 @@ PROFILES: Dict[str, BenchProfile] = {
 # ----------------------------------------------------------------------
 # suite sections
 # ----------------------------------------------------------------------
-def _bench_tree_build(
-    profile: BenchProfile, seed: int, timings: Dict[str, float]
-) -> Dict[str, Any]:
+def _bench_tree_build(profile: BenchProfile, seed: int) -> Dict[str, Any]:
     """STR bulk load + dynamic R\\* inserts at the Table-4 LA POI count."""
     params = PARAMETER_SETS_30X30["LA"]()
     rng = np.random.default_rng(seed + 11)
     coords = rng.uniform(0.0, 30.0, size=(params.poi_number, 2))
     pois = [(Point(float(x), float(y)), i) for i, (x, y) in enumerate(coords)]
 
-    start = time.perf_counter()
     bulk_tree = RTree.bulk_load(list(pois), RTreeConfig())
-    timings["tree_build.bulk_s"] = time.perf_counter() - start
 
     dynamic_tree = RTree(RTreeConfig())
-    subset = pois[: profile.dynamic_inserts]
-    start = time.perf_counter()
-    for point, payload in subset:
+    for point, payload in pois[: profile.dynamic_inserts]:
         dynamic_tree.insert(point, payload)
-    timings["tree_build.insert_s"] = time.perf_counter() - start
 
     return {
         "pois": len(bulk_tree),
@@ -201,9 +193,7 @@ def _mean_entries_scanned(history: Sequence[AccessBreakdown]) -> float:
     return sum(item.entries_scanned for item in history) / len(history)
 
 
-def _bench_inn_vs_einn(
-    profile: BenchProfile, seed: int, timings: Dict[str, float]
-) -> Dict[str, Any]:
+def _bench_inn_vs_einn(profile: BenchProfile, seed: int) -> Dict[str, Any]:
     """The Figure 17 experiment: mean pages per query, EINN vs INN.
 
     Page counts are read back from the ``server.pages_per_query``
@@ -211,7 +201,6 @@ def _bench_inn_vs_einn(
     measurement, the benchmark script only orchestrates.
     """
     out: Dict[str, Any] = {}
-    start = time.perf_counter()
     # Seed offset by region position (as fig17 does post-PR-5): stable
     # across processes, distinct per region.
     for offset, region in enumerate(profile.knn_regions):
@@ -275,13 +264,10 @@ def _bench_inn_vs_einn(
             "einn_entries_scanned": einn_entries,
             "inn_entries_scanned": inn_entries,
         }
-    timings["inn_vs_einn.total_s"] = time.perf_counter() - start
     return out
 
 
-def _bench_verification(
-    profile: BenchProfile, seed: int, timings: Dict[str, float]
-) -> Dict[str, Any]:
+def _bench_verification(profile: BenchProfile, seed: int) -> Dict[str, Any]:
     """Lemma 3.2 / Lemma 3.8 certification rates on synthesized peers."""
     rng = np.random.default_rng(seed + 17)
     area = 2.0
@@ -298,17 +284,14 @@ def _bench_verification(
         )
 
     single_certified = 0
-    start = time.perf_counter()
     for _ in range(profile.verify_trials):
         query = Point(float(rng.uniform(0, area)), float(rng.uniform(0, area)))
         cache = _true_knn_cache(random_peer(query), 10, coords)
         heap = CandidateHeap(k)
         single_certified += verify_single_peer(query, cache, heap)
-    timings["verification.single_s"] = time.perf_counter() - start
 
     multi_certified = 0
     multi_complete = 0
-    start = time.perf_counter()
     for _ in range(profile.verify_trials):
         query = Point(float(rng.uniform(0, area)), float(rng.uniform(0, area)))
         caches = [
@@ -320,7 +303,6 @@ def _bench_verification(
         multi_certified += verify_multi_peer(query, caches, heap)
         if heap.is_complete():
             multi_complete += 1
-    timings["verification.multi_s"] = time.perf_counter() - start
 
     return {
         "trials": profile.verify_trials,
@@ -335,9 +317,7 @@ def _bench_verification(
 _SERVICE_CONCURRENCY: Tuple[int, ...] = (1, 2, 4, 8)
 
 
-def _bench_service(
-    profile: BenchProfile, seed: int, timings: Dict[str, float]
-) -> Dict[str, Any]:
+def _bench_service(profile: BenchProfile, seed: int) -> Dict[str, Any]:
     """Amortized pages per query vs co-located client concurrency.
 
     The issue's acceptance experiment: waves of clustered kNN requests
@@ -380,7 +360,6 @@ def _bench_service(
             ]
         )
 
-    start = time.perf_counter()
     amortized: List[float] = []
     traversal_pages: List[float] = []
     scanned_entries: List[float] = []
@@ -404,7 +383,6 @@ def _bench_service(
         amortized.append(total_pages / queries)
         traversal_pages.append(node_pages / queries)
         scanned_entries.append(entries / queries)
-    timings["service.total_s"] = time.perf_counter() - start
 
     return {
         "pois": len(pois),
@@ -418,10 +396,7 @@ def _bench_service(
 
 
 def _bench_sim_window(
-    profile: BenchProfile,
-    seed: int,
-    timings: Dict[str, float],
-    tracer: Optional[Tracer],
+    profile: BenchProfile, seed: int, tracer: Optional[Tracer]
 ) -> Dict[str, Any]:
     """One FAST-quality simulation window; SQRR re-derived from metrics."""
     config = SimulationConfig(
@@ -432,17 +407,8 @@ def _bench_sim_window(
     )
     if tracer is not None:
         OBS.tracer = tracer
-    start = time.perf_counter()
-    simulation = Simulation(config)
-    timings["sim_window.setup_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    metrics = simulation.run()
-    timings["sim_window.run_s"] = time.perf_counter() - start
+    metrics = Simulation(config).run()
     OBS.tracer = None
-
-    for phase in ("advance", "query"):
-        histogram = OBS.registry.histogram(f"sim.phase.{phase}")
-        timings[f"sim_window.phase_{phase}_mean_s"] = histogram.mean
 
     return {
         "region": profile.sim_region,
@@ -463,9 +429,7 @@ def _bench_sim_window(
     }
 
 
-def _bench_network(
-    profile: BenchProfile, seed: int, timings: Dict[str, float]
-) -> Dict[str, Any]:
+def _bench_network(profile: BenchProfile, seed: int) -> Dict[str, Any]:
     """Road-network kNN: hierarchical ``NetworkIndex`` vs plain Dijkstra.
 
     The same origins, POIs and ``k`` run through both implementations;
@@ -474,7 +438,6 @@ def _bench_network(
     the hierarchy's advantage.  The graph is pinned per profile, the
     query workload derives from the bench seed.
     """
-    start = time.perf_counter()
     if profile.network_graph == "extract":
         network = load_bundled_extract()
     elif profile.network_graph == "la-100k":
@@ -484,11 +447,8 @@ def _bench_network(
         network = generate_road_network(spec)
     else:  # pragma: no cover - profile table is pinned above
         raise ValueError(f"unknown network graph {profile.network_graph!r}")
-    timings["network.load_graph_s"] = time.perf_counter() - start
 
-    start = time.perf_counter()
     hierarchy = HierarchicalIndex(network, leaf_size=64)
-    timings["network.build_hierarchy_s"] = time.perf_counter() - start
     reference = DijkstraIndex(network)
 
     rng = random.Random(f"bench-network:{seed}")
@@ -503,19 +463,17 @@ def _bench_network(
     reference.register_pois(pois)
     hierarchy.register_pois(pois)
 
-    def run(index: Any, label: str) -> Tuple[float, float]:
+    def run(index: Any) -> Tuple[float, float]:
         index.stats.reset()
         checksum = 0.0
-        start = time.perf_counter()
         for origin in origins:
             for neighbor in index.knn(origin, profile.network_k):
                 if not math.isinf(neighbor.network_distance):
                     checksum += neighbor.network_distance
-        timings[f"network.{label}_knn_s"] = time.perf_counter() - start
         return checksum, index.stats.settled_vertices / len(origins)
 
-    checksum_dijkstra, settled_dijkstra = run(reference, "dijkstra")
-    checksum_hierarchy, settled_hierarchy = run(hierarchy, "hierarchy")
+    checksum_dijkstra, settled_dijkstra = run(reference)
+    checksum_hierarchy, settled_hierarchy = run(hierarchy)
     return {
         "graph": profile.network_graph,
         "graph_nodes": network.node_count,
@@ -534,26 +492,6 @@ def _bench_network(
         "answer_checksum_dijkstra": checksum_dijkstra,
         "answer_checksum_hierarchy": checksum_hierarchy,
     }
-
-
-def _measure_guard_overhead_ns(loops: int = 200_000) -> float:
-    """Per-event cost of a *disabled* instrumentation guard, in ns.
-
-    Times ``if OBS.enabled: ...`` with the switchboard off; includes
-    loop overhead, so it over-estimates the true guard cost — which is
-    the conservative direction for the ≤2 % overhead budget.
-    """
-    sink = 0
-    best = float("inf")
-    with observed(enabled=False):
-        for _ in range(3):
-            start = time.perf_counter()
-            for _ in range(loops):
-                if OBS.enabled:
-                    sink += 1
-            best = min(best, time.perf_counter() - start)
-    assert sink == 0
-    return best / loops * 1e9
 
 
 def _counter_snapshot(registry: MetricsRegistry) -> Dict[str, float]:
@@ -580,30 +518,28 @@ def run_suite(
     global registry afterwards, so callers' metrics are unaffected.
     """
     profile = PROFILES[profile_name]
-    timings: Dict[str, float] = {}
     previous_registry = OBS.registry
     try:
         with observed(enabled=True):
             OBS.registry = MetricsRegistry()
-            tree_build = _bench_tree_build(profile, seed, timings)
+            tree_build = _bench_tree_build(profile, seed)
             OBS.registry = MetricsRegistry()
-            inn_vs_einn = _bench_inn_vs_einn(profile, seed, timings)
+            inn_vs_einn = _bench_inn_vs_einn(profile, seed)
             OBS.registry = MetricsRegistry()
-            verification = _bench_verification(profile, seed, timings)
+            verification = _bench_verification(profile, seed)
             OBS.registry = MetricsRegistry()
-            service = _bench_service(profile, seed, timings)
+            service = _bench_service(profile, seed)
             OBS.registry = MetricsRegistry()
-            sim_window = _bench_sim_window(profile, seed, timings, tracer)
+            sim_window = _bench_sim_window(profile, seed, tracer)
             counters = _counter_snapshot(OBS.registry)
             # The network section runs *after* the counter snapshot on
             # its own registry, so every pre-existing deterministic
             # section (counters included) stays byte-identical to the
             # baselines committed before the section existed.
             OBS.registry = MetricsRegistry()
-            network = _bench_network(profile, seed, timings)
+            network = _bench_network(profile, seed)
     finally:
         OBS.registry = previous_registry
-    timings["obs.guard_overhead_ns"] = _measure_guard_overhead_ns()
     return {
         "schema_version": SCHEMA_VERSION,
         "profile": profile.name,
@@ -617,7 +553,6 @@ def run_suite(
             "counters": counters,
             "network": network,
         },
-        "timings_s": timings,
     }
 
 
@@ -658,11 +593,6 @@ def validate_baseline(data: Any) -> List[str]:
     ):
         if not isinstance(deterministic.get(section), dict):
             problems.append(f"missing deterministic section {section!r}")
-    timings = data.get("timings_s")
-    if not isinstance(timings, dict) or not all(
-        isinstance(value, (int, float)) for value in timings.values()
-    ):
-        problems.append("'timings_s' must map names to numbers")
     for region, series in (deterministic.get("inn_vs_einn") or {}).items():
         einn = series.get("einn_pages", [])
         inn = series.get("inn_pages", [])
@@ -839,14 +769,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_summary(result: Dict[str, Any]) -> None:
     deterministic = result["deterministic"]
-    timings = result["timings_s"]
     tree = deterministic["tree_build"]
     sim = deterministic["sim_window"]
     print(
-        f"tree_build: {tree['pois']} POIs bulk in "
-        f"{timings['tree_build.bulk_s']:.3f}s (height {tree['bulk_height']}), "
-        f"{tree['dynamic_inserts']} inserts in "
-        f"{timings['tree_build.insert_s']:.3f}s "
+        f"tree_build: {tree['pois']} POIs bulk (height {tree['bulk_height']}), "
+        f"{tree['dynamic_inserts']} inserts "
         f"({tree['dynamic_splits']} splits, {tree['dynamic_reinserts']} reinserts)"
     )
     for region, series in deterministic["inn_vs_einn"].items():
@@ -873,7 +800,7 @@ def _print_summary(result: Dict[str, Any]) -> None:
     )
     print(
         f"sim_window[{sim['region']}/{sim['movement']}]: "
-        f"{sim['queries']} queries in {timings['sim_window.run_s']:.2f}s, "
+        f"{sim['queries']} queries, "
         f"SQRR {100 * sim['server_share']:.1f}%, "
         f"single {100 * sim['single_peer_share']:.1f}%, "
         f"multi {100 * sim['multi_peer_share']:.1f}%, "
@@ -885,11 +812,7 @@ def _print_summary(result: Dict[str, Any]) -> None:
         f"{network['queries']} kNN queries (k={network['k']}), "
         f"settled/query {network['settled_per_query_dijkstra']:.0f} -> "
         f"{network['settled_per_query_hierarchy']:.0f} "
-        f"({network['settled_speedup']:.1f}x), build "
-        f"{timings['network.build_hierarchy_s']:.2f}s"
-    )
-    print(
-        f"obs: disabled-guard cost {timings['obs.guard_overhead_ns']:.0f} ns/event"
+        f"({network['settled_speedup']:.1f}x)"
     )
 
 

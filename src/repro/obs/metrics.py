@@ -3,8 +3,8 @@
 The registry is the passive half of the observability layer
 (:mod:`repro.obs`): instrumented call sites in the engine increment
 metrics through the :data:`repro.obs.profiling.OBS` switchboard, and
-readers (``repro-bench``, :class:`repro.sim.stats.SimulationMetrics`,
-tests) pull deterministic snapshots back out.
+readers (``repro-bench``, ``bench_e2e``'s traced pass, tests) pull
+deterministic snapshots back out.
 
 Design constraints, in order:
 
@@ -22,8 +22,13 @@ Design constraints, in order:
   mutators, so concurrent ``inc()`` calls never lose updates.  Under
   ``REPRO_SANITIZE=1`` each mutation additionally reports to the race
   sanitizer, which checks the owning guard is actually held.
-* **Cheap.** A labelled lookup is one dict probe on a pre-sorted tuple
-  key; ``inc()`` is one uncontended lock round-trip plus a float add.
+* **Cheap where it is called often.** Measured on the development
+  container: a labelled ``registry.counter(name, **labels)`` lookup plus
+  ``inc()`` costs 1.8 us (kwargs, a sorted label key, a dict probe
+  under the lock), ``inc()`` on an instrument already in hand 0.5 us
+  (one lock round-trip plus a float add).  Call sites therefore hold
+  their instruments through :class:`repro.obs.profiling.Instrument`
+  (0.7 us per event; table and script in ``docs/observability.md``).
   The *disabled* path never reaches this module at all (call sites
   guard on ``OBS.enabled`` first), which is what keeps the <=2%
   disabled-overhead budget intact.
@@ -32,7 +37,19 @@ Design constraints, in order:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 from repro.analysis.runtime import SANITIZER, TrackedLock, named_lock
 
@@ -246,14 +263,14 @@ class Histogram:
 #: Any metric instrument stored in a registry.
 Metric = Union[Counter, Gauge, Histogram]
 
+_M = TypeVar("_M", bound=Metric)
+
 
 class MetricsRegistry:
     """Get-or-create store of metrics keyed on ``(name, sorted labels)``.
 
     One registry instance backs the global :data:`repro.obs.OBS`
-    switchboard; :class:`repro.sim.stats.SimulationMetrics` owns a
-    private always-on registry so per-simulation accounting is isolated
-    from whatever else the process measures.
+    switchboard; tests and ``repro-bench`` sections swap in fresh ones.
     """
 
     __slots__ = ("_metrics", "_lock", "generation")
@@ -261,9 +278,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         """Create an empty registry."""
         self._metrics: Dict[Tuple[str, LabelKey], Metric] = {}
-        # Bumped by reset(); hot paths that hoist instrument lookups out
-        # of their inner loop key their cache on (registry, generation)
-        # so an in-place reset invalidates them.
+        # Bumped by reset(); Instrument handles key their cache on
+        # (registry, generation) so an in-place reset invalidates them.
         self.generation = 0
         # One lock guards the registry map *and* every instrument it
         # creates: the instruments' hot mutators and the get-or-create
@@ -271,33 +287,53 @@ class MetricsRegistry:
         # single canonical node (see config.LOCK_ALIASES).
         self._lock = named_lock("MetricsRegistry._lock")
 
-    def counter(self, name: str, **labels: object) -> Counter:
-        """Return the counter for ``(name, labels)``, creating it at 0."""
+    def _get_or_create(
+        self,
+        kind: Type[_M],
+        name: str,
+        labels: Mapping[str, object],
+        boundaries: Optional[Sequence[float]] = None,
+    ) -> _M:
+        """The ``kind`` instrument at ``(name, labels)``, created on a miss.
+
+        ``boundaries`` is for histograms: the ladder of a new one
+        (default :data:`DEFAULT_TIME_BUCKETS_S`), and a conflict with an
+        existing one raises instead of silently rebucketing.
+        """
         key = (name, _label_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = Counter(name, key[1], lock=self._lock)
+                make: Callable[..., _M] = kind
+                if kind is Histogram:
+                    if boundaries is None:
+                        boundaries = DEFAULT_TIME_BUCKETS_S
+                    metric = make(name, key[1], boundaries, lock=self._lock)
+                else:
+                    metric = make(name, key[1], lock=self._lock)
                 self._metrics[key] = metric
-            elif not isinstance(metric, Counter):
+            elif not isinstance(metric, kind):
                 raise TypeError(
                     f"metric {name!r} already registered as {type(metric).__name__}"
+                )
+            elif (
+                boundaries is not None
+                and isinstance(metric, Histogram)
+                and tuple(float(b) for b in boundaries) != metric.boundaries
+            ):
+                raise ValueError(
+                    f"histogram {name!r} already registered with boundaries "
+                    f"{metric.boundaries}"
                 )
             return metric
 
+    def counter(self, name: str, **labels: object) -> Counter:
+        """Return the counter for ``(name, labels)``, creating it at 0."""
+        return self._get_or_create(Counter, name, labels)
+
     def gauge(self, name: str, **labels: object) -> Gauge:
         """Return the gauge for ``(name, labels)``, creating it at 0."""
-        key = (name, _label_key(labels))
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = Gauge(name, key[1], lock=self._lock)
-                self._metrics[key] = metric
-            elif not isinstance(metric, Gauge):
-                raise TypeError(
-                    f"metric {name!r} already registered as {type(metric).__name__}"
-                )
-            return metric
+        return self._get_or_create(Gauge, name, labels)
 
     def histogram(
         self,
@@ -311,25 +347,7 @@ class MetricsRegistry:
         the histogram already exists, a conflicting ``boundaries``
         argument raises instead of silently rebucketing.
         """
-        key = (name, _label_key(labels))
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                bounds = DEFAULT_TIME_BUCKETS_S if boundaries is None else boundaries
-                metric = Histogram(name, key[1], bounds, lock=self._lock)
-                self._metrics[key] = metric
-            elif not isinstance(metric, Histogram):
-                raise TypeError(
-                    f"metric {name!r} already registered as {type(metric).__name__}"
-                )
-            elif boundaries is not None and tuple(
-                float(b) for b in boundaries
-            ) != metric.boundaries:
-                raise ValueError(
-                    f"histogram {name!r} already registered with boundaries "
-                    f"{metric.boundaries}"
-                )
-            return metric
+        return self._get_or_create(Histogram, name, labels, boundaries)
 
     def value(self, name: str, **labels: object) -> float:
         """Value of the counter/gauge at ``(name, labels)``; 0.0 if absent."""

@@ -7,22 +7,26 @@ disabled fast path at every instrumented call site is exactly
 
 .. code-block:: python
 
+    _NODE_READS = Instrument(Counter, "rtree.node_reads", "kind")  # module top
+    ...
     if OBS.enabled:
-        OBS.registry.counter("rtree.node_reads", kind="leaf").inc()
+        _NODE_READS("leaf").inc()
 
 — one attribute read and a falsy branch (~30 ns), nothing else. The
-observability layer ships *enabled* (counters are cheap and the sim
-derives SQRR from them); ``REPRO_OBS=0`` turns every hook into that
-single guarded read, which is the mode the ≤2 % quickstart-overhead
-budget is asserted against (``tests/test_obs_overhead.py``).
+observability layer ships *enabled* (the paper's results are counters);
+``REPRO_OBS=0`` turns every hook into that single guarded read, which
+is the mode the ≤2 % quickstart-overhead budget is asserted against
+(``tests/test_obs_overhead.py``).  :class:`Instrument` is the one way a
+call site reaches a metric: it holds the instrument across calls, so an
+enabled event costs a dict probe plus ``inc()`` instead of a registry
+get-or-create (measured costs: ``docs/observability.md``).
 
-Two time-based hooks live here rather than in the engine: the
-:func:`span` context manager and the :func:`timed` decorator, both of
-which read ``time.perf_counter``. They are therefore **only** for the
-outer layers (``repro.sim``, ``repro.obs.bench``, experiments) —
-``repro.core`` / ``repro.index`` must stay bit-exact replayable (the
-difftest oracles and golden digests compare their outputs) and
-restrict themselves to counter increments.
+One time-based hook lives here rather than in the engine: the
+:func:`span` context manager, which reads ``time.perf_counter``. It is
+therefore **only** for the outer layers (``repro.sim``,
+``repro.obs.bench``, experiments) — ``repro.core`` / ``repro.index``
+must stay bit-exact replayable (the difftest oracles and golden digests
+compare their outputs) and restrict themselves to counter increments.
 """
 
 from __future__ import annotations
@@ -30,13 +34,22 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from functools import wraps
-from typing import Any, Callable, Iterator, Optional, TypeVar, cast
+from typing import (
+    Any,
+    Dict,
+    Generic,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
-from repro.obs.metrics import DEFAULT_TIME_BUCKETS_S, MetricsRegistry
+from repro.obs.metrics import DEFAULT_TIME_BUCKETS_S, Metric, MetricsRegistry
 from repro.obs.tracing import Tracer
 
-__all__ = ["OBS", "Obs", "observed", "span", "timed"]
+__all__ = ["Instrument", "OBS", "Obs", "observed", "span"]
 
 _FALSY = {"0", "false", "no", "off"}
 
@@ -65,19 +78,74 @@ class Obs:
         self.registry = MetricsRegistry()
         self.tracer: Optional[Tracer] = None
 
-    def reset(self) -> None:
-        """Replace the registry with a fresh one and drop the tracer.
-
-        Used by ``repro-bench`` between suite sections and by tests;
-        leaves ``enabled`` untouched.  Callers reset only while no other
-        context is measuring, hence the setup-ownership annotations.
-        """
-        self.registry = MetricsRegistry()  # repro: guarded-by(setup)
-        self.tracer = None  # repro: guarded-by(setup)
-
 
 #: The process-wide switchboard. Import the singleton, not the class.
 OBS = Obs(_enabled_from_env())
+
+_M = TypeVar("_M", bound=Metric)
+
+
+class Instrument(Generic[_M]):
+    """One metric family, declared at module top and held across calls.
+
+    Declared with its kind (:class:`Counter`, :class:`Gauge` or
+    :class:`Histogram`), metric name and label *names* (plus
+    ``boundaries`` for a histogram); called with the label *values* —
+    strings, one per name — it returns that instrument of the **current**
+    ``OBS.registry``.  Declaring registers nothing: the instrument is
+    created by its first event in each registry, so the set of
+    registered metrics is what a per-call ``registry.counter(...)``
+    lookup would have left.  Instruments are cached per registry
+    *generation*: replacing ``OBS.registry`` or resetting it in place
+    both start a fresh cache.  Call it under ``if OBS.enabled:``.
+    """
+
+    __slots__ = ("_kind", "_name", "_label_names", "_boundaries", "_state")
+
+    def __init__(
+        self,
+        kind: Type[_M],
+        name: str,
+        *label_names: str,
+        boundaries: Optional[Sequence[float]] = None,
+    ) -> None:
+        """Declare the family; nothing is registered until it is called."""
+        self._kind = kind
+        self._name = name
+        self._label_names = label_names
+        self._boundaries = boundaries
+        #: (registry, its generation, label values -> instrument).  Only
+        #: ever replaced whole, in one assignment: when one thread swaps
+        #: registries every other thread sees the old triple or the new
+        #: one, never a new registry paired with the old instruments.
+        self._state: Tuple[
+            Optional[MetricsRegistry], int, Dict[Tuple[str, ...], _M]
+        ] = (None, -1, {})
+
+    def __call__(self, *values: str) -> _M:
+        """The instrument for ``values`` in the current registry."""
+        registry = OBS.registry
+        state = self._state
+        if state[0] is not registry or state[1] != registry.generation:
+            state = (registry, registry.generation, {})
+            self._state = state  # repro: guarded-by(cache)
+        instrument = state[2].get(values)
+        if instrument is None:
+            instrument = state[2][values] = self._create(registry, values)
+        return instrument
+
+    def _create(self, registry: MetricsRegistry, values: Tuple[str, ...]) -> _M:
+        names = self._label_names
+        if len(values) != len(names) or not all(type(v) is str for v in values):
+            # str only: a cache keyed on raw values would hand ``1`` the
+            # instrument of ``True``, which ``str()`` keeps apart.
+            raise TypeError(
+                f"metric {self._name!r} takes {len(names)} string label "
+                f"value(s) {names}, got {values!r}"
+            )
+        return registry._get_or_create(
+            self._kind, self._name, dict(zip(names, values)), self._boundaries
+        )
 
 
 @contextmanager
@@ -130,37 +198,3 @@ def span(name: str, **attrs: Any) -> Iterator[None]:
                 OBS.registry.histogram(
                     name, boundaries=DEFAULT_TIME_BUCKETS_S
                 ).observe(time.perf_counter() - start)
-
-
-_Func = TypeVar("_Func", bound=Callable[..., Any])
-
-
-def timed(name: Optional[str] = None) -> Callable[[_Func], _Func]:
-    """Decorator: record each call's wall time into a histogram.
-
-    The metric name defaults to the function's qualified name. When the
-    switchboard is disabled the wrapper short-circuits straight into the
-    wrapped function (one attribute read of overhead). Same determinism
-    caveat as :func:`span`: keep out of ``repro.core`` / ``repro.index``.
-    """
-
-    def decorate(func: _Func) -> _Func:
-        metric_name = (
-            name if name is not None else f"{func.__module__}.{func.__qualname__}"
-        )
-
-        @wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not OBS.enabled:
-                return func(*args, **kwargs)
-            start = time.perf_counter()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                OBS.registry.histogram(
-                    metric_name, boundaries=DEFAULT_TIME_BUCKETS_S
-                ).observe(time.perf_counter() - start)
-
-        return cast(_Func, wrapper)
-
-    return decorate

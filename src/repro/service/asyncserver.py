@@ -40,7 +40,14 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.analysis.runtime import named_async_lock
 from repro.core.server import SpatialDatabaseServer
-from repro.obs import DEFAULT_TIME_BUCKETS_S, OBS
+from repro.obs import (
+    DEFAULT_TIME_BUCKETS_S,
+    OBS,
+    Counter,
+    Gauge,
+    Histogram,
+    Instrument,
+)
 from repro.service.engine import QueryService
 from repro.service.protocol import (
     HEADER_SIZE,
@@ -55,6 +62,17 @@ from repro.service.protocol import (
 )
 
 __all__ = ["AsyncQueryServer", "BackgroundServer", "ServiceConfig"]
+
+_CONNECTIONS = Instrument(Counter, "service.connections", "event")
+_REQUESTS = Instrument(Counter, "service.requests", "type")
+_ERRORS = Instrument(Counter, "service.errors", "code")
+_TIMEOUTS = Instrument(Counter, "service.timeouts")
+_DISPATCH = Instrument(Counter, "service.dispatch", "decision")
+_QUEUE_DEPTH = Instrument(Gauge, "service.queue_depth")
+_HOLD_S = Instrument(Histogram, "service.hold_s", boundaries=DEFAULT_TIME_BUCKETS_S)
+_REQUEST_LATENCY_S = Instrument(
+    Histogram, "service.request_latency_s", boundaries=DEFAULT_TIME_BUCKETS_S
+)
 
 
 @dataclass(frozen=True)
@@ -183,7 +201,7 @@ class AsyncQueryServer:
         loop = asyncio.get_running_loop()
         self._connections.add(writer)
         if OBS.enabled:
-            OBS.registry.counter("service.connections", event="opened").inc()
+            _CONNECTIONS("opened").inc()
 
         async def send(message: Message) -> None:
             frame = encode_message(message)
@@ -210,17 +228,13 @@ class AsyncQueryServer:
                     message = decode_message(header + payload)
                 except ProtocolError as exc:
                     if OBS.enabled:
-                        OBS.registry.counter(
-                            "service.errors", code=exc.code.name
-                        ).inc()
+                        _ERRORS(exc.code.name).inc()
                     await send(ErrorReply(0, exc.code, str(exc)))
                     break
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
                 if OBS.enabled:
-                    OBS.registry.counter(
-                        "service.requests", type=type(message).__name__
-                    ).inc()
+                    _REQUESTS(type(message).__name__).inc()
                 if isinstance(message, KnnRequest):
                     # Backpressure: stop reading this socket until the
                     # connection's in-flight window has room again.
@@ -244,9 +258,7 @@ class AsyncQueryServer:
             session.close()
             self._connections.discard(writer)
             if OBS.enabled:
-                OBS.registry.counter(
-                    "service.connections", event="closed"
-                ).inc()
+                _CONNECTIONS("closed").inc()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -313,7 +325,7 @@ class AsyncQueryServer:
         for item in batch:
             if now - item.enqueued_at > self.config.request_timeout_s:
                 if OBS.enabled:
-                    OBS.registry.counter("service.timeouts").inc()
+                    _TIMEOUTS().inc()
                 self._finish(
                     item,
                     ErrorReply(
@@ -355,28 +367,18 @@ class AsyncQueryServer:
     # ------------------------------------------------------------------
     def _note_queue_depth(self) -> None:
         if OBS.enabled:
-            OBS.registry.gauge("service.queue_depth").set(
-                float(self._queue.qsize())
-            )
+            _QUEUE_DEPTH().set(float(self._queue.qsize()))
 
     def _note_dispatch(self, hold_s: Optional[float]) -> None:
         """Count one wave; ``hold_s`` is ``None`` when it was not held."""
         if OBS.enabled:
-            OBS.registry.counter(
-                "service.dispatch",
-                decision="immediate" if hold_s is None else "held",
-            ).inc()
+            _DISPATCH("immediate" if hold_s is None else "held").inc()
             if hold_s is not None:
-                OBS.registry.histogram(
-                    "service.hold_s", boundaries=DEFAULT_TIME_BUCKETS_S
-                ).observe(hold_s)
+                _HOLD_S().observe(hold_s)
 
     def _note_latency(self, seconds: float) -> None:
         if OBS.enabled:
-            OBS.registry.histogram(
-                "service.request_latency_s",
-                boundaries=DEFAULT_TIME_BUCKETS_S,
-            ).observe(seconds)
+            _REQUEST_LATENCY_S().observe(seconds)
 
 
 class BackgroundServer:

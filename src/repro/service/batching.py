@@ -40,10 +40,17 @@ from repro.index.knn import (
 from repro.index.pagestats import AccessBreakdown
 from repro.core.backend import QueryAnswer
 from repro.core.server import SpatialDatabaseServer
-from repro.obs import DEFAULT_COUNT_BUCKETS, OBS
+from repro.obs import DEFAULT_COUNT_BUCKETS, OBS, Counter, Histogram, Instrument
 from repro.service.protocol import KnnRequest
 
 __all__ = ["BatchExecutor"]
+
+_BATCH_SIZE = Instrument(
+    Histogram, "service.batch_size", boundaries=DEFAULT_COUNT_BUCKETS
+)
+_BATCHED_QUERIES = Instrument(Counter, "service.batched_queries")
+_SHARED_TRAVERSALS = Instrument(Counter, "service.shared_traversals")
+_OBJECTS = Instrument(Counter, "server.objects", "outcome")
 
 #: Relative slack on the retirement bound: ``d(c, q_i) + r_i`` is exact
 #: in real arithmetic but each term carries float rounding, so the
@@ -154,9 +161,7 @@ class BatchExecutor:
         for cell in sorted(groups):
             members = groups[cell]
             if OBS.enabled:
-                OBS.registry.histogram(
-                    "service.batch_size", boundaries=DEFAULT_COUNT_BUCKETS
-                ).observe(float(len(members)))
+                _BATCH_SIZE().observe(float(len(members)))
             if len(members) == 1:
                 request = requests[members[0]]
                 answers[members[0]] = self._server.knn_query_detailed(
@@ -215,8 +220,8 @@ class BatchExecutor:
         breakdown = server.counter.finish_query()
         server.queries_served += len(clients)
         if OBS.enabled:
-            OBS.registry.counter("service.batched_queries").inc(len(clients))
-            OBS.registry.counter("service.shared_traversals").inc()
+            _BATCHED_QUERIES().inc(len(clients))
+            _SHARED_TRAVERSALS().inc()
         return _amortize(clients, breakdown)
 
     def _record_shipped(self, clients: Sequence[_ClientState]) -> None:
@@ -238,8 +243,8 @@ class BatchExecutor:
                 client.shipped += 1
                 shipped += 1
         if OBS.enabled:
-            OBS.registry.counter("server.objects", outcome="shipped").inc(shipped)
-            OBS.registry.counter("server.objects", outcome="skipped").inc(skipped)
+            _OBJECTS("shipped").inc(shipped)
+            _OBJECTS("skipped").inc(skipped)
 
 
 def _representative(requests: Sequence[KnnRequest]) -> Point:

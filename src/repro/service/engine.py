@@ -25,7 +25,7 @@ from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, incremental_nearest
 from repro.index.pagestats import AccessBreakdown
 from repro.core.server import SpatialDatabaseServer
-from repro.obs import OBS
+from repro.obs import OBS, Counter, Instrument
 from repro.service.batching import BatchExecutor
 from repro.service.protocol import (
     Answer,
@@ -45,6 +45,9 @@ from repro.service.protocol import (
 )
 
 __all__ = ["QueryService", "ServiceSession"]
+
+_ERRORS = Instrument(Counter, "service.errors", "code")
+_STREAMS = Instrument(Counter, "service.streams", "event")
 
 
 class _Stream:
@@ -159,9 +162,7 @@ class ServiceSession:
             return ErrorReply(_request_id(message), exc.code, str(exc))
         except (ValueError, ArithmeticError) as exc:
             if OBS.enabled:
-                OBS.registry.counter(
-                    "service.errors", code=ErrorCode.INTERNAL.name
-                ).inc()
+                _ERRORS(ErrorCode.INTERNAL.name).inc()
             return ErrorReply(
                 _request_id(message), ErrorCode.INTERNAL, str(exc)
             )
@@ -199,7 +200,7 @@ class ServiceSession:
             self._service.server, message.query
         )
         if OBS.enabled:
-            OBS.registry.counter("service.streams", event="opened").inc()
+            _STREAMS("opened").inc()
         return StreamHandle(message.request_id, stream_id)
 
     def _stream_pull(self, message: StreamPull) -> StreamItems:
@@ -225,7 +226,7 @@ class ServiceSession:
             )
         breakdown = stream.finalize()
         if OBS.enabled:
-            OBS.registry.counter("service.streams", event="closed").inc()
+            _STREAMS("closed").inc()
         return StreamEnd(message.request_id, message.stream_id, breakdown)
 
 

@@ -20,7 +20,7 @@ import time
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.analysis.runtime import named_lock
-from repro.obs import OBS
+from repro.obs import OBS, Counter, Instrument
 from repro.service.protocol import (
     HEADER_SIZE,
     ErrorCode,
@@ -34,6 +34,9 @@ if TYPE_CHECKING:
     from repro.service.engine import QueryService, ServiceSession
 
 __all__ = ["LoopbackTransport", "QueryTransport", "TcpTransport"]
+
+_CLIENT_RETRIES = Instrument(Counter, "service.client_retries")
+_CLIENT_RESENDS = Instrument(Counter, "service.client_resends")
 
 
 @runtime_checkable
@@ -136,7 +139,7 @@ class TcpTransport:
         for attempt in range(max(1, self._connect_retries)):
             if attempt > 0:
                 if OBS.enabled:
-                    OBS.registry.counter("service.client_retries").inc()
+                    _CLIENT_RETRIES().inc()
                 time.sleep(self._retry_delay_s)
             try:
                 sock = socket.create_connection(
@@ -159,7 +162,7 @@ class TcpTransport:
                 self._close_socket()
                 self._sock = self._connect()
                 if OBS.enabled:
-                    OBS.registry.counter("service.client_resends").inc()
+                    _CLIENT_RESENDS().inc()
                 _send_frame(self._sock, frame)
             header = _recv_exactly(self._sock, HEADER_SIZE)
             _, length = parse_header(header)

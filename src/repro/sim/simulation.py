@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.obs import OBS, span
+from repro.obs import OBS, Gauge, Instrument, span
 from repro.core.backend import SpatialBackend
 from repro.core.host import MobileHost
 from repro.core.server import SpatialDatabaseServer
@@ -52,6 +52,9 @@ from repro.sim.stats import SimulationMetrics
 from repro.sim.trace import QueryEvent, QueryTrace
 
 __all__ = ["Simulation"]
+
+_HOSTS = Instrument(Gauge, "sim.hosts")
+_POIS = Instrument(Gauge, "sim.pois")
 
 
 class Simulation:
@@ -110,8 +113,8 @@ class Simulation:
             QueryTrace() if config.record_trace else None
         )
         if OBS.enabled:
-            OBS.registry.gauge("sim.hosts").set(len(self.hosts))
-            OBS.registry.gauge("sim.pois").set(len(self.pois))
+            _HOSTS().set(len(self.hosts))
+            _POIS().set(len(self.pois))
 
     # ------------------------------------------------------------------
     # setup helpers

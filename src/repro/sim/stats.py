@@ -5,15 +5,13 @@ The paper's mobile-host metric is the *spatial query request rate*
 server.  Its figures additionally split the peer-resolved share into
 single-peer and multi-peer buckets.
 
-:class:`SimulationMetrics` is a thin façade over a private, always-on
-:class:`repro.obs.MetricsRegistry`: :meth:`record` increments labelled
-counters (``sim.queries{tier=...}``, ``sim.server_pages``,
-``sim.latency_ms{tier=...}``, ...) and every derived statistic — SQRR,
-the per-tier shares, the PAR input — is re-derived from the registry on
-read.  The registry is per-instance (not the global ``OBS`` one) so two
-concurrent simulations never mix their accounting, and it ignores the
-``REPRO_OBS`` switch: SQRR is a simulation *result*, not optional
-telemetry.  ``repro-bench`` snapshots :attr:`registry` directly.
+:class:`SimulationMetrics` holds plain per-instance tallies: a query
+count and a latency sum per resolution tier, server pages and queries,
+peer probes and tuples.  Every derived statistic — SQRR, the per-tier
+shares, the PAR input — is computed from them on read.  It imports
+nothing from :mod:`repro.obs` and ignores the ``REPRO_OBS`` switch: SQRR
+is a simulation *result*, not optional telemetry, and two simulations in
+one process never mix their accounting.
 """
 
 from __future__ import annotations
@@ -21,19 +19,37 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.senn import ResolutionTier
-from repro.obs import MetricsRegistry
 
 __all__ = ["SimulationMetrics"]
 
 
 class SimulationMetrics:
-    """Aggregated outcome of one simulation run, backed by a registry."""
+    """Aggregated outcome of one simulation run."""
 
-    __slots__ = ("registry", "warmup_queries")
+    __slots__ = (
+        "_queries",
+        "_latency_ms",
+        "total_server_pages",
+        "server_query_count",
+        "total_peer_probes",
+        "total_tuples_received",
+        "warmup_queries",
+    )
 
     def __init__(self) -> None:
-        """Create an empty metrics façade with a fresh private registry."""
-        self.registry = MetricsRegistry()
+        """Create empty tallies."""
+        #: Per tier, in first-recorded order (``total_latency_ms`` adds
+        #: the per-tier sums in that order).
+        self._queries: Dict[ResolutionTier, int] = {}
+        self._latency_ms: Dict[ResolutionTier, float] = {}
+        #: Total server page accesses over all SERVER-tier queries.
+        self.total_server_pages = 0
+        #: Number of queries the server had to process.
+        self.server_query_count = 0
+        #: Total ad-hoc peer probes sent (P2P communication overhead).
+        self.total_peer_probes = 0
+        #: Total NN tuples transferred over the P2P channel.
+        self.total_tuples_received = 0
         self.warmup_queries = 0
 
     def record(
@@ -45,58 +61,36 @@ class SimulationMetrics:
         latency_ms: float = 0.0,
     ) -> None:
         """Account one steady-state query resolved at ``tier``."""
-        registry = self.registry
-        registry.counter("sim.queries", tier=tier.value).inc()
-        registry.counter("sim.peer_probes").inc(peer_probes)
-        registry.counter("sim.tuples_received").inc(tuples_received)
-        registry.counter("sim.latency_ms", tier=tier.value).inc(latency_ms)
+        self._queries[tier] = self._queries.get(tier, 0) + 1
+        self._latency_ms[tier] = self._latency_ms.get(tier, 0.0) + latency_ms
+        self.total_peer_probes += peer_probes
+        self.total_tuples_received += tuples_received
         if tier is ResolutionTier.SERVER:
-            registry.counter("sim.server_pages").inc(server_pages)
-            registry.counter("sim.server_queries").inc()
+            self.total_server_pages += server_pages
+            self.server_query_count += 1
 
     # ------------------------------------------------------------------
-    # registry-derived raw counters (the pre-PR-5 public attributes)
+    # raw tallies
     # ------------------------------------------------------------------
     @property
     def tier_counts(self) -> Dict[ResolutionTier, int]:
         """Recorded query count per resolution tier (all tiers present)."""
-        return {
-            tier: int(self.registry.value("sim.queries", tier=tier.value))
-            for tier in ResolutionTier
-        }
-
-    @property
-    def total_server_pages(self) -> int:
-        """Total server page accesses over all SERVER-tier queries."""
-        return int(self.registry.value("sim.server_pages"))
-
-    @property
-    def server_query_count(self) -> int:
-        """Number of queries the server had to process."""
-        return int(self.registry.value("sim.server_queries"))
-
-    @property
-    def total_peer_probes(self) -> int:
-        """Total ad-hoc peer probes sent (P2P communication overhead)."""
-        return int(self.registry.value("sim.peer_probes"))
-
-    @property
-    def total_tuples_received(self) -> int:
-        """Total NN tuples transferred over the P2P channel."""
-        return int(self.registry.value("sim.tuples_received"))
+        return {tier: self._queries.get(tier, 0) for tier in ResolutionTier}
 
     @property
     def total_latency_ms(self) -> float:
         """Summed query latency under the simulation's latency model."""
-        return self.registry.total("sim.latency_ms")
+        # A plain left fold: ``sum()`` compensates from Python 3.12 on and
+        # would move the last digit of the committed ``mean_latency_ms``.
+        total = 0.0
+        for tier_sum in self._latency_ms.values():
+            total += tier_sum
+        return total
 
     @property
     def latency_by_tier(self) -> Dict[ResolutionTier, float]:
         """Summed latency per resolution tier (all tiers present)."""
-        return {
-            tier: self.registry.value("sim.latency_ms", tier=tier.value)
-            for tier in ResolutionTier
-        }
+        return {tier: self._latency_ms.get(tier, 0.0) for tier in ResolutionTier}
 
     # ------------------------------------------------------------------
     # derived statistics
@@ -104,14 +98,14 @@ class SimulationMetrics:
     @property
     def total_queries(self) -> int:
         """Number of recorded (post-warm-up) queries."""
-        return int(self.registry.total("sim.queries"))
+        return sum(self._queries.values())
 
     def share(self, tier: ResolutionTier) -> float:
         """Fraction of recorded queries resolved at ``tier`` (0-1)."""
         total = self.total_queries
         if total == 0:
             return 0.0
-        return self.registry.value("sim.queries", tier=tier.value) / total
+        return self._queries.get(tier, 0) / total
 
     @property
     def server_share(self) -> float:

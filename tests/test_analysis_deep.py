@@ -1,6 +1,6 @@
 """Acceptance tests for ``repro-lint --deep``: the driver, its CLI, the
 call graph and rules RPR008, RPR011-RPR013 (RPR015-RPR020 live in
-``test_analysis_concurrency``, RPR022 and RPR025 in ``test_analysis_perf``).
+``test_analysis_concurrency``, RPR022 in ``test_analysis_perf``).
 
 Two layers of coverage:
 
@@ -32,6 +32,10 @@ from repro.analysis.layers import cycle_violations, layer_violations
 from repro.analysis.project import project_from_sources
 from tests.conftest import REPO_ROOT, violations_of, write_tree
 
+
+#: ``repro.obs.profiling`` with ``Obs`` renamed away and the other class
+#: ``config.CONCURRENT_CLASSES`` declares still there.
+RENAMED_OBS = "class Observatory:\n    pass\n\n\nclass Instrument:\n    pass\n"
 
 # ----------------------------------------------------------------------
 # RPR008: dead code
@@ -173,15 +177,10 @@ class TestLemmaConformance:
             assert has_site or has_call_entry, f"nothing pins {scope}"
 
     def test_lemma_32_direction_flip_is_caught_statically(self, head_analysis):
-        """The acceptance mutation: ``<=`` -> ``<`` in _verify_single_peer.
-
-        The comparison appears once per batch branch (the small-batch
-        list path and the ndarray path); the global replace flips both
-        and the conformance check must report each flipped site.
-        """
+        """The acceptance mutation: ``<=`` -> ``<`` in _verify_single_peer."""
         source = head_analysis.project.get("repro.core.verification").source
         site_count = source.count("distance + delta <= certain_radius")
-        assert site_count == 2
+        assert site_count == 1
         mutated = head_analysis.project.replace_source(
             "repro.core.verification",
             source.replace(
@@ -462,28 +461,10 @@ class TestDriver:
         closure = build_import_graph(project).reachability()
         assert all(closure[name] == ring for name in ring)
 
-    def test_misspelt_hot_entry_point_is_reported(self, head_analysis):
-        good = "repro.core.server.SpatialDatabaseServer.range_query_detailed"
-        assert good in config.HOT_ENTRY_POINTS
-        typo = good.replace("range_query", "rnage_query")
-        analysis = deep.analyze(
-            head_analysis.project,
-            select=["RPR025"],
-            hot_entry_points=config.HOT_ENTRY_POINTS - {good} | {typo},
-        )
-        # Once where the name is declared, once at the module that lacks
-        # it -- a rename there alone must survive --changed-only.
-        assert [v.code for v in analysis.violations] == ["RPR025", "RPR025"]
-        declared, owner = analysis.violations
-        assert declared.path.endswith("analysis/config.py")
-        assert (owner.path.endswith("core/server.py"), owner.line) == (True, 1)
-        assert "rnage_query_detailed" in declared.message == owner.message
-        assert "declared in HOT_ENTRY_POINTS" in declared.message
-
     def test_renamed_concurrent_class_is_reported(self):
         assert "repro.obs.profiling.Obs" in config.CONCURRENT_CLASSES
         project = project_from_sources(
-            {"repro.obs.profiling": "class Observatory:\n    pass\n"}
+            {"repro.obs.profiling": RENAMED_OBS}
         )
         analysis = deep.analyze(project, select=["RPR015"])
         assert [(v.code, v.path) for v in analysis.violations] == [
@@ -520,7 +501,7 @@ class TestDeepCli:
             text=True,
         )
 
-    def test_whole_tree_gate_is_clean_and_prints_the_four_tables(self):
+    def test_whole_tree_gate_is_clean_and_prints_the_three_tables(self):
         proc = self.run_subprocess("--deep", "--report")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 findings" in proc.stderr
@@ -529,7 +510,6 @@ class TestDeepCli:
             "concurrency: guarded-by table",
             "concurrency: lock-order graph",
             "concurrency: thread/executor entry points",
-            "hotpath: hot set (query-reachable functions)",
         ]
 
     def test_deep_outside_repo_root_is_a_usage_error(self, tmp_path):
@@ -538,15 +518,17 @@ class TestDeepCli:
         assert "src/repro not found" in proc.stderr
 
     def test_list_rules_includes_deep_catalogue(self, lint_cli):
-        # No other flag needed: one catalogue, 20 rules + RPR900.
+        # No other flag needed: one catalogue, 19 rules + RPR900.
         status, out, _ = lint_cli("--list-rules")
         assert status == 0
         codes = [line.split()[0] for line in out.splitlines()]
-        assert codes == sorted(codes) and len(codes) == 21
-        assert {"RPR001", "RPR008", "RPR011", "RPR013", "RPR025", "RPR900"} <= set(
+        assert codes == sorted(codes) and len(codes) == 20
+        assert {"RPR001", "RPR008", "RPR011", "RPR013", "RPR022", "RPR900"} <= set(
             codes
         )
-        retired = {"RPR009", "RPR010", "RPR021", "RPR023", "RPR024", "RPR026"}
+        retired = {
+            "RPR009", "RPR010", "RPR021", "RPR023", "RPR024", "RPR025", "RPR026",
+        }
         assert not retired & set(codes)
 
     def test_finding_fails_the_run(self, lint_cli, tmp_path):
@@ -557,8 +539,8 @@ class TestDeepCli:
 
     def test_unknown_code_is_a_usage_error_in_both_modes(self, lint_cli, tmp_path):
         tree = seeded_tree(tmp_path)
-        # RPR021 is retired, so as unknown as a code that never existed.
-        for code in ("RPR999", "RPR021"):
+        # Retired codes are as unknown as a code that never existed.
+        for code in ("RPR999", "RPR021", "RPR025"):
             status, _, err = lint_cli("--deep", "--select", code, cwd=tree)
             assert status == 2 and f"unknown lint rule codes: {code}" in err
         status, _, err = lint_cli("--ignore", "RPR999", "src", cwd=tree)
@@ -600,7 +582,7 @@ class TestDeepCli:
             tmp_path,
             {
                 "repro.analysis.config": config_source,
-                "repro.obs.profiling": "class Observatory:\n    pass\n",
+                "repro.obs.profiling": RENAMED_OBS,
             },
         )
         args = ("--deep", "--select", "RPR015", "--quiet")

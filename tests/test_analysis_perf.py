@@ -1,5 +1,5 @@
-"""Acceptance tests for the accounting and hot-path passes of
-``repro-lint --deep`` (RPR022, RPR025).
+"""Acceptance tests for the accounting pass of ``repro-lint --deep``
+(RPR022).
 
 Mirrors the structure of ``test_analysis_concurrency.py``:
 
@@ -21,7 +21,6 @@ import pathlib
 import numpy as np
 
 from repro.analysis import deep
-from repro.analysis.hotpath import hotpath_report
 from repro.analysis.project import project_from_sources
 from repro.analysis.runtime import SANITIZER, Sanitizer, sanitized
 from repro.geometry.bbox import BoundingBox
@@ -131,89 +130,17 @@ class TestFoldOnce:
 
 
 # ----------------------------------------------------------------------
-# RPR025: unguarded obs in hot loops
-# ----------------------------------------------------------------------
-def hot_analysis(body):
-    project = project_from_sources({"repro.hotm.mod": body})
-    return deep.analyze(
-        project,
-        select=["RPR025"],
-        hot_entry_points=frozenset({"repro.hotm.mod.hot"}),
-    )
-
-
-class TestHotLoops:
-    def test_cold_function_is_not_scanned(self):
-        analysis = hot_analysis(
-            "def hot(items):\n"
-            "    return len(items)\n"
-            "\n"
-            "\n"
-            "def cold(items):\n"
-            "    for item in items:\n"
-            "        OBS.registry.counter('x').inc()\n"
-        )
-        assert analysis.violations == []
-        assert analysis.hot == {"repro.hotm.mod.hot"}
-
-    def test_unguarded_obs_in_loop_is_rpr025(self):
-        analysis = hot_analysis(
-            "def hot(items):\n"
-            "    for item in items:\n"
-            "        OBS.registry.counter('x').inc()\n"
-        )
-        flagged = violations_of(analysis, "RPR025")
-        assert len(flagged) == 1
-        assert "without an" in flagged[0].message
-
-    def test_guarded_obs_in_loop_is_clean(self):
-        analysis = hot_analysis(
-            "def hot(items):\n"
-            "    for item in items:\n"
-            "        if OBS.enabled:\n"
-            "            OBS.registry.counter('x').inc()\n"
-        )
-        assert analysis.violations == []
-
-    def test_helper_rooted_call_is_exempt(self):
-        # The generation-cache idiom: the helper is the guard.
-        analysis = hot_analysis(
-            "def hot(items):\n"
-            "    for item in items:\n"
-            "        _cached_counter().inc()\n"
-        )
-        assert violations_of(analysis, "RPR025") == []
-
-
-# ----------------------------------------------------------------------
 # the real tree
 # ----------------------------------------------------------------------
 class TestHeadTree:
     def test_head_accounting_is_clean(self, head_analysis):
         assert violations_of(head_analysis, "RPR022") == []
 
-    def test_head_hotpath_is_clean(self, head_analysis):
-        assert violations_of(head_analysis, "RPR025") == []
-
-    def test_hot_set_covers_the_entry_points(self, head_analysis):
-        hot = head_analysis.hot
-        assert any(q.endswith("verify_single_peer") for q in hot)
-        assert any(q.endswith("incremental_nearest") for q in hot)
-
-    def test_hot_set_holds_no_static_analysis_code(self, head_analysis):
-        # ProtocolError's ``super().__init__()``, resolved by bare name,
-        # would match every importable ``__init__``, this package's included.
-        runtime_side = ("repro.analysis.runtime.", "repro.analysis.invariants.")
-        assert [
-            q
-            for q in head_analysis.hot
-            if q.startswith("repro.analysis.") and not q.startswith(runtime_side)
-        ] == []
-
     def test_reports_render(self, head_analysis):
-        hot_text = "\n".join(hotpath_report(head_analysis))
-        assert "hot set" in hot_text
-        assert "repro.index.knn.incremental_nearest" in hot_text
+        text = "\n".join(head_analysis.report())
+        # The instrument handle's cache is declared shared and annotated.
+        assert "  Instrument._state                -> owner:cache" in text
+        assert "TcpTransport._lock -> MetricsRegistry._lock" in text
 
 
 # ----------------------------------------------------------------------
@@ -404,24 +331,31 @@ class TestAccountingSanitizer:
 class TestCli:
     def test_report_flag_prints_tables(self, lint_cli, tmp_path):
         source = (
-            "__all__ = ['verify_single_peer', 'verify_multi_peer']\n\n\n"
-            "def _kernel(heap):\n    return heap\n\n\n"
-            "def verify_single_peer(heap):\n    return _kernel(heap)\n\n\n"
-            "def verify_multi_peer(heap):\n    return heap\n"
+            "import threading\n\n"
+            "__all__ = ['Box']\n\n\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self.value = 0\n\n"
+            "    def put(self, value):\n"
+            "        with self._lock:\n"
+            "            self.value = value\n"
         )
-        tree = write_tree(tmp_path, {"repro.core.verification": source})
+        tree = write_tree(tmp_path, {"repro.core.box": source})
         status, out, err = lint_cli(
-            "--deep", "--report", "--quiet", "--select", "RPR025", cwd=tree
+            "--deep", "--report", "--quiet", "--select", "RPR015", cwd=tree
         )
         assert status == 0, out + err
-        assert out.endswith(
-            "hotpath: hot set (query-reachable functions)\n"
-            "  repro.core.verification._kernel\n"
-            "  repro.core.verification.verify_multi_peer\n"
-            "  repro.core.verification.verify_single_peer\n"
+        assert out == (
+            "concurrency: guarded-by table\n"
+            "  Box.value  -> Box._lock\n"
+            "concurrency: lock-order graph\n"
+            "  (no lock nesting observed)\n"
+            "concurrency: thread/executor entry points\n"
+            "  (none)\n"
         )
 
     def test_list_rules_includes_perf_catalogue(self, lint_cli):
         status, out, _ = lint_cli("--list-rules")
         assert status == 0
-        assert "RPR022" in out and "RPR025" in out
+        assert "RPR022" in out and "RPR025" not in out

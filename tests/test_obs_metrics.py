@@ -1,4 +1,5 @@
-"""Tests for repro.obs.metrics: counters, gauges, histograms, registry."""
+"""Tests for repro.obs.metrics (counters, gauges, histograms, registry)
+and the :class:`repro.obs.Instrument` handle call sites reach them through."""
 
 import json
 
@@ -12,6 +13,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.obs.profiling import OBS, Instrument, observed
 
 
 class TestCounter:
@@ -254,3 +256,130 @@ class TestThreadSafety:
         for metric in registry:
             registry.counter(f"derived.{metric.name}").inc()
         assert registry.value("derived.a") == 1.0
+
+
+@pytest.fixture
+def registry():
+    """``OBS`` enabled on a fresh registry; the previous one is put back."""
+    previous = OBS.registry
+    with observed(enabled=True):
+        OBS.registry = MetricsRegistry()
+        try:
+            yield OBS.registry
+        finally:
+            OBS.registry = previous
+
+
+class TestInstrument:
+    def test_declaring_registers_nothing(self, registry):
+        Instrument(Counter, "handle.hits", "kind")
+        Instrument(Histogram, "handle.sizes", boundaries=DEFAULT_COUNT_BUCKETS)
+        assert len(registry) == 0
+
+    def test_first_call_creates_what_a_registry_lookup_would(self, registry):
+        hits = Instrument(Counter, "handle.hits", "kind", "outcome")
+        hits("leaf", "ok").inc()
+        assert hits("leaf", "ok") is registry.counter(
+            "handle.hits", outcome="ok", kind="leaf"
+        )
+        assert registry.snapshot() == {"handle.hits{kind=leaf,outcome=ok}": 1.0}
+
+    def test_two_label_tuples_give_two_instruments(self, registry):
+        hits = Instrument(Counter, "handle.hits", "kind")
+        hits("leaf").inc()
+        hits("index").inc(2.0)
+        assert hits("leaf") is not hits("index")
+        assert registry.label_values("handle.hits", "kind") == {
+            "leaf": 1.0,
+            "index": 2.0,
+        }
+
+    def test_unlabelled_gauge(self, registry):
+        depth = Instrument(Gauge, "handle.depth")
+        depth().set(3.0)
+        assert registry.value("handle.depth") == 3.0
+
+    def test_swapped_registry_gets_fresh_instruments(self, registry):
+        hits = Instrument(Counter, "handle.hits")
+        old = hits()
+        old.inc()
+        OBS.registry = MetricsRegistry()
+        hits().inc(5.0)
+        assert hits() is not old and old.value == 1.0
+        assert OBS.registry.value("handle.hits") == 5.0
+        assert registry.value("handle.hits") == 1.0
+
+    def test_in_place_reset_gets_fresh_instruments(self, registry):
+        hits = Instrument(Counter, "handle.hits")
+        old = hits()
+        old.inc()
+        registry.reset()
+        assert len(registry) == 0  # nothing re-registered until the next event
+        hits().inc(5.0)
+        assert hits() is not old and old.value == 1.0
+        assert registry.value("handle.hits") == 5.0
+
+    def test_wrong_arity_raises(self, registry):
+        hits = Instrument(Counter, "handle.hits", "kind")
+        with pytest.raises(TypeError, match="1 string label"):
+            hits()
+        with pytest.raises(TypeError, match="1 string label"):
+            hits("leaf", "extra")
+        assert len(registry) == 0
+
+    def test_label_values_must_be_strings(self, registry):
+        # ``True == 1`` as dict keys, ``"True" != "1"`` as labels.
+        hits = Instrument(Counter, "handle.hits", "flag")
+        for value in (True, 1):
+            with pytest.raises(TypeError, match="string label"):
+                hits(value)
+        assert len(registry) == 0
+
+    def test_histogram_handle_carries_its_boundaries(self, registry):
+        sizes = Instrument(
+            Histogram, "handle.sizes", "lemma", boundaries=DEFAULT_COUNT_BUCKETS
+        )
+        sizes("3.2").observe(7.0)
+        assert sizes("3.2").boundaries == DEFAULT_COUNT_BUCKETS
+        untimed = Instrument(Histogram, "handle.wait_s")
+        assert untimed().boundaries == DEFAULT_TIME_BUCKETS_S
+
+    def test_kind_conflict_with_an_existing_metric_raises(self, registry):
+        registry.gauge("handle.hits")
+        with pytest.raises(TypeError, match="already registered as Gauge"):
+            Instrument(Counter, "handle.hits")()
+
+    def test_no_update_is_lost_across_a_registry_swap(self, registry):
+        import sys
+        import threading
+
+        hits = Instrument(Counter, "handle.hits", "kind")
+        rounds, workers = 2000, 8
+        replacement = MetricsRegistry()
+        start = threading.Barrier(workers)
+
+        def hammer(swaps):
+            start.wait(timeout=30.0)
+            for done in range(rounds):
+                if swaps and done == rounds // 2:
+                    OBS.registry = replacement  # the others are mid-loop
+                hits("leaf").inc()
+
+        threads = [
+            threading.Thread(target=hammer, args=(index == 0,))
+            for index in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        before = registry.value("handle.hits", kind="leaf")
+        after = replacement.value("handle.hits", kind="leaf")
+        assert before >= rounds // 2 and after >= rounds // 2
+        assert before + after == float(rounds * workers)

@@ -5,7 +5,9 @@ Two halves:
 - **Disabled means silent:** with ``observed(enabled=False)`` the global
   registry must not move at all, however hard the engine works.  Two
   scenarios: the quickstart, and one that enters the hot loops the
-  quickstart skips (it is the run-time gate beside lint rule RPR025).
+  quickstart skips.  This is the only gate on a missing guard: replacing
+  any ``if OBS.enabled:`` on those paths by ``if True:`` fails it (the
+  sweep is in ``docs/static_analysis.md``).
 - **Disabled means cheap:** the ≤2 % overhead budget on the quickstart
   scenario.  Measuring two end-to-end wall times and subtracting is
   hopelessly noisy at millisecond scale, so the budget is asserted the
@@ -21,6 +23,8 @@ import time
 from repro.core import MobileHost, SennConfig, SpatialDatabaseServer
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
+from repro.index.knn import PruningBounds
+from repro.index.rtree import RTreeConfig
 from repro.obs import OBS, MetricsRegistry, observed
 from repro.service.batching import BatchExecutor
 from repro.service.protocol import KnnRequest
@@ -44,7 +48,8 @@ def _quickstart_scenario() -> None:
 
 def _wide_scenario() -> None:
     """The hot loops the quickstart never enters: the INN stream, the
-    Lemma 3.8 loop, a shared batch traversal, a range and a window query."""
+    Lemma 3.8 loop (both exits), a shared batch traversal, a range and a
+    window query, and both EINN pruning rules on a multi-level tree."""
     stations = [
         (Point(0.1 + 0.13 * i, 0.07 * ((i * 7) % 11)), f"station-{i}")
         for i in range(16)
@@ -64,16 +69,46 @@ def _wide_scenario() -> None:
     for peer in peers:
         peer.query_knn(peers=[], server=server)
     MobileHost(3, Point(0.5, 0.3), config).query_knn(peers=peers, server=server)
+    # Peers farther apart, one more neighbor asked for: the union certifies
+    # two candidates, the third one's disk is not covered and ends the loop.
+    apart = [
+        MobileHost(4, Point(0.4, 0.3), config),
+        MobileHost(5, Point(0.6, 0.3), config),
+    ]
+    for peer in apart:
+        peer.query_knn(peers=[], server=server)
+    wider = SennConfig(k=3, transmission_range=0.124, cache_capacity=2)
+    MobileHost(6, Point(0.5, 0.3), wider).query_knn(peers=apart, server=server)
     pair = [KnnRequest(i, Point(0.5 + 0.01 * i, 0.4), 3) for i in range(2)]
     BatchExecutor(server).execute(pair)
     server.range_query_detailed(Point(0.5, 0.4), 0.3)
     server.window_query_detailed(BoundingBox(0.2, 0.1, 0.9, 0.6))
+    # The 16 stations fit one leaf, so EINN never prunes an MBR there.  A
+    # three-level tree, a client that knows its 16 nearest of 20: subtrees
+    # inside its certain circle go downward, those past its bound upward.
+    lattice = [
+        (Point(0.25 * i, 0.25 * j), f"cell-{i}-{j}")
+        for i in range(8)
+        for j in range(8)
+    ]
+    deep = SpatialDatabaseServer.from_points(
+        lattice, tree_config=RTreeConfig(max_entries=4)
+    )
+    query = Point(0.8, 0.9)
+    truth = deep.knn_query(query, 20)
+    known = truth[:16]
+    deep.knn_query_detailed(
+        query, 20, PruningBounds(known[-1].distance, truth[-1].distance), known
+    )
 
 
 #: What an *enabled* run of ``_wide_scenario`` must record, so that the
 #: scenario cannot quietly stop reaching the loops it is there for.
 _WIDE_METRICS = {
     "verify.candidates{lemma=3.8,outcome=certain}",
+    "verify.candidates{lemma=3.8,outcome=uncertain}",
+    "einn.pruned_mbrs{rule=upward}",
+    "einn.pruned_mbrs{rule=downward}",
     "service.shared_traversals",
     "server.range_queries",
     "server.window_queries",

@@ -118,6 +118,61 @@ class TestMetrics:
         )
         assert total == pytest.approx(1.0)
 
+    def test_every_statistic_matches_the_recorded_trace(self):
+        """The tallies are the post-warm-up trace events, added up."""
+        config = quick_config(record_trace=True)
+        sim = Simulation(config)
+        metrics = sim.run()
+        warmup_end = config.duration_s * config.warmup_fraction
+        events = [e for e in sim.trace.events if e.timestamp >= warmup_end]
+        server = [e for e in events if e.tier is ResolutionTier.SERVER]
+        assert metrics.warmup_queries == len(sim.trace.events) - len(events)
+        assert metrics.total_queries == len(events) > 10
+        assert metrics.server_query_count == len(server) > 0
+        assert metrics.total_server_pages == sum(e.server_pages for e in server)
+        assert metrics.total_peer_probes == sum(e.peer_probes for e in events)
+        assert metrics.total_tuples_received == sum(
+            e.tuples_received for e in events
+        )
+        # Latency sums per tier in event order, then over tiers in the
+        # order each first answered a query: the same floats, not approx.
+        by_tier = {}
+        for event in events:
+            by_tier[event.tier] = by_tier.get(event.tier, 0.0) + event.latency_ms
+        total_latency = 0.0
+        for tier_sum in by_tier.values():
+            total_latency += tier_sum
+        assert metrics.total_latency_ms == total_latency
+        for tier in ResolutionTier:
+            count = sum(1 for e in events if e.tier is tier)
+            assert metrics.tier_counts[tier] == count
+            assert metrics.share(tier) == count / len(events)
+            assert metrics.latency_by_tier[tier] == by_tier.get(tier, 0.0)
+            assert metrics.mean_latency_for(tier) == (
+                by_tier[tier] / count if count else 0.0
+            )
+        assert metrics.server_share == len(server) / len(events)
+        assert metrics.peer_share == (
+            metrics.single_peer_share + metrics.multi_peer_share
+        )
+        assert metrics.single_peer_share == metrics.share(
+            ResolutionTier.LOCAL_CACHE
+        ) + metrics.share(ResolutionTier.SINGLE_PEER)
+        assert metrics.multi_peer_share == metrics.share(ResolutionTier.MULTI_PEER)
+        assert metrics.mean_server_pages() == (
+            metrics.total_server_pages / len(server)
+        )
+        assert metrics.mean_peer_probes() == metrics.total_peer_probes / len(events)
+        assert metrics.mean_tuples_received() == (
+            metrics.total_tuples_received / len(events)
+        )
+        assert metrics.mean_latency_ms() == total_latency / len(events)
+        assert metrics.percentages() == {
+            "server": 100.0 * metrics.server_share,
+            "single_peer": 100.0 * metrics.single_peer_share,
+            "multi_peer": 100.0 * metrics.multi_peer_share,
+        }
+
     def test_percentages(self):
         metrics = SimulationMetrics()
         metrics.record(ResolutionTier.SERVER, server_pages=4)
