@@ -6,12 +6,17 @@ the *batching dispatcher*, which collects whatever is in flight across
 all connections and hands the wave to the
 :class:`~repro.service.batching.BatchExecutor` -- this is where
 co-located concurrent clients get merged into shared traversals.  A wave
-that already holds two requests in one batching cell is kept open for
-the rest of ``batch_window_s`` so more cell-mates can join; a wave
-without cell-mates (a lone request, or scattered ones) has nothing to
-gain from waiting and is dispatched at once.  Everything else
-(range/window queries, stream operations) is cheap and session-stateful,
-so it runs inline on the connection task.
+that already holds two requests in one batching cell is kept open so
+more cell-mates can join, until the first of: it reaches ``max_batch``,
+every open connection has a request in it (nobody is left who could
+join), or ``batch_window_s`` has passed since its oldest enqueue.  The
+window is therefore the longest a wave waits for a connection that is
+not yet in it; a connection that is open but idle keeps co-located
+waves held that long.  A wave without cell-mates (a lone request, or
+scattered ones) has nothing to gain from waiting and is dispatched at
+once.  A wave's replies to one connection leave in one write.
+Everything else (range/window queries, stream operations) is cheap and
+session-stateful, so it runs inline on the connection task.
 
 Flow control, per the issue's deployment knobs:
 
@@ -105,9 +110,13 @@ class ServiceConfig:
 
 
 class _Pending:
-    """One enqueued kNN request plus everything needed to answer it."""
+    """One enqueued kNN request plus everything needed to answer it.
 
-    __slots__ = ("request", "enqueued_at", "respond", "release")
+    ``connection`` identifies the connection that enqueued it: a member
+    of ``AsyncQueryServer._connections``, compared and never used.
+    """
+
+    __slots__ = ("request", "enqueued_at", "respond", "release", "connection")
 
     def __init__(
         self,
@@ -115,11 +124,13 @@ class _Pending:
         enqueued_at: float,
         respond: Callable[[Message], "asyncio.Future[None]"],
         release: Callable[[], None],
+        connection: object = None,
     ) -> None:
         self.request = request
         self.enqueued_at = enqueued_at
         self.respond = respond
         self.release = release
+        self.connection = connection
 
 
 class AsyncQueryServer:
@@ -203,18 +214,38 @@ class AsyncQueryServer:
         if OBS.enabled:
             _CONNECTIONS("opened").inc()
 
-        async def send(message: Message) -> None:
-            frame = encode_message(message)
+        async def send(*messages: Message) -> None:
+            frames = b"".join([encode_message(message) for message in messages])
             try:
                 async with send_lock:
-                    writer.write(frame)
+                    writer.write(frames)
                     await writer.drain()
             except (ConnectionError, OSError):
                 # The client went away; the reader loop will see EOF.
                 pass
 
+        # Dispatcher replies not yet handed to ``send``, and the write
+        # they are waiting for.
+        outbox: List[Message] = []
+        written: "asyncio.Future[None]"
+
+        async def flush() -> None:
+            replies = outbox[:]
+            outbox.clear()
+            await send(*replies)
+
         def respond(message: Message) -> "asyncio.Future[None]":
-            return asyncio.ensure_future(send(message))
+            """Queue a dispatcher reply; the future is its write.
+
+            ``_execute_batch`` finishes a wave without awaiting, so all
+            of the wave's replies to this connection are queued before
+            ``flush`` first runs and leave in one write.
+            """
+            nonlocal written
+            if not outbox:
+                written = asyncio.ensure_future(flush())
+            outbox.append(message)
+            return written
 
         try:
             while True:
@@ -244,6 +275,7 @@ class AsyncQueryServer:
                         loop.time(),
                         respond,
                         inflight.release,
+                        writer,
                     )
                     await self._queue.put(pending)
                     self._note_queue_depth()
@@ -293,12 +325,19 @@ class AsyncQueryServer:
         return len({cell_of(item.request.query) for item in batch}) < len(batch)
 
     async def _hold(self, batch: List[_Pending]) -> float:
-        """Keep ``batch`` open for the rest of its window; return the wait.
+        """Keep ``batch`` open while someone could still join it; return the wait.
 
+        The hold ends at the first of: the wave reaches ``max_batch``;
+        every open connection has a request in the wave, so nobody who
+        could add a cell-mate is left outside it; the window has passed.
         The window runs from the oldest request's enqueue (the queue is
         FIFO, so that is ``batch[0]``): time spent queued behind a
         running batch counts toward the window instead of adding to it.
-        The hold ends early when the wave reaches ``max_batch``.
+
+        Open connections are looked at when a request arrives, not when
+        one closes: a wave waiting only for a client that has just gone
+        is let go by the window, not woken.  So is a wave waiting for a
+        connection that is open and idle.
         """
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -314,9 +353,15 @@ class AsyncQueryServer:
         return loop.time() - started
 
     async def _fill(self, batch: List[_Pending]) -> None:
-        """Append arrivals to ``batch`` until it reaches ``max_batch``."""
-        while len(batch) < self.config.max_batch:
-            batch.append(await self._queue.get())
+        """Append arrivals to ``batch`` until it is full or has everyone."""
+        in_wave: Set[object] = {item.connection for item in batch}
+        while (
+            len(batch) < self.config.max_batch
+            and not self._connections <= in_wave
+        ):
+            item = await self._queue.get()
+            batch.append(item)
+            in_wave.add(item.connection)
 
     async def _execute_batch(
         self, batch: List[_Pending], now: float

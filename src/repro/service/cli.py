@@ -227,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window-ms",
         type=float,
         default=2.0,
-        help="how long a wave that already holds co-located requests waits "
-        "for more; a wave without cell-mates is not held",
+        help="the longest a wave with co-located requests waits for a "
+        "connection that is not yet in it; a wave without cell-mates is "
+        "not held",
     )
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--max-inflight", type=int, default=32)

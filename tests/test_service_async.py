@@ -238,8 +238,43 @@ def _read_replies(sock, count):
     return {reply.request_id: reply for reply in (_read_frame(sock) for _ in range(count))}
 
 
+def _connect(running, count):
+    """Open ``count`` sockets the server has registered as connections.
+
+    ``create_connection`` returns before the server's handler has run,
+    so each socket makes one round trip (a lone request is never held).
+    """
+    sockets = []
+    for index in range(count):
+        sock = socket.create_connection(running.address, timeout=10.0)
+        sockets.append(sock)
+        _send_burst(sock, 900 + index, SCATTERED[:1])
+        _read_replies(sock, 1)
+    return sockets
+
+
+def _two_bursts(config, idle=0):
+    """A co-located burst on each of two sockets, ``idle`` more left silent.
+
+    Returns the eight replies by id and the seconds they took.
+    """
+    with BackgroundServer(make_server(make_pois()), config) as running:
+        sockets = _connect(running, 2 + idle)
+        try:
+            first, second = sockets[:2]
+            started = time.monotonic()
+            _send_burst(first, 1, COLOCATED[:4])
+            _send_burst(second, 5, COLOCATED[4:])
+            replies = {**_read_replies(first, 4), **_read_replies(second, 4)}
+            elapsed = time.monotonic() - started
+        finally:
+            for sock in sockets:
+                sock.close()
+    return replies, elapsed
+
+
 class TestDispatchDecision:
-    """A wave waits for the window only if it holds cell-mates.
+    """A wave waits only if it holds cell-mates, and only for someone.
 
     The 5 s windows below are never waited for: a test that takes a
     second has found a wave held for nothing.
@@ -292,7 +327,52 @@ class TestDispatchDecision:
             expected = reference.knn_query_detailed(point, 5)
             assert answer_key(reply.neighbors) == answer_key(expected.neighbors)
 
+    def test_one_socket_is_not_held_for_a_client_that_does_not_exist(self):
+        config = ServiceConfig(batch_window_s=5.0)
+        with BackgroundServer(make_server(make_pois()), config) as running:
+            with socket.create_connection(running.address, timeout=10.0) as sock:
+                started = time.monotonic()
+                _send_burst(sock, 1, COLOCATED[:4])
+                replies = [_read_frame(sock) for _ in range(4)]
+                elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        assert [reply.request_id for reply in replies] == [1, 2, 3, 4]
+        assert [reply.batch_size for reply in replies] == [4, 4, 4, 4]
+
+    def test_hold_ends_once_every_connection_is_in_the_wave(self):
+        replies, elapsed = _two_bursts(ServiceConfig(batch_window_s=5.0))
+        assert elapsed < 1.0
+        assert sorted(replies) == list(range(1, 9))
+        assert {reply.batch_size for reply in replies.values()} == {8}
+
+    def test_idle_connection_keeps_the_wave_held_until_the_window(self):
+        """The stated limit: someone who could still join never does."""
+        replies, elapsed = _two_bursts(ServiceConfig(batch_window_s=0.2), idle=1)
+        assert 0.2 <= elapsed < 2.0
+        assert {reply.batch_size for reply in replies.values()} == {8}
+
+    def test_max_batch_ends_a_hold_an_idle_connection_keeps_open(self):
+        config = ServiceConfig(batch_window_s=5.0, max_batch=8)
+        replies, elapsed = _two_bursts(config, idle=1)
+        assert elapsed < 1.0
+        assert {reply.batch_size for reply in replies.values()} == {8}
+
+    def test_connection_closing_mid_hold_is_bounded_by_the_window(self):
+        """Nothing wakes the hold when the awaited client goes away."""
+        config = ServiceConfig(batch_window_s=0.2)
+        with BackgroundServer(make_server(make_pois()), config) as running:
+            first, second = _connect(running, 2)
+            with first:
+                started = time.monotonic()
+                _send_burst(first, 1, COLOCATED[:4])
+                second.close()
+                replies = _read_replies(first, 4)
+                elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        assert [replies[i].batch_size for i in (1, 2, 3, 4)] == [4, 4, 4, 4]
+
     def test_held_wave_dispatches_when_it_reaches_max_batch(self):
+        """``_run_waves`` leaves one connection outside every wave."""
         config = ServiceConfig(batch_window_s=5.0, max_batch=4)
         replies, elapsed, registry = _run_waves(
             config, [(COLOCATED[:2], 0.0), (COLOCATED[2:4], 0.0)]
@@ -351,8 +431,11 @@ def _run_waves(config, waves):
 
     Each wave is ``(points, age_s)``: its requests are enqueued together,
     stamped ``age_s`` in the past, once the dispatcher has taken the
-    wave before it.  Returns the replies in request order, the seconds
-    until the last one, and the metrics the dispatcher recorded.
+    wave before it.  Each wave comes from a connection of its own, and
+    one more connection is open and never sends, so no hold here ends
+    because everyone is in the wave.  Returns the replies in request
+    order, the seconds until the last one, and the metrics the
+    dispatcher recorded.
     """
     total = sum(len(points) for points, _ in waves)
 
@@ -370,11 +453,13 @@ def _run_waves(config, waves):
             future.set_result(None)
             return future
 
+        running._connections.update(range(len(waves)))
+        running._connections.add("idle")
         dispatcher = loop.create_task(running._dispatch_loop())
         started = loop.time()
         try:
             next_id = 1
-            for points, age_s in waves:
+            for connection, (points, age_s) in enumerate(waves):
                 for point in points:
                     running._queue.put_nowait(
                         _Pending(
@@ -382,6 +467,7 @@ def _run_waves(config, waves):
                             loop.time() - age_s,
                             respond,
                             lambda: None,
+                            connection,
                         )
                     )
                     next_id += 1
@@ -402,6 +488,123 @@ def _run_waves(config, waves):
             return replies, elapsed, OBS.registry
         finally:
             OBS.registry = previous
+
+
+async def _read_stream_frame(reader):
+    header = await reader.readexactly(HEADER_SIZE)
+    _, _, _, length = struct.unpack(">2sBBI", header)
+    return decode_message(header + await reader.readexactly(length))
+
+
+def _with_queued_bursts(bursts, scenario):
+    """Run ``scenario`` with one client stream per burst, nothing dispatched.
+
+    The server's connection handler runs on real sockets but no
+    dispatcher does, so every burst sits in the queue: ``scenario``
+    gets the server, the queued wave and the ``(reader, writer)`` client
+    streams, and decides when ``_execute_batch`` runs and on what.
+    """
+
+    async def run():
+        running = AsyncQueryServer(make_server(make_pois()), ServiceConfig())
+        tcp = await asyncio.start_server(
+            running._handle_connection, "127.0.0.1", 0
+        )
+        streams = []
+        try:
+            next_id = 1
+            for points in bursts:
+                reader, writer = await asyncio.open_connection(
+                    *tcp.sockets[0].getsockname()[:2]
+                )
+                streams.append((reader, writer))
+                for point in points:
+                    writer.write(encode_message(KnnRequest(next_id, point, 5)))
+                    next_id += 1
+                while running._queue.qsize() < next_id - 1:
+                    await asyncio.sleep(0.001)
+            wave = [running._queue.get_nowait() for _ in range(next_id - 1)]
+            return await asyncio.wait_for(scenario(running, wave, streams), 10.0)
+        finally:
+            for _, writer in streams:
+                writer.close()
+            tcp.close()
+            await tcp.wait_closed()
+
+    return asyncio.run(run())
+
+
+class TestWaveReplies:
+    """A wave's replies to one connection leave in one write, in order."""
+
+    def test_one_write_per_connection_per_wave(self):
+        async def scenario(running, wave, streams):
+            writes = []
+
+            def counted(write):
+                def count(data):
+                    writes.append(write.__self__)
+                    write(data)
+
+                return count
+
+            for writer in {item.connection for item in wave}:
+                writer.write = counted(writer.write)
+            await running._execute_batch(wave, asyncio.get_running_loop().time())
+            replies = [
+                [await _read_stream_frame(reader) for _ in range(4)]
+                for reader, _ in streams
+            ]
+            return writes, replies
+
+        writes, replies = _with_queued_bursts(
+            [COLOCATED[:4], COLOCATED[4:]], scenario
+        )
+        assert len(writes) == len(set(writes)) == 2
+        assert [[r.request_id for r in burst] for burst in replies] == [
+            [1, 2, 3, 4],
+            [5, 6, 7, 8],
+        ]
+        assert {r.batch_size for burst in replies for r in burst} == {8}
+
+    def test_every_inflight_slot_of_a_wave_is_released_once(self):
+        """Six pipelined requests through a window of two: three waves."""
+        config = ServiceConfig(max_inflight=2, batch_window_s=5.0)
+        with BackgroundServer(make_server(make_pois()), config) as running:
+            with socket.create_connection(running.address, timeout=10.0) as sock:
+                _send_burst(sock, 1, COLOCATED[:6])
+                replies = _read_replies(sock, 6)
+        assert sorted(replies) == [1, 2, 3, 4, 5, 6]
+        # A slot released twice would let a third request into a wave.
+        assert max(reply.batch_size for reply in replies.values()) <= 2
+
+    def test_timeout_and_answers_of_one_wave_share_the_write(self):
+        async def scenario(running, wave, streams):
+            wave[0].enqueued_at -= 2.0 * running.config.request_timeout_s
+            await running._execute_batch(wave, asyncio.get_running_loop().time())
+            (reader, _), = streams
+            return [await _read_stream_frame(reader) for _ in range(4)]
+
+        replies = _with_queued_bursts([COLOCATED[:4]], scenario)
+        assert [reply.request_id for reply in replies] == [1, 2, 3, 4]
+        assert isinstance(replies[0], ErrorReply)
+        assert replies[0].code is ErrorCode.TIMEOUT
+        assert [len(reply.neighbors) for reply in replies[1:]] == [5, 5, 5]
+        assert [reply.batch_size for reply in replies[1:]] == [3, 3, 3]
+
+    def test_client_gone_before_the_write_costs_the_others_nothing(self):
+        async def scenario(running, wave, streams):
+            (reader, _), (_, gone) = streams
+            gone.close()
+            await gone.wait_closed()
+            while len(running._connections) > 1:
+                await asyncio.sleep(0.001)
+            await running._execute_batch(wave, asyncio.get_running_loop().time())
+            return [await _read_stream_frame(reader) for _ in range(4)]
+
+        replies = _with_queued_bursts([COLOCATED[:4], COLOCATED[4:]], scenario)
+        assert [reply.request_id for reply in replies] == [1, 2, 3, 4]
+        assert [reply.batch_size for reply in replies] == [8, 8, 8, 8]
 
 
 class TestConfigValidation:
