@@ -28,6 +28,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.runtime import SANITIZER
@@ -38,6 +39,14 @@ from repro.obs import OBS, Counter, Instrument
 __all__ = ["CandidateHeap", "HeapEntry", "HeapState"]
 
 _OFFERS = Instrument(Counter, "heap.offers", "certain", "outcome")
+#: ``heap.offers`` label pairs in the order ``add_batch`` tallies them.
+_OFFER_LABELS = (
+    ("false", "rejected"),
+    ("false", "stored"),
+    ("true", "rejected"),
+    ("true", "stored"),
+)
+_DISTANCE = attrgetter("distance")
 
 
 class HeapState(enum.Enum):
@@ -109,69 +118,75 @@ class CandidateHeap:
     ) -> int:
         """Offer a pre-ordered batch of candidates; returns #stored.
 
-        The batched verifiers hand over whole candidate sets at once.
-        Each offer goes through :meth:`add` unchanged — per-offer
-        sanitizer checks and ``heap.offers`` accounting are part of the
-        heap's contract, so batching must not bypass them.
+        The batched verifiers hand over one peer's candidates at once.
+        Every offer has the outcome :meth:`add` would give it and
+        ``heap.offers`` ends at the same totals, summed once per batch
+        (at most four locked increments) instead of once per offer; a
+        batch that raises has counted exactly the offers before the one
+        that raised.  With the sanitizer on, each offer goes through
+        :meth:`add` itself and keeps its per-offer invariant checks.
         """
-        stored = 0
-        for point, payload, distance, certain in offers:
-            if self.add(point, payload, distance, certain):
-                stored += 1
-        return stored
+        if SANITIZER.enabled:
+            return sum([self.add(*offer) for offer in offers])
+        tallies = [0, 0, 0, 0]  # indexed by 2 * certain + stored
+        add = self._add
+        try:
+            for point, payload, distance, certain in offers:
+                tallies[2 * certain + add(point, payload, distance, certain)] += 1
+        finally:
+            if OBS.enabled:
+                for (certain_label, outcome), count in zip(_OFFER_LABELS, tallies):
+                    if count:
+                        _OFFERS(certain_label, outcome).inc(count)
+        return tallies[1] + tallies[3]
 
     def _add(self, point: Point, payload: Any, distance: float, certain: bool) -> bool:
         if distance < 0.0:
             raise ValueError("distance must be non-negative")
-        entry = HeapEntry(point, payload, distance, certain)
-        key = entry.key()
+        key = poi_key(point, payload)
         existing = self._index.get(key)
         if existing is not None:
-            if certain and not existing.certain:
-                self._remove(existing)
-                return self._insert(entry)
-            return True
-        return self._insert(entry)
-
-    def _insert(self, entry: HeapEntry) -> bool:
-        if entry.certain:
-            self._insort(self._certain, entry)
-            self._index[entry.key()] = entry
-            self._shrink_to_capacity()
-            return entry.key() in self._index
-        # Uncertain entries are only admitted while certain slots remain
-        # unfilled and the heap has room (possibly by displacing a farther
-        # uncertain entry).
-        if len(self._certain) >= self.capacity:
+            if existing.certain or not certain:
+                return True
+            self._remove(key, existing)
+        elif not certain and len(self._certain) >= self.capacity:
+            # Table 1: uncertain objects exist only while fewer than k
+            # certain ones are known, so this offer has no slot to take.
             return False
-        if len(self) < self.capacity:
-            self._insort(self._uncertain, entry)
-            self._index[entry.key()] = entry
-            return True
-        worst = self._uncertain[-1] if self._uncertain else None
-        if worst is not None and entry.distance < worst.distance:
-            self._remove(worst)
-            self._insort(self._uncertain, entry)
-            self._index[entry.key()] = entry
-            return True
-        return False
+        return self._insert(key, HeapEntry(point, payload, distance, certain))
 
-    def _shrink_to_capacity(self) -> None:
-        while len(self) > self.capacity:
-            if self._uncertain:
-                self._remove(self._uncertain[-1])
+    def _insert(self, key: Tuple[float, float, Any], entry: HeapEntry) -> bool:
+        """Place a POI ``_add`` found no entry for; False when it does not fit."""
+        certain, uncertain = self._certain, self._uncertain
+        if len(certain) + len(uncertain) >= self.capacity:
+            # Table 1: a certain newcomer displaces the farthest uncertain
+            # entry; any other newcomer displaces the farthest entry of
+            # its own kind, and only when strictly closer (ties keep the
+            # incumbent).  ``_add`` turns uncertain offers away once k
+            # certain entries are known, so a full heap that gets one here
+            # still holds an uncertain entry to compare it with.
+            donor = uncertain or certain
+            worst = donor[-1]
+            if (entry.certain and uncertain) or entry.distance < worst.distance:
+                donor.pop()
+                del self._index[worst.key()]
             else:
-                self._remove(self._certain[-1])
+                return False
+        bucket = certain if entry.certain else uncertain
+        bucket.insert(
+            bisect.bisect_right(bucket, entry.distance, key=_DISTANCE), entry
+        )
+        self._index[key] = entry
+        return True
 
-    def _remove(self, entry: HeapEntry) -> None:
-        bucket = self._certain if entry.certain else self._uncertain
-        bucket.remove(entry)
-        del self._index[entry.key()]
-
-    @staticmethod
-    def _insort(bucket: List[HeapEntry], entry: HeapEntry) -> None:
-        index = bisect.bisect_right([e.distance for e in bucket], entry.distance)
-        bucket.insert(index, entry)
+    def _remove(self, key: Tuple[float, float, Any], entry: HeapEntry) -> None:
+        """Take an uncertain entry out of mid-bucket (it is being upgraded)."""
+        bucket = self._uncertain
+        for position, held in enumerate(bucket):
+            if held is entry:
+                del bucket[position]
+                break
+        del self._index[key]
 
     # ------------------------------------------------------------------
     # inspection

@@ -45,11 +45,14 @@ __all__ = ["verify_single_peer", "verify_multi_peer", "collect_candidates"]
 #: perform the same exact IEEE operations, so the verdicts are
 #: bit-identical.  Measured on a ``sim_rush``-shaped run the pair counts
 #: are median 42, p99 210, max 440 (147 / 575 / 960 at ``lambda_knn``
-#: 15), and broadcasting wins from about 50: moving the bound is ROADMAP
-#: item 3.  The per-candidate kernels have no such fork — a peer cache
+#: 15), so the traffic lies on both sides of the bound.  Measured µs,
+#: list / ndarray, circles x candidates: 2x7 5.6 / 10.0, 3x10 7.7 / 9.7,
+#: 4x12 9.7 / 9.5, 5x20 15.6 / 10.8, 7x21 18.7 / 10.8, 10x32 32.1 /
+#: 12.8, 20x32 38.1 / 15.2 — the paths cross at 48 pairs.  The
+#: per-candidate kernels have no such fork — a peer cache
 #: holds at most ``c_size`` = 20 entries and a multi-peer union at most
 #: 21 candidates (32 at ``lambda_knn`` 15), where lists beat ndarrays.
-_LIST_PATH_PAIRS = 1024
+_LIST_PATH_PAIRS = 48
 
 _BATCH_SIZE = Instrument(
     Histogram, "verify.batch_size", "lemma", boundaries=DEFAULT_COUNT_BUCKETS

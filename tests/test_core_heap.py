@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.heap import CandidateHeap, HeapState
 from repro.geometry.point import Point
+from repro.obs import OBS, MetricsRegistry, observed
 
 
 def entry(x, dist, certain, payload=None):
@@ -159,6 +160,84 @@ class TestStates:
         heap = CandidateHeap(3)
         heap.add(*entry(1, 1.0, False))
         assert heap.state() is HeapState.PARTIAL_UNCERTAIN
+
+
+_OFFER = st.tuples(
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+    st.booleans(),
+)
+
+
+def _offers_snapshot(run):
+    """``heap.offers{...}`` values after ``run()`` on a fresh registry."""
+    previous = OBS.registry
+    OBS.registry = MetricsRegistry()
+    try:
+        run()
+        return OBS.registry.snapshot()
+    finally:
+        OBS.registry = previous
+
+
+class TestAddBatchIsALoopOfAdd:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.lists(_OFFER, max_size=40),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_heap_same_count_same_counters(self, capacity, raw, enabled):
+        offers = [entry(*item) for item in raw]
+        batched, looped = CandidateHeap(capacity), CandidateHeap(capacity)
+        stored = {}
+
+        def batch():
+            stored["batch"] = batched.add_batch(offers)
+
+        def loop():
+            stored["loop"] = sum(looped.add(*offer) for offer in offers)
+
+        with observed(enabled=enabled):
+            by_batch = _offers_snapshot(batch)
+            by_loop = _offers_snapshot(loop)
+        assert stored["batch"] == stored["loop"]
+        assert batched.entries() == looped.entries()
+        assert by_batch == by_loop
+        if enabled:
+            assert sum(by_loop.values()) == len(offers)
+            assert all(name.startswith("heap.offers{") for name in by_loop)
+        else:
+            assert by_batch == {}
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.lists(_OFFER, min_size=1, max_size=20),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_negative_distance_stops_the_batch_where_add_would(
+        self, capacity, raw, data
+    ):
+        bad = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        offers = [entry(*item) for item in raw]
+        offers[bad] = offers[bad][:2] + (-1.0, offers[bad][3])
+        batched, looped = CandidateHeap(capacity), CandidateHeap(capacity)
+
+        def batch():
+            with pytest.raises(ValueError):
+                batched.add_batch(offers)
+
+        def loop():
+            for offer in offers[:bad]:
+                looped.add(*offer)
+
+        with observed(enabled=True):
+            by_batch = _offers_snapshot(batch)
+            by_loop = _offers_snapshot(loop)
+        assert batched.entries() == looped.entries()
+        assert by_batch == by_loop
+        assert sum(by_batch.values()) == bad
 
 
 class TestHeapProperties:
