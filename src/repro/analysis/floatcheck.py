@@ -429,11 +429,11 @@ LEMMA_TABLE: Tuple[LemmaEntry, ...] = (
         ),
     ),
     LemmaEntry(
-        qualname="repro.index.knn._expand_einn",
+        qualname="repro.index.knn._push_run",
         lemma="Section 3.3, rule 1 (downward pruning)",
         op="Lt",
-        left="maxdist",
-        right="bounds.lower",
+        left="maxdists[row[2] - order]",
+        right="lower",
         rationale=(
             "an MBR is skipped only when strictly inside the certain circle "
             "C_r; at MAXDIST == D_ct a POI may sit exactly on the boundary "
@@ -441,35 +441,29 @@ LEMMA_TABLE: Tuple[LemmaEntry, ...] = (
         ),
     ),
     LemmaEntry(
-        qualname="repro.index.knn._expand_einn",
-        lemma="Section 3.3, rule 2 (upward pruning)",
-        op="Gt",
-        left="(mindist, _NODE_TIE)",
-        right="current_kth",
-        rationale=(
-            "an MBR is discarded only when its MINDIST strictly exceeds the "
-            "running k-th cut; the node tie key sorts before every payload "
-            "tie so boundary MBRs are still expanded"
-        ),
-    ),
-    LemmaEntry(
-        qualname="repro.index.knn._expand_einn",
-        lemma="Section 3.3, rule 2 (upward pruning, leaf)",
+        qualname="repro.index.knn._push_run",
+        lemma="Section 3.3, rule 2 (upward pruning; leaf admission)",
         op="LtE",
-        left="(dist, tie)",
-        right="current_kth",
+        left="row[0]",
+        right="upper",
         rationale=(
-            "a leaf object enters the queue when its (distance, tie) is "
-            "admissible under the current cut; ties at the bound are "
-            "admissible by definition of the cut"
+            "one distance-only filter per node against the running k-th "
+            "cut: an MBR is discarded only when its MINDIST strictly "
+            "exceeds the cut distance (the node tie key sorts before every "
+            "payload tie, so for a child the distance decides alone and "
+            "boundary MBRs are still expanded); a leaf object enters the "
+            "queue when its distance is admissible -- ties at the bound are "
+            "admissible by definition of the cut, and this is a superset of "
+            "the (distance, tie) test: an equal-distance entry whose tie "
+            "key loses is stopped by the pop-time comparison instead"
         ),
     ),
     LemmaEntry(
         qualname="repro.index.knn.k_nearest_einn",
         lemma="Section 3.3, rule 2 (upward pruning, pop)",
         op="Gt",
-        left="(dist, tie)",
-        right="kth_cut()",
+        left="key",
+        right="cut",
         rationale=(
             "best-first termination: once the queue head strictly exceeds "
             "the k-th cut nothing better remains (queue is distance-ordered)"
@@ -500,11 +494,11 @@ LEMMA_TABLE: Tuple[LemmaEntry, ...] = (
         ),
     ),
     LemmaEntry(
-        qualname="repro.index.knn._insert_sorted",
+        qualname="repro.index.knn.k_nearest_einn",
         lemma="result-order invariant",
         op="Gt",
-        left="(results[index - 1].distance, poi_tie_key(results[index - 1].payload))",
-        right="item_key",
+        left="keys[index - 1]",
+        right="key",
         rationale=(
             "insertion scans left while the predecessor strictly exceeds "
             "the new key, keeping equal keys in insertion order (stable)"

@@ -170,19 +170,15 @@ class SpatialDatabaseServer:
         not already hold -- the "fewer objects" half of Section 4.4's
         EINN advantage.  INN and the depth-first baseline ship everything.
         """
-        if algorithm is ServerAlgorithm.EINN:
+        shipped = [poi_key(r.point, r.payload) for r in results]
+        if known_certain and algorithm is ServerAlgorithm.EINN:
             skip = {poi_key(r.point, r.payload) for r in known_certain}
-        else:
-            skip = set()
-        shipped = 0
-        for result in results:
-            key = poi_key(result.point, result.payload)
-            if key not in skip:
-                self.counter.record_object(key)
-                shipped += 1
+            shipped = [key for key in shipped if key not in skip]
+        for key in shipped:
+            self.counter.record_object(key)
         if OBS.enabled:
-            _OBJECTS("shipped").inc(shipped)
-            _OBJECTS("skipped").inc(len(results) - shipped)
+            _OBJECTS("shipped").inc(len(shipped))
+            _OBJECTS("skipped").inc(len(results) - len(shipped))
 
     def range_query_detailed(self, center: Point, radius: float) -> QueryAnswer:
         """All POIs within ``radius`` of ``center``, ascending by distance.

@@ -36,7 +36,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.vecmath import (
@@ -144,50 +144,83 @@ class PruningBounds:
         return math.isfinite(self.upper)
 
 
-class _LeafBlock:
-    """One leaf node's entries as a lazily merged sorted run.
+#: One queue entry: a row ``(distance, tie_key, insertion_order, child or leaf
+#: entry)`` of some node's sorted run, plus the iterator over the rest of that
+#: run.  Insertion orders are unique, so a comparison stops at the third field.
+#: A row holds a child exactly when its tie key *is* :data:`_NODE_TIE`
+#: (:func:`poi_tie_key` builds a fresh tuple for every payload).
+_Row = Tuple[float, TieKey, int, Any]
+_Queued = Tuple[float, TieKey, int, Any, Iterator[_Row]]
 
-    The scalar algorithm pushed every leaf entry onto the priority queue
-    individually.  The vectorized expansion computes all entry distances
-    in one pass, sorts the entries by the exact per-entry heap key
-    ``(distance, tie_key, insertion_order)`` and pushes only the head;
-    each pop re-pushes the successor.  Because the run is sorted by the
-    *same total key* the individual pushes used (insertion orders are
-    globally unique, so the key is a total order), the heap's pop
-    sequence — and therefore every traversal decision and page access —
-    is identical to the scalar merge.
+
+def _push_run(
+    heap: List[_Queued],
+    node: Node,
+    query: Point,
+    order: int,
+    upper: float = math.inf,
+    lower: float = 0.0,
+) -> int:
+    """Queue one node -- a leaf's entries or an index node's children -- as
+    a sorted run with only its head pushed; returns the next free order.
+
+    The scalar algorithm pushed every entry and every child onto the
+    priority queue individually.  Here all distances of the node come from
+    one kernel pass, the rows are sorted by the exact per-entry heap key
+    ``(distance, tie_key, insertion_order)`` and only the head is pushed;
+    whoever pops a row pushes its successor.  Because the run is sorted by
+    the *same total key* the individual pushes used (orders are handed out
+    in entry order, node after node, so the key is a total order), the
+    queue's pop sequence -- and therefore every traversal decision and
+    page access -- is that of the scalar merge.
+
+    EINN's two rules (Section 3.3) act here.  ``upper`` is the distance of
+    the current cut: a row beyond it can never be reported, because the
+    cut only tightens.  Index children sort before every object at their
+    MINDIST (:data:`_NODE_TIE`), so for them the distance decides alone;
+    a leaf entry *at* the cut distance whose tie key loses stays queued
+    and ends the search when it is popped.  ``lower`` is ``D_ct``.
     """
-
-    __slots__ = ("items", "pos")
-
-    def __init__(self, items: List[Tuple[float, TieKey, int, LeafEntry]]) -> None:
-        self.items = items
-        self.pos = 0
-
-    def advance(self, heap: List[Tuple[float, TieKey, int, Any]]) -> LeafEntry:
-        """Consume the head entry, scheduling the successor on ``heap``."""
-        items = self.items
-        pos = self.pos
-        entry = items[pos][3]
-        succ = pos + 1
-        self.pos = succ
-        if succ < len(items):
-            dist, tie, order, _ = items[succ]
-            heapq.heappush(heap, (dist, tie, order, self))
-        return entry
-
-
-def _leaf_columns(
-    node: Node, query: Point
-) -> Tuple[List[float], List[TieKey]]:
-    """Distances and memoized tie keys for one leaf, in entry order."""
     arrays = node.arrays()
-    dists = point_distance_list(query.x, query.y, arrays.xs, arrays.ys)
-    ties = arrays.tie_keys
-    if ties is None:
-        ties = [poi_tie_key(payload) for payload in arrays.payloads]
-        arrays.tie_keys = ties
-    return dists, ties
+    items: Sequence[Any]
+    ties: Iterable[TieKey]
+    if arrays.is_leaf:
+        dists = point_distance_list(query.x, query.y, arrays.xs, arrays.ys)
+        ties = arrays.tie_keys
+        if ties is None:
+            ties = arrays.tie_keys = [poi_tie_key(p) for p in arrays.payloads]
+        items = node.entries
+    else:
+        box = (query.x, query.y, arrays.lo_x, arrays.lo_y, arrays.hi_x, arrays.hi_y)
+        dists = mindist_arrays(*box).tolist()
+        ties = itertools.repeat(_NODE_TIE)
+        items = arrays.children
+    count = len(dists)
+    rows = zip(dists, ties, range(order, order + count), items)
+    if math.isfinite(upper):
+        # Upward pruning: nothing beyond the cut can enter the result.
+        run = [row for row in rows if row[0] <= upper]
+    else:
+        run = list(rows)
+    if not arrays.is_leaf:
+        beyond = count - len(run)
+        if lower > 0.0:
+            # Downward pruning: the MBR is fully inside the certain circle;
+            # every object in it is already known to the client.  Tested on
+            # what rule 2 kept (a row's order minus ``order`` is its column).
+            maxdists = maxdist_arrays(*box).tolist()
+            run = [row for row in run if not maxdists[row[2] - order] < lower]
+        if OBS.enabled:
+            enclosed = count - beyond - len(run)
+            if beyond:
+                _PRUNED_MBRS("upward").inc(beyond)
+            if enclosed:
+                _PRUNED_MBRS("downward").inc(enclosed)
+    if run:
+        run.sort()
+        rest = iter(run)
+        heapq.heappush(heap, next(rest) + (rest,))
+    return order + count
 
 
 def incremental_nearest(
@@ -203,44 +236,17 @@ def incremental_nearest(
     """
     if len(tree) == 0:
         return
-    tiebreak = itertools.count()
-    # Heap items: (distance, tie_key, insertion_order, node_or_leaf_block)
-    heap: List[Tuple[float, TieKey, int, Any]] = []
-    root = tree.read_node(tree.root, counter)
-    _expand_into_heap(root, query, heap, tiebreak)
+    heap: List[_Queued] = []
+    order = _push_run(heap, tree.read_node(tree.root, counter), query, 0)
     while heap:
-        dist, _, _, item = heapq.heappop(heap)
-        if type(item) is _LeafBlock:
-            entry = item.advance(heap)
-            yield NeighborResult(entry.point, entry.payload, dist)
+        dist, tie, _, item, rest = heapq.heappop(heap)
+        successor = next(rest, None)
+        if successor is not None:
+            heapq.heappush(heap, successor + (rest,))
+        if tie is _NODE_TIE:
+            order = _push_run(heap, tree.read_node(item, counter), query, order)
         else:
-            node = tree.read_node(item, counter)
-            _expand_into_heap(node, query, heap, tiebreak)
-
-
-def _expand_into_heap(
-    node: Node,
-    query: Point,
-    heap: List[Tuple[float, TieKey, int, Any]],
-    tiebreak: "itertools.count[int]",
-) -> None:
-    if node.is_leaf:
-        dists, ties = _leaf_columns(node, query)
-        items = [
-            (dist, tie, next(tiebreak), entry)
-            for dist, tie, entry in zip(dists, ties, node.entries)
-        ]
-        if items:
-            items.sort()
-            head = items[0]
-            heapq.heappush(heap, (head[0], head[1], head[2], _LeafBlock(items)))
-    else:
-        arrays = node.arrays()
-        mindists = mindist_arrays(
-            query.x, query.y, arrays.lo_x, arrays.lo_y, arrays.hi_x, arrays.hi_y
-        ).tolist()
-        for dist, child in zip(mindists, arrays.children):
-            heapq.heappush(heap, (dist, _NODE_TIE, next(tiebreak), child))
+            yield NeighborResult(item.point, item.payload, dist)
 
 
 def k_nearest(
@@ -330,99 +336,39 @@ def k_nearest_einn(
     results: List[NeighborResult] = sorted(
         known_certain, key=lambda r: (r.distance, poi_tie_key(r.payload))
     )
+    # Parallel to ``results``: the (distance, tie) each one is ranked by.
+    keys = [(r.distance, poi_tie_key(r.payload)) for r in results]
     known_keys = {poi_key(r.point, r.payload) for r in results}
-
-    def kth_cut() -> Tuple[float, TieKey]:
-        # The client's upper bound caps the k-th *distance*; ties at the
-        # bound are still admissible, so it pairs with the maximal tie.
-        cut = (bounds.upper, _MAX_TIE)
-        if len(results) >= k:
-            entry = results[k - 1]
-            cut = min(cut, (entry.distance, poi_tie_key(entry.payload)))
-        return cut
+    # The client's upper bound caps the k-th *distance*; ties at the
+    # bound are still admissible, so it pairs with the maximal tie.
+    cap = (bounds.upper, _MAX_TIE)
+    cut = min(cap, keys[k - 1]) if len(keys) >= k else cap
 
     if len(tree) > 0:
-        tiebreak = itertools.count()
-        heap: List[Tuple[float, TieKey, int, Any]] = []
+        lower = bounds.lower
+        heap: List[_Queued] = []
         root = tree.read_node(tree.root, counter)
-        _expand_einn(root, query, heap, tiebreak, bounds, kth_cut())
+        order = _push_run(heap, root, query, 0, cut[0], lower)
         while heap:
-            dist, tie, _, item = heapq.heappop(heap)
-            if (dist, tie) > kth_cut():
+            dist, tie, _, item, rest = heapq.heappop(heap)
+            key = (dist, tie)
+            if key > cut:
                 break
-            if type(item) is _LeafBlock:
-                entry = item.advance(heap)
-                key = poi_key(entry.point, entry.payload)
-                if key in known_keys:
-                    continue
-                _insert_sorted(
-                    results, NeighborResult(entry.point, entry.payload, dist)
-                )
-            else:
+            successor = next(rest, None)
+            if successor is not None:
+                heapq.heappush(heap, successor + (rest,))
+            if tie is _NODE_TIE:
                 node = tree.read_node(item, counter)
-                _expand_einn(node, query, heap, tiebreak, bounds, kth_cut())
+                order = _push_run(heap, node, query, order, cut[0], lower)
+            elif not (known_keys and poi_key(item.point, item.payload) in known_keys):
+                # Keep ascending (distance, tie) order; equal keys stay in
+                # arrival order (small lists; O(n)).
+                index = len(keys)
+                while index > 0 and keys[index - 1] > key:
+                    index -= 1
+                keys.insert(index, key)
+                results.insert(index, NeighborResult(item.point, item.payload, dist))
+                if len(keys) >= k:
+                    cut = min(cap, keys[k - 1])
 
     return results[:k]
-
-
-def _expand_einn(
-    node: Node,
-    query: Point,
-    heap: List[Tuple[float, TieKey, int, Any]],
-    tiebreak: "itertools.count[int]",
-    bounds: PruningBounds,
-    current_kth: Tuple[float, TieKey],
-) -> None:
-    if node.is_leaf:
-        dists, ties = _leaf_columns(node, query)
-        items: List[Tuple[float, TieKey, int, LeafEntry]] = []
-        for dist, tie, entry in zip(dists, ties, node.entries):
-            # Entries beyond the cut can never be reported (the cut only
-            # tightens); dropping them here instead of at pop time keeps
-            # the heap small without changing any observable behaviour.
-            if (dist, tie) <= current_kth:
-                items.append((dist, tie, next(tiebreak), entry))  # type: ignore[arg-type]
-        if items:
-            items.sort()
-            head = items[0]
-            heapq.heappush(heap, (head[0], head[1], head[2], _LeafBlock(items)))
-        return
-    arrays = node.arrays()
-    mindists = mindist_arrays(
-        query.x, query.y, arrays.lo_x, arrays.lo_y, arrays.hi_x, arrays.hi_y
-    ).tolist()
-    maxdists = (
-        maxdist_arrays(
-            query.x, query.y, arrays.lo_x, arrays.lo_y, arrays.hi_x, arrays.hi_y
-        ).tolist()
-        if bounds.has_lower
-        else None
-    )
-    for index, child in enumerate(arrays.children):
-        mindist = mindists[index]
-        # Upward pruning: nothing in this MBR can enter the result.
-        if (mindist, _NODE_TIE) > current_kth:
-            if OBS.enabled:
-                _PRUNED_MBRS("upward").inc()
-            continue
-        # Downward pruning: the MBR is fully inside the certain circle;
-        # every object in it is already known to the client.
-        if maxdists is not None:
-            maxdist = maxdists[index]
-            if maxdist < bounds.lower:
-                if OBS.enabled:
-                    _PRUNED_MBRS("downward").inc()
-                continue
-        heapq.heappush(heap, (mindist, _NODE_TIE, next(tiebreak), child))
-
-
-def _insert_sorted(results: List[NeighborResult], item: NeighborResult) -> None:
-    """Insert keeping ascending (distance, tie) order (small lists; O(n))."""
-    item_key = (item.distance, poi_tie_key(item.payload))
-    index = len(results)
-    while index > 0 and (
-        results[index - 1].distance,
-        poi_tie_key(results[index - 1].payload),
-    ) > item_key:
-        index -= 1
-    results.insert(index, item)

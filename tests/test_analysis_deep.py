@@ -17,6 +17,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.analysis import config, deep
 from repro.analysis.callgraph import build_call_graph, build_import_graph
 from repro.analysis.concurrency import infer_effects
@@ -197,6 +199,48 @@ class TestLemmaConformance:
         for finding in findings:
             assert "direction violates" in finding
             assert "requires `<=`" in finding
+
+    @pytest.mark.parametrize(
+        "pinned, flipped, lemma, required",
+        [
+            (
+                "maxdists[row[2] - order] < lower",
+                "maxdists[row[2] - order] <= lower",
+                "rule 1 (downward pruning)",
+                "<",
+            ),
+            (
+                "row[0] <= upper",
+                "row[0] < upper",
+                "rule 2 (upward pruning; leaf admission)",
+                "<=",
+            ),
+            ("key > cut", "key >= cut", "rule 2 (upward pruning, pop)", ">"),
+            (
+                "keys[index - 1] > key",
+                "keys[index - 1] >= key",
+                "result-order invariant",
+                ">",
+            ),
+        ],
+    )
+    def test_einn_direction_flips_are_caught_statically(
+        self, head_analysis, pinned, flipped, lemma, required
+    ):
+        """Each comparison of the run-per-node EINN loop, one flip at a time."""
+        source = head_analysis.project.get("repro.index.knn").source
+        assert source.count(pinned) == 1
+        mutated = head_analysis.project.replace_source(
+            "repro.index.knn", source.replace(pinned, flipped)
+        )
+        findings = [
+            message
+            for _, _, message in lemma_conformance_violations(mutated)
+            if lemma in message
+        ]
+        assert len(findings) == 1
+        assert "direction violates" in findings[0]
+        assert f"requires `{required}`" in findings[0]
 
     def test_direction_flip_surfaces_through_full_driver(self, head_analysis):
         source = head_analysis.project.get("repro.core.verification").source
