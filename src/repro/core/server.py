@@ -16,7 +16,7 @@ Section 4.4.
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
@@ -43,6 +43,32 @@ _OBJECTS = Instrument(Counter, "server.objects", "outcome")
 _PAGES_PER_QUERY = Instrument(
     Histogram, "server.pages_per_query", "algorithm", boundaries=DEFAULT_COUNT_BUCKETS
 )
+
+
+def _record_shipped(
+    counter: PageAccessCounter,
+    results: Sequence[NeighborResult],
+    held: Collection[Tuple[float, float, object]],
+) -> int:
+    """Bill one data-node access per result record the client lacks.
+
+    The R*-tree leaves hold object ids; materializing each result record
+    costs a page.  EINN passes the ``poi_key`` of every record the client
+    already holds (``known_certain``) and does not re-ship those -- the
+    "fewer objects" half of Section 4.4's EINN advantage; INN and the
+    depth-first baseline pass none and ship everything.  The batching
+    executor calls this once per client.  Returns the records billed.
+    """
+    shipped = 0
+    for result in results:
+        key = poi_key(result.point, result.payload)
+        if key not in held:
+            counter.record_object(key)
+            shipped += 1
+    if OBS.enabled:
+        _OBJECTS("shipped").inc(shipped)
+        _OBJECTS("skipped").inc(len(results) - shipped)
+    return shipped
 
 
 class ServerAlgorithm(enum.Enum):
@@ -135,7 +161,12 @@ class SpatialDatabaseServer:
             results = k_nearest(self.tree, query, k, self.counter)
         else:
             results = k_nearest_depth_first(self.tree, query, k, self.counter)
-        self._record_shipped_objects(chosen, results, known_certain)
+        held = (
+            {poi_key(r.point, r.payload) for r in known_certain}
+            if known_certain and chosen is ServerAlgorithm.EINN
+            else ()
+        )
+        _record_shipped(self.counter, results, held)
         breakdown = self.counter.finish_query()
         self.queries_served += 1
         if OBS.enabled:
@@ -156,29 +187,6 @@ class SpatialDatabaseServer:
         return self.knn_query_detailed(
             query, k, bounds, known_certain, algorithm
         ).neighbors
-
-    def _record_shipped_objects(
-        self,
-        algorithm: ServerAlgorithm,
-        results: Sequence[NeighborResult],
-        known_certain: Sequence[NeighborResult],
-    ) -> None:
-        """Account one data-node access per object record the server ships.
-
-        The R*-tree leaves hold object ids; materializing each result
-        record costs a page.  EINN only ships the records the client does
-        not already hold -- the "fewer objects" half of Section 4.4's
-        EINN advantage.  INN and the depth-first baseline ship everything.
-        """
-        shipped = [poi_key(r.point, r.payload) for r in results]
-        if known_certain and algorithm is ServerAlgorithm.EINN:
-            skip = {poi_key(r.point, r.payload) for r in known_certain}
-            shipped = [key for key in shipped if key not in skip]
-        for key in shipped:
-            self.counter.record_object(key)
-        if OBS.enabled:
-            _OBJECTS("shipped").inc(len(shipped))
-            _OBJECTS("skipped").inc(len(results) - len(shipped))
 
     def range_query_detailed(self, center: Point, radius: float) -> QueryAnswer:
         """All POIs within ``radius`` of ``center``, ascending by distance.

@@ -53,7 +53,7 @@ from repro.obs import (
     Histogram,
     Instrument,
 )
-from repro.service.engine import QueryService
+from repro.service.engine import QueryService, _error_reply
 from repro.service.protocol import (
     HEADER_SIZE,
     ErrorCode,
@@ -70,7 +70,6 @@ __all__ = ["AsyncQueryServer", "BackgroundServer", "ServiceConfig"]
 
 _CONNECTIONS = Instrument(Counter, "service.connections", "event")
 _REQUESTS = Instrument(Counter, "service.requests", "type")
-_ERRORS = Instrument(Counter, "service.errors", "code")
 _TIMEOUTS = Instrument(Counter, "service.timeouts")
 _DISPATCH = Instrument(Counter, "service.dispatch", "decision")
 _QUEUE_DEPTH = Instrument(Gauge, "service.queue_depth")
@@ -258,9 +257,7 @@ class AsyncQueryServer:
                     payload = await reader.readexactly(length)
                     message = decode_message(header + payload)
                 except ProtocolError as exc:
-                    if OBS.enabled:
-                        _ERRORS(exc.code.name).inc()
-                    await send(ErrorReply(0, exc.code, str(exc)))
+                    await send(_error_reply(0, exc.code, str(exc)))
                     break
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
@@ -391,10 +388,8 @@ class AsyncQueryServer:
             for item in live:
                 self._finish(
                     item,
-                    ErrorReply(
-                        item.request.request_id,
-                        ErrorCode.INTERNAL,
-                        str(exc),
+                    _error_reply(
+                        item.request.request_id, ErrorCode.INTERNAL, str(exc)
                     ),
                 )
             return

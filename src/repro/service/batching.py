@@ -39,7 +39,7 @@ from repro.index.knn import (
 )
 from repro.index.pagestats import AccessBreakdown
 from repro.core.backend import QueryAnswer
-from repro.core.server import SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer, _record_shipped
 from repro.obs import DEFAULT_COUNT_BUCKETS, OBS, Counter, Histogram, Instrument
 from repro.service.protocol import KnnRequest
 
@@ -50,7 +50,6 @@ _BATCH_SIZE = Instrument(
 )
 _BATCHED_QUERIES = Instrument(Counter, "service.batched_queries")
 _SHARED_TRAVERSALS = Instrument(Counter, "service.shared_traversals")
-_OBJECTS = Instrument(Counter, "server.objects", "outcome")
 
 #: Relative slack on the retirement bound: ``d(c, q_i) + r_i`` is exact
 #: in real arithmetic but each term carries float rounding, so the
@@ -216,35 +215,17 @@ class BatchExecutor:
             if active == 0:
                 stream.close()
                 break
-        self._record_shipped(clients)
+        for client in clients:
+            # EINN's accounting: what the client certified is not re-shipped.
+            client.shipped = _record_shipped(
+                server.counter, client.neighbors(), client.known_keys
+            )
         breakdown = server.counter.finish_query()
         server.queries_served += len(clients)
         if OBS.enabled:
             _BATCHED_QUERIES().inc(len(clients))
             _SHARED_TRAVERSALS().inc()
         return _amortize(clients, breakdown)
-
-    def _record_shipped(self, clients: Sequence[_ClientState]) -> None:
-        """Bill one object record per shipped result, per client.
-
-        Mirrors the server's EINN accounting: records the client already
-        certified (``known_certain``) are not re-shipped.
-        """
-        counter = self._server.counter
-        shipped = 0
-        skipped = 0
-        for client in clients:
-            for neighbor in client.neighbors():
-                key = poi_key(neighbor.point, neighbor.payload)
-                if key in client.known_keys:
-                    skipped += 1
-                    continue
-                counter.record_object(key)
-                client.shipped += 1
-                shipped += 1
-        if OBS.enabled:
-            _OBJECTS("shipped").inc(shipped)
-            _OBJECTS("skipped").inc(skipped)
 
 
 def _representative(requests: Sequence[KnnRequest]) -> Point:

@@ -159,13 +159,9 @@ class ServiceSession:
             if isinstance(message, StreamClose):
                 return self._stream_close(message)
         except ProtocolError as exc:
-            return ErrorReply(_request_id(message), exc.code, str(exc))
+            return _error_reply(_request_id(message), exc.code, str(exc))
         except (ValueError, ArithmeticError) as exc:
-            if OBS.enabled:
-                _ERRORS(ErrorCode.INTERNAL.name).inc()
-            return ErrorReply(
-                _request_id(message), ErrorCode.INTERNAL, str(exc)
-            )
+            return _error_reply(_request_id(message), ErrorCode.INTERNAL, str(exc))
         raise ProtocolError(
             f"{type(message).__name__} is not a request",
             ErrorCode.UNSUPPORTED,
@@ -228,6 +224,13 @@ class ServiceSession:
         if OBS.enabled:
             _STREAMS("closed").inc()
         return StreamEnd(message.request_id, message.stream_id, breakdown)
+
+
+def _error_reply(request_id: int, code: ErrorCode, text: str) -> ErrorReply:
+    """An :class:`ErrorReply`, counted on ``service.errors{code}``."""
+    if OBS.enabled:
+        _ERRORS(code.name).inc()
+    return ErrorReply(request_id, code, text)
 
 
 def _request_id(message: Message) -> int:

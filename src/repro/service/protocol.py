@@ -7,28 +7,32 @@ Binary, big-endian, versioned.  Every frame is::
     | "RQ"  |   u8    |    u8    | of payload |           |
     +-------+---------+----------+------------+- - - - - -+
 
-The payload encodings are fixed per message type (no self-describing
-container format): points are pairs of ``f64``, counts are ``u16``/
-``u32``, POI payloads carry a one-byte type tag (int / float / str).
-Decoding is strict -- truncated frames, trailing bytes, unknown tags,
-NaN coordinates and negative distances all raise :class:`ProtocolError`
-rather than producing a half-valid message.
-
-Infinity is rejected everywhere except one place where it is meaningful:
-the *upper* pruning bound, whose absent state is ``inf`` by definition
-(:class:`~repro.index.knn.PruningBounds`).  This is what puts the
-Section 3.3 bounds and the client's certified partial result
-(``known_certain``) on the wire, so a served EINN prunes exactly like an
-in-process one.
+A payload is a fixed *head* and at most one *tail*.  The codec is one
+table, ``_LAYOUTS``, keyed by message class; a row holds the
+:class:`MessageType`, the head as one precompiled ``struct.Struct``
+whose last field is the tail's u32 count or byte length, a step from
+message to head values and one back.  A neighbor tail is ``count``
+records of ``>dddB`` (x, y, distance, payload tag), each followed by
+``>q`` (int), ``>d`` (float) or ``>I`` + UTF-8 (str); a text tail is
+``length`` bytes of UTF-8.  Each rule (counts at least 1, distances
+non-negative, floats finite except the *upper* pruning bound, whose
+absent state is ``inf``, ...) is stated once and runs in both
+directions; decoding is strict, so it accepts exactly the frames the
+encoder produces and raises :class:`ProtocolError` on anything else.
+This puts the Section 3.3 bounds and the client's certified partial
+result (``known_certain``) on the wire, so a served EINN prunes exactly
+like an in-process one.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple, Type, Union
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar, Union, cast
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
@@ -69,16 +73,6 @@ MAX_PAYLOAD = 1 << 20
 
 _HEADER = struct.Struct(">2sBBI")
 HEADER_SIZE = _HEADER.size
-
-_U8 = struct.Struct(">B")
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
-
-_TAG_INT = 0
-_TAG_FLOAT = 1
-_TAG_STR = 2
 
 
 class MessageType(enum.IntEnum):
@@ -239,436 +233,252 @@ Message = Union[
 
 
 # ----------------------------------------------------------------------
-# primitive writers / readers
+# rules: each is stated once and runs on encode and on decode
 # ----------------------------------------------------------------------
-class _Writer:
-    """Accumulates a payload; validates values as they are written."""
-
-    def __init__(self) -> None:
-        self._parts: List[bytes] = []
-
-    def u8(self, value: int) -> None:
-        if not 0 <= value <= 0xFF:
-            raise ProtocolError(f"u8 out of range: {value}")
-        self._parts.append(_U8.pack(value))
-
-    def u16(self, value: int) -> None:
-        if not 0 <= value <= 0xFFFF:
-            raise ProtocolError(f"u16 out of range: {value}")
-        self._parts.append(_U16.pack(value))
-
-    def u32(self, value: int) -> None:
-        if not 0 <= value <= 0xFFFFFFFF:
-            raise ProtocolError(f"u32 out of range: {value}")
-        self._parts.append(_U32.pack(value))
-
-    def i64(self, value: int) -> None:
-        if not -(1 << 63) <= value < (1 << 63):
-            raise ProtocolError(f"i64 out of range: {value}")
-        self._parts.append(_I64.pack(value))
-
-    def f64(self, value: float, allow_inf: bool = False) -> None:
-        _check_float(value, allow_inf)
-        self._parts.append(_F64.pack(value))
-
-    def text(self, value: str) -> None:
-        data = value.encode("utf-8")
-        if len(data) > MAX_PAYLOAD:
-            raise ProtocolError("string too long", ErrorCode.OVERSIZED)
-        self.u32(len(data))
-        self._parts.append(data)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+_KNOWN_CODES = tuple(ErrorCode)
 
 
-class _Reader:
-    """Strict cursor over a payload; every read validates its bytes."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _take(self, size: int) -> bytes:
-        end = self._pos + size
-        if end > len(self._data):
-            raise ProtocolError("truncated payload")
-        chunk = self._data[self._pos : end]
-        self._pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return int(_U8.unpack(self._take(1))[0])
-
-    def u16(self) -> int:
-        return int(_U16.unpack(self._take(2))[0])
-
-    def u32(self) -> int:
-        return int(_U32.unpack(self._take(4))[0])
-
-    def i64(self) -> int:
-        return int(_I64.unpack(self._take(8))[0])
-
-    def f64(self, allow_inf: bool = False) -> float:
-        value = float(_F64.unpack(self._take(8))[0])
-        _check_float(value, allow_inf)
-        return value
-
-    def text(self) -> str:
-        size = self.u32()
-        try:
-            return self._take(size).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"invalid utf-8: {exc}") from exc
-
-    def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise ProtocolError(
-                f"{len(self._data) - self._pos} trailing bytes after payload"
-            )
+def _finite(value: float, may_be_infinite: bool = False) -> None:
+    """Floats are finite; only the upper pruning bound may be ``inf``."""
+    if not math.isfinite(value) and (math.isnan(value) or not may_be_infinite):
+        raise ProtocolError(f"{value} is not representable on the wire")
 
 
-def _check_float(value: float, allow_inf: bool) -> None:
-    if math.isnan(value):
-        raise ProtocolError("NaN is not representable on the wire")
-    if math.isinf(value) and not allow_inf:
-        raise ProtocolError("infinity is only valid as an upper bound")
+def _at_least(value: float, floor: float, name: str) -> None:
+    """Counts are at least 1; radii and distances at least 0."""
+    if value < floor:
+        raise ProtocolError(f"{name} must be at least {floor}")
 
 
-# ----------------------------------------------------------------------
-# composite codecs
-# ----------------------------------------------------------------------
-def _write_point(w: _Writer, point: Point) -> None:
-    w.f64(point.x)
-    w.f64(point.y)
+def _one_of(value: int, allowed: Tuple[int, ...], name: str) -> None:
+    if value not in allowed:
+        raise ProtocolError(f"invalid {name}: {value}")
 
 
-def _read_point(r: _Reader) -> Point:
-    return Point(r.f64(), r.f64())
-
-
-def _write_payload(w: _Writer, payload: Any) -> None:
-    if isinstance(payload, bool):
-        raise ProtocolError(
-            "bool POI payloads are not supported", ErrorCode.UNSUPPORTED
-        )
-    if isinstance(payload, int):
-        w.u8(_TAG_INT)
-        w.i64(payload)
-    elif isinstance(payload, float):
-        w.u8(_TAG_FLOAT)
-        w.f64(payload)
-    elif isinstance(payload, str):
-        w.u8(_TAG_STR)
-        w.text(payload)
-    else:
-        raise ProtocolError(
-            f"unsupported POI payload type: {type(payload).__name__}",
-            ErrorCode.UNSUPPORTED,
-        )
-
-
-def _read_payload(r: _Reader) -> Any:
-    tag = r.u8()
-    if tag == _TAG_INT:
-        return r.i64()
-    if tag == _TAG_FLOAT:
-        return r.f64()
-    if tag == _TAG_STR:
-        return r.text()
-    raise ProtocolError(f"unknown payload tag: {tag}")
-
-
-def _write_neighbor(w: _Writer, neighbor: NeighborResult) -> None:
-    _write_point(w, neighbor.point)
-    if neighbor.distance < 0.0:
-        raise ProtocolError("negative neighbor distance")
-    w.f64(neighbor.distance)
-    _write_payload(w, neighbor.payload)
-
-
-def _read_neighbor(r: _Reader) -> NeighborResult:
-    point = _read_point(r)
-    distance = r.f64()
-    if distance < 0.0:
-        raise ProtocolError("negative neighbor distance")
-    return NeighborResult(point, _read_payload(r), distance)
-
-
-def _write_neighbors(w: _Writer, items: Tuple[NeighborResult, ...]) -> None:
-    w.u32(len(items))
-    for item in items:
-        _write_neighbor(w, item)
-
-
-def _read_neighbors(r: _Reader) -> Tuple[NeighborResult, ...]:
-    count = r.u32()
-    return tuple(_read_neighbor(r) for _ in range(count))
-
-
-def _write_bounds(w: _Writer, bounds: PruningBounds) -> None:
-    w.f64(bounds.lower)
-    w.f64(bounds.upper, allow_inf=True)
-
-
-def _read_bounds(r: _Reader) -> PruningBounds:
-    lower = r.f64()
-    upper = r.f64(allow_inf=True)
-    try:
-        return PruningBounds(lower, upper)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
-
-
-def _write_breakdown(w: _Writer, b: AccessBreakdown) -> None:
-    for value in (
-        b.total,
-        b.index_nodes,
-        b.leaf_nodes,
-        b.data_records,
-        b.buffer_hits,
-        b.buffer_misses,
-        b.entries_scanned,
-    ):
-        w.u32(value)
-
-
-def _read_breakdown(r: _Reader) -> AccessBreakdown:
-    total, index_nodes, leaf_nodes, data, hits, misses, entries = (
-        r.u32() for _ in range(7)
-    )
+def _consistent(total: int, index_nodes: int, leaf_nodes: int, data: int) -> None:
     if total != index_nodes + leaf_nodes + data:
         raise ProtocolError("inconsistent access breakdown")
-    return AccessBreakdown(
-        total=total,
-        index_nodes=index_nodes,
-        leaf_nodes=leaf_nodes,
-        data_records=data,
-        buffer_hits=hits,
-        buffer_misses=misses,
-        entries_scanned=entries,
-    )
+
+
+_TAG_INT, _TAG_FLOAT, _TAG_STR = 0, 1, 2
+
+#: One neighbor record: x, y, distance, payload tag, then the payload as
+#: ``_PAYLOADS[tag]`` (a str's ``>I`` is its UTF-8 length, bytes follow).
+_NEIGHBOR = struct.Struct(">dddB")
+_PAYLOADS = tuple(struct.Struct(code) for code in (">q", ">d", ">I"))
+_RECORDS = tuple(struct.Struct(_NEIGHBOR.format + p.format[1:]) for p in _PAYLOADS)
+_SMALLEST_RECORD = _NEIGHBOR.size + _PAYLOADS[_TAG_STR].size
+
+
+def _pack_text(text: str) -> Tuple[int, bytes]:
+    data = text.encode("utf-8")
+    if len(data) > MAX_PAYLOAD:
+        raise ProtocolError("string too long", ErrorCode.OVERSIZED)
+    return len(data), data
+
+
+def _unpack_text(buf: bytes, pos: int, length: int) -> Tuple[str, int]:
+    end = pos + length
+    if end > len(buf):
+        raise ProtocolError(f"declared length {length} exceeds the payload")
+    return str(buf[pos:end], "utf-8"), end
+
+
+def _payload(payload: Any) -> Tuple[int, Any, bytes]:
+    """``(tag, the record's last field, bytes after the record)``."""
+    if isinstance(payload, int) and not isinstance(payload, bool):
+        return _TAG_INT, payload, b""
+    if isinstance(payload, float):
+        _finite(payload)
+        return _TAG_FLOAT, payload, b""
+    if isinstance(payload, str):
+        return (_TAG_STR, *_pack_text(payload))
+    name = type(payload).__name__
+    raise ProtocolError(f"unsupported POI payload type: {name}", ErrorCode.UNSUPPORTED)
+
+
+def _check_neighbor(x: float, y: float, distance: float) -> None:
+    _finite(x)
+    _finite(y)
+    _finite(distance)
+    _at_least(distance, 0.0, "neighbor distance")
+
+
+def _pack_neighbors(items: Tuple[NeighborResult, ...]) -> Tuple[int, bytes]:
+    parts: List[bytes] = []
+    for item in items:
+        x, y, distance = item.point.x, item.point.y, item.distance
+        _check_neighbor(x, y, distance)
+        tag, value, data = _payload(item.payload)
+        parts.append(_RECORDS[tag].pack(x, y, distance, tag, value))
+        parts.append(data)
+    return len(items), b"".join(parts)
+
+
+def _unpack_neighbors(buf: bytes, pos: int, count: int) -> Tuple[Any, int]:
+    if count > (len(buf) - pos) // _SMALLEST_RECORD:
+        raise ProtocolError(f"{count} neighbors cannot fit in the payload")
+    items: List[NeighborResult] = []
+    for _ in range(count):
+        x, y, distance, tag = _NEIGHBOR.unpack_from(buf, pos)
+        _check_neighbor(x, y, distance)
+        if tag >= len(_PAYLOADS):
+            raise ProtocolError(f"unknown payload tag: {tag}")
+        pos += _NEIGHBOR.size
+        (value,) = _PAYLOADS[tag].unpack_from(buf, pos)
+        pos += _PAYLOADS[tag].size
+        if tag == _TAG_STR:
+            value, pos = _unpack_text(buf, pos, value)
+        elif tag == _TAG_FLOAT:
+            _finite(value)
+        items.append(NeighborResult(Point(x, y), value, distance))
+    return tuple(items), pos
+
+
+#: A tail's encoder (value -> count, bytes) and decoder (-> value, new pos).
+_NEIGHBORS = (_pack_neighbors, _unpack_neighbors)
+_TEXT = (_pack_text, _unpack_text)
 
 
 # ----------------------------------------------------------------------
-# per-message encoders / decoders
+# the table
 # ----------------------------------------------------------------------
-def _enc_knn(w: _Writer, m: KnnRequest) -> None:
-    w.u32(m.request_id)
-    _write_point(w, m.query)
-    if m.k < 1:
-        raise ProtocolError("k must be at least 1")
-    w.u16(m.k)
-    _write_bounds(w, m.bounds)
-    _write_neighbors(w, tuple(m.known_certain))
+_Values = Tuple[Any, ...]
+_Codec = TypeVar("_Codec", bound=Callable[..., Any])
 
 
-def _dec_knn(r: _Reader) -> KnnRequest:
-    request_id = r.u32()
-    query = _read_point(r)
-    k = r.u16()
-    if k < 1:
-        raise ProtocolError("k must be at least 1")
-    bounds = _read_bounds(r)
-    known = _read_neighbors(r)
-    return KnnRequest(request_id, query, k, bounds, known)
+class _Layout:
+    """One row of the table: a message's head, its two steps, its rules."""
+
+    def __init__(
+        self, mtype: MessageType, head: str, fields: Callable[[Any], _Values],
+        build: Callable[..., Message], tail: Optional[Tuple[Any, Any]] = None,
+        rule: Optional[Callable[[_Values], None]] = None, upper: int = -1,
+        breakdown: int = -1,
+    ) -> None:
+        self.mtype, self.fields, self.build = mtype, fields, build
+        self.head = struct.Struct(head)
+        self.tail, self.rule, self.upper, self.breakdown = tail, rule, upper, breakdown
+        # The head's floats are the fields a zeroed head unpacks as 0.0.
+        zeros = self.head.unpack(bytes(self.head.size))
+        self.floats = [i for i, v in enumerate(zeros) if isinstance(v, float)]
+
+    def check(self, values: _Values) -> None:
+        """Run the row's rules over head values, in either direction."""
+        for index in self.floats:
+            _finite(values[index], index == self.upper)
+        if self.breakdown >= 0:
+            _consistent(*values[self.breakdown : self.breakdown + 4])
+        if self.rule is not None:
+            self.rule(values)
 
 
-def _enc_range(w: _Writer, m: RangeRequest) -> None:
-    w.u32(m.request_id)
-    _write_point(w, m.center)
-    if m.radius < 0.0:
-        raise ProtocolError("radius must be non-negative")
-    w.f64(m.radius)
+_ids = attrgetter("request_id", "stream_id")
+_breakdown = attrgetter("total", "index_nodes", "leaf_nodes", "data_records",
+                        "buffer_hits", "buffer_misses", "entries_scanned")
 
 
-def _dec_range(r: _Reader) -> RangeRequest:
-    request_id = r.u32()
-    center = _read_point(r)
-    radius = r.f64()
-    if radius < 0.0:
-        raise ProtocolError("radius must be non-negative")
-    return RangeRequest(request_id, center, radius)
-
-
-def _enc_window(w: _Writer, m: WindowRequest) -> None:
-    w.u32(m.request_id)
-    w.f64(m.window.min_x)
-    w.f64(m.window.min_y)
-    w.f64(m.window.max_x)
-    w.f64(m.window.max_y)
-
-
-def _dec_window(r: _Reader) -> WindowRequest:
-    request_id = r.u32()
-    min_x, min_y, max_x, max_y = r.f64(), r.f64(), r.f64(), r.f64()
-    try:
-        window = BoundingBox(min_x, min_y, max_x, max_y)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
-    return WindowRequest(request_id, window)
-
-
-def _enc_stream_open(w: _Writer, m: StreamOpen) -> None:
-    w.u32(m.request_id)
-    _write_point(w, m.query)
-
-
-def _dec_stream_open(r: _Reader) -> StreamOpen:
-    return StreamOpen(r.u32(), _read_point(r))
-
-
-def _enc_stream_pull(w: _Writer, m: StreamPull) -> None:
-    w.u32(m.request_id)
-    w.u32(m.stream_id)
-    if m.max_items < 1:
-        raise ProtocolError("max_items must be at least 1")
-    w.u16(m.max_items)
-
-
-def _dec_stream_pull(r: _Reader) -> StreamPull:
-    request_id = r.u32()
-    stream_id = r.u32()
-    max_items = r.u16()
-    if max_items < 1:
-        raise ProtocolError("max_items must be at least 1")
-    return StreamPull(request_id, stream_id, max_items)
-
-
-def _enc_stream_close(w: _Writer, m: StreamClose) -> None:
-    w.u32(m.request_id)
-    w.u32(m.stream_id)
-
-
-def _dec_stream_close(r: _Reader) -> StreamClose:
-    return StreamClose(r.u32(), r.u32())
-
-
-def _enc_answer(w: _Writer, m: Answer) -> None:
-    w.u32(m.request_id)
-    if m.batch_size < 1:
-        raise ProtocolError("batch_size must be at least 1")
-    w.u16(m.batch_size)
-    _write_breakdown(w, m.breakdown)
-    _write_neighbors(w, tuple(m.neighbors))
-
-
-def _dec_answer(r: _Reader) -> Answer:
-    request_id = r.u32()
-    batch_size = r.u16()
-    if batch_size < 1:
-        raise ProtocolError("batch_size must be at least 1")
-    breakdown = _read_breakdown(r)
-    neighbors = _read_neighbors(r)
-    return Answer(request_id, neighbors, breakdown, batch_size)
-
-
-def _enc_stream_handle(w: _Writer, m: StreamHandle) -> None:
-    w.u32(m.request_id)
-    w.u32(m.stream_id)
-
-
-def _dec_stream_handle(r: _Reader) -> StreamHandle:
-    return StreamHandle(r.u32(), r.u32())
-
-
-def _enc_stream_items(w: _Writer, m: StreamItems) -> None:
-    w.u32(m.request_id)
-    w.u32(m.stream_id)
-    w.u8(1 if m.exhausted else 0)
-    _write_neighbors(w, tuple(m.items))
-
-
-def _dec_stream_items(r: _Reader) -> StreamItems:
-    request_id = r.u32()
-    stream_id = r.u32()
-    flag = r.u8()
-    if flag not in (0, 1):
-        raise ProtocolError(f"invalid exhausted flag: {flag}")
-    items = _read_neighbors(r)
-    return StreamItems(request_id, stream_id, items, flag == 1)
-
-
-def _enc_stream_end(w: _Writer, m: StreamEnd) -> None:
-    w.u32(m.request_id)
-    w.u32(m.stream_id)
-    _write_breakdown(w, m.breakdown)
-
-
-def _dec_stream_end(r: _Reader) -> StreamEnd:
-    return StreamEnd(r.u32(), r.u32(), _read_breakdown(r))
-
-
-def _enc_error(w: _Writer, m: ErrorReply) -> None:
-    w.u32(m.request_id)
-    w.u16(int(m.code))
-    w.text(m.message)
-
-
-def _dec_error(r: _Reader) -> ErrorReply:
-    request_id = r.u32()
-    raw_code = r.u16()
-    try:
-        code = ErrorCode(raw_code)
-    except ValueError as exc:
-        raise ProtocolError(f"unknown error code: {raw_code}") from exc
-    return ErrorReply(request_id, code, r.text())
-
-
-_CODECS: Dict[
-    Type[Message],
-    Tuple[MessageType, Callable[..., None], Callable[[_Reader], Message]],
-] = {
-    KnnRequest: (MessageType.KNN_REQUEST, _enc_knn, _dec_knn),
-    RangeRequest: (MessageType.RANGE_REQUEST, _enc_range, _dec_range),
-    WindowRequest: (MessageType.WINDOW_REQUEST, _enc_window, _dec_window),
-    StreamOpen: (MessageType.STREAM_OPEN, _enc_stream_open, _dec_stream_open),
-    StreamPull: (MessageType.STREAM_PULL, _enc_stream_pull, _dec_stream_pull),
-    StreamClose: (
-        MessageType.STREAM_CLOSE,
-        _enc_stream_close,
-        _dec_stream_close,
+_LAYOUTS: Dict[type, _Layout] = {
+    KnnRequest: _Layout(
+        MessageType.KNN_REQUEST, ">IddHddI",
+        lambda m: (m.request_id, m.query.x, m.query.y, m.k,
+                   m.bounds.lower, m.bounds.upper, m.known_certain),
+        lambda rid, x, y, k, lower, upper, known: KnnRequest(
+            rid, Point(x, y), k, PruningBounds(lower, upper), known),
+        _NEIGHBORS, lambda v: _at_least(v[3], 1, "k"), upper=5,
     ),
-    Answer: (MessageType.ANSWER, _enc_answer, _dec_answer),
-    StreamHandle: (
-        MessageType.STREAM_HANDLE,
-        _enc_stream_handle,
-        _dec_stream_handle,
+    RangeRequest: _Layout(
+        MessageType.RANGE_REQUEST, ">Iddd",
+        lambda m: (m.request_id, m.center.x, m.center.y, m.radius),
+        lambda rid, x, y, radius: RangeRequest(rid, Point(x, y), radius),
+        rule=lambda v: _at_least(v[3], 0.0, "radius"),
     ),
-    StreamItems: (
-        MessageType.STREAM_ITEMS,
-        _enc_stream_items,
-        _dec_stream_items,
+    WindowRequest: _Layout(
+        MessageType.WINDOW_REQUEST, ">Idddd",
+        lambda m: (m.request_id, m.window.min_x, m.window.min_y,
+                   m.window.max_x, m.window.max_y),
+        lambda rid, *box: WindowRequest(rid, BoundingBox(*box)),
     ),
-    StreamEnd: (MessageType.STREAM_END, _enc_stream_end, _dec_stream_end),
-    ErrorReply: (MessageType.ERROR, _enc_error, _dec_error),
+    StreamOpen: _Layout(
+        MessageType.STREAM_OPEN, ">Idd",
+        lambda m: (m.request_id, m.query.x, m.query.y),
+        lambda rid, x, y: StreamOpen(rid, Point(x, y)),
+    ),
+    StreamPull: _Layout(
+        MessageType.STREAM_PULL, ">IIH",
+        attrgetter("request_id", "stream_id", "max_items"), StreamPull,
+        rule=lambda v: _at_least(v[2], 1, "max_items"),
+    ),
+    StreamClose: _Layout(MessageType.STREAM_CLOSE, ">II", _ids, StreamClose),
+    Answer: _Layout(
+        MessageType.ANSWER, ">IH7II",
+        lambda m: (m.request_id, m.batch_size, *_breakdown(m.breakdown), m.neighbors),
+        lambda rid, batch, *b: Answer(rid, b[7], AccessBreakdown(*b[:7]), batch),
+        _NEIGHBORS, lambda v: _at_least(v[1], 1, "batch_size"), breakdown=2,
+    ),
+    StreamHandle: _Layout(MessageType.STREAM_HANDLE, ">II", _ids, StreamHandle),
+    StreamItems: _Layout(
+        MessageType.STREAM_ITEMS, ">IIBI",
+        lambda m: (m.request_id, m.stream_id, 1 if m.exhausted else 0, m.items),
+        lambda rid, sid, flag, items: StreamItems(rid, sid, items, flag == 1),
+        _NEIGHBORS, lambda v: _one_of(v[2], (0, 1), "exhausted flag"),
+    ),
+    StreamEnd: _Layout(
+        MessageType.STREAM_END, ">II7I",
+        lambda m: (m.request_id, m.stream_id, *_breakdown(m.breakdown)),
+        lambda rid, sid, *b: StreamEnd(rid, sid, AccessBreakdown(*b)),
+        breakdown=2,
+    ),
+    ErrorReply: _Layout(
+        MessageType.ERROR, ">IHI",
+        attrgetter("request_id", "code", "message"),
+        lambda rid, code, text: ErrorReply(rid, ErrorCode(code), text),
+        _TEXT, lambda v: _one_of(v[1], _KNOWN_CODES, "error code"),
+    ),
 }
-
-_DECODERS: Dict[MessageType, Callable[[_Reader], Message]] = {
-    mtype: decoder for mtype, _, decoder in _CODECS.values()
-}
+_BY_TYPE = {layout.mtype: layout for layout in _LAYOUTS.values()}
 
 
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+def _strict(codec: _Codec) -> _Codec:
+    """Where what ``struct``, UTF-8 and the message constructors refuse
+    (a value out of range, a short head, bad UTF-8) becomes a ProtocolError."""
+
+    @functools.wraps(codec)
+    def strict(arg: Any) -> Any:
+        try:
+            return codec(arg)
+        except ProtocolError:
+            raise
+        except (struct.error, ValueError) as exc:
+            raise ProtocolError(f"malformed payload: {exc}") from exc
+
+    return cast(_Codec, strict)
+
+
+@_strict
 def encode_message(message: Message) -> bytes:
     """Encode ``message`` into a complete frame (header + payload)."""
-    codec = _CODECS.get(type(message))
-    if codec is None:
+    layout = _LAYOUTS.get(type(message))
+    if layout is None:
         raise ProtocolError(
             f"cannot encode {type(message).__name__}", ErrorCode.UNSUPPORTED
         )
-    mtype, encoder, _ = codec
-    writer = _Writer()
-    encoder(writer, message)
-    payload = writer.getvalue()
+    values = layout.fields(message)
+    layout.check(values)
+    if layout.tail is None:
+        payload = layout.head.pack(*values)
+    else:
+        count, body = layout.tail[0](values[-1])
+        payload = layout.head.pack(*values[:-1], count) + body
     if len(payload) > MAX_PAYLOAD:
         raise ProtocolError(
             f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD",
             ErrorCode.OVERSIZED,
         )
-    return _HEADER.pack(MAGIC, PROTOCOL_VERSION, int(mtype), len(payload)) + payload
+    return _HEADER.pack(MAGIC, PROTOCOL_VERSION, layout.mtype, len(payload)) + payload
 
 
 def parse_header(header: bytes) -> Tuple[MessageType, int]:
@@ -702,6 +512,7 @@ def parse_header(header: bytes) -> Tuple[MessageType, int]:
     return mtype, length
 
 
+@_strict
 def decode_message(frame: bytes) -> Message:
     """Decode a complete frame back into its message.
 
@@ -712,12 +523,17 @@ def decode_message(frame: bytes) -> Message:
     if len(frame) < HEADER_SIZE:
         raise ProtocolError("frame shorter than header")
     mtype, length = parse_header(frame[:HEADER_SIZE])
-    payload = frame[HEADER_SIZE:]
-    if len(payload) != length:
+    if len(frame) - HEADER_SIZE != length:
         raise ProtocolError(
-            f"declared payload length {length} != actual {len(payload)}"
+            f"declared payload length {length} != actual {len(frame) - HEADER_SIZE}"
         )
-    reader = _Reader(payload)
-    message = _DECODERS[mtype](reader)
-    reader.expect_end()
-    return message
+    layout = _BY_TYPE[mtype]
+    values = layout.head.unpack_from(frame, HEADER_SIZE)
+    layout.check(values)
+    pos = HEADER_SIZE + layout.head.size
+    if layout.tail is not None:
+        tail, pos = layout.tail[1](frame, pos, values[-1])
+        values = (*values[:-1], tail)
+    if pos < len(frame):
+        raise ProtocolError(f"{len(frame) - pos} trailing bytes after payload")
+    return layout.build(*values)

@@ -181,15 +181,15 @@ def _golden_scenarios():
     return items
 
 
-#: The five billing sites as runtime ``(file, function)`` pairs: node and
+#: The four billing sites as runtime ``(file, function)`` pairs: node and
 #: scan billing always surfaces at the ``read_node`` chokepoint, object
-#: billing at the four functions that ship data records.
+#: billing at the three functions that ship data records (kNN answers of
+#: the server and of the batching executor share ``_record_shipped``).
 ALLOWED_BILLERS = {
     ("rtree.py", "read_node"),
-    ("server.py", "_record_shipped_objects"),
+    ("server.py", "_record_shipped"),
     ("server.py", "range_query_detailed"),
     ("server.py", "window_query_detailed"),
-    ("batching.py", "_record_shipped"),
 }
 
 

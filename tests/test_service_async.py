@@ -142,6 +142,29 @@ class TestTcpServing:
             sock.settimeout(5.0)
             assert sock.recv(1) == b""
 
+    def test_negative_radius_is_malformed_and_closes_the_connection(
+        self, running_server
+    ):
+        # The decoder rejects the value before any session sees it, so the
+        # reply cannot carry the request id and the stream is dropped.
+        running, _ = running_server
+        payload = struct.pack(">Iddd", 42, 1.0, 1.0, -1.0)
+        header = struct.pack(
+            ">2sBBI",
+            MAGIC,
+            PROTOCOL_VERSION,
+            int(MessageType.RANGE_REQUEST),
+            len(payload),
+        )
+        with socket.create_connection(running.address, timeout=5.0) as sock:
+            sock.sendall(header + payload)
+            reply = _read_frame(sock)
+            assert isinstance(reply, ErrorReply)
+            assert reply.code is ErrorCode.MALFORMED
+            assert reply.request_id == 0
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b""
+
     def test_unknown_stream_pull_is_a_bad_stream_error(self, running_server):
         from repro.service.protocol import StreamPull
 

@@ -15,6 +15,7 @@ from repro.geometry.point import Point
 from repro.index.knn import PruningBounds
 from repro.core.senn import SennConfig, senn_query
 from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.obs import OBS, MetricsRegistry, observed
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.engine import QueryService
 from repro.service.transport import LoopbackTransport, QueryTransport
@@ -187,3 +188,23 @@ class TestTransportContract:
         with pytest.raises(ServiceError) as excinfo:
             failing._roundtrip(StreamPull(6, 99, 3))
         assert excinfo.value.code is ErrorCode.BAD_STREAM
+
+
+class TestErrorCounting:
+    def test_bad_stream_reply_is_counted_by_its_code(self):
+        from repro.service.protocol import ErrorCode, StreamPull, decode_message
+        from repro.service.protocol import encode_message
+
+        transport = LoopbackTransport(QueryService(make_server(make_pois(count=20))))
+        previous = OBS.registry
+        with observed(enabled=True):
+            OBS.registry = registry = MetricsRegistry()
+            try:
+                reply = decode_message(
+                    transport.request(encode_message(StreamPull(5, 99, 3)))
+                )
+            finally:
+                OBS.registry = previous
+        assert reply.code is ErrorCode.BAD_STREAM
+        assert registry.value("service.errors", code="BAD_STREAM") == 1.0
+        assert registry.value("service.errors", code="INTERNAL") == 0.0

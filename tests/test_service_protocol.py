@@ -9,6 +9,7 @@ generated messages; the example tests pin each rejection path.
 
 import math
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -261,3 +262,92 @@ class TestFraming:
     def test_garbage_payload_rejected(self):
         with pytest.raises(ProtocolError):
             decode_message(frame(MessageType.KNN_REQUEST, b"\x01\x02\x03"))
+
+
+# ----------------------------------------------------------------------
+# hostile bytes
+# ----------------------------------------------------------------------
+def decode_or_reject(data: bytes):
+    """Decode ``data``; a decoded message must re-encode to ``data``.
+
+    Anything but a message or a :class:`ProtocolError` fails the test,
+    and so does a message whose frame differs from the bytes it came
+    from: the decoder accepts canonical frames only.
+    """
+    try:
+        message = decode_message(data)
+    except ProtocolError:
+        return None
+    assert encode_message(message) == data
+    return message
+
+
+def payload_of(message) -> bytes:
+    return encode_message(message)[HEADER_SIZE:]
+
+
+def reframe(message, payload: bytes) -> bytes:
+    """A frame of ``message``'s type around ``payload``, length fixed up."""
+    mtype, _ = parse_header(encode_message(message)[:HEADER_SIZE])
+    return frame(mtype, payload)
+
+
+class TestHostileBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(MessageType)), st.binary(max_size=120))
+    def test_arbitrary_payload_under_every_header(self, mtype, payload):
+        decode_or_reject(frame(mtype, payload))
+
+    @settings(max_examples=200, deadline=None)
+    @given(messages, st.data())
+    def test_byte_flips(self, message, data):
+        encoded = bytearray(encode_message(message))
+        flips = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=len(encoded) - 1),
+                    st.integers(min_value=1, max_value=255),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        for position, mask in flips:
+            encoded[position] ^= mask
+        decode_or_reject(bytes(encoded))
+
+    @settings(max_examples=100, deadline=None)
+    @given(messages, st.data(), st.sampled_from(list(MessageType)))
+    def test_truncation_with_the_length_fixed_up(self, message, data, mtype):
+        payload = payload_of(message)
+        cut = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+        with pytest.raises(ProtocolError):
+            decode_message(reframe(message, payload[:cut]))
+        decode_or_reject(frame(mtype, payload[:cut]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(messages, st.binary(min_size=1, max_size=40))
+    def test_appended_bytes_with_the_length_fixed_up(self, message, extra):
+        with pytest.raises(ProtocolError):
+            decode_message(reframe(message, payload_of(message) + extra))
+
+    @pytest.mark.parametrize(
+        "message, offset",
+        [
+            # Each offset is where the tail's u32 count / length sits.
+            (Answer(1, (), AccessBreakdown(0, 0, 0), 1), 4 + 2 + 7 * 4),
+            (StreamItems(1, 2, (), False), 4 + 4 + 1),
+            (KnnRequest(1, Point(0.0, 0.0), 1), 4 + 16 + 2 + 16),
+            (ErrorReply(1, ErrorCode.INTERNAL, ""), 4 + 2),
+        ],
+    )
+    def test_huge_declared_count_over_an_empty_tail_raises_at_once(
+        self, message, offset
+    ):
+        payload = bytearray(payload_of(message))
+        assert payload[offset : offset + 4] == b"\x00\x00\x00\x00"
+        payload[offset : offset + 4] = b"\xff\xff\xff\xff"
+        started = time.perf_counter()
+        with pytest.raises(ProtocolError):
+            decode_message(reframe(message, bytes(payload)))
+        assert time.perf_counter() - started < 0.5
