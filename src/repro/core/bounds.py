@@ -27,18 +27,16 @@ import math
 
 from repro.core.heap import CandidateHeap, HeapState
 from repro.index.knn import PruningBounds
-from repro.obs import OBS, Counter, Instrument
 
 __all__ = ["derive_pruning_bounds"]
-
-_DERIVED = Instrument(Counter, "bounds.derived", "state")
 
 
 def derive_pruning_bounds(heap: CandidateHeap) -> PruningBounds:
     """Map the heap state to the paper's pruning bounds.
 
     A COMPLETE heap never reaches the server, but for uniformity it maps
-    to the same bounds as state 1 (both are valid there).
+    to the same bounds as state 1 (both are valid there).  The state is
+    counted on the heap's tally (``bounds.derived``).
     """
     state = heap.state()
     upper = math.inf
@@ -56,6 +54,5 @@ def derive_pruning_bounds(heap: CandidateHeap) -> PruningBounds:
         last_certain = heap.last_certain_distance()
         if last_certain is not None:
             lower = last_certain
-    if OBS.enabled:
-        _DERIVED(state.value).inc()
+    heap.tally.bound_states += (state,)
     return PruningBounds(lower=lower, upper=upper)

@@ -22,12 +22,9 @@ from typing import List, Optional, Sequence, Tuple
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult
-from repro.obs import OBS, Counter, Instrument
+from repro.obs import OBS, CacheRecord
 
 __all__ = ["CachedQueryResult", "QueryCache"]
-
-_STORES = Instrument(Counter, "cache.stores", "truncated")
-_LOOKUPS = Instrument(Counter, "cache.lookups", "outcome")
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,11 @@ class QueryCache:
     is this repository's extension that retains the last N results, each
     with its own query location and certain circle -- peers then receive
     several circles from one host, widening the merged certain region.
+
+    A query pipeline reads the cache through :meth:`lookup`, which counts
+    (``cache.lookups``); :meth:`get` and ``repr`` only read.  Lookups and
+    stores are counted on ``tally`` and published by :meth:`flush_tally`,
+    once per host query.
     """
 
     def __init__(self, capacity: int, history: int = 1) -> None:
@@ -103,6 +105,7 @@ class QueryCache:
         self.history = history
         self._entries: List[CachedQueryResult] = []
         self.store_count = 0
+        self.tally = CacheRecord()
 
     def store(
         self,
@@ -128,16 +131,29 @@ class QueryCache:
         if len(self._entries) > self.history:
             self._entries.pop(0)
         self.store_count += 1
-        if OBS.enabled:
-            _STORES("true" if truncated else "false").inc()
+        if truncated:
+            self.tally.stored_truncated += 1
+        else:
+            self.tally.stored += 1
         return entry
 
     def get(self) -> Optional[CachedQueryResult]:
         """The most recent cached result, or ``None`` when cold."""
-        entry = self._entries[-1] if self._entries else None
+        return self._entries[-1] if self._entries else None
+
+    def lookup(self) -> Optional[CachedQueryResult]:
+        """:meth:`get` on behalf of a query: counted as a hit or a miss."""
+        if not self._entries:
+            self.tally.lookup_miss += 1
+            return None
+        self.tally.lookup_hit += 1
+        return self._entries[-1]
+
+    def flush_tally(self) -> None:
+        """Publish the lookups and stores counted since the last flush."""
+        tally, self.tally = self.tally, CacheRecord()
         if OBS.enabled:
-            _LOOKUPS("hit" if entry is not None else "miss").inc()
-        return entry
+            tally.flush()
 
     def snapshots(self) -> List[CachedQueryResult]:
         """All retained results, newest first (what peers receive)."""

@@ -34,18 +34,10 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.analysis.runtime import SANITIZER
 from repro.geometry.point import Point
 from repro.index.knn import poi_key
-from repro.obs import OBS, Counter, Instrument
+from repro.obs import OBS, SennRecord
 
 __all__ = ["CandidateHeap", "HeapEntry", "HeapState"]
 
-_OFFERS = Instrument(Counter, "heap.offers", "certain", "outcome")
-#: ``heap.offers`` label pairs in the order ``add_batch`` tallies them.
-_OFFER_LABELS = (
-    ("false", "rejected"),
-    ("false", "stored"),
-    ("true", "rejected"),
-    ("true", "stored"),
-)
 _DISTANCE = attrgetter("distance")
 
 
@@ -81,6 +73,12 @@ class CandidateHeap:
     ``capacity`` is the query's ``k``.  Duplicate POIs (the same object
     reported by several peers) are merged, upgrading uncertain entries to
     certain when any report certifies them.
+
+    ``tally`` is the query's :class:`~repro.obs.SennRecord`: the heap
+    counts its offers there (``heap.offers``), the verifiers their Lemma
+    3.2 / 3.8 outcomes and ``derive_pruning_bounds`` the Section 3.3
+    state.  :meth:`flush_tally` publishes it -- ``senn_query`` calls it
+    when the query ends, a heap driven on its own calls it once, last.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -90,6 +88,18 @@ class CandidateHeap:
         self._certain: List[HeapEntry] = []
         self._uncertain: List[HeapEntry] = []
         self._index: Dict[Tuple[float, float, Any], HeapEntry] = {}
+        self.tally = SennRecord()
+
+    def flush_tally(self) -> None:
+        """Publish :attr:`tally` and drop it.
+
+        A finished query's heap lives on in its ``SennResult`` and keeps
+        no record; counting on it afterwards raises ``AttributeError``.
+        """
+        tally = self.tally
+        del self.tally
+        if OBS.enabled:
+            tally.flush()
 
     # ------------------------------------------------------------------
     # insertion
@@ -98,7 +108,7 @@ class CandidateHeap:
         """Offer a candidate; returns True when it is (now) stored.
 
         Re-offering a stored POI as certain upgrades it; re-offering as
-        uncertain is a no-op.
+        uncertain is a no-op.  Counted on :attr:`tally` like a batch of one.
         """
         if not SANITIZER.enabled:
             stored = self._add(point, payload, distance, certain)
@@ -106,11 +116,16 @@ class CandidateHeap:
             before = self.state()
             stored = self._add(point, payload, distance, certain)
             SANITIZER.after_heap_add(self, before)
-        if OBS.enabled:
-            _OFFERS(
-                "true" if certain else "false",
-                "stored" if stored else "rejected",
-            ).inc()
+        tally = self.tally
+        if stored:
+            if certain:
+                tally.certain_stored += 1
+            else:
+                tally.uncertain_stored += 1
+        elif certain:
+            tally.certain_rejected += 1
+        else:
+            tally.uncertain_rejected += 1
         return stored
 
     def add_batch(
@@ -119,26 +134,28 @@ class CandidateHeap:
         """Offer a pre-ordered batch of candidates; returns #stored.
 
         The batched verifiers hand over one peer's candidates at once.
-        Every offer has the outcome :meth:`add` would give it and
-        ``heap.offers`` ends at the same totals, summed once per batch
-        (at most four locked increments) instead of once per offer; a
-        batch that raises has counted exactly the offers before the one
-        that raised.  With the sanitizer on, each offer goes through
-        :meth:`add` itself and keeps its per-offer invariant checks.
+        Each offer has the outcome :meth:`add` would give it and is
+        counted on ``tally`` as it is placed, so a batch that raises has
+        counted exactly the offers before the one that raised.  With the
+        sanitizer on, each offer goes through :meth:`add` itself and
+        keeps its per-offer invariant checks.
         """
         if SANITIZER.enabled:
             return sum([self.add(*offer) for offer in offers])
-        tallies = [0, 0, 0, 0]  # indexed by 2 * certain + stored
-        add = self._add
-        try:
-            for point, payload, distance, certain in offers:
-                tallies[2 * certain + add(point, payload, distance, certain)] += 1
-        finally:
-            if OBS.enabled:
-                for (certain_label, outcome), count in zip(_OFFER_LABELS, tallies):
-                    if count:
-                        _OFFERS(certain_label, outcome).inc(count)
-        return tallies[1] + tallies[3]
+        tally = self.tally
+        place = self._add
+        stored_before = tally.certain_stored + tally.uncertain_stored
+        for point, payload, distance, certain in offers:
+            if place(point, payload, distance, certain):
+                if certain:
+                    tally.certain_stored += 1
+                else:
+                    tally.uncertain_stored += 1
+            elif certain:
+                tally.certain_rejected += 1
+            else:
+                tally.uncertain_rejected += 1
+        return tally.certain_stored + tally.uncertain_stored - stored_before
 
     def _add(self, point: Point, payload: Any, distance: float, certain: bool) -> bool:
         if distance < 0.0:

@@ -76,7 +76,10 @@ class MobileHost:
         ]
 
     def cache_snapshot(self) -> Optional[CachedQueryResult]:
-        """The newest cached result (legacy single-entry view)."""
+        """The newest cached result (legacy single-entry view).
+
+        A read, not a lookup: ``cache.lookups`` does not move.
+        """
         return self.cache.get()
 
     def cache_snapshots(self) -> List[CachedQueryResult]:
@@ -102,17 +105,20 @@ class MobileHost:
         """
         query_k = self.config.k if k is None else k
         peer_caches = self._collect_peer_caches(peers)
-        result = senn_query(
-            self.position,
-            query_k,
-            self.cache.get(),
-            peer_caches,
-            self.config,
-            server=server,
-            server_k=self.config.cache_capacity,
-        )
-        self._account(result.tier)
-        self._store_result(result, timestamp)
+        try:
+            result = senn_query(
+                self.position,
+                query_k,
+                self.cache.lookup(),
+                peer_caches,
+                self.config,
+                server=server,
+                server_k=self.config.cache_capacity,
+            )
+            self._account(result.tier)
+            self._store_result(result, timestamp)
+        finally:
+            self.cache.flush_tally()
         return result
 
     def query_range(
@@ -136,36 +142,39 @@ class MobileHost:
         from repro.core.senn import ResolutionTier
 
         peer_caches = self._collect_peer_caches(peers)
-        result = sharing_range_query(
-            self.position,
-            radius,
-            self.cache.get(),
-            peer_caches,
-            self.config,
-            server=None,
-        )
-        if result.tier is ResolutionTier.SERVER and server is not None:
-            # Policy-2 analogue: over-fetch a slightly larger disk so the
-            # cached certain circle can cover future nearby queries.
-            fetch_radius = radius + self.config.range_overfetch
-            answer = server.range_query_detailed(self.position, fetch_radius)
-            fetched = answer.neighbors
-            self.cache.store(
-                self.position, fetched, timestamp, known_radius=fetch_radius
+        try:
+            result = sharing_range_query(
+                self.position,
+                radius,
+                self.cache.lookup(),
+                peer_caches,
+                self.config,
+                server=None,
             )
-            result = RangeQueryResult(
-                [n for n in fetched if n.distance <= radius],
-                ResolutionTier.SERVER,
-                peers_consulted=result.peers_consulted,
-                server_pages=answer.pages.total,
-            )
-        elif result.answered_by_peers:
-            # Even an empty disk is knowledge: cache it with the query
-            # radius (QueryCache drops the radius if it must truncate).
-            self.cache.store(
-                self.position, result.neighbors, timestamp, known_radius=radius
-            )
-        self._account(result.tier)
+            if result.tier is ResolutionTier.SERVER and server is not None:
+                # Policy-2 analogue: over-fetch a slightly larger disk so the
+                # cached certain circle can cover future nearby queries.
+                fetch_radius = radius + self.config.range_overfetch
+                answer = server.range_query_detailed(self.position, fetch_radius)
+                fetched = answer.neighbors
+                self.cache.store(
+                    self.position, fetched, timestamp, known_radius=fetch_radius
+                )
+                result = RangeQueryResult(
+                    [n for n in fetched if n.distance <= radius],
+                    ResolutionTier.SERVER,
+                    peers_consulted=result.peers_consulted,
+                    server_pages=answer.pages.total,
+                )
+            elif result.answered_by_peers:
+                # Even an empty disk is knowledge: cache it with the query
+                # radius (QueryCache drops the radius if it must truncate).
+                self.cache.store(
+                    self.position, result.neighbors, timestamp, known_radius=radius
+                )
+            self._account(result.tier)
+        finally:
+            self.cache.flush_tally()
         return result
 
     def query_knn_network(
@@ -179,17 +188,20 @@ class MobileHost:
         """Issue a network-distance kNN query (SNNN pipeline)."""
         query_k = self.config.k if k is None else k
         peer_caches = self._collect_peer_caches(peers)
-        result = snnn_query(
-            self.position,
-            query_k,
-            network,
-            self.cache.get(),
-            peer_caches,
-            self.config,
-            server=server,
-        )
-        self._account(result.senn_result.tier)
-        self._store_result(result.senn_result, timestamp)
+        try:
+            result = snnn_query(
+                self.position,
+                query_k,
+                network,
+                self.cache.lookup(),
+                peer_caches,
+                self.config,
+                server=server,
+            )
+            self._account(result.senn_result.tier)
+            self._store_result(result.senn_result, timestamp)
+        finally:
+            self.cache.flush_tally()
         return result
 
     # ------------------------------------------------------------------

@@ -32,11 +32,8 @@ from repro.core.bounds import derive_pruning_bounds
 from repro.core.cache import CachedQueryResult
 from repro.core.heap import CandidateHeap
 from repro.core.verification import verify_multi_peer, verify_single_peer
-from repro.obs import OBS, Counter, Instrument
 
 __all__ = ["ResolutionTier", "SennConfig", "SennResult", "senn_query"]
-
-_QUERIES = Instrument(Counter, "senn.queries", "tier")
 
 
 class ResolutionTier(enum.Enum):
@@ -146,86 +143,94 @@ def senn_query(
 
     Without a server, a SERVER-tier result contains whatever certain
     entries were collected (callers treat it as "would need the server").
+
+    Everything the query counts -- tier, verifier outcomes, heap offers,
+    bound state -- goes on ``heap.tally`` and reaches the registry in one
+    flush when the query ends, also when it raises.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     heap = CandidateHeap(k)
-
-    # Heuristic 3.3: closest query locations first.
-    usable_own = own_cache is not None and not own_cache.is_empty()
-    ordered_caches: List[CachedQueryResult] = sorted(
-        [cache for cache in peer_caches if not cache.is_empty()],
-        key=lambda cache: query.distance_to(cache.query_location),
-    )
-
-    # Step 0: the host's own cache (local answer).
-    if usable_own:
-        verify_single_peer(query, own_cache, heap)
-        if heap.is_complete():
-            return _finish(heap, ResolutionTier.LOCAL_CACHE, peers_consulted=0)
-
-    # Step 1: kNN_single, peer by peer.
-    consulted = 0
-    for cache in ordered_caches:
-        consulted += 1
-        verify_single_peer(query, cache, heap)
-        if heap.is_complete():
-            return _finish(heap, ResolutionTier.SINGLE_PEER, consulted)
-
-    # Step 2: kNN_multiple over the merged certain region.
-    all_caches = ([own_cache] if usable_own else []) + ordered_caches
-    if len(all_caches) >= 2:
-        verify_multi_peer(
-            query,
-            all_caches,
-            heap,
-            method=config.coverage_method,
-            polygon_sides=config.polygon_sides,
+    try:
+        # Heuristic 3.3: closest query locations first.
+        usable_own = own_cache is not None and not own_cache.is_empty()
+        ordered_caches: List[CachedQueryResult] = sorted(
+            [cache for cache in peer_caches if not cache.is_empty()],
+            key=lambda cache: query.distance_to(cache.query_location),
         )
-        if heap.is_complete():
-            return _finish(heap, ResolutionTier.MULTI_PEER, consulted)
 
-    # Step 3: uncertain answer, if acceptable.
-    if config.accept_uncertain and heap.is_full:
-        return _finish(heap, ResolutionTier.UNCERTAIN, consulted)
+        # Step 0: the host's own cache (local answer).
+        if usable_own:
+            verify_single_peer(query, own_cache, heap)
+            if heap.is_complete():
+                return _finish(heap, ResolutionTier.LOCAL_CACHE, peers_consulted=0)
 
-    # Step 4: forward to the server with pruning bounds.
-    bounds = derive_pruning_bounds(heap)
-    certain = [
-        NeighborResult(entry.point, entry.payload, entry.distance)
-        for entry in heap.certain_entries()
-    ]
-    if server is None:
-        if OBS.enabled:
-            _QUERIES(ResolutionTier.SERVER.value).inc()
-        return SennResult(certain, ResolutionTier.SERVER, heap, bounds, consulted)
+        # Step 1: kNN_single, peer by peer.
+        consulted = 0
+        for cache in ordered_caches:
+            consulted += 1
+            verify_single_peer(query, cache, heap)
+            if heap.is_complete():
+                return _finish(heap, ResolutionTier.SINGLE_PEER, consulted)
 
-    effective_k = k if server_k is None else max(k, server_k)
-    if effective_k > k:
-        # The upper bound caps the k-th neighbor only; fetching more NNs
-        # than k makes it unsound, so keep just the lower bound.
-        bounds = PruningBounds(lower=bounds.lower)
-    answer = server.knn_query_detailed(query, effective_k, bounds, certain)
-    if OBS.enabled:
-        _QUERIES(ResolutionTier.SERVER.value).inc()
-    # The caller asked for k neighbors; the over-fetched surplus is cache
-    # material only (policy 2), never part of the visible answer.
-    return SennResult(
-        answer.neighbors[:k],
-        ResolutionTier.SERVER,
-        heap,
-        bounds,
-        consulted,
-        server_pages=answer.pages.total,
-        prefetched=answer.neighbors if effective_k > k else [],
-    )
+        # Step 2: kNN_multiple over the merged certain region.
+        all_caches = ([own_cache] if usable_own else []) + ordered_caches
+        if len(all_caches) >= 2:
+            verify_multi_peer(
+                query,
+                all_caches,
+                heap,
+                method=config.coverage_method,
+                polygon_sides=config.polygon_sides,
+            )
+            if heap.is_complete():
+                return _finish(heap, ResolutionTier.MULTI_PEER, consulted)
+
+        # Step 3: uncertain answer, if acceptable.
+        if config.accept_uncertain and heap.is_full:
+            return _finish(heap, ResolutionTier.UNCERTAIN, consulted)
+
+        # Step 4: forward to the server with pruning bounds.
+        bounds = derive_pruning_bounds(heap)
+        certain = [
+            NeighborResult(entry.point, entry.payload, entry.distance)
+            for entry in heap.certain_entries()
+        ]
+        tally = heap.tally
+        tally.peers = consulted
+        if server is None:
+            tally.tiers += (ResolutionTier.SERVER,)
+            return SennResult(certain, ResolutionTier.SERVER, heap, bounds, consulted)
+
+        effective_k = k if server_k is None else max(k, server_k)
+        if effective_k > k:
+            # The upper bound caps the k-th neighbor only; fetching more NNs
+            # than k makes it unsound, so keep just the lower bound.
+            bounds = PruningBounds(lower=bounds.lower)
+        answer = server.knn_query_detailed(query, effective_k, bounds, certain)
+        tally.tiers += (ResolutionTier.SERVER,)
+        tally.server_pages = answer.pages.total
+        # The caller asked for k neighbors; the over-fetched surplus is cache
+        # material only (policy 2), never part of the visible answer.
+        return SennResult(
+            answer.neighbors[:k],
+            ResolutionTier.SERVER,
+            heap,
+            bounds,
+            consulted,
+            server_pages=answer.pages.total,
+            prefetched=answer.neighbors if effective_k > k else [],
+        )
+    finally:
+        heap.flush_tally()
 
 
 def _finish(
     heap: CandidateHeap, tier: ResolutionTier, peers_consulted: int
 ) -> SennResult:
-    if OBS.enabled:
-        _QUERIES(tier.value).inc()
+    tally = heap.tally
+    tally.tiers += (tier,)
+    tally.peers = peers_consulted
     entries = heap.entries() if tier is ResolutionTier.UNCERTAIN else heap.certain_entries()
     neighbors = [
         NeighborResult(entry.point, entry.payload, entry.distance)

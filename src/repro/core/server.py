@@ -36,10 +36,8 @@ from repro.obs import DEFAULT_COUNT_BUCKETS, OBS, Counter, Histogram, Instrument
 
 __all__ = ["ServerAlgorithm", "SpatialDatabaseServer"]
 
-_KNN_QUERIES = Instrument(Counter, "server.knn_queries", "algorithm")
 _RANGE_QUERIES = Instrument(Counter, "server.range_queries")
 _WINDOW_QUERIES = Instrument(Counter, "server.window_queries")
-_OBJECTS = Instrument(Counter, "server.objects", "outcome")
 _PAGES_PER_QUERY = Instrument(
     Histogram, "server.pages_per_query", "algorithm", boundaries=DEFAULT_COUNT_BUCKETS
 )
@@ -57,7 +55,9 @@ def _record_shipped(
     already holds (``known_certain``) and does not re-ship those -- the
     "fewer objects" half of Section 4.4's EINN advantage; INN and the
     depth-first baseline pass none and ship everything.  The batching
-    executor calls this once per client.  Returns the records billed.
+    executor calls this once per client.  Returns the records billed;
+    the answer and its shipped and skipped records go on the counter's
+    tally (``server.objects``).
     """
     shipped = 0
     for result in results:
@@ -65,9 +65,10 @@ def _record_shipped(
         if key not in held:
             counter.record_object(key)
             shipped += 1
-    if OBS.enabled:
-        _OBJECTS("shipped").inc(shipped)
-        _OBJECTS("skipped").inc(len(results) - shipped)
+    tally = counter.tally
+    tally.answers += 1
+    tally.shipped += shipped
+    tally.skipped += len(results) - shipped
     return shipped
 
 
@@ -77,6 +78,13 @@ class ServerAlgorithm(enum.Enum):
     EINN = "einn"
     INN = "inn"
     DEPTH_FIRST = "depth-first"
+
+
+#: The ``ServerRecord`` fields of each algorithm: queries, pages observed.
+_TALLY_FIELDS = {
+    algorithm: (f"knn_{algorithm.name.lower()}", f"pages_{algorithm.name.lower()}")
+    for algorithm in ServerAlgorithm
+}
 
 
 class SpatialDatabaseServer:
@@ -150,28 +158,38 @@ class SpatialDatabaseServer:
         breakdown, so callers never have to read it back out of the
         shared counter (which another interleaved query may have moved
         on by then).
+
+        What the query counts -- node reads, pruned MBRs, shipped
+        records, its algorithm and pages -- is one record, flushed by
+        ``finish_query`` (or, if the query raises, by the handler here).
         """
         chosen = algorithm if algorithm is not None else self.algorithm
-        self.counter.start_query()
-        if chosen is ServerAlgorithm.EINN:
-            results = k_nearest_einn(
-                self.tree, query, k, bounds, known_certain, self.counter
+        counter = self.counter
+        counter.start_query()
+        try:
+            if chosen is ServerAlgorithm.EINN:
+                results = k_nearest_einn(
+                    self.tree, query, k, bounds, known_certain, counter
+                )
+            elif chosen is ServerAlgorithm.INN:
+                results = k_nearest(self.tree, query, k, counter)
+            else:
+                results = k_nearest_depth_first(self.tree, query, k, counter)
+            held = (
+                {poi_key(r.point, r.payload) for r in known_certain}
+                if known_certain and chosen is ServerAlgorithm.EINN
+                else ()
             )
-        elif chosen is ServerAlgorithm.INN:
-            results = k_nearest(self.tree, query, k, self.counter)
-        else:
-            results = k_nearest_depth_first(self.tree, query, k, self.counter)
-        held = (
-            {poi_key(r.point, r.payload) for r in known_certain}
-            if known_certain and chosen is ServerAlgorithm.EINN
-            else ()
-        )
-        _record_shipped(self.counter, results, held)
-        breakdown = self.counter.finish_query()
+            _record_shipped(counter, results, held)
+            queries, pages = _TALLY_FIELDS[chosen]
+            tally = counter.tally
+            setattr(tally, queries, getattr(tally, queries) + 1)
+            setattr(tally, pages, getattr(tally, pages) + (counter.current_total,))
+            breakdown = counter.finish_query()
+        except BaseException:
+            counter.flush_tally()
+            raise
         self.queries_served += 1
-        if OBS.enabled:
-            _KNN_QUERIES(chosen.value).inc()
-            _PAGES_PER_QUERY(chosen.value).observe(float(breakdown.total))
         return QueryAnswer(results, breakdown)
 
     def knn_query(

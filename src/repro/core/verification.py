@@ -36,7 +36,6 @@ from repro.geometry.vecmath import point_distance_list, point_distances
 from repro.index.knn import poi_key
 from repro.core.cache import CachedQueryResult
 from repro.core.heap import CandidateHeap
-from repro.obs import DEFAULT_COUNT_BUCKETS, OBS, Counter, Histogram, Instrument
 
 __all__ = ["verify_single_peer", "verify_multi_peer", "collect_candidates"]
 
@@ -53,11 +52,6 @@ __all__ = ["verify_single_peer", "verify_multi_peer", "collect_candidates"]
 #: holds at most ``c_size`` = 20 entries and a multi-peer union at most
 #: 21 candidates (32 at ``lambda_knn`` 15), where lists beat ndarrays.
 _LIST_PATH_PAIRS = 48
-
-_BATCH_SIZE = Instrument(
-    Histogram, "verify.batch_size", "lemma", boundaries=DEFAULT_COUNT_BUCKETS
-)
-_CANDIDATES = Instrument(Counter, "verify.candidates", "lemma", "outcome")
 
 
 def verify_single_peer(
@@ -113,10 +107,10 @@ def _verify_single_peer(
         )
         for index in order
     )
-    if OBS.enabled:
-        _BATCH_SIZE("3.2").observe(float(count))
-        _CANDIDATES("3.2", "certain").inc(certified)
-        _CANDIDATES("3.2", "uncertain").inc(count - certified)
+    tally = heap.tally
+    tally.single_sizes += (count,)
+    tally.single_certain += certified
+    tally.single_uncertain += count - certified
     return certified
 
 
@@ -162,8 +156,8 @@ def _verify_multi_peer(
     precovered = _single_disk_covered(
         query, region, [candidate[0] for candidate in candidates]
     )
-    if OBS.enabled:
-        _BATCH_SIZE("3.8").observe(float(len(candidates)))
+    tally = heap.tally
+    tally.multi_sizes += (len(candidates),)
 
     certified = 0
     for index, (distance, point, payload) in enumerate(candidates):
@@ -175,15 +169,13 @@ def _verify_multi_peer(
         if precovered[index] or region.covers_disk(target):
             heap.add(point, payload, distance, certain=True)
             certified += 1
-            if OBS.enabled:
-                _CANDIDATES("3.8", "certain").inc()
+            tally.multi_certain += 1
         else:
             # Monotonicity: a larger disk cannot be covered either.  The
             # remaining candidates stay uncertain; make sure the heap has
             # seen them at least once.
             heap.add(point, payload, distance, certain=False)
-            if OBS.enabled:
-                _CANDIDATES("3.8", "uncertain").inc()
+            tally.multi_uncertain += 1
             break
     return certified
 

@@ -47,7 +47,7 @@ from repro.geometry.vecmath import (
 from repro.index.node import LeafEntry, Node
 from repro.index.pagestats import PageAccessCounter
 from repro.index.rtree import RTree
-from repro.obs import OBS, Counter, Instrument
+from repro.obs import ServerRecord
 
 __all__ = [
     "NeighborResult",
@@ -59,8 +59,6 @@ __all__ = [
     "poi_key",
     "poi_tie_key",
 ]
-
-_PRUNED_MBRS = Instrument(Counter, "einn.pruned_mbrs", "rule")
 
 #: Total order on POI payloads for breaking exact distance ties.
 TieKey = Tuple[int, float, str]
@@ -160,6 +158,7 @@ def _push_run(
     order: int,
     upper: float = math.inf,
     lower: float = 0.0,
+    tally: Optional[ServerRecord] = None,
 ) -> int:
     """Queue one node -- a leaf's entries or an index node's children -- as
     a sorted run with only its head pushed; returns the next free order.
@@ -179,7 +178,8 @@ def _push_run(
     cut only tightens.  Index children sort before every object at their
     MINDIST (:data:`_NODE_TIE`), so for them the distance decides alone;
     a leaf entry *at* the cut distance whose tie key loses stays queued
-    and ends the search when it is popped.  ``lower`` is ``D_ct``.
+    and ends the search when it is popped.  ``lower`` is ``D_ct``.  The
+    MBRs each rule cut go on ``tally`` (``einn.pruned_mbrs``).
     """
     arrays = node.arrays()
     items: Sequence[Any]
@@ -203,19 +203,16 @@ def _push_run(
     else:
         run = list(rows)
     if not arrays.is_leaf:
-        beyond = count - len(run)
+        kept = len(run)
         if lower > 0.0:
             # Downward pruning: the MBR is fully inside the certain circle;
             # every object in it is already known to the client.  Tested on
             # what rule 2 kept (a row's order minus ``order`` is its column).
             maxdists = maxdist_arrays(*box).tolist()
             run = [row for row in run if not maxdists[row[2] - order] < lower]
-        if OBS.enabled:
-            enclosed = count - beyond - len(run)
-            if beyond:
-                _PRUNED_MBRS("upward").inc(beyond)
-            if enclosed:
-                _PRUNED_MBRS("downward").inc(enclosed)
+        if tally is not None:
+            tally.pruned_upward += count - kept
+            tally.pruned_downward += kept - len(run)
     if run:
         run.sort()
         rest = iter(run)
@@ -346,9 +343,10 @@ def k_nearest_einn(
 
     if len(tree) > 0:
         lower = bounds.lower
+        tally = counter.tally if counter is not None else None
         heap: List[_Queued] = []
         root = tree.read_node(tree.root, counter)
-        order = _push_run(heap, root, query, 0, cut[0], lower)
+        order = _push_run(heap, root, query, 0, cut[0], lower, tally)
         while heap:
             dist, tie, _, item, rest = heapq.heappop(heap)
             key = (dist, tie)
@@ -359,7 +357,7 @@ def k_nearest_einn(
                 heapq.heappush(heap, successor + (rest,))
             if tie is _NODE_TIE:
                 node = tree.read_node(item, counter)
-                order = _push_run(heap, node, query, order, cut[0], lower)
+                order = _push_run(heap, node, query, order, cut[0], lower, tally)
             elif not (known_keys and poi_key(item.point, item.payload) in known_keys):
                 # Keep ascending (distance, tie) order; equal keys stay in
                 # arrival order (small lists; O(n)).

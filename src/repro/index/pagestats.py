@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional
 
 from repro.analysis.runtime import SANITIZER
+from repro.obs import OBS, ServerRecord
 
 __all__ = ["PageAccessCounter", "BufferPool", "AccessBreakdown"]
 
@@ -58,6 +59,12 @@ class PageAccessCounter:
     A counter can be shared by many queries: call :meth:`start_query`
     before each query and :meth:`finish_query` after, then read per-query
     breakdowns from :attr:`history` or aggregate with :meth:`mean_per_query`.
+
+    ``tally`` is the open query's :class:`~repro.obs.ServerRecord`: the
+    traversals add EINN's pruned MBRs there and the server its shipped
+    records, algorithm and pages; the node reads join it from this
+    counter's registers.  :meth:`finish_query` flushes it -- the query's
+    one registry update -- and starts the next.
     """
 
     def __init__(self, buffer_pool: Optional["BufferPool"] = None) -> None:
@@ -72,6 +79,7 @@ class PageAccessCounter:
         self.history: List[AccessBreakdown] = []
         self.total_accesses = 0
         self.total_entries_scanned = 0
+        self.tally = ServerRecord()
 
     # ------------------------------------------------------------------
     # recording
@@ -145,9 +153,23 @@ class PageAccessCounter:
         )
         self.history.append(breakdown)
         self._in_query = False
+        self.flush_tally()
         if SANITIZER.enabled:
             SANITIZER.note_finish_query(self, breakdown)
         return breakdown
+
+    def flush_tally(self) -> None:
+        """Publish the open query's record and start a fresh one.
+
+        The query's node reads are this counter's own registers; they
+        join the record here.  :meth:`finish_query` calls it; a query
+        that raises calls it to count what it did before the raise.
+        """
+        tally, self.tally = self.tally, ServerRecord()
+        if OBS.enabled:
+            tally.index_reads += self._current_index
+            tally.leaf_reads += self._current_leaf
+            tally.flush()
 
     @property
     def current_total(self) -> int:

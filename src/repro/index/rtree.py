@@ -36,7 +36,6 @@ from repro.obs import OBS, Counter, Instrument
 
 __all__ = ["RTree", "RTreeConfig", "SplitPolicy"]
 
-_NODE_READS = Instrument(Counter, "rtree.node_reads", "kind")
 _SPLITS = Instrument(Counter, "rtree.splits", "policy")
 _REINSERTS = Instrument(Counter, "rtree.reinserts")
 
@@ -108,17 +107,17 @@ class RTree:
         """Account one page access and hand the node back.
 
         This is the single chokepoint every traversal (window, circle,
-        INN, EINN, depth-first) reads nodes through, so the global
-        ``rtree.node_reads`` counter here sees every simulated page
-        access, with or without a per-query ``PageAccessCounter``.
+        INN, EINN, depth-first) reads nodes through.  A metered read is
+        billed to ``counter``, whose per-query record carries it to the
+        global ``rtree.node_reads`` counter when the query finishes; an
+        unmetered one (``counter is None``) is not a page access and
+        counts nowhere.
 
         One *node* visit is one page access, however many of its entries
         the vectorized kernels scan — the whole-node array pass bills
         exactly one read (``record_scan``), keeping the paper's Figure-17
         metric intact while still exposing the scanned entry count.
         """
-        if OBS.enabled:
-            _NODE_READS("leaf" if node.is_leaf else "index").inc()
         if counter is not None:
             counter.record_scan(node.page_id, node.is_leaf, len(node.entries))
         return node

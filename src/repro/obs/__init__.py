@@ -1,19 +1,22 @@
 """``repro.obs`` — the zero-dependency observability layer.
 
-Three small pieces, re-exported here:
+Four small pieces, re-exported here:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges and fixed-boundary histograms; deterministic snapshots.
 * :mod:`repro.obs.tracing` — :class:`Tracer` spans/events with JSONL
   export and an injectable (deterministic-by-default) clock.
 * :mod:`repro.obs.profiling` — the :data:`OBS` switchboard, the
-  :class:`Instrument` handle every call site counts through, and the
+  :class:`Instrument` handle off-path call sites count through, and the
   :func:`span` wall-time hook for the outer layers.
+* :mod:`repro.obs.records` — the per-query records the kNN path counts
+  into and flushes once per query (:class:`SennRecord`,
+  :class:`ServerRecord`, :class:`CacheRecord`).
 
 ``repro.obs`` sits at rank 0 of the layering DAG (like
 ``repro.analysis.runtime``) so the engine's hot paths — R\\*-tree node
-reads, EINN pruning, verification outcomes, cache hits — can increment
-counters without an upward import. The ``repro-bench`` CLI lives in
+reads, EINN pruning, verification outcomes, cache hits — can count
+without an upward import. The ``repro-bench`` CLI lives in
 :mod:`repro.obs.bench` at rank 5 and is deliberately **not** imported
 here, so importing the instrumentation facade never drags in the
 benchmark suite (or its ``repro.core``/``repro.sim`` dependencies).
@@ -31,9 +34,11 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profiling import OBS, Instrument, Obs, observed, span
+from repro.obs.records import CacheRecord, SennRecord, ServerRecord
 from repro.obs.tracing import LogicalClock, TraceRecord, Tracer, records_from_jsonl
 
 __all__ = [
+    "CacheRecord",
     "Counter",
     "DEFAULT_COUNT_BUCKETS",
     "DEFAULT_TIME_BUCKETS_S",
@@ -44,6 +49,8 @@ __all__ = [
     "MetricsRegistry",
     "OBS",
     "Obs",
+    "SennRecord",
+    "ServerRecord",
     "TraceRecord",
     "Tracer",
     "observed",

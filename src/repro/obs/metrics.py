@@ -22,22 +22,28 @@ Design constraints, in order:
   mutators, so concurrent ``inc()`` calls never lose updates.  Under
   ``REPRO_SANITIZE=1`` each mutation additionally reports to the race
   sanitizer, which checks the owning guard is actually held.
-* **Cheap where it is called often.** Measured on the development
-  container: a labelled ``registry.counter(name, **labels)`` lookup plus
-  ``inc()`` costs 1.8 us (kwargs, a sorted label key, a dict probe
-  under the lock), ``inc()`` on an instrument already in hand 0.5 us
-  (one lock round-trip plus a float add).  Call sites therefore hold
-  their instruments through :class:`repro.obs.profiling.Instrument`
-  (0.7 us per event; table and script in ``docs/observability.md``).
-  The *disabled* path never reaches this module at all (call sites
-  guard on ``OBS.enabled`` first), which is what keeps the <=2%
-  disabled-overhead budget intact.
+* **Cheap where it is called often.** Every event that reaches an
+  instrument on its own pays a lock round trip and the frames around
+  it.  The kNN query path therefore does not count event by event: it
+  adds plain integers to a per-query record (:mod:`repro.obs.records`)
+  and :meth:`MetricsRegistry.apply` takes the whole record -- a SENN
+  query's eight or so events, a served query's dozen -- under one
+  acquisition.  Off-path sites (splits, range and window queries, the
+  service, the simulator) hold their instruments through
+  :class:`repro.obs.profiling.Instrument` and pay per event.  Measured
+  costs: the table and script in ``docs/observability.md``.  The
+  *disabled* path never reaches this module at all (handle sites and
+  record flushes guard on ``OBS.enabled`` first), which is what keeps
+  the <=2% disabled-overhead budget intact.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress
 from typing import (
+    TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -52,6 +58,9 @@ from typing import (
 )
 
 from repro.analysis.runtime import SANITIZER, TrackedLock, named_lock
+
+if TYPE_CHECKING:  # records import this module at run time
+    from repro.obs.records import RecordTable
 
 __all__ = [
     "Counter",
@@ -273,7 +282,7 @@ class MetricsRegistry:
     switchboard; tests and ``repro-bench`` sections swap in fresh ones.
     """
 
-    __slots__ = ("_metrics", "_lock", "generation")
+    __slots__ = ("_metrics", "_lock", "generation", "_resolved")
 
     def __init__(self) -> None:
         """Create an empty registry."""
@@ -286,6 +295,10 @@ class MetricsRegistry:
         # probes never interleave, and the lock-order graph stays a
         # single canonical node (see config.LOCK_ALIASES).
         self._lock = named_lock("MetricsRegistry._lock")
+        # apply()'s state per record table: the row instruments (in row
+        # order) and the gated rows still to register; reset() drops it
+        # with the instruments it points into.
+        self._resolved: Dict["RecordTable", Tuple[List[Any], List[Tuple[int, int]]]] = {}
 
     def _get_or_create(
         self,
@@ -304,28 +317,107 @@ class MetricsRegistry:
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                make: Callable[..., _M] = kind
-                if kind is Histogram:
-                    if boundaries is None:
-                        boundaries = DEFAULT_TIME_BUCKETS_S
-                    metric = make(name, key[1], boundaries, lock=self._lock)
+                metric = self._metrics[key] = self._new(kind, key, boundaries)
+            return self._checked(metric, kind, boundaries)
+
+    def _new(
+        self,
+        kind: Type[_M],
+        key: Tuple[str, LabelKey],
+        boundaries: Optional[Sequence[float]],
+    ) -> _M:
+        """A fresh ``kind`` instrument sharing the registry lock."""
+        make: Callable[..., _M] = kind
+        if kind is Histogram:
+            if boundaries is None:
+                boundaries = DEFAULT_TIME_BUCKETS_S
+            return make(key[0], key[1], boundaries, lock=self._lock)
+        return make(key[0], key[1], lock=self._lock)
+
+    @staticmethod
+    def _checked(
+        metric: Metric, kind: Type[_M], boundaries: Optional[Sequence[float]]
+    ) -> _M:
+        """``metric`` if it is a ``kind`` (with ``boundaries``); else raise."""
+        if not isinstance(metric, kind):
+            raise TypeError(
+                f"metric {metric.name!r} already registered as "
+                f"{type(metric).__name__}"
+            )
+        if (
+            boundaries is not None
+            and isinstance(metric, Histogram)
+            and tuple(float(b) for b in boundaries) != metric.boundaries
+        ):
+            raise ValueError(
+                f"histogram {metric.name!r} already registered with boundaries "
+                f"{metric.boundaries}"
+            )
+        return metric
+
+    def apply(self, table: "RecordTable", values: Sequence[Any]) -> None:
+        """Apply one per-query record under a single lock acquisition.
+
+        ``values`` are the record's fields in ``table`` order (see
+        :mod:`repro.obs.records`).  Every non-zero metric field is
+        applied -- a count adds its value, a labelled count adds one per
+        member it holds, a histogram (count buckets) observes every
+        number it holds -- and a gated field also at zero while its gate
+        is set.  An instrument is resolved once per registry generation,
+        on its first update, so the metrics registered are those one
+        ``inc``/``observe`` per event would have left.
+        """
+        each, histograms, note = table.each, table.histograms, SANITIZER.enabled
+        with self._lock:
+            state = self._resolved.get(table)
+            if state is None:
+                state = self._resolved[table] = ([None] * len(table.slots), list(table.gated))
+            resolved, gates = state
+            rows = list(compress(table.counted, values))
+            if gates:  # a gated row not yet registered registers at zero
+                for row, gate in gates:
+                    if values[gate] and not values[row]:
+                        rows.append(row)
+            for row in rows:
+                metric = resolved[row]
+                if metric is None:
+                    slot = table.slots[row]
+                    assert slot is not None, f"{table.fields[row]!r} is explain-only"
+                    kind, name, labels, _ = slot
+                    if each <= row < histograms:
+                        metric = resolved[row] = {}  # member -> its counter
+                    else:
+                        boundaries = DEFAULT_COUNT_BUCKETS if kind is Histogram else None
+                        key = (name, labels)
+                        metric = self._metrics.get(key)
+                        if metric is None:
+                            metric = self._metrics[key] = self._new(kind, key, boundaries)
+                        metric = resolved[row] = self._checked(metric, kind, boundaries)
+                        if gates:
+                            gates[:] = [pair for pair in gates if pair[0] != row]
+                if row < each:
+                    metric._value += values[row]
+                elif row < histograms:
+                    for member in values[row]:
+                        counter = metric.get(member)
+                        if counter is None:
+                            _, name, labels, label = table.slots[row]
+                            key = (name, tuple(sorted(labels + ((label, member.value),))))
+                            counter = self._metrics.get(key)
+                            if counter is None:
+                                counter = self._metrics[key] = self._new(Counter, key, None)
+                            counter = metric[member] = self._checked(counter, Counter, None)
+                        counter._value += 1
+                        if note:
+                            SANITIZER.note_metric_mutation(counter.name, self._lock.name)
+                    continue
                 else:
-                    metric = make(name, key[1], lock=self._lock)
-                self._metrics[key] = metric
-            elif not isinstance(metric, kind):
-                raise TypeError(
-                    f"metric {name!r} already registered as {type(metric).__name__}"
-                )
-            elif (
-                boundaries is not None
-                and isinstance(metric, Histogram)
-                and tuple(float(b) for b in boundaries) != metric.boundaries
-            ):
-                raise ValueError(
-                    f"histogram {name!r} already registered with boundaries "
-                    f"{metric.boundaries}"
-                )
-            return metric
+                    for sample in values[row]:
+                        metric.bucket_counts[bisect_left(metric.boundaries, sample)] += 1
+                        metric._sum += sample
+                        metric._count += 1
+                if note:
+                    SANITIZER.note_metric_mutation(metric.name, self._lock.name)
 
     def counter(self, name: str, **labels: object) -> Counter:
         """Return the counter for ``(name, labels)``, creating it at 0."""
@@ -427,4 +519,5 @@ class MetricsRegistry:
         """Drop every metric (used between bench sections and by tests)."""
         with self._lock:
             self._metrics.clear()
+            self._resolved.clear()
             self.generation += 1

@@ -7,19 +7,23 @@ disabled fast path at every instrumented call site is exactly
 
 .. code-block:: python
 
-    _NODE_READS = Instrument(Counter, "rtree.node_reads", "kind")  # module top
+    _SPLITS = Instrument(Counter, "rtree.splits", "policy")  # module top
     ...
     if OBS.enabled:
-        _NODE_READS("leaf").inc()
+        _SPLITS("rstar").inc()
 
 — one attribute read and a falsy branch (~30 ns), nothing else. The
 observability layer ships *enabled* (the paper's results are counters);
 ``REPRO_OBS=0`` turns every hook into that single guarded read, which
 is the mode the ≤2 % quickstart-overhead budget is asserted against
-(``tests/test_obs_overhead.py``).  :class:`Instrument` is the one way a
-call site reaches a metric: it holds the instrument across calls, so an
-enabled event costs a dict probe plus ``inc()`` instead of a registry
-get-or-create (measured costs: ``docs/observability.md``).
+(``tests/test_obs_overhead.py``).  :class:`Instrument` is how an
+off-path call site reaches a metric: it holds the instrument across
+calls, so an enabled event costs a dict probe plus ``inc()`` instead of
+a registry get-or-create.  The kNN query path does not count event by
+event at all: it fills the per-query records of
+:mod:`repro.obs.records`, and their owners guard the one flush per
+query on the same ``OBS.enabled`` (measured costs:
+``docs/observability.md``).
 
 One time-based hook lives here rather than in the engine: the
 :func:`span` context manager, which reads ``time.perf_counter``. It is

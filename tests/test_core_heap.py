@@ -169,12 +169,14 @@ _OFFER = st.tuples(
 )
 
 
-def _offers_snapshot(run):
-    """``heap.offers{...}`` values after ``run()`` on a fresh registry."""
+def _offers_snapshot(run, heap):
+    """``heap.offers{...}`` values after ``run()`` and ``heap.flush_tally()``,
+    on a fresh registry."""
     previous = OBS.registry
     OBS.registry = MetricsRegistry()
     try:
         run()
+        heap.flush_tally()
         return OBS.registry.snapshot()
     finally:
         OBS.registry = previous
@@ -199,8 +201,8 @@ class TestAddBatchIsALoopOfAdd:
             stored["loop"] = sum(looped.add(*offer) for offer in offers)
 
         with observed(enabled=enabled):
-            by_batch = _offers_snapshot(batch)
-            by_loop = _offers_snapshot(loop)
+            by_batch = _offers_snapshot(batch, batched)
+            by_loop = _offers_snapshot(loop, looped)
         assert stored["batch"] == stored["loop"]
         assert batched.entries() == looped.entries()
         assert by_batch == by_loop
@@ -233,8 +235,8 @@ class TestAddBatchIsALoopOfAdd:
                 looped.add(*offer)
 
         with observed(enabled=True):
-            by_batch = _offers_snapshot(batch)
-            by_loop = _offers_snapshot(loop)
+            by_batch = _offers_snapshot(batch, batched)
+            by_loop = _offers_snapshot(loop, looped)
         assert batched.entries() == looped.entries()
         assert by_batch == by_loop
         assert sum(by_batch.values()) == bad
