@@ -420,12 +420,26 @@ LEMMA_TABLE: Tuple[LemmaEntry, ...] = (
         qualname="repro.core.heap.CandidateHeap._insert",
         lemma="Table 1 (Section 3.2.1)",
         op="Lt",
-        left="entry.distance",
+        left="distance",
         right="worst.distance",
         rationale=(
             "an uncertain entry displaces the farthest uncertain entry only "
             "when strictly closer; ties keep the incumbent, which makes "
             "heap content deterministic under duplicate distances"
+        ),
+    ),
+    LemmaEntry(
+        qualname="repro.core.heap.CandidateHeap.add_batch",
+        lemma="Table 1 (Section 3.2.1), complete heap",
+        op="GtE",
+        left="distance",
+        right="certain_bucket[-1].distance",
+        rationale=(
+            "a complete heap holds k certain entries and no uncertain one, "
+            "so an offer at or beyond D_ct can displace nothing: ties keep "
+            "the incumbent, which is why equality settles the offer too; "
+            "> would only send ties the long way round, a tolerance would "
+            "settle offers strictly closer than D_ct, which must displace"
         ),
     ),
     LemmaEntry(

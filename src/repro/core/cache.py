@@ -104,6 +104,7 @@ class QueryCache:
         self.capacity = capacity
         self.history = history
         self._entries: List[CachedQueryResult] = []
+        self._transmitted: Tuple[CachedQueryResult, ...] = ()
         self.store_count = 0
         self.tally = CacheRecord()
 
@@ -130,6 +131,9 @@ class QueryCache:
         self._entries.append(entry)
         if len(self._entries) > self.history:
             self._entries.pop(0)
+        self._transmitted = tuple(
+            kept for kept in reversed(self._entries) if not kept.is_empty()
+        )
         self.store_count += 1
         if truncated:
             self.tally.stored_truncated += 1
@@ -156,12 +160,22 @@ class QueryCache:
             tally.flush()
 
     def snapshots(self) -> List[CachedQueryResult]:
-        """All retained results, newest first (what peers receive)."""
+        """All retained results, newest first."""
         return list(reversed(self._entries))
+
+    def transmitted(self) -> Tuple[CachedQueryResult, ...]:
+        """What a querying peer receives: :meth:`snapshots` without the
+        results that certify nothing (:meth:`CachedQueryResult.is_empty`).
+
+        Kept up to date by :meth:`store` and :meth:`clear`, so a probe
+        costs no allocation.
+        """
+        return self._transmitted
 
     def clear(self) -> None:
         """Drop every retained result (e.g. on cache invalidation)."""
         self._entries.clear()
+        self._transmitted = ()
 
     def is_empty(self) -> bool:
         """True when no retained result holds any neighbor tuples."""

@@ -19,6 +19,14 @@ uncertain entry in distance order.  The class asserts nothing about how
 entries were produced, but the property tests in
 ``tests/test_core_heap.py`` verify the invariant end-to-end.
 
+An offer is decided before anything is allocated: the rules above say
+whether it is stored, and only a stored offer builds a
+:class:`HeapEntry`.  :meth:`CandidateHeap.add_batch` settles some offers
+by their key alone.  A complete heap holds ``k``
+certain entries and therefore no uncertain one, so an offer at or beyond
+``D_ct`` can displace nothing (ties keep the incumbent): it is stored
+exactly when its POI is already held.
+
 After verification the heap is in one of six states (Section 3.3) --
 or :attr:`HeapState.COMPLETE` when all ``k`` certain neighbors were found.
 """
@@ -136,17 +144,36 @@ class CandidateHeap:
         The batched verifiers hand over one peer's candidates at once.
         Each offer has the outcome :meth:`add` would give it and is
         counted on ``tally`` as it is placed, so a batch that raises has
-        counted exactly the offers before the one that raised.  With the
-        sanitizer on, each offer goes through :meth:`add` itself and
-        keeps its per-offer invariant checks.
+        counted exactly the offers before the one that raised.
+
+        A complete heap settles an offer by its key: it holds ``k``
+        certain entries and no uncertain one, so an offer at or beyond
+        ``D_ct`` can displace nothing (ties keep the incumbent) and is
+        stored exactly when its POI is already held.  That holds for any
+        offer order; other offers go through :meth:`_add`.  With the
+        sanitizer on, every offer of the batch -- settled or placed -- is
+        checked as one :meth:`add` would be.
         """
-        if SANITIZER.enabled:
-            return sum([self.add(*offer) for offer in offers])
         tally = self.tally
+        sanitize = SANITIZER.enabled
         place = self._add
+        held = self._index
+        certain_bucket = self._certain
+        capacity = self.capacity
         stored_before = tally.certain_stored + tally.uncertain_stored
         for point, payload, distance, certain in offers:
-            if place(point, payload, distance, certain):
+            if sanitize:
+                before = self.state()
+            if (
+                len(certain_bucket) >= capacity
+                and distance >= certain_bucket[-1].distance
+            ):
+                stored = poi_key(point, payload) in held
+            else:
+                stored = place(point, payload, distance, certain)
+            if sanitize:
+                SANITIZER.after_heap_add(self, before)
+            if stored:
                 if certain:
                     tally.certain_stored += 1
                 else:
@@ -170,29 +197,38 @@ class CandidateHeap:
             # Table 1: uncertain objects exist only while fewer than k
             # certain ones are known, so this offer has no slot to take.
             return False
-        return self._insert(key, HeapEntry(point, payload, distance, certain))
+        return self._insert(key, point, payload, distance, certain)
 
-    def _insert(self, key: Tuple[float, float, Any], entry: HeapEntry) -> bool:
-        """Place a POI ``_add`` found no entry for; False when it does not fit."""
-        certain, uncertain = self._certain, self._uncertain
-        if len(certain) + len(uncertain) >= self.capacity:
+    def _insert(
+        self,
+        key: Tuple[float, float, Any],
+        point: Point,
+        payload: Any,
+        distance: float,
+        certain: bool,
+    ) -> bool:
+        """Place a POI ``_add`` found no entry for; False when it does not fit.
+
+        The offer's fate is decided first; only a stored offer builds its
+        :class:`HeapEntry`.
+        """
+        certain_bucket, uncertain_bucket = self._certain, self._uncertain
+        if len(certain_bucket) + len(uncertain_bucket) >= self.capacity:
             # Table 1: a certain newcomer displaces the farthest uncertain
             # entry; any other newcomer displaces the farthest entry of
             # its own kind, and only when strictly closer (ties keep the
             # incumbent).  ``_add`` turns uncertain offers away once k
             # certain entries are known, so a full heap that gets one here
             # still holds an uncertain entry to compare it with.
-            donor = uncertain or certain
+            donor = uncertain_bucket or certain_bucket
             worst = donor[-1]
-            if (entry.certain and uncertain) or entry.distance < worst.distance:
-                donor.pop()
-                del self._index[worst.key()]
-            else:
+            if not ((certain and uncertain_bucket) or distance < worst.distance):
                 return False
-        bucket = certain if entry.certain else uncertain
-        bucket.insert(
-            bisect.bisect_right(bucket, entry.distance, key=_DISTANCE), entry
-        )
+            donor.pop()
+            del self._index[worst.key()]
+        entry = HeapEntry(point, payload, distance, certain)
+        bucket = certain_bucket if certain else uncertain_bucket
+        bucket.insert(bisect.bisect_right(bucket, distance, key=_DISTANCE), entry)
         self._index[key] = entry
         return True
 

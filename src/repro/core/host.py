@@ -16,6 +16,7 @@ aggregates into the SQRR statistics of Section 4.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # runtime import stays local to query_range (import cycle)
@@ -84,9 +85,7 @@ class MobileHost:
 
     def cache_snapshots(self) -> List[CachedQueryResult]:
         """Everything this host transmits to a querying peer."""
-        return [
-            entry for entry in self.cache.snapshots() if not entry.is_empty()
-        ]
+        return list(self.cache.transmitted())
 
     # ------------------------------------------------------------------
     # queries
@@ -139,7 +138,6 @@ class MobileHost:
         from repro.core.range_queries import sharing_range_query
 
         from repro.core.range_queries import RangeQueryResult
-        from repro.core.senn import ResolutionTier
 
         peer_caches = self._collect_peer_caches(peers)
         try:
@@ -212,20 +210,30 @@ class MobileHost:
     ) -> List[CachedQueryResult]:
         """Probe in-range peers; account the communication overhead.
 
-        With ``cache_history > 1`` the host's own older entries are also
-        returned (appended after the peers') so the verification passes
-        can use every certain circle available.
+        One pass: :meth:`reachable_peers` then :meth:`cache_snapshots`
+        per peer, with the range test written out and the counters moved
+        once.  With ``cache_history > 1`` the host's own older entries
+        are also returned (appended after the peers') so the verification
+        passes can use every certain circle available.
         """
+        position = self.position
+        reach = self.config.transmission_range
         caches: List[CachedQueryResult] = []
-        for peer in self.reachable_peers(peers):
-            self.peer_probes_sent += 1
-            snapshots = peer.cache_snapshots()
-            if snapshots:
-                self.peer_caches_received += len(snapshots)
-                self.tuples_received += sum(entry.k for entry in snapshots)
-                caches.extend(snapshots)
-        own_history = self.cache.snapshots()[1:]  # latest goes separately
-        caches.extend(entry for entry in own_history if not entry.is_empty())
+        probes = 0
+        for peer in peers:
+            other = peer.position
+            if (
+                peer is not self
+                and math.hypot(position.x - other.x, position.y - other.y) <= reach
+            ):
+                probes += 1
+                caches += peer.cache.transmitted()
+        self.peer_probes_sent += probes
+        self.peer_caches_received += len(caches)
+        self.tuples_received += sum(entry.k for entry in caches)
+        if self.cache.history > 1:  # else the latest is the only entry
+            own_history = self.cache.snapshots()[1:]  # latest goes separately
+            caches.extend(entry for entry in own_history if not entry.is_empty())
         return caches
 
     def _account(self, tier: ResolutionTier) -> None:

@@ -242,6 +242,35 @@ class TestLemmaConformance:
         assert "direction violates" in findings[0]
         assert f"requires `{required}`" in findings[0]
 
+    @pytest.mark.parametrize(
+        "pinned, flipped, required",
+        [
+            ("distance < worst.distance", "distance <= worst.distance", "<"),
+            (
+                "distance >= certain_bucket[-1].distance",
+                "distance > certain_bucket[-1].distance",
+                ">=",
+            ),
+        ],
+    )
+    def test_heap_direction_flips_are_caught_statically(
+        self, head_analysis, pinned, flipped, required
+    ):
+        """Table 1's admission test and the complete-heap shortcut."""
+        source = head_analysis.project.get("repro.core.heap").source
+        assert source.count(pinned) == 1
+        mutated = head_analysis.project.replace_source(
+            "repro.core.heap", source.replace(pinned, flipped)
+        )
+        findings = [
+            message
+            for _, _, message in lemma_conformance_violations(mutated)
+            if "Table 1" in message
+        ]
+        assert len(findings) == 1
+        assert "direction violates" in findings[0]
+        assert f"requires `{required}`" in findings[0]
+
     def test_direction_flip_surfaces_through_full_driver(self, head_analysis):
         source = head_analysis.project.get("repro.core.verification").source
         mutated = head_analysis.project.replace_source(
@@ -276,9 +305,7 @@ class TestLemmaConformance:
         source = head_analysis.project.get("repro.core.heap").source
         mutated = head_analysis.project.replace_source(
             "repro.core.heap",
-            source.replace(
-                "entry.distance < worst.distance", "bool(entry.distance)"
-            ),
+            source.replace("distance < worst.distance", "bool(distance)"),
         )
         findings = [
             message
@@ -293,8 +320,8 @@ class TestLemmaConformance:
         mutated = head_analysis.project.replace_source(
             "repro.core.heap",
             source.replace(
-                "entry.distance < worst.distance",
-                "entry.distance < worst.distance + 1e-12",
+                "distance < worst.distance",
+                "distance < worst.distance + 1e-12",
             ),
         )
         findings = [

@@ -1,10 +1,15 @@
 """Tests for repro.core.heap (the candidate heap H, Table 1)."""
 
+import contextlib
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.heap import CandidateHeap, HeapState
+import repro.core.heap as heap_module
+from repro.analysis.runtime import SANITIZER, sanitized
+from repro.core.heap import CandidateHeap, HeapEntry, HeapState
 from repro.geometry.point import Point
 from repro.obs import OBS, MetricsRegistry, observed
 
@@ -182,14 +187,22 @@ def _offers_snapshot(run, heap):
         OBS.registry = previous
 
 
+def _maybe_sanitized(sanitize):
+    """``sanitized()`` when asked for, else the session's own setting."""
+    return sanitized() if sanitize else contextlib.nullcontext()
+
+
 class TestAddBatchIsALoopOfAdd:
     @given(
         st.integers(min_value=1, max_value=6),
         st.lists(_OFFER, max_size=40),
         st.booleans(),
+        st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_same_heap_same_count_same_counters(self, capacity, raw, enabled):
+    def test_same_heap_same_count_same_counters(
+        self, capacity, raw, enabled, sanitize
+    ):
         offers = [entry(*item) for item in raw]
         batched, looped = CandidateHeap(capacity), CandidateHeap(capacity)
         stored = {}
@@ -200,9 +213,15 @@ class TestAddBatchIsALoopOfAdd:
         def loop():
             stored["loop"] = sum(looped.add(*offer) for offer in offers)
 
-        with observed(enabled=enabled):
+        with observed(enabled=enabled), _maybe_sanitized(sanitize):
+            checks = SANITIZER.checks_run.get("heap.add", 0)
             by_batch = _offers_snapshot(batch, batched)
             by_loop = _offers_snapshot(loop, looped)
+            if SANITIZER.enabled:
+                # Every offer of the batch is checked, settled ones too.
+                assert SANITIZER.checks_run.get("heap.add", 0) == checks + 2 * len(
+                    offers
+                )
         assert stored["batch"] == stored["loop"]
         assert batched.entries() == looped.entries()
         assert by_batch == by_loop
@@ -240,6 +259,167 @@ class TestAddBatchIsALoopOfAdd:
         assert batched.entries() == looped.entries()
         assert by_batch == by_loop
         assert sum(by_batch.values()) == bad
+
+
+_LADDER = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+
+def _held_offers(data, capacity, length):
+    """Offers drawn against a heap fed by ``add`` as they are drawn.
+
+    Biased towards what the complete-heap shortcut decides: mostly
+    certain offers (so heaps complete), offers at exactly ``D_ct`` and
+    one float below it, re-offers of held POIs, and a second POI on a
+    held POI's location told apart by its payload only.  Returns the
+    offers and, per offer, what ``add`` returned.
+    """
+    reference = CandidateHeap(capacity)
+    offers, returns = [], []
+    for _ in range(length):
+        held = reference.entries()
+        kind = data.draw(
+            st.sampled_from(["fresh", "held", "at D_ct", "below D_ct", "twin"])
+        )
+        certain = data.draw(st.sampled_from([True, True, True, False]))
+        distance = data.draw(st.sampled_from(_LADDER))
+        x = float(data.draw(st.integers(min_value=0, max_value=9)))
+        point, payload = Point(x, 0.0), f"poi-{x:g}"
+        if kind == "fresh" or not held:
+            pass
+        elif kind == "held":
+            pick = data.draw(st.sampled_from(held))
+            point, payload = pick.point, pick.payload
+        elif kind == "twin":
+            pick = data.draw(st.sampled_from(held))
+            point, payload = pick.point, f"{pick.payload}'"
+        elif reference.certain_count:
+            distance = reference.last_certain_distance()
+            if kind == "below D_ct":
+                distance = math.nextafter(distance, 0.0)
+        offer = (point, payload, distance, certain)
+        offers.append(offer)
+        returns.append(reference.add(*offer))
+    return offers, returns
+
+
+@contextlib.contextmanager
+def _counting_entries():
+    """Swap ``HeapEntry`` for a subclass that records every instance."""
+    made = []
+
+    class CountedEntry(HeapEntry):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    saved = heap_module.HeapEntry
+    heap_module.HeapEntry = CountedEntry
+    try:
+        yield made
+    finally:
+        heap_module.HeapEntry = saved
+
+
+def _held_pairs(heap):
+    return {(e.key(), e.certain) for e in heap.entries()}
+
+
+class TestCompleteHeapShortcut:
+    @given(st.integers(min_value=1, max_value=5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_a_loop_of_add_on_biased_streams(self, capacity, data):
+        length = data.draw(st.integers(min_value=0, max_value=6 * capacity + 8))
+        offers, returns = _held_offers(data, capacity, length)
+        chunk = data.draw(st.integers(min_value=1, max_value=max(1, length)))
+        batched, looped = CandidateHeap(capacity), CandidateHeap(capacity)
+        stored = {}
+
+        def batch():
+            stored["batch"] = sum(
+                batched.add_batch(offers[start : start + chunk])
+                for start in range(0, length, chunk)
+            )
+
+        def loop():
+            stored["loop"] = [looped.add(*offer) for offer in offers]
+
+        with observed(enabled=True):
+            by_batch = _offers_snapshot(batch, batched)
+            by_loop = _offers_snapshot(loop, looped)
+        assert stored["loop"] == returns
+        assert stored["batch"] == sum(returns)
+        assert batched.entries() == looped.entries()
+        assert by_batch == by_loop
+
+    @given(st.integers(min_value=1, max_value=5), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_allocations_equal_insertions(self, capacity, data):
+        length = data.draw(st.integers(min_value=0, max_value=6 * capacity + 8))
+        offers, _ = _held_offers(data, capacity, length)
+        with _counting_entries() as made:
+            looped = CandidateHeap(capacity)
+            insertions = 0
+            for offer in offers:
+                before, allocated = _held_pairs(looped), len(made)
+                looped.add(*offer)
+                inserted = len(_held_pairs(looped) - before)
+                assert len(made) - allocated == inserted, offer
+                insertions += inserted
+            batched = CandidateHeap(capacity)
+            allocated = len(made)
+            batched.add_batch(offers)
+            assert len(made) - allocated == insertions
+        assert batched.entries() == looped.entries()
+
+    def test_rejected_offers_allocate_nothing(self):
+        with _counting_entries() as made:
+            heap = CandidateHeap(2)
+            heap.add(*entry(1, 1.0, False))
+            heap.add(*entry(2, 2.0, False))
+            assert len(made) == 2
+            # Full of uncertain entries: a farther or tied uncertain offer.
+            assert not heap.add(*entry(3, 2.5, False))
+            assert not heap.add(*entry(4, 2.0, False))
+            assert len(made) == 2
+            heap.add(*entry(5, 0.5, True))
+            heap.add(*entry(6, 1.5, True))
+            assert heap.is_complete() and len(made) == 4
+            # Complete: a certain offer at D_ct, one beyond, an uncertain one.
+            assert not heap.add(*entry(7, 1.5, True))
+            assert not heap.add(*entry(8, 2.0, True))
+            assert not heap.add(*entry(9, 0.1, False))
+            assert heap.add_batch([entry(7, 1.5, True), entry(6, 1.5, False)]) == 1
+            assert len(made) == 4
+
+    def test_a_complete_heap_settles_offers_without_add(self):
+        heap = CandidateHeap(2)
+        heap.add_batch([entry(1, 1.0, True), entry(2, 2.0, True)])
+        calls = []
+        place = heap._add
+
+        def spy(*offer):
+            calls.append(offer)
+            return place(*offer)
+
+        heap._add = spy
+        # At and beyond D_ct: settled by key; closer: placed.
+        assert heap.add_batch(
+            [entry(2, 2.0, False), entry(3, 2.0, True), entry(4, 9.0, True)]
+        ) == 1
+        assert calls == []
+        assert heap.add_batch([entry(5, 1.5, True)]) == 1
+        assert len(calls) == 1
+        assert [e.payload for e in heap.entries()] == ["poi-1", "poi-5"]
+
+    def test_a_nan_offer_to_a_complete_heap_is_decided_as_add_decides(self):
+        heap, reference = CandidateHeap(1), CandidateHeap(1)
+        for target in (heap, reference):
+            target.add(*entry(1, 1.0, True))
+        nan = entry(2, float("nan"), True)
+        assert heap.add_batch([nan]) == int(reference.add(*nan))
+        assert heap.entries() == reference.entries()
 
 
 class TestHeapProperties:

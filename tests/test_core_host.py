@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.host import MobileHost
 from repro.core.senn import ResolutionTier, SennConfig
 from repro.core.server import SpatialDatabaseServer
 from repro.geometry.point import Point
+from repro.index.knn import NeighborResult
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 
 
@@ -36,6 +39,108 @@ class TestRangeAndPeers:
         b = MobileHost(2, Point(0.2, 0), CONFIG)
         peers = a.reachable_peers([a, b])
         assert peers == [b]
+
+
+def _probe_reference(host, peers):
+    """The probe loop as public calls: ``reachable_peers``, then
+    ``cache_snapshots`` per peer; returns caches and counter moves."""
+    caches, probes, received, tuples = [], 0, 0, 0
+    for peer in host.reachable_peers(peers):
+        probes += 1
+        snapshots = peer.cache_snapshots()
+        received += len(snapshots)
+        tuples += sum(entry.k for entry in snapshots)
+        caches.extend(snapshots)
+    own_history = host.cache.snapshots()[1:]
+    caches.extend(entry for entry in own_history if not entry.is_empty())
+    return caches, (probes, received, tuples)
+
+
+def _fill_cache(data, host):
+    """Zero to four stores of every shape a cache can hold, maybe a clear."""
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        kind = data.draw(
+            st.sampled_from(["knn", "empty", "zero radius", "range", "clear"])
+        )
+        where = Point(
+            data.draw(st.floats(min_value=-3.0, max_value=3.0)),
+            data.draw(st.floats(min_value=-3.0, max_value=3.0)),
+        )
+        if kind == "knn":
+            count = data.draw(st.integers(min_value=1, max_value=3))
+            host.cache.store(
+                where,
+                [
+                    NeighborResult(Point(where.x + i + 1.0, where.y), f"n{i}", i + 1.0)
+                    for i in range(count)
+                ],
+            )
+        elif kind == "empty":
+            host.cache.store(where, [])
+        elif kind == "zero radius":
+            host.cache.store(where, [], known_radius=0.0)
+        elif kind == "range":
+            host.cache.store(where, [], known_radius=1.5)
+        else:
+            host.cache.clear()
+
+
+#: Offsets from the querying host at the origin, range 5: exactly on the
+#: boundary (3-4-5 and on the axes, where ``hypot`` is exact), just past
+#: it, the host's own position, and anywhere around.
+_OFFSET = st.one_of(
+    st.sampled_from(
+        [(3.0, 4.0), (-5.0, 0.0), (0.0, 5.0), (3.0, 4.000001), (0.0, 0.0)]
+    ),
+    st.tuples(
+        st.floats(min_value=-7.0, max_value=7.0),
+        st.floats(min_value=-7.0, max_value=7.0),
+    ),
+)
+
+
+class TestPeerProbing:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_matches_reachable_peers_and_snapshots(self, data):
+        def config():
+            return SennConfig(
+                k=3,
+                transmission_range=5.0,
+                cache_history=data.draw(st.sampled_from([1, 3])),
+            )
+
+        host = MobileHost(0, Point(0.0, 0.0), config())
+        _fill_cache(data, host)
+        peers = []
+        for host_id in range(1, data.draw(st.integers(min_value=0, max_value=8)) + 1):
+            peer = MobileHost(host_id, Point(*data.draw(_OFFSET)), config())
+            _fill_cache(data, peer)
+            peers.append(peer)
+        if data.draw(st.booleans()):
+            peers.insert(data.draw(st.integers(min_value=0, max_value=len(peers))), host)
+
+        for peer in peers:
+            shared = [e for e in peer.cache.snapshots() if not e.is_empty()]
+            assert [id(e) for e in peer.cache_snapshots()] == [id(e) for e in shared]
+        expected, moves = _probe_reference(host, peers)
+        before = (host.peer_probes_sent, host.peer_caches_received, host.tuples_received)
+        caches = host._collect_peer_caches(peers)
+        after = (host.peer_probes_sent, host.peer_caches_received, host.tuples_received)
+        assert [id(c) for c in caches] == [id(c) for c in expected]
+        assert tuple(b - a for a, b in zip(before, after)) == moves
+
+    def test_a_peer_exactly_at_the_range_is_probed(self):
+        config = SennConfig(k=3, transmission_range=5.0)
+        host = MobileHost(0, Point(0.0, 0.0), config)
+        edge = MobileHost(1, Point(3.0, 4.0), config)
+        beyond = MobileHost(2, Point(3.0, 4.000001), config)
+        for peer in (edge, beyond):
+            peer.cache.store(peer.position, [NeighborResult(Point(3.0, 5.0), "a", 1.0)])
+        caches = host._collect_peer_caches([beyond, host, edge])
+        assert caches == edge.cache_snapshots()
+        assert (host.peer_probes_sent, host.peer_caches_received) == (1, 1)
+        assert host.tuples_received == 1
 
 
 class TestQueryFlow:

@@ -11,12 +11,16 @@ into a full heap, uncertain offers after the heap is complete, and two
 POIs on one location told apart by payload only.
 
 The same streams also go through ``add_batch`` in peer-sized chunks,
-which must store the same number of offers and leave the same heap.
+which must store the same number of offers and leave the same heap;
+there a complete heap settles offers at or beyond ``D_ct`` by key
+without calling ``_add``.
 
-The golden file was generated from the ``HeapEntry``-per-offer insertion
-code, before ``_add`` / ``_insert`` were rewritten to decide first and
-allocate second.  Regenerate (only when Table 1's rules change on
-purpose) with::
+The golden file was generated from the insertion code that built a
+``HeapEntry`` for every offer except an uncertain one to a complete heap.
+Two rewrites since replay it unregenerated: ``_add`` / ``_insert``
+decide every offer before allocating, so only a stored offer builds an
+entry, and ``add_batch`` gained the complete-heap shortcut.  Regenerate
+(only when Table 1's rules change on purpose) with::
 
     PYTHONPATH=src:. python tests/test_golden_heap_replay.py --regen
 """
