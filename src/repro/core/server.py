@@ -59,12 +59,11 @@ def _record_shipped(
     the answer and its shipped and skipped records go on the counter's
     tally (``server.objects``).
     """
-    shipped = 0
-    for result in results:
-        key = poi_key(result.point, result.payload)
-        if key not in held:
-            counter.record_object(key)
-            shipped += 1
+    keys = [poi_key(result.point, result.payload) for result in results]
+    if held:
+        keys = [key for key in keys if key not in held]
+    counter.record_objects(keys)
+    shipped = len(keys)
     tally = counter.tally
     tally.answers += 1
     tally.shipped += shipped
@@ -222,8 +221,7 @@ class SpatialDatabaseServer:
             ),
             key=lambda r: r.distance,
         )
-        for result in results:
-            self.counter.record_object(poi_key(result.point, result.payload))
+        self.counter.record_objects([poi_key(r.point, r.payload) for r in results])
         breakdown = self.counter.finish_query()
         self.queries_served += 1
         if OBS.enabled:
@@ -249,8 +247,7 @@ class SpatialDatabaseServer:
             ),
             key=lambda r: r.distance,
         )
-        for result in results:
-            self.counter.record_object(poi_key(result.point, result.payload))
+        self.counter.record_objects([poi_key(r.point, r.payload) for r in results])
         breakdown = self.counter.finish_query()
         self.queries_served += 1
         if OBS.enabled:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, List, Optional
+from typing import Hashable, List, Optional, Sequence
 
 from repro.analysis.runtime import SANITIZER
 from repro.obs import OBS, ServerRecord
@@ -112,13 +112,21 @@ class PageAccessCounter:
         self._current_entries += entries
         self.total_entries_scanned += entries
 
-    def record_object(self, object_id: Hashable) -> None:
-        """Record fetching one object record (a data-node access)."""
-        self._current_data += 1
-        self.total_accesses += 1
-        self._buffer_access(("data", object_id))
+    def record_objects(self, object_ids: Sequence[Hashable]) -> None:
+        """Record fetching one answer's object records (data-node accesses).
+
+        One call per answer: the count joins the registers at once, and
+        the buffer pool sees each record's page in ``object_ids`` order.
+        """
+        count = len(object_ids)
+        self._current_data += count
+        self.total_accesses += count
+        if self._buffer_pool is not None:
+            for object_id in object_ids:
+                self._buffer_access(("data", object_id))
         if SANITIZER.enabled:
-            SANITIZER.note_billing("object")
+            for _ in object_ids:
+                SANITIZER.note_billing("object")
 
     def _buffer_access(self, page_id: Hashable) -> None:
         if self._buffer_pool is not None:

@@ -27,7 +27,9 @@ record it already holds.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.point import Point, centroid
 from repro.index.knn import (
@@ -58,74 +60,96 @@ _SHARED_TRAVERSALS = Instrument(Counter, "service.shared_traversals")
 #: so the slack costs pages, not correctness).
 _RETIRE_EPS = 1e-9
 
+#: A client's rows rank by ``(distance, tie key)``; the neighbor they
+#: carry never takes part in a comparison.
+_RANK = itemgetter(0, 1)
+
+_Row = Tuple[float, TieKey, NeighborResult]
+
 
 class _ClientState:
-    """Per-request bookkeeping inside one shared traversal."""
+    """Per-request bookkeeping inside one shared traversal.
 
-    __slots__ = ("request", "offset", "best", "known_keys", "shipped", "done")
+    What the per-neighbor loop reads are plain fields, set once: the
+    query's coordinates, ``k``, the upper bound and the distance from
+    the traversal's origin.  Two more are kept current by
+    :meth:`_tighten` whenever ``rows`` changes: ``cut``, the largest
+    admissible distance, and ``retire``, the stream distance past which
+    the client cannot improve.
+    """
+
+    __slots__ = (
+        "qx",
+        "qy",
+        "k",
+        "upper",
+        "offset",
+        "rows",
+        "known_keys",
+        "cut",
+        "retire",
+        "done",
+        "answer",
+        "shipped",
+    )
 
     def __init__(self, request: KnnRequest, representative: Point) -> None:
-        self.request = request
-        self.offset = representative.distance_to(request.query)
-        # Ascending (distance, tie_key, neighbor); seeded with the
-        # client's certified partial result exactly like EINN seeds its
-        # result list, trimmed to k by the same order.
-        self.best: List[Tuple[float, TieKey, NeighborResult]] = sorted(
-            (
-                (item.distance, poi_tie_key(item.payload), item)
-                for item in request.known_certain
-            ),
-            key=lambda entry: (entry[0], entry[1]),
-        )[: request.k]
-        self.known_keys: Set[Tuple[float, float, object]] = {
-            poi_key(item.point, item.payload) for item in request.known_certain
-        }
-        self.shipped = 0
-        self.done = False
-
-    def cutoff(self) -> float:
-        """Largest admissible distance for this client right now."""
-        radius = self.request.bounds.upper
-        if len(self.best) >= self.request.k:
-            radius = min(radius, self.best[self.request.k - 1][0])
-        return radius
-
-    def retire_bound(self) -> float:
-        """Stream distance beyond which this client cannot improve."""
-        bound = self.offset + self.cutoff()
-        if math.isinf(bound):
-            return bound
-        return bound + _RETIRE_EPS * (1.0 + bound)
-
-    def offer(self, neighbor: NeighborResult) -> None:
-        """Consider one streamed POI for this client's result."""
-        distance = self.request.query.distance_to(neighbor.point)
-        # The upper bound caps the k-th *distance*; ties at the bound
-        # are admissible regardless of tie key (EINN's kth_cut).
-        if distance > self.request.bounds.upper:
-            return
-        if poi_key(neighbor.point, neighbor.payload) in self.known_keys:
-            return
-        tie = poi_tie_key(neighbor.payload)
-        key = (distance, tie)
-        best = self.best
-        if len(best) >= self.request.k and key >= (
-            best[self.request.k - 1][0],
-            best[self.request.k - 1][1],
-        ):
-            return
-        index = len(best)
-        while index > 0 and (best[index - 1][0], best[index - 1][1]) > key:
-            index -= 1
-        best.insert(
-            index,
-            (distance, tie, NeighborResult(neighbor.point, neighbor.payload, distance)),
+        query = request.query
+        self.qx = query.x
+        self.qy = query.y
+        self.k = request.k
+        self.upper = request.bounds.upper
+        self.offset = representative.distance_to(query)
+        # Rows ``(distance, tie_key, neighbor)``, seeded with the client's
+        # certified partial result exactly like EINN seeds its result
+        # list, trimmed to k by the same order.  Below k rows the stream
+        # appends in arrival order, which nothing reads: the list is sorted
+        # once, stably, when it fills (:meth:`filled`) or else at the
+        # answer (:meth:`finish`) -- the order insertion after equals keeps.
+        known = request.known_certain
+        self.rows: List[_Row] = sorted(
+            ((item.distance, poi_tie_key(item.payload), item) for item in known),
+            key=_RANK,
         )
-        del best[self.request.k :]
+        del self.rows[self.k :]
+        self.known_keys: Set[Tuple[float, float, object]] = {
+            poi_key(item.point, item.payload) for item in known
+        }
+        self.done = False
+        self.answer: List[NeighborResult] = []
+        self.shipped = 0
+        self._tighten()
 
-    def neighbors(self) -> List[NeighborResult]:
-        """The final answer: global top-k merged with ``known_certain``."""
-        return [entry[2] for entry in self.best]
+    def _tighten(self) -> None:
+        """Recompute ``cut`` and ``retire`` from the current rows."""
+        cut = self.upper
+        if len(self.rows) >= self.k:
+            cut = min(cut, self.rows[self.k - 1][0])
+        self.cut = cut
+        bound = self.offset + cut
+        self.retire = bound if math.isinf(bound) else bound + _RETIRE_EPS * (1.0 + bound)
+
+    def filled(self) -> None:
+        """The list just reached k rows: sort it, once, and tighten."""
+        self.rows.sort(key=_RANK)
+        self._tighten()
+
+    def insert(self, distance: float, tie: TieKey, neighbor: NeighborResult) -> None:
+        """Store one row that beats a full list's k-th, after its equals."""
+        rows = self.rows
+        rows.insert(
+            bisect_right(rows, (distance, tie), key=_RANK), (distance, tie, neighbor)
+        )
+        rows.pop()
+        self._tighten()
+
+    def finish(self) -> List[NeighborResult]:
+        """Build the answer, once: global top-k merged with ``known_certain``."""
+        rows = self.rows
+        if len(rows) < self.k:
+            rows.sort(key=_RANK)
+        self.answer = [NeighborResult(n.point, n.payload, d) for d, _, n in rows]
+        return self.answer
 
 
 class BatchExecutor:
@@ -194,38 +218,97 @@ class BatchExecutor:
     def _execute_shared(
         self, requests: Sequence[KnnRequest]
     ) -> List[QueryAnswer]:
-        """One traversal, many clients (the amortization core)."""
+        """One traversal, many clients (the amortization core).
+
+        Like ``knn_query_detailed``, a wave that raises publishes what it
+        counted before the raise.
+        """
         server = self._server
+        counter = server.counter
         representative = _representative(requests)
         clients = [
             _ClientState(request, representative) for request in requests
         ]
-        server.counter.start_query()
-        stream = incremental_nearest(server.tree, representative, server.counter)
-        active = len(clients)
-        for neighbor in stream:
-            for client in clients:
-                if client.done:
-                    continue
-                if neighbor.distance > client.retire_bound():
-                    client.done = True
-                    active -= 1
-                    continue
-                client.offer(neighbor)
-            if active == 0:
-                stream.close()
-                break
-        for client in clients:
-            # EINN's accounting: what the client certified is not re-shipped.
-            client.shipped = _record_shipped(
-                server.counter, client.neighbors(), client.known_keys
+        counter.start_query()
+        try:
+            _offer_stream(
+                clients, incremental_nearest(server.tree, representative, counter)
             )
-        breakdown = server.counter.finish_query()
+            for client in clients:
+                # EINN's accounting: what the client certified is not re-shipped.
+                client.shipped = _record_shipped(
+                    counter, client.finish(), client.known_keys
+                )
+            breakdown = counter.finish_query()
+        except BaseException:
+            counter.flush_tally()
+            raise
         server.queries_served += len(clients)
         if OBS.enabled:
             _BATCHED_QUERIES().inc(len(clients))
             _SHARED_TRAVERSALS().inc()
         return _amortize(clients, breakdown)
+
+
+def _offer_stream(
+    clients: Sequence[_ClientState],
+    stream: Iterator[NeighborResult],
+) -> None:
+    """Offer each streamed neighbor to every live client until all retire.
+
+    A neighbor's stream distance, coordinates and tie key are read once;
+    its ``poi_key`` only if a client that holds ``known_certain`` gets
+    that far.  Per client: past ``retire`` it retires -- tested before
+    the offer, so a client that tightens at this neighbor retires at the
+    next one, which is where the wave's page reads are pinned
+    (``tests/golden/batch_replay.json``) -- then the distance, the cut,
+    the known keys and a full list's k-th row decide.
+    """
+    hypot = math.hypot
+    live = list(clients)
+    for neighbor in stream:
+        stream_distance = neighbor.distance
+        point = neighbor.point
+        px = point.x
+        py = point.y
+        tie = poi_tie_key(neighbor.payload)
+        key: Optional[Tuple[float, float, object]] = None
+        retired = False
+        for client in live:
+            if stream_distance > client.retire:
+                client.done = retired = True
+                continue
+            # The operand order of ``Point.distance_to``: query first.
+            distance = hypot(client.qx - px, client.qy - py)
+            # The upper bound caps the k-th *distance*: a tie at the cut is
+            # admissible regardless of tie key (EINN's k-th cut).
+            if distance > client.cut:
+                continue
+            known = client.known_keys
+            if known:
+                if key is None:
+                    key = poi_key(point, neighbor.payload)
+                if key in known:
+                    continue
+            rows = client.rows
+            if len(rows) < client.k:
+                rows.append((distance, tie, neighbor))
+                if len(rows) == client.k:
+                    client.filled()
+                continue
+            # A full list holds exactly k rows, and ``distance <= cut <=``
+            # its last distance: only an equal distance whose tie key does
+            # not beat the last row's is left to reject (the exact tuple
+            # order EINN ranks by, so exact equality).
+            kth = rows[-1]
+            if distance == kth[0] and tie >= kth[1]:  # repro: noqa(RPR001)
+                continue
+            client.insert(distance, tie, neighbor)
+        if retired:
+            live = [client for client in live if not client.done]
+            if not live:
+                stream.close()
+                return
 
 
 def _representative(requests: Sequence[KnnRequest]) -> Point:
@@ -262,7 +345,7 @@ def _amortize(
             buffer_misses=miss_shares[position],
             entries_scanned=entry_shares[position],
         )
-        answers.append(QueryAnswer(client.neighbors(), share, batch_size=n))
+        answers.append(QueryAnswer(client.answer, share, batch_size=n))
     return answers
 
 

@@ -31,6 +31,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
+from math import isfinite
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar, Union, cast
 
@@ -286,22 +287,24 @@ def _unpack_text(buf: bytes, pos: int, length: int) -> Tuple[str, int]:
 
 def _payload(payload: Any) -> Tuple[int, Any, bytes]:
     """``(tag, the record's last field, bytes after the record)``."""
+    if isinstance(payload, str):
+        return (_TAG_STR, *_pack_text(payload))
     if isinstance(payload, int) and not isinstance(payload, bool):
         return _TAG_INT, payload, b""
     if isinstance(payload, float):
         _finite(payload)
         return _TAG_FLOAT, payload, b""
-    if isinstance(payload, str):
-        return (_TAG_STR, *_pack_text(payload))
     name = type(payload).__name__
     raise ProtocolError(f"unsupported POI payload type: {name}", ErrorCode.UNSUPPORTED)
 
 
 def _check_neighbor(x: float, y: float, distance: float) -> None:
-    _finite(x)
-    _finite(y)
-    _finite(distance)
-    _at_least(distance, 0.0, "neighbor distance")
+    """One test on the common path; the named rules only pick the error."""
+    if not (isfinite(x) and isfinite(y) and isfinite(distance) and distance >= 0.0):
+        _finite(x)
+        _finite(y)
+        _finite(distance)
+        _at_least(distance, 0.0, "neighbor distance")
 
 
 def _pack_neighbors(items: Tuple[NeighborResult, ...]) -> Tuple[int, bytes]:

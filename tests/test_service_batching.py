@@ -6,12 +6,19 @@ the page bill amortizes -- node reads split across the group while
 shipped records stay exact per client.
 """
 
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.service.batching as batching_module
 from repro.geometry.point import Point
-from repro.index.knn import NeighborResult, PruningBounds
+from repro.index.knn import NeighborResult, PruningBounds, poi_key
 from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.obs import OBS, MetricsRegistry, ServerRecord, observed
 from repro.service.batching import BatchExecutor
 from repro.service.protocol import KnnRequest
 
@@ -160,6 +167,104 @@ class TestAmortization:
                 if n not in request.known_certain
             )
             assert answer.pages.data_records == shipped
+
+
+@st.composite
+def shared_waves(draw):
+    """POIs, 2-6 requests in one batching cell, and a buffer pool size.
+
+    A request is ``(query, k, known, upper)``: ``known`` takes none, some
+    or all k of the true answer as ``known_certain``, ``upper`` puts the
+    bound nowhere, below, exactly at or above the k-th distance.
+    """
+    lattice = draw(st.booleans())
+    coordinate = (
+        st.integers(0, 16).map(lambda step: 0.125 * step)
+        if lattice
+        else st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
+    )
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30))
+    # Some POIs share a location and are told apart by payload alone.
+    points += draw(st.lists(st.sampled_from(points), max_size=5))
+    style = draw(st.sampled_from(["str", "int", "mixed"]))
+    pois = [
+        (Point(x, y), f"poi-{i}" if style == "str" or (style == "mixed" and i % 2) else i)
+        for i, (x, y) in enumerate(points)
+    ]
+    offset = st.sampled_from([0.0, 0.125]) | st.floats(0.0, 0.2499)
+    requests = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(offset, offset),
+                st.integers(1, 8),
+                st.sampled_from(["none", "some", "fills"]),
+                st.sampled_from(["inf", "below", "at", "above"]),
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    return pois, requests, draw(st.sampled_from([0, 4]))
+
+
+class TestSharedWaveProperties:
+    @given(shared_waves(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_a_shared_wave_answers_and_bills_like_the_direct_path(self, wave, rng):
+        pois, specs, buffer_pages = wave
+        reference = make_server(pois)
+        requests = []
+        for index, ((dx, dy), k, known_mode, upper_mode) in enumerate(specs):
+            query = Point(0.75 + dx, 0.75 + dy)
+            truth = reference.knn_query(query, k)
+            size = {"none": 0, "some": rng.randint(0, k), "fills": k}[known_mode]
+            kth = truth[-1].distance
+            upper = {"inf": math.inf, "below": kth * 0.5, "at": kth, "above": kth + 0.1}
+            bounds = PruningBounds(0.0, upper[upper_mode])
+            requests.append(KnnRequest(index + 1, query, k, bounds, tuple(truth[:size])))
+        server = SpatialDatabaseServer.from_points(pois, buffer_capacity=buffer_pages)
+        answers = BatchExecutor(server, cell_size=CELL).execute(requests)
+
+        (wave_entry,) = server.counter.history
+        for request, answer in zip(requests, answers):
+            assert answer.batch_size == len(requests)
+            expected = make_server(pois).knn_query_detailed(
+                request.query, request.k, request.bounds, request.known_certain
+            )
+            assert repr(answer_key(answer.neighbors)) == repr(answer_key(expected.neighbors))
+            held = {poi_key(n.point, n.payload) for n in request.known_certain}
+            shipped = [n for n in answer.neighbors if poi_key(n.point, n.payload) not in held]
+            assert answer.pages.data_records == len(shipped)
+        sums = [sum(column) for column in zip(*(astuple(a.pages) for a in answers))]
+        assert sums == list(astuple(wave_entry))
+
+
+class TestRaisingWave:
+    def test_a_wave_that_raises_mid_stream_publishes_what_it_read(self, monkeypatch):
+        server = make_server(make_pois(seed=15))
+        real = batching_module.incremental_nearest
+
+        def two_then_raise(tree, query, counter):
+            stream = real(tree, query, counter)
+            yield next(stream)
+            yield next(stream)
+            raise RuntimeError("a node page could not be read")
+
+        monkeypatch.setattr(batching_module, "incremental_nearest", two_then_raise)
+        requests = [KnnRequest(i + 1, p, 5) for i, p in enumerate(cluster(seed=16, n=4))]
+        previous = OBS.registry
+        with observed(enabled=True):
+            OBS.registry = registry = MetricsRegistry()
+            try:
+                with pytest.raises(RuntimeError):
+                    BatchExecutor(server, cell_size=CELL).execute(requests)
+            finally:
+                OBS.registry = previous
+        assert server.counter.total_accesses > 0
+        assert registry.total("rtree.node_reads") == server.counter.total_accesses
+        # The next query starts a fresh record instead of inheriting this one.
+        assert server.counter.tally == ServerRecord()
+        assert server.counter.history == [] and server.queries_served == 0
 
 
 class TestValidation:
