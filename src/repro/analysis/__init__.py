@@ -27,8 +27,8 @@ guardrails on both sides of the build:
   (``REPRO_SANITIZE=1`` or :func:`sanitized`) that validates R*-tree
   structure, candidate-heap state transitions and Lemma 3.8 soundness
   after every mutation of those hot structures, records the runtime
-  lock-order graph through :func:`named_lock` /
-  :func:`named_async_lock`, and audits page billing;
+  lock-order graph through :func:`named_lock`, and audits page
+  billing;
 - :mod:`repro.analysis.invariants` -- the validators themselves, also
   callable directly from tests.
 
@@ -54,7 +54,6 @@ __all__ = [
     "Rule",
     "SANITIZER",
     "Sanitizer",
-    "TrackedAsyncLock",
     "TrackedLock",
     "Violation",
     "analyze",
@@ -64,7 +63,6 @@ __all__ = [
     "iter_rules",
     "lint_paths",
     "lint_source",
-    "named_async_lock",
     "named_lock",
     "sanitized",
     "sanitizer_enabled",
@@ -91,9 +89,7 @@ _INVARIANT_EXPORTS = {
 _RUNTIME_EXPORTS = {
     "SANITIZER",
     "Sanitizer",
-    "TrackedAsyncLock",
     "TrackedLock",
-    "named_async_lock",
     "named_lock",
     "sanitized",
     "sanitizer_enabled",

@@ -182,14 +182,13 @@ def _lock_value(value: ast.expr) -> Optional[Tuple[str, bool, Optional[str]]]:
     if tail in {"Lock", "RLock"}:
         kind = "async" if dotted.startswith("asyncio.") else "thread"
         return kind, tail == "RLock", None
-    if tail in {"named_lock", "named_async_lock"}:
+    if tail == "named_lock":
         name: Optional[str] = None
         if value.args and isinstance(value.args[0], ast.Constant):
             raw = value.args[0].value
             if isinstance(raw, str):
                 name = raw
-        kind = "async" if tail == "named_async_lock" else "thread"
-        return kind, False, name
+        return "thread", False, name
     return None
 
 

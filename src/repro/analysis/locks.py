@@ -4,11 +4,10 @@ Both halves of the concurrency tooling speak in *canonical lock names*:
 
 * the static pass (:mod:`repro.analysis.concurrency`) derives them from
   the program text -- ``self._lock`` inside ``TcpTransport`` becomes
-  ``TcpTransport._lock``, a local ``send_lock = named_async_lock(...)``
+  ``TcpTransport._lock``, while ``named_lock("MetricsRegistry._lock")``
   takes the string literal passed to the factory;
 * the runtime race sanitizer (:mod:`repro.analysis.runtime`) gets them
-  verbatim from :func:`~repro.analysis.runtime.named_lock` /
-  :func:`~repro.analysis.runtime.named_async_lock` call sites.
+  verbatim from :func:`~repro.analysis.runtime.named_lock` call sites.
 
 Because the names agree by construction, the runtime-observed acquisition
 graph can be checked as a *subset* of the static one

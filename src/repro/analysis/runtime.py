@@ -26,12 +26,11 @@ enabled check.
 Race sanitizer
 --------------
 The same switch also gates a lightweight runtime race sanitizer.
-:func:`named_lock` / :func:`named_async_lock` build drop-in lock wrappers
-(:class:`TrackedLock` / :class:`TrackedAsyncLock`) that, while enabled,
-report every successful acquisition to the singleton, which
+:func:`named_lock` builds a drop-in ``threading.Lock`` wrapper
+(:class:`TrackedLock`) that, while enabled, reports every successful
+acquisition to the singleton, which
 
-* maintains per-thread (and, via a ``ContextVar``, per-task) stacks of
-  held lock names,
+* maintains per-thread stacks of held lock names,
 * records each ``outer -> inner`` nesting into a runtime lock-order
   graph (:meth:`Sanitizer.lock_order_edges`) that the service tests
   cross-check as a *subset* of the static graph computed by
@@ -76,7 +75,6 @@ import os
 import sys
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -89,9 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 __all__ = [
     "SANITIZER",
     "Sanitizer",
-    "TrackedAsyncLock",
     "TrackedLock",
-    "named_async_lock",
     "named_lock",
     "sanitized",
     "sanitizer_enabled",
@@ -99,11 +95,6 @@ __all__ = [
 
 _ENV_FLAG = "REPRO_SANITIZE"
 _TRUTHY = {"1", "true", "yes", "on"}
-
-#: Lock names held by the *current asyncio task*.  Thread-ident stacks
-#: cannot serve here: every task on the loop shares one thread, and two
-#: tasks' independently held locks must not look nested.
-_ASYNC_HELD: ContextVar[Tuple[str, ...]] = ContextVar("repro_async_held", default=())
 
 
 class Sanitizer:
@@ -178,11 +169,10 @@ class Sanitizer:
             self.checks_run[check] = self.checks_run.get(check, 0) + 1
 
     # ------------------------------------------------------------------
-    # race sanitizer (fed by TrackedLock / TrackedAsyncLock / metrics)
+    # race sanitizer (fed by TrackedLock / metrics)
     # ------------------------------------------------------------------
     def _current_held(self) -> Tuple[str, ...]:
-        thread_held = tuple(self._held.get(threading.get_ident(), ()))
-        return thread_held + _ASYNC_HELD.get()
+        return tuple(self._held.get(threading.get_ident(), ()))
 
     def _record_edges(self, name: str, held: Tuple[str, ...]) -> None:
         """Register ``held[*] -> name`` edges (``_lock`` is reentrant)."""
@@ -216,16 +206,6 @@ class Sanitizer:
                 stack.reverse()
                 stack.remove(name)
                 stack.reverse()
-
-    def note_async_acquire(self, name: str) -> None:
-        """A tracked ``asyncio`` lock was acquired by the current task.
-
-        The per-task held stack itself lives in a ``ContextVar`` managed
-        by :class:`TrackedAsyncLock`; this hook only records the edges.
-        """
-        with self._lock:
-            self._count("lock.acquire")
-            self._record_edges(name, self._current_held())
 
     def note_metric_mutation(self, metric: str, guard: str) -> None:
         """A metric was mutated; its owning ``guard`` must be held."""
@@ -473,48 +453,6 @@ class TrackedLock:
         return f"TrackedLock({self.name!r}, {state})"
 
 
-class TrackedAsyncLock:
-    """An ``asyncio.Lock`` wrapper feeding the runtime lock-order graph.
-
-    Holds are tracked per *task* through a ``ContextVar`` rather than
-    per thread: every task on the loop shares one thread, and two tasks
-    holding unrelated locks must not register a nesting edge.
-    """
-
-    __slots__ = ("name", "_inner", "_token")
-
-    def __init__(self, name: str) -> None:
-        import asyncio
-
-        self.name = name
-        self._inner = asyncio.Lock()
-        self._token: Any = None  # repro: guarded-by(single-writer)
-
-    async def __aenter__(self) -> "TrackedAsyncLock":
-        await self._inner.acquire()
-        if SANITIZER.enabled:
-            SANITIZER.note_async_acquire(self.name)
-            # Only the holding task runs between here and __aexit__.
-            self._token = _ASYNC_HELD.set(  # repro: guarded-by(single-writer)
-                _ASYNC_HELD.get() + (self.name,)
-            )
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        if self._token is not None:
-            _ASYNC_HELD.reset(self._token)
-            self._token = None  # repro: guarded-by(single-writer)
-        self._inner.release()
-
-    def locked(self) -> bool:
-        """Whether the underlying asyncio lock is currently held."""
-        return self._inner.locked()
-
-    def __repr__(self) -> str:
-        state = "locked" if self._inner.locked() else "unlocked"
-        return f"TrackedAsyncLock({self.name!r}, {state})"
-
-
 def named_lock(name: str) -> TrackedLock:
     """A tracked ``threading.Lock`` under its canonical name.
 
@@ -523,8 +461,3 @@ def named_lock(name: str) -> TrackedLock:
     runtime agree on the node names of the lock-order graph.
     """
     return TrackedLock(name)
-
-
-def named_async_lock(name: str) -> TrackedAsyncLock:
-    """A tracked ``asyncio.Lock`` under its canonical name."""
-    return TrackedAsyncLock(name)

@@ -1,58 +1,49 @@
 """The asyncio TCP query server.
 
-One event loop, one :class:`~repro.service.engine.QueryService`, many
-connections.  kNN requests do not execute inline: they are enqueued to
-the *batching dispatcher*, which collects whatever is in flight across
-all connections and hands the wave to the
-:class:`~repro.service.batching.BatchExecutor` -- this is where
-co-located concurrent clients get merged into shared traversals.  A wave
-that already holds two requests in one batching cell is kept open so
-more cell-mates can join, until the first of: it reaches ``max_batch``,
-every open connection has a request in it (nobody is left who could
-join), or ``batch_window_s`` has passed since its oldest enqueue.  The
-window is therefore the longest a wave waits for a connection that is
-not yet in it; a connection that is open but idle keeps co-located
-waves held that long.  A wave without cell-mates (a lone request, or
-scattered ones) has nothing to gain from waiting and is dispatched at
-once.  A wave's replies to one connection leave in one write.
-Everything else (range/window queries, stream operations) is cheap and
-session-stateful, so it runs inline on the connection task.
+One event loop, one :class:`~repro.service.engine.QueryService`, no
+task per connection: each connection is a :class:`_Connection` that
+buffers what it receives and cuts out every whole frame (an
+``asyncio.BufferedProtocol``: the socket is read into one kept buffer,
+not a fresh 256 KiB ``bytes`` per read as ``data_received`` would
+cost).  Range, window and stream requests are answered on the spot.
+kNN requests go onto the batching dispatcher's ``deque``; one
+``call_soon`` wakes an idle dispatcher, which hands what is in flight
+across all connections as one wave to the
+:class:`~repro.service.batching.BatchExecutor` (shared traversals).
 
-Flow control, per the issue's deployment knobs:
+A wave with two requests in one batching cell is *held*; arrivals join
+it until it reaches ``max_batch``, or every open connection has a
+request in it, or ``batch_window_s`` has passed since its oldest
+enqueue (a ``call_later`` timer).  The first two are checked on every
+arrival and every close and release the wave with ``call_soon``, so the
+arriving connection's buffered frames are all parsed into it first.  An
+open but idle connection keeps co-located waves held for the window.  A
+wave without cell-mates runs at once.  A wave's replies to one
+connection leave in one write.
 
-* **per-connection backpressure** -- at most ``max_inflight`` queued
-  kNN requests per connection; the reader coroutine stops reading from
-  the socket until replies drain, so a flooding client throttles itself
-  (TCP does the rest) without starving other connections;
-* **request timeouts** -- a queued request older than
-  ``request_timeout_s`` is answered with a ``TIMEOUT`` error instead of
-  being executed (counted on ``service.timeouts``);
-* **queue depth** -- the global dispatcher queue depth is exported as
-  the ``service.queue_depth`` gauge.
+Flow control needs no lock, semaphore or task.  A connection stops
+cutting frames and reading its socket while it is *stalled*:
+``max_inflight`` of its kNN requests are unanswered; the queue holds
+``queue_capacity`` requests (the next wave wakes it); or its transport
+called ``pause_writing`` -- until ``resume_writing`` its answered
+requests also keep their inflight slots.  A queued request older than
+``request_timeout_s`` gets a ``TIMEOUT`` error instead of an answer.
 
-Malformed framing (bad magic, unknown version, oversized declared
-payload, undecodable message) is unrecoverable on a byte stream: the
-server replies with a ``MALFORMED``/``OVERSIZED`` error and closes the
-connection.
+Malformed framing is unrecoverable on a byte stream: the connection
+stops reading and, once every request before the bad frame is answered,
+sends a ``MALFORMED``/``OVERSIZED``/``UNSUPPORTED`` error and closes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.runtime import named_async_lock
 from repro.core.server import SpatialDatabaseServer
-from repro.obs import (
-    DEFAULT_TIME_BUCKETS_S,
-    OBS,
-    Counter,
-    Gauge,
-    Histogram,
-    Instrument,
-)
+from repro.obs import DEFAULT_TIME_BUCKETS_S, OBS, Counter, Gauge, Histogram, Instrument
 from repro.service.engine import QueryService, _error_reply
 from repro.service.protocol import (
     HEADER_SIZE,
@@ -77,6 +68,7 @@ _HOLD_S = Instrument(Histogram, "service.hold_s", boundaries=DEFAULT_TIME_BUCKET
 _REQUEST_LATENCY_S = Instrument(
     Histogram, "service.request_latency_s", boundaries=DEFAULT_TIME_BUCKETS_S
 )
+_STALE = "request timed out in the service queue"
 
 
 @dataclass(frozen=True)
@@ -109,27 +101,121 @@ class ServiceConfig:
 
 
 class _Pending:
-    """One enqueued kNN request plus everything needed to answer it.
+    """One enqueued kNN request and the connection its reply goes to."""
 
-    ``connection`` identifies the connection that enqueued it: a member
-    of ``AsyncQueryServer._connections``, compared and never used.
-    """
-
-    __slots__ = ("request", "enqueued_at", "respond", "release", "connection")
+    __slots__ = ("request", "enqueued_at", "connection")
 
     def __init__(
-        self,
-        request: KnnRequest,
-        enqueued_at: float,
-        respond: Callable[[Message], "asyncio.Future[None]"],
-        release: Callable[[], None],
-        connection: object = None,
+        self, request: KnnRequest, enqueued_at: float, connection: "_Connection"
     ) -> None:
         self.request = request
         self.enqueued_at = enqueued_at
-        self.respond = respond
-        self.release = release
         self.connection = connection
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection: frame cutting, inline requests, flow control."""
+
+    def __init__(self, owner: "AsyncQueryServer") -> None:
+        self._owner = owner
+        self._session = owner.service.session()
+        self._read = memoryview(bytearray(1 << 16))
+        self._buffer = bytearray()
+        self._transport: asyncio.Transport
+        #: kNN requests enqueued and not yet released by :meth:`deliver`.
+        self._inflight = 0
+        #: Answered requests whose slots wait for ``resume_writing``.
+        self._held = 0
+        self._writing_paused = False
+        self._reading_paused = False
+        #: The error that ends the connection once ``_inflight`` is 0.
+        self._failure: Optional[ErrorReply] = None
+
+    # -- the transport's side ---------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        self._owner._connections.add(self)
+        if OBS.enabled:
+            _CONNECTIONS("opened").inc()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._buffer.clear()
+        self._session.close()
+        self._owner._drop(self)
+        if OBS.enabled:
+            _CONNECTIONS("closed").inc()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._read
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._buffer += self._read[:nbytes]
+        self._parse()
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        self._inflight -= self._held
+        self._held = 0
+        self._parse()
+
+    # -- the dispatcher's side --------------------------------------------
+    def deliver(self, replies: List[Message]) -> None:
+        """Write one wave's replies in one write and free their slots."""
+        if not self._transport.is_closing():
+            self._transport.write(b"".join([encode_message(r) for r in replies]))
+        if self._writing_paused:
+            self._held += len(replies)
+        else:
+            self._inflight -= len(replies)
+            self._parse()
+
+    # -- frames -----------------------------------------------------------
+    def _stalled(self) -> bool:
+        owner = self._owner
+        if len(owner._queue) >= owner.config.queue_capacity:
+            owner._waiting.add(self)
+            return True
+        stalled = self._failure is not None or self._writing_paused
+        return stalled or self._inflight >= owner.config.max_inflight
+
+    def _parse(self) -> None:
+        """Handle each whole buffered frame unless stalled; (un)pause reading."""
+        buffer, owner = self._buffer, self._owner
+        while len(buffer) >= HEADER_SIZE and not self._stalled():
+            try:
+                _, length = parse_header(buffer[:HEADER_SIZE])
+                end = HEADER_SIZE + length
+                if len(buffer) < end:
+                    break
+                message = decode_message(bytes(buffer[:end]))
+                del buffer[:end]
+                if OBS.enabled:
+                    _REQUESTS(type(message).__name__).inc()
+                if isinstance(message, KnnRequest):
+                    self._inflight += 1
+                    owner._enqueue(_Pending(message, owner._loop.time(), self))
+                    continue
+                started = owner._loop.time()
+                reply = self._session.handle(message)
+            except ProtocolError as exc:
+                buffer.clear()
+                self._failure = _error_reply(0, exc.code, str(exc))
+                break
+            if not self._transport.is_closing():
+                self._transport.write(encode_message(reply))
+            owner._note_latency(owner._loop.time() - started)
+        transport = self._transport
+        if self._failure is not None:
+            if self._inflight == 0 and not transport.is_closing():
+                transport.write(encode_message(self._failure))
+                transport.close()
+        stalled = self._stalled()
+        if stalled is not self._reading_paused:
+            self._reading_paused = stalled
+            (transport.pause_reading if stalled else transport.resume_reading)()
 
 
 class AsyncQueryServer:
@@ -146,23 +232,28 @@ class AsyncQueryServer:
             batch_cell_size=config.batch_cell_size,
             stream_chunk=config.stream_chunk,
         )
-        self._queue: "asyncio.Queue[_Pending]" = asyncio.Queue(
-            maxsize=config.queue_capacity
-        )
+        self._loop: asyncio.AbstractEventLoop
         self._tcp: Optional[asyncio.AbstractServer] = None
-        self._dispatcher: Optional["asyncio.Task[None]"] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[_Connection] = set()
+        self._queue: Deque[_Pending] = deque()
+        #: Connections stalled on a full queue, woken by the next wave.
+        self._waiting: Set[_Connection] = set()
+        self._dispatch_due = False
+        #: The held wave, the connections in it, when its hold began and
+        #: the handle that ends it (the window's timer or a release).
+        self._wave: Optional[List[_Pending]] = None
+        self._in_wave: Set[_Connection] = set()
+        self._held_since = 0.0
+        self._release_handle: Optional[asyncio.Handle] = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listening socket and start the dispatcher."""
-        self._tcp = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self._dispatcher = asyncio.get_running_loop().create_task(
-            self._dispatch_loop()
+        """Bind the listening socket."""
+        self._loop = asyncio.get_running_loop()
+        self._tcp = await self._loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
 
     @property
@@ -186,235 +277,142 @@ class AsyncQueryServer:
         await self._tcp.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, cancel the dispatcher, close connections."""
+        """Stop accepting, drop queued and held waves, close connections."""
+        if self._release_handle is not None:
+            self._release_handle.cancel()
+        self._wave = None
+        self._queue.clear()
+        for connection in list(self._connections):
+            connection._transport.close()
         if self._tcp is not None:
             self._tcp.close()
             await self._tcp.wait_closed()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-        for writer in list(self._connections):
-            writer.close()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        session = self.service.session()
-        send_lock = named_async_lock("AsyncQueryServer.send_lock")
-        inflight = asyncio.Semaphore(self.config.max_inflight)
-        loop = asyncio.get_running_loop()
-        self._connections.add(writer)
-        if OBS.enabled:
-            _CONNECTIONS("opened").inc()
-
-        async def send(*messages: Message) -> None:
-            frames = b"".join([encode_message(message) for message in messages])
-            try:
-                async with send_lock:
-                    writer.write(frames)
-                    await writer.drain()
-            except (ConnectionError, OSError):
-                # The client went away; the reader loop will see EOF.
-                pass
-
-        # Dispatcher replies not yet handed to ``send``, and the write
-        # they are waiting for.
-        outbox: List[Message] = []
-        written: "asyncio.Future[None]"
-
-        async def flush() -> None:
-            replies = outbox[:]
-            outbox.clear()
-            await send(*replies)
-
-        def respond(message: Message) -> "asyncio.Future[None]":
-            """Queue a dispatcher reply; the future is its write.
-
-            ``_execute_batch`` finishes a wave without awaiting, so all
-            of the wave's replies to this connection are queued before
-            ``flush`` first runs and leave in one write.
-            """
-            nonlocal written
-            if not outbox:
-                written = asyncio.ensure_future(flush())
-            outbox.append(message)
-            return written
-
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(HEADER_SIZE)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                try:
-                    _, length = parse_header(header)
-                    payload = await reader.readexactly(length)
-                    message = decode_message(header + payload)
-                except ProtocolError as exc:
-                    await send(_error_reply(0, exc.code, str(exc)))
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if OBS.enabled:
-                    _REQUESTS(type(message).__name__).inc()
-                if isinstance(message, KnnRequest):
-                    # Backpressure: stop reading this socket until the
-                    # connection's in-flight window has room again.
-                    await inflight.acquire()
-                    pending = _Pending(
-                        message,
-                        loop.time(),
-                        respond,
-                        inflight.release,
-                        writer,
-                    )
-                    await self._queue.put(pending)
-                    self._note_queue_depth()
-                else:
-                    started = loop.time()
-                    reply = session.handle(message)
-                    await send(reply)
-                    self._note_latency(loop.time() - started)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            session.close()
-            self._connections.discard(writer)
-            if OBS.enabled:
-                _CONNECTIONS("closed").inc()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await asyncio.sleep(0)  # the closed transports' ``connection_lost``
 
     # ------------------------------------------------------------------
     # batching dispatcher
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = [await self._queue.get()]
-            self._sweep(batch)
+    def _enqueue(self, item: _Pending) -> None:
+        wave = self._wave
+        if wave is not None and len(wave) < self.config.max_batch:
+            wave.append(item)
+            self._in_wave.add(item.connection)
+            self._check_hold()
+            return
+        self._queue.append(item)
+        self._note_queue_depth()
+        if wave is None and not self._dispatch_due:
+            self._dispatch_due = True
+            self._loop.call_soon(self._dispatch)
+
+    def _drop(self, connection: _Connection) -> None:
+        """Forget a closed connection; a held wave may now be complete."""
+        self._connections.discard(connection)
+        self._waiting.discard(connection)
+        if self._wave is not None:
+            self._check_hold()
+
+    def _dispatch(self) -> None:
+        """Run waves off the queue until it is empty or one is held."""
+        self._dispatch_due = False
+        queue, max_batch = self._queue, self.config.max_batch
+        while queue and self._wave is None:
+            wave = [queue.popleft() for _ in range(min(len(queue), max_batch))]
+            for connection in self._waiting:
+                self._loop.call_soon(connection._parse)
+            self._waiting.clear()
             # Waiting can only pay off by merging traversals, so a wave
             # is held only when it already has two requests in one cell.
-            hold_s: Optional[float] = None
-            if self._has_cell_mates(batch):
-                hold_s = await self._hold(batch)
-            self._note_dispatch(hold_s)
-            self._note_queue_depth()
-            await self._execute_batch(batch, loop.time())
+            if len(wave) > 1 and self._has_cell_mates(wave):
+                if self._hold(wave):
+                    return
+                self._run(wave, 0.0)
+            else:
+                self._run(wave, None)
 
-    def _sweep(self, batch: List[_Pending]) -> None:
-        """Move what is already queued into ``batch``, up to ``max_batch``."""
-        while len(batch) < self.config.max_batch and not self._queue.empty():
-            batch.append(self._queue.get_nowait())
-
-    def _has_cell_mates(self, batch: List[_Pending]) -> bool:
-        """Whether two requests of ``batch`` could share a traversal."""
+    def _has_cell_mates(self, wave: List[_Pending]) -> bool:
+        """Whether two requests of ``wave`` could share a traversal."""
         cell_of = self.service.executor.cell_of
-        return len({cell_of(item.request.query) for item in batch}) < len(batch)
+        return len({cell_of(item.request.query) for item in wave}) < len(wave)
 
-    async def _hold(self, batch: List[_Pending]) -> float:
-        """Keep ``batch`` open while someone could still join it; return the wait.
+    def _hold(self, wave: List[_Pending]) -> bool:
+        """Hold ``wave`` unless it is full, has everyone, or is out of time
+        (the window runs from its oldest enqueue, ``wave[0]``)."""
+        in_wave = {item.connection for item in wave}
+        now = self._loop.time()
+        remaining = wave[0].enqueued_at + self.config.batch_window_s - now
+        if remaining <= 0.0 or self._complete(wave, in_wave):
+            return False
+        self._wave, self._in_wave, self._held_since = wave, in_wave, now
+        self._release_handle = self._loop.call_later(remaining, self._release)
+        return True
 
-        The hold ends at the first of: the wave reaches ``max_batch``;
-        every open connection has a request in the wave, so nobody who
-        could add a cell-mate is left outside it; the window has passed.
-        The window runs from the oldest request's enqueue (the queue is
-        FIFO, so that is ``batch[0]``): time spent queued behind a
-        running batch counts toward the window instead of adding to it.
+    def _complete(self, wave: List[_Pending], in_wave: Set[_Connection]) -> bool:
+        """Nobody left could join: the wave is full or has every connection."""
+        return len(wave) >= self.config.max_batch or self._connections <= in_wave
 
-        Open connections are looked at when a request arrives, not when
-        one closes: a wave waiting only for a client that has just gone
-        is let go by the window, not woken.  So is a wave waiting for a
-        connection that is open and idle.
-        """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        remaining = (
-            batch[0].enqueued_at + self.config.batch_window_s - started
-        )
-        if remaining > 0.0:
-            try:
-                await asyncio.wait_for(self._fill(batch), remaining)
-            except asyncio.TimeoutError:
-                pass
-        self._sweep(batch)
-        return loop.time() - started
+    def _check_hold(self) -> None:
+        """Release the held wave on the next pass if nobody left can join
+        (after the connection being parsed has cut all its frames)."""
+        assert self._wave is not None and self._release_handle is not None
+        if self._complete(self._wave, self._in_wave):
+            self._release_handle.cancel()
+            self._release_handle = self._loop.call_soon(self._release)
 
-    async def _fill(self, batch: List[_Pending]) -> None:
-        """Append arrivals to ``batch`` until it is full or has everyone."""
-        in_wave: Set[object] = {item.connection for item in batch}
-        while (
-            len(batch) < self.config.max_batch
-            and not self._connections <= in_wave
-        ):
-            item = await self._queue.get()
-            batch.append(item)
-            in_wave.add(item.connection)
+    def _release(self) -> None:
+        """End the hold: run the held wave, then what queued behind it."""
+        wave = self._wave
+        assert wave is not None
+        self._wave = None
+        self._run(wave, self._loop.time() - self._held_since)
+        self._dispatch()
 
-    async def _execute_batch(
-        self, batch: List[_Pending], now: float
-    ) -> None:
+    def _run(self, wave: List[_Pending], hold_s: Optional[float]) -> None:
+        """Count the wave (``hold_s`` is ``None`` if it was not held), run it."""
+        if OBS.enabled:
+            _DISPATCH("immediate" if hold_s is None else "held").inc()
+            if hold_s is not None:
+                _HOLD_S().observe(hold_s)
+        self._note_queue_depth()
+        self._execute_batch(wave, self._loop.time())
+
+    def _execute_batch(self, wave: List[_Pending], now: float) -> None:
+        """Answer ``wave``; each connection's replies leave in one write."""
+        outboxes: Dict[_Connection, List[Message]] = {}
         live: List[_Pending] = []
-        for item in batch:
+        for item in wave:
             if now - item.enqueued_at > self.config.request_timeout_s:
                 if OBS.enabled:
                     _TIMEOUTS().inc()
-                self._finish(
-                    item,
-                    ErrorReply(
-                        item.request.request_id,
-                        ErrorCode.TIMEOUT,
-                        "request timed out in the service queue",
-                    ),
-                )
+                reply = ErrorReply(item.request.request_id, ErrorCode.TIMEOUT, _STALE)
+                outboxes.setdefault(item.connection, []).append(reply)
             else:
                 live.append(item)
-        if not live:
-            return
-        try:
-            answers = self.service.execute_knn_batch(
-                [item.request for item in live]
-            )
-        except (ProtocolError, ValueError, ArithmeticError) as exc:
-            for item in live:
-                self._finish(
-                    item,
-                    _error_reply(
-                        item.request.request_id, ErrorCode.INTERNAL, str(exc)
-                    ),
-                )
-            return
-        loop = asyncio.get_running_loop()
-        for item, answer in zip(live, answers):
-            self._note_latency(loop.time() - item.enqueued_at)
-            self._finish(item, answer)
-
-    def _finish(self, item: _Pending, reply: Message) -> None:
-        future = item.respond(reply)
-        future.add_done_callback(lambda _f: item.release())
+        if live:
+            answers: Sequence[Message]
+            try:
+                answers = self.service.execute_knn_batch([i.request for i in live])
+            except (ProtocolError, ValueError, ArithmeticError) as exc:
+                answers = [
+                    _error_reply(item.request.request_id, ErrorCode.INTERNAL, str(exc))
+                    for item in live
+                ]
+            else:
+                if OBS.enabled:
+                    done = self._loop.time()
+                    for item in live:
+                        self._note_latency(done - item.enqueued_at)
+            for item, answer in zip(live, answers):
+                outboxes.setdefault(item.connection, []).append(answer)
+        for connection, replies in outboxes.items():
+            connection.deliver(replies)
 
     # ------------------------------------------------------------------
     # instrumentation
     # ------------------------------------------------------------------
     def _note_queue_depth(self) -> None:
         if OBS.enabled:
-            _QUEUE_DEPTH().set(float(self._queue.qsize()))
-
-    def _note_dispatch(self, hold_s: Optional[float]) -> None:
-        """Count one wave; ``hold_s`` is ``None`` when it was not held."""
-        if OBS.enabled:
-            _DISPATCH("immediate" if hold_s is None else "held").inc()
-            if hold_s is not None:
-                _HOLD_S().observe(hold_s)
+            _QUEUE_DEPTH().set(float(len(self._queue)))
 
     def _note_latency(self, seconds: float) -> None:
         if OBS.enabled:

@@ -9,7 +9,7 @@ Mirrors the structure of ``test_analysis_deep.py``:
   clean at HEAD;
 - the acceptance-criteria fault injections (dropping the ``with
   self._lock:`` guard in ``TcpTransport.request``, adding an ``await``
-  under a held ``threading.Lock`` in the dispatcher) must surface as
+  under a held ``threading.Lock`` in the server's ``stop``) must surface as
   RPR015/RPR017 findings *statically*;
 - the runtime half (tracked locks, the race sanitizer's lock-order
   graph and metric owning-context check) is driven directly here; the
@@ -17,15 +17,12 @@ Mirrors the structure of ``test_analysis_deep.py``:
   ``test_service_concurrency.py``.
 """
 
-import asyncio
-
 from repro.analysis import deep
 from repro.analysis.concurrency import concurrency_report
 from repro.analysis.locks import LockOrderGraph, LockSite, canonical_lock_name
 from repro.analysis.project import project_from_sources
 from repro.analysis.runtime import (
     SANITIZER,
-    named_async_lock,
     named_lock,
     sanitized,
 )
@@ -573,26 +570,26 @@ class TestFaultInjection:
         flagged = violations_of(analysis, "RPR015")
         assert any("_sock" in v.message for v in flagged)
 
-    def test_await_under_thread_lock_in_dispatcher_is_rpr017(self, head_analysis):
+    def test_await_under_thread_lock_in_stop_is_rpr017(self, head_analysis):
+        # The dispatcher is plain callbacks; ``stop`` is where the server
+        # still awaits.
         head_project = head_analysis.project
         module = head_project.get("repro.service.asyncserver")
         mutated = module.source.replace(
-            "    async def _dispatch_loop(self) -> None:\n"
-            "        loop = asyncio.get_running_loop()\n",
-            "    async def _dispatch_loop(self) -> None:\n"
-            "        loop = asyncio.get_running_loop()\n"
-            "        self._batch_lock = threading.Lock()\n",
+            "    async def stop(self) -> None:\n",
+            "    async def stop(self) -> None:\n"
+            "        self._stop_lock = threading.Lock()\n",
         ).replace(
-            "            await self._execute_batch(batch, loop.time())\n",
-            "            with self._batch_lock:\n"
-            "                await self._execute_batch(batch, loop.time())\n",
+            "            await self._tcp.wait_closed()\n",
+            "            with self._stop_lock:\n"
+            "                await self._tcp.wait_closed()\n",
         )
-        assert mutated != module.source
+        assert mutated.count("_stop_lock") == 2
         analysis = analyze_concurrency(
             head_project.replace_source("repro.service.asyncserver", mutated)
         )
         flagged = violations_of(analysis, "RPR017")
-        assert any("_dispatch_loop" in v.message for v in flagged)
+        assert any("AsyncQueryServer.stop" in v.message for v in flagged)
 
 
 # ----------------------------------------------------------------------
@@ -629,23 +626,6 @@ class TestRuntimeSanitizer:
                 "inversion" in report
                 for report in SANITIZER.lock_order_violations
             )
-        finally:
-            SANITIZER.reset_concurrency()
-
-    def test_async_locks_are_tracked_per_task(self):
-        async def workload():
-            async_lock = named_async_lock("test.AL")
-            thread_lock = named_lock("test.TL")
-            async with async_lock:
-                with thread_lock:
-                    pass
-
-        SANITIZER.reset_concurrency()
-        try:
-            with sanitized():
-                asyncio.run(workload())
-            assert ("test.AL", "test.TL") in SANITIZER.lock_order_edges()
-            assert SANITIZER.lock_order_violations == []
         finally:
             SANITIZER.reset_concurrency()
 

@@ -151,7 +151,7 @@ class TestFaultInjection:
         head_project = head_analysis.project
         module = head_project.get("repro.service.asyncserver")
         mutated = module.source.replace(
-            "            session.close()\n", "            pass\n"
+            "        self._session.close()\n", "        pass\n"
         )
         assert mutated != module.source
         analysis = deep.analyze(

@@ -2,8 +2,8 @@
 
 Real sockets on an ephemeral loopback port via :class:`BackgroundServer`
 (the same harness the ``repro-serve --selftest`` CI job uses), plus
-direct event-loop tests for the timeout path, which would otherwise need
-a wall-clock sleep.
+direct event-loop tests that drive the dispatcher and the connections'
+flow control without waiting on a wall clock.
 """
 
 import asyncio
@@ -13,7 +13,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
 from repro.obs import DEFAULT_TIME_BUCKETS_S, OBS, MetricsRegistry, observed
@@ -32,6 +35,11 @@ from repro.service.protocol import (
     ErrorReply,
     KnnRequest,
     MessageType,
+    RangeRequest,
+    StreamClose,
+    StreamOpen,
+    StreamPull,
+    WindowRequest,
     decode_message,
     encode_message,
 )
@@ -181,6 +189,110 @@ class TestTcpServing:
             transport.close()
 
 
+@pytest.fixture(scope="module")
+def framing_server():
+    with BackgroundServer(make_server(make_pois()), ServiceConfig()) as running:
+        yield running
+
+
+_FRAME_KINDS = ("knn", "range", "window", "open", "pull", "close")
+
+
+def _mixed_frames(kinds):
+    """One request per kind, ids from 1; every kNN point in a cell of its own.
+
+    A kNN request has no cell-mate, so it runs in a wave of one however
+    the bytes arrive; stream requests name the latest stream opened.
+    """
+    frames, knn_ids, opened = [], set(), 0
+    for request_id, kind in enumerate(kinds, start=1):
+        here = Point(0.125 + 0.25 * (request_id % 16), 0.4 + 0.2 * (request_id % 3))
+        if kind == "knn":
+            knn_ids.add(request_id)
+            message = KnnRequest(request_id, here, 4)
+        elif kind == "range":
+            message = RangeRequest(request_id, here, 0.3)
+        elif kind == "window":
+            message = WindowRequest(
+                request_id, BoundingBox(here.x, here.y, here.x + 0.4, here.y + 0.3)
+            )
+        elif kind == "open":
+            opened += 1
+            message = StreamOpen(request_id, here)
+        elif kind == "pull":
+            message = StreamPull(request_id, max(opened, 1), 3)
+        else:
+            message = StreamClose(request_id, max(opened, 1))
+        frames.append(encode_message(message))
+    return b"".join(frames), len(frames), knn_ids
+
+
+def _exchange(address, data, count, chunks):
+    """Send ``data`` cut into ``chunks`` sizes (cycled); read ``count`` replies."""
+    with socket.create_connection(address, timeout=10.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        offset, index = 0, 0
+        while offset < len(data):
+            size = chunks[index % len(chunks)]
+            sock.sendall(data[offset : offset + size])
+            offset += size
+            index += 1
+        return [_read_frame(sock) for _ in range(count)]
+
+
+class TestFraming:
+    """The hand-rolled frame cutter: any split of the bytes is one stream."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(_FRAME_KINDS), min_size=1, max_size=12),
+        chunks=st.lists(st.integers(1, 64), min_size=1, max_size=8),
+    )
+    def test_any_chunking_gets_the_replies_of_one_sendall(
+        self, framing_server, kinds, chunks
+    ):
+        data, count, knn_ids = _mixed_frames(kinds)
+        whole = _exchange(framing_server.address, data, count, [len(data)])
+        split = _exchange(framing_server.address, data, count, chunks)
+        assert len(whole) == len(split) == count
+        by_id = {reply.request_id: reply for reply in whole}
+        assert {reply.request_id: reply for reply in split} == by_id
+        assert sorted(by_id) == list(range(1, count + 1))
+        # kNN answers leave in request order, and so do the replies the
+        # connection answers inline; how the two interleave depends on
+        # when the dispatcher runs.
+        for same_kind in (lambda r: r in knn_ids, lambda r: r not in knn_ids):
+            assert [r.request_id for r in split if same_kind(r.request_id)] == [
+                r.request_id for r in whole if same_kind(r.request_id)
+            ]
+        assert all(by_id[i].batch_size == 1 for i in knn_ids)
+
+    def test_malformed_header_after_two_good_frames(self, framing_server):
+        """Both requests are answered, then the error, then EOF."""
+        good = encode_message(KnnRequest(1, Point(1.0, 1.0), 3)) + encode_message(
+            RangeRequest(2, Point(2.0, 2.0), 0.3)
+        )
+        with socket.create_connection(framing_server.address, timeout=5.0) as sock:
+            sock.sendall(good + b"XX\x01\x01\x00\x00\x00\x00")
+            replies = [_read_frame(sock) for _ in range(3)]
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b""
+        assert sorted(reply.request_id for reply in replies[:2]) == [1, 2]
+        assert not any(isinstance(reply, ErrorReply) for reply in replies[:2])
+        assert isinstance(replies[2], ErrorReply)
+        assert replies[2].code is ErrorCode.MALFORMED
+
+    def test_a_frame_that_is_not_a_request_is_unsupported(self, framing_server):
+        """A reply sent to the server decodes, but nothing can answer it."""
+        with socket.create_connection(framing_server.address, timeout=5.0) as sock:
+            sock.sendall(encode_message(ErrorReply(5, ErrorCode.INTERNAL, "?")))
+            reply = _read_frame(sock)
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b""
+        assert isinstance(reply, ErrorReply)
+        assert (reply.request_id, reply.code) == (0, ErrorCode.UNSUPPORTED)
+
+
 def _read_frame(sock):
     header = _read_exactly(sock, HEADER_SIZE)
     _, _, _, length = struct.unpack(">2sBBI", header)
@@ -197,6 +309,19 @@ def _read_exactly(sock, count):
     return data
 
 
+class _Sink:
+    """A stand-in connection: keeps what the dispatcher sends it."""
+
+    def __init__(self, on_deliver=None):
+        self.replies = []
+        self._on_deliver = on_deliver
+
+    def deliver(self, replies):
+        self.replies.extend(replies)
+        if self._on_deliver is not None:
+            self._on_deliver(replies)
+
+
 class TestTimeouts:
     def test_stale_requests_answered_with_timeout_error(self):
         """A request older than ``request_timeout_s`` is never executed."""
@@ -206,32 +331,12 @@ class TestTimeouts:
             running = AsyncQueryServer(
                 make_server(pois), ServiceConfig(request_timeout_s=0.01)
             )
-            replies = []
-
-            def respond(message):
-                replies.append(message)
-                future = asyncio.get_running_loop().create_future()
-                future.set_result(None)
-                return future
-
-            from repro.service.asyncserver import _Pending
-
-            loop = asyncio.get_running_loop()
-            stale = _Pending(
-                KnnRequest(41, Point(1.0, 1.0), 3),
-                loop.time() - 1.0,
-                respond,
-                lambda: None,
-            )
-            fresh = _Pending(
-                KnnRequest(42, Point(1.0, 1.0), 3),
-                loop.time(),
-                respond,
-                lambda: None,
-            )
-            await running._execute_batch([stale, fresh], loop.time())
-            await asyncio.sleep(0)
-            return replies
+            loop = running._loop = asyncio.get_running_loop()
+            sink = _Sink()
+            stale = _Pending(KnnRequest(41, Point(1.0, 1.0), 3), loop.time() - 1.0, sink)
+            fresh = _Pending(KnnRequest(42, Point(1.0, 1.0), 3), loop.time(), sink)
+            running._execute_batch([stale, fresh], loop.time())
+            return sink.replies
 
         replies = asyncio.run(scenario())
         assert len(replies) == 2
@@ -381,13 +486,15 @@ class TestDispatchDecision:
         assert {reply.batch_size for reply in replies.values()} == {8}
 
     def test_connection_closing_mid_hold_is_bounded_by_the_window(self):
-        """Nothing wakes the hold when the awaited client goes away."""
-        config = ServiceConfig(batch_window_s=0.2)
+        """The close of the awaited client wakes the hold, long before
+        the window: nobody is left who could join."""
+        config = ServiceConfig(batch_window_s=5.0)
         with BackgroundServer(make_server(make_pois()), config) as running:
             first, second = _connect(running, 2)
             with first:
                 started = time.monotonic()
                 _send_burst(first, 1, COLOCATED[:4])
+                time.sleep(0.1)  # the wave is held, waiting for ``second``
                 second.close()
                 replies = _read_replies(first, 4)
                 elapsed = time.monotonic() - started
@@ -442,7 +549,7 @@ class TestDispatchDecision:
     ):
         running = AsyncQueryServer(make_server(make_pois()), ServiceConfig())
         requests = [KnnRequest(1, first, 3), KnnRequest(2, second, 3)]
-        wave = [_Pending(r, 0.0, lambda m: None, lambda: None) for r in requests]
+        wave = [_Pending(r, 0.0, _Sink()) for r in requests]
         answers = running.service.executor.execute(requests)
         merged = [answer.batch_size for answer in answers] == [2, 2]
         assert running._has_cell_mates(wave) is merged
@@ -464,43 +571,37 @@ def _run_waves(config, waves):
 
     async def scenario():
         running = AsyncQueryServer(make_server(make_pois()), config)
-        loop = asyncio.get_running_loop()
+        loop = running._loop = asyncio.get_running_loop()
         replies = []
         all_replied = loop.create_future()
 
-        def respond(message):
-            replies.append(message)
+        def collect(sent):
+            replies.extend(sent)
             if len(replies) == total:
                 all_replied.set_result(None)
-            future = loop.create_future()
-            future.set_result(None)
-            return future
 
-        running._connections.update(range(len(waves)))
-        running._connections.add("idle")
-        dispatcher = loop.create_task(running._dispatch_loop())
+        sinks = [_Sink(collect) for _ in waves]
+        running._connections.update(sinks)
+        running._connections.add(_Sink())  # idle
         started = loop.time()
         try:
             next_id = 1
-            for connection, (points, age_s) in enumerate(waves):
+            for sink, (points, age_s) in zip(sinks, waves):
                 for point in points:
-                    running._queue.put_nowait(
+                    running._enqueue(
                         _Pending(
-                            KnnRequest(next_id, point, 3),
-                            loop.time() - age_s,
-                            respond,
-                            lambda: None,
-                            connection,
+                            KnnRequest(next_id, point, 3), loop.time() - age_s, sink
                         )
                     )
                     next_id += 1
                 # Let the dispatcher take the wave and decide on it.
-                while not running._queue.empty():
+                while running._queue:
                     await asyncio.sleep(0)
                 await asyncio.sleep(0)
             await asyncio.wait_for(all_replied, 8.0)
         finally:
-            dispatcher.cancel()
+            if running._release_handle is not None:
+                running._release_handle.cancel()
         return sorted(replies, key=lambda r: r.request_id), loop.time() - started
 
     previous = OBS.registry
@@ -519,40 +620,36 @@ async def _read_stream_frame(reader):
     return decode_message(header + await reader.readexactly(length))
 
 
-def _with_queued_bursts(bursts, scenario):
+def _with_queued_bursts(bursts, scenario, config=ServiceConfig()):
     """Run ``scenario`` with one client stream per burst, nothing dispatched.
 
-    The server's connection handler runs on real sockets but no
-    dispatcher does, so every burst sits in the queue: ``scenario``
-    gets the server, the queued wave and the ``(reader, writer)`` client
-    streams, and decides when ``_execute_batch`` runs and on what.
+    The server's connections run on real sockets but its dispatcher
+    never does, so every burst sits in the queue: ``scenario`` gets the
+    server, the queued wave and the ``(reader, writer)`` client streams,
+    and decides when ``_execute_batch`` runs and on what.
     """
 
     async def run():
-        running = AsyncQueryServer(make_server(make_pois()), ServiceConfig())
-        tcp = await asyncio.start_server(
-            running._handle_connection, "127.0.0.1", 0
-        )
+        running = AsyncQueryServer(make_server(make_pois()), config)
+        running._dispatch = lambda: None
+        await running.start()
         streams = []
         try:
             next_id = 1
             for points in bursts:
-                reader, writer = await asyncio.open_connection(
-                    *tcp.sockets[0].getsockname()[:2]
-                )
+                reader, writer = await asyncio.open_connection(*running.address)
                 streams.append((reader, writer))
                 for point in points:
                     writer.write(encode_message(KnnRequest(next_id, point, 5)))
                     next_id += 1
-                while running._queue.qsize() < next_id - 1:
+                while len(running._queue) < next_id - 1:
                     await asyncio.sleep(0.001)
-            wave = [running._queue.get_nowait() for _ in range(next_id - 1)]
+            wave = [running._queue.popleft() for _ in range(next_id - 1)]
             return await asyncio.wait_for(scenario(running, wave, streams), 10.0)
         finally:
             for _, writer in streams:
                 writer.close()
-            tcp.close()
-            await tcp.wait_closed()
+            await running.stop()
 
     return asyncio.run(run())
 
@@ -571,9 +668,10 @@ class TestWaveReplies:
 
                 return count
 
-            for writer in {item.connection for item in wave}:
-                writer.write = counted(writer.write)
-            await running._execute_batch(wave, asyncio.get_running_loop().time())
+            for connection in {item.connection for item in wave}:
+                transport = connection._transport
+                transport.write = counted(transport.write)
+            running._execute_batch(wave, asyncio.get_running_loop().time())
             replies = [
                 [await _read_stream_frame(reader) for _ in range(4)]
                 for reader, _ in streams
@@ -604,7 +702,7 @@ class TestWaveReplies:
     def test_timeout_and_answers_of_one_wave_share_the_write(self):
         async def scenario(running, wave, streams):
             wave[0].enqueued_at -= 2.0 * running.config.request_timeout_s
-            await running._execute_batch(wave, asyncio.get_running_loop().time())
+            running._execute_batch(wave, asyncio.get_running_loop().time())
             (reader, _), = streams
             return [await _read_stream_frame(reader) for _ in range(4)]
 
@@ -622,12 +720,79 @@ class TestWaveReplies:
             await gone.wait_closed()
             while len(running._connections) > 1:
                 await asyncio.sleep(0.001)
-            await running._execute_batch(wave, asyncio.get_running_loop().time())
+            running._execute_batch(wave, asyncio.get_running_loop().time())
             return [await _read_stream_frame(reader) for _ in range(4)]
 
         replies = _with_queued_bursts([COLOCATED[:4], COLOCATED[4:]], scenario)
         assert [reply.request_id for reply in replies] == [1, 2, 3, 4]
         assert [reply.batch_size for reply in replies] == [8, 8, 8, 8]
+
+    def test_paused_writing_holds_the_slots_until_resumed(self):
+        """``pause_writing`` keeps a wave's slots; ``resume_writing`` frees
+        each once, and the connection reads again."""
+
+        async def scenario(running, wave, streams):
+            ((reader, writer),) = streams
+            loop = asyncio.get_running_loop()
+            connection = wave[0].connection
+            connection.pause_writing()
+            running._execute_batch(wave, loop.time())
+            replies = [await _read_stream_frame(reader) for _ in range(2)]
+            paused = connection._inflight
+            writer.write(encode_message(KnnRequest(3, COLOCATED[2], 5)))
+            await asyncio.sleep(0.05)
+            queued_while_paused = len(running._queue)
+            connection.resume_writing()
+            resumed = connection._inflight
+            while not running._queue:
+                await asyncio.sleep(0.001)
+            running._execute_batch([running._queue.popleft()], loop.time())
+            replies.append(await _read_stream_frame(reader))
+            return replies, paused, queued_while_paused, resumed, connection._inflight
+
+        replies, paused, queued_while_paused, resumed, final = _with_queued_bursts(
+            [COLOCATED[:2]], scenario, ServiceConfig(max_inflight=2)
+        )
+        assert [reply.request_id for reply in replies] == [1, 2, 3]
+        assert (paused, queued_while_paused) == (2, 0)
+        # A slot released twice would leave the count below zero.
+        assert (resumed, final) == (0, 0)
+
+    def test_queue_capacity_stalls_readers_and_loses_nothing(self):
+        """Six pipelined requests through a queue of two: each answered once."""
+
+        async def run():
+            config = ServiceConfig(queue_capacity=2, batch_window_s=5.0)
+            running = AsyncQueryServer(make_server(make_pois()), config)
+            depths = []
+            note = running._note_queue_depth
+
+            def recording():
+                depths.append(len(running._queue))
+                note()
+
+            running._note_queue_depth = recording
+            await running.start()
+            try:
+                reader, writer = await asyncio.open_connection(*running.address)
+                writer.write(
+                    b"".join(
+                        encode_message(KnnRequest(i, point, 5))
+                        for i, point in enumerate(COLOCATED[:6], start=1)
+                    )
+                )
+                replies = [await _read_stream_frame(reader) for _ in range(6)]
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(reader.read(1), 0.2)
+                writer.close()
+            finally:
+                await running.stop()
+            return replies, depths
+
+        replies, depths = asyncio.run(run())
+        assert sorted(reply.request_id for reply in replies) == [1, 2, 3, 4, 5, 6]
+        assert max(depths) == 2
+        assert max(reply.batch_size for reply in replies) <= 2
 
 
 class TestConfigValidation:
