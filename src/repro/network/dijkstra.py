@@ -1,28 +1,44 @@
-"""Shortest paths over the spatial network: one Dijkstra kernel.
+"""Shortest paths over the spatial network: one resumable search, one tree loop.
 
 Dijkstra's algorithm [Dijkstra 1959] is the basis for all network-distance
-computations in the paper (Section 3.4).  :class:`DijkstraSearch` is the
-only place in :mod:`repro.network` that pops a ``(distance, node)``
-frontier: a multi-source search that settles on demand, can be confined
-to an allowed vertex set, and keeps predecessors so a path can be read
-back.  Everything else is a thin wrapper over it:
+computations in the paper (Section 3.4).  Two loops in
+:mod:`repro.network` pop a ``(distance, node)`` frontier:
 
-- :func:`shortest_path_lengths` -- single- or multi-source distances,
-  optionally stopping once a target set is settled;
-- :func:`shortest_path` -- one concrete node-to-node path;
-- :func:`shortest_path_tree` -- those paths from one source to every
-  node at once (the road-network mobility model plans its trips from
-  one such tree per start node);
-- :func:`origin_seeds` / :func:`distance_from` -- how an *on-edge*
-  location seeds a search and how a destination's two endpoint distances
-  fold into one value (same-edge shortcut included);
-- :func:`network_distance` -- exact distance between two on-edge
-  locations, i.e. the two above on a fresh search.
+- :class:`DijkstraSearch`, a multi-source search that settles on demand,
+  can be confined to an allowed vertex set, and keeps predecessors so a
+  path can be read back.  Everything but the tree is a thin wrapper over
+  it:
+
+  - :func:`shortest_path_lengths` -- single- or multi-source distances,
+    optionally stopping once a target set is settled;
+  - :func:`shortest_path` -- one concrete node-to-node path;
+  - :func:`origin_seeds` / :func:`distance_from` -- how an *on-edge*
+    location seeds a search and how a destination's two endpoint
+    distances fold into one value (same-edge shortcut included);
+  - :func:`network_distance` -- exact distance between two on-edge
+    locations, i.e. the two above on a fresh search.
+
+- :func:`shortest_path_tree`, one source run to exhaustion: the path
+  from it to every node at once, as a predecessor list by node id (the
+  road-network mobility model plans its trips from one such tree per
+  start node).  It reads the network's flat
+  :meth:`~repro.network.graph.SpatialNetwork.adjacency_rows` and keeps
+  its distances and predecessors in lists.
 
 Settled values and settle order are a function of the seeds and the graph
 alone: the frontier orders by ``(distance, node id)`` and a node is pushed
 only on strict improvement, so stopping early, resuming later or asking
 for targets in another order cannot change a single float.
+
+The tree loop needs no settled set and still computes the same floats,
+settle order and predecessors as ``DijkstraSearch.expand()`` to
+exhaustion.  Every edge is longer than zero, so ``dist + length`` is
+never strictly below the distance of a neighbor already settled (it was
+settled at a distance no greater than ``dist``): the strict-improvement
+test alone keeps settled nodes unchanged.  A node is pushed only on
+strict improvement, so no ``(distance, node)`` pair is on the heap
+twice, an entry above the node's best distance is stale, and the first
+entry of a node that is not stale is its settle.
 """
 
 from __future__ import annotations
@@ -169,17 +185,36 @@ def shortest_path(
     return search.path_to(target)
 
 
-def shortest_path_tree(network: SpatialNetwork, source: int) -> Dict[int, int]:
-    """Predecessor of every node reachable from ``source`` (which has none).
+def shortest_path_tree(network: SpatialNetwork, source: int) -> List[int]:
+    """Predecessor of every node by id: -1 for ``source`` and for every
+    node it cannot reach.
 
     Walking it back from a target gives exactly the node sequence
-    :func:`shortest_path` returns for that target: a settled vertex's
-    predecessor is final, so running the same search to exhaustion
-    changes none of them.
+    :func:`shortest_path` returns for that target.  The loop is
+    :meth:`DijkstraSearch.expand` to exhaustion over
+    :meth:`~repro.network.graph.SpatialNetwork.adjacency_rows`, with
+    lists for its dicts and without the settled set (see the module
+    docstring for why that changes no float and no predecessor).
     """
-    search = DijkstraSearch(network, [(source, 0.0)])
-    search.expand()
-    return search._predecessor
+    rows = network.adjacency_rows()
+    if not 0 <= source < len(rows):
+        raise KeyError(source)
+    best = [math.inf] * len(rows)
+    predecessor = [-1] * len(rows)
+    best[source] = 0.0
+    pending = [(0.0, source)]
+    pop, push = heapq.heappop, heapq.heappush
+    while pending:
+        dist, node = pop(pending)
+        if dist > best[node]:
+            continue
+        for neighbor, length in rows[node]:
+            candidate = dist + length
+            if candidate < best[neighbor]:
+                best[neighbor] = candidate
+                predecessor[neighbor] = node
+                push(pending, (candidate, neighbor))
+    return predecessor
 
 
 def origin_seeds(origin: NetworkLocation) -> List[Tuple[int, float]]:

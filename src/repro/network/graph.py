@@ -267,7 +267,9 @@ class SpatialNetwork:
     Node ids are integers assigned by :meth:`add_node`.  The graph is
     deliberately simple -- adjacency dictionaries -- because every
     algorithm in the paper (Dijkstra, INE, mobility) only needs neighbor
-    iteration and O(1) edge lookup.
+    iteration and O(1) edge lookup.  A loop that walks every node's
+    neighbors many times over reads :meth:`adjacency_rows` instead: the
+    same pairs as plain tuples, built once.
     """
 
     def __init__(self) -> None:
@@ -276,6 +278,9 @@ class SpatialNetwork:
         self._next_node_id = 0
         # Built by the first ``snap``, dropped when an edge is added.
         self._edge_grid: Optional[_EdgeGrid] = None
+        # Built by the first ``adjacency_rows``, dropped when a node or
+        # an edge is added.
+        self._rows: Optional[List[Tuple[Tuple[int, float], ...]]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -286,6 +291,7 @@ class SpatialNetwork:
         self._next_node_id += 1
         self._positions[node_id] = position
         self._adjacency[node_id] = {}
+        self._rows = None
         return node_id
 
     def add_edge(
@@ -321,6 +327,7 @@ class SpatialNetwork:
         self._adjacency[u][v] = edge
         self._adjacency[v][u] = edge
         self._edge_grid = None
+        self._rows = None
         return edge
 
     # ------------------------------------------------------------------
@@ -347,6 +354,22 @@ class SpatialNetwork:
     def neighbors(self, node: int) -> Iterator[Tuple[int, Edge]]:
         """Yield ``(neighbor_id, edge)`` pairs."""
         return iter(self._adjacency[node].items())
+
+    def adjacency_rows(self) -> List[Tuple[Tuple[int, float], ...]]:
+        """Every node's ``(neighbor_id, length)`` pairs, indexed by node id.
+
+        Node ids run from 0 without gaps, so row ``i`` belongs to node
+        ``i``; a row lists what :meth:`neighbors` yields, in its order.
+        Built on the first call and rebuilt after the next ``add_node``
+        or ``add_edge``; read it, do not write it.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = [
+                tuple((neighbor, edge.length) for neighbor, edge in neighbors.items())
+                for neighbors in self._adjacency.values()
+            ]
+        return rows
 
     def degree(self, node: int) -> int:
         """Number of edges incident to ``node``."""

@@ -157,9 +157,15 @@ class RoutePlanner:
     the planner runs :func:`~repro.network.dijkstra.shortest_path_tree`
     from a start node the first time a trip leaves it, keeps every
     node's predecessor as one ``int32`` array, and reads that trip and
-    every later one from the same node back from the array.  It is the
-    kernel :func:`~repro.network.dijkstra.shortest_path` runs, so ties
-    break the same way and the paths are the same.
+    every later one from the same node back from the array.  The tree is
+    a one-to-all loop over the network's flat adjacency rows (built once
+    per network), not the resumable
+    :class:`~repro.network.dijkstra.DijkstraSearch` that
+    :func:`~repro.network.dijkstra.shortest_path` runs; it settles nodes
+    in the same ``(distance, id)`` order and keeps the same
+    strict-improvement predecessors, so ties break the same way and the
+    paths are the same (``tests/test_golden_route_trees.py`` pins every
+    tree).
 
     Memory is bounded by :data:`_TREE_BUDGET_BYTES`, 32 MB: trees are
     kept while ``sources * node_count * 4`` bytes fit, which is every
@@ -178,8 +184,10 @@ class RoutePlanner:
         if network.node_count == 0:
             raise ValueError("cannot plan routes on an empty network")
         self.network = network
-        #: Every node id, ascending.  An array because ``rng.choice``
-        #: converts a list on every call.
+        #: Every node id, ascending.  A node is drawn as
+        #: ``node_ids[rng.integers(len(node_ids))]``: the value and the
+        #: generator state ``rng.choice(node_ids)`` leaves, without the
+        #: checks ``choice`` runs on every call.
         self.node_ids = np.array(sorted(network.node_ids()))
         self._tree_size = int(self.node_ids[-1]) + 1
         self._trees: Dict[int, np.ndarray] = {}
@@ -203,10 +211,7 @@ class RoutePlanner:
 
     def _grow(self, source: int) -> np.ndarray:
         """Predecessor by node id; -1 for ``source`` and what it cannot reach."""
-        predecessor = shortest_path_tree(self.network, source)
-        tree = np.full(self._tree_size, -1, dtype=np.int32)
-        tree[list(predecessor)] = list(predecessor.values())
-        return tree
+        return np.array(shortest_path_tree(self.network, source), dtype=np.int32)
 
 
 class RoadTrajectory:
@@ -242,10 +247,11 @@ class RoadTrajectory:
         self._pause_max_s = pause_max_s
         self._rng = rng
         self._planner = planner if planner is not None else RoutePlanner(network)
+        node_ids = self._planner.node_ids
         self._current_node = (
             start_node
             if start_node is not None
-            else int(rng.choice(self._planner.node_ids))
+            else int(node_ids[rng.integers(len(node_ids))])
         )
         self._position = network.node_position(self._current_node)
         # Remaining node sequence to drive (excluding the current node).
@@ -271,8 +277,9 @@ class RoadTrajectory:
 
     def _plan_route(self) -> None:
         """Pick a random reachable destination and plan the path to it."""
+        node_ids = self._planner.node_ids
         for _ in range(10):
-            destination = int(self._rng.choice(self._planner.node_ids))
+            destination = int(node_ids[self._rng.integers(len(node_ids))])
             if destination == self._current_node:
                 continue
             path = self._planner.path(self._current_node, destination)

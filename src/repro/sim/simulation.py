@@ -165,7 +165,7 @@ class Simulation:
         params = self.config.parameters
         moving = bool(self.rng.uniform() < moving_share)
         if planner is not None:
-            start = int(self.rng.choice(planner.node_ids))
+            start = int(planner.node_ids[self.rng.integers(len(planner.node_ids))])
             if not moving:
                 return StationaryTrajectory(planner.network.node_position(start))
             return RoadTrajectory(

@@ -46,6 +46,17 @@ def bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
+def walk_back(tree, source, target):
+    """The node sequence a predecessor list holds from ``source`` to
+    ``target``, or ``None`` when the walk does not end at ``source``."""
+    path = [target]
+    while tree[path[-1]] >= 0:
+        path.append(tree[path[-1]])
+    if path[-1] != source:
+        return None
+    return path[::-1]
+
+
 def to_networkx(network: SpatialNetwork) -> nx.Graph:
     graph = nx.Graph()
     for node in network.node_ids():
@@ -182,13 +193,73 @@ class TestShortestPath:
         )
         source = 312
         tree = shortest_path_tree(network, source)
-        assert source not in tree
-        assert set(tree) == set(network.node_ids()) - {source}
+        assert len(tree) == network.node_count
+        assert [node for node, previous in enumerate(tree) if previous < 0] == [source]
         for target in list(network.node_ids())[::7]:
-            path = [target]
-            while path[-1] in tree:
-                path.append(tree[path[-1]])
-            assert path[::-1] == shortest_path(network, source, target)
+            assert walk_back(tree, source, target) == shortest_path(
+                network, source, target
+            )
+
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_tree_walks_equal_shortest_path(self, seed):
+        """On stretched (curved-edge) graphs with a second component and
+        an isolated node: every source's tree, walked back from every
+        target, is ``shortest_path``'s node sequence, and ``None`` where
+        that is ``None``."""
+        rng = random.Random(seed)
+        network = random_connected_network(seed, n=rng.randint(4, 24))
+        island = network.add_node(Point(-10.0, -10.0))
+        second = [
+            network.add_node(Point(50.0 + i + rng.uniform(-0.3, 0.3), rng.uniform(0, 3)))
+            for i in range(rng.randint(2, 6))
+        ]
+        for u, v in zip(second, second[1:]):
+            chord = network.node_position(u).distance_to(network.node_position(v))
+            network.add_edge(u, v, length=chord * rng.uniform(1.0, 1.8))
+        nodes = list(network.node_ids())
+        assert shortest_path_tree(network, island) == [-1] * len(nodes)
+        for source in nodes:
+            tree = shortest_path_tree(network, source)
+            assert len(tree) == len(nodes)
+            for target in nodes:
+                assert walk_back(tree, source, target) == shortest_path(
+                    network, source, target
+                )
+
+    def test_rows_are_rebuilt_after_add_edge(self):
+        """A shortcut added after a tree was grown reroutes the next tree."""
+        net = SpatialNetwork()
+        a, b, c, d = (
+            net.add_node(Point(x, y)) for x, y in ((0, 0), (0, 1), (0.4, 1), (1, 0))
+        )
+        net.add_edge(a, b)
+        net.add_edge(b, c)
+        net.add_edge(c, d)
+        assert shortest_path_tree(net, a) == [-1, a, b, c]
+        net.add_edge(a, d)
+        assert shortest_path_tree(net, a) == [-1, a, b, a]
+
+    def test_rows_are_rebuilt_after_add_node(self):
+        """A node added after a tree was grown has a row: its own tree is
+        all -1, and older sources cannot reach it."""
+        net = SpatialNetwork()
+        a = net.add_node(Point(0.0, 0.0))
+        b = net.add_node(Point(1.0, 0.0))
+        net.add_edge(a, b)
+        assert shortest_path_tree(net, a) == [-1, a]
+        island = net.add_node(Point(5.0, 5.0))
+        assert shortest_path_tree(net, island) == [-1, -1, -1]
+        assert shortest_path_tree(net, a) == [-1, a, -1]
+
+    @pytest.mark.parametrize("source", [-1, 2])
+    def test_unknown_source_raises(self, source):
+        net = SpatialNetwork()
+        a = net.add_node(Point(0.0, 0.0))
+        b = net.add_node(Point(1.0, 0.0))
+        net.add_edge(a, b)
+        with pytest.raises(KeyError):
+            shortest_path_tree(net, source)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_path_length_matches_distance(self, seed):

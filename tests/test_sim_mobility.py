@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.point import Point
-from repro.network.dijkstra import DijkstraSearch, shortest_path
+from repro.network.dijkstra import shortest_path
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 from repro.network.graph import SpatialNetwork
 from repro.sim import mobility
@@ -190,13 +190,14 @@ class TestRoadTrajectory:
         b = net.add_node(Point(1, 0))
         net.add_edge(a, b)
         searches = []
-        original = DijkstraSearch.__init__
+        original = mobility.shortest_path_tree
 
-        def counting(self, *args, **kwargs):
+        def counting(*args):
             searches.append(args)
-            original(self, *args, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(DijkstraSearch, "__init__", counting)
+        monkeypatch.setattr(mobility, "shortest_path_tree", counting)
+        monkeypatch.setattr(mobility, "shortest_path", None)  # never reached
         rng = np.random.default_rng(0)
         reference = np.random.default_rng(0)
         traj = RoadTrajectory(net, 30.0, rng, start_node=island)
@@ -279,6 +280,20 @@ class TestRoutePlanner:
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError):
             RoutePlanner(SpatialNetwork())
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 624, 5_000])
+    def test_node_draw_is_choice(self, count):
+        """``node_ids[rng.integers(len(node_ids))]``, the draw trips and
+        start nodes use, gives ``rng.choice(node_ids)``'s values and
+        leaves the generator where ``choice`` leaves it."""
+        node_ids = np.arange(count)
+        ours = np.random.default_rng(count)
+        reference = np.random.default_rng(count)
+        for _ in range(1_000):
+            assert int(node_ids[ours.integers(len(node_ids))]) == int(
+                reference.choice(node_ids)
+            )
+        assert ours.bit_generator.state == reference.bit_generator.state
 
 
 class TestFleet:
