@@ -18,18 +18,16 @@ to somebody else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Protocol, Sequence, runtime_checkable
+from typing import Iterator, List, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
-from repro.index.knn import NeighborResult, PruningBounds
+from repro.index.knn import NeighborResult, PruningBounds, Ranked, neighbors_of
 from repro.index.pagestats import AccessBreakdown
 
 __all__ = ["QueryAnswer", "SpatialBackend"]
 
 
-@dataclass(frozen=True)
 class QueryAnswer:
     """One query's complete outcome: the neighbors and what they cost.
 
@@ -39,18 +37,56 @@ class QueryAnswer:
     shared the traversal and ``pages`` holds this request's amortized
     share of the batch's node reads (object-record accesses stay exact
     per client).
+
+    A shared traversal hands its answer over as ``rows``, the
+    :data:`~repro.index.knn.Ranked` rows it ranked the answer by; then
+    ``neighbors`` is built from them on first read, so an answer that goes
+    straight to the wire encoder never builds a :class:`NeighborResult`.
     """
 
-    neighbors: List[NeighborResult] = field(default_factory=list)
-    pages: AccessBreakdown = field(
-        default_factory=lambda: AccessBreakdown(0, 0, 0)
-    )
-    batch_size: int = 1
+    __slots__ = ("_neighbors", "pages", "batch_size", "rows")
+
+    def __init__(
+        self,
+        neighbors: Optional[List[NeighborResult]] = None,
+        pages: Optional[AccessBreakdown] = None,
+        batch_size: int = 1,
+        rows: Optional[List[Ranked]] = None,
+    ) -> None:
+        if neighbors is None and rows is None:
+            neighbors = []
+        self._neighbors = neighbors
+        self.pages = pages if pages is not None else AccessBreakdown(0, 0, 0)
+        self.batch_size = batch_size
+        self.rows = rows
+
+    @property
+    def neighbors(self) -> List[NeighborResult]:
+        """The answer, nearest first (built from ``rows`` on first read)."""
+        if self._neighbors is None:
+            assert self.rows is not None
+            self._neighbors = neighbors_of(self.rows)
+        return self._neighbors
 
     @property
     def total_pages(self) -> int:
         """Shorthand for ``pages.total``."""
         return self.pages.total
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueryAnswer):
+            return NotImplemented
+        return (self.neighbors, self.pages, self.batch_size) == (
+            other.neighbors, other.pages, other.batch_size
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"QueryAnswer(neighbors={self.neighbors!r}, pages={self.pages!r}, "
+            f"batch_size={self.batch_size!r})"
+        )
 
 
 @runtime_checkable

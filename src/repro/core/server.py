@@ -45,10 +45,14 @@ _PAGES_PER_QUERY = Instrument(
 
 def _record_shipped(
     counter: PageAccessCounter,
-    results: Sequence[NeighborResult],
+    results: Sequence[Any],
     held: Collection[Tuple[float, float, object]],
 ) -> int:
     """Bill one data-node access per result record the client lacks.
+
+    ``results`` are the answer's records in order: neighbors, or the
+    sources of a shared traversal's rows (anything with ``.point`` and
+    ``.payload``).
 
     The R*-tree leaves hold object ids; materializing each result record
     costs a page.  EINN passes the ``poi_key`` of every record the client

@@ -52,10 +52,12 @@ from repro.obs import ServerRecord
 __all__ = [
     "NeighborResult",
     "PruningBounds",
+    "Ranked",
     "incremental_nearest",
     "k_nearest",
     "k_nearest_depth_first",
     "k_nearest_einn",
+    "neighbors_of",
     "poi_key",
     "poi_tie_key",
 ]
@@ -109,6 +111,18 @@ class NeighborResult:
     point: Point
     payload: Any
     distance: float
+
+
+#: One ranked answer row: ``(distance, tie key, source)``.  The rows of an
+#: answer sort by their first two fields; the source is whatever the POI was
+#: read from -- a leaf entry, a streamed or a client-certified neighbor --
+#: and is only ever read for its ``.point`` and ``.payload``.
+Ranked = Tuple[float, TieKey, Any]
+
+
+def neighbors_of(rows: Iterable[Ranked]) -> List[NeighborResult]:
+    """The neighbors ``rows`` rank, in row order, at the rows' distances."""
+    return [NeighborResult(source.point, source.payload, d) for d, _, source in rows]
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,12 +344,15 @@ def k_nearest_einn(
     if k == 0:
         return []
 
-    results: List[NeighborResult] = sorted(
+    # The answer so far, at most k long: ``keys[i]`` is the (distance, tie)
+    # that ranks ``sources[i]``, a certified neighbor or a leaf entry.
+    sources: List[Any] = sorted(
         known_certain, key=lambda r: (r.distance, poi_tie_key(r.payload))
-    )
-    # Parallel to ``results``: the (distance, tie) each one is ranked by.
-    keys = [(r.distance, poi_tie_key(r.payload)) for r in results]
-    known_keys = {poi_key(r.point, r.payload) for r in results}
+    )[:k]
+    keys: List[Tuple[float, TieKey]] = [
+        (r.distance, poi_tie_key(r.payload)) for r in sources
+    ]
+    known_keys = {poi_key(r.point, r.payload) for r in known_certain}
     # The client's upper bound caps the k-th *distance*; ties at the
     # bound are still admissible, so it pairs with the maximal tie.
     cap = (bounds.upper, _MAX_TIE)
@@ -360,13 +377,18 @@ def k_nearest_einn(
                 order = _push_run(heap, node, query, order, cut[0], lower, tally)
             elif not (known_keys and poi_key(item.point, item.payload) in known_keys):
                 # Keep ascending (distance, tie) order; equal keys stay in
-                # arrival order (small lists; O(n)).
+                # arrival order (small lists; O(n)).  An entry pushed past
+                # k never comes back, since the cut only tightens.
                 index = len(keys)
                 while index > 0 and keys[index - 1] > key:
                     index -= 1
                 keys.insert(index, key)
-                results.insert(index, NeighborResult(item.point, item.payload, dist))
+                sources.insert(index, item)
+                if len(keys) > k:
+                    keys.pop()
+                    sources.pop()
                 if len(keys) >= k:
                     cut = min(cap, keys[k - 1])
 
-    return results[:k]
+    # The only neighbors built: one per row returned.
+    return [NeighborResult(s.point, s.payload, d) for (d, _), s in zip(keys, sources)]

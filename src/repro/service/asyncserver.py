@@ -31,7 +31,10 @@ requests also keep their inflight slots.  A queued request older than
 
 Malformed framing is unrecoverable on a byte stream: the connection
 stops reading and, once every request before the bad frame is answered,
-sends a ``MALFORMED``/``OVERSIZED``/``UNSUPPORTED`` error and closes.
+sends a ``MALFORMED``/``OVERSIZED``/``UNSUPPORTED`` error and closes.  A
+reply the wire cannot carry (over ``MAX_PAYLOAD``, or a POI payload type
+without a tag) is not fatal: that request alone gets an ``OVERSIZED`` or
+``UNSUPPORTED`` error, and its slot is freed like any other reply's.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ class _Connection(asyncio.BufferedProtocol):
     def deliver(self, replies: List[Message]) -> None:
         """Write one wave's replies in one write and free their slots."""
         if not self._transport.is_closing():
-            self._transport.write(b"".join([encode_message(r) for r in replies]))
+            self._transport.write(b"".join([_frame(r) for r in replies]))
         if self._writing_paused:
             self._held += len(replies)
         else:
@@ -205,7 +208,7 @@ class _Connection(asyncio.BufferedProtocol):
                 self._failure = _error_reply(0, exc.code, str(exc))
                 break
             if not self._transport.is_closing():
-                self._transport.write(encode_message(reply))
+                self._transport.write(_frame(reply))
             owner._note_latency(owner._loop.time() - started)
         transport = self._transport
         if self._failure is not None:
@@ -216,6 +219,16 @@ class _Connection(asyncio.BufferedProtocol):
         if stalled is not self._reading_paused:
             self._reading_paused = stalled
             (transport.pause_reading if stalled else transport.resume_reading)()
+
+
+def _frame(reply: Message) -> bytes:
+    """``reply``'s frame, or, when the wire cannot carry it (too large, a
+    payload type without a tag), the frame of its error reply."""
+    try:
+        return encode_message(reply)
+    except ProtocolError as exc:
+        request_id = getattr(reply, "request_id", 0)
+        return encode_message(_error_reply(request_id, exc.code, str(exc)))
 
 
 class AsyncQueryServer:

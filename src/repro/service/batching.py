@@ -34,6 +34,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.geometry.point import Point, centroid
 from repro.index.knn import (
     NeighborResult,
+    Ranked,
     TieKey,
     incremental_nearest,
     poi_key,
@@ -64,8 +65,6 @@ _RETIRE_EPS = 1e-9
 #: carry never takes part in a comparison.
 _RANK = itemgetter(0, 1)
 
-_Row = Tuple[float, TieKey, NeighborResult]
-
 
 class _ClientState:
     """Per-request bookkeeping inside one shared traversal.
@@ -89,7 +88,6 @@ class _ClientState:
         "cut",
         "retire",
         "done",
-        "answer",
         "shipped",
     )
 
@@ -107,7 +105,7 @@ class _ClientState:
         # once, stably, when it fills (:meth:`filled`) or else at the
         # answer (:meth:`finish`) -- the order insertion after equals keeps.
         known = request.known_certain
-        self.rows: List[_Row] = sorted(
+        self.rows: List[Ranked] = sorted(
             ((item.distance, poi_tie_key(item.payload), item) for item in known),
             key=_RANK,
         )
@@ -116,7 +114,6 @@ class _ClientState:
             poi_key(item.point, item.payload) for item in known
         }
         self.done = False
-        self.answer: List[NeighborResult] = []
         self.shipped = 0
         self._tighten()
 
@@ -143,13 +140,14 @@ class _ClientState:
         rows.pop()
         self._tighten()
 
-    def finish(self) -> List[NeighborResult]:
-        """Build the answer, once: global top-k merged with ``known_certain``."""
+    def finish(self) -> List[Ranked]:
+        """The answer's rows, in order: global top-k merged with
+        ``known_certain``.  They go to the encoder as they are; nothing
+        here builds a :class:`NeighborResult`."""
         rows = self.rows
         if len(rows) < self.k:
             rows.sort(key=_RANK)
-        self.answer = [NeighborResult(n.point, n.payload, d) for d, _, n in rows]
-        return self.answer
+        return rows
 
 
 class BatchExecutor:
@@ -236,9 +234,8 @@ class BatchExecutor:
             )
             for client in clients:
                 # EINN's accounting: what the client certified is not re-shipped.
-                client.shipped = _record_shipped(
-                    counter, client.finish(), client.known_keys
-                )
+                sources = [source for _, _, source in client.finish()]
+                client.shipped = _record_shipped(counter, sources, client.known_keys)
             breakdown = counter.finish_query()
         except BaseException:
             counter.flush_tally()
@@ -345,7 +342,7 @@ def _amortize(
             buffer_misses=miss_shares[position],
             entries_scanned=entry_shares[position],
         )
-        answers.append(QueryAnswer(client.answer, share, batch_size=n))
+        answers.append(QueryAnswer(pages=share, batch_size=n, rows=client.rows))
     return answers
 
 

@@ -24,6 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, incremental_nearest
 from repro.index.pagestats import AccessBreakdown
+from repro.core.backend import QueryAnswer
 from repro.core.server import SpatialDatabaseServer
 from repro.obs import OBS, Counter, Instrument
 from repro.service.batching import BatchExecutor
@@ -115,12 +116,7 @@ class QueryService:
         """Answer a wave of kNN requests, merging co-located ones."""
         answers = self.executor.execute(requests)
         return [
-            Answer(
-                request.request_id,
-                tuple(answer.neighbors),
-                answer.pages,
-                answer.batch_size,
-            )
+            _reply(request.request_id, answer)
             for request, answer in zip(requests, answers)
         ]
 
@@ -180,15 +176,11 @@ class ServiceSession:
         answer = self._service.server.range_query_detailed(
             message.center, message.radius
         )
-        return Answer(
-            message.request_id, tuple(answer.neighbors), answer.pages
-        )
+        return _reply(message.request_id, answer)
 
     def _window(self, message: WindowRequest) -> Answer:
         answer = self._service.server.window_query_detailed(message.window)
-        return Answer(
-            message.request_id, tuple(answer.neighbors), answer.pages
-        )
+        return _reply(message.request_id, answer)
 
     def _stream_open(self, message: StreamOpen) -> StreamHandle:
         stream_id = next(self._ids)
@@ -224,6 +216,14 @@ class ServiceSession:
         if OBS.enabled:
             _STREAMS("closed").inc()
         return StreamEnd(message.request_id, message.stream_id, breakdown)
+
+
+def _reply(request_id: int, answer: QueryAnswer) -> Answer:
+    """``answer`` as the reply to ``request_id``; a shared traversal's
+    rows reach the encoder as they are."""
+    if answer.rows is not None:
+        return Answer(request_id, None, answer.pages, answer.batch_size, answer.rows)
+    return Answer(request_id, tuple(answer.neighbors), answer.pages, answer.batch_size)
 
 
 def _error_reply(request_id: int, code: ErrorCode, text: str) -> ErrorReply:

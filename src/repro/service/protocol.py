@@ -31,13 +31,16 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from math import isfinite
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar, Union, cast
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union, cast,
+)
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
-from repro.index.knn import NeighborResult, PruningBounds
+from repro.index.knn import NeighborResult, PruningBounds, Ranked, neighbors_of
 from repro.index.pagestats import AccessBreakdown
 
 __all__ = [
@@ -172,14 +175,58 @@ class StreamClose:
     stream_id: int
 
 
-@dataclass(frozen=True)
 class Answer:
-    """A query's neighbors plus its (possibly amortized) page cost."""
+    """A query's neighbors plus its (possibly amortized) page cost.
 
-    request_id: int
-    neighbors: Tuple[NeighborResult, ...]
-    breakdown: AccessBreakdown
-    batch_size: int = 1
+    The server hands a shared traversal's answer over as ``rows``, the
+    :data:`~repro.index.knn.Ranked` rows that ranked it (``neighbors`` is
+    then ``None``): the encoder packs them as they are, and ``neighbors``
+    is built from them only if read.
+    """
+
+    __slots__ = ("request_id", "_neighbors", "breakdown", "batch_size", "rows")
+
+    def __init__(
+        self,
+        request_id: int,
+        neighbors: Optional[Tuple[NeighborResult, ...]],
+        breakdown: AccessBreakdown,
+        batch_size: int = 1,
+        rows: Optional[Sequence[Ranked]] = None,
+    ) -> None:
+        if neighbors is None and rows is None:
+            neighbors = ()
+        self.request_id = request_id
+        self._neighbors = neighbors
+        self.breakdown = breakdown
+        self.batch_size = batch_size
+        self.rows = rows
+
+    @property
+    def neighbors(self) -> Tuple[NeighborResult, ...]:
+        """The answer, nearest first (built from ``rows`` on first read)."""
+        if self._neighbors is None:
+            assert self.rows is not None
+            self._neighbors = tuple(neighbors_of(self.rows))
+        return self._neighbors
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return (self.request_id, self.neighbors, self.breakdown, self.batch_size)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Answer):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        request_id, neighbors, breakdown, batch_size = self._fields()
+        return (
+            f"Answer(request_id={request_id!r}, neighbors={neighbors!r}, "
+            f"breakdown={breakdown!r}, batch_size={batch_size!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -307,15 +354,44 @@ def _check_neighbor(x: float, y: float, distance: float) -> None:
         _at_least(distance, 0.0, "neighbor distance")
 
 
-def _pack_neighbors(items: Tuple[NeighborResult, ...]) -> Tuple[int, bytes]:
+_distance = attrgetter("distance")
+
+
+def _ranked(items: Sequence[NeighborResult]) -> Iterable[Tuple[float, Any, Any]]:
+    """Built neighbors as the rows :func:`_pack_records` reads (no tie)."""
+    return zip(map(_distance, items), repeat(None), items)
+
+
+def _pack_records(rows: Iterable[Tuple[float, Any, Any]]) -> Tuple[int, bytes]:
+    """Every neighbor tail's encoder: one record per ``(distance, tie,
+    source)`` row, the source read for ``.point`` and ``.payload`` only.
+
+    One finiteness test per record (the named rules run only to pick the
+    error, if any), and a plain ``str`` payload, the common POI label, is packed
+    in place: one ``struct`` call and its UTF-8 bytes.
+    """
     parts: List[bytes] = []
-    for item in items:
-        x, y, distance = item.point.x, item.point.y, item.distance
-        _check_neighbor(x, y, distance)
-        tag, value, data = _payload(item.payload)
-        parts.append(_RECORDS[tag].pack(x, y, distance, tag, value))
-        parts.append(data)
-    return len(items), b"".join(parts)
+    append = parts.append
+    text_record = _RECORDS[_TAG_STR].pack
+    for distance, _, source in rows:
+        point = source.point
+        x = point.x
+        y = point.y
+        # A NaN or an infinity anywhere makes the sum non-finite; so does a
+        # finite overflow, which the named rules then let through.
+        if not (isfinite(x + y + distance) and distance >= 0.0):
+            _check_neighbor(x, y, distance)
+        payload = source.payload
+        if type(payload) is str:
+            data = payload.encode()
+            if len(data) > MAX_PAYLOAD:
+                raise ProtocolError("string too long", ErrorCode.OVERSIZED)
+            append(text_record(x, y, distance, _TAG_STR, len(data)))
+        else:
+            tag, value, data = _payload(payload)
+            append(_RECORDS[tag].pack(x, y, distance, tag, value))
+        append(data)
+    return len(parts) // 2, b"".join(parts)  # two parts per record
 
 
 def _unpack_neighbors(buf: bytes, pos: int, count: int) -> Tuple[Any, int]:
@@ -339,7 +415,7 @@ def _unpack_neighbors(buf: bytes, pos: int, count: int) -> Tuple[Any, int]:
 
 
 #: A tail's encoder (value -> count, bytes) and decoder (-> value, new pos).
-_NEIGHBORS = (_pack_neighbors, _unpack_neighbors)
+_NEIGHBORS = (_pack_records, _unpack_neighbors)
 _TEXT = (_pack_text, _unpack_text)
 
 
@@ -385,7 +461,7 @@ _LAYOUTS: Dict[type, _Layout] = {
     KnnRequest: _Layout(
         MessageType.KNN_REQUEST, ">IddHddI",
         lambda m: (m.request_id, m.query.x, m.query.y, m.k,
-                   m.bounds.lower, m.bounds.upper, m.known_certain),
+                   m.bounds.lower, m.bounds.upper, _ranked(m.known_certain)),
         lambda rid, x, y, k, lower, upper, known: KnnRequest(
             rid, Point(x, y), k, PruningBounds(lower, upper), known),
         _NEIGHBORS, lambda v: _at_least(v[3], 1, "k"), upper=5,
@@ -415,14 +491,15 @@ _LAYOUTS: Dict[type, _Layout] = {
     StreamClose: _Layout(MessageType.STREAM_CLOSE, ">II", _ids, StreamClose),
     Answer: _Layout(
         MessageType.ANSWER, ">IH7II",
-        lambda m: (m.request_id, m.batch_size, *_breakdown(m.breakdown), m.neighbors),
+        lambda m: (m.request_id, m.batch_size, *_breakdown(m.breakdown),
+                   m.rows if m.rows is not None else _ranked(m.neighbors)),
         lambda rid, batch, *b: Answer(rid, b[7], AccessBreakdown(*b[:7]), batch),
         _NEIGHBORS, lambda v: _at_least(v[1], 1, "batch_size"), breakdown=2,
     ),
     StreamHandle: _Layout(MessageType.STREAM_HANDLE, ">II", _ids, StreamHandle),
     StreamItems: _Layout(
         MessageType.STREAM_ITEMS, ">IIBI",
-        lambda m: (m.request_id, m.stream_id, 1 if m.exhausted else 0, m.items),
+        lambda m: (m.request_id, m.stream_id, 1 if m.exhausted else 0, _ranked(m.items)),
         lambda rid, sid, flag, items: StreamItems(rid, sid, items, flag == 1),
         _NEIGHBORS, lambda v: _one_of(v[2], (0, 1), "exhausted flag"),
     ),

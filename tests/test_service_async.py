@@ -821,3 +821,63 @@ class TestLifecycle:
 
         with pytest.raises(RuntimeError, match=r"start\(\) not called"):
             asyncio.run(attempt())
+
+
+class TestRepliesTheWireCannotCarry:
+    """A reply that cannot be encoded becomes that request's error reply;
+    the wave's other replies still leave and every slot is freed."""
+
+    def test_oversized_answer_in_a_shared_wave_is_an_error_for_its_request(self):
+        # 1 100 POIs with 1 000-character labels: an answer holding all of
+        # them is about 1.1 MiB, past MAX_PAYLOAD.
+        rng = np.random.default_rng(5)
+        pois = [
+            (Point(float(x), float(y)), f"{i:04d}" + "x" * 996)
+            for i, (x, y) in enumerate(rng.uniform(0.0, 4.0, size=(1100, 2)))
+        ]
+        reference = make_server(pois)
+        config = ServiceConfig(batch_window_s=5.0, max_inflight=2)
+        with BackgroundServer(make_server(pois), config) as running:
+            big, small = _connect(running, 2)
+            try:
+                for sock in (big, small):
+                    sock.settimeout(5.0)
+                # Two cell-mates on ``big`` hold the wave until ``small``
+                # joins it: one wave, three requests, one reply too large.
+                big.sendall(
+                    encode_message(KnnRequest(1, COLOCATED[0], len(pois)))
+                    + encode_message(KnnRequest(2, COLOCATED[1], 5))
+                )
+                _send_burst(small, 3, COLOCATED[2:3])
+                from_big = _read_replies(big, 2)
+                from_small = _read_replies(small, 1)
+                # Both of ``big``'s slots are free again: it is read and answered.
+                _send_burst(big, 4, COLOCATED[3:4])
+                again = _read_replies(big, 1)
+            finally:
+                big.close()
+                small.close()
+        error = from_big[1]
+        assert isinstance(error, ErrorReply)
+        assert error.code is ErrorCode.OVERSIZED
+        assert "exceeds MAX_PAYLOAD" in error.message
+        for request_id, reply in ((2, from_big[2]), (3, from_small[3])):
+            assert reply.batch_size == 3
+            expected = reference.knn_query_detailed(COLOCATED[request_id - 1], 5)
+            assert answer_key(reply.neighbors) == answer_key(expected.neighbors)
+        assert answer_key(again[4].neighbors) == answer_key(
+            reference.knn_query_detailed(COLOCATED[3], 5).neighbors
+        )
+
+    def test_payload_without_a_wire_tag_is_unsupported_and_the_connection_lives(self):
+        pois = make_pois(count=50) + [(Point(1.0, 1.0), ("not", "a", "label"))]
+        with BackgroundServer(make_server(pois), ServiceConfig()) as running:
+            with socket.create_connection(running.address, timeout=5.0) as sock:
+                sock.sendall(encode_message(RangeRequest(7, Point(1.0, 1.0), 0.01)))
+                error = _read_frame(sock)
+                _send_burst(sock, 8, [Point(3.6, 3.6)])  # far from the tuple
+                after = _read_frame(sock)
+        assert isinstance(error, ErrorReply)
+        assert (error.request_id, error.code) == (7, ErrorCode.UNSUPPORTED)
+        assert error.message == "unsupported POI payload type: tuple"
+        assert after.request_id == 8 and len(after.neighbors) == 5

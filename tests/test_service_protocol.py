@@ -351,3 +351,119 @@ class TestHostileBytes:
         with pytest.raises(ProtocolError):
             decode_message(reframe(message, bytes(payload)))
         assert time.perf_counter() - started < 0.5
+
+
+# ----------------------------------------------------------------------
+# the record packer against a field-by-field reference
+# ----------------------------------------------------------------------
+class Label(str):
+    """A ``str`` subclass: packed like any string, off the plain-str path."""
+
+
+def reference_records(items) -> bytes:
+    """Neighbor records written field by field, as the module doc states
+    the format: ``>dddB`` then ``>q`` / ``>d`` / ``>I`` + UTF-8."""
+    out = b""
+    for n in items:
+        out += struct.pack(">d", n.point.x) + struct.pack(">d", n.point.y)
+        out += struct.pack(">d", n.distance)
+        if isinstance(n.payload, str):
+            data = n.payload.encode("utf-8")
+            out += struct.pack(">B", 2) + struct.pack(">I", len(data)) + data
+        elif isinstance(n.payload, float):
+            out += struct.pack(">B", 1) + struct.pack(">d", n.payload)
+        else:
+            out += struct.pack(">B", 0) + struct.pack(">q", n.payload)
+    return out
+
+
+I63 = (1 << 63) - 1
+SUBNORMALS = [5e-324, -5e-324, 2.2250738585072009e-308, -1.1125369292536007e-308]
+edge_floats = st.sampled_from([0.0, -0.0, *SUBNORMALS]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+edge_payloads = st.one_of(
+    st.sampled_from(["", "é", "東京 🚗", Label(""), Label("poi-7")]),
+    st.text(max_size=30),
+    st.text(max_size=30).map(Label),
+    st.sampled_from([I63, -I63, 0]),
+    st.integers(min_value=-I63, max_value=I63),
+    edge_floats,
+)
+edge_neighbors = st.builds(
+    NeighborResult,
+    st.builds(Point, edge_floats, edge_floats),
+    edge_payloads,
+    st.sampled_from([0.0, -0.0, *SUBNORMALS[::2]]) | nonneg,
+)
+ZERO = AccessBreakdown(0, 0, 0)
+
+
+def _tail(message) -> bytes:
+    """The bytes after ``message``'s head: its neighbor records."""
+    heads = {Answer: 38, StreamItems: 13, KnnRequest: 42}
+    return encode_message(message)[HEADER_SIZE + heads[type(message)] :]
+
+
+def _every_neighbor_frame(items):
+    """The frames that carry neighbor records, each holding ``items``."""
+    rows = [(n.distance, None, n) for n in items]
+    return [
+        Answer(1, tuple(items), ZERO, 1),
+        Answer(1, None, ZERO, 1, rows),
+        StreamItems(1, 2, tuple(items), True),
+        KnnRequest(1, Point(0.0, 0.0), 1, PruningBounds(), tuple(items)),
+    ]
+
+
+class TestRecordPacker:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(edge_neighbors, max_size=6))
+    def test_bytes_equal_the_field_by_field_reference(self, items):
+        expected = reference_records(items)
+        for message in _every_neighbor_frame(items):
+            assert _tail(message) == expected, type(message).__name__
+
+    def test_finite_values_whose_sum_overflows_still_pack(self):
+        items = [NeighborResult(Point(1.7e308, 1.7e308), "far", 1.7e308)]
+        for message in _every_neighbor_frame(items):
+            assert _tail(message) == reference_records(items)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(edge_neighbors, max_size=6))
+    def test_rows_decode_to_the_neighbors_they_rank(self, items):
+        rows = [(n.distance, None, n) for n in items]
+        decoded = decode_message(encode_message(Answer(4, None, ZERO, 2, rows)))
+        assert decoded == Answer(4, tuple(items), ZERO, 2)
+
+    @pytest.mark.parametrize(
+        "bad, code, text",
+        [
+            (NeighborResult(Point(math.nan, 0.0), "p", 1.0), ErrorCode.MALFORMED,
+             "nan is not representable on the wire"),
+            (NeighborResult(Point(0.0, math.inf), "p", 1.0), ErrorCode.MALFORMED,
+             "inf is not representable on the wire"),
+            (NeighborResult(Point(0.0, 0.0), "p", -math.inf), ErrorCode.MALFORMED,
+             "-inf is not representable on the wire"),
+            (NeighborResult(Point(0.0, 0.0), 7, math.nan), ErrorCode.MALFORMED,
+             "nan is not representable on the wire"),
+            (NeighborResult(Point(0.0, 0.0), "p", -1.0), ErrorCode.MALFORMED,
+             "neighbor distance must be at least 0.0"),
+            (NeighborResult(Point(math.nan, 0.0), True, 1.0), ErrorCode.MALFORMED,
+             "nan is not representable on the wire"),
+            (NeighborResult(Point(0.0, 0.0), True, 1.0), ErrorCode.UNSUPPORTED,
+             "unsupported POI payload type: bool"),
+            (NeighborResult(Point(0.0, 0.0), math.inf, 1.0), ErrorCode.MALFORMED,
+             "inf is not representable on the wire"),
+            (NeighborResult(Point(0.0, 0.0), "x" * (MAX_PAYLOAD + 1), 1.0),
+             ErrorCode.OVERSIZED, "string too long"),
+            (NeighborResult(Point(0.0, 0.0), Label("x" * (MAX_PAYLOAD + 1)), 1.0),
+             ErrorCode.OVERSIZED, "string too long"),
+        ],
+    )
+    def test_bad_records_raise_the_same_error_in_every_frame(self, bad, code, text):
+        good = NeighborResult(Point(1.0, 1.0), "fine", 0.5)
+        for message in _every_neighbor_frame([good, bad]):
+            with pytest.raises(ProtocolError) as excinfo:
+                encode_message(message)
+            assert (excinfo.value.code, str(excinfo.value)) == (code, text)
