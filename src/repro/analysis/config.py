@@ -39,7 +39,6 @@ ENTRY_POINTS: FrozenSet[str] = frozenset(
         "repro.cli.main",
         "repro.analysis.cli.main",
         "repro.testing.cli.main",
-        "repro.obs.bench.main",
         "repro.service.cli.main",
     }
 )
@@ -169,7 +168,6 @@ LAYER_RANKS: Dict[str, int] = {
     "repro.geometry": 0,
     "repro.analysis.runtime": 0,
     "repro.obs": 0,  # instrumentation facade, imported by index/core/sim
-    "repro.obs.bench": 5,  # the repro-bench CLI drives core+sim like repro.cli
     "repro.index": 1,
     "repro.network": 1,
     "repro.core": 2,

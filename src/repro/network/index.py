@@ -5,7 +5,7 @@ registered POI set, both reading every reported distance off the one
 Dijkstra kernel (:class:`repro.network.dijkstra.DijkstraSearch`).  SNNN
 itself does not use them -- ``snnn_query`` calls
 :func:`repro.network.dijkstra.network_distance` per candidate -- their
-callers are ``repro-bench``, the ``network-index`` difftest check and
+callers are the ``network-index`` difftest check, the loader tests and
 the benchmark's traced pass (``docs/network.md`` records the verdict on
 the hierarchy).
 

@@ -20,8 +20,8 @@ Geographic coordinates are normalized through a :class:`RegionFrame`
 (equirectangular lon/lat -> miles around a region anchor; frames for
 the paper's two regions ship predefined), and
 :func:`downsample` grows a deterministic connected extract so CI can
-exercise a committed ~5k-node graph while ``repro-bench full`` builds
-100k+ nodes.  All readers are gzip-transparent.
+exercise a committed ~5k-node graph instead of a 100k+-node region.
+All readers are gzip-transparent.
 """
 
 from __future__ import annotations

@@ -16,10 +16,7 @@ Four small pieces, re-exported here:
 ``repro.obs`` sits at rank 0 of the layering DAG (like
 ``repro.analysis.runtime``) so the engine's hot paths — R\\*-tree node
 reads, EINN pruning, verification outcomes, cache hits — can count
-without an upward import. The ``repro-bench`` CLI lives in
-:mod:`repro.obs.bench` at rank 5 and is deliberately **not** imported
-here, so importing the instrumentation facade never drags in the
-benchmark suite (or its ``repro.core``/``repro.sim`` dependencies).
+without an upward import; nothing in it imports a higher layer.
 
 Set ``REPRO_OBS=0`` to disable every hook; see
 ``docs/observability.md`` for the metric catalog and usage.

@@ -3,8 +3,8 @@
 The registry is the passive half of the observability layer
 (:mod:`repro.obs`): instrumented call sites in the engine increment
 metrics through the :data:`repro.obs.profiling.OBS` switchboard, and
-readers (``repro-bench``, ``bench_e2e``'s traced pass, tests) pull
-deterministic snapshots back out.
+readers (``bench_e2e``'s traced pass, tests) pull deterministic
+snapshots back out.
 
 Design constraints, in order:
 
@@ -121,8 +121,7 @@ class Counter:
 
     Counters may only go up: ``inc`` rejects negative amounts so that a
     registry snapshot taken later in a run always dominates an earlier
-    one, which is what makes delta-based accounting (``repro-bench``
-    sections, SQRR shares) sound.
+    one, which is what makes delta-based accounting (SQRR shares) sound.
     """
 
     __slots__ = ("name", "labels", "_value", "_lock")
@@ -279,7 +278,7 @@ class MetricsRegistry:
     """Get-or-create store of metrics keyed on ``(name, sorted labels)``.
 
     One registry instance backs the global :data:`repro.obs.OBS`
-    switchboard; tests and ``repro-bench`` sections swap in fresh ones.
+    switchboard; tests swap in fresh ones.
     """
 
     __slots__ = ("_metrics", "_lock", "generation", "_resolved")
@@ -499,7 +498,7 @@ class MetricsRegistry:
         Counters and gauges map ``name{k=v}`` to their float value;
         histograms map to ``{"count", "sum", "boundaries", "buckets"}``.
         Key order is sorted, so ``json.dumps`` of two identical runs is
-        byte-identical — this is what ``repro-bench`` commits.
+        byte-identical — this is what the golden tests commit.
         """
         out: Dict[str, object] = {}
         for metric in self:

@@ -27,10 +27,10 @@ query on the same ``OBS.enabled`` (measured costs:
 
 One time-based hook lives here rather than in the engine: the
 :func:`span` context manager, which reads ``time.perf_counter``. It is
-therefore **only** for the outer layers (``repro.sim``,
-``repro.obs.bench``, experiments) — ``repro.core`` / ``repro.index``
-must stay bit-exact replayable (the difftest oracles and golden digests
-compare their outputs) and restrict themselves to counter increments.
+therefore **only** for the outer layers (``repro.sim``, experiments) —
+``repro.core`` / ``repro.index`` must stay bit-exact replayable (the
+difftest oracles and golden digests compare their outputs) and restrict
+themselves to counter increments.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ Two implementations of the same :class:`QueryTransport` protocol:
   the full encode -> decode -> execute -> encode -> decode pipeline, so
   every code path the TCP transport exercises (validation included) is
   exercised here too; the only thing missing is the socket.  This is
-  what the simulator, the difftest oracles and ``repro-bench`` use.
+  what the simulator and the difftest oracles use.
 * :class:`TcpTransport` -- a blocking TCP client for the asyncio server,
   with a connect-retry loop (counted via ``service.client_retries``), a
   per-request timeout, and reconnect-on-whole-frame-failure semantics

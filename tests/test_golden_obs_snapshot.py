@@ -1,7 +1,7 @@
 """Golden regression: the metrics one fixed workload leaves in ``OBS``.
 
-``BENCH_baseline.json`` pins the 26 counters a simulation window
-touches; this pins the rest of the catalogue.  One enabled run of
+``tests/golden/paper_counts.json`` pins the 26 counters a simulation
+window touches; this pins the rest of the catalogue.  One enabled run of
 
 - the two scenarios of ``tests/test_obs_overhead.py`` (SENN tiers, both
   verifiers, both EINN pruning rules, the INN stream, a shared batch

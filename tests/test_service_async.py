@@ -440,11 +440,8 @@ class TestDispatchDecision:
         pois = make_pois()
         reference = make_server(pois)
         with BackgroundServer(make_server(pois), ServiceConfig()) as running:
-            with socket.create_connection(
-                running.address, timeout=10.0
-            ) as first, socket.create_connection(
-                running.address, timeout=10.0
-            ) as second:
+            first, second = _connect(running, 2)
+            with first, second:
                 _send_burst(first, 1, COLOCATED[:4])
                 _send_burst(second, 5, COLOCATED[4:])
                 replies = {**_read_replies(first, 4), **_read_replies(second, 4)}
