@@ -10,9 +10,9 @@ search.  This package provides all of that from scratch:
   point snapping onto edges;
 - :mod:`repro.network.dijkstra` -- the one Dijkstra kernel
   (:class:`DijkstraSearch`: multi-source, resumable, optionally confined
-  to a vertex set, predecessors kept) and its thin wrappers: shortest
-  path lengths, one concrete path, one source's whole path tree, exact
-  point-to-point network distance for on-edge locations;
+  to a vertex set, predecessors kept) and its thin wrappers: one
+  concrete path, one source's whole path tree, exact point-to-point
+  network distance for on-edge locations;
 - :mod:`repro.network.ier` -- Incremental Euclidean Restriction (IER) and
   Incremental Network Expansion (INE, the kernel with a k-th-candidate
   bound) for network kNN queries;
@@ -32,7 +32,6 @@ from repro.network.dijkstra import (
     DijkstraSearch,
     network_distance,
     shortest_path,
-    shortest_path_lengths,
     shortest_path_tree,
 )
 from repro.network.generator import RoadNetworkSpec, generate_road_network
@@ -83,7 +82,6 @@ __all__ = [
     "load_tiger",
     "network_distance",
     "shortest_path",
-    "shortest_path_lengths",
     "shortest_path_tree",
     "write_tiger",
 ]

@@ -1,44 +1,30 @@
-"""Shortest paths over the spatial network: one resumable search, one tree loop.
+"""Shortest paths over the spatial network: one resumable Dijkstra search.
 
 Dijkstra's algorithm [Dijkstra 1959] is the basis for all network-distance
-computations in the paper (Section 3.4).  Two loops in
-:mod:`repro.network` pop a ``(distance, node)`` frontier:
-
-- :class:`DijkstraSearch`, a multi-source search that settles on demand,
-  can be confined to an allowed vertex set, and keeps predecessors so a
-  path can be read back.  Everything but the tree is a thin wrapper over
-  it:
-
-  - :func:`shortest_path_lengths` -- single- or multi-source distances,
-    optionally stopping once a target set is settled;
-  - :func:`shortest_path` -- one concrete node-to-node path;
-  - :func:`origin_seeds` / :func:`distance_from` -- how an *on-edge*
-    location seeds a search and how a destination's two endpoint
-    distances fold into one value (same-edge shortcut included);
-  - :func:`network_distance` -- exact distance between two on-edge
-    locations, i.e. the two above on a fresh search.
-
-- :func:`shortest_path_tree`, one source run to exhaustion: the path
-  from it to every node at once, as a predecessor list by node id (the
-  road-network mobility model plans its trips from one such tree per
-  start node).  It reads the network's flat
-  :meth:`~repro.network.graph.SpatialNetwork.adjacency_rows` and keeps
-  its distances and predecessors in lists.
+computations in the paper (Section 3.4).  :class:`DijkstraSearch` is the
+one loop in :mod:`repro.network` that pops a ``(distance, node)``
+frontier: a multi-source search that settles on demand, can be confined
+to an allowed vertex set, and keeps predecessors so a path can be read
+back.  It walks the network's flat
+:meth:`~repro.network.graph.SpatialNetwork.adjacency_rows` and keeps its
+best distances and predecessors in lists by node id.  The functions are
+thin wrappers over it: one node-to-node path, one source's whole tree
+(the road-network mobility model plans trips from one per start node),
+and how an *on-edge* location seeds a search and folds a destination's
+two endpoint distances into its exact network distance.
 
 Settled values and settle order are a function of the seeds and the graph
 alone: the frontier orders by ``(distance, node id)`` and a node is pushed
 only on strict improvement, so stopping early, resuming later or asking
 for targets in another order cannot change a single float.
 
-The tree loop needs no settled set and still computes the same floats,
-settle order and predecessors as ``DijkstraSearch.expand()`` to
-exhaustion.  Every edge is longer than zero, so ``dist + length`` is
-never strictly below the distance of a neighbor already settled (it was
-settled at a distance no greater than ``dist``): the strict-improvement
-test alone keeps settled nodes unchanged.  A node is pushed only on
-strict improvement, so no ``(distance, node)`` pair is on the heap
-twice, an entry above the node's best distance is stale, and the first
-entry of a node that is not stale is its settle.
+The loop needs no settled-set test.  Every edge is longer than zero, so
+``dist + length`` is never strictly below the distance of a neighbor
+already settled (it was settled at a distance no greater than ``dist``):
+the strict-improvement test alone keeps settled nodes unchanged.  A node
+is pushed only on strict improvement, so no ``(distance, node)`` pair is
+on the heap twice, an entry above the node's best distance is stale, and
+the first entry of a node that is not stale is its settle.
 """
 
 from __future__ import annotations
@@ -51,7 +37,6 @@ from repro.network.graph import NetworkLocation, SpatialNetwork
 
 __all__ = [
     "DijkstraSearch",
-    "shortest_path_lengths",
     "shortest_path",
     "shortest_path_tree",
     "origin_seeds",
@@ -63,20 +48,16 @@ __all__ = [
 class DijkstraSearch:
     """A resumable multi-source Dijkstra search over one network.
 
-    ``seeds`` are ``(node, initial_distance)`` pairs.  With ``allowed``
-    the search never enters a vertex outside that set (the seeds
-    themselves are taken as given).  ``settled`` maps every vertex
-    finalized so far to its exact distance; read it, do not write it.
+    ``seeds`` are ``(node, initial_distance)`` pairs; a node outside the
+    network raises :class:`KeyError`.  With ``allowed`` the search never
+    enters a vertex outside that set (the seeds themselves are taken as
+    given).  ``settled`` maps every vertex finalized so far to its exact
+    distance; read it, do not write it.  The search walks the network's
+    rows as they were when it was created: after ``add_node`` or
+    ``add_edge``, start a new one.
     """
 
-    __slots__ = (
-        "_network",
-        "_allowed",
-        "_pending",
-        "_tentative",
-        "_predecessor",
-        "settled",
-    )
+    __slots__ = ("_rows", "_allowed", "_pending", "_best", "_predecessor", "settled")
 
     def __init__(
         self,
@@ -84,17 +65,19 @@ class DijkstraSearch:
         seeds: Iterable[Tuple[int, float]],
         allowed: Optional[Container[int]] = None,
     ) -> None:
-        self._network = network
+        rows = self._rows = network.adjacency_rows()
         self._allowed = allowed
         self._pending: List[Tuple[float, int]] = []
-        self._tentative: Dict[int, float] = {}
-        self._predecessor: Dict[int, int] = {}
+        best = self._best = [math.inf] * len(rows)
+        self._predecessor = [-1] * len(rows)
         self.settled: Dict[int, float] = {}
         for node, initial in seeds:
+            if not 0 <= node < len(rows):
+                raise KeyError(node)
             if initial < 0.0:
                 raise ValueError("source distances must be non-negative")
-            if initial < self._tentative.get(node, math.inf):
-                self._tentative[node] = initial
+            if initial < best[node]:
+                best[node] = initial
                 heapq.heappush(self._pending, (initial, node))
 
     def expand(
@@ -107,31 +90,29 @@ class DijkstraSearch:
         beyond ``bound`` (that vertex stays on the frontier).  The
         defaults run the search to exhaustion.
         """
-        settled = self.settled
-        tentative = self._tentative
-        predecessor = self._predecessor
-        pending = self._pending
-        neighbors = self._network.neighbors
+        rows = self._rows
         allowed = self._allowed
-        inf = math.inf
+        pending = self._pending
+        best = self._best
+        predecessor = self._predecessor
+        settled = self.settled
+        pop, push = heapq.heappop, heapq.heappush
         while pending:
-            dist, node = heapq.heappop(pending)
-            if node in settled:
+            dist, node = pop(pending)
+            if dist > best[node]:
                 continue
             if dist > bound:
-                heapq.heappush(pending, (dist, node))
+                push(pending, (dist, node))
                 return None
             settled[node] = dist
-            for neighbor, edge in neighbors(node):
-                if neighbor in settled:
-                    continue
-                if allowed is not None and neighbor not in allowed:
-                    continue
-                candidate = dist + edge.length
-                if candidate < tentative.get(neighbor, inf):
-                    tentative[neighbor] = candidate
+            for neighbor, length in rows[node]:
+                candidate = dist + length
+                if candidate < best[neighbor] and (
+                    allowed is None or neighbor in allowed
+                ):
+                    best[neighbor] = candidate
                     predecessor[neighbor] = node
-                    heapq.heappush(pending, (candidate, neighbor))
+                    push(pending, (candidate, neighbor))
             if node in stop:
                 return node
         return None
@@ -147,33 +128,12 @@ class DijkstraSearch:
         """Node sequence from a seed to the settled ``node``, else ``None``."""
         if node not in self.settled:
             return None
+        predecessor = self._predecessor
         path = [node]
-        while (previous := self._predecessor.get(path[-1])) is not None:
+        while (previous := predecessor[path[-1]]) >= 0:
             path.append(previous)
         path.reverse()
         return path
-
-
-def shortest_path_lengths(
-    network: SpatialNetwork,
-    sources: Iterable[Tuple[int, float]],
-    targets: Optional[Iterable[int]] = None,
-) -> Dict[int, float]:
-    """Dijkstra from weighted sources.
-
-    ``sources`` is an iterable of ``(node, initial_distance)`` -- the
-    multi-source form lets on-edge locations seed the search with their
-    two endpoint offsets.  The search stops once every node in ``targets``
-    is settled, or runs to exhaustion without targets.  Returns settled
-    distances only.
-    """
-    search = DijkstraSearch(network, sources)
-    if targets is None:
-        search.expand()
-    else:
-        for target in targets:
-            search.settle(target)
-    return search.settled
 
 
 def shortest_path(
@@ -189,32 +149,13 @@ def shortest_path_tree(network: SpatialNetwork, source: int) -> List[int]:
     """Predecessor of every node by id: -1 for ``source`` and for every
     node it cannot reach.
 
-    Walking it back from a target gives exactly the node sequence
-    :func:`shortest_path` returns for that target.  The loop is
-    :meth:`DijkstraSearch.expand` to exhaustion over
-    :meth:`~repro.network.graph.SpatialNetwork.adjacency_rows`, with
-    lists for its dicts and without the settled set (see the module
-    docstring for why that changes no float and no predecessor).
+    The :class:`DijkstraSearch` from ``source`` run to exhaustion, so
+    walking it back from a target gives exactly the node sequence
+    :func:`shortest_path` returns for that target.
     """
-    rows = network.adjacency_rows()
-    if not 0 <= source < len(rows):
-        raise KeyError(source)
-    best = [math.inf] * len(rows)
-    predecessor = [-1] * len(rows)
-    best[source] = 0.0
-    pending = [(0.0, source)]
-    pop, push = heapq.heappop, heapq.heappush
-    while pending:
-        dist, node = pop(pending)
-        if dist > best[node]:
-            continue
-        for neighbor, length in rows[node]:
-            candidate = dist + length
-            if candidate < best[neighbor]:
-                best[neighbor] = candidate
-                predecessor[neighbor] = node
-                push(pending, (candidate, neighbor))
-    return predecessor
+    search = DijkstraSearch(network, [(source, 0.0)])
+    search.expand()
+    return search._predecessor
 
 
 def origin_seeds(origin: NetworkLocation) -> List[Tuple[int, float]]:

@@ -56,8 +56,10 @@ class Edge:
     road_class: RoadClass = RoadClass.SECONDARY_ROAD
 
     def __post_init__(self) -> None:
-        if self.length <= 0.0:
-            raise ValueError("edge length must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(
+                f"edge length must be finite and positive, got {self.length}"
+            )
         if self.u == self.v:
             raise ValueError("self-loop edges are not allowed")
 
@@ -265,11 +267,10 @@ class SpatialNetwork:
     """An undirected spatial graph with geometric nodes.
 
     Node ids are integers assigned by :meth:`add_node`.  The graph is
-    deliberately simple -- adjacency dictionaries -- because every
-    algorithm in the paper (Dijkstra, INE, mobility) only needs neighbor
-    iteration and O(1) edge lookup.  A loop that walks every node's
-    neighbors many times over reads :meth:`adjacency_rows` instead: the
-    same pairs as plain tuples, built once.
+    deliberately simple -- adjacency dictionaries, for neighbor
+    iteration and O(1) edge lookup.  Dijkstra, which walks every node's
+    neighbors, reads :meth:`adjacency_rows` instead: the same pairs as
+    plain tuples, built once.
     """
 
     def __init__(self) -> None:
@@ -286,7 +287,11 @@ class SpatialNetwork:
     # construction
     # ------------------------------------------------------------------
     def add_node(self, position: Point) -> int:
-        """Add a node and return its id."""
+        """Add a node at finite coordinates and return its id."""
+        if not (math.isfinite(position.x) and math.isfinite(position.y)):
+            raise ValueError(
+                f"node coordinates must be finite, got {position!r}"
+            )
         node_id = self._next_node_id
         self._next_node_id += 1
         self._positions[node_id] = position

@@ -139,9 +139,9 @@ def load_tiger(
     class code (``A1`` .. ``A4``).  ``scale`` multiplies coordinates
     *and* lengths (e.g. to convert meters to miles).  Malformed or
     truncated input raises :class:`ValueError` naming the file, line
-    and field at fault; edge lengths below the Euclidean chord are
-    rejected by the graph's lower-bound invariant with the same
-    context.
+    and field at fault; non-finite coordinates and edge lengths that
+    are not finite or fall below the Euclidean chord are rejected by
+    the graph's invariants with the same context.
     """
     network = SpatialNetwork()
     id_map: Dict[int, int] = {}
@@ -167,7 +167,10 @@ def load_tiger(
                 raise _parse_error(
                     nodes_path, line_no, f"duplicate node id {file_id}"
                 )
-            id_map[file_id] = network.add_node(Point(x * scale, y * scale))
+            try:
+                id_map[file_id] = network.add_node(Point(x * scale, y * scale))
+            except ValueError as exc:
+                raise _parse_error(nodes_path, line_no, str(exc)) from None
     with _open_text(edges_path) as handle:
         for line_no, line in enumerate(handle, start=1):
             fields = line.split()
@@ -274,7 +277,9 @@ def load_osm_xml(
     lengths are the projected chord lengths through ``frame`` (default:
     an equirectangular frame anchored at the extract's mean
     coordinate).  ``keep_untagged_ways`` also admits ways without a
-    ``highway`` tag, as rural roads.
+    ``highway`` tag, as rural roads.  A ``<node>`` whose lon/lat is not
+    within ``[-180, 180] x [-90, 90]`` (``nan`` included) is named in
+    the :class:`ValueError`, before it can reach the frame.
 
     Binary ``.pbf`` extracts are rejected up front: convert with
     ``osmium cat extract.pbf -o extract.osm`` first.
@@ -309,6 +314,11 @@ def load_osm_xml(
             raise ValueError(
                 f"{fs_path}: <node> missing or non-numeric id/lon/lat: {exc}"
             ) from None
+        if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+            raise ValueError(
+                f"{fs_path}: <node id='{osm_id}'> lon/lat ({lon}, {lat}) "
+                "outside [-180, 180] x [-90, 90]"
+            )
         coords[osm_id] = (lon, lat)
 
     ways: List[Tuple[List[int], RoadClass]] = []

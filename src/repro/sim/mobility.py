@@ -158,14 +158,9 @@ class RoutePlanner:
     from a start node the first time a trip leaves it, keeps every
     node's predecessor as one ``int32`` array, and reads that trip and
     every later one from the same node back from the array.  The tree is
-    a one-to-all loop over the network's flat adjacency rows (built once
-    per network), not the resumable
-    :class:`~repro.network.dijkstra.DijkstraSearch` that
-    :func:`~repro.network.dijkstra.shortest_path` runs; it settles nodes
-    in the same ``(distance, id)`` order and keeps the same
-    strict-improvement predecessors, so ties break the same way and the
-    paths are the same (``tests/test_golden_route_trees.py`` pins every
-    tree).
+    the search :func:`~repro.network.dijkstra.shortest_path` runs, only
+    to exhaustion, so the paths are the same
+    (``tests/test_golden_route_trees.py`` pins every tree).
 
     Memory is bounded by :data:`_TREE_BUDGET_BYTES`, 32 MB: trees are
     kept while ``sources * node_count * 4`` bytes fit, which is every

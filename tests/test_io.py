@@ -22,7 +22,7 @@ from repro.io import (
     save_pois,
     write_figure_csv,
 )
-from repro.network.dijkstra import shortest_path_lengths
+from repro.network.dijkstra import DijkstraSearch
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 from repro.network.graph import RoadClass, SpatialNetwork
 
@@ -57,8 +57,12 @@ class TestNetworkIo:
         restored = network_from_dict(network_to_dict(original))
         source_o = min(original.node_ids())
         source_r = min(restored.node_ids())
-        d_o = sorted(shortest_path_lengths(original, [(source_o, 0.0)]).values())
-        d_r = sorted(shortest_path_lengths(restored, [(source_r, 0.0)]).values())
+        search_o = DijkstraSearch(original, [(source_o, 0.0)])
+        search_r = DijkstraSearch(restored, [(source_r, 0.0)])
+        search_o.expand()
+        search_r.expand()
+        d_o = sorted(search_o.settled.values())
+        d_r = sorted(search_r.settled.values())
         assert d_o == pytest.approx(d_r)
 
     def test_curved_edge_length_preserved(self):

@@ -19,7 +19,6 @@ from repro.network.dijkstra import (
     network_distance,
     origin_seeds,
     shortest_path,
-    shortest_path_lengths,
     shortest_path_tree,
 )
 from repro.network.generator import RoadNetworkSpec, generate_road_network
@@ -57,6 +56,13 @@ def walk_back(tree, source, target):
     return path[::-1]
 
 
+def settled_from(network, seeds):
+    """Every distance a search from ``seeds`` settles, run to exhaustion."""
+    search = DijkstraSearch(network, seeds)
+    search.expand()
+    return search.settled
+
+
 def to_networkx(network: SpatialNetwork) -> nx.Graph:
     graph = nx.Graph()
     for node in network.node_ids():
@@ -72,7 +78,7 @@ class TestShortestPathLengths:
         network = random_network(seed)
         graph = to_networkx(network)
         source = next(network.node_ids())
-        ours = shortest_path_lengths(network, [(source, 0.0)])
+        ours = settled_from(network, [(source, 0.0)])
         reference = nx.single_source_dijkstra_path_length(graph, source)
         assert set(ours) == set(reference)
         for node, dist in reference.items():
@@ -82,9 +88,9 @@ class TestShortestPathLengths:
         network = random_network(1)
         nodes = list(network.node_ids())
         sources = [(nodes[0], 0.0), (nodes[len(nodes) // 2], 0.5)]
-        ours = shortest_path_lengths(network, sources)
-        single_a = shortest_path_lengths(network, [sources[0]])
-        single_b = shortest_path_lengths(network, [sources[1]])
+        ours = settled_from(network, sources)
+        single_a = settled_from(network, [sources[0]])
+        single_b = settled_from(network, [sources[1]])
         for node in ours:
             expected = min(single_a.get(node, math.inf), single_b.get(node, math.inf))
             assert ours[node] == pytest.approx(expected)
@@ -93,21 +99,22 @@ class TestShortestPathLengths:
         network = random_network(0)
         source = next(network.node_ids())
         with pytest.raises(ValueError):
-            shortest_path_lengths(network, [(source, -1.0)])
+            DijkstraSearch(network, [(source, -1.0)])
 
     def test_targets_early_exit(self):
         network = random_network(3)
         nodes = list(network.node_ids())
         source, target = nodes[0], nodes[-1]
-        result = shortest_path_lengths(network, [(source, 0.0)], targets=[target])
-        assert target in result
+        search = DijkstraSearch(network, [(source, 0.0)])
+        search.settle(target)
+        assert target in search.settled
 
 
 class TestDijkstraSearch:
     def test_bound_pauses_and_resumes(self):
         network = random_network(2)
         source = next(network.node_ids())
-        full = shortest_path_lengths(network, [(source, 0.0)])
+        full = settled_from(network, [(source, 0.0)])
         bound = max(full.values()) / 2.0
         search = DijkstraSearch(network, [(source, 0.0)])
         assert search.expand(bound=bound) is None
@@ -206,7 +213,9 @@ class TestShortestPath:
         """On stretched (curved-edge) graphs with a second component and
         an isolated node: every source's tree, walked back from every
         target, is ``shortest_path``'s node sequence, and ``None`` where
-        that is ``None``."""
+        that is ``None``.  Both come from one search, so each walk's
+        summed edge length is also checked against networkx, which must
+        leave out exactly the targets the walk cannot reach."""
         rng = random.Random(seed)
         network = random_connected_network(seed, n=rng.randint(4, 24))
         island = network.add_node(Point(-10.0, -10.0))
@@ -218,14 +227,22 @@ class TestShortestPath:
             chord = network.node_position(u).distance_to(network.node_position(v))
             network.add_edge(u, v, length=chord * rng.uniform(1.0, 1.8))
         nodes = list(network.node_ids())
+        graph = to_networkx(network)
         assert shortest_path_tree(network, island) == [-1] * len(nodes)
         for source in nodes:
             tree = shortest_path_tree(network, source)
+            reference = nx.single_source_dijkstra_path_length(graph, source)
             assert len(tree) == len(nodes)
             for target in nodes:
-                assert walk_back(tree, source, target) == shortest_path(
-                    network, source, target
+                path = walk_back(tree, source, target)
+                assert path == shortest_path(network, source, target)
+                if path is None:
+                    assert target not in reference
+                    continue
+                length = sum(
+                    network.edge_between(u, v).length for u, v in zip(path, path[1:])
                 )
+                assert length == pytest.approx(reference[target])
 
     def test_rows_are_rebuilt_after_add_edge(self):
         """A shortcut added after a tree was grown reroutes the next tree."""
@@ -254,12 +271,18 @@ class TestShortestPath:
 
     @pytest.mark.parametrize("source", [-1, 2])
     def test_unknown_source_raises(self, source):
+        """A seed outside ``0 <= node < node_count`` raises; with list
+        state, -1 would otherwise alias the last node."""
         net = SpatialNetwork()
         a = net.add_node(Point(0.0, 0.0))
         b = net.add_node(Point(1.0, 0.0))
         net.add_edge(a, b)
         with pytest.raises(KeyError):
             shortest_path_tree(net, source)
+        with pytest.raises(KeyError):
+            shortest_path(net, source, a)
+        with pytest.raises(KeyError):
+            DijkstraSearch(net, [(a, 0.0), (source, 1.0)])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_path_length_matches_distance(self, seed):
@@ -274,8 +297,8 @@ class TestShortestPath:
             edge = network.edge_between(u, v)
             assert edge is not None, "path uses a non-existent edge"
             length += edge.length
-        expected = shortest_path_lengths(network, [(source, 0.0)], targets=[target])
-        assert length == pytest.approx(expected[target])
+        expected = DijkstraSearch(network, [(source, 0.0)]).settle(target)
+        assert length == pytest.approx(expected)
 
     def test_unreachable_returns_none(self):
         net = SpatialNetwork()

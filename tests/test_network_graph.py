@@ -38,8 +38,9 @@ class TestRoadClass:
 
 class TestEdge:
     def test_invalid_length(self):
-        with pytest.raises(ValueError):
-            Edge(0, 1, 0.0)
+        for length in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Edge(0, 1, length)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -97,6 +98,13 @@ class TestSpatialNetwork:
         b = net.add_node(Point(1, 1))
         with pytest.raises(ValueError):
             net.add_edge(a, b)
+
+    def test_non_finite_node_rejected(self):
+        net = SpatialNetwork()
+        for position in (Point(math.nan, 0), Point(0, math.inf), Point(-math.inf, 1)):
+            with pytest.raises(ValueError, match="must be finite"):
+                net.add_node(position)
+        assert net.node_count == 0
 
     def test_neighbors_and_degree(self):
         net, (a, b, c, d) = simple_square_network()

@@ -183,6 +183,23 @@ class TestTigerErrors:
         ):
             load_tiger(nodes, edges)
 
+    @pytest.mark.parametrize("xy", ["nan 0.0", "0.0 inf"])
+    def test_non_finite_node_carries_line_context(self, tmp_path, xy):
+        nodes, edges = self._files(tmp_path, f"1 1.0 0.0\n0 {xy}\n")
+        with pytest.raises(ValueError, match=r"bad\.cnode:2: .*must be finite"):
+            load_tiger(nodes, edges)
+
+    @pytest.mark.parametrize("length", ["nan", "inf"])
+    def test_non_finite_length_carries_line_context(self, tmp_path, length):
+        # ``nan`` used to load and leave node 1 unreachable from node 0.
+        nodes, edges = self._files(
+            tmp_path, "0 0.0 0.0\n1 1.0 0.0\n", f"0 0 1 {length}\n"
+        )
+        with pytest.raises(
+            ValueError, match=r"bad\.cedge:1: .*finite and positive"
+        ):
+            load_tiger(nodes, edges)
+
     def test_sub_euclidean_length_carries_line_context(self, tmp_path):
         nodes, edges = self._files(
             tmp_path, "0 0.0 0.0\n1 1.0 0.0\n", "0 0 1 0.5\n"
@@ -274,6 +291,18 @@ class TestOsmXml:
         with pytest.raises(
             ValueError, match="missing or non-numeric id/lon/lat"
         ):
+            load_osm_xml(path)
+
+    @pytest.mark.parametrize(
+        "lon, lat", [("nan", "34"), ("-118.4", "inf"), ("500", "34")]
+    )
+    def test_non_finite_node_attributes_name_the_node(self, tmp_path, lon, lat):
+        path = tmp_path / "nan.osm"
+        path.write_text(
+            "<osm><node id='1' lon='-118.41' lat='34.02'/>"
+            f"<node id='2' lon='{lon}' lat='{lat}'/></osm>"
+        )
+        with pytest.raises(ValueError, match=r"<node id='2'> lon/lat .* outside"):
             load_osm_xml(path)
 
     def test_gzipped_osm(self, tmp_path):
