@@ -148,7 +148,10 @@ class Circle:
         if d > r0 + r1 or d < abs(r0 - r1):
             return []
         # Distance from self.center to the chord midpoint along the center line.
-        a = (d * d + r0 * r0 - r1 * r1) / (2.0 * d)
+        # ``r0*r0 - r1*r1`` is taken as ``(r0 - r1) * (r0 + r1)``: for nearly
+        # equal radii the difference of squares cancels to rounding noise,
+        # which a tiny ``d`` (near-coincident circles) would then blow up.
+        a = (d * d + (r0 - r1) * (r0 + r1)) / (2.0 * d)
         h_sq = r0 * r0 - a * a
         if h_sq < 0.0:
             # Numerical noise around tangency.

@@ -10,7 +10,8 @@ Everything in this module recomputes ground truth from first principles:
   instead of a boolean so the differential runner can apply asymmetric
   margins (soundness vs. completeness);
 - :func:`oracle_network_knn` is an independent Dijkstra over a plain
-  adjacency mapping for cross-checking SNNN;
+  adjacency mapping for cross-checking SNNN, stopped once the k-th
+  answer is final (INE's rule) and followed by a scan of every POI;
 - :func:`oracle_snap` projects a point onto every edge in turn, the
   reference for the grid search behind ``SpatialNetwork.snap``.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from repro.geometry.point import Point
 
@@ -239,11 +240,12 @@ def certify_multi_oracle(
 NetworkLoc = Tuple[Any, ...]
 
 
-def _dijkstra(
+def _settle(
     adjacency: Mapping[int, Sequence[Tuple[int, float]]],
     sources: Sequence[Tuple[int, float]],
-) -> Dict[int, float]:
-    """Multi-source Dijkstra over a plain adjacency mapping."""
+) -> Iterator[Tuple[int, float]]:
+    """Multi-source Dijkstra over a plain adjacency mapping: yields each
+    node with its final distance, nearest first."""
     dist: Dict[int, float] = {}
     heap: List[Tuple[float, int]] = []
     for node, offset in sources:
@@ -254,12 +256,12 @@ def _dijkstra(
         d, node = heapq.heappop(heap)
         if d > dist.get(node, math.inf):
             continue
+        yield node, d
         for neighbor, weight in adjacency.get(node, ()):
             candidate = d + weight
             if candidate < dist.get(neighbor, math.inf):
                 dist[neighbor] = candidate
                 heapq.heappush(heap, (candidate, neighbor))
-    return dist
 
 
 def _endpoint_offsets(loc: NetworkLoc) -> List[Tuple[int, float]]:
@@ -286,7 +288,18 @@ def oracle_network_knn(
     pois: Sequence[Tuple[NetworkLoc, Any]],
     k: int,
 ) -> List[Tuple[Any, float]]:
-    """Exact network kNN: one Dijkstra from the origin, then a scan.
+    """Exact network kNN: one Dijkstra from the origin, stopped once the
+    k-th answer is final, then a scan.
+
+    A POI's bound is its along-edge distance when it shares the origin's
+    edge, lowered to ``distance(node) + offset`` as each of its endpoint
+    nodes settles.  Every node still unsettled is at least as far as the
+    last distance popped, so once that distance is strictly greater than
+    the k-th smallest bound, every POI at or below that bound -- ties at
+    the cut included -- holds its exact distance, and no other POI can
+    come before it: INE's termination rule.  POIs whose endpoints were
+    never reached score ``inf``; the answer is the first ``k`` by
+    ``(distance, tie_key)``.
 
     Distances and ordering are computed without touching
     ``repro.network``; the caller flattens its graph into ``adjacency``
@@ -294,15 +307,30 @@ def oracle_network_knn(
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    node_dist = _dijkstra(adjacency, _endpoint_offsets(origin))
-    scored: List[Tuple[float, Tuple[int, float, str], Any]] = []
-    for loc, payload in pois:
-        best = _same_edge_distance(origin, loc)
+    bounds = [_same_edge_distance(origin, loc) for loc, _ in pois]
+    at_node: Dict[int, List[Tuple[int, float]]] = {}
+    for index, (loc, _) in enumerate(pois):
         for node, offset in _endpoint_offsets(loc):
-            best = min(best, node_dist.get(node, math.inf) + offset)
-        scored.append((best, tie_key(payload), payload))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return [(payload, distance) for distance, _, payload in scored[:k]]
+            at_node.setdefault(node, []).append((index, offset))
+    # Bounds not yet below the search radius, smallest first; an index
+    # leaves it (counted once, by its smallest bound) when one is.
+    pending = [(bound, index) for index, bound in enumerate(bounds) if bound < math.inf]
+    heapq.heapify(pending)
+    final: Set[int] = set()
+    for node, d in _settle(adjacency, _endpoint_offsets(origin)):
+        while pending and pending[0][0] < d:
+            final.add(heapq.heappop(pending)[1])
+        if len(final) >= k:
+            break
+        for index, offset in at_node.get(node, ()):
+            candidate = d + offset
+            if candidate < bounds[index]:
+                bounds[index] = candidate
+                heapq.heappush(pending, (candidate, index))
+    scored = sorted(
+        zip(bounds, (tie_key(payload) for _, payload in pois), range(len(pois)))
+    )
+    return [(pois[index][1], distance) for distance, _, index in scored[:k]]
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Adds the ``--sanitize`` flag: ``pytest --sanitize`` enables the
 :mod:`repro.analysis.runtime` invariant sanitizer for the whole session,
 so every heap mutation, R-tree restructure and verification round in the
-suite is cross-checked against the paper's invariants.  The same effect
-is available without the flag by exporting ``REPRO_SANITIZE=1``.
+suite is cross-checked against the paper's invariants.  The same effect,
+session-end check included, is available without the flag by exporting
+``REPRO_SANITIZE=1``.
 
 The same switch now also arms the race sanitizer: tracked locks record
 the runtime lock-order graph and metric mutations are checked against
@@ -44,11 +45,13 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 
 @pytest.fixture(autouse=True, scope="session")
 def _sanitizer_session(request: pytest.FixtureRequest):
-    if not request.config.getoption("--sanitize"):
-        yield
-        return
     from repro.analysis.runtime import SANITIZER
 
+    # ``REPRO_SANITIZE=1`` enabled it at import: the session is checked
+    # the same way as under ``--sanitize`` (``enable`` nests).
+    if not (request.config.getoption("--sanitize") or SANITIZER.enabled):
+        yield
+        return
     SANITIZER.enable()
     SANITIZER.reset_concurrency()
     SANITIZER.reset_accounting()

@@ -3,12 +3,13 @@
 ``Simulation._advance_hosts`` used to call ``trajectory.advance`` and
 ``UniformGrid.update`` once per host per tick.  It now hands the tick to
 :class:`~repro.sim.mobility.Fleet` (one numpy pass for the hosts that
-stay on their edge or in their pause, the scalar ``advance`` for the
-rest) and files the result with ``UniformGrid.move_many``.  The claim is
-not "close": it is the same floats, the same peers in the same order and
-the same draws from the generator.  :class:`ScalarSimulation` below *is*
-the old loop, kept as the reference; both are driven from one seed and
-compared after every tick with ``==``, no tolerance.
+stay on their route, node crossings included, or in their pause; the
+scalar ``advance`` for arrivals, pause ends and planning) and files the
+result with ``UniformGrid.move_many``.  The claim is not "close": it is
+the same floats, the same peers in the same order and the same draws
+from the generator.  :class:`ScalarSimulation` below *is* the old loop,
+kept as the reference; both are driven from one seed and compared after
+every tick with ``==``, no tolerance.
 
 Ticks of 0.5 s and 2 s leave most hosts inside their edge; 7.3 s takes
 them across several nodes and ends pauses mid-tick; 300 s holds a whole
@@ -23,6 +24,7 @@ import pytest
 from repro.geometry.point import Point
 from repro.sim.config import MovementMode, SimulationConfig, los_angeles_2x2
 from repro.sim.grid import UniformGrid
+from repro.sim.mobility import RoadTrajectory, RoutePlanner
 from repro.sim.simulation import Simulation
 
 PARAMETERS = los_angeles_2x2()
@@ -112,3 +114,40 @@ def test_run_matches_scalar_loop_with_a_partial_last_tick(mode):
     assert fleet.trace.events == scalar.trace.events
     assert [host.position for host in fleet.hosts] == positions(scalar)
     assert fleet.rng.bit_generator.state == scalar.rng.bit_generator.state
+
+
+def test_route_store_drops_driven_prefixes(monkeypatch):
+    """An hour of road mode with short pauses plans thousands of trips:
+    the fleet's flat route store keeps at most twice the nodes of the
+    paths its hosts hold, and the compactions that keep it there move no
+    host off the per-host loop's track."""
+    planned = []
+    original = RoutePlanner.path
+
+    def counting(planner, source, target):
+        path = original(planner, source, target)
+        planned.append(len(path or ()))
+        return path
+
+    monkeypatch.setattr(RoutePlanner, "path", counting)
+    config = SimulationConfig(
+        PARAMETERS, seed=4, movement_mode=MovementMode.ROAD_NETWORK, pause_max_s=5.0
+    )
+    fleet, scalar = Simulation(config), ScalarSimulation(config)
+    roads = [t for t in fleet.fleet._trajectories if isinstance(t, RoadTrajectory)]
+    tick = config.movement_tick_s
+    most = 0
+    for step in range(round(3_600.0 / tick)):
+        fleet._advance_hosts(tick)
+        scalar._advance_hosts(tick)
+        live = sum(len(trajectory._path) for trajectory in roads)
+        assert fleet.fleet._live == live
+        assert fleet.fleet._used <= 2 * live
+        most = max(most, live)
+        if step % 100 == 0:
+            assert positions(fleet) == positions(scalar)
+    assert positions(fleet) == positions(scalar)
+    # Its array never outgrew the paths held, though the hour planned
+    # several times what fits in it.
+    assert len(fleet.fleet._route_nodes) <= 4 * most
+    assert sum(planned) > 4 * len(fleet.fleet._route_nodes)

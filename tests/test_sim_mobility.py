@@ -332,6 +332,11 @@ class TestFleet:
             seen.add(len(fleet.advance(3.0)[0]))
         assert min(seen) < 21
 
+    def test_road_hosts_share_one_network(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            Fleet([RoadTrajectory(make_network(seed), 30.0, rng) for seed in (0, 1)])
+
     def test_most_steps_skip_the_scalar_advance(self, monkeypatch):
         fleet = self.fleet(1)
         fleet.advance(1.0)  # every host plans its first trip

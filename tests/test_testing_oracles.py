@@ -2,7 +2,10 @@
 
 import math
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.point import Point
 from repro.index.knn import poi_tie_key
@@ -173,3 +176,95 @@ class TestNetworkOracle:
             2,
         )
         assert [payload for payload, _ in got] == ["a", "b"]
+
+
+@st.composite
+def network_cases(draw):
+    """A random graph with integer lengths (so distances tie often and
+    every sum is exact), a two-node island, an origin on a node or an
+    edge, POIs on nodes and edges -- two of them on the origin's edge,
+    one per orientation -- and any ``k`` from 0 to past the POI count."""
+    size = draw(st.integers(2, 10))
+    edges = {}
+    for u, v, length in draw(
+        st.lists(
+            st.tuples(st.integers(0, size - 1), st.integers(0, size - 1), st.integers(1, 3)),
+            min_size=1,
+            max_size=25,
+        )
+    ):
+        if u != v and (v, u) not in edges:
+            edges.setdefault((u, v), float(length))
+    edges[(size, size + 1)] = 2.0  # the island
+    edge_list = sorted(edges.items())
+
+    def edge_location():
+        (u, v), length = draw(st.sampled_from(edge_list))
+        offset = draw(st.integers(0, 2 * int(length))) / 2.0
+        if draw(st.booleans()):
+            return ("edge", v, u, length - offset, length)
+        return ("edge", u, v, offset, length)
+
+    def location():
+        if draw(st.booleans()):
+            return ("node", draw(st.integers(0, size + 1)))
+        return edge_location()
+
+    origin = location()
+    locations = [location() for _ in range(draw(st.integers(0, 12)))]
+    if origin[0] == "edge":
+        _, u, v, offset, length = origin
+        here = draw(st.integers(0, 2 * int(length))) / 2.0
+        locations += [("edge", u, v, here, length), ("edge", v, u, length - here, length)]
+    pois = [(loc, f"p{index}") for index, loc in enumerate(locations)]
+    k = draw(st.integers(0, len(pois) + 2))
+    return size + 2, edge_list, origin, pois, k
+
+
+def exhaustive_network_knn(node_count, edge_list, origin, pois, k):
+    """Every node's distance from networkx, then every POI scored."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(node_count))
+    for (u, v), length in edge_list:
+        graph.add_edge(u, v, weight=length)
+    if origin[0] == "node":
+        source = origin[1]
+    else:
+        _, u, v, offset, length = origin
+        source = "origin"
+        graph.add_edge(source, u, weight=offset)
+        graph.add_edge(source, v, weight=length - offset)
+    node_dist = nx.single_source_dijkstra_path_length(graph, source)
+    scored = []
+    for loc, payload in pois:
+        if loc[0] == "node":
+            best = node_dist.get(loc[1], math.inf)
+        else:
+            _, a, b, offset, length = loc
+            best = min(
+                node_dist.get(a, math.inf) + offset,
+                node_dist.get(b, math.inf) + length - offset,
+            )
+            if origin[0] == "edge" and {a, b} == {origin[1], origin[2]}:
+                along = offset if a == origin[1] else length - offset
+                best = min(best, abs(origin[3] - along))
+        scored.append((best, tie_key(payload), payload))
+    scored.sort()
+    return [(payload, distance) for distance, _, payload in scored[:k]]
+
+
+class TestNetworkOracleAgainstExhaustiveSearch:
+    """Stopping at the k-th answer changes no answer: the oracle against
+    networkx's distances to every node followed by a full scan."""
+
+    @given(network_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_full_search(self, case):
+        node_count, edge_list, origin, pois, k = case
+        adjacency = {node: [] for node in range(node_count)}
+        for (u, v), length in edge_list:
+            adjacency[u].append((v, length))
+            adjacency[v].append((u, length))
+        assert oracle_network_knn(adjacency, origin, pois, k) == exhaustive_network_knn(
+            node_count, edge_list, origin, pois, k
+        )
