@@ -17,18 +17,14 @@ guardrails on both sides of the build:
   static analysis can enforce: dead code, the distance
   float-comparison dataflow with its paper-lemma table
   (:mod:`~repro.analysis.floatcheck`), layering contracts
-  (:mod:`~repro.analysis.layers`), shared-field lock discipline,
-  asyncio hygiene and the static lock-order graph
-  (:mod:`~repro.analysis.concurrency`, :mod:`~repro.analysis.locks`)
-  and subcounter fold-once on error paths
-  (:mod:`~repro.analysis.accounting`); rules ``RPR008``, ``RPR011`` ..
-  ``RPR013``, ``RPR015`` .. ``RPR020`` and ``RPR022``;
+  (:mod:`~repro.analysis.layers`) and asyncio hygiene
+  (:mod:`~repro.analysis.concurrency`); rules ``RPR008``, ``RPR011`` ..
+  ``RPR013`` and ``RPR016`` .. ``RPR018``;
 - :mod:`repro.analysis.runtime` -- the opt-in runtime sanitizer
   (``REPRO_SANITIZE=1`` or :func:`sanitized`) that validates R*-tree
   structure, candidate-heap state transitions and Lemma 3.8 soundness
-  after every mutation of those hot structures, records the runtime
-  lock-order graph through :func:`named_lock`, and audits page
-  billing;
+  after every mutation of those hot structures, and audits page
+  billing and subcounter fold-once;
 - :mod:`repro.analysis.invariants` -- the validators themselves, also
   callable directly from tests.
 
@@ -54,7 +50,6 @@ __all__ = [
     "Rule",
     "SANITIZER",
     "Sanitizer",
-    "TrackedLock",
     "Violation",
     "analyze",
     "check_heap_structure",
@@ -63,7 +58,6 @@ __all__ = [
     "iter_rules",
     "lint_paths",
     "lint_source",
-    "named_lock",
     "sanitized",
     "sanitizer_enabled",
     "validate_rtree",
@@ -89,8 +83,6 @@ _INVARIANT_EXPORTS = {
 _RUNTIME_EXPORTS = {
     "SANITIZER",
     "Sanitizer",
-    "TrackedLock",
-    "named_lock",
     "sanitized",
     "sanitizer_enabled",
 }

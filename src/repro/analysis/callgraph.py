@@ -16,8 +16,7 @@ Two graphs over the parsed :class:`~repro.analysis.project.Project`:
   detection (RPR008) but may keep a same-named helper alive.
 
 "What can this call site reach" is decided in one place,
-:meth:`CallGraph.callees`; the blocking-effect fixpoint and the
-lock-order graph both ask it.
+:meth:`CallGraph.callees`, which the blocking-effect fixpoint asks.
 """
 
 from __future__ import annotations
@@ -34,27 +33,11 @@ __all__ = [
     "CallGraph",
     "CallSite",
     "FunctionInfo",
-    "GENERIC_ATTRS",
     "ImportGraph",
     "ImportRecord",
     "build_call_graph",
     "build_import_graph",
 ]
-
-#: Attribute names excluded from name-matched call resolution: they are
-#: ubiquitous stdlib container/protocol methods, so matching them against
-#: same-named project methods floods the graph with false edges
-#: (``self._held.get(...)`` is a dict probe, not ``SomeCache.get``).  The
-#: blocking-effect fixpoint opts out (``generic=True``): an
-#: over-approximated effect is the safe side there.
-GENERIC_ATTRS = frozenset(
-    {"get", "set", "put", "pop", "append", "add", "update", "items",
-     "keys", "values", "clear", "discard", "remove", "extend", "insert",
-     "setdefault", "popitem", "sort", "reverse", "copy", "join", "split",
-     "strip", "close", "read", "write", "send", "recv", "acquire",
-     "release", "wait", "notify", "start", "stop", "run", "cancel"}
-)
-
 
 # ----------------------------------------------------------------------
 # import graph
@@ -267,24 +250,19 @@ class CallGraph:
     reachable_modules: Dict[str, Set[str]] = field(default_factory=dict)
 
     # -- queries -------------------------------------------------------
-    def callees(
-        self, info: FunctionInfo, site: CallSite, *, generic: bool = False
-    ) -> List[str]:
+    def callees(self, info: FunctionInfo, site: CallSite) -> List[str]:
         """Every function one call site of ``info`` may invoke.
 
         The resolved candidates, plus -- for an unresolved attribute
         call -- each same-named project function whose module is the
         caller's own or import-reachable from it: ``result.add(...)``
         inside ``repro.geometry`` cannot dispatch to ``CandidateHeap.add``
-        because geometry never imports core.  Names in
-        :data:`GENERIC_ATTRS` are matched only when ``generic`` is set.
+        because geometry never imports core.  Over-approximating is the
+        safe side for the blocking effect, so even stdlib-looking names
+        (``get``, ``close``) are matched.
         """
         names = list(site.candidates)
-        if (
-            not site.resolved
-            and site.attr is not None
-            and (generic or site.attr not in GENERIC_ATTRS)
-        ):
+        if not site.resolved and site.attr is not None:
             allowed = self.reachable_modules.get(info.module, set())
             names.extend(
                 c

@@ -10,14 +10,14 @@ Also runnable without an installed entry point::
 Plain ``repro-lint PATHS`` runs the per-module rules over the given
 files.  ``--deep`` instead runs every whole-program rule
 (:mod:`repro.analysis.deep`: dead code, float-comparison dataflow and
-the lemma table, layering, concurrency, subcounter fold-once) and
-must be started from the repository root: it always analyzes the full
-``src/repro`` tree -- cross-module reasoning needs the whole program --
-and ignores ``PATHS`` unless ``--changed-only`` is given, which
-restricts the *reported* findings to those paths (or, with no paths, to
-the files ``git diff --name-only HEAD`` lists); that is what the
-pre-commit hook uses.  ``--report`` additionally prints the three
-tables the passes derive.  ``--select``, ``--ignore`` and
+the lemma table, layering, asyncio hygiene) and must be started from
+the repository root: it always analyzes the full ``src/repro`` tree --
+cross-module reasoning needs the whole program -- and ignores ``PATHS``
+unless ``--changed-only`` is given, which restricts the *reported*
+findings to those paths (or, with no paths, to the files
+``git diff --name-only HEAD`` lists); that is what the pre-commit hook
+uses.  ``--report`` additionally prints the thread and executor entry
+points the concurrency pass finds.  ``--select``, ``--ignore`` and
 ``--list-rules`` treat both kinds of rule alike; any finding fails the
 run, and ``# repro: noqa(CODE)`` with a reason is the one escape hatch.
 """
@@ -87,10 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     deep.add_argument(
         "--report",
         action="store_true",
-        help=(
-            "also print the guarded-by table, lock-order graph and "
-            "thread entry points"
-        ),
+        help="also print the thread and executor entry points",
     )
     return parser
 

@@ -10,18 +10,15 @@ rationale behind each table.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 __all__ = [
-    "CONCURRENT_CLASSES",
     "DOCSTRING_REQUIRED_PREFIXES",
     "ENTRY_POINTS",
     "FRAMEWORK_METHOD_PREFIXES",
-    "GUARDED_BY_OWNERS",
     "KNOWN_PAPER_LEMMAS",
     "LAYER_RANKS",
     "LIVENESS_REFERENCE_ROOTS",
-    "LOCK_ALIASES",
     "STATIC_ANALYSIS_MODULES",
     "STRICT_FLOAT_MODULES",
 ]
@@ -100,59 +97,6 @@ KNOWN_PAPER_LEMMAS: FrozenSet[str] = frozenset(
 )
 
 # ----------------------------------------------------------------------
-# Concurrency (RPR015-RPR020)
-# ----------------------------------------------------------------------
-
-#: Lock synonyms -> canonical node of the lock-order graph.  Used when
-#: one lock object travels under several attribute names: the metric
-#: instruments hold a reference to the registry's lock, so a ``with
-#: self._lock:`` inside ``Counter.inc`` is the *registry* lock.
-LOCK_ALIASES: Mapping[str, str] = {
-    "Counter._lock": "MetricsRegistry._lock",
-    "Gauge._lock": "MetricsRegistry._lock",
-    "Histogram._lock": "MetricsRegistry._lock",
-}
-
-#: Ownership sentinels accepted by ``# repro: guarded-by(<spec>)`` in
-#: place of a lock name.  Each documents *why* a shared field may be
-#: written without holding a lock:
-#:
-#: ``setup``
-#:     written only before the object is published to other contexts
-#:     (or while re-configuring with every other context quiescent);
-#: ``handshake``
-#:     written on one thread before a ``threading.Event``/join-style
-#:     synchronization point that the readers wait on (happens-before
-#:     is provided by the event, not a lock);
-#: ``event-loop``
-#:     only ever touched from the owning asyncio event-loop thread;
-#: ``single-writer``
-#:     one designated context writes, concurrent readers tolerate
-#:     (and the field is a single atomic reference/primitive);
-#: ``cache``
-#:     any context may write: the field memoizes what a guarded
-#:     structure owns, every write is one assignment of a
-#:     self-consistent value, and losing one costs a re-lookup there,
-#:     never an update.
-GUARDED_BY_OWNERS: FrozenSet[str] = frozenset(
-    {"setup", "handshake", "event-loop", "single-writer", "cache"}
-)
-
-#: Classes the concurrency pass must treat as cross-context shared even
-#: though it cannot *detect* that (no lock attribute, not a thread
-#: target).  Lock-owning classes and ``threading.Thread(target=self.x)``
-#: owners are discovered automatically; list here only state that is
-#: shared by convention, like the process-wide ``OBS`` switchboard whose
-#: flags the service thread reads, and the module-level instrument
-#: handles client threads and the event loop count through.
-CONCURRENT_CLASSES: FrozenSet[str] = frozenset(
-    {
-        "repro.obs.profiling.Instrument",
-        "repro.obs.profiling.Obs",
-    }
-)
-
-# ----------------------------------------------------------------------
 # Layering (RPR013)
 # ----------------------------------------------------------------------
 
@@ -192,7 +136,6 @@ LAYER_RANKS: Dict[str, int] = {
 #: submodule runs it; its own imports are all deferred (PEP 562).
 STATIC_ANALYSIS_MODULES: Tuple[str, ...] = (
     "repro.analysis",
-    "repro.analysis.accounting",
     "repro.analysis.callgraph",
     "repro.analysis.cli",
     "repro.analysis.concurrency",
@@ -201,7 +144,6 @@ STATIC_ANALYSIS_MODULES: Tuple[str, ...] = (
     "repro.analysis.floatcheck",
     "repro.analysis.layers",
     "repro.analysis.lint",
-    "repro.analysis.locks",
     "repro.analysis.project",
     "repro.analysis.rules",
 )

@@ -6,8 +6,8 @@ files.  :func:`analyze` takes a project loaded once
 facts every pass shares -- import graph, call graph
 (:mod:`repro.analysis.callgraph`), the inferred blocking effect
 (:func:`repro.analysis.concurrency.infer_effects`), each built at most
-once and only when a selected pass asks -- the three tables the passes
-derive (``--report`` prints them), and the findings, folded into the
+once and only when a selected pass asks -- the thread entry-point table
+(``--report`` prints it), and the findings, folded into the
 engine's :class:`~repro.analysis.lint.Violation` shape so suppression,
 rendering and CI treatment stay uniform.
 
@@ -22,14 +22,14 @@ RPR008    dead code: functions unreachable from every liveness root
 RPR011    raw float comparison on a distance-valued expression
 RPR012    lemma-conformance breach (direction flip, stale table entry)
 RPR013    layering-contract or import-cycle violation
-RPR015+   :mod:`repro.analysis.concurrency` (RPR015-RPR020),
-          :mod:`repro.analysis.accounting` (RPR022)
+RPR016+   :mod:`repro.analysis.concurrency` (RPR016-RPR018)
 ========  ============================================================
 
 These are the rules only static analysis can enforce; what a run-time
 gate already pins (page billing, mirror coherence, replay determinism,
-obs guards on the query paths) is left to that gate -- the yield table
-in ``docs/static_analysis.md`` records the evidence.
+obs guards on the query paths, lock discipline, subcounter fold-once)
+is left to that gate -- the yield table in ``docs/static_analysis.md``
+records the evidence.
 ``# repro: noqa(CODE)`` on the reported line is the one escape hatch:
 any finding fails the run.
 """
@@ -41,7 +41,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
-from repro.analysis import accounting as _accounting  # noqa: F401  registers RPR022
 from repro.analysis import config
 from repro.analysis.callgraph import (
     CallGraph,
@@ -51,7 +50,6 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.concurrency import (
     EffectWitness,
-    SharedClass,
     concurrency_report,
     infer_effects,
 )
@@ -67,7 +65,6 @@ from repro.analysis.lint import (
     register_rule,
     select_rules,
 )
-from repro.analysis.locks import LockOrderGraph
 from repro.analysis.project import Project
 
 __all__ = [
@@ -85,12 +82,7 @@ class DeepAnalysis:
     project: Project
     violations: List[Violation] = field(default_factory=list)
 
-    # -- tables; a table stays empty when its pass was not selected ----
-    #: ``module.Class`` -> why the concurrency pass treats it as shared.
-    shared_classes: Dict[str, SharedClass] = field(default_factory=dict)
-    #: ``Class.field`` -> canonical lock (or ``owner:<sentinel>``).
-    guarded_by: Dict[str, str] = field(default_factory=dict)
-    lock_graph: LockOrderGraph = field(default_factory=LockOrderGraph)
+    #: Thread/executor entry points; empty unless the concurrency pass ran.
     thread_entries: List[str] = field(default_factory=list)
 
     # -- facts, built on first use -------------------------------------
@@ -115,7 +107,7 @@ class DeepAnalysis:
         return not self.violations
 
     def report(self) -> List[str]:
-        """The three tables ``--report`` prints."""
+        """The table ``--report`` prints."""
         return concurrency_report(self)
 
 
@@ -215,52 +207,46 @@ def _layering(analysis: DeepAnalysis) -> Iterator[Violation]:
 # declared names that resolve to nothing
 # ----------------------------------------------------------------------
 def _undefined_names(analysis: DeepAnalysis, codes: Set[str]) -> Iterator[Violation]:
-    """A declared name whose module is loaded but does not define it.
+    """An entry point whose module is loaded but does not define it.
 
-    The passes start from whichever declared names the call graph
-    knows, so a misspelt entry point would otherwise shrink the checked
-    set in silence.  Reported under the code of the rule the name feeds,
-    at its line in ``config.py`` and at the top of the module that lost
-    the symbol (a rename there must survive ``--changed-only``); a
-    project that does not contain the named module at all (a fixture, a
-    partial run) stays silent.
+    Dead-code analysis starts from the declared entry points the call
+    graph knows, so a misspelt one would otherwise shrink the live set
+    in silence.  Reported as RPR008 at its line in ``config.py`` and at
+    the top of the module that lost the symbol (a rename there must
+    survive ``--changed-only``); a project that does not contain the
+    named module at all (a fixture, a partial run) stays silent.
     """
+    if "RPR008" not in codes:
+        return
     project = analysis.project
-    declared = (
-        ("RPR008", "ENTRY_POINTS", config.ENTRY_POINTS),
-        ("RPR015", "CONCURRENT_CLASSES", config.CONCURRENT_CLASSES),
-    )
     declaring = project.modules.get(config.__name__)
-    for code, table, names in declared:
-        if code not in codes:
+    for name in sorted(config.ENTRY_POINTS):
+        owner = project.modules.get(project.resolve_import(name) or "")
+        if owner is None or owner.name == name:
             continue
-        for name in sorted(names):
-            owner = project.modules.get(project.resolve_import(name) or "")
-            if owner is None or owner.name == name:
-                continue
-            symbol = name[len(owner.name) + 1 :]
-            if symbol in owner.classes or any(
-                scope.qualname == name for scope in owner.functions
-            ):
-                continue
-            anchors = [(owner.path, 1)]
-            if declaring is not None:
-                quoted = f'"{name}"'
-                line = next(
-                    (n for n, text in enumerate(declaring.lines, 1) if quoted in text),
-                    1,
-                )
-                anchors.insert(0, (declaring.path, line))
-            for path, line in anchors:
-                yield Violation(
-                    path,
-                    line,
-                    0,
-                    code,
-                    f"`{name}` is declared in {table} but `{owner.name}` "
-                    f"defines no `{symbol}`; the rule would silently check "
-                    "less -- fix the name alongside the code",
-                )
+        symbol = name[len(owner.name) + 1 :]
+        if symbol in owner.classes or any(
+            scope.qualname == name for scope in owner.functions
+        ):
+            continue
+        anchors = [(owner.path, 1)]
+        if declaring is not None:
+            quoted = f'"{name}"'
+            line = next(
+                (n for n, text in enumerate(declaring.lines, 1) if quoted in text),
+                1,
+            )
+            anchors.insert(0, (declaring.path, line))
+        for path, line in anchors:
+            yield Violation(
+                path,
+                line,
+                0,
+                "RPR008",
+                f"`{name}` is declared in ENTRY_POINTS but `{owner.name}` "
+                f"defines no `{symbol}`; the rule would silently check "
+                "less -- fix the name alongside the code",
+            )
 
 
 # ----------------------------------------------------------------------

@@ -23,50 +23,29 @@ import it, and the validators live in
 :mod:`repro.analysis.invariants`, which is loaded lazily on the first
 enabled check.
 
-Race sanitizer
---------------
-The same switch also gates a lightweight runtime race sanitizer.
-:func:`named_lock` builds a drop-in ``threading.Lock`` wrapper
-(:class:`TrackedLock`) that, while enabled, reports every successful
-acquisition to the singleton, which
-
-* maintains per-thread stacks of held lock names,
-* records each ``outer -> inner`` nesting into a runtime lock-order
-  graph (:meth:`Sanitizer.lock_order_edges`) that the service tests
-  cross-check as a *subset* of the static graph computed by
-  ``repro-lint --concurrency``,
-* flags inversions (both ``a -> b`` and ``b -> a`` observed) and
-  re-acquisition of a held non-reentrant lock into
-  :attr:`Sanitizer.lock_order_violations`, and
-* checks via :meth:`Sanitizer.note_metric_mutation` that every metric
-  mutation happens with its owning guard held.
-
-The lock names are the *canonical* names the static pass derives from
-the source (``"TcpTransport._lock"``), so the two graphs agree by
-construction; :data:`repro.analysis.config.LOCK_ALIASES` folding is the
-comparison helper's job, not this module's (it stays import-free).
-
 Accounting sanitizer
 --------------------
-The same switch gates the runtime complement of ``repro-lint --perf``'s
-billing model.  :class:`~repro.index.pagestats.PageAccessCounter` feeds
-the singleton while enabled:
+The same switch gates the page-accounting checks.
+:class:`~repro.index.pagestats.PageAccessCounter` feeds the singleton
+while enabled:
 
 * :meth:`Sanitizer.note_billing` records which function billed each
   node/object access (resolved by frame walk, skipping the counter's own
-  frames), so tests can cross-check *runtime billing ⊆ static billing
-  model* -- every observed biller must be a site the accounting pass
-  discovered;
+  frames), so tests can check that every observed biller is one of the
+  known billing sites;
 * :meth:`Sanitizer.note_subcounter_created` /
   :meth:`Sanitizer.note_finish_query` / :meth:`Sanitizer.note_absorb`
   track the subcounter fold-once protocol at runtime: folding the same
   finished stream into history twice is reported immediately into
   :attr:`Sanitizer.accounting_violations`, and
   :meth:`Sanitizer.accounting_leftovers` lists streams that were opened
-  but never folded (the RPR022 bug class, observed live);
+  but never folded (a connection dropped without closing its session);
 * :meth:`Sanitizer.verify_conservation` checks the conservation law at
   quiescence: the per-query breakdown history of a counter must sum
   exactly to its running totals.
+
+``tests/conftest.py`` fails the session when a double fold or an
+unfolded subcounter is left at its end.
 """
 
 from __future__ import annotations
@@ -87,8 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 __all__ = [
     "SANITIZER",
     "Sanitizer",
-    "TrackedLock",
-    "named_lock",
     "sanitized",
     "sanitizer_enabled",
 ]
@@ -110,10 +87,6 @@ class Sanitizer:
         "_level",
         "checks_run",
         "_lock",
-        "_held",
-        "lock_edges",
-        "lock_order_violations",
-        "metric_violations",
         "accounting_violations",
         "billing_callers",
         "_subcounters",
@@ -129,14 +102,6 @@ class Sanitizer:
         self.enabled = enabled
         #: How often each hook fired while enabled (observability/tests).
         self.checks_run: Dict[str, int] = {}
-        #: Thread ident -> stack of held tracked-lock names.
-        self._held: Dict[int, List[str]] = {}
-        #: Runtime lock-order graph: (outer, inner) -> acquisition count.
-        self.lock_edges: Dict[Tuple[str, str], int] = {}
-        #: Inversions and non-reentrant re-acquisitions seen at runtime.
-        self.lock_order_violations: List[str] = []
-        #: Metric mutations observed without their owning guard held.
-        self.metric_violations: List[str] = []
         #: Double-folds and other billing protocol breaches.
         self.accounting_violations: List[str] = []
         #: (file basename, function name) pairs that billed an access.
@@ -167,67 +132,6 @@ class Sanitizer:
     def _count(self, check: str) -> None:
         with self._lock:
             self.checks_run[check] = self.checks_run.get(check, 0) + 1
-
-    # ------------------------------------------------------------------
-    # race sanitizer (fed by TrackedLock / metrics)
-    # ------------------------------------------------------------------
-    def _current_held(self) -> Tuple[str, ...]:
-        return tuple(self._held.get(threading.get_ident(), ()))
-
-    def _record_edges(self, name: str, held: Tuple[str, ...]) -> None:
-        """Register ``held[*] -> name`` edges (``_lock`` is reentrant)."""
-        with self._lock:
-            for outer in held:
-                if outer == name:
-                    self.lock_order_violations.append(
-                        f"lock `{name}` re-acquired while already held"
-                    )
-                    continue
-                edge = (outer, name)
-                if (name, outer) in self.lock_edges and edge not in self.lock_edges:
-                    self.lock_order_violations.append(
-                        f"lock-order inversion: `{outer}` -> `{name}` acquired "
-                        f"after the opposite order `{name}` -> `{outer}` was seen"
-                    )
-                self.lock_edges[edge] = self.lock_edges.get(edge, 0) + 1
-
-    def note_acquire(self, name: str) -> None:
-        """A tracked ``threading`` lock was acquired by this thread."""
-        with self._lock:
-            self._count("lock.acquire")
-            self._record_edges(name, self._current_held())
-            self._held.setdefault(threading.get_ident(), []).append(name)
-
-    def note_release(self, name: str) -> None:
-        """A tracked ``threading`` lock was released (tolerant pop)."""
-        with self._lock:
-            stack = self._held.get(threading.get_ident())
-            if stack and name in stack:
-                stack.reverse()
-                stack.remove(name)
-                stack.reverse()
-
-    def note_metric_mutation(self, metric: str, guard: str) -> None:
-        """A metric was mutated; its owning ``guard`` must be held."""
-        with self._lock:
-            self._count("metrics.mutation")
-            if guard not in self._current_held():
-                self.metric_violations.append(
-                    f"metric `{metric}` mutated without its guard "
-                    f"`{guard}` held"
-                )
-
-    def lock_order_edges(self) -> List[Tuple[str, str]]:
-        """The runtime-observed lock-order graph, as sorted edge pairs."""
-        with self._lock:
-            return sorted(self.lock_edges)
-
-    def reset_concurrency(self) -> None:
-        """Forget recorded edges/violations (held stacks are kept)."""
-        with self._lock:
-            self.lock_edges = {}
-            self.lock_order_violations = []
-            self.metric_violations = []
 
     # ------------------------------------------------------------------
     # accounting sanitizer (fed by PageAccessCounter while enabled)
@@ -396,68 +300,3 @@ def sanitized() -> Iterator[Sanitizer]:
         yield SANITIZER
     finally:
         SANITIZER.disable()
-
-
-# ----------------------------------------------------------------------
-# tracked locks
-# ----------------------------------------------------------------------
-class TrackedLock:
-    """A ``threading.Lock`` that reports acquisitions to the sanitizer.
-
-    Disabled-path cost: an uncontended, empty ``with`` block measures
-    about 0.25 µs against 0.20 µs for a bare ``threading.Lock`` — two
-    Python frames and two ``SANITIZER.enabled`` reads.  The ``name`` is
-    the canonical lock name the static concurrency pass derives for the
-    same lock (see :mod:`repro.analysis.locks`), which is what makes the
-    runtime and static lock-order graphs comparable.
-    """
-
-    __slots__ = ("name", "_inner")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._inner = threading.Lock()
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        """Acquire the underlying lock, recording the nesting if held."""
-        got = self._inner.acquire(blocking, timeout)
-        if got and SANITIZER.enabled:
-            SANITIZER.note_acquire(self.name)
-        return got
-
-    def release(self) -> None:
-        """Release the underlying lock and pop it from the held stack."""
-        self._inner.release()
-        if SANITIZER.enabled:
-            SANITIZER.note_release(self.name)
-
-    def locked(self) -> bool:
-        """Whether the underlying lock is currently held by anyone."""
-        return self._inner.locked()
-
-    # ``with`` repeats acquire() / release() rather than calling them:
-    # two Python frames per block instead of four.
-    def __enter__(self) -> "TrackedLock":
-        self._inner.acquire()
-        if SANITIZER.enabled:
-            SANITIZER.note_acquire(self.name)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._inner.release()
-        if SANITIZER.enabled:
-            SANITIZER.note_release(self.name)
-
-    def __repr__(self) -> str:
-        state = "locked" if self._inner.locked() else "unlocked"
-        return f"TrackedLock({self.name!r}, {state})"
-
-
-def named_lock(name: str) -> TrackedLock:
-    """A tracked ``threading.Lock`` under its canonical name.
-
-    The static concurrency pass recognizes this call and takes the
-    canonical lock name from the string literal, so the source and the
-    runtime agree on the node names of the lock-order graph.
-    """
-    return TrackedLock(name)

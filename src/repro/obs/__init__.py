@@ -13,10 +13,10 @@ Four small pieces, re-exported here:
   into and flushes once per query (:class:`SennRecord`,
   :class:`ServerRecord`, :class:`CacheRecord`).
 
-``repro.obs`` sits at rank 0 of the layering DAG (like
-``repro.analysis.runtime``) so the engine's hot paths — R\\*-tree node
-reads, EINN pruning, verification outcomes, cache hits — can count
-without an upward import; nothing in it imports a higher layer.
+``repro.obs`` sits at rank 0 of the layering DAG so the engine's hot
+paths — R\\*-tree node reads, EINN pruning, verification outcomes,
+cache hits — can count without an upward import; nothing in it imports
+a higher layer.
 
 Set ``REPRO_OBS=0`` to disable every hook; see
 ``docs/observability.md`` for the metric catalog and usage.

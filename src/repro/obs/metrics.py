@@ -8,10 +8,8 @@ snapshots back out.
 
 Design constraints, in order:
 
-* **Zero dependencies.** Stdlib plus the rank-0 runtime sanitizer
-  (:mod:`repro.analysis.runtime`, which itself imports nothing);
-  importable from rank-0 of the layering DAG (below ``repro.index``
-  and ``repro.core``).
+* **Zero dependencies.** Stdlib only; importable from rank-0 of the
+  layering DAG (below ``repro.index`` and ``repro.core``).
 * **Determinism.** Snapshots are sorted by ``(name, labels)``; two runs
   of the same workload produce byte-identical snapshots. Nothing in
   this module reads a clock or an RNG.
@@ -19,9 +17,8 @@ Design constraints, in order:
   threads and the server's event-loop thread at once.  One registry
   lock (``MetricsRegistry._lock``, handed down into every instrument it
   creates) guards both the get-or-create probes and the instrument
-  mutators, so concurrent ``inc()`` calls never lose updates.  Under
-  ``REPRO_SANITIZE=1`` each mutation additionally reports to the race
-  sanitizer, which checks the owning guard is actually held.
+  mutators, so concurrent ``inc()`` calls never lose updates
+  (``tests/test_obs_records.py`` pins exact totals from four threads).
 * **Cheap where it is called often.** Every event that reaches an
   instrument on its own pays a lock round trip and the frames around
   it.  The kNN query path therefore does not count event by event: it
@@ -39,6 +36,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from itertools import compress
 from typing import (
@@ -56,8 +54,6 @@ from typing import (
     TypeVar,
     Union,
 )
-
-from repro.analysis.runtime import SANITIZER, TrackedLock, named_lock
 
 if TYPE_CHECKING:  # records import this module at run time
     from repro.obs.records import RecordTable
@@ -127,13 +123,13 @@ class Counter:
     __slots__ = ("name", "labels", "_value", "_lock")
 
     def __init__(
-        self, name: str, labels: LabelKey, lock: Optional[TrackedLock] = None
+        self, name: str, labels: LabelKey, lock: Optional[threading.Lock] = None
     ) -> None:
         """Create a zero-valued counter. Use the registry, not this."""
         self.name = name
         self.labels = labels
         self._value = 0.0
-        self._lock = lock if lock is not None else named_lock("Counter._lock")
+        self._lock = lock if lock is not None else threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (default 1) to the counter; must be >= 0."""
@@ -141,8 +137,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease ({amount})")
         with self._lock:
             self._value += amount
-            if SANITIZER.enabled:
-                SANITIZER.note_metric_mutation(self.name, self._lock.name)
 
     @property
     def value(self) -> float:
@@ -156,34 +150,28 @@ class Gauge:
     __slots__ = ("name", "labels", "_value", "_lock")
 
     def __init__(
-        self, name: str, labels: LabelKey, lock: Optional[TrackedLock] = None
+        self, name: str, labels: LabelKey, lock: Optional[threading.Lock] = None
     ) -> None:
         """Create a zero-valued gauge. Use the registry, not this."""
         self.name = name
         self.labels = labels
         self._value = 0.0
-        self._lock = lock if lock is not None else named_lock("Gauge._lock")
+        self._lock = lock if lock is not None else threading.Lock()
 
     def set(self, value: float) -> None:
         """Replace the gauge's current value."""
         with self._lock:
             self._value = float(value)
-            if SANITIZER.enabled:
-                SANITIZER.note_metric_mutation(self.name, self._lock.name)
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (may be negative) to the gauge."""
         with self._lock:
             self._value += amount
-            if SANITIZER.enabled:
-                SANITIZER.note_metric_mutation(self.name, self._lock.name)
 
     def dec(self, amount: float = 1.0) -> None:
         """Subtract ``amount`` from the gauge."""
         with self._lock:
             self._value -= amount
-            if SANITIZER.enabled:
-                SANITIZER.note_metric_mutation(self.name, self._lock.name)
 
     @property
     def value(self) -> float:
@@ -217,7 +205,7 @@ class Histogram:
         name: str,
         labels: LabelKey,
         boundaries: Sequence[float],
-        lock: Optional[TrackedLock] = None,
+        lock: Optional[threading.Lock] = None,
     ) -> None:
         """Create an empty histogram. Use the registry, not this."""
         if not boundaries:
@@ -234,7 +222,7 @@ class Histogram:
         self.bucket_counts: List[int] = [0] * (len(ordered) + 1)
         self._sum = 0.0
         self._count = 0
-        self._lock = lock if lock is not None else named_lock("Histogram._lock")
+        self._lock = lock if lock is not None else threading.Lock()
 
     def observe(self, value: float) -> None:
         """Record one observation.
@@ -247,8 +235,6 @@ class Histogram:
             self.bucket_counts[bisect_left(self.boundaries, value)] += 1
             self._sum += value
             self._count += 1
-            if SANITIZER.enabled:
-                SANITIZER.note_metric_mutation(self.name, self._lock.name)
 
     @property
     def count(self) -> int:
@@ -291,9 +277,8 @@ class MetricsRegistry:
         self.generation = 0
         # One lock guards the registry map *and* every instrument it
         # creates: the instruments' hot mutators and the get-or-create
-        # probes never interleave, and the lock-order graph stays a
-        # single canonical node (see config.LOCK_ALIASES).
-        self._lock = named_lock("MetricsRegistry._lock")
+        # probes never interleave.
+        self._lock = threading.Lock()
         # apply()'s state per record table: the row instruments (in row
         # order) and the gated rows still to register; reset() drops it
         # with the instruments it points into.
@@ -366,7 +351,7 @@ class MetricsRegistry:
         on its first update, so the metrics registered are those one
         ``inc``/``observe`` per event would have left.
         """
-        each, histograms, note = table.each, table.histograms, SANITIZER.enabled
+        each, histograms = table.each, table.histograms
         with self._lock:
             state = self._resolved.get(table)
             if state is None:
@@ -407,16 +392,12 @@ class MetricsRegistry:
                                 counter = self._metrics[key] = self._new(Counter, key, None)
                             counter = metric[member] = self._checked(counter, Counter, None)
                         counter._value += 1
-                        if note:
-                            SANITIZER.note_metric_mutation(counter.name, self._lock.name)
                     continue
                 else:
                     for sample in values[row]:
                         metric.bucket_counts[bisect_left(metric.boundaries, sample)] += 1
                         metric._sum += sample
                         metric._count += 1
-                if note:
-                    SANITIZER.note_metric_mutation(metric.name, self._lock.name)
 
     def counter(self, name: str, **labels: object) -> Counter:
         """Return the counter for ``(name, labels)``, creating it at 0."""

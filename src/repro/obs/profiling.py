@@ -1,7 +1,6 @@
 """The ``OBS`` switchboard and cheap profiling hooks.
 
-This module is the single runtime gate for all instrumentation, built
-on the same pattern as :data:`repro.analysis.runtime.SANITIZER`: one
+This module is the single runtime gate for all instrumentation: one
 module-level singleton with a plain ``enabled`` attribute, so the
 disabled fast path at every instrumented call site is exactly
 
@@ -132,7 +131,8 @@ class Instrument(Generic[_M]):
         state = self._state
         if state[0] is not registry or state[1] != registry.generation:
             state = (registry, registry.generation, {})
-            self._state = state  # repro: guarded-by(cache)
+            # Any thread may write: a lost write costs a re-lookup.
+            self._state = state
         instrument = state[2].get(values)
         if instrument is None:
             instrument = state[2][values] = self._create(registry, values)

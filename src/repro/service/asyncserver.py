@@ -491,20 +491,20 @@ class BackgroundServer:
     # The fields below are written on the service thread strictly before
     # ``self._ready.set()`` and read by the caller thread strictly after
     # ``self._ready.wait()``: the Event provides the happens-before edge,
-    # hence the ``guarded-by(handshake)`` annotations.
+    # so they need no lock.
     def _run(self) -> None:
         try:
             asyncio.run(self._main())
         except BaseException as exc:  # pragma: no cover - startup failures
-            self._error = exc  # repro: guarded-by(handshake)
+            self._error = exc
             self._ready.set()
 
     async def _main(self) -> None:
         running = AsyncQueryServer(self._server, self._config)
-        self._loop = asyncio.get_running_loop()  # repro: guarded-by(handshake)
-        self._stop = asyncio.Event()  # repro: guarded-by(handshake)
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
         await running.start()
-        self._address = running.address  # repro: guarded-by(handshake)
+        self._address = running.address
         self._ready.set()
         await self._stop.wait()
         await running.stop()

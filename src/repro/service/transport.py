@@ -16,10 +16,10 @@ Two implementations of the same :class:`QueryTransport` protocol:
 from __future__ import annotations
 
 import socket
+import threading
 import time
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.analysis.runtime import named_lock
 from repro.obs import OBS, Counter, Instrument
 from repro.service.protocol import (
     HEADER_SIZE,
@@ -125,13 +125,13 @@ class TcpTransport:
         connect_retries: int = 3,
         retry_delay_s: float = 0.05,
     ) -> None:
-        self._lock = named_lock("TcpTransport._lock")
+        self._lock = threading.Lock()
         self._host = host
         self._port = port
         self._timeout_s = timeout_s
         self._connect_retries = connect_retries
         self._retry_delay_s = retry_delay_s
-        self._sock = self._connect()  # repro: guarded-by(self._lock)
+        self._sock = self._connect()  # replaced only under ``_lock``
 
     def _connect(self) -> socket.socket:
         """Dial the server, retrying while it may still be binding."""

@@ -7,16 +7,11 @@ suite is cross-checked against the paper's invariants.  The same effect,
 session-end check included, is available without the flag by exporting
 ``REPRO_SANITIZE=1``.
 
-The same switch now also arms the race sanitizer: tracked locks record
-the runtime lock-order graph and metric mutations are checked against
-their guards for the whole session, and any inversion or unguarded
-mutation still pending at session end (tests that *inject* violations
-reset before returning) fails the teardown.
-
 It also arms the accounting sanitizer: page-access billing is
 attributed to its callers, subcounter fold-once tracking runs for the
 whole session, and a double-fold or a subcounter left unabsorbed at
-session end fails the teardown the same way.
+session end (tests that *inject* one reset before returning) fails the
+teardown.
 
 The analysis tests share one session-scoped ``head_analysis`` (the real
 tree loaded once, analyzed once), one ``violations_of`` and one
@@ -53,19 +48,12 @@ def _sanitizer_session(request: pytest.FixtureRequest):
         yield
         return
     SANITIZER.enable()
-    SANITIZER.reset_concurrency()
     SANITIZER.reset_accounting()
     try:
         yield
     finally:
         SANITIZER.disable()
-        leftover = (
-            SANITIZER.lock_order_violations
-            + SANITIZER.metric_violations
-            + SANITIZER.accounting_violations
-            + SANITIZER.accounting_leftovers()
-        )
-        SANITIZER.reset_concurrency()
+        leftover = SANITIZER.accounting_violations + SANITIZER.accounting_leftovers()
         SANITIZER.reset_accounting()
         assert leftover == [], f"sanitizer reports at session end: {leftover}"
 

@@ -1,6 +1,6 @@
 """Acceptance tests for ``repro-lint --deep``: the driver, its CLI, the
-call graph and rules RPR008, RPR011-RPR013 (RPR015-RPR020 live in
-``test_analysis_concurrency``, RPR022 in ``test_analysis_perf``).
+call graph and rules RPR008, RPR011-RPR013 (RPR016-RPR018 live in
+``test_analysis_concurrency``).
 
 Two layers of coverage:
 
@@ -35,9 +35,9 @@ from repro.analysis.project import project_from_sources
 from tests.conftest import REPO_ROOT, violations_of, write_tree
 
 
-#: ``repro.obs.profiling`` with ``Obs`` renamed away and the other class
-#: ``config.CONCURRENT_CLASSES`` declares still there.
-RENAMED_OBS = "class Observatory:\n    pass\n\n\nclass Instrument:\n    pass\n"
+#: ``repro.service.cli`` with the ``main`` that ``config.ENTRY_POINTS``
+#: declares renamed away (exported, so not dead code itself).
+RENAMED_CLI = '__all__ = ["serve"]\n\n\ndef serve():\n    return 0\n'
 
 # ----------------------------------------------------------------------
 # RPR008: dead code
@@ -532,16 +532,14 @@ class TestDriver:
         closure = build_import_graph(project).reachability()
         assert all(closure[name] == ring for name in ring)
 
-    def test_renamed_concurrent_class_is_reported(self):
-        assert "repro.obs.profiling.Obs" in config.CONCURRENT_CLASSES
-        project = project_from_sources(
-            {"repro.obs.profiling": RENAMED_OBS}
-        )
-        analysis = deep.analyze(project, select=["RPR015"])
+    def test_renamed_entry_point_is_reported(self):
+        assert "repro.service.cli.main" in config.ENTRY_POINTS
+        project = project_from_sources({"repro.service.cli": RENAMED_CLI})
+        analysis = deep.analyze(project, select=["RPR008"])
         assert [(v.code, v.path) for v in analysis.violations] == [
-            ("RPR015", "repro/obs/profiling.py")
+            ("RPR008", "repro/service/cli.py")
         ]
-        assert "defines no `Obs`" in analysis.violations[0].message
+        assert "defines no `main`" in analysis.violations[0].message
 
     def test_declared_name_in_an_absent_module_is_silent(self):
         # config.ENTRY_POINTS names repro.cli.main & co.; a fixture project
@@ -572,16 +570,12 @@ class TestDeepCli:
             text=True,
         )
 
-    def test_whole_tree_gate_is_clean_and_prints_the_three_tables(self):
+    def test_whole_tree_gate_is_clean_and_prints_the_entry_point_table(self):
         proc = self.run_subprocess("--deep", "--report")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 findings" in proc.stderr
         headers = [line for line in proc.stdout.splitlines() if line[:1] != " "]
-        assert headers == [
-            "concurrency: guarded-by table",
-            "concurrency: lock-order graph",
-            "concurrency: thread/executor entry points",
-        ]
+        assert headers == ["concurrency: thread/executor entry points"]
 
     def test_deep_outside_repo_root_is_a_usage_error(self, tmp_path):
         proc = self.run_subprocess("--deep", cwd=tmp_path)
@@ -589,16 +583,17 @@ class TestDeepCli:
         assert "src/repro not found" in proc.stderr
 
     def test_list_rules_includes_deep_catalogue(self, lint_cli):
-        # No other flag needed: one catalogue, 19 rules + RPR900.
+        # No other flag needed: one catalogue, 15 rules + RPR900.
         status, out, _ = lint_cli("--list-rules")
         assert status == 0
         codes = [line.split()[0] for line in out.splitlines()]
-        assert codes == sorted(codes) and len(codes) == 20
-        assert {"RPR001", "RPR008", "RPR011", "RPR013", "RPR022", "RPR900"} <= set(
+        assert codes == sorted(codes) and len(codes) == 16
+        assert {"RPR001", "RPR008", "RPR011", "RPR013", "RPR016", "RPR900"} <= set(
             codes
         )
         retired = {
-            "RPR009", "RPR010", "RPR021", "RPR023", "RPR024", "RPR025", "RPR026",
+            "RPR009", "RPR010", "RPR015", "RPR019", "RPR020", "RPR021",
+            "RPR022", "RPR023", "RPR024", "RPR025", "RPR026",
         }
         assert not retired & set(codes)
 
@@ -647,23 +642,23 @@ class TestDeepCli:
     def test_changed_only_keeps_a_rename_that_orphans_a_declared_name(
         self, lint_cli, tmp_path
     ):
-        # config.py (unchanged) still says Obs; only profiling.py changed.
+        # config.py (unchanged) still says main; only service/cli.py changed.
         config_source = (REPO_ROOT / "src/repro/analysis/config.py").read_text()
         tree = write_tree(
             tmp_path,
             {
                 "repro.analysis.config": config_source,
-                "repro.obs.profiling": RENAMED_OBS,
+                "repro.service.cli": RENAMED_CLI,
             },
         )
-        args = ("--deep", "--select", "RPR015", "--quiet")
+        args = ("--deep", "--select", "RPR008", "--quiet")
         status, out, _ = lint_cli(*args, cwd=tree)
         assert status == 1
         assert [line.split(":")[0] for line in out.splitlines()] == [
             "src/repro/analysis/config.py",
-            "src/repro/obs/profiling.py",
+            "src/repro/service/cli.py",
         ]
-        changed = "src/repro/obs/profiling.py"
+        changed = "src/repro/service/cli.py"
         status, out, _ = lint_cli(*args, "--changed-only", changed, cwd=tree)
         assert status == 1
         assert out.startswith(f"{changed}:1:") and out.count("\n") == 1

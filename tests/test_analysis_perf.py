@@ -1,27 +1,16 @@
-"""Acceptance tests for the accounting pass of ``repro-lint --deep``
-(RPR022).
+"""The accounting sanitizer: billing attribution, subcounter fold-once
+and the conservation law, driven over the golden scenario corpus and a
+live loopback server, checking that only the four billing sites ever
+bill.
 
-Mirrors the structure of ``test_analysis_concurrency.py``:
-
-- fixture projects built with ``project_from_sources`` exercise each
-  rule in isolation (positive and negative cases);
-- the real tree comes from the session's ``head_analysis`` and must be
-  clean at HEAD;
-- the acceptance-criteria fault injection (dropping the session cleanup
-  on the connection-drop path) must surface as an RPR022 finding
-  *statically*;
-- the runtime half (the accounting sanitizer: billing attribution,
-  subcounter fold-once, the conservation law) is driven over the golden
-  scenario corpus and a live loopback server, checking that only the
-  five billing sites ever bill.
+The connection-drop path of the TCP server (a stream left open when the
+socket goes) is pinned in ``test_service_async.py``.
 """
 
 import pathlib
 
 import numpy as np
 
-from repro.analysis import deep
-from repro.analysis.project import project_from_sources
 from repro.analysis.runtime import SANITIZER, Sanitizer, sanitized
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
@@ -33,138 +22,12 @@ from repro.service.client import ServiceClient
 from repro.service.engine import QueryService
 from repro.service.transport import LoopbackTransport
 from repro.testing.scenarios import ScenarioGen, decode_scenario
-from tests.conftest import violations_of, write_tree
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 # ----------------------------------------------------------------------
-# RPR022: subcounter fold-once
-# ----------------------------------------------------------------------
-def fold_analysis(sources):
-    return deep.analyze(project_from_sources(sources), select=["RPR022"])
-
-
-class TestFoldOnce:
-    def test_local_subcounter_without_finally_is_rpr022(self):
-        analysis = fold_analysis(
-            {
-                "repro.fold.mod": (
-                    "def leaky(counter):\n"
-                    "    sub = counter.subcounter()\n"
-                    "    sub.start_query()\n"
-                )
-            }
-        )
-        flagged = violations_of(analysis, "RPR022")
-        assert len(flagged) == 1
-        assert "not absorbed in a `finally`" in flagged[0].message
-
-    def test_local_subcounter_with_finally_is_clean(self):
-        analysis = fold_analysis(
-            {
-                "repro.fold.mod": (
-                    "def careful(counter):\n"
-                    "    sub = counter.subcounter()\n"
-                    "    try:\n"
-                    "        sub.start_query()\n"
-                    "    finally:\n"
-                    "        counter.absorb(sub.finish_query())\n"
-                )
-            }
-        )
-        assert analysis.violations == []
-
-    def test_stored_subcounter_without_fold_method_is_rpr022(self):
-        analysis = fold_analysis(
-            {
-                "repro.fold.mod": (
-                    "class Stream:\n"
-                    "    def __init__(self, counter):\n"
-                    "        self._sub = counter.subcounter()\n"
-                )
-            }
-        )
-        flagged = violations_of(analysis, "RPR022")
-        assert len(flagged) == 1
-        assert "no method of the class absorbs it" in flagged[0].message
-
-    FOLDING_STREAM = (
-        "class Stream:\n"
-        "    def __init__(self, counter):\n"
-        "        self._parent = counter\n"
-        "        self._sub = counter.subcounter()\n"
-        "\n"
-        "    def finalize(self):\n"
-        "        self._parent.absorb(self._sub.finish_query())\n"
-        "\n"
-        "\n"
-    )
-
-    def test_acquirer_without_guaranteed_fold_is_rpr022(self):
-        analysis = fold_analysis(
-            {
-                "repro.fold.mod": self.FOLDING_STREAM
-                + "def handle(counter):\n"
-                "    stream = Stream(counter)\n"
-                "    stream.pump()\n"
-            }
-        )
-        flagged = violations_of(analysis, "RPR022")
-        assert len(flagged) == 1
-        assert "never guarantees `stream.finalize()`" in flagged[0].message
-
-    def test_acquirer_with_finally_fold_is_clean(self):
-        analysis = fold_analysis(
-            {
-                "repro.fold.mod": self.FOLDING_STREAM
-                + "def handle(counter):\n"
-                "    stream = Stream(counter)\n"
-                "    try:\n"
-                "        stream.pump()\n"
-                "    finally:\n"
-                "        stream.finalize()\n"
-            }
-        )
-        assert analysis.violations == []
-
-
-# ----------------------------------------------------------------------
-# the real tree
-# ----------------------------------------------------------------------
-class TestHeadTree:
-    def test_head_accounting_is_clean(self, head_analysis):
-        assert violations_of(head_analysis, "RPR022") == []
-
-    def test_reports_render(self, head_analysis):
-        text = "\n".join(head_analysis.report())
-        # The instrument handle's cache is declared shared and annotated.
-        assert "  Instrument._state                -> owner:cache" in text
-        assert "TcpTransport._lock -> MetricsRegistry._lock" in text
-
-
-# ----------------------------------------------------------------------
-# acceptance fault injections (static, no execution of mutated code)
-# ----------------------------------------------------------------------
-class TestFaultInjection:
-    def test_dropping_session_cleanup_on_drop_path_is_rpr022(self, head_analysis):
-        head_project = head_analysis.project
-        module = head_project.get("repro.service.asyncserver")
-        mutated = module.source.replace(
-            "        self._session.close()\n", "        pass\n"
-        )
-        assert mutated != module.source
-        analysis = deep.analyze(
-            head_project.replace_source("repro.service.asyncserver", mutated),
-            select=["RPR022"],
-        )
-        flagged = violations_of(analysis, "RPR022")
-        assert len(flagged) == 1
-        assert "ServiceSession" in flagged[0].message
-
-
-# ----------------------------------------------------------------------
-# the runtime half: the accounting sanitizer
+# the accounting sanitizer
 # ----------------------------------------------------------------------
 def _golden_scenarios():
     items = []
@@ -323,39 +186,3 @@ class TestAccountingSanitizer:
             counter.absorb(sub.finish_query())
             assert SANITIZER.billing_callers == set()
             assert SANITIZER.accounting_leftovers() == []
-
-
-# ----------------------------------------------------------------------
-# CLI integration
-# ----------------------------------------------------------------------
-class TestCli:
-    def test_report_flag_prints_tables(self, lint_cli, tmp_path):
-        source = (
-            "import threading\n\n"
-            "__all__ = ['Box']\n\n\n"
-            "class Box:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self.value = 0\n\n"
-            "    def put(self, value):\n"
-            "        with self._lock:\n"
-            "            self.value = value\n"
-        )
-        tree = write_tree(tmp_path, {"repro.core.box": source})
-        status, out, err = lint_cli(
-            "--deep", "--report", "--quiet", "--select", "RPR015", cwd=tree
-        )
-        assert status == 0, out + err
-        assert out == (
-            "concurrency: guarded-by table\n"
-            "  Box.value  -> Box._lock\n"
-            "concurrency: lock-order graph\n"
-            "  (no lock nesting observed)\n"
-            "concurrency: thread/executor entry points\n"
-            "  (none)\n"
-        )
-
-    def test_list_rules_includes_perf_catalogue(self, lint_cli):
-        status, out, _ = lint_cli("--list-rules")
-        assert status == 0
-        assert "RPR022" in out and "RPR025" not in out

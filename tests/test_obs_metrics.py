@@ -204,6 +204,21 @@ class TestRegistry:
         assert Histogram("h", (), (1.0,)).count == 0
 
 
+class _CountingLock:
+    """A registry lock that counts how often it is entered."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.entered = 0
+
+    def __enter__(self):
+        self.entered += 1
+        return self._inner.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._inner.__exit__(*exc_info)
+
+
 class TestThreadSafety:
     def test_concurrent_increments_are_exact(self):
         import threading
@@ -230,6 +245,31 @@ class TestThreadSafety:
         assert registry.value("depth") == float(rounds * workers)
         histogram = registry.histogram("lat", boundaries=(1.0, 2.0))
         assert histogram.count == rounds * workers
+
+    def test_every_update_enters_the_registry_lock_once(self):
+        """Each get-or-create and each instrument mutator takes the lock.
+
+        CPython's GIL rarely splits an unlocked ``+=``, so a lost update
+        is no reliable witness of a missing lock; the count is.
+        """
+        registry = MetricsRegistry()
+        lock = registry._lock = _CountingLock(registry._lock)
+        counter = registry.counter("c")
+        gauge = registry.gauge("g")
+        histogram = registry.histogram("h", boundaries=(1.0,))
+        assert lock.entered == 3
+        updates = (
+            lambda: registry.counter("c"),
+            counter.inc,
+            lambda: gauge.set(2.0),
+            gauge.inc,
+            gauge.dec,
+            lambda: histogram.observe(0.5),
+        )
+        for update in updates:
+            before = lock.entered
+            update()
+            assert lock.entered == before + 1
 
     def test_instruments_share_the_registry_lock(self):
         registry = MetricsRegistry()

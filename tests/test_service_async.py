@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.runtime import SANITIZER, Sanitizer, sanitized
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
@@ -80,6 +81,27 @@ class TestTcpServing:
                 assert answer.pages == expected.pages
         finally:
             client.close()
+
+    def test_dropped_connection_folds_its_open_stream(self):
+        """A client that vanishes mid-stream loses the server no page.
+
+        The stream's sub-counter is folded by the session close on the
+        connection-drop path: no leftover, and the counter's history
+        sums to its totals once the server has stopped.
+        """
+        server = make_server(make_pois())
+        leftovers = len(SANITIZER.accounting_leftovers())
+        violations = len(SANITIZER.accounting_violations)
+        with sanitized():
+            with BackgroundServer(server, ServiceConfig()) as running:
+                transport = TcpTransport(*running.address)
+                stream = ServiceClient(transport).incremental_query(Point(1.0, 1.0))
+                next(stream)  # open + one pulled chunk
+                transport.close()  # no StreamClose: the socket just goes
+            del stream
+        assert len(SANITIZER.accounting_leftovers()) == leftovers
+        assert len(SANITIZER.accounting_violations) == violations
+        assert Sanitizer.verify_conservation(server.counter) == []
 
     def test_concurrent_clients_get_exact_answers(self, running_server):
         from concurrent.futures import ThreadPoolExecutor

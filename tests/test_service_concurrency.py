@@ -1,17 +1,12 @@
-"""Service-era concurrency stress tests under the race sanitizer.
+"""Service concurrency: exact answers from threads sharing one server.
 
-Two claims are checked here, both against a *live* server:
-
-1. **Runtime lock-order graph ⊆ static lock-order graph.**  Execution
-   with ``REPRO_SANITIZE=1`` records every observed lock nesting; the
-   static pass (``repro-lint --deep``, RPR019) predicts a superset.  An
-   observed edge the static graph lacks means either an analysis gap or
-   a genuinely dynamic acquisition order -- both are test failures.
-2. **Exactness under contention.**  ≥8 threads mixing per-thread
-   loopback sessions and TCP clients against one shared server must
-   produce bit-identical answers to a single-threaded in-process
-   reference, with zero sanitizer reports (no lock inversions, no
-   unguarded metric mutations).
+- **A shared transport.**  Eight threads share one
+  ``ServiceClient(TcpTransport)``; the transport's lock is what keeps
+  each reply with its request.
+- **Exactness under contention.**  Eight threads mixing per-thread
+  loopback sessions and TCP clients against one shared server must
+  produce bit-identical answers to a single-threaded in-process
+  reference.
 
 Hypothesis drives the seed so different runs exercise different POI
 sets and query mixes while any failure is replayable.
@@ -23,11 +18,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.locks import canonical_lock_name
-from repro.analysis.runtime import SANITIZER, sanitized
+from repro.analysis.runtime import sanitized
 from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
 from repro.geometry.point import Point
-from repro.obs import observed
+from repro.obs import OBS, MetricsRegistry, observed
 from repro.service.asyncserver import BackgroundServer, ServiceConfig
 from repro.service.client import ServiceClient
 from repro.service.engine import QueryService
@@ -53,67 +47,120 @@ def answer_key(neighbors):
     )
 
 
-class TestRuntimeMatchesStatic:
-    def test_observed_edges_are_predicted(self, head_analysis):
-        """Drive the service, then diff runtime edges against static."""
-        assert head_analysis.ok
-        pois = make_pois(200, seed=3)
+class TestSharedTransport:
+    def test_one_tcp_client_shared_by_eight_threads_stays_exact(self):
+        """The transport's lock keeps each reply with its request.
+
+        Eight threads share one ``ServiceClient(TcpTransport)``; without
+        the lock their frames interleave on the one socket and replies
+        reach the wrong thread (``reply for request 2, expected 5``).
+        """
+        pois = make_pois(250, seed=9)
         reference = make_server(pois)
-        SANITIZER.reset_concurrency()
-        try:
-            with sanitized(), observed():
+        rng = np.random.default_rng(10)
+        queries = [
+            Point(float(x), float(y))
+            for x, y in rng.uniform(0.0, 4.0, size=(20, 2))
+        ]
+        expected = [answer_key(reference.knn_query(q, 5)) for q in queries]
+        failures = []
+        barrier = threading.Barrier(8)
+
+        def run_worker(client, worker_id):
+            try:
+                barrier.wait(timeout=30.0)
+                for _ in range(5):
+                    for i, query in enumerate(queries):
+                        got = client.knn_query_detailed(query, 5).neighbors
+                        if answer_key(got) != expected[i]:
+                            failures.append((worker_id, i))
+            except Exception as exc:  # a torn frame or a stolen reply
+                failures.append((worker_id, repr(exc)))
+
+        with BackgroundServer(make_server(pois), ServiceConfig()) as running:
+            client = ServiceClient(TcpTransport(*running.address, timeout_s=5.0))
+            try:
+                threads = [
+                    threading.Thread(target=run_worker, args=(client, worker_id))
+                    for worker_id in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                client.close()
+        assert failures == []
+
+
+class _RegistryLock:
+    """The registry lock, refusing re-entry by the thread that holds it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.owner = None
+
+    def __enter__(self):
+        if self.owner == threading.get_ident():
+            raise AssertionError("the registry lock was re-acquired by its holder")
+        self._inner.acquire()
+        self.owner = threading.get_ident()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.owner = None
+        self._inner.release()
+
+
+class _TransportLock:
+    """The transport lock, refusing to be taken under the registry lock."""
+
+    def __init__(self, inner, registry_lock):
+        self._inner = inner
+        self._registry_lock = registry_lock
+
+    def __enter__(self):
+        if self._registry_lock.owner == threading.get_ident():
+            raise AssertionError("transport lock taken under the registry lock")
+        self._inner.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._inner.release()
+
+
+class TestLockOrder:
+    def test_the_registry_lock_is_taken_last(self):
+        """Two locks, one order: transport, then registry, never back.
+
+        A resend counts ``service.client_resends`` under the transport
+        lock; the registry lock is a leaf, taken last and never twice.
+        """
+        pois = make_pois(100, seed=5)
+        reference = make_server(pois)
+        registry = MetricsRegistry()
+        registry_lock = registry._lock = _RegistryLock(registry._lock)
+        previous = OBS.registry
+        with observed(enabled=True):
+            OBS.registry = registry
+            try:
                 with BackgroundServer(make_server(pois), ServiceConfig()) as running:
-                    client = ServiceClient(TcpTransport(*running.address))
+                    transport = TcpTransport(*running.address)
+                    transport._lock = _TransportLock(transport._lock, registry_lock)
+                    client = ServiceClient(transport)
                     try:
                         for query in (Point(1.0, 1.0), Point(3.2, 0.4)):
-                            answer = client.knn_query_detailed(query, 5)
-                            expected = reference.knn_query_detailed(query, 5)
-                            assert answer_key(answer.neighbors) == answer_key(
-                                expected.neighbors
+                            transport._close_socket()  # force a resend
+                            got = client.knn_query_detailed(query, 5).neighbors
+                            assert answer_key(got) == answer_key(
+                                reference.knn_query(query, 5)
                             )
-                        # Force the reconnect-and-resend path so the
-                        # transport's full locking surface executes.
-                        client._transport._close_socket()
-                        answer = client.knn_query_detailed(Point(2.0, 3.9), 5)
-                        expected = reference.knn_query_detailed(Point(2.0, 3.9), 5)
-                        assert answer_key(answer.neighbors) == answer_key(
-                            expected.neighbors
-                        )
                     finally:
                         client.close()
-            observed_edges = [
-                (canonical_lock_name(outer), canonical_lock_name(inner))
-                for outer, inner in SANITIZER.lock_order_edges()
-            ]
-            assert observed_edges, "sanitizer recorded no lock nestings"
-            assert head_analysis.lock_graph.missing_edges(observed_edges) == []
-            assert SANITIZER.lock_order_violations == []
-            assert SANITIZER.metric_violations == []
-        finally:
-            SANITIZER.reset_concurrency()
-
-    def test_transport_metrics_edge_is_exercised(self, head_analysis):
-        """The headline edge exists statically AND fires at runtime."""
-        edge = ("TcpTransport._lock", "MetricsRegistry._lock")
-        assert edge in head_analysis.lock_graph.edges
-        pois = make_pois(100, seed=5)
-        SANITIZER.reset_concurrency()
-        try:
-            with sanitized(), observed():
-                with BackgroundServer(make_server(pois), ServiceConfig()) as running:
-                    client = ServiceClient(TcpTransport(*running.address))
-                    try:
-                        client._transport._close_socket()  # force a resend
-                        client.knn_query_detailed(Point(1.0, 1.0), 3)
-                    finally:
-                        client.close()
-            observed_edges = {
-                (canonical_lock_name(outer), canonical_lock_name(inner))
-                for outer, inner in SANITIZER.lock_order_edges()
-            }
-            assert edge in observed_edges
-        finally:
-            SANITIZER.reset_concurrency()
+            finally:
+                OBS.registry = previous
+        assert registry.value("service.client_resends") == 2.0
 
 
 class TestStress:
@@ -155,37 +202,31 @@ class TestStress:
             finally:
                 client.close()
 
-        SANITIZER.reset_concurrency()
-        try:
-            with sanitized(), observed():
-                served = make_server(pois)
-                with BackgroundServer(served, ServiceConfig()) as running:
-                    def tcp_factory():
-                        return TcpTransport(*running.address)
+        with sanitized(), observed():
+            served = make_server(pois)
+            with BackgroundServer(served, ServiceConfig()) as running:
+                def tcp_factory():
+                    return TcpTransport(*running.address)
 
-                    def loopback_factory():
-                        # Per-thread server instance: loopback sessions
-                        # must not race the event-loop thread's batches
-                        # on one engine, only the *answers* are shared.
-                        return LoopbackTransport(
-                            QueryService(make_server(pois))
-                        )
+                def loopback_factory():
+                    # Per-thread server instance: loopback sessions
+                    # must not race the event-loop thread's batches
+                    # on one engine, only the *answers* are shared.
+                    return LoopbackTransport(
+                        QueryService(make_server(pois))
+                    )
 
-                    threads = []
-                    for worker_id in range(8):
-                        factory = (
-                            tcp_factory if worker_id % 2 == 0 else loopback_factory
-                        )
-                        thread = threading.Thread(
-                            target=run_client, args=(factory, worker_id)
-                        )
-                        thread.start()
-                        threads.append(thread)
-                    for thread in threads:
-                        thread.join(timeout=60.0)
-                    assert not any(t.is_alive() for t in threads)
-            assert failures == []
-            assert SANITIZER.lock_order_violations == []
-            assert SANITIZER.metric_violations == []
-        finally:
-            SANITIZER.reset_concurrency()
+                threads = []
+                for worker_id in range(8):
+                    factory = (
+                        tcp_factory if worker_id % 2 == 0 else loopback_factory
+                    )
+                    thread = threading.Thread(
+                        target=run_client, args=(factory, worker_id)
+                    )
+                    thread.start()
+                    threads.append(thread)
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+        assert failures == []
