@@ -8,18 +8,19 @@ guardrails on both sides of the build:
 
 - :mod:`repro.analysis.lint` / :mod:`repro.analysis.rules` --
   ``repro-lint``, an AST-based lint engine with one rule catalogue,
-  per-module rules (``RPR001`` .. ``RPR007``, ``RPR014``) and
+  per-module rules (``RPR001``, ``RPR002``, ``RPR004`` .. ``RPR006``,
+  ``RPR014``) and
   ``# repro: noqa(CODE)`` suppression;
 - :mod:`repro.analysis.deep` -- the whole-program analysis behind
   ``repro-lint --deep``: one driver that builds the import graph, the
   call graph (:mod:`~repro.analysis.callgraph`) and the inferred
   blocking effect once and hands them to every pass -- the rules only
-  static analysis can enforce: dead code, the distance
-  float-comparison dataflow with its paper-lemma table
-  (:mod:`~repro.analysis.floatcheck`), layering contracts
+  static analysis can enforce: the distance float-comparison dataflow
+  with its paper-lemma table (:mod:`~repro.analysis.floatcheck`, whose
+  distance taint RPR001 uses too), layering and import contracts
   (:mod:`~repro.analysis.layers`) and asyncio hygiene
-  (:mod:`~repro.analysis.concurrency`); rules ``RPR008``, ``RPR011`` ..
-  ``RPR013`` and ``RPR016`` .. ``RPR018``;
+  (:mod:`~repro.analysis.concurrency`); rules ``RPR011`` .. ``RPR013``
+  and ``RPR016`` .. ``RPR018``;
 - :mod:`repro.analysis.runtime` -- the opt-in runtime sanitizer
   (``REPRO_SANITIZE=1`` or :func:`sanitized`) that validates R*-tree
   structure, candidate-heap state transitions and Lemma 3.8 soundness

@@ -6,14 +6,15 @@ Two graphs over the parsed :class:`~repro.analysis.project.Project`:
   top-level and deferred (function-scope) imports.  The layering
   contract (:mod:`repro.analysis.layers`) and the import-cycle check
   are judged on the top-level edges only, because deferred imports are
-  the sanctioned cycle-breaking device in this codebase;
+  the sanctioned cycle-breaking device in this codebase; the oracle
+  import contract is judged on every edge;
 - the **call graph**: an AST-built graph over every top-level function
   and class method.  Calls through bare names are resolved through the
   module's import/def table; ``self.m()`` resolves to the enclosing
   class; all other attribute calls fall back to *name matching* (every
   known function with that name becomes a candidate).  The graph is
-  therefore an over-approximation: reachability is sound for dead-code
-  detection (RPR008) but may keep a same-named helper alive.
+  therefore an over-approximation, the safe side for the blocking
+  effect (RPR016).
 
 "What can this call site reach" is decided in one place,
 :meth:`CallGraph.callees`, which the blocking-effect fixpoint asks.
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis import config
 from repro.analysis.lint import _dotted
-from repro.analysis.project import FunctionScope, Project, ProjectModule
+from repro.analysis.project import Project, ProjectModule
 
 __all__ = [
     "CallGraph",
@@ -48,7 +48,6 @@ class ImportRecord:
 
     source: str  # importing module
     target: str  # imported project module (dotted)
-    raw: str  # the name as written (dotted, after relative resolution)
     lineno: int
     top_level: bool
 
@@ -155,7 +154,6 @@ def _module_imports(project: Project, module: ProjectModule) -> Iterator[ImportR
             yield ImportRecord(
                 source=module.name,
                 target=target,
-                raw=raw,
                 lineno=node.lineno,
                 top_level=node in top_level_nodes,
             )
@@ -216,36 +214,20 @@ class CallSite:
 
 @dataclass
 class FunctionInfo:
-    """One top-level function or class method."""
+    """One top-level function or class method: where it lives, what it calls."""
 
     qualname: str
     module: str
-    name: str
-    cls: Optional[str]
-    lineno: int
-    decorators: Tuple[str, ...]
-    #: Bare names + attribute names referenced anywhere in the body.
-    references: FrozenSet[str]
     call_sites: Tuple[CallSite, ...] = ()
-
-    @property
-    def is_dunder(self) -> bool:
-        return self.name.startswith("__") and self.name.endswith("__")
-
-    @property
-    def is_framework_hook(self) -> bool:
-        return self.name.startswith(config.FRAMEWORK_METHOD_PREFIXES)
 
 
 @dataclass
 class CallGraph:
-    """The project call graph plus the liveness machinery."""
+    """The project call graph."""
 
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: bare name -> qualnames defined with that name (project modules only)
+    #: bare name -> qualnames defined with that name
     by_name: Dict[str, List[str]] = field(default_factory=dict)
-    #: module name -> names referenced at module scope (includes __all__)
-    module_references: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     #: module -> modules it can import, transitively (deferred included)
     reachable_modules: Dict[str, Set[str]] = field(default_factory=dict)
 
@@ -272,188 +254,25 @@ class CallGraph:
             )
         return names
 
-    def calls_from(self, qualname: str) -> Set[str]:
-        """Callees of one function over :meth:`callees` (no bare references)."""
-        info = self.functions.get(qualname)
-        out: Set[str] = set()
-        if info is not None:
-            for site in info.call_sites:
-                out.update(self.callees(info, site))
-        return out
-
-    def edges_from(self, qualname: str) -> Set[str]:
-        """Callees of one function (resolved + name-matched)."""
-        info = self.functions.get(qualname)
-        if info is None:
-            return set()
-        out: Set[str] = set()
-        for site in info.call_sites:
-            out.update(site.candidates)
-        # Function references (decorator use, callbacks, aliasing) count
-        # as edges too: passing a function along keeps it reachable.
-        for name in info.references:
-            for target in self.by_name.get(name, ()):
-                if target != qualname:
-                    out.add(target)
-        return out
-
-    def liveness_roots(self) -> Set[str]:
-        """Functions considered externally invoked."""
-        roots: Set[str] = set()
-        for qualname, info in self.functions.items():
-            if qualname in config.ENTRY_POINTS:
-                roots.add(qualname)
-            elif info.is_dunder or info.is_framework_hook:
-                roots.add(qualname)
-            elif info.decorators:
-                # Registered via a decorator (rule registries, pytest
-                # fixtures, properties): invoked reflectively.
-                roots.add(qualname)
-        # Anything referenced by name at module scope (includes __all__
-        # exports, i.e. the public API surface).
-        for names in self.module_references.values():
-            for name in names:
-                roots.update(self.by_name.get(name, ()))
-        return roots
-
-    def live(self) -> Set[str]:
-        """Transitive closure of the liveness roots over :meth:`edges_from`."""
-        seen: Set[str] = set()
-        stack = sorted(self.liveness_roots())
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(
-                succ for succ in self.edges_from(current) if succ not in seen
-            )
-        return seen
-
-    def dead(self) -> List[FunctionInfo]:
-        """Functions no liveness root reaches, in (module, line) order."""
-        live = self.live()
-        return sorted(
-            (info for qualname, info in self.functions.items() if qualname not in live),
-            key=lambda info: (info.module, info.lineno),
-        )
-
 
 def build_call_graph(project: Project, import_graph: ImportGraph) -> CallGraph:
     """Extract call facts from every module of ``project``."""
     graph = CallGraph(reachable_modules=import_graph.reachability())
     symbols = _Symbols(project)
-    for module in project.all_modules():
-        _extract_module(
-            graph, symbols, module, record_defs=module.name in project.modules
-        )
+    for module in project.modules.values():
+        resolver = symbols.scope(module)
+        for scope in module.functions:
+            call_sites: List[CallSite] = []
+            for sub in ast.walk(scope.node):
+                if isinstance(sub, ast.Call):
+                    site = _resolve_call(resolver, scope.cls, sub)
+                    if site is not None:
+                        call_sites.append(site)
+            graph.functions[scope.qualname] = FunctionInfo(
+                scope.qualname, module.name, tuple(call_sites)
+            )
+            graph.by_name.setdefault(scope.node.name, []).append(scope.qualname)
     return graph
-
-
-# ----------------------------------------------------------------------
-# fact extraction
-# ----------------------------------------------------------------------
-def _extract_module(
-    graph: CallGraph,
-    symbols: "_Symbols",
-    module: ProjectModule,
-    record_defs: bool,
-) -> None:
-    resolver = symbols.scope(module)
-    module_refs: Set[str] = set()
-
-    def collect_function(scope: FunctionScope) -> None:
-        node = scope.node
-        references: Set[str] = set()
-        call_sites: List[CallSite] = []
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and sub.id != node.name:
-                references.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                references.add(sub.attr)
-            if isinstance(sub, ast.Call):
-                site = _resolve_call(resolver, scope.cls, sub)
-                if site is not None:
-                    call_sites.append(site)
-        decorators = tuple(
-            _decorator_name(dec) for dec in node.decorator_list
-        )
-        # Decorator names used on this function reference those functions.
-        module_refs.update(name for name in decorators if name)
-        info = FunctionInfo(
-            qualname=scope.qualname,
-            module=module.name,
-            name=node.name,
-            cls=scope.cls,
-            lineno=node.lineno,
-            decorators=tuple(d for d in decorators if d),
-            references=frozenset(references),
-            call_sites=tuple(call_sites),
-        )
-        if record_defs:
-            graph.functions[scope.qualname] = info
-            graph.by_name.setdefault(node.name, []).append(scope.qualname)
-        else:
-            # Reference-only modules (tests, benchmarks): their bodies
-            # keep project functions alive but are not analyzed.
-            module_refs.update(references)
-
-    for scope in module.functions:
-        collect_function(scope)
-
-    # Everything at module and class scope that is not a function body.
-    for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.ClassDef):
-            module_refs.add(node.name)
-            for item in node.body:
-                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    _collect_refs(item, module_refs)
-            for base in node.bases + [kw.value for kw in node.keywords]:
-                _collect_refs(base, module_refs)
-            for dec in node.decorator_list:
-                _collect_refs(dec, module_refs)
-        else:
-            _collect_refs(node, module_refs)
-            _collect_all_exports(node, module_refs)
-
-    graph.module_references[module.name] = frozenset(module_refs)
-
-
-def _collect_refs(node: ast.AST, into: Set[str]) -> None:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            into.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            into.add(sub.attr)
-
-
-def _collect_all_exports(node: ast.stmt, into: Set[str]) -> None:
-    targets: List[ast.expr] = []
-    value: Optional[ast.expr] = None
-    if isinstance(node, ast.Assign):
-        targets, value = node.targets, node.value
-    elif isinstance(node, ast.AnnAssign) and node.value is not None:
-        targets, value = [node.target], node.value
-    elif isinstance(node, ast.AugAssign):
-        targets, value = [node.target], node.value
-    for target in targets:
-        if isinstance(target, ast.Name) and target.id == "__all__" and value is not None:
-            for sub in ast.walk(value):
-                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                    into.add(sub.value)
-
-
-def _decorator_name(node: ast.expr) -> str:
-    current = node
-    if isinstance(current, ast.Call):
-        current = current.func
-    if isinstance(current, ast.Attribute):
-        return current.attr
-    if isinstance(current, ast.Name):
-        return current.id
-    return ""
 
 
 class _Symbols:
@@ -466,7 +285,7 @@ class _Symbols:
         #: class qualname -> qualnames of its methods, in source order
         self.methods: Dict[str, List[str]] = {}
         self._scopes: Dict[str, _ModuleScope] = {}
-        for module in project.all_modules():
+        for module in project.modules.values():
             for name in module.classes:
                 self.defs.add(f"{module.name}.{name}")
                 self.methods[f"{module.name}.{name}"] = []
@@ -567,7 +386,7 @@ class _ModuleScope:
             if f"{owner}.{name}" in self.symbols.methods[owner]:
                 return f"{owner}.{name}"
             home, _, base_cls = owner.rpartition(".")
-            module = self.symbols.project.get(home)
+            module = self.symbols.project.modules.get(home)
             if module is not None:
                 pending[:0] = self.symbols.scope(module)._project_bases(base_cls)
         return None
@@ -595,8 +414,7 @@ def _resolve_call(
         resolved = scope.resolve_name(func.id)
         if resolved is not None:
             return CallSite(call.lineno, symbols.callable_targets(resolved), True)
-        # Unknown bare name (builtin, closure); name matching by the
-        # reference set covers liveness, nothing to record here.
+        # Unknown bare name (builtin, closure): nothing to record.
         return None
     if isinstance(func, ast.Attribute):
         receiver = func.value
@@ -617,7 +435,7 @@ def _resolve_call(
             resolved = scope.resolve_dotted(_dotted(func))
             if resolved is not None:
                 return CallSite(call.lineno, symbols.callable_targets(resolved), True)
-        # Fallback: record the bare attribute name; liveness is covered
-        # by the reference set, the callee query matches the name itself.
+        # Fallback: record the bare attribute name; the callee query
+        # matches the name itself.
         return CallSite(call.lineno, (), False, func.attr)
     return None

@@ -9,8 +9,8 @@ Also runnable without an installed entry point::
 
 Plain ``repro-lint PATHS`` runs the per-module rules over the given
 files.  ``--deep`` instead runs every whole-program rule
-(:mod:`repro.analysis.deep`: dead code, float-comparison dataflow and
-the lemma table, layering, asyncio hygiene) and must be started from
+(:mod:`repro.analysis.deep`: float-comparison dataflow and the lemma
+table, layering and import contracts, asyncio hygiene) and must be started from
 the repository root: it always analyzes the full ``src/repro`` tree --
 cross-module reasoning needs the whole program -- and ignores ``PATHS``
 unless ``--changed-only`` is given, which restricts the *reported*
@@ -124,7 +124,7 @@ def _deep_main(args: argparse.Namespace, codes: List[str]) -> int:
         )
         return 2
 
-    project = load_project([src_root], deep.default_reference_roots(Path(".")))
+    project = load_project([src_root])
     analysis = deep.analyze(project, select=codes)
     if args.report:
         for line in analysis.report():

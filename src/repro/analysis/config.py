@@ -2,7 +2,7 @@
 
 Everything the passes treat as *policy* rather than *mechanism* lives
 here, so a reviewer can audit the contracts in one place and a satellite
-change (a new entry point, a new strict-float module) is a one-line diff.
+change (a new strict-float module, a new layer) is a one-line diff.
 
 See ``docs/static_analysis.md`` ("Whole-program analysis") for the
 rationale behind each table.
@@ -14,54 +14,22 @@ from typing import Dict, FrozenSet, Tuple
 
 __all__ = [
     "DOCSTRING_REQUIRED_PREFIXES",
-    "ENTRY_POINTS",
-    "FRAMEWORK_METHOD_PREFIXES",
     "KNOWN_PAPER_LEMMAS",
     "LAYER_RANKS",
-    "LIVENESS_REFERENCE_ROOTS",
+    "ORACLE_ALLOWED_IMPORTS",
     "STATIC_ANALYSIS_MODULES",
     "STRICT_FLOAT_MODULES",
 ]
 
 # ----------------------------------------------------------------------
-# Call graph / dead code (RPR008)
-# ----------------------------------------------------------------------
-
-#: Functions reachable from outside the project: console-script mains,
-#: ``python -m`` entry modules, and the pytest plugin.  Qualified names
-#: as produced by :mod:`repro.analysis.callgraph` (``module.func`` /
-#: ``module.Class.method``).
-ENTRY_POINTS: FrozenSet[str] = frozenset(
-    {
-        "repro.cli.main",
-        "repro.analysis.cli.main",
-        "repro.testing.cli.main",
-        "repro.service.cli.main",
-    }
-)
-
-#: Method-name prefixes invoked reflectively by frameworks (``getattr``
-#: dispatch), so a name-resolution call graph never sees the call:
-#: ``ast.NodeVisitor.visit_*``, pytest hooks/fixtures/tests.
-FRAMEWORK_METHOD_PREFIXES: Tuple[str, ...] = (
-    "visit_",
-    "pytest_",
-    "test_",
-)
-
-#: Directories (relative to the repo root) whose references keep project
-#: definitions alive even though the files themselves are not analyzed
-#: for contracts: a helper used only by the test suite is not dead.
-LIVENESS_REFERENCE_ROOTS: Tuple[str, ...] = ("tests", "benchmarks", "examples")
-
-# ----------------------------------------------------------------------
-# Float-comparison dataflow (RPR011, RPR012)
+# Float-comparison dataflow (RPR001, RPR011, RPR012)
 # ----------------------------------------------------------------------
 
 #: Modules in which every ordering/equality comparison on a
 #: distance-valued expression must be tolerance-routed, lemma-sanctioned
 #: (see ``repro.analysis.floatcheck.LEMMA_TABLE``) or justified with a
-#: ``# repro: noqa(RPR011)``.
+#: ``# repro: noqa(RPR011)``; RPR001 reads the bound attributes as
+#: distances here.
 STRICT_FLOAT_MODULES: Tuple[str, ...] = (
     "repro.core.verification",
     "repro.core.heap",
@@ -97,7 +65,7 @@ KNOWN_PAPER_LEMMAS: FrozenSet[str] = frozenset(
 )
 
 # ----------------------------------------------------------------------
-# Layering (RPR013)
+# Layering and import contracts (RPR013)
 # ----------------------------------------------------------------------
 
 #: Rank of each package/module prefix; a module may only import modules
@@ -147,3 +115,12 @@ STATIC_ANALYSIS_MODULES: Tuple[str, ...] = (
     "repro.analysis.project",
     "repro.analysis.rules",
 )
+
+#: Differential-test oracle modules -> the only project modules each may
+#: import, deferred imports included.  An oracle's value is recomputing
+#: ground truth from first principles; importing the code under test
+#: would turn the differential comparison into a tautology.  The plain
+#: ``Point`` value type is the one shared vocabulary.
+ORACLE_ALLOWED_IMPORTS: Dict[str, Tuple[str, ...]] = {
+    "repro.testing.oracles": ("repro.geometry.point",),
+}

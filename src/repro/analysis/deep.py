@@ -14,21 +14,21 @@ rendering and CI treatment stay uniform.
 Whole-program rules sit in the same catalogue as the per-module ones
 (:func:`repro.analysis.lint.register_rule` with ``whole_program=True``);
 a pass is the function registered under every code it can emit.  This
-module registers the first four and imports the modules that register
+module registers the first three and imports the module that registers
 the rest:
 
 ========  ============================================================
-RPR008    dead code: functions unreachable from every liveness root
 RPR011    raw float comparison on a distance-valued expression
 RPR012    lemma-conformance breach (direction flip, stale table entry)
-RPR013    layering-contract or import-cycle violation
+RPR013    layering, oracle-import or import-cycle violation
 RPR016+   :mod:`repro.analysis.concurrency` (RPR016-RPR018)
 ========  ============================================================
 
 These are the rules only static analysis can enforce; what a run-time
 gate already pins (page billing, mirror coherence, replay determinism,
 obs guards on the query paths, lock discipline, subcounter fold-once)
-is left to that gate -- the yield table in ``docs/static_analysis.md``
+is left to that gate, and hygiene that changes no output (dead code)
+is not policed -- the yield table in ``docs/static_analysis.md``
 records the evidence.
 ``# repro: noqa(CODE)`` on the reported line is the one escape hatch:
 any finding fails the run.
@@ -38,10 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.analysis import config
 from repro.analysis.callgraph import (
     CallGraph,
     ImportGraph,
@@ -71,7 +69,6 @@ __all__ = [
     "DeepAnalysis",
     "analyze",
     "apply_suppressions",
-    "default_reference_roots",
 ]
 
 
@@ -130,7 +127,6 @@ def analyze(
     passes = {rule.check: None for rule in rules}  # ordered, one run per pass
     for run_pass in passes:
         found.extend(v for v in run_pass(analysis) if v.code in codes)
-    found.extend(_undefined_names(analysis, codes))
     found = apply_suppressions(project, found)
     found.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     analysis.violations = found
@@ -138,28 +134,8 @@ def analyze(
 
 
 # ----------------------------------------------------------------------
-# the first four passes
+# the first three passes
 # ----------------------------------------------------------------------
-@register_rule(
-    "RPR008",
-    "dead-code",
-    "function unreachable from every entry point, export, dunder, "
-    "framework hook or test reference",
-    whole_program=True,
-)
-def _dead_code(analysis: DeepAnalysis) -> Iterator[Violation]:
-    for info in analysis.graph.dead():
-        yield Violation(
-            analysis.project.modules[info.module].path,
-            info.lineno,
-            0,
-            "RPR008",
-            f"`{info.qualname}` is unreachable from every entry point, "
-            "export or test; delete it or add a liveness root "
-            "(repro.analysis.config.ENTRY_POINTS)",
-        )
-
-
 @register_rule(
     "RPR011",
     "raw-distance-comparison",
@@ -191,8 +167,9 @@ def _lemma_conformance(analysis: DeepAnalysis) -> Iterator[Violation]:
 @register_rule(
     "RPR013",
     "layering-contract",
-    "top-level import against the declared layer order, into the "
-    "static-analysis zone, or forming a cycle",
+    "top-level import against the declared layer order or into the "
+    "static-analysis zone, an oracle importing the code under test, "
+    "or an import cycle",
     whole_program=True,
 )
 def _layering(analysis: DeepAnalysis) -> Iterator[Violation]:
@@ -201,52 +178,6 @@ def _layering(analysis: DeepAnalysis) -> Iterator[Violation]:
         yield Violation(modules[record.source].path, record.lineno, 0, "RPR013", message)
     for module, message in cycle_violations(analysis.import_graph):
         yield Violation(modules[module].path, 1, 0, "RPR013", message)
-
-
-# ----------------------------------------------------------------------
-# declared names that resolve to nothing
-# ----------------------------------------------------------------------
-def _undefined_names(analysis: DeepAnalysis, codes: Set[str]) -> Iterator[Violation]:
-    """An entry point whose module is loaded but does not define it.
-
-    Dead-code analysis starts from the declared entry points the call
-    graph knows, so a misspelt one would otherwise shrink the live set
-    in silence.  Reported as RPR008 at its line in ``config.py`` and at
-    the top of the module that lost the symbol (a rename there must
-    survive ``--changed-only``); a project that does not contain the
-    named module at all (a fixture, a partial run) stays silent.
-    """
-    if "RPR008" not in codes:
-        return
-    project = analysis.project
-    declaring = project.modules.get(config.__name__)
-    for name in sorted(config.ENTRY_POINTS):
-        owner = project.modules.get(project.resolve_import(name) or "")
-        if owner is None or owner.name == name:
-            continue
-        symbol = name[len(owner.name) + 1 :]
-        if symbol in owner.classes or any(
-            scope.qualname == name for scope in owner.functions
-        ):
-            continue
-        anchors = [(owner.path, 1)]
-        if declaring is not None:
-            quoted = f'"{name}"'
-            line = next(
-                (n for n, text in enumerate(declaring.lines, 1) if quoted in text),
-                1,
-            )
-            anchors.insert(0, (declaring.path, line))
-        for path, line in anchors:
-            yield Violation(
-                path,
-                line,
-                0,
-                "RPR008",
-                f"`{name}` is declared in ENTRY_POINTS but `{owner.name}` "
-                f"defines no `{symbol}`; the rule would silently check "
-                "less -- fix the name alongside the code",
-            )
 
 
 # ----------------------------------------------------------------------
@@ -273,11 +204,3 @@ def apply_suppressions(
         kept.append(violation)
     return kept
 
-
-def default_reference_roots(base: Path) -> List[Path]:
-    """The liveness reference roots that exist under ``base``."""
-    return [
-        base / name
-        for name in config.LIVENESS_REFERENCE_ROOTS
-        if (base / name).is_dir()
-    ]

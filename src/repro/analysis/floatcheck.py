@@ -1,19 +1,28 @@
-"""Float-comparison dataflow over distance-valued expressions (deep pass 3).
+"""Float-comparison dataflow over distance-valued expressions.
 
-The SENN/SNNN verifiers are soundness-critical float code: Lemma 3.2
-certifies a candidate with ``Dist(Q, n_i) + delta <= Dist(P, n_k)`` and a
-single flipped comparison silently turns an exact algorithm into an
-approximate one (differential tests catch it eventually; this pass
-catches it at lint time).
+The one distance-taint engine of ``repro.analysis``, with its
+vocabulary.  The SENN/SNNN verifiers are soundness-critical float
+code: Lemma 3.2 certifies a candidate with ``Dist(Q, n_i) + delta <=
+Dist(P, n_k)`` and a single flipped comparison silently turns an exact
+algorithm into an approximate one (differential tests catch it
+eventually; this pass catches it at lint time).
 
 Mechanism — per function, a flow-insensitive taint pass marks
 *distance-valued* expressions: calls like ``distance_to``/``mindist``,
 attributes like ``.distance``/``.radius``/``.certain_radius``, parameters
-with distance names, and anything arithmetic built from them.  Every
+with distance names, and anything built from them by arithmetic,
+``min``/``max``/``sqrt``-style calls, tuples, lists or comprehensions.  Every
 ordering/equality comparison with a tainted operand in a strict-float
 module (:data:`repro.analysis.config.STRICT_FLOAT_MODULES`) is a *site*.
 
-Two rules consume the sites:
+Three rules consume it:
+
+``RPR001``
+    The per-module rule (:func:`exact_distance_equalities`): ``==`` /
+    ``!=`` with a distance-valued side, in any module, with the
+    module's top level as one more scope.  Outside the strict-float
+    modules the bound attributes (``lower``, ``upper``, ...) do not
+    seed taint: there they name other things (``index == self.upper``).
 
 ``RPR011``
     A site must be tolerance-routed (an operand mentions a tolerance),
@@ -36,11 +45,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import config
-from repro.analysis.project import FunctionNode, Project, ProjectModule
-from repro.analysis.rules import DISTANCE_ATTRIBUTE_NAMES, DISTANCE_CALL_NAMES
+from repro.analysis.project import Project, ProjectModule
 
 __all__ = [
     "ComparisonSite",
@@ -48,6 +56,7 @@ __all__ = [
     "LemmaEntry",
     "SELF_CHECK_SCOPES",
     "collect_comparison_sites",
+    "exact_distance_equalities",
     "float_comparison_violations",
     "lemma_conformance_violations",
     "lemma_table_lines",
@@ -58,10 +67,20 @@ __all__ = [
 # taint vocabulary
 # ----------------------------------------------------------------------
 
-#: Call names whose result is a distance: RPR001's catalogue plus the
-#: vectorized kernels (repro.geometry.vecmath), which return arrays of
-#: distances.
-_DISTANCE_CALLS: Set[str] = DISTANCE_CALL_NAMES | {
+#: Call names whose result is a distance, scalar (``distance_to``,
+#: ``math.hypot``) or an array of them (the repro.geometry.vecmath
+#: kernels).
+_DISTANCE_CALLS: Set[str] = {
+    "distance_to",
+    "squared_distance_to",
+    "distance",
+    "squared_distance",
+    "mindist",
+    "maxdist",
+    "network_distance",
+    "path_length",
+    "hypot",
+    "dist",
     "hypot_pairs",
     "point_distances",
     "point_distance_list",
@@ -69,10 +88,11 @@ _DISTANCE_CALLS: Set[str] = DISTANCE_CALL_NAMES | {
     "maxdist_arrays",
 }
 
-#: Attribute names holding distances: RPR001's catalogue plus the bound
-#: attributes.  The extras must not move into RPR001's own set, which
-#: runs on every module and would flag ``s.lower() == "x"``.
-_DISTANCE_ATTRS: Set[str] = DISTANCE_ATTRIBUTE_NAMES | {
+#: Attribute names holding distances in every module.
+_DISTANCE_ATTRS: FrozenSet[str] = frozenset({"distance", "radius", "certain_radius"})
+
+#: ... and, in the strict-float modules only, the bound attributes.
+_STRICT_DISTANCE_ATTRS: FrozenSet[str] = _DISTANCE_ATTRS | {
     "known_radius",
     "lower",
     "upper",
@@ -106,8 +126,12 @@ _TAINT_FORWARDING_CALLS: Set[str] = {
     "sum",
     "float",
     "round",
+    "sqrt",
     "asarray",
     "fromiter",
+    "tuple",
+    "list",
+    "sorted",
 }
 
 #: Methods that forward their *receiver's* taint (``dists.tolist()`` is
@@ -161,7 +185,7 @@ class ComparisonSite:
 
 
 def collect_comparison_sites(module: ProjectModule) -> List[ComparisonSite]:
-    """All distance-tainted comparisons in ``module``.
+    """All distance-tainted comparisons in ``module`` (strict vocabulary).
 
     Comparisons inside nested functions are attributed to the enclosing
     top-level function (that is where the lemma lives).
@@ -169,14 +193,17 @@ def collect_comparison_sites(module: ProjectModule) -> List[ComparisonSite]:
     sites: List[ComparisonSite] = []
     for scope in module.functions:
         qualname, node = scope.qualname, scope.node
-        tainted = _tainted_names(node)
+        tainted = _tainted_names(node, _STRICT_DISTANCE_ATTRS)
         for sub in ast.walk(node):
             if not isinstance(sub, ast.Compare):
                 continue
             if not isinstance(sub.ops[0], _COMPARE_OPS):
                 continue
             operands = [sub.left, *sub.comparators]
-            if not any(_is_distance_expr(op, tainted) for op in operands):
+            if not any(
+                _is_distance_expr(op, tainted, _STRICT_DISTANCE_ATTRS)
+                for op in operands
+            ):
                 continue
             right = ", ".join(ast.unparse(c) for c in sub.comparators)
             sites.append(
@@ -198,13 +225,77 @@ def collect_comparison_sites(module: ProjectModule) -> List[ComparisonSite]:
     return sites
 
 
-def _tainted_names(node: FunctionNode) -> Set[str]:
-    """Names bound to distance-valued expressions anywhere in the function."""
+def exact_distance_equalities(
+    module: ProjectModule, skip_asserts: bool
+) -> Iterator[ast.Compare]:
+    """RPR001: ``==`` / ``!=`` with a distance-valued side, in any module.
+
+    Each top-level function or method is one taint scope (nested defs
+    included, as for the strict sites), and the module's remaining
+    statements, class bodies included, are one more.  ``skip_asserts``
+    exempts comparisons inside ``assert`` statements.  A side that is a
+    non-numeric literal (``"x"``, ``None``, ``True``) is never a float
+    equality.
+    """
+    attrs = (
+        _STRICT_DISTANCE_ATTRS
+        if module.name in config.STRICT_FLOAT_MODULES
+        else _DISTANCE_ATTRS
+    )
+    exempt: Set[int] = set()
+    if skip_asserts:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Assert):
+                exempt.update(id(sub) for sub in ast.walk(node))
+    scopes: List[ast.AST] = [scope.node for scope in module.functions]
+    scopes.append(_module_scope(module.tree))
+    for scope in scopes:
+        tainted = _tainted_names(scope, attrs)
+        for sub in ast.walk(scope):
+            if not isinstance(sub, ast.Compare) or id(sub) in exempt:
+                continue
+            operands = [sub.left, *sub.comparators]
+            for op, left, right in zip(sub.ops, operands, operands[1:]):
+                if not isinstance(op, (ast.Eq, ast.NotEq)):
+                    continue
+                if _is_non_numeric_literal(left) or _is_non_numeric_literal(right):
+                    continue
+                if _is_distance_expr(left, tainted, attrs) or _is_distance_expr(
+                    right, tainted, attrs
+                ):
+                    yield sub
+                    break
+
+
+def _module_scope(tree: ast.Module) -> ast.Module:
+    """The module's statements outside every top-level function and method."""
+    body: List[ast.stmt] = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            body.extend(
+                item
+                for item in node.body
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body.append(node)
+    return ast.Module(body=body, type_ignores=[])
+
+
+def _is_non_numeric_literal(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and (
+        not isinstance(node.value, (int, float)) or isinstance(node.value, bool)
+    )
+
+
+def _tainted_names(node: ast.AST, attrs: FrozenSet[str]) -> Set[str]:
+    """Names bound to distance-valued expressions anywhere in the scope."""
     tainted: Set[str] = set()
-    args = node.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        if arg.arg in _DISTANCE_PARAMS:
-            tainted.add(arg.arg)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        args = node.args
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            if arg.arg in _DISTANCE_PARAMS:
+                tainted.add(arg.arg)
     # Flow-insensitive: iterate to a fixpoint over assignments.
     changed = True
     while changed:
@@ -219,12 +310,12 @@ def _tainted_names(node: FunctionNode) -> Set[str]:
             elif isinstance(sub, ast.AugAssign):
                 targets, value = [sub.target], sub.value
             elif isinstance(sub, ast.For):
-                if _taint_for_loop(sub, tainted):
+                if _taint_for_loop(sub, tainted, attrs):
                     changed = True
                 continue
             if value is None:
                 continue
-            if _is_distance_expr(value, tainted):
+            if _is_distance_expr(value, tainted, attrs):
                 for target in targets:
                     if isinstance(target, ast.Name) and target.id not in tainted:
                         tainted.add(target.id)
@@ -247,7 +338,7 @@ def _tainted_names(node: FunctionNode) -> Set[str]:
     return tainted
 
 
-def _taint_for_loop(loop: ast.For, tainted: Set[str]) -> bool:
+def _taint_for_loop(loop: ast.For, tainted: Set[str], attrs: FrozenSet[str]) -> bool:
     """Taint loop targets drawn from distance-valued iterables.
 
     ``for d in dists:`` binds ``d`` to a distance; ``for d, t, e in
@@ -260,7 +351,7 @@ def _taint_for_loop(loop: ast.For, tainted: Set[str]) -> bool:
     if isinstance(target, ast.Name):
         if (
             target.id not in tainted
-            and _is_distance_expr(it, tainted)
+            and _is_distance_expr(it, tainted, attrs)
         ):
             tainted.add(target.id)
             changed = True
@@ -278,7 +369,7 @@ def _taint_for_loop(loop: ast.For, tainted: Set[str]) -> bool:
             if (
                 isinstance(element, ast.Name)
                 and element.id not in tainted
-                and _is_distance_expr(source, tainted)
+                and _is_distance_expr(source, tainted, attrs)
             ):
                 tainted.add(element.id)
                 changed = True
@@ -296,11 +387,11 @@ def _taint_for_loop(loop: ast.For, tainted: Set[str]) -> bool:
     return changed
 
 
-def _is_distance_expr(node: ast.expr, tainted: Set[str]) -> bool:
+def _is_distance_expr(node: ast.expr, tainted: Set[str], attrs: FrozenSet[str]) -> bool:
     if isinstance(node, ast.Name):
         return node.id in tainted
     if isinstance(node, ast.Attribute):
-        return node.attr in _DISTANCE_ATTRS or _is_distance_expr(node.value, tainted)
+        return node.attr in attrs or _is_distance_expr(node.value, tainted, attrs)
     if isinstance(node, ast.Call):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else (
@@ -309,24 +400,35 @@ def _is_distance_expr(node: ast.expr, tainted: Set[str]) -> bool:
         if name in _DISTANCE_CALLS:
             return True
         if name in _TAINT_FORWARDING_CALLS:
-            return any(_is_distance_expr(arg, tainted) for arg in node.args)
+            return any(_is_distance_expr(arg, tainted, attrs) for arg in node.args)
         if name in _TAINT_PRESERVING_METHODS and isinstance(func, ast.Attribute):
-            return _is_distance_expr(func.value, tainted)
+            return _is_distance_expr(func.value, tainted, attrs)
         return False
     if isinstance(node, ast.BinOp):
-        return _is_distance_expr(node.left, tainted) or _is_distance_expr(
-            node.right, tainted
+        return _is_distance_expr(node.left, tainted, attrs) or _is_distance_expr(
+            node.right, tainted, attrs
         )
     if isinstance(node, ast.UnaryOp):
-        return _is_distance_expr(node.operand, tainted)
-    if isinstance(node, ast.Tuple):
-        return any(_is_distance_expr(element, tainted) for element in node.elts)
+        return _is_distance_expr(node.operand, tainted, attrs)
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return any(_is_distance_expr(element, tainted, attrs) for element in node.elts)
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        # A comprehension carries the taint of what it builds; its own
+        # loop names are tainted by distance-valued iterables.
+        inner = set(tainted)
+        for generator in node.generators:
+            if isinstance(generator.target, ast.Name) and _is_distance_expr(
+                generator.iter, inner, attrs
+            ):
+                inner.add(generator.target.id)
+        built = node.value if isinstance(node, ast.DictComp) else node.elt
+        return _is_distance_expr(built, inner, attrs)
     if isinstance(node, ast.IfExp):
-        return _is_distance_expr(node.body, tainted) or _is_distance_expr(
-            node.orelse, tainted
+        return _is_distance_expr(node.body, tainted, attrs) or _is_distance_expr(
+            node.orelse, tainted, attrs
         )
     if isinstance(node, ast.Subscript):
-        return _is_distance_expr(node.value, tainted)
+        return _is_distance_expr(node.value, tainted, attrs)
     return False
 
 

@@ -12,10 +12,14 @@ import only modules of its own or a lower rank; the judgment applies to
 **top-level** imports — deferred function-scope imports are the
 sanctioned cycle-breaking device and stay exempt.
 
-On top of the rank check, two restricted contracts:
+On top of the rank check, three restricted contracts:
 
 - the static-analysis side of ``repro.analysis`` may import nothing
   from ``repro`` outside itself (it must lint broken trees);
+- a differential-test oracle module may import only the project
+  modules :data:`repro.analysis.config.ORACLE_ALLOWED_IMPORTS` grants
+  it, judged on **every** import, deferred ones included: an oracle
+  that calls the code under test agrees with it by construction;
 - no top-level import cycles anywhere (a submodule importing its own
   package ``__init__`` is the classic offender).
 """
@@ -55,12 +59,23 @@ def layer_violations(
     """
     seen: Set[Tuple[str, str, int]] = set()
     for record in graph.records:
-        if not record.top_level:
-            continue
         key = (record.source, record.target, record.lineno)
         if key in seen:
             continue
         seen.add(key)
+        allowed = config.ORACLE_ALLOWED_IMPORTS.get(record.source)
+        if allowed is not None:
+            if record.target not in allowed:
+                yield (
+                    record,
+                    f"oracle module `{record.source}` imports "
+                    f"`{record.target}`; oracles must stay independent of "
+                    f"the code under test (only {', '.join(allowed)} is "
+                    "shared)",
+                )
+            continue
+        if not record.top_level:
+            continue
         if _is_static_analysis(record.source) and not _is_static_analysis(
             record.target
         ):

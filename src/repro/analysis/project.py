@@ -19,9 +19,9 @@ import ast
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.lint import _collect_suppressions, _module_name
+from repro.analysis.lint import _collect_suppressions, _expand_paths, _module_name
 
 __all__ = [
     "FunctionNode",
@@ -128,28 +128,12 @@ class ProjectModule:
 
 @dataclass
 class Project:
-    """All parsed modules, keyed by dotted name.
-
-    ``modules`` holds the analyzed project proper (normally ``src/repro``);
-    ``reference_modules`` holds read-only liveness roots (tests, benchmarks,
-    examples) whose *references* count but whose definitions are not
-    themselves analyzed for dead code or contracts.
-    """
+    """All parsed modules of the analyzed tree (normally ``src/repro``),
+    keyed by dotted name."""
 
     modules: Dict[str, ProjectModule] = field(default_factory=dict)
-    reference_modules: Dict[str, ProjectModule] = field(default_factory=dict)
     #: Files that could not be parsed: (path, message).
     errors: List[Tuple[str, str]] = field(default_factory=list)
-
-    def all_modules(self) -> Iterator[ProjectModule]:
-        yield from self.modules.values()
-        yield from self.reference_modules.values()
-
-    def get(self, name: str) -> Optional[ProjectModule]:
-        module = self.modules.get(name)
-        if module is None:
-            module = self.reference_modules.get(name)
-        return module
 
     def resolve_import(self, name: str) -> Optional[str]:
         """Map an imported dotted name onto a project module, if any.
@@ -160,7 +144,7 @@ class Project:
         """
         candidate = name
         while candidate:
-            if candidate in self.modules or candidate in self.reference_modules:
+            if candidate in self.modules:
                 return candidate
             if "." not in candidate:
                 return None
@@ -179,25 +163,23 @@ class Project:
         replacement = ProjectModule(name=name, path=module.path, source=source, tree=tree)
         modules = dict(self.modules)
         modules[name] = replacement
-        return Project(
-            modules=modules,
-            reference_modules=dict(self.reference_modules),
-            errors=list(self.errors),
-        )
+        return Project(modules=modules, errors=list(self.errors))
 
 
-def load_project(
-    roots: Sequence[Path],
-    reference_roots: Sequence[Path] = (),
-) -> Project:
-    """Parse every ``*.py`` under ``roots`` (and ``reference_roots``)."""
+def load_project(roots: Sequence[Path]) -> Project:
+    """Parse every ``*.py`` under ``roots``."""
     project = Project()
-    _load_into(project.modules, roots, project.errors)
-    _load_into(project.reference_modules, reference_roots, project.errors)
-    # A module present in both views is analyzed, not merely referenced.
-    for name in list(project.reference_modules):
-        if name in project.modules:
-            del project.reference_modules[name]
+    for file_path in _expand_paths(roots):
+        try:
+            source = file_path.read_text(encoding="utf-8")
+            tree = ast.parse(source, filename=str(file_path))
+        except (OSError, SyntaxError, UnicodeDecodeError) as exc:
+            project.errors.append((str(file_path), str(exc)))
+            continue
+        name = _module_name(str(file_path))
+        project.modules[name] = ProjectModule(
+            name=name, path=str(file_path), source=source, tree=tree
+        )
     return project
 
 
@@ -216,35 +198,3 @@ def project_from_sources(sources: Mapping[str, str]) -> Project:
         )
     return project
 
-
-def _load_into(
-    target: Dict[str, ProjectModule],
-    roots: Sequence[Path],
-    errors: List[Tuple[str, str]],
-) -> None:
-    for root in roots:
-        if root.is_file():
-            files: Tuple[Path, ...] = (root,)
-        else:
-            files = tuple(sorted(root.rglob("*.py")))
-        for file_path in files:
-            if _skip(file_path):
-                continue
-            try:
-                source = file_path.read_text(encoding="utf-8")
-                tree = ast.parse(source, filename=str(file_path))
-            except (OSError, SyntaxError, UnicodeDecodeError) as exc:
-                errors.append((str(file_path), str(exc)))
-                continue
-            name = _module_name(str(file_path))
-            target[name] = ProjectModule(
-                name=name, path=str(file_path), source=source, tree=tree
-            )
-
-
-def _skip(path: Path) -> bool:
-    parts = set(path.parts)
-    return bool(
-        parts & {"__pycache__", ".git", "build", "dist"}
-        or any(part.endswith(".egg-info") for part in path.parts)
-    )

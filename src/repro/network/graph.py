@@ -212,7 +212,7 @@ class _EdgeGrid:
                     sx, sy = start.x, start.y
                     dx, dy = stop.x - sx, stop.y - sy
                     # Euclidean by design: snapping projects onto the edge chord.
-                    length_sq = start.squared_distance_to(stop)  # repro: noqa(RPR003)
+                    length_sq = start.squared_distance_to(stop)
                     t = ((px - sx) * dx + (py - sy) * dy) / length_sq
                     t = min(1.0, max(0.0, t))
                     x = sx + t * dx
@@ -316,7 +316,7 @@ class SpatialNetwork:
             raise KeyError("both endpoints must exist before adding an edge")
         # Euclidean by design: an edge's chord length is the geometric
         # lower bound its stored network length must respect.
-        euclidean = self._positions[u].distance_to(self._positions[v])  # repro: noqa(RPR003)
+        euclidean = self._positions[u].distance_to(self._positions[v])
         if length is None:
             length = euclidean
         elif length < euclidean - 1e-9:
@@ -489,7 +489,7 @@ class SpatialNetwork:
         return min(
             self._positions,
             # Euclidean by design: geometric nearest node, not reachability.
-            key=lambda node: self._positions[node].distance_to(point),  # repro: noqa(RPR003)
+            key=lambda node: self._positions[node].distance_to(point),
         )
 
     def __repr__(self) -> str:

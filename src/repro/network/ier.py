@@ -147,6 +147,6 @@ def incremental_network_expansion(
         results.append(
             # Euclidean by design: IER reports ED alongside ND as the
             # lower bound that justified the expansion order.
-            NetworkNeighbor(payload, candidates[index], origin.point.distance_to(location.point))  # repro: noqa(RPR003)
+            NetworkNeighbor(payload, candidates[index], origin.point.distance_to(location.point))
         )
     return results

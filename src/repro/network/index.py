@@ -228,7 +228,7 @@ class DijkstraIndex:
                 network_distance=distance,
                 # Euclidean by design: kNN results report both metrics
                 # because SNNN's stopping rule compares them.
-                euclidean_distance=origin.point.distance_to(location.point),  # repro: noqa(RPR003)
+                euclidean_distance=origin.point.distance_to(location.point),
             )
             for distance, _, _, location, payload in ranked[:k]
         ]
@@ -443,7 +443,7 @@ class HierarchicalIndex:
             location, _payload = self._pois[idx]
             # Euclidean by design: the refinement key is the Euclidean
             # lower bound of the POI's network distance (IER ordering).
-            euclid = origin.point.distance_to(location.point)  # repro: noqa(RPR003)
+            euclid = origin.point.distance_to(location.point)
             if self._component[location.edge.u] != origin_comp:
                 bounds[idx] = math.inf
             else:

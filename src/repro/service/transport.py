@@ -48,7 +48,7 @@ class QueryTransport(Protocol):
         ...
 
     def close(self) -> None:
-        """Release the transport's resources."""
+        """Release the transport's resources; later requests raise."""
         ...
 
 
@@ -57,15 +57,19 @@ class LoopbackTransport:
 
     def __init__(self, service: "QueryService") -> None:
         self._session: "ServiceSession" = service.session()
+        self._closed = False
 
     def request(self, frame: bytes) -> bytes:
         """Decode, execute and re-encode -- the wire path minus the wire."""
+        if self._closed:
+            raise ConnectionError("transport is closed")
         message = decode_message(frame)
         reply = self._session.handle(message)
         return encode_message(reply)
 
     def close(self) -> None:
-        """Close the underlying session (folds open streams)."""
+        """Close the underlying session (folds open streams); final."""
+        self._closed = True
         self._session.close()
 
 
@@ -114,7 +118,8 @@ class TcpTransport:
     seen a partial frame, so the resend cannot duplicate a request.  A
     failure mid-frame is raised to the caller instead: the server may
     hold the sent prefix, and resending the whole frame could execute
-    the request twice.
+    the request twice.  ``close`` is final: later requests raise
+    ``ConnectionError`` without dialing.
     """
 
     def __init__(
@@ -131,6 +136,7 @@ class TcpTransport:
         self._timeout_s = timeout_s
         self._connect_retries = connect_retries
         self._retry_delay_s = retry_delay_s
+        self._closed = False
         self._sock = self._connect()  # replaced only under ``_lock``
 
     def _connect(self) -> socket.socket:
@@ -155,6 +161,8 @@ class TcpTransport:
     def request(self, frame: bytes) -> bytes:
         """One request/reply exchange over the socket."""
         with self._lock:
+            if self._closed:
+                raise ConnectionError("transport is closed")
             try:
                 _send_frame(self._sock, frame)
             except _WholeFrameFailure:
@@ -177,8 +185,9 @@ class TcpTransport:
         self._sock.close()
 
     def close(self) -> None:
-        """Shut the connection down."""
+        """Shut the connection down for good."""
         with self._lock:
+            self._closed = True
             self._close_socket()
 
 

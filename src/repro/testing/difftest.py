@@ -665,7 +665,7 @@ def _check_vectorized_verify(
             )
         scalar_certified = sum(1 for offer in offers if offer[3])
         # Integer certification counts; equality is exact by definition.
-        if live_certified != scalar_certified:  # repro: noqa(RPR001)
+        if live_certified != scalar_certified:
             failures.append(
                 CheckFailure(
                     "vectorized-verify",
@@ -704,7 +704,8 @@ def _check_vectorized_verify(
     if m.all_caches:
         batched = collect_candidates(m.query, m.all_caches)
         scalar = scalar_collect_candidates(m.query, m.all_caches)
-        if [
+        # Bit-identity again: the batched distances must equal the loop's.
+        if [  # repro: noqa(RPR001)
             (distance, point.x, point.y, payload)
             for distance, point, payload in batched
         ] != [
@@ -740,7 +741,7 @@ def _check_vectorized_verify(
             # Same bit-identity contract as the single-peer check above.
             _heap_rows(live) != _heap_rows(reference)  # repro: noqa(RPR001)
             # Integer certification counts; equality is exact by definition.
-            or live_certified != scalar_certified  # repro: noqa(RPR001)
+            or live_certified != scalar_certified
         ):
             failures.append(
                 CheckFailure(

@@ -16,7 +16,7 @@ Everything in this module recomputes ground truth from first principles:
   reference for the grid search behind ``SpatialNetwork.snap``.
 
 Independence is the whole point: this file must not import the code under
-test.  ``repro-lint`` rule RPR007 enforces that no symbol from
+test.  ``repro-lint --deep`` rule RPR013 enforces that no symbol from
 ``repro.index``, ``repro.core``, ``repro.network`` or the coverage /
 polygon machinery of ``repro.geometry`` is imported here; only the
 :class:`~repro.geometry.point.Point` value type is shared.  The payload

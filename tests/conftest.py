@@ -60,7 +60,7 @@ def _sanitizer_session(request: pytest.FixtureRequest):
 
 @pytest.fixture(scope="session")
 def head_analysis():
-    """``src/repro`` + the reference roots, loaded once and analyzed once.
+    """``src/repro``, loaded once and analyzed once.
 
     Every test that reads the real tree shares it; fault injections
     derive their mutants from ``head_analysis.project.replace_source``.
@@ -68,9 +68,7 @@ def head_analysis():
     from repro.analysis import deep
     from repro.analysis.project import load_project
 
-    project = load_project(
-        [REPO_ROOT / "src" / "repro"], deep.default_reference_roots(REPO_ROOT)
-    )
+    project = load_project([REPO_ROOT / "src" / "repro"])
     return deep.analyze(project)
 
 

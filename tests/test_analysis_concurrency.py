@@ -214,7 +214,7 @@ class TestFaultInjection:
         # The dispatcher is plain callbacks; ``stop`` is where the server
         # still awaits.
         head_project = head_analysis.project
-        module = head_project.get("repro.service.asyncserver")
+        module = head_project.modules["repro.service.asyncserver"]
         mutated = module.source.replace(
             "    async def stop(self) -> None:\n",
             "    async def stop(self) -> None:\n"
@@ -245,9 +245,7 @@ class TestCli:
             "    threading.Thread(target=serve).start()\n"
         )
         tree = write_tree(tmp_path, {"repro.conc.spawn": source})
-        status, out, err = lint_cli(
-            "--deep", "--report", "--quiet", "--ignore", "RPR008", cwd=tree
-        )
+        status, out, err = lint_cli("--deep", "--report", "--quiet", cwd=tree)
         assert status == 0, out + err
         assert out == (
             "concurrency: thread/executor entry points\n"

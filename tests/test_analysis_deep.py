@@ -1,6 +1,7 @@
 """Acceptance tests for ``repro-lint --deep``: the driver, its CLI, the
-call graph and rules RPR008, RPR011-RPR013 (RPR016-RPR018 live in
-``test_analysis_concurrency``).
+call graph and rules RPR011-RPR013 (RPR016-RPR018 live in
+``test_analysis_concurrency``; RPR013's oracle-import cases sit beside
+the per-module rules in ``test_analysis_lint``).
 
 Two layers of coverage:
 
@@ -19,7 +20,7 @@ import sys
 
 import pytest
 
-from repro.analysis import config, deep
+from repro.analysis import deep
 from repro.analysis.callgraph import build_call_graph, build_import_graph
 from repro.analysis.concurrency import infer_effects
 from repro.analysis.floatcheck import (
@@ -35,47 +36,13 @@ from repro.analysis.project import project_from_sources
 from tests.conftest import REPO_ROOT, violations_of, write_tree
 
 
-#: ``repro.service.cli`` with the ``main`` that ``config.ENTRY_POINTS``
-#: declares renamed away (exported, so not dead code itself).
-RENAMED_CLI = '__all__ = ["serve"]\n\n\ndef serve():\n    return 0\n'
-
-# ----------------------------------------------------------------------
-# RPR008: dead code
-# ----------------------------------------------------------------------
-DEAD_CODE_SOURCES = {
-    "repro.core.alpha": (
-        '__all__ = ["used"]\n'
-        "\n"
-        "\n"
-        "def helper():\n"
-        "    return 1\n"
-        "\n"
-        "\n"
-        "def used():\n"
-        "    return helper()\n"
-        "\n"
-        "\n"
-        "def abandoned():\n"
-        "    return 2\n"
+#: One RPR013 breach: the oracle module imports the code under test.
+ORACLE_BREACH_SOURCES = {
+    "repro.testing.oracles": (
+        "from repro.core.server import knn\n\n__all__ = [\"knn\"]\n"
     ),
+    "repro.core.server": "def knn():\n    return []\n",
 }
-
-
-class TestDeadCode:
-    def test_unreferenced_function_is_flagged(self):
-        analysis = deep.analyze(project_from_sources(DEAD_CODE_SOURCES))
-        flagged = violations_of(analysis, "RPR008")
-        assert len(flagged) == 1
-        assert "`repro.core.alpha.abandoned`" in flagged[0].message
-
-    def test_transitive_callee_of_export_is_live(self):
-        analysis = deep.analyze(project_from_sources(DEAD_CODE_SOURCES))
-        messages = " ".join(v.message for v in violations_of(analysis, "RPR008"))
-        assert "helper" not in messages
-        assert "used" not in messages
-
-    def test_head_dead_code_report_is_empty(self, head_analysis):
-        assert list(head_analysis.graph.dead()) == []
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +147,7 @@ class TestLemmaConformance:
 
     def test_lemma_32_direction_flip_is_caught_statically(self, head_analysis):
         """The acceptance mutation: ``<=`` -> ``<`` in _verify_single_peer."""
-        source = head_analysis.project.get("repro.core.verification").source
+        source = head_analysis.project.modules["repro.core.verification"].source
         site_count = source.count("distance + delta <= certain_radius")
         assert site_count == 1
         mutated = head_analysis.project.replace_source(
@@ -228,7 +195,7 @@ class TestLemmaConformance:
         self, head_analysis, pinned, flipped, lemma, required
     ):
         """Each comparison of the run-per-node EINN loop, one flip at a time."""
-        source = head_analysis.project.get("repro.index.knn").source
+        source = head_analysis.project.modules["repro.index.knn"].source
         assert source.count(pinned) == 1
         mutated = head_analysis.project.replace_source(
             "repro.index.knn", source.replace(pinned, flipped)
@@ -257,7 +224,7 @@ class TestLemmaConformance:
         self, head_analysis, pinned, flipped, required
     ):
         """Table 1's admission test and the complete-heap shortcut."""
-        source = head_analysis.project.get("repro.core.heap").source
+        source = head_analysis.project.modules["repro.core.heap"].source
         assert source.count(pinned) == 1
         mutated = head_analysis.project.replace_source(
             "repro.core.heap", source.replace(pinned, flipped)
@@ -272,7 +239,7 @@ class TestLemmaConformance:
         assert f"requires `{required}`" in findings[0]
 
     def test_direction_flip_surfaces_through_full_driver(self, head_analysis):
-        source = head_analysis.project.get("repro.core.verification").source
+        source = head_analysis.project.modules["repro.core.verification"].source
         mutated = head_analysis.project.replace_source(
             "repro.core.verification",
             source.replace(
@@ -287,7 +254,7 @@ class TestLemmaConformance:
         assert violations_of(analysis, "RPR011") == []
 
     def test_dropping_covers_disk_is_caught(self, head_analysis):
-        source = head_analysis.project.get("repro.core.verification").source
+        source = head_analysis.project.modules["repro.core.verification"].source
         assert "region.covers_disk(target)" in source
         mutated = head_analysis.project.replace_source(
             "repro.core.verification",
@@ -302,7 +269,7 @@ class TestLemmaConformance:
         assert "Lemma 3.8" in findings[0]
 
     def test_deleting_a_pinned_comparison_reports_stale_entry(self, head_analysis):
-        source = head_analysis.project.get("repro.core.heap").source
+        source = head_analysis.project.modules["repro.core.heap"].source
         mutated = head_analysis.project.replace_source(
             "repro.core.heap",
             source.replace("distance < worst.distance", "bool(distance)"),
@@ -316,7 +283,7 @@ class TestLemmaConformance:
         assert "CandidateHeap._insert" in findings[0]
 
     def test_uncovered_comparison_in_scope_is_reported(self, head_analysis):
-        source = head_analysis.project.get("repro.core.heap").source
+        source = head_analysis.project.modules["repro.core.heap"].source
         mutated = head_analysis.project.replace_source(
             "repro.core.heap",
             source.replace(
@@ -453,11 +420,17 @@ class TestCallResolution:
                 }
             )
         )
+
+
+        def callees(qualname):
+            info = graph.functions[qualname]
+            return {c for site in info.call_sites for c in graph.callees(info, site)}
+
         # A stdlib base has no project method: the call reaches nothing,
         # where a bare-name match reached every importable __init__.
-        assert graph.calls_from("repro.core.errors.Failure.__init__") == set()
+        assert callees("repro.core.errors.Failure.__init__") == set()
         # A project base is followed up its own bases to the definition.
-        assert graph.calls_from("repro.core.errors.Child.__init__") == {
+        assert callees("repro.core.errors.Child.__init__") == {
             "repro.core.base.Root.__init__"
         }
 
@@ -501,8 +474,8 @@ class TestDriver:
                 return _real(*args)
 
             monkeypatch.setattr(deep, name, counted)
-        analysis = deep.analyze(project_from_sources(DEAD_CODE_SOURCES))
-        assert len(violations_of(analysis, "RPR008")) == 1
+        analysis = deep.analyze(project_from_sources(ORACLE_BREACH_SOURCES))
+        assert len(violations_of(analysis, "RPR013")) == 1
         assert sorted(calls) == [
             "build_call_graph",
             "build_import_graph",
@@ -515,7 +488,7 @@ class TestDriver:
 
         monkeypatch.setattr(deep, "build_call_graph", unwanted)
         analysis = deep.analyze(
-            project_from_sources(DEAD_CODE_SOURCES), select=["RPR012"]
+            project_from_sources(ORACLE_BREACH_SOURCES), select=["RPR012"]
         )
         assert analysis.violations == []
 
@@ -532,20 +505,12 @@ class TestDriver:
         closure = build_import_graph(project).reachability()
         assert all(closure[name] == ring for name in ring)
 
-    def test_renamed_entry_point_is_reported(self):
-        assert "repro.service.cli.main" in config.ENTRY_POINTS
-        project = project_from_sources({"repro.service.cli": RENAMED_CLI})
-        analysis = deep.analyze(project, select=["RPR008"])
-        assert [(v.code, v.path) for v in analysis.violations] == [
-            ("RPR008", "repro/service/cli.py")
-        ]
-        assert "defines no `main`" in analysis.violations[0].message
-
     def test_declared_name_in_an_absent_module_is_silent(self):
-        # config.ENTRY_POINTS names repro.cli.main & co.; a fixture project
-        # that does not contain those modules owes nothing.
-        analysis = deep.analyze(project_from_sources(DEAD_CODE_SOURCES))
-        assert [v.code for v in analysis.violations] == ["RPR008"]
+        # LEMMA_TABLE names functions of repro.core and repro.index; a
+        # fixture project that does not contain those modules owes no
+        # stale-entry or missing-call finding.
+        analysis = deep.analyze(project_from_sources(ORACLE_BREACH_SOURCES))
+        assert [v.code for v in analysis.violations] == ["RPR013"]
 
     def test_head_is_clean(self, head_analysis):
         assert head_analysis.violations == []
@@ -554,9 +519,12 @@ class TestDriver:
 # ----------------------------------------------------------------------
 # CLI end to end
 # ----------------------------------------------------------------------
+BREACH_PATH = "src/repro/testing/oracles.py"
+
+
 def seeded_tree(tmp_path):
-    """A tree small enough to analyze in milliseconds: one dead function."""
-    return write_tree(tmp_path, DEAD_CODE_SOURCES)
+    """A tree small enough to analyze in milliseconds: one RPR013 breach."""
+    return write_tree(tmp_path, ORACLE_BREACH_SOURCES)
 
 
 class TestDeepCli:
@@ -583,50 +551,51 @@ class TestDeepCli:
         assert "src/repro not found" in proc.stderr
 
     def test_list_rules_includes_deep_catalogue(self, lint_cli):
-        # No other flag needed: one catalogue, 15 rules + RPR900.
+        # No other flag needed: one catalogue, 12 rules + RPR900.
         status, out, _ = lint_cli("--list-rules")
         assert status == 0
         codes = [line.split()[0] for line in out.splitlines()]
-        assert codes == sorted(codes) and len(codes) == 16
-        assert {"RPR001", "RPR008", "RPR011", "RPR013", "RPR016", "RPR900"} <= set(
-            codes
-        )
+        assert codes == sorted(codes) and len(codes) == 13
+        assert {"RPR001", "RPR011", "RPR013", "RPR016", "RPR900"} <= set(codes)
         retired = {
-            "RPR009", "RPR010", "RPR015", "RPR019", "RPR020", "RPR021",
-            "RPR022", "RPR023", "RPR024", "RPR025", "RPR026",
+            "RPR003", "RPR007", "RPR008", "RPR009", "RPR010", "RPR015",
+            "RPR019", "RPR020", "RPR021", "RPR022", "RPR023", "RPR024",
+            "RPR025", "RPR026",
         }
         assert not retired & set(codes)
 
     def test_finding_fails_the_run(self, lint_cli, tmp_path):
         status, out, err = lint_cli("--deep", cwd=seeded_tree(tmp_path))
         assert status == 1
-        assert "RPR008" in out and "abandoned" in out
+        assert out.startswith(f"{BREACH_PATH}:1:") and "RPR013" in out
         assert "1 finding" in err
 
     def test_unknown_code_is_a_usage_error_in_both_modes(self, lint_cli, tmp_path):
         tree = seeded_tree(tmp_path)
         # Retired codes are as unknown as a code that never existed.
-        for code in ("RPR999", "RPR021", "RPR025"):
+        for code in ("RPR999", "RPR008", "RPR021", "RPR025"):
             status, _, err = lint_cli("--deep", "--select", code, cwd=tree)
             assert status == 2 and f"unknown lint rule codes: {code}" in err
         status, _, err = lint_cli("--ignore", "RPR999", "src", cwd=tree)
         assert status == 2 and "RPR999" in err
 
     def test_whole_program_code_without_deep_says_so(self, lint_cli, tmp_path):
-        status, _, err = lint_cli(
-            "--select", "RPR008", "src", cwd=seeded_tree(tmp_path)
-        )
+        tree = seeded_tree(tmp_path)
+        status, _, err = lint_cli("--select", "RPR013", "src", cwd=tree)
         assert status == 2
-        assert "RPR008" in err and "--deep" in err
+        assert "RPR013" in err and "with --deep" in err
+        status, _, err = lint_cli("--deep", "--select", "RPR001", cwd=tree)
+        assert status == 2
+        assert "RPR001" in err and "without --deep" in err
 
     def test_select_and_ignore_apply_to_whole_program_rules(self, lint_cli, tmp_path):
         tree = seeded_tree(tmp_path)
         status, out, _ = lint_cli("--deep", "--select", "RPR012", cwd=tree)
         assert (status, out) == (0, "")
-        status, out, _ = lint_cli("--deep", "--ignore", "RPR008", cwd=tree)
+        status, out, _ = lint_cli("--deep", "--ignore", "RPR013", cwd=tree)
         assert (status, out) == (0, "")
-        status, out, _ = lint_cli("--deep", "--select", "rpr008", cwd=tree)
-        assert status == 1 and "RPR008" in out
+        status, out, _ = lint_cli("--deep", "--select", "rpr013", cwd=tree)
+        assert status == 1 and "RPR013" in out
 
     def test_changed_only_filters_reported_findings(self, lint_cli, tmp_path):
         tree = write_tree(seeded_tree(tmp_path), {"repro.core.beta": "__all__ = []\n"})
@@ -634,31 +603,30 @@ class TestDeepCli:
             "--deep", "--changed-only", "src/repro/core/beta.py", cwd=tree
         )
         assert (status, out) == (0, "")
-        status, out, _ = lint_cli(
-            "--deep", "--changed-only", "src/repro/core/alpha.py", cwd=tree
-        )
-        assert status == 1 and "RPR008" in out
+        status, out, _ = lint_cli("--deep", "--changed-only", BREACH_PATH, cwd=tree)
+        assert status == 1 and "RPR013" in out
 
     def test_changed_only_keeps_a_rename_that_orphans_a_declared_name(
         self, lint_cli, tmp_path
     ):
-        # config.py (unchanged) still says main; only service/cli.py changed.
-        config_source = (REPO_ROOT / "src/repro/analysis/config.py").read_text()
+        # LEMMA_TABLE (unchanged) still pins _verify_single_peer; only
+        # verification.py changed, and the stale entry is reported there.
+        source = (REPO_ROOT / "src/repro/core/verification.py").read_text()
+        assert source.count("def _verify_single_peer(") == 1
         tree = write_tree(
             tmp_path,
             {
-                "repro.analysis.config": config_source,
-                "repro.service.cli": RENAMED_CLI,
+                "repro.core.verification": source.replace(
+                    "def _verify_single_peer(", "def _verify_one_peer("
+                ),
+                "repro.core.beta": "__all__ = []\n",
             },
         )
-        args = ("--deep", "--select", "RPR008", "--quiet")
-        status, out, _ = lint_cli(*args, cwd=tree)
-        assert status == 1
-        assert [line.split(":")[0] for line in out.splitlines()] == [
-            "src/repro/analysis/config.py",
-            "src/repro/service/cli.py",
-        ]
-        changed = "src/repro/service/cli.py"
-        status, out, _ = lint_cli(*args, "--changed-only", changed, cwd=tree)
+        changed = "src/repro/core/verification.py"
+        args = ("--deep", "--select", "RPR012", "--quiet", "--changed-only")
+        status, out, _ = lint_cli(*args, changed, cwd=tree)
         assert status == 1
         assert out.startswith(f"{changed}:1:") and out.count("\n") == 1
+        assert "stale lemma table entry" in out and "_verify_single_peer" in out
+        status, out, _ = lint_cli(*args, "src/repro/core/beta.py", cwd=tree)
+        assert (status, out) == (0, "")

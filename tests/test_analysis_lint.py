@@ -1,10 +1,13 @@
 """Acceptance tests for the repro-lint engine and its rules."""
 
+from repro.analysis.callgraph import build_import_graph
+from repro.analysis.layers import layer_violations
 from repro.analysis.lint import Linter, lint_paths, lint_source
+from repro.analysis.project import project_from_sources
 from tests.conftest import REPO_ROOT, write_tree
 
 # One seeded violation per rule.  The pretend path places the module in
-# repro.network so the Euclidean-distance ban (RPR003) applies too.
+# the library package, where RPR006 applies.
 FIXTURE_PATH = "src/repro/network/fixture_module.py"
 FIXTURE = '''\
 """Fixture module with exactly one violation of every lint rule."""
@@ -23,11 +26,27 @@ def euclidean_probe(a, b, history=[]):
     except:
         return 0.0
 '''
-ALL_RULE_CODES = {"RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"}
+ALL_RULE_CODES = {"RPR001", "RPR002", "RPR004", "RPR005", "RPR006"}
 
 
 def codes_of(violations):
     return {v.code for v in violations}
+
+
+#: Modules an oracle fixture may reach for; the contract judges imports
+#: of project modules only, so the targets must exist.
+ORACLE_TARGETS = {
+    "repro.core.verification": "",
+    "repro.geometry.point": "class Point:\n    pass\n",
+    "repro.index.knn": "def k_nearest(points, query, k):\n    return []\n",
+    "repro.testing.difftest": "",
+}
+
+
+def oracle_contract_findings(source, module="repro.testing.oracles"):
+    """Import targets ``--deep`` flags as RPR013 in ``module``'s ``source``."""
+    project = project_from_sources({**ORACLE_TARGETS, module: source})
+    return [record.target for record, _ in layer_violations(build_import_graph(project))]
 
 
 class TestSeededFixture:
@@ -95,6 +114,34 @@ class TestRuleSemantics:
         assert "RPR001" not in codes_of(lint_source(source, path="tests/test_m.py"))
         assert "RPR001" in codes_of(lint_source(source, path="src/repro/core/m.py"))
 
+    def test_taint_flows_through_comprehensions_and_displays(self):
+        source = (
+            "def f(hits, truth):\n"
+            "    got = [(round(n.distance, 9), n.payload) for n in hits]\n"
+            "    want = {i: tuple(n.distance for n in row) for i, row in truth}\n"
+            "    return got == [want[0]]\n"
+        )
+        assert "RPR001" in codes_of(lint_source(source, path="src/repro/core/m.py"))
+
+    def test_integer_counts_are_not_distances(self):
+        source = (
+            "def f(offers, live):\n"
+            "    count = sum(1 for offer in offers if offer.radius)\n"
+            "    return live != count\n"
+        )
+        assert "RPR001" not in codes_of(lint_source(source, path="src/repro/core/m.py"))
+
+    def test_bound_attributes_are_distances_only_in_strict_modules(self):
+        source = "def f(self, index):\n    return index == self.upper\n"
+        assert "RPR001" not in codes_of(
+            lint_source(source, path="src/repro/service/m.py")
+        )
+        assert "RPR001" in codes_of(lint_source(source, path="src/repro/core/heap.py"))
+
+    def test_module_top_level_is_a_scope(self):
+        source = "import math\n\nGAP = math.hypot(3.0, 4.0)\nEXACT = GAP == 5.0\n"
+        assert "RPR001" in codes_of(lint_source(source, path="examples/m.py"))
+
     def test_seeded_rng_not_flagged(self):
         source = "import random\nrng = random.Random(42)\n"
         assert codes_of(lint_source(source, path="src/repro/sim/m.py")) <= {"RPR006"}
@@ -109,44 +156,38 @@ class TestRuleSemantics:
         source = "import random\n\ndef f():\n    return random.uniform(0.0, 1.0)\n"
         assert "RPR002" in codes_of(lint_source(source, path="src/repro/sim/m.py"))
 
-    def test_euclidean_ban_only_inside_network(self):
-        source = "def f(a, b):\n    return a.distance_to(b)\n"
-        assert "RPR003" in codes_of(
-            lint_source(source, path="src/repro/network/m.py")
-        )
-        assert "RPR003" not in codes_of(
-            lint_source(source, path="src/repro/geometry/m.py")
-        )
-
+    # The oracle-import contract is a deep RPR013 contract (it was the
+    # per-module RPR007): judged on every import record, deferred too.
     def test_oracle_module_cannot_import_code_under_test(self):
         source = "from repro.index.knn import k_nearest\n\n__all__ = []\n"
-        assert "RPR007" in codes_of(
-            lint_source(source, path="src/repro/testing/oracles.py")
-        )
+        assert oracle_contract_findings(source) == ["repro.index.knn"]
 
     def test_oracle_module_plain_import_flagged_too(self):
         source = "import repro.core.verification\n\n__all__ = []\n"
-        assert "RPR007" in codes_of(
-            lint_source(source, path="src/repro/testing/oracles.py")
-        )
+        assert oracle_contract_findings(source) == ["repro.core.verification"]
 
     def test_oracle_relative_import_flagged(self):
         source = "from . import difftest\n\n__all__ = []\n"
-        assert "RPR007" in codes_of(
-            lint_source(source, path="src/repro/testing/oracles.py")
-        )
+        assert "repro.testing.difftest" in oracle_contract_findings(source)
 
     def test_oracle_point_import_allowed(self):
         source = "from repro.geometry.point import Point\n\n__all__ = []\n"
-        assert "RPR007" not in codes_of(
-            lint_source(source, path="src/repro/testing/oracles.py")
+        assert oracle_contract_findings(source) == []
+
+    def test_non_oracle_testing_modules_exempt_from_the_oracle_contract(self):
+        source = "from repro.index.knn import k_nearest\n\n__all__ = []\n"
+        assert (
+            oracle_contract_findings(source, module="repro.testing.difftest") == []
         )
 
-    def test_non_oracle_testing_modules_exempt_from_rpr007(self):
-        source = "from repro.index.knn import k_nearest\n\n__all__ = []\n"
-        assert "RPR007" not in codes_of(
-            lint_source(source, path="src/repro/testing/difftest.py")
+    def test_oracle_deferred_import_flagged(self):
+        source = (
+            "def oracle_knn(points, query, k):\n"
+            "    from repro.index.knn import k_nearest\n"
+            "\n"
+            "    return k_nearest(points, query, k)\n"
         )
+        assert oracle_contract_findings(source) == ["repro.index.knn"]
 
     def test_syntax_error_reported_as_rpr900(self):
         violations = lint_source("def broken(:\n", path="src/repro/core/m.py")
@@ -189,7 +230,7 @@ class TestCli:
     def test_cli_list_rules(self, lint_cli):
         status, out, _ = lint_cli("--list-rules")
         assert status == 0
-        for code in ALL_RULE_CODES | {"RPR007"}:
+        for code in ALL_RULE_CODES | {"RPR014"}:
             assert code in out
 
 

@@ -44,7 +44,8 @@ from repro.service.protocol import (
     decode_message,
     encode_message,
 )
-from repro.service.transport import TcpTransport
+from repro.service.engine import QueryService
+from repro.service.transport import LoopbackTransport, TcpTransport
 
 
 def make_pois(count=300, seed=0, extent=4.0):
@@ -102,6 +103,43 @@ class TestTcpServing:
         assert len(SANITIZER.accounting_leftovers()) == leftovers
         assert len(SANITIZER.accounting_violations) == violations
         assert Sanitizer.verify_conservation(server.counter) == []
+
+    @pytest.mark.parametrize("kind", ["loopback", "tcp"])
+    def test_a_closed_transport_stays_closed(self, kind, monkeypatch):
+        """After ``close`` a request raises instead of redialing.
+
+        The stream's finalizer still sends ``StreamClose`` after the
+        client closed; it must fail quietly, not open a new session
+        (one per TCP connection or loopback client).
+        """
+        sessions = []
+        real_session = QueryService.session
+
+        def counted(service):
+            sessions.append(service)
+            return real_session(service)
+
+        monkeypatch.setattr(QueryService, "session", counted)
+        server = make_server(make_pois())
+        with BackgroundServer(server, ServiceConfig()) as running:
+
+            def open_client():
+                if kind == "tcp":
+                    return ServiceClient(TcpTransport(*running.address))
+                return ServiceClient(LoopbackTransport(QueryService(server)))
+
+            client = open_client()
+            client.close()
+            with pytest.raises(ConnectionError):
+                client.knn_query(Point(1.0, 1.0), 3)
+
+            client = open_client()
+            stream = client.incremental_query(Point(1.0, 1.0))
+            next(stream)
+            client.close()
+            opened = len(sessions)
+            stream.close()  # the finalizer's StreamClose meets a closed transport
+            assert len(sessions) == opened == 2
 
     def test_concurrent_clients_get_exact_answers(self, running_server):
         from concurrent.futures import ThreadPoolExecutor
