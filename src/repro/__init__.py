@@ -10,27 +10,38 @@ See ``examples/`` for runnable scenarios and ``DESIGN.md`` for the full
 system inventory.
 """
 
-from repro.core import (
-    MobileHost,
-    ResolutionTier,
-    SennConfig,
-    SpatialDatabaseServer,
-    senn_query,
-    snnn_query,
-)
-from repro.geometry import BoundingBox, Circle, Point, Polygon
+from __future__ import annotations
+
+import importlib
+from typing import List
+
 from repro.version import __version__
 
-__all__ = [
-    "BoundingBox",
-    "Circle",
-    "MobileHost",
-    "Point",
-    "Polygon",
-    "ResolutionTier",
-    "SennConfig",
-    "SpatialDatabaseServer",
-    "__version__",
-    "senn_query",
-    "snnn_query",
-]
+#: Each export's home package, imported on first access (PEP 562), so
+#: importing a submodule -- the linter's ``repro.analysis`` above all --
+#: never loads the product and still runs on a tree whose import fails.
+_EXPORTS = {
+    "BoundingBox": "repro.geometry",
+    "Circle": "repro.geometry",
+    "Point": "repro.geometry",
+    "Polygon": "repro.geometry",
+    "MobileHost": "repro.core",
+    "ResolutionTier": "repro.core",
+    "SennConfig": "repro.core",
+    "SpatialDatabaseServer": "repro.core",
+    "senn_query": "repro.core",
+    "snnn_query": "repro.core",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str) -> object:
+    home = _EXPORTS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(home), name)
+
+
+def __dir__() -> List[str]:
+    return sorted(__all__)

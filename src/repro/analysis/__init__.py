@@ -24,8 +24,8 @@ guardrails on both sides of the build:
 - :mod:`repro.analysis.runtime` -- the opt-in runtime sanitizer
   (``REPRO_SANITIZE=1`` or :func:`sanitized`) that validates R*-tree
   structure, candidate-heap state transitions and Lemma 3.8 soundness
-  after every mutation of those hot structures, and audits page
-  billing and subcounter fold-once;
+  after every mutation of those hot structures, and reports server
+  streams never closed;
 - :mod:`repro.analysis.invariants` -- the validators themselves, also
   callable directly from tests.
 

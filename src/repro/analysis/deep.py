@@ -26,7 +26,7 @@ RPR016+   :mod:`repro.analysis.concurrency` (RPR016-RPR018)
 
 These are the rules only static analysis can enforce; what a run-time
 gate already pins (page billing, mirror coherence, replay determinism,
-obs guards on the query paths, lock discipline, subcounter fold-once)
+obs guards on the query paths, lock discipline, stream fold-once)
 is left to that gate, and hygiene that changes no output (dead code)
 is not policed -- the yield table in ``docs/static_analysis.md``
 records the evidence.

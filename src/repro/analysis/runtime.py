@@ -15,46 +15,38 @@ Enable it in one of three ways:
       with sanitized():
           run_workload()
 
-- pytest: ``pytest --sanitize`` (see ``tests/conftest.py``).
+- pytest: run the suite with ``REPRO_SANITIZE=1`` (see
+  ``tests/conftest.py``).
 
 This module intentionally imports nothing from the rest of ``repro`` at
-module scope: ``core.heap``, ``core.verification`` and ``index.rtree``
-import it, and the validators live in
+module scope: ``core.heap``, ``core.verification``, ``core.server`` and
+``index.rtree`` import it, and the validators live in
 :mod:`repro.analysis.invariants`, which is loaded lazily on the first
 enabled check.
 
 Accounting sanitizer
 --------------------
-The same switch gates the page-accounting checks.
-:class:`~repro.index.pagestats.PageAccessCounter` feeds the singleton
-while enabled:
+The same switch gates the page-accounting checks:
 
-* :meth:`Sanitizer.note_billing` records which function billed each
-  node/object access (resolved by frame walk, skipping the counter's own
-  frames), so tests can check that every observed biller is one of the
-  known billing sites;
-* :meth:`Sanitizer.note_subcounter_created` /
-  :meth:`Sanitizer.note_finish_query` / :meth:`Sanitizer.note_absorb`
-  track the subcounter fold-once protocol at runtime: folding the same
-  finished stream into history twice is reported immediately into
-  :attr:`Sanitizer.accounting_violations`, and
-  :meth:`Sanitizer.accounting_leftovers` lists streams that were opened
-  but never folded (a connection dropped without closing its session);
+* :meth:`Sanitizer.note_stream_opened` keeps every
+  :class:`~repro.core.server.NeighborStream` opened while enabled, and
+  :meth:`Sanitizer.accounting_leftovers` lists those never closed (a
+  connection dropped without closing its session).  A stream folds
+  its pages only in its idempotent ``close``, so it cannot fold twice;
 * :meth:`Sanitizer.verify_conservation` checks the conservation law at
   quiescence: the per-query breakdown history of a counter must sum
   exactly to its running totals.
 
-``tests/conftest.py`` fails the session when a double fold or an
-unfolded subcounter is left at its end.
+``tests/conftest.py`` fails a sanitized session when a stream is left
+open at its end.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.cache import CachedQueryResult
@@ -87,11 +79,7 @@ class Sanitizer:
         "_level",
         "checks_run",
         "_lock",
-        "accounting_violations",
-        "billing_callers",
-        "_subcounters",
-        "_breakdown_owner",
-        "_folded",
+        "_streams",
     )
 
     def __init__(self, enabled: bool = False) -> None:
@@ -102,18 +90,8 @@ class Sanitizer:
         self.enabled = enabled
         #: How often each hook fired while enabled (observability/tests).
         self.checks_run: Dict[str, int] = {}
-        #: Double-folds and other billing protocol breaches.
-        self.accounting_violations: List[str] = []
-        #: (file basename, function name) pairs that billed an access.
-        self.billing_callers: Set[Tuple[str, str]] = set()
-        #: Every subcounter handed out while enabled (strong refs; the
-        #: sanitizer tracks object *identity* with ``is`` scans rather
-        #: than ``id()`` keys so its callers stay determinism-clean).
-        self._subcounters: List[Any] = []
-        #: (breakdown, subcounter) pairs: which sub a breakdown closed.
-        self._breakdown_owner: List[Tuple[Any, Any]] = []
-        #: Subcounters whose breakdown was absorbed into a history.
-        self._folded: List[Any] = []
+        #: Every server stream opened while enabled (strong refs).
+        self._streams: List[Any] = []
 
     # ------------------------------------------------------------------
     # switching
@@ -134,73 +112,23 @@ class Sanitizer:
             self.checks_run[check] = self.checks_run.get(check, 0) + 1
 
     # ------------------------------------------------------------------
-    # accounting sanitizer (fed by PageAccessCounter while enabled)
+    # accounting sanitizer (fed by NeighborStream while enabled)
     # ------------------------------------------------------------------
-    def note_billing(self, kind: str) -> None:
-        """An access was billed; attribute it to the billing function.
-
-        The caller is resolved by frame walk, skipping the counter's own
-        frames (``record_scan`` bills through ``record`` internally), so
-        the recorded pair names the function that *initiated* the bill
-        -- the unit the static billing model reasons about.
-        """
-        frame = sys._getframe(1)
-        while (
-            frame is not None
-            and os.path.basename(frame.f_code.co_filename) == "pagestats.py"
-        ):
-            frame = frame.f_back
+    def note_stream_opened(self, stream: Any) -> None:
+        """A server stream was opened; :meth:`accounting_leftovers` asks
+        it at the end whether it was closed."""
         with self._lock:
-            self._count(f"billing.{kind}")
-            if frame is not None:
-                self.billing_callers.add(
-                    (
-                        os.path.basename(frame.f_code.co_filename),
-                        frame.f_code.co_name,
-                    )
-                )
-
-    def note_subcounter_created(self, sub: Any) -> None:
-        """A ``subcounter()`` was handed out; track its fold-once state."""
-        with self._lock:
-            self._count("billing.subcounter")
-            self._subcounters.append(sub)
-
-    def note_finish_query(self, counter: Any, breakdown: Any) -> None:
-        """A counter closed a query; remember which sub a breakdown ends."""
-        with self._lock:
-            if any(tracked is counter for tracked in self._subcounters):
-                self._breakdown_owner.append((breakdown, counter))
-
-    def note_absorb(self, breakdown: Any) -> None:
-        """A breakdown was folded into a parent counter's history."""
-        with self._lock:
-            sub = next(
-                (
-                    owner
-                    for item, owner in self._breakdown_owner
-                    if item is breakdown
-                ),
-                None,
-            )
-            if sub is None:
-                return
-            if any(folded is sub for folded in self._folded):
-                self.accounting_violations.append(
-                    "subcounter folded into history twice: its accesses "
-                    "are double-counted in the parent totals"
-                )
-            else:
-                self._folded.append(sub)
+            self._count("stream.opened")
+            self._streams.append(stream)
 
     def accounting_leftovers(self) -> List[str]:
-        """Subcounters opened but never folded into any history."""
+        """Streams opened while enabled and never closed."""
         with self._lock:
             return [
-                "subcounter created but never absorbed into history: "
-                "its accesses are lost to the parent counter"
-                for sub in self._subcounters
-                if not any(folded is sub for folded in self._folded)
+                "stream opened but never closed: its accesses never "
+                "reach the server counter's history"
+                for stream in self._streams
+                if not stream.closed
             ]
 
     @staticmethod
@@ -208,8 +136,7 @@ class Sanitizer:
         """Check the conservation law on a quiescent counter.
 
         The per-query breakdown history must sum exactly to the running
-        totals; only valid when no query is open and every subcounter
-        has been folded back.
+        totals; only valid when no query or stream is open.
         """
         problems: List[str] = []
         total = sum(item.total for item in counter.history)
@@ -227,13 +154,9 @@ class Sanitizer:
         return problems
 
     def reset_accounting(self) -> None:
-        """Forget billing callers and subcounter fold-once tracking."""
+        """Forget the streams opened so far."""
         with self._lock:
-            self.accounting_violations = []
-            self.billing_callers = set()
-            self._subcounters = []
-            self._breakdown_owner = []
-            self._folded = []
+            self._streams = []
 
     # ------------------------------------------------------------------
     # hooks (called by the instrumented structures when enabled)

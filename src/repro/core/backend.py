@@ -96,8 +96,8 @@ class SpatialBackend(Protocol):
     Implemented by :class:`~repro.core.server.SpatialDatabaseServer`
     (in-process) and :class:`repro.service.client.ServiceClient`
     (through the wire protocol, over any transport).  The incremental
-    stream must meter onto its own sub-counter so interleaved queries
-    cannot steal each other's page accesses.
+    stream must bill a counter of its own so interleaved queries cannot
+    steal each other's page accesses.
     """
 
     def knn_query_detailed(
@@ -120,8 +120,6 @@ class SpatialBackend(Protocol):
         """All POIs inside ``window``, ascending from its center."""
         ...
 
-    def incremental_query(
-        self, query: Point, meter: bool = ...
-    ) -> Iterator[NeighborResult]:
+    def incremental_query(self, query: Point) -> Iterator[NeighborResult]:
         """Lazy ascending-distance neighbor stream (IER's contract)."""
         ...

@@ -10,13 +10,15 @@ in Section 4.4) and answers kNN queries with one of three algorithms:
 
 Every query is metered through a :class:`PageAccessCounter`, optionally
 backed by an LRU :class:`BufferPool`, producing the PAR statistics of
-Section 4.4.
+Section 4.4.  An incremental stream (:class:`NeighborStream`) bills its
+own counter and joins the shared history once, when it closes.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Collection, Iterator, List, Optional, Sequence, Tuple
+import itertools
+from typing import Any, Callable, Collection, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
@@ -30,11 +32,13 @@ from repro.index.knn import (
     poi_key,
 )
 from repro.index.pagestats import AccessBreakdown, BufferPool, PageAccessCounter
+from repro.index.node import LeafEntry
 from repro.index.rtree import RTree, RTreeConfig
+from repro.analysis.runtime import SANITIZER
 from repro.core.backend import QueryAnswer
 from repro.obs import DEFAULT_COUNT_BUCKETS, OBS, Counter, Histogram, Instrument
 
-__all__ = ["ServerAlgorithm", "SpatialDatabaseServer"]
+__all__ = ["NeighborStream", "ServerAlgorithm", "SpatialDatabaseServer"]
 
 _RANGE_QUERIES = Instrument(Counter, "server.range_queries")
 _WINDOW_QUERIES = Instrument(Counter, "server.window_queries")
@@ -216,22 +220,9 @@ class SpatialDatabaseServer:
         records are metered like kNN queries, and the breakdown is
         returned with the answer.
         """
-        self.counter.start_query()
-        entries = self.tree.circle_search(center, radius, self.counter)
-        results = sorted(
-            (
-                NeighborResult(e.point, e.payload, center.distance_to(e.point))
-                for e in entries
-            ),
-            key=lambda r: r.distance,
+        return self._metered_search(
+            self.tree.circle_search, (center, radius), center, _RANGE_QUERIES, "range"
         )
-        self.counter.record_objects([poi_key(r.point, r.payload) for r in results])
-        breakdown = self.counter.finish_query()
-        self.queries_served += 1
-        if OBS.enabled:
-            _RANGE_QUERIES().inc()
-            _PAGES_PER_QUERY("range").observe(float(breakdown.total))
-        return QueryAnswer(results, breakdown)
 
     def range_query(self, center: Point, radius: float) -> List[NeighborResult]:
         """Neighbors-only convenience wrapper over
@@ -241,48 +232,60 @@ class SpatialDatabaseServer:
     def window_query_detailed(self, window: BoundingBox) -> QueryAnswer:
         """All POIs inside ``window``, ascending by distance from its
         center, metered like every other query."""
-        center = window.center
-        self.counter.start_query()
-        entries = self.tree.range_search(window, self.counter)
-        results = sorted(
-            (
-                NeighborResult(e.point, e.payload, center.distance_to(e.point))
-                for e in entries
-            ),
-            key=lambda r: r.distance,
+        return self._metered_search(
+            self.tree.range_search, (window,), window.center, _WINDOW_QUERIES, "window"
         )
-        self.counter.record_objects([poi_key(r.point, r.payload) for r in results])
-        breakdown = self.counter.finish_query()
+
+    def _metered_search(
+        self,
+        search: Callable[..., List[LeafEntry]],
+        args: Tuple[Any, ...],
+        center: Point,
+        queries: Instrument,
+        label: str,
+    ) -> QueryAnswer:
+        """Run one tree ``search`` as a metered query: every entry it
+        finds ships, ranked by distance from ``center``.  A search that
+        raises still publishes the node reads it made."""
+        counter = self.counter
+        counter.start_query()
+        try:
+            entries = search(*args, counter)
+            results = sorted(
+                (
+                    NeighborResult(e.point, e.payload, center.distance_to(e.point))
+                    for e in entries
+                ),
+                key=lambda r: r.distance,
+            )
+            counter.record_objects([poi_key(r.point, r.payload) for r in results])
+            breakdown = counter.finish_query()
+        except BaseException:
+            counter.flush_tally()
+            raise
         self.queries_served += 1
         if OBS.enabled:
-            _WINDOW_QUERIES().inc()
-            _PAGES_PER_QUERY("window").observe(float(breakdown.total))
+            queries().inc()
+            _PAGES_PER_QUERY(label).observe(float(breakdown.total))
         return QueryAnswer(results, breakdown)
 
-    def incremental_query(
-        self, query: Point, meter: bool = True
-    ) -> Iterator[NeighborResult]:
+    def open_stream(self, query: Point) -> "NeighborStream":
+        """An incremental ascending-distance stream around ``query``,
+        billed on its own counter until :meth:`NeighborStream.close`."""
+        return NeighborStream(self, query)
+
+    def incremental_query(self, query: Point) -> Iterator[NeighborResult]:
         """Lazy ascending-distance neighbor stream (used by SNNN).
 
-        Each stream bills onto its own sub-counter, folded into the
-        shared counter's history when the stream is exhausted or closed.
-        Billing lazily onto the *shared* per-query registers instead
-        (the pre-service behavior) attributed a stream's pages to
-        whichever query happened to be open when the consumer pulled --
-        and double-counted them in :meth:`mean_page_accesses` once that
-        query finished.
+        The stream of :meth:`open_stream`, closed -- its pages folded
+        into the shared counter's history -- when the generator is
+        exhausted or closed.
         """
-        if not meter:
-            return incremental_nearest(self.tree, query, None)
-        return self._metered_stream(query)
-
-    def _metered_stream(self, query: Point) -> Iterator[NeighborResult]:
-        sub = self.counter.subcounter()
-        sub.start_query()
+        stream = self.open_stream(query)
         try:
-            yield from incremental_nearest(self.tree, query, sub)
+            yield from stream
         finally:
-            self.counter.absorb(sub.finish_query())
+            stream.close()
 
     # ------------------------------------------------------------------
     # statistics
@@ -305,3 +308,57 @@ class SpatialDatabaseServer:
             f"SpatialDatabaseServer({self.poi_count} POIs, "
             f"{self.algorithm.value}, {self.queries_served} queries served)"
         )
+
+
+class NeighborStream:
+    """One incremental nearest-neighbor stream with private page accounting.
+
+    The stream bills a counter of its own that shares the server's
+    buffer pool, so pages it reads while *another* query is open cannot
+    be attributed to that query.  :meth:`close` folds what it billed into
+    the server counter's history as one entry, exactly once: it is
+    idempotent and returns the same breakdown every time.  Iterating a
+    stream walks ``incremental_nearest`` itself, with no call of the
+    stream's between items.
+    """
+
+    __slots__ = ("_server_counter", "_counter", "_iterator", "exhausted", "_breakdown")
+
+    def __init__(self, server: SpatialDatabaseServer, query: Point) -> None:
+        shared = server.counter
+        counter = PageAccessCounter(buffer_pool=shared.buffer_pool)
+        counter.start_query()
+        self._server_counter = shared
+        self._counter = counter
+        self._iterator = incremental_nearest(server.tree, query, counter)
+        self.exhausted = False
+        self._breakdown: Optional[AccessBreakdown] = None
+        if SANITIZER.enabled:
+            SANITIZER.note_stream_opened(self)
+
+    def __iter__(self) -> Iterator[NeighborResult]:
+        return self._iterator
+
+    def pull(self, max_items: int) -> Tuple[NeighborResult, ...]:
+        """Next ``max_items`` neighbors (fewer only when exhausted)."""
+        items = tuple(itertools.islice(self._iterator, max_items))
+        if len(items) < max_items:
+            self.exhausted = True
+        return items
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` has folded the stream."""
+        return self._breakdown is not None
+
+    def close(self) -> AccessBreakdown:
+        """Stop the stream and fold its pages into the server's history
+        (once; later calls return the same breakdown)."""
+        if self._breakdown is None:
+            self._iterator.close()
+            breakdown = self._breakdown = self._counter.finish_query()
+            shared = self._server_counter
+            shared.history.append(breakdown)
+            shared.total_accesses += breakdown.total
+            shared.total_entries_scanned += breakdown.entries_scanned
+        return self._breakdown

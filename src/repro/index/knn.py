@@ -36,7 +36,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.vecmath import (
@@ -238,7 +238,7 @@ def incremental_nearest(
     tree: RTree,
     query: Point,
     counter: Optional[PageAccessCounter] = None,
-) -> Iterator[NeighborResult]:
+) -> Generator[NeighborResult, None, None]:
     """Yield neighbors of ``query`` in ascending distance order (INN).
 
     The generator is lazy: callers pull exactly as many neighbors as they

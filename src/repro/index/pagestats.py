@@ -21,7 +21,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence
 
-from repro.analysis.runtime import SANITIZER
 from repro.obs import OBS, ServerRecord
 
 __all__ = ["PageAccessCounter", "BufferPool", "AccessBreakdown"]
@@ -68,14 +67,13 @@ class PageAccessCounter:
     """
 
     def __init__(self, buffer_pool: Optional["BufferPool"] = None) -> None:
-        self._buffer_pool = buffer_pool
+        self.buffer_pool = buffer_pool
         self._current_index = 0
         self._current_leaf = 0
         self._current_data = 0
         self._current_hits = 0
         self._current_misses = 0
         self._current_entries = 0
-        self._in_query = False
         self.history: List[AccessBreakdown] = []
         self.total_accesses = 0
         self.total_entries_scanned = 0
@@ -92,8 +90,6 @@ class PageAccessCounter:
             self._current_index += 1
         self.total_accesses += 1
         self._buffer_access(page_id)
-        if SANITIZER.enabled:
-            SANITIZER.note_billing("node")
 
     def record_scan(self, page_id: int, is_leaf: bool, entries: int) -> None:
         """Record one *whole-node* scan: one page access, ``entries`` rows.
@@ -121,16 +117,13 @@ class PageAccessCounter:
         count = len(object_ids)
         self._current_data += count
         self.total_accesses += count
-        if self._buffer_pool is not None:
+        if self.buffer_pool is not None:
             for object_id in object_ids:
                 self._buffer_access(("data", object_id))
-        if SANITIZER.enabled:
-            for _ in object_ids:
-                SANITIZER.note_billing("object")
 
     def _buffer_access(self, page_id: Hashable) -> None:
-        if self._buffer_pool is not None:
-            if self._buffer_pool.access(page_id):
+        if self.buffer_pool is not None:
+            if self.buffer_pool.access(page_id):
                 self._current_hits += 1
             else:
                 self._current_misses += 1
@@ -146,7 +139,6 @@ class PageAccessCounter:
         self._current_hits = 0
         self._current_misses = 0
         self._current_entries = 0
-        self._in_query = True
 
     def finish_query(self) -> AccessBreakdown:
         """Close the current query and append its breakdown to history."""
@@ -160,10 +152,7 @@ class PageAccessCounter:
             entries_scanned=self._current_entries,
         )
         self.history.append(breakdown)
-        self._in_query = False
         self.flush_tally()
-        if SANITIZER.enabled:
-            SANITIZER.note_finish_query(self, breakdown)
         return breakdown
 
     def flush_tally(self) -> None:
@@ -184,32 +173,6 @@ class PageAccessCounter:
         """Accesses recorded since the last :meth:`start_query`."""
         return self._current_index + self._current_leaf + self._current_data
 
-    def subcounter(self) -> "PageAccessCounter":
-        """A private counter for one stream, sharing this buffer pool.
-
-        Incremental streams bill their accesses here instead of onto the
-        shared counter, so pages consumed while *another* query is open
-        cannot be attributed to that query.  Fold the finished stream
-        back with :meth:`absorb`.
-        """
-        sub = PageAccessCounter(buffer_pool=self._buffer_pool)
-        if SANITIZER.enabled:
-            SANITIZER.note_subcounter_created(sub)
-        return sub
-
-    def absorb(self, breakdown: AccessBreakdown) -> None:
-        """Fold one finished sub-query into this counter's history.
-
-        The breakdown becomes its own history entry (one logical query)
-        and its accesses join the running total; the *current* open
-        query, if any, is untouched.
-        """
-        self.history.append(breakdown)
-        self.total_accesses += breakdown.total
-        self.total_entries_scanned += breakdown.entries_scanned
-        if SANITIZER.enabled:
-            SANITIZER.note_absorb(breakdown)
-
     def mean_per_query(self) -> float:
         """Mean page accesses per finished query (0.0 with no history)."""
         if not self.history:
@@ -222,7 +185,6 @@ class PageAccessCounter:
         self.total_accesses = 0
         self.total_entries_scanned = 0
         self.start_query()
-        self._in_query = False
 
 
 class BufferPool:

@@ -105,18 +105,12 @@ class ServiceClient:
         reply = self._roundtrip(WindowRequest(next(self._ids), window))
         return _to_query_answer(_expect(reply, Answer))
 
-    def incremental_query(
-        self, query: Point, meter: bool = True
-    ) -> Iterator[NeighborResult]:
+    def incremental_query(self, query: Point) -> Iterator[NeighborResult]:
         """Lazy neighbor stream over the wire.
 
-        The server always meters streams onto a private sub-counter
-        (``meter`` exists for protocol compatibility; a served stream
-        cannot opt out of server-side accounting).  Closing the
-        generator closes the remote stream, folding its pages into the
-        server's history.
+        Closing the generator closes the remote stream, folding its
+        pages into the server's history.
         """
-        del meter  # server-side accounting is not optional over the wire
         handle = _expect(
             self._roundtrip(StreamOpen(next(self._ids), query)), StreamHandle
         )

@@ -9,23 +9,21 @@ query answered over TCP and one answered in-process execute identical
 code from the first decoded byte onward.
 
 Streams are scoped to a :class:`ServiceSession` (one per connection /
-loopback client): each open incremental stream meters onto its own
-sub-counter and folds into the server's history exactly once, when the
-stream is exhausted or closed -- the same discipline as
-:meth:`SpatialDatabaseServer.incremental_query`, but with the breakdown
-kept so it can be shipped back in :class:`~repro.service.protocol.StreamEnd`.
+loopback client): each is the server's own
+:class:`~repro.core.server.NeighborStream`, whose ``close`` folds its
+pages into the server's history exactly once -- on
+:class:`~repro.service.protocol.StreamClose`, which ships the breakdown
+back in :class:`~repro.service.protocol.StreamEnd`, or when the session
+closes with the stream still open.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.geometry.point import Point
-from repro.index.knn import NeighborResult, incremental_nearest
-from repro.index.pagestats import AccessBreakdown
 from repro.core.backend import QueryAnswer
-from repro.core.server import SpatialDatabaseServer
+from repro.core.server import NeighborStream, SpatialDatabaseServer
 from repro.obs import OBS, Counter, Instrument
 from repro.service.batching import BatchExecutor
 from repro.service.protocol import (
@@ -49,41 +47,6 @@ __all__ = ["QueryService", "ServiceSession"]
 
 _ERRORS = Instrument(Counter, "service.errors", "code")
 _STREAMS = Instrument(Counter, "service.streams", "event")
-
-
-class _Stream:
-    """One open incremental stream with private page accounting."""
-
-    def __init__(self, server: SpatialDatabaseServer, query: Point) -> None:
-        self._server = server
-        self._sub = server.counter.subcounter()
-        self._sub.start_query()
-        self._iterator: Iterator[NeighborResult] = incremental_nearest(
-            server.tree, query, self._sub
-        )
-        self.exhausted = False
-        self._breakdown: Optional[AccessBreakdown] = None
-
-    def pull(self, max_items: int) -> List[NeighborResult]:
-        """Next ``max_items`` neighbors (fewer only when exhausted)."""
-        items: List[NeighborResult] = []
-        while len(items) < max_items:
-            try:
-                items.append(next(self._iterator))
-            except StopIteration:
-                self.exhausted = True
-                break
-        return items
-
-    def finalize(self) -> AccessBreakdown:
-        """Fold this stream's accesses into server history (idempotent)."""
-        if self._breakdown is None:
-            close = getattr(self._iterator, "close", None)
-            if close is not None:
-                close()
-            self._breakdown = self._sub.finish_query()
-            self._server.counter.absorb(self._breakdown)
-        return self._breakdown
 
 
 class QueryService:
@@ -131,13 +94,8 @@ class ServiceSession:
 
     def __init__(self, service: QueryService) -> None:
         self._service = service
-        self._streams: Dict[int, _Stream] = {}
+        self._streams: Dict[int, NeighborStream] = {}
         self._ids = itertools.count(1)
-
-    @property
-    def open_streams(self) -> int:
-        """Number of streams this session has open."""
-        return len(self._streams)
 
     def handle(self, message: Message) -> Message:
         """Execute one request and produce its reply."""
@@ -166,7 +124,7 @@ class ServiceSession:
     def close(self) -> None:
         """Drop the session, folding every open stream into history."""
         for stream in self._streams.values():
-            stream.finalize()
+            stream.close()
         self._streams.clear()
 
     # ------------------------------------------------------------------
@@ -184,38 +142,31 @@ class ServiceSession:
 
     def _stream_open(self, message: StreamOpen) -> StreamHandle:
         stream_id = next(self._ids)
-        self._streams[stream_id] = _Stream(
-            self._service.server, message.query
-        )
+        self._streams[stream_id] = self._service.server.open_stream(message.query)
         if OBS.enabled:
             _STREAMS("opened").inc()
         return StreamHandle(message.request_id, stream_id)
 
     def _stream_pull(self, message: StreamPull) -> StreamItems:
-        stream = self._streams.get(message.stream_id)
-        if stream is None:
-            raise ProtocolError(
-                f"unknown stream id: {message.stream_id}", ErrorCode.BAD_STREAM
-            )
-        limit = min(message.max_items, self._service.stream_chunk)
-        items = stream.pull(limit)
+        stream = _known(message.stream_id, self._streams.get(message.stream_id))
+        items = stream.pull(min(message.max_items, self._service.stream_chunk))
         return StreamItems(
-            message.request_id,
-            message.stream_id,
-            tuple(items),
-            stream.exhausted,
+            message.request_id, message.stream_id, items, stream.exhausted
         )
 
     def _stream_close(self, message: StreamClose) -> StreamEnd:
-        stream = self._streams.pop(message.stream_id, None)
-        if stream is None:
-            raise ProtocolError(
-                f"unknown stream id: {message.stream_id}", ErrorCode.BAD_STREAM
-            )
-        breakdown = stream.finalize()
+        stream = _known(message.stream_id, self._streams.pop(message.stream_id, None))
+        breakdown = stream.close()
         if OBS.enabled:
             _STREAMS("closed").inc()
         return StreamEnd(message.request_id, message.stream_id, breakdown)
+
+
+def _known(stream_id: int, stream: Optional[NeighborStream]) -> NeighborStream:
+    """``stream``, or ``BAD_STREAM`` if the session has no ``stream_id``."""
+    if stream is None:
+        raise ProtocolError(f"unknown stream id: {stream_id}", ErrorCode.BAD_STREAM)
+    return stream
 
 
 def _reply(request_id: int, answer: QueryAnswer) -> Answer:

@@ -654,7 +654,7 @@ def _check_vectorized_verify(
             reference.add(point, payload, distance, certain)
         # Bit-identity is the contract under test: the batched verifier
         # must reproduce the scalar loop exactly, not within tolerance.
-        if _heap_rows(live) != _heap_rows(reference):  # repro: noqa(RPR001)
+        if _heap_rows(live) != _heap_rows(reference):
             failures.append(
                 CheckFailure(
                     "vectorized-verify",
@@ -739,7 +739,7 @@ def _check_vectorized_verify(
         )
         if (
             # Same bit-identity contract as the single-peer check above.
-            _heap_rows(live) != _heap_rows(reference)  # repro: noqa(RPR001)
+            _heap_rows(live) != _heap_rows(reference)
             # Integer certification counts; equality is exact by definition.
             or live_certified != scalar_certified
         ):
@@ -872,7 +872,7 @@ def _check_network_index(scenario: Scenario, m: _Materialized) -> List[CheckFail
     ]
     # Bit-identity is the protocol contract: the hierarchy refines every
     # reported distance through the same Dijkstra recurrence.
-    if got != want:  # repro: noqa(RPR001)
+    if got != want:
         failures.append(
             CheckFailure(
                 "network-index",
@@ -893,7 +893,7 @@ def _check_network_index(scenario: Scenario, m: _Materialized) -> List[CheckFail
     )
     # The oracle folds the same candidate floats through the same mins,
     # so its distances and tie order are also exact matches.
-    if [(payload, distance) for payload, distance in truth] != want:  # repro: noqa(RPR001)
+    if [(payload, distance) for payload, distance in truth] != want:
         failures.append(
             CheckFailure(
                 "network-index",

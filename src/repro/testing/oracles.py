@@ -153,7 +153,7 @@ class CertaintyVerdict:
         if self.slack > margin:
             return True
         # Exact zero guard: only a bit-exact boundary touch qualifies.
-        return allow_exact_zero and self.slack == 0.0  # repro: noqa(RPR001)
+        return allow_exact_zero and self.slack == 0.0
 
 
 def certify_single_oracle(
@@ -207,7 +207,7 @@ def certify_multi_oracle(
         return max(radius - point.distance_to(center) for center, radius in circles)
 
     # Exact zero guard: a zero-radius disk degenerates to the query point.
-    if candidate_distance == 0.0:  # repro: noqa(RPR001)
+    if candidate_distance == 0.0:
         return CertaintyVerdict(slack_at(query))
 
     angles = [2.0 * math.pi * i / samples for i in range(samples)]

@@ -1,17 +1,14 @@
 """Shared pytest configuration for the repro test suite.
 
-Adds the ``--sanitize`` flag: ``pytest --sanitize`` enables the
-:mod:`repro.analysis.runtime` invariant sanitizer for the whole session,
-so every heap mutation, R-tree restructure and verification round in the
-suite is cross-checked against the paper's invariants.  The same effect,
-session-end check included, is available without the flag by exporting
-``REPRO_SANITIZE=1``.
+``REPRO_SANITIZE=1`` enables the :mod:`repro.analysis.runtime`
+invariant sanitizer for the whole session, so every heap mutation,
+R-tree restructure and verification round in the suite is cross-checked
+against the paper's invariants.
 
 It also arms the accounting sanitizer: page-access billing is
-attributed to its callers, subcounter fold-once tracking runs for the
-whole session, and a double-fold or a subcounter left unabsorbed at
-session end (tests that *inject* one reset before returning) fails the
-teardown.
+attributed to its callers, every server stream opened is kept, and a
+stream left open at session end (tests that *inject* one reset before
+returning) fails the teardown.
 
 The analysis tests share one session-scoped ``head_analysis`` (the real
 tree loaded once, analyzed once), one ``violations_of`` and one
@@ -29,31 +26,19 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 pytest_plugins = ("repro.testing.pytest_plugin",)
 
 
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--sanitize",
-        action="store_true",
-        default=False,
-        help="enable repro.analysis runtime invariant checks for all tests",
-    )
-
-
 @pytest.fixture(autouse=True, scope="session")
-def _sanitizer_session(request: pytest.FixtureRequest):
+def _sanitizer_session():
     from repro.analysis.runtime import SANITIZER
 
-    # ``REPRO_SANITIZE=1`` enabled it at import: the session is checked
-    # the same way as under ``--sanitize`` (``enable`` nests).
-    if not (request.config.getoption("--sanitize") or SANITIZER.enabled):
+    # ``REPRO_SANITIZE=1`` enabled it at import.
+    if not SANITIZER.enabled:
         yield
         return
-    SANITIZER.enable()
     SANITIZER.reset_accounting()
     try:
         yield
     finally:
-        SANITIZER.disable()
-        leftover = SANITIZER.accounting_violations + SANITIZER.accounting_leftovers()
+        leftover = SANITIZER.accounting_leftovers()
         SANITIZER.reset_accounting()
         assert leftover == [], f"sanitizer reports at session end: {leftover}"
 

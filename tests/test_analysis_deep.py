@@ -15,6 +15,7 @@ Two layers of coverage:
 """
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -544,6 +545,26 @@ class TestDeepCli:
         assert "0 findings" in proc.stderr
         headers = [line for line in proc.stdout.splitlines() if line[:1] != " "]
         assert headers == ["concurrency: thread/executor entry points"]
+
+    def test_a_tree_whose_package_import_fails_is_still_linted(self, tmp_path):
+        # An upward top-level import makes a cycle through the package:
+        # importing ``repro`` on this copy fails, and the lint names it.
+        shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro")
+        circle = tmp_path / "src" / "repro" / "geometry" / "circle.py"
+        lines = circle.read_text().splitlines(keepends=True)
+        point = lines.index("from repro.geometry.point import Point\n")
+        lines.insert(point, "from repro.core.heap import CandidateHeap\n")
+        circle.write_text("".join(lines))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "--deep", "--select", "RPR013"],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert f"src/repro/geometry/circle.py:{point + 1}:" in proc.stdout
+        assert "RPR013" in proc.stdout
 
     def test_deep_outside_repo_root_is_a_usage_error(self, tmp_path):
         proc = self.run_subprocess("--deep", cwd=tmp_path)

@@ -1,8 +1,11 @@
 """Acceptance tests for the repro-lint engine and its rules."""
 
+import io
+import tokenize
+
 from repro.analysis.callgraph import build_import_graph
 from repro.analysis.layers import layer_violations
-from repro.analysis.lint import Linter, lint_paths, lint_source
+from repro.analysis.lint import _NOQA_RE, Linter, _expand_paths, lint_paths, lint_source
 from repro.analysis.project import project_from_sources
 from tests.conftest import REPO_ROOT, write_tree
 
@@ -66,7 +69,55 @@ class TestSeededFixture:
         assert "RPR004" in rendered
 
 
+def unused_markers(source, path):
+    """``(line, code)`` of every ``# repro: noqa(CODE)`` comment naming a
+    per-module rule that finds nothing of that code there.
+
+    Only real comments count (``tokenize``), not marker text inside a
+    string.  The source is linted with every marker cut off; a
+    module-scope code is used if the file has any finding of it.
+    """
+    linter = Linter()
+    module_scope = {rule.code: rule.module_scope for rule in linter.rules}
+    markers = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        match = _NOQA_RE.search(token.string) if token.type == tokenize.COMMENT else None
+        if match is not None and match.group("codes"):
+            codes = {code.strip().upper() for code in match.group("codes").split(",")}
+            markers.append((token.start, codes & module_scope.keys()))
+    if not markers:
+        return []
+    lines = source.splitlines(keepends=True)
+    for (row, col), _ in markers:
+        lines[row - 1] = lines[row - 1][:col].rstrip() + "\n"
+    found = {(v.line, v.code) for v in linter.lint_source("".join(lines), path)}
+    codes_found = {code for _, code in found}
+    return [
+        (row, code)
+        for (row, _), codes in markers
+        for code in sorted(codes)
+        if not (code in codes_found if module_scope[code] else (row, code) in found)
+    ]
+
+
 class TestSuppression:
+    def test_every_named_marker_suppresses_a_finding(self):
+        unused = [
+            f"{path}:{row} {code}"
+            for path in _expand_paths(
+                [REPO_ROOT / part for part in ("src", "tests", "benchmarks", "examples")]
+            )
+            for row, code in unused_markers(path.read_text(encoding="utf-8"), str(path))
+        ]
+        assert unused == []
+
+    def test_a_marker_that_suppresses_nothing_is_reported(self):
+        patched = FIXTURE.replace(
+            "if gap == 0.0:", "if gap == 0.0:  # repro: noqa(RPR001, RPR002)"
+        ).replace('"""Fixture', '"""# repro: noqa(RPR004) Fixture')
+        assert unused_markers(patched, FIXTURE_PATH) == [(9, "RPR002")]
+        assert unused_markers("# repro: noqa(RPR006)\n" + FIXTURE, FIXTURE_PATH) == []
+
     def test_line_noqa_suppresses_single_code(self):
         patched = FIXTURE.replace(
             "if gap == 0.0:", "if gap == 0.0:  # repro: noqa(RPR001)"

@@ -1,7 +1,5 @@
-"""The accounting sanitizer: billing attribution, subcounter fold-once
-and the conservation law, driven over the golden scenario corpus and a
-live loopback server, checking that only the four billing sites ever
-bill.
+"""The accounting sanitizer: streams left open and the conservation
+law, driven over the golden scenario corpus and a live loopback server.
 
 The connection-drop path of the TCP server (a stream left open when the
 socket goes) is pinned in ``test_service_async.py``.
@@ -44,18 +42,6 @@ def _golden_scenarios():
     return items
 
 
-#: The four billing sites as runtime ``(file, function)`` pairs: node and
-#: scan billing always surfaces at the ``read_node`` chokepoint, object
-#: billing at the three functions that ship data records (kNN answers of
-#: the server and of the batching executor share ``_record_shipped``).
-ALLOWED_BILLERS = {
-    ("rtree.py", "read_node"),
-    ("server.py", "_record_shipped"),
-    ("server.py", "range_query_detailed"),
-    ("server.py", "window_query_detailed"),
-}
-
-
 class TestAccountingSanitizer:
     def test_golden_scenarios_conserve_and_bill_in_model(self):
         scenarios = _golden_scenarios()
@@ -75,10 +61,7 @@ class TestAccountingSanitizer:
                     tree.circle_search(query, 1.0, counter)
                     counter.finish_query()
                     assert Sanitizer.verify_conservation(counter) == []
-            assert SANITIZER.accounting_violations == []
             assert SANITIZER.accounting_leftovers() == []
-            assert SANITIZER.billing_callers <= ALLOWED_BILLERS
-            assert ("rtree.py", "read_node") in SANITIZER.billing_callers
         finally:
             SANITIZER.reset_accounting()
 
@@ -113,43 +96,24 @@ class TestAccountingSanitizer:
                 dangling = client.incremental_query(Point(3.0, 3.0))
                 next(dangling)
                 transport.close()
-            assert SANITIZER.accounting_violations == []
             assert SANITIZER.accounting_leftovers() == []
-            assert SANITIZER.billing_callers <= ALLOWED_BILLERS
             assert Sanitizer.verify_conservation(server.counter) == []
         finally:
             SANITIZER.reset_accounting()
 
-    def test_double_fold_is_reported(self):
+    def test_a_stream_left_open_is_a_leftover(self):
+        server = SpatialDatabaseServer.from_points(
+            [(Point(float(i), 0.0), i) for i in range(40)]
+        )
         SANITIZER.reset_accounting()
         try:
             with sanitized():
-                counter = PageAccessCounter()
-                sub = counter.subcounter()
-                sub.start_query()
-                sub.record(1, is_leaf=True)
-                breakdown = sub.finish_query()
-                counter.absorb(breakdown)
-                assert SANITIZER.accounting_violations == []
-                counter.absorb(breakdown)
-            assert len(SANITIZER.accounting_violations) == 1
-            assert "twice" in SANITIZER.accounting_violations[0]
-        finally:
-            SANITIZER.reset_accounting()
-
-    def test_unfolded_subcounter_is_a_leftover(self):
-        SANITIZER.reset_accounting()
-        try:
-            with sanitized():
-                counter = PageAccessCounter()
-                sub = counter.subcounter()
-                sub.start_query()
-                sub.record(1, is_leaf=False)
-                breakdown = sub.finish_query()
+                stream = server.open_stream(Point(0.0, 0.0))
+                stream.pull(3)
                 leftovers = SANITIZER.accounting_leftovers()
                 assert len(leftovers) == 1
-                assert "never absorbed" in leftovers[0]
-                counter.absorb(breakdown)
+                assert "never closed" in leftovers[0]
+                stream.close()
                 assert SANITIZER.accounting_leftovers() == []
         finally:
             SANITIZER.reset_accounting()
@@ -165,24 +129,17 @@ class TestAccountingSanitizer:
         assert "history sums to 1" in problems[0]
 
     def test_reset_accounting_clears_tracking(self):
+        server = SpatialDatabaseServer.from_points([(Point(0.0, 0.0), "a")])
         SANITIZER.reset_accounting()
         with sanitized():
-            counter = PageAccessCounter()
-            counter.subcounter()
+            server.open_stream(Point(1.0, 1.0))
             assert SANITIZER.accounting_leftovers() != []
             SANITIZER.reset_accounting()
             assert SANITIZER.accounting_leftovers() == []
-            assert SANITIZER.billing_callers == set()
-            assert SANITIZER.accounting_violations == []
 
     def test_disabled_sanitizer_records_nothing(self):
         SANITIZER.reset_accounting()
         if not SANITIZER.enabled:
-            counter = PageAccessCounter()
-            counter.start_query()
-            counter.record(1, is_leaf=True)
-            counter.finish_query()
-            sub = counter.subcounter()
-            counter.absorb(sub.finish_query())
-            assert SANITIZER.billing_callers == set()
+            server = SpatialDatabaseServer.from_points([(Point(0.0, 0.0), "a")])
+            server.open_stream(Point(1.0, 1.0))
             assert SANITIZER.accounting_leftovers() == []

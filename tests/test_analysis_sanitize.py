@@ -42,8 +42,8 @@ def make_cache(peer=Point(0.0, 0.0), k=3, spacing=1.0):
 
 class TestSwitching:
     def test_context_manager_restores_state(self):
-        # The suite itself may run sanitized (REPRO_SANITIZE=1 or
-        # --sanitize), so assert relative to the session baseline.
+        # The suite itself may run sanitized (REPRO_SANITIZE=1), so
+        # assert relative to the session baseline.
         baseline = sanitizer_enabled()
         with sanitized() as active:
             assert active is SANITIZER

@@ -146,7 +146,7 @@ class TestDetailedAnswers:
 
 
 class TestIncrementalStreamAccounting:
-    """Regression: streams bill their own sub-counter, not whichever
+    """Regression: streams bill a counter of their own, not whichever
     query happens to be open when the consumer pulls."""
 
     def test_stream_pages_do_not_contaminate_interleaved_query(self):
@@ -196,11 +196,14 @@ class TestIncrementalStreamAccounting:
         # The shared running total is the sum of both sub-streams.
         assert server.counter.total_accesses == sum(totals)
 
-    def test_unmetered_stream_stays_invisible(self):
+    def test_closing_a_stream_twice_folds_once(self):
         server = SpatialDatabaseServer.from_points(make_pois(100, seed=6))
-        stream = server.incremental_query(Point(0, 0), meter=False)
-        for _ in range(5):
-            next(stream)
-        stream.close()
-        assert server.counter.history == []
-        assert server.counter.total_accesses == 0
+        stream = server.open_stream(Point(0, 0))
+        assert len(stream.pull(5)) == 5
+        first = stream.close()
+        assert stream.closed
+        assert stream.close() is first
+        assert server.counter.history == [first]
+        assert server.counter.total_accesses == first.total
+        assert server.counter.total_entries_scanned == first.entries_scanned > 0
+        assert stream.pull(5) == ()

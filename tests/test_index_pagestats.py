@@ -111,15 +111,6 @@ class TestPageAccessCounter:
         counter.reset()
         assert counter.total_entries_scanned == 0
 
-    def test_absorb_folds_entries_scanned(self):
-        counter = PageAccessCounter()
-        sub = counter.subcounter()
-        sub.start_query()
-        sub.record_scan(1, is_leaf=True, entries=8)
-        counter.absorb(sub.finish_query())
-        assert counter.total_entries_scanned == 8
-        assert counter.history[0].entries_scanned == 8
-
 
 class TestBufferPool:
     def test_negative_capacity_raises(self):

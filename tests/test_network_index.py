@@ -199,8 +199,8 @@ class TestExactness:
             oracle = oracles.oracle_network_knn(
                 adjacency, flatten(origin), flat_pois, k
             )
-            assert got == expected  # repro: noqa(RPR001)
-            assert got == oracle  # repro: noqa(RPR001)
+            assert got == expected
+            assert got == oracle
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_point_to_point_matches_dijkstra(self, seed):
@@ -212,7 +212,7 @@ class TestExactness:
             b = random_origin(network, rng)
             direct = network_distance(network, a, b)
             indexed = hierarchy.network_distance(a, b)
-            assert indexed == direct  # repro: noqa(RPR001)
+            assert indexed == direct
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -229,7 +229,7 @@ class TestExactness:
         reference.register_pois(pois)
         hierarchy.register_pois(pois)
         origin = random_origin(network, rng)
-        assert answers(hierarchy, origin, k) == answers(  # repro: noqa(RPR001)
+        assert answers(hierarchy, origin, k) == answers(
             reference, origin, k
         )
 
@@ -251,7 +251,7 @@ class TestExactness:
         origin = network.location_at_node(0)
         for k in range(1, len(pois) + 1):
             expected = answers(reference, origin, k)
-            assert answers(hierarchy, origin, k) == expected  # repro: noqa(RPR001)
+            assert answers(hierarchy, origin, k) == expected
         full = reference.knn(origin, len(pois))
         keys = [
             (n.network_distance, poi_tie_key(n.payload)) for n in full
@@ -303,7 +303,7 @@ class TestDisconnected:
             got = answers(hierarchy, origin, 6)
             expected = answers(reference, origin, 6)
             # inf == inf holds, so bitwise list equality still applies
-            assert got == expected  # repro: noqa(RPR001)
+            assert got == expected
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +322,7 @@ class TestBuild:
         first.register_pois(pois)
         second.register_pois(pois)
         origin = random_origin(network, rng)
-        assert answers(first, origin, 5) == answers(  # repro: noqa(RPR001)
+        assert answers(first, origin, 5) == answers(
             second, origin, 5
         )
 
@@ -368,7 +368,7 @@ class TestCost:
         hierarchy.register_pois(pois)
         origins = [random_origin(network, rng) for _ in range(5)]
         for origin in origins:
-            assert answers(hierarchy, origin, 8) == answers(  # repro: noqa(RPR001)
+            assert answers(hierarchy, origin, 8) == answers(
                 reference, origin, 8
             )
         # Compare totals over identical query sets (answers checked above).

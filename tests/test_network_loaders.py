@@ -89,7 +89,7 @@ class TestTigerRoundTrip:
         for edge in network.edges():
             twin = reloaded.edge_between(edge.u, edge.v)
             assert twin is not None
-            assert twin.length == edge.length  # repro: noqa(RPR001)
+            assert twin.length == edge.length
             assert twin.road_class is edge.road_class
 
     def test_gzip_round_trip_and_byte_determinism(self, tmp_path):
@@ -419,8 +419,8 @@ class TestBundledExtract:
             (n.payload, n.network_distance)
             for n in reference.knn(origin, 8)
         ]
-        assert got == expected  # repro: noqa(RPR001)
-        assert got == ref  # repro: noqa(RPR001)
+        assert got == expected
+        assert got == ref
         # A sparse 40-POI set forces wide refinement, so the reduction
         # here is modest.
         assert (
@@ -446,7 +446,7 @@ class TestBundledExtract:
         for origin in origins:
             got = [(n.payload, n.network_distance) for n in hierarchy.knn(origin, 10)]
             ref = [(n.payload, n.network_distance) for n in reference.knn(origin, 10)]
-            assert got == ref  # repro: noqa(RPR001)
+            assert got == ref
         assert (
             reference.stats.settled_vertices
             >= 10 * hierarchy.stats.settled_vertices
@@ -461,6 +461,6 @@ class TestBundledExtract:
             ea, eb = rng.sample(edges, 2)
             a = network.location_at(ea, ea.length * 0.5)
             b = network.location_at(eb, eb.length * 0.25)
-            assert hierarchy.network_distance(a, b) == network_distance(  # repro: noqa(RPR001)
+            assert hierarchy.network_distance(a, b) == network_distance(
                 network, a, b
             )

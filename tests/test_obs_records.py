@@ -25,8 +25,10 @@ from repro.core import MobileHost, SennConfig, SpatialDatabaseServer
 from repro.core.cache import CachedQueryResult
 from repro.core.heap import CandidateHeap
 from repro.core.senn import ResolutionTier, senn_query
+from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult
+from repro.index.rtree import RTree, RTreeConfig
 from repro.obs import OBS, MetricsRegistry, SennRecord, Tracer, observed
 from repro.obs.records import TABLES
 
@@ -174,6 +176,32 @@ class TestRaisingQuery:
         assert raised == OBS.registry.snapshot()
         assert raised["verify.candidates{lemma=3.2,outcome=certain}"] == 1.0
         assert not any(name.startswith(("senn.", "bounds.")) for name in raised)
+
+
+    @pytest.mark.parametrize("kind", ["range", "window"])
+    def test_a_search_that_raises_after_its_first_node_counts_that_node(
+        self, registry, monkeypatch, kind
+    ):
+        server = SpatialDatabaseServer.from_points(
+            _stations(), tree_config=RTreeConfig(max_entries=4)
+        )
+        real = RTree.read_node
+        read = []
+
+        def first_then_raise(node, counter):
+            if read:
+                raise RuntimeError("the second page read failed")
+            read.append(node)
+            return real(node, counter)
+
+        monkeypatch.setattr(RTree, "read_node", staticmethod(first_then_raise))
+        with pytest.raises(RuntimeError):
+            if kind == "range":
+                server.range_query_detailed(Point(1.0, 0.3), 5.0)
+            else:
+                server.window_query_detailed(BoundingBox(-1.0, -1.0, 5.0, 5.0))
+        assert not read[0].is_leaf  # the root, above the leaves
+        assert registry.snapshot() == {"rtree.node_reads{kind=index}": 1.0}
 
 
 def _metric_name(metric, labels):
