@@ -28,8 +28,9 @@ Accounting sanitizer
 --------------------
 The same switch gates the page-accounting checks:
 
-* :meth:`Sanitizer.note_stream_opened` keeps every
-  :class:`~repro.core.server.NeighborStream` opened while enabled, and
+* :meth:`Sanitizer.note_stream_opened` keeps each
+  :class:`~repro.core.server.NeighborStream` opened while enabled until
+  a later note finds it closed, and
   :meth:`Sanitizer.accounting_leftovers` lists those never closed (a
   connection dropped without closing its session).  A stream folds
   its pages only in its idempotent ``close``, so it cannot fold twice;
@@ -90,7 +91,8 @@ class Sanitizer:
         self.enabled = enabled
         #: How often each hook fired while enabled (observability/tests).
         self.checks_run: Dict[str, int] = {}
-        #: Every server stream opened while enabled (strong refs).
+        #: The server streams opened while enabled and not yet seen
+        #: closed (strong refs, so a leaked stream outlives the GC).
         self._streams: List[Any] = []
 
     # ------------------------------------------------------------------
@@ -116,10 +118,13 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def note_stream_opened(self, stream: Any) -> None:
         """A server stream was opened; :meth:`accounting_leftovers` asks
-        it at the end whether it was closed."""
+        it at the end whether it was closed.  Streams closed since the
+        last note are dropped here, so only open ones are kept."""
         with self._lock:
             self._count("stream.opened")
-            self._streams.append(stream)
+            streams = [kept for kept in self._streams if not kept.closed]
+            streams.append(stream)
+            self._streams = streams
 
     def accounting_leftovers(self) -> List[str]:
         """Streams opened while enabled and never closed."""

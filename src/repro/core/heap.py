@@ -101,8 +101,10 @@ class CandidateHeap:
     def flush_tally(self) -> None:
         """Publish :attr:`tally` and drop it.
 
-        A finished query's heap lives on in its ``SennResult`` and keeps
-        no record; counting on it afterwards raises ``AttributeError``.
+        A finished query's heap keeps no record; counting on it
+        afterwards raises ``AttributeError``.  ``senn_query`` drops the
+        heap itself when it returns: its ``SennResult`` carries the
+        answer and the bounds, not the heap.
         """
         tally = self.tally
         del self.tally

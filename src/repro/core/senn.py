@@ -95,11 +95,15 @@ class SennResult:
     the surplus neighbors live in ``prefetched`` -- the full ascending
     server answer -- which is what the host should *cache*; they are not
     part of the caller-visible answer.
+
+    The candidate heap ``H`` is working state of one query, not part of
+    its answer: it dies when :func:`senn_query` returns.  While
+    ``accept_uncertain`` is off, an offline run's (``server=None``)
+    ``neighbors`` are exactly the heap's certified entries.
     """
 
     neighbors: List[NeighborResult]
     tier: ResolutionTier
-    heap: CandidateHeap
     bounds: PruningBounds
     peers_consulted: int
     server_pages: int = 0
@@ -200,7 +204,7 @@ def senn_query(
         tally.peers = consulted
         if server is None:
             tally.tiers += (ResolutionTier.SERVER,)
-            return SennResult(certain, ResolutionTier.SERVER, heap, bounds, consulted)
+            return SennResult(certain, ResolutionTier.SERVER, bounds, consulted)
 
         effective_k = k if server_k is None else max(k, server_k)
         if effective_k > k:
@@ -215,7 +219,6 @@ def senn_query(
         return SennResult(
             answer.neighbors[:k],
             ResolutionTier.SERVER,
-            heap,
             bounds,
             consulted,
             server_pages=answer.pages.total,
@@ -236,6 +239,4 @@ def _finish(
         NeighborResult(entry.point, entry.payload, entry.distance)
         for entry in entries[: heap.capacity]
     ]
-    return SennResult(
-        neighbors, tier, heap, derive_pruning_bounds(heap), peers_consulted
-    )
+    return SennResult(neighbors, tier, derive_pruning_bounds(heap), peers_consulted)

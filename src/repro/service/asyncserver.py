@@ -31,7 +31,10 @@ requests also keep their inflight slots.  A queued request older than
 
 Malformed framing is unrecoverable on a byte stream: the connection
 stops reading and, once every request before the bad frame is answered,
-sends a ``MALFORMED``/``OVERSIZED``/``UNSUPPORTED`` error and closes.  A
+sends a ``MALFORMED``/``OVERSIZED``/``UNSUPPORTED`` error and closes.  The
+error carries the frame's request id when the header parsed and the
+whole frame arrived (a value the protocol forbids, such as a negative
+radius), and 0 when the header itself was bad.  A
 reply the wire cannot carry (over ``MAX_PAYLOAD``, or a POI payload type
 without a tag) is not fatal: that request alone gets an ``OVERSIZED`` or
 ``UNSUPPORTED`` error, and its slot is freed like any other reply's.
@@ -40,6 +43,7 @@ without a tag) is not fatal: that request alone gets an ``OVERSIZED`` or
 from __future__ import annotations
 
 import asyncio
+import struct
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -72,6 +76,7 @@ _REQUEST_LATENCY_S = Instrument(
     Histogram, "service.request_latency_s", boundaries=DEFAULT_TIME_BUCKETS_S
 )
 _STALE = "request timed out in the service queue"
+_REQUEST_ID = struct.Struct(">I")
 
 
 @dataclass(frozen=True)
@@ -184,28 +189,39 @@ class _Connection(asyncio.BufferedProtocol):
         stalled = self._failure is not None or self._writing_paused
         return stalled or self._inflight >= owner.config.max_inflight
 
+    def _fail(self, request_id: int, exc: ProtocolError) -> None:
+        """Stop reading: answer ``exc`` once the earlier requests are, then close."""
+        self._buffer.clear()
+        self._failure = _error_reply(request_id, exc.code, str(exc))
+
     def _parse(self) -> None:
         """Handle each whole buffered frame unless stalled; (un)pause reading."""
         buffer, owner = self._buffer, self._owner
         while len(buffer) >= HEADER_SIZE and not self._stalled():
+            frame = b""
             try:
                 _, length = parse_header(buffer[:HEADER_SIZE])
                 end = HEADER_SIZE + length
                 if len(buffer) < end:
                     break
-                message = decode_message(bytes(buffer[:end]))
-                del buffer[:end]
-                if OBS.enabled:
-                    _REQUESTS(type(message).__name__).inc()
-                if isinstance(message, KnnRequest):
-                    self._inflight += 1
-                    owner._enqueue(_Pending(message, owner._loop.time(), self))
-                    continue
-                started = owner._loop.time()
+                frame = bytes(buffer[:end])
+                message = decode_message(frame)
+            except ProtocolError as exc:
+                self._fail(_request_id(frame), exc)
+                break
+            del buffer[:end]
+            if OBS.enabled:
+                _REQUESTS(type(message).__name__).inc()
+            if isinstance(message, KnnRequest):
+                self._inflight += 1
+                owner._enqueue(_Pending(message, owner._loop.time(), self))
+                continue
+            started = owner._loop.time()
+            try:
                 reply = self._session.handle(message)
             except ProtocolError as exc:
-                buffer.clear()
-                self._failure = _error_reply(0, exc.code, str(exc))
+                # A decoded frame that is not a request has no request id.
+                self._fail(0, exc)
                 break
             if not self._transport.is_closing():
                 self._transport.write(_frame(reply))
@@ -219,6 +235,15 @@ class _Connection(asyncio.BufferedProtocol):
         if stalled is not self._reading_paused:
             self._reading_paused = stalled
             (transport.pause_reading if stalled else transport.resume_reading)()
+
+
+def _request_id(frame: bytes) -> int:
+    """The request id of a whole frame that failed to decode: every
+    request layout starts with ``>I request_id``.  0 when the header
+    itself failed (``frame`` is empty) or the payload is shorter."""
+    if len(frame) < HEADER_SIZE + _REQUEST_ID.size:
+        return 0
+    return _REQUEST_ID.unpack_from(frame, HEADER_SIZE)[0]
 
 
 def _frame(reply: Message) -> bytes:

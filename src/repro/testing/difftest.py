@@ -422,9 +422,15 @@ def run_scenario(
     if mismatch:
         fail("senn", mismatch)
 
+    # The offline run (no server) stops where the server would start: with
+    # accept_uncertain off, its neighbors are exactly the heap's certified
+    # entries, which the served run above forwarded as its partial result.
+    offline = senn_query(
+        m.query, scenario.k, m.own_cache, m.peer_caches, m.config, server=None
+    )
+
     ran("senn-certified-ranks")
-    certain_entries = senn.heap.certain_entries()[: scenario.k]
-    for rank, entry in enumerate(certain_entries):
+    for rank, entry in enumerate(offline.neighbors):
         if rank >= len(ranking) or abs(entry.distance - ranking[rank].distance) > TOL:
             truth_repr = ranking[rank].distance if rank < len(ranking) else None
             fail(
@@ -436,16 +442,9 @@ def run_scenario(
 
     # -- EINN with client bounds vs INN (results and page accesses) ------
     ran("einn-bounds")
-    offline = senn_query(
-        m.query, scenario.k, m.own_cache, m.peer_caches, m.config, server=None
-    )
-    known = [
-        NeighborResult(e.point, e.payload, e.distance)
-        for e in offline.heap.certain_entries()
-    ]
     einn_counter = PageAccessCounter()
     einn_bounded = k_nearest_einn(
-        m.tree, m.query, scenario.k, offline.bounds, known, einn_counter
+        m.tree, m.query, scenario.k, offline.bounds, offline.neighbors, einn_counter
     )
     mismatch = _rank_mismatch(
         "EINN (client bounds) vs oracle", einn_bounded, expected_k, truth_distance

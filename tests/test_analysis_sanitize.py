@@ -75,6 +75,42 @@ class TestSwitching:
         assert proc.returncode == 0
 
 
+class _Stream:
+    def __init__(self):
+        self.closed = False
+
+
+class TestStreamRegistry:
+    """The sanitizer keeps the streams still open, and only those."""
+
+    def test_closed_streams_are_dropped_when_a_stream_is_noted(self):
+        import weakref
+
+        from repro.analysis.runtime import Sanitizer
+
+        sanitizer = Sanitizer(enabled=True)
+        streams = [_Stream() for _ in range(3)]
+        for stream in streams:
+            sanitizer.note_stream_opened(stream)
+        streams[0].closed = streams[2].closed = True
+        gone = weakref.ref(streams[0])
+        del streams[0]
+        sanitizer.note_stream_opened(_Stream())
+        assert gone() is None
+        assert len(sanitizer.accounting_leftovers()) == 2
+
+    def test_a_leaked_stream_stays_listed_after_collection(self):
+        import gc
+
+        from repro.analysis.runtime import Sanitizer
+
+        sanitizer = Sanitizer(enabled=True)
+        sanitizer.note_stream_opened(_Stream())
+        gc.collect()
+        sanitizer.note_stream_opened(_Stream())
+        assert len(sanitizer.accounting_leftovers()) == 2
+
+
 class TestHooksFire:
     def test_heap_add_hook_counts(self):
         heap = CandidateHeap(capacity=2)

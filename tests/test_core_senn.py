@@ -212,3 +212,152 @@ class TestBoundsFlow:
             assert [n.distance for n in with_peers.neighbors] == pytest.approx(
                 [n.distance for n in without_peers.neighbors]
             )
+
+
+def _figure7_world():
+    """Four caches around ``q`` that certify its 5 NNs only when merged."""
+    pois = [
+        (Point(x * 0.8, y * 0.8), f"poi-{x}-{y}")
+        for x in range(-2, 9)
+        for y in range(-2, 9)
+    ]
+    caches = [
+        make_cache(pois, Point(1.9, 2.4), 7),
+        make_cache(pois, Point(2.9, 2.4), 7),
+        make_cache(pois, Point(2.4, 1.9), 7),
+        make_cache(pois, Point(2.4, 2.9), 7),
+    ]
+    return pois, Point(2.4, 2.4), caches
+
+
+def _local_cache():
+    _, pois = random_world(0)
+    own = make_cache(pois, Point(5.01, 5.0), 8)
+    return senn_query(Point(5, 5), 3, own, [], DEFAULT_CONFIG)
+
+
+def _single_peer():
+    _, pois = random_world(1)
+    peer = make_cache(pois, Point(5.05, 5.0), 8)
+    return senn_query(Point(5, 5), 3, None, [peer], DEFAULT_CONFIG)
+
+
+def _multi_peer():
+    _, q, caches = _figure7_world()
+    return senn_query(q, 5, None, caches, SennConfig(k=5, transmission_range=5.0))
+
+
+def _uncertain():
+    _, pois = random_world(3)
+    peer = make_cache(pois, Point(9, 9), 5)
+    config = SennConfig(k=3, accept_uncertain=True)
+    return senn_query(Point(0, 0), 3, None, [peer], config)
+
+
+def _offline():
+    _, pois = random_world(4)
+    peer = make_cache(pois, Point(0.1, 0.0), 2)
+    return senn_query(Point(0, 0), 3, None, [peer], DEFAULT_CONFIG, server=None)
+
+
+def _served():
+    _, pois = random_world(4)
+    server = SpatialDatabaseServer.from_points(pois)
+    peer = make_cache(pois, Point(0.1, 0.0), 2)
+    return senn_query(Point(0, 0), 3, None, [peer], DEFAULT_CONFIG, server=server)
+
+
+def _overfetched():
+    _, pois = random_world(9, poi_count=50)
+    server = SpatialDatabaseServer.from_points(pois)
+    return senn_query(
+        Point(5, 5), 3, None, [], SennConfig(k=3), server=server, server_k=10
+    )
+
+
+class TestHeapRetention:
+    """The candidate heap is one query's working state: a returned answer
+    must not keep it alive, whichever tier answered."""
+
+    @pytest.fixture
+    def heaps(self, monkeypatch):
+        import weakref
+
+        from repro.core.heap import CandidateHeap
+
+        refs = []
+        init = CandidateHeap.__init__
+
+        def recording_init(heap, capacity):
+            init(heap, capacity)
+            refs.append(weakref.ref(heap))
+
+        monkeypatch.setattr(CandidateHeap, "__init__", recording_init)
+        return refs
+
+    @pytest.mark.parametrize(
+        "run, tier",
+        [
+            (_local_cache, ResolutionTier.LOCAL_CACHE),
+            (_single_peer, ResolutionTier.SINGLE_PEER),
+            (_multi_peer, ResolutionTier.MULTI_PEER),
+            (_uncertain, ResolutionTier.UNCERTAIN),
+            (_offline, ResolutionTier.SERVER),
+            (_served, ResolutionTier.SERVER),
+            (_overfetched, ResolutionTier.SERVER),
+        ],
+        ids=[
+            "local-cache",
+            "single-peer",
+            "multi-peer",
+            "uncertain",
+            "offline",
+            "served",
+            "overfetched",
+        ],
+    )
+    def test_senn_result_releases_its_heap(self, heaps, run, tier):
+        result = run()
+        assert result.tier is tier
+        assert result.neighbors
+        assert len(heaps) == 1
+        assert heaps[0]() is None
+
+    def test_host_answer_releases_its_heap(self, heaps):
+        from repro.core.host import MobileHost
+
+        pois, q, caches = _figure7_world()
+        server = SpatialDatabaseServer.from_points(pois)
+        host = MobileHost(1, q, SennConfig(k=5, transmission_range=5.0))
+        peer = MobileHost(2, Point(2.9, 2.4), host.config)
+        peer.cache.store(caches[1].query_location, caches[1].neighbors, 0.0)
+        answers = [
+            host.query_knn(peers=[peer], server=server),
+            host.query_knn(peers=[peer], server=server),
+        ]
+        assert [a.tier for a in answers] == [
+            ResolutionTier.SERVER,
+            ResolutionTier.LOCAL_CACHE,
+        ]
+        assert len(heaps) == 2
+        assert all(ref() is None for ref in heaps)
+
+    def test_snnn_answer_releases_its_heap(self, heaps):
+        from repro.core.snnn import snnn_query
+        from repro.network.generator import RoadNetworkSpec, generate_road_network
+
+        network = generate_road_network(
+            RoadNetworkSpec(width=2.0, height=2.0, secondary_spacing=1 / 3, seed=0)
+        )
+        rng = np.random.default_rng(500)
+        pois = [
+            (network.snap(Point(*map(float, rng.uniform(0, 2.0, 2)))).point, f"poi-{i}")
+            for i in range(20)
+        ]
+        server = SpatialDatabaseServer.from_points(pois)
+        result = snnn_query(
+            Point(1.0, 1.0), 3, network, None, [], SennConfig(k=3), server=server
+        )
+        assert result.neighbors
+        assert result.senn_result.tier is ResolutionTier.SERVER
+        assert heaps and all(ref() is None for ref in heaps)

@@ -212,7 +212,8 @@ class TestTcpServing:
         self, running_server
     ):
         # The decoder rejects the value before any session sees it, so the
-        # reply cannot carry the request id and the stream is dropped.
+        # stream is dropped; the header parsed and the whole frame arrived,
+        # so the reply still carries the payload's leading request id.
         running, _ = running_server
         payload = struct.pack(">Iddd", 42, 1.0, 1.0, -1.0)
         header = struct.pack(
@@ -221,6 +222,30 @@ class TestTcpServing:
             PROTOCOL_VERSION,
             int(MessageType.RANGE_REQUEST),
             len(payload),
+        )
+        with socket.create_connection(running.address, timeout=5.0) as sock:
+            sock.sendall(header + payload)
+            reply = _read_frame(sock)
+            assert isinstance(reply, ErrorReply)
+            assert reply.code is ErrorCode.MALFORMED
+            assert reply.request_id == 42
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b""
+
+    @pytest.mark.parametrize(
+        "header_fields, payload",
+        [
+            ((b"XX", PROTOCOL_VERSION), struct.pack(">Iddd", 42, 1.0, 1.0, 1.0)),
+            ((MAGIC, PROTOCOL_VERSION), b"\x00\x2a"),
+        ],
+        ids=["bad-header", "payload-shorter-than-an-id"],
+    )
+    def test_frame_without_a_readable_id_gets_request_id_0(
+        self, running_server, header_fields, payload
+    ):
+        running, _ = running_server
+        header = struct.pack(
+            ">2sBBI", *header_fields, int(MessageType.RANGE_REQUEST), len(payload)
         )
         with socket.create_connection(running.address, timeout=5.0) as sock:
             sock.sendall(header + payload)
