@@ -1,10 +1,10 @@
-"""Project-specific static analysis and runtime invariant checking.
+"""Project-specific static analysis.
 
 The reproduction's correctness rests on numeric and structural
 invariants -- the Lemma 3.2/3.8 verification inequalities, the
 six-state candidate heap of Section 3.3, and R*-tree MBR containment --
 that unit tests can only sample.  This package adds machine-checked
-guardrails on both sides of the build:
+guardrails on the source:
 
 - :mod:`repro.analysis.lint` / :mod:`repro.analysis.rules` --
   ``repro-lint``, an AST-based lint engine with one rule catalogue,
@@ -20,19 +20,14 @@ guardrails on both sides of the build:
   distance taint RPR001 uses too), layering and import contracts
   (:mod:`~repro.analysis.layers`) and asyncio hygiene
   (:mod:`~repro.analysis.concurrency`); rules ``RPR011`` .. ``RPR013``
-  and ``RPR016`` .. ``RPR018``;
-- :mod:`repro.analysis.runtime` -- the opt-in runtime sanitizer
-  (``REPRO_SANITIZE=1`` or :func:`sanitized`) that validates R*-tree
-  structure, candidate-heap state transitions and Lemma 3.8 soundness
-  after every mutation of those hot structures, and reports server
-  streams never closed;
-- :mod:`repro.analysis.invariants` -- the validators themselves, also
-  callable directly from tests.
+  and ``RPR016`` .. ``RPR018``.
 
-The package ``__init__`` resolves its exports lazily (PEP 562): the
-instrumented data structures (``core.heap``, ``index.rtree``) import
-:mod:`repro.analysis.runtime` at module scope, so eagerly importing the
-validators here would recreate the import cycle the layering avoids.
+The structural validators the tests call on the heap, the R*-tree and
+the page counter live in :mod:`repro.testing.invariants`; nothing in
+the product imports this package.
+
+The package ``__init__`` resolves its exports lazily (PEP 562):
+importing one submodule loads no other.
 
 See ``docs/static_analysis.md`` for the rule catalogue and extension
 guide.
@@ -44,24 +39,14 @@ from typing import List
 
 __all__ = [
     "DeepAnalysis",
-    "HEAP_TRANSITIONS",
-    "InvariantViolation",
     "LintReport",
     "Linter",
     "Rule",
-    "SANITIZER",
-    "Sanitizer",
     "Violation",
     "analyze",
-    "check_heap_structure",
-    "check_heap_transition",
-    "check_verification_soundness",
     "iter_rules",
     "lint_paths",
     "lint_source",
-    "sanitized",
-    "sanitizer_enabled",
-    "validate_rtree",
 ]
 
 _LINT_EXPORTS = {
@@ -73,20 +58,6 @@ _LINT_EXPORTS = {
     "lint_paths",
     "lint_source",
 }
-_INVARIANT_EXPORTS = {
-    "HEAP_TRANSITIONS",
-    "InvariantViolation",
-    "check_heap_structure",
-    "check_heap_transition",
-    "check_verification_soundness",
-    "validate_rtree",
-}
-_RUNTIME_EXPORTS = {
-    "SANITIZER",
-    "Sanitizer",
-    "sanitized",
-    "sanitizer_enabled",
-}
 _DEEP_EXPORTS = {"DeepAnalysis", "analyze"}
 
 
@@ -95,14 +66,6 @@ def __getattr__(name: str) -> object:
         from repro.analysis import lint
 
         return getattr(lint, name)
-    if name in _INVARIANT_EXPORTS:
-        from repro.analysis import invariants
-
-        return getattr(invariants, name)
-    if name in _RUNTIME_EXPORTS:
-        from repro.analysis import runtime
-
-        return getattr(runtime, name)
     if name in _DEEP_EXPORTS:
         from repro.analysis import deep
 

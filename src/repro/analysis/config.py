@@ -70,15 +70,12 @@ KNOWN_PAPER_LEMMAS: FrozenSet[str] = frozenset(
 
 #: Rank of each package/module prefix; a module may only import modules
 #: whose rank is <= its own.  Longest-prefix match wins, so single
-#: modules can override their package (``repro.analysis.runtime`` is
-#: imported *by* the core data structures and must stay import-free,
-#: while ``repro.analysis.invariants`` validates core structures and
-#: sits above them).
+#: modules can override their package.  ``repro.analysis`` sits at the
+#: top: nothing below rank 5 imports it.
 LAYER_RANKS: Dict[str, int] = {
     "repro": 6,  # the package façade re-exports everything below it
     "repro.version": 0,
     "repro.geometry": 0,
-    "repro.analysis.runtime": 0,
     "repro.obs": 0,  # instrumentation facade, imported by index/core/sim
     "repro.index": 1,
     "repro.network": 1,
@@ -89,7 +86,6 @@ LAYER_RANKS: Dict[str, int] = {
     "repro.service": 3,  # wire protocol + serving engine over core/index
     "repro.service.cli": 5,  # the repro-serve console script
     "repro.sim": 3,
-    "repro.analysis.invariants": 3,
     "repro.testing": 3,
     "repro.experiments": 4,
     "repro.cli": 5,
@@ -98,10 +94,9 @@ LAYER_RANKS: Dict[str, int] = {
 
 #: The static-analysis side of ``repro.analysis`` must be able to lint a
 #: broken tree, so it may import **only** these modules (stdlib aside;
-#: exact names, not prefixes).  ``repro.analysis.invariants``/``runtime``
-#: are exempt (they are the runtime side and carry their own contracts
-#: above).  The package ``__init__`` is listed because importing any
-#: submodule runs it; its own imports are all deferred (PEP 562).
+#: exact names, not prefixes).  The package ``__init__`` is listed
+#: because importing any submodule runs it; its own imports are all
+#: deferred (PEP 562).
 STATIC_ANALYSIS_MODULES: Tuple[str, ...] = (
     "repro.analysis",
     "repro.analysis.callgraph",

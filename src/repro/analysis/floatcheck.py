@@ -471,7 +471,7 @@ class LemmaEntry:
 #: side or to the operator surfaces as an RPR012 finding.
 LEMMA_TABLE: Tuple[LemmaEntry, ...] = (
     LemmaEntry(
-        qualname="repro.core.verification._verify_single_peer",
+        qualname="repro.core.verification.verify_single_peer",
         lemma="Lemma 3.2",
         op="LtE",
         left="distance + delta",
@@ -484,7 +484,7 @@ LEMMA_TABLE: Tuple[LemmaEntry, ...] = (
         ),
     ),
     LemmaEntry(
-        qualname="repro.core.verification._verify_multi_peer",
+        qualname="repro.core.verification.verify_multi_peer",
         lemma="Lemma 3.8",
         requires_call="covers_disk",
         rationale=(
@@ -649,8 +649,8 @@ LEMMA_TABLE: Tuple[LemmaEntry, ...] = (
 #: a :data:`LEMMA_TABLE` entry — the soundness-critical verifier surface.
 #: A prefix of the site qualname (``CandidateHeap`` covers every method).
 SELF_CHECK_SCOPES: Tuple[str, ...] = (
-    "repro.core.verification._verify_single_peer",
-    "repro.core.verification._verify_multi_peer",
+    "repro.core.verification.verify_single_peer",
+    "repro.core.verification.verify_multi_peer",
     "repro.core.heap.CandidateHeap",
 )
 

@@ -3,8 +3,8 @@
 The declared architecture is a strict DAG of layers::
 
     geometry ──► index / network ──► core ──► continuous / io / sim /
-                                              testing / invariants ──►
-                                              experiments ──► cli
+                                              testing ──► experiments ──►
+                                              cli / analysis
 
 (ranks in :data:`repro.analysis.config.LAYER_RANKS`; longest prefix
 wins, so single modules can override their package).  A module may

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.runtime import SANITIZER
 from repro.geometry.point import Point
 from repro.index.knn import poi_key
 from repro.obs import OBS, SennRecord
@@ -120,12 +119,7 @@ class CandidateHeap:
         Re-offering a stored POI as certain upgrades it; re-offering as
         uncertain is a no-op.  Counted on :attr:`tally` like a batch of one.
         """
-        if not SANITIZER.enabled:
-            stored = self._add(point, payload, distance, certain)
-        else:
-            before = self.state()
-            stored = self._add(point, payload, distance, certain)
-            SANITIZER.after_heap_add(self, before)
+        stored = self._add(point, payload, distance, certain)
         tally = self.tally
         if stored:
             if certain:
@@ -152,20 +146,15 @@ class CandidateHeap:
         certain entries and no uncertain one, so an offer at or beyond
         ``D_ct`` can displace nothing (ties keep the incumbent) and is
         stored exactly when its POI is already held.  That holds for any
-        offer order; other offers go through :meth:`_add`.  With the
-        sanitizer on, every offer of the batch -- settled or placed -- is
-        checked as one :meth:`add` would be.
+        offer order; other offers go through :meth:`_add`.
         """
         tally = self.tally
-        sanitize = SANITIZER.enabled
         place = self._add
         held = self._index
         certain_bucket = self._certain
         capacity = self.capacity
         stored_before = tally.certain_stored + tally.uncertain_stored
         for point, payload, distance, certain in offers:
-            if sanitize:
-                before = self.state()
             if (
                 len(certain_bucket) >= capacity
                 and distance >= certain_bucket[-1].distance
@@ -173,8 +162,6 @@ class CandidateHeap:
                 stored = poi_key(point, payload) in held
             else:
                 stored = place(point, payload, distance, certain)
-            if sanitize:
-                SANITIZER.after_heap_add(self, before)
             if stored:
                 if certain:
                     tally.certain_stored += 1

@@ -34,7 +34,6 @@ from repro.index.knn import (
 from repro.index.pagestats import AccessBreakdown, BufferPool, PageAccessCounter
 from repro.index.node import LeafEntry
 from repro.index.rtree import RTree, RTreeConfig
-from repro.analysis.runtime import SANITIZER
 from repro.core.backend import QueryAnswer
 from repro.obs import DEFAULT_COUNT_BUCKETS, OBS, Counter, Histogram, Instrument
 
@@ -333,8 +332,6 @@ class NeighborStream:
         self._iterator = incremental_nearest(server.tree, query, counter)
         self.exhausted = False
         self._breakdown: Optional[AccessBreakdown] = None
-        if SANITIZER.enabled:
-            SANITIZER.note_stream_opened(self)
 
     def __iter__(self) -> Iterator[NeighborResult]:
         return self._iterator

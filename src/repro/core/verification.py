@@ -28,7 +28,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.runtime import SANITIZER
 from repro.geometry.circle import Circle
 from repro.geometry.coverage import CertainRegion, CoverageMethod
 from repro.geometry.point import Point
@@ -65,19 +64,6 @@ def verify_single_peer(
     holds, uncertain otherwise (an uncertain POI may still be certified
     later by another peer or by the multi-peer pass).
     """
-    if not SANITIZER.enabled:
-        return _verify_single_peer(query, cache, heap)
-    pre = SANITIZER.heap_snapshot(heap)
-    certified = _verify_single_peer(query, cache, heap)
-    SANITIZER.after_verification(query, (cache,), heap, pre)
-    return certified
-
-
-def _verify_single_peer(
-    query: Point,
-    cache: CachedQueryResult,
-    heap: CandidateHeap,
-) -> int:
     if cache.is_empty():
         return 0
     delta = query.distance_to(cache.query_location)
@@ -128,23 +114,6 @@ def verify_multi_peer(
     entries newly certified.  Stops early once a candidate fails: coverage
     is monotone in the candidate's distance.
     """
-    if not SANITIZER.enabled:
-        return _verify_multi_peer(query, caches, heap, method, polygon_sides)
-    pre = SANITIZER.heap_snapshot(heap)
-    certified = _verify_multi_peer(query, caches, heap, method, polygon_sides)
-    SANITIZER.after_verification(
-        query, caches, heap, pre, method=method, polygon_sides=polygon_sides
-    )
-    return certified
-
-
-def _verify_multi_peer(
-    query: Point,
-    caches: Sequence[CachedQueryResult],
-    heap: CandidateHeap,
-    method: CoverageMethod,
-    polygon_sides: int,
-) -> int:
     region = CertainRegion(method=method, polygon_sides=polygon_sides)
     for cache in caches:
         if not cache.is_empty():

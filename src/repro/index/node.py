@@ -6,16 +6,17 @@ A node is one disk page.  Leaf nodes hold :class:`LeafEntry` records
 unique ``page_id`` so access accounting and buffer modelling can identify
 it.
 
-The entry list remains the source of truth (splits, reinsertion and the
-structural sanitizer all manipulate it), but every node lazily mirrors
-its entries into a :class:`NodeArrays` column layout — coordinate lists
-for leaves, NumPy MBR bound arrays for internal nodes — so a traversal
-computes MINDIST/MAXDIST for a whole node in one vectorized pass
+The entry list remains the source of truth (splits and reinsertion
+manipulate it), but every node lazily mirrors its entries into a
+:class:`NodeArrays` column layout — coordinate lists for leaves, NumPy
+MBR bound arrays for internal nodes — so a traversal computes
+MINDIST/MAXDIST for a whole node in one vectorized pass
 (:mod:`repro.geometry.vecmath`).  The mirror is invalidated
 automatically: ``entries`` is a :class:`_TrackedList` whose mutators
 drop the cache, and rebinding ``node.entries`` wraps the new list.  The
-sanitizer cross-checks the mirror against the entry list after every
-mutation (:func:`repro.analysis.invariants.validate_rtree`).
+R-tree property tests cross-check the mirror against the entry list
+after each insert, delete and bulk load
+(:func:`repro.testing.invariants.validate_rtree`).
 """
 
 from __future__ import annotations

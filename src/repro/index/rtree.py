@@ -26,7 +26,6 @@ from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.analysis.runtime import SANITIZER
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.geometry.vecmath import FloatArray, hypot_pairs
@@ -91,7 +90,7 @@ class RTree:
         self.split_count = 0
         self.reinsert_count = 0
         # STR bulk loading legitimately leaves trailing under-filled nodes;
-        # the structural sanitizer relaxes its fill check for such trees.
+        # validate_rtree relaxes its fill check for such trees.
         self._relaxed_fill = False
 
     # ------------------------------------------------------------------
@@ -137,8 +136,6 @@ class RTree:
         """Insert one point with an opaque payload."""
         self._insert_entry(LeafEntry(point, payload), level=0, reinserted_levels=set())
         self._size += 1
-        if SANITIZER.enabled:
-            SANITIZER.after_rtree_mutation(self, "insert")
 
     def delete(self, point: Point, payload: Any = None) -> bool:
         """Remove one entry matching ``point`` (and ``payload``, if given).
@@ -156,9 +153,6 @@ class RTree:
         leaf.entries.remove(entry)
         self._size -= 1
         self._condense(path)
-        if SANITIZER.enabled:
-            # Validates the post-condense structure (MBR shrink, underflow).
-            SANITIZER.after_rtree_mutation(self, "delete")
         return True
 
     def _find_leaf_path(
@@ -251,8 +245,6 @@ class RTree:
             level += 1
         tree._root = Node(level=level, entries=entries)
         tree._size = len(items)
-        if SANITIZER.enabled:
-            SANITIZER.after_rtree_mutation(tree, "bulk_load")
         return tree
 
     # ------------------------------------------------------------------

@@ -106,6 +106,8 @@ class ServiceConfig:
             raise ValueError("queue_capacity must be at least 1")
         if self.request_timeout_s <= 0.0:
             raise ValueError("request_timeout_s must be positive")
+        if self.stream_chunk < 1:
+            raise ValueError("stream_chunk must be at least 1")
 
 
 class _Pending:

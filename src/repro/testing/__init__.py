@@ -16,6 +16,9 @@ Three cooperating pieces (see ``docs/differential_testing.md``):
 
 The ``repro-difftest`` console script (:mod:`repro.testing.cli`) and the
 pytest plugin (:mod:`repro.testing.pytest_plugin`) are the front ends.
+:mod:`repro.testing.invariants` holds the structural validators the
+unit and property tests call on the heap, the R*-tree and the page
+counter.
 """
 
 from repro.testing.difftest import CheckFailure, DiffReport, run_scenario, shrink_scenario

@@ -1,15 +1,5 @@
 """Shared pytest configuration for the repro test suite.
 
-``REPRO_SANITIZE=1`` enables the :mod:`repro.analysis.runtime`
-invariant sanitizer for the whole session, so every heap mutation,
-R-tree restructure and verification round in the suite is cross-checked
-against the paper's invariants.
-
-It also arms the accounting sanitizer: page-access billing is
-attributed to its callers, every server stream opened is kept, and a
-stream left open at session end (tests that *inject* one reset before
-returning) fails the teardown.
-
 The analysis tests share one session-scoped ``head_analysis`` (the real
 tree loaded once, analyzed once), one ``violations_of`` and one
 in-process ``lint_cli`` runner.
@@ -24,23 +14,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Differential-fuzzing knobs (--difftest-budget / --difftest-seed) and the
 # session-scoped difftest_report fixture.
 pytest_plugins = ("repro.testing.pytest_plugin",)
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _sanitizer_session():
-    from repro.analysis.runtime import SANITIZER
-
-    # ``REPRO_SANITIZE=1`` enabled it at import.
-    if not SANITIZER.enabled:
-        yield
-        return
-    SANITIZER.reset_accounting()
-    try:
-        yield
-    finally:
-        leftover = SANITIZER.accounting_leftovers()
-        SANITIZER.reset_accounting()
-        assert leftover == [], f"sanitizer reports at session end: {leftover}"
 
 
 @pytest.fixture(scope="session")

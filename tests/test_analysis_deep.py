@@ -147,7 +147,7 @@ class TestLemmaConformance:
             assert has_site or has_call_entry, f"nothing pins {scope}"
 
     def test_lemma_32_direction_flip_is_caught_statically(self, head_analysis):
-        """The acceptance mutation: ``<=`` -> ``<`` in _verify_single_peer."""
+        """The acceptance mutation: ``<=`` -> ``<`` in verify_single_peer."""
         source = head_analysis.project.modules["repro.core.verification"].source
         site_count = source.count("distance + delta <= certain_radius")
         assert site_count == 1
@@ -630,15 +630,15 @@ class TestDeepCli:
     def test_changed_only_keeps_a_rename_that_orphans_a_declared_name(
         self, lint_cli, tmp_path
     ):
-        # LEMMA_TABLE (unchanged) still pins _verify_single_peer; only
+        # LEMMA_TABLE (unchanged) still pins verify_single_peer; only
         # verification.py changed, and the stale entry is reported there.
         source = (REPO_ROOT / "src/repro/core/verification.py").read_text()
-        assert source.count("def _verify_single_peer(") == 1
+        assert source.count("def verify_single_peer(") == 1
         tree = write_tree(
             tmp_path,
             {
                 "repro.core.verification": source.replace(
-                    "def _verify_single_peer(", "def _verify_one_peer("
+                    "def verify_single_peer(", "def verify_one_peer("
                 ),
                 "repro.core.beta": "__all__ = []\n",
             },
@@ -648,6 +648,6 @@ class TestDeepCli:
         status, out, _ = lint_cli(*args, changed, cwd=tree)
         assert status == 1
         assert out.startswith(f"{changed}:1:") and out.count("\n") == 1
-        assert "stale lemma table entry" in out and "_verify_single_peer" in out
+        assert "stale lemma table entry" in out and "verify_single_peer" in out
         status, out, _ = lint_cli(*args, "src/repro/core/beta.py", cwd=tree)
         assert (status, out) == (0, "")

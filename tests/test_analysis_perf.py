@@ -1,15 +1,16 @@
-"""The accounting sanitizer: streams left open and the conservation
-law, driven over the golden scenario corpus and a live loopback server.
+"""Page accounting: every stream folds into the server counter's
+history exactly once, and the history conserves the running totals.
 
-The connection-drop path of the TCP server (a stream left open when the
-socket goes) is pinned in ``test_service_async.py``.
+Driven over the golden scenario corpus, a live loopback server and a
+bare server stream.  The connection-drop path of the TCP server (a
+stream left open when the socket goes) is pinned in
+``test_service_async.py``.
 """
 
 import pathlib
 
 import numpy as np
 
-from repro.analysis.runtime import SANITIZER, Sanitizer, sanitized
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import k_nearest_einn
@@ -19,14 +20,12 @@ from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
 from repro.service.client import ServiceClient
 from repro.service.engine import QueryService
 from repro.service.transport import LoopbackTransport
+from repro.testing.invariants import verify_conservation
 from repro.testing.scenarios import ScenarioGen, decode_scenario
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-# ----------------------------------------------------------------------
-# the accounting sanitizer
-# ----------------------------------------------------------------------
 def _golden_scenarios():
     items = []
     for path in sorted(GOLDEN_DIR.glob("*.scenario")):
@@ -46,24 +45,19 @@ class TestAccountingSanitizer:
     def test_golden_scenarios_conserve_and_bill_in_model(self):
         scenarios = _golden_scenarios()
         assert len(scenarios) >= 20
-        SANITIZER.reset_accounting()
-        try:
-            with sanitized():
-                for _name, scenario in scenarios:
-                    pois = [(Point(x, y), pid) for x, y, pid in scenario.pois]
-                    tree = RTree.bulk_load(list(pois))
-                    counter = PageAccessCounter()
-                    query = Point(*scenario.query)
-                    counter.start_query()
-                    k_nearest_einn(tree, query, scenario.k, counter=counter)
-                    counter.finish_query()
-                    counter.start_query()
-                    tree.circle_search(query, 1.0, counter)
-                    counter.finish_query()
-                    assert Sanitizer.verify_conservation(counter) == []
-            assert SANITIZER.accounting_leftovers() == []
-        finally:
-            SANITIZER.reset_accounting()
+        for _name, scenario in scenarios:
+            pois = [(Point(x, y), pid) for x, y, pid in scenario.pois]
+            tree = RTree.bulk_load(list(pois))
+            counter = PageAccessCounter()
+            query = Point(*scenario.query)
+            counter.start_query()
+            k_nearest_einn(tree, query, scenario.k, counter=counter)
+            counter.finish_query()
+            counter.start_query()
+            tree.circle_search(query, 1.0, counter)
+            counter.finish_query()
+            assert len(counter.history) == 2
+            assert verify_conservation(counter) == []
 
     def test_live_loopback_server_accounting(self):
         rng = np.random.default_rng(7)
@@ -74,49 +68,54 @@ class TestAccountingSanitizer:
         server = SpatialDatabaseServer.from_points(
             pois, algorithm=ServerAlgorithm.EINN
         )
+        history = server.counter.history
         transport = LoopbackTransport(QueryService(server))
         client = ServiceClient(transport)
-        SANITIZER.reset_accounting()
-        try:
-            with sanitized():
-                for seed in range(3):
-                    qrng = np.random.default_rng(seed)
-                    query = Point(
-                        float(qrng.uniform(0, 4)), float(qrng.uniform(0, 4))
-                    )
-                    client.knn_query_detailed(query, 5)
-                client.range_query_detailed(Point(2.0, 2.0), 0.6)
-                client.window_query_detailed(BoundingBox(0.5, 0.5, 2.0, 2.0))
-                stream = client.incremental_query(Point(1.0, 1.0))
-                for _ in range(5):
-                    next(stream)
-                stream.close()
-                # A second stream is deliberately left open: closing the
-                # transport (-> the session) must fold it too.
-                dangling = client.incremental_query(Point(3.0, 3.0))
-                next(dangling)
-                transport.close()
-            assert SANITIZER.accounting_leftovers() == []
-            assert Sanitizer.verify_conservation(server.counter) == []
-        finally:
-            SANITIZER.reset_accounting()
+        for seed in range(3):
+            qrng = np.random.default_rng(seed)
+            query = Point(float(qrng.uniform(0, 4)), float(qrng.uniform(0, 4)))
+            client.knn_query_detailed(query, 5)
+        client.range_query_detailed(Point(2.0, 2.0), 0.6)
+        client.window_query_detailed(BoundingBox(0.5, 0.5, 2.0, 2.0))
+        assert len(history) == 5
+        stream = client.incremental_query(Point(1.0, 1.0))
+        for _ in range(5):
+            next(stream)
+        assert len(history) == 5  # an open stream has folded nothing
+        stream.close()
+        assert len(history) == 6
+        # A second stream is deliberately left open: closing the
+        # transport (-> the session) must fold it, once.
+        dangling = client.incremental_query(Point(3.0, 3.0))
+        next(dangling)
+        assert len(history) == 6
+        transport.close()
+        assert len(history) == 7
+        del dangling
+        assert len(history) == 7
+        assert verify_conservation(server.counter) == []
 
     def test_a_stream_left_open_is_a_leftover(self):
+        """An open stream is left over: it reaches the history only when
+        closed, once however often it is closed, both as a bare stream
+        and as the ``incremental_query`` generator."""
         server = SpatialDatabaseServer.from_points(
             [(Point(float(i), 0.0), i) for i in range(40)]
         )
-        SANITIZER.reset_accounting()
-        try:
-            with sanitized():
-                stream = server.open_stream(Point(0.0, 0.0))
-                stream.pull(3)
-                leftovers = SANITIZER.accounting_leftovers()
-                assert len(leftovers) == 1
-                assert "never closed" in leftovers[0]
-                stream.close()
-                assert SANITIZER.accounting_leftovers() == []
-        finally:
-            SANITIZER.reset_accounting()
+        history = server.counter.history
+        stream = server.open_stream(Point(0.0, 0.0))
+        stream.pull(3)
+        assert not stream.closed and history == []
+        breakdown = stream.close()
+        assert stream.close() is breakdown
+        assert history == [breakdown]
+        generator = server.incremental_query(Point(5.0, 0.0))
+        for _ in range(3):
+            next(generator)
+        assert len(history) == 1
+        generator.close()
+        assert len(history) == 2
+        assert verify_conservation(server.counter) == []
 
     def test_conservation_breach_is_detected(self):
         counter = PageAccessCounter()
@@ -124,22 +123,6 @@ class TestAccountingSanitizer:
         counter.record(1, is_leaf=True)
         counter.finish_query()
         counter.total_accesses += 1  # simulate a lost breakdown
-        problems = Sanitizer.verify_conservation(counter)
+        problems = verify_conservation(counter)
         assert len(problems) == 1
         assert "history sums to 1" in problems[0]
-
-    def test_reset_accounting_clears_tracking(self):
-        server = SpatialDatabaseServer.from_points([(Point(0.0, 0.0), "a")])
-        SANITIZER.reset_accounting()
-        with sanitized():
-            server.open_stream(Point(1.0, 1.0))
-            assert SANITIZER.accounting_leftovers() != []
-            SANITIZER.reset_accounting()
-            assert SANITIZER.accounting_leftovers() == []
-
-    def test_disabled_sanitizer_records_nothing(self):
-        SANITIZER.reset_accounting()
-        if not SANITIZER.enabled:
-            server = SpatialDatabaseServer.from_points([(Point(0.0, 0.0), "a")])
-            server.open_stream(Point(1.0, 1.0))
-            assert SANITIZER.accounting_leftovers() == []

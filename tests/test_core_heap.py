@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.heap as heap_module
-from repro.analysis.runtime import SANITIZER, sanitized
 from repro.core.heap import CandidateHeap, HeapEntry, HeapState
 from repro.geometry.point import Point
 from repro.obs import OBS, MetricsRegistry, observed
+from repro.testing.invariants import check_heap_structure, check_heap_transition
 
 
 def entry(x, dist, certain, payload=None):
@@ -187,22 +187,14 @@ def _offers_snapshot(run, heap):
         OBS.registry = previous
 
 
-def _maybe_sanitized(sanitize):
-    """``sanitized()`` when asked for, else the session's own setting."""
-    return sanitized() if sanitize else contextlib.nullcontext()
-
-
 class TestAddBatchIsALoopOfAdd:
     @given(
         st.integers(min_value=1, max_value=6),
         st.lists(_OFFER, max_size=40),
         st.booleans(),
-        st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_same_heap_same_count_same_counters(
-        self, capacity, raw, enabled, sanitize
-    ):
+    def test_same_heap_same_count_same_counters(self, capacity, raw, enabled):
         offers = [entry(*item) for item in raw]
         batched, looped = CandidateHeap(capacity), CandidateHeap(capacity)
         stored = {}
@@ -213,15 +205,10 @@ class TestAddBatchIsALoopOfAdd:
         def loop():
             stored["loop"] = sum(looped.add(*offer) for offer in offers)
 
-        with observed(enabled=enabled), _maybe_sanitized(sanitize):
-            checks = SANITIZER.checks_run.get("heap.add", 0)
+        with observed(enabled=enabled):
             by_batch = _offers_snapshot(batch, batched)
             by_loop = _offers_snapshot(loop, looped)
-            if SANITIZER.enabled:
-                # Every offer of the batch is checked, settled ones too.
-                assert SANITIZER.checks_run.get("heap.add", 0) == checks + 2 * len(
-                    offers
-                )
+        check_heap_structure(batched)
         assert stored["batch"] == stored["loop"]
         assert batched.entries() == looped.entries()
         assert by_batch == by_loop
@@ -438,18 +425,7 @@ class TestHeapProperties:
     def test_invariants_under_arbitrary_adds(self, capacity, additions):
         heap = CandidateHeap(capacity)
         for x, dist, certain in additions:
+            before = heap.state()
             heap.add(Point(float(x), 0.0), f"poi-{x}", dist, certain)
-        # Size bounded by capacity.
-        assert len(heap) <= capacity
-        # Uncertain entries only while certain slots remain.
-        if heap.uncertain_count > 0:
-            assert heap.certain_count < capacity
-        # Each bucket sorted ascending.
-        certain_d = [e.distance for e in heap.certain_entries()]
-        assert certain_d == sorted(certain_d)
-        all_entries = heap.entries()
-        uncertain_d = [e.distance for e in all_entries if not e.certain]
-        assert uncertain_d == sorted(uncertain_d)
-        # No duplicate POIs.
-        keys = [e.key() for e in all_entries]
-        assert len(keys) == len(set(keys))
+            check_heap_transition(before, heap.state())
+            check_heap_structure(heap)  # one index key per entry: no duplicates

@@ -2,7 +2,7 @@
 
 Random ``add`` sequences are replayed against :class:`CandidateHeap`
 while every observed state transition is checked against the legal
-transition matrix :data:`repro.analysis.invariants.HEAP_TRANSITIONS`,
+transition matrix :data:`repro.testing.invariants.HEAP_TRANSITIONS`,
 and a scripted battery realizes every reachable edge of the matrix so
 the two stay in lock-step.
 """
@@ -10,7 +10,7 @@ the two stay in lock-step.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.invariants import (
+from repro.testing.invariants import (
     HEAP_TRANSITIONS,
     check_heap_structure,
     check_heap_transition,

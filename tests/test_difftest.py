@@ -2,8 +2,8 @@
 
 import pytest
 
-import repro.core.verification as verification
-from repro.analysis.runtime import SANITIZER
+import repro.core.senn as senn
+import repro.testing.difftest as difftest
 from repro.testing.cli import main as difftest_main
 from repro.testing.difftest import (
     CheckFailure,
@@ -23,7 +23,7 @@ BOUNDARY = (
 
 
 def flipped_verify_single(query, cache, heap):
-    """``_verify_single_peer`` with Lemma 3.2's ``<=`` flipped to ``<``."""
+    """``verify_single_peer`` with Lemma 3.2's ``<=`` flipped to ``<``."""
     if cache.is_empty():
         return 0
     delta = query.distance_to(cache.query_location)
@@ -37,6 +37,12 @@ def flipped_verify_single(query, cache, heap):
             certified += 1
         heap.add(neighbor.point, neighbor.payload, distance, certain)
     return certified
+
+
+def flip_lemma32(monkeypatch):
+    """Inject :func:`flipped_verify_single` where SENN and difftest call it."""
+    for module in (senn, difftest):
+        monkeypatch.setattr(module, "verify_single_peer", flipped_verify_single)
 
 
 class TestSmoke:
@@ -73,10 +79,7 @@ class TestFaultInjection:
     def test_flipped_lemma32_is_caught_and_shrinks_small(self, monkeypatch):
         """The acceptance gate: ``<=`` -> ``<`` in verify_single must be
         detected and shrink to a tiny reproduction."""
-        monkeypatch.setattr(SANITIZER, "enabled", False)
-        monkeypatch.setattr(
-            verification, "_verify_single_peer", flipped_verify_single
-        )
+        flip_lemma32(monkeypatch)
         caught = None
         for index, scenario in ScenarioGen(seed=7).stream(100):
             failures = run_scenario(scenario)
@@ -96,20 +99,14 @@ class TestFaultInjection:
     def test_handcrafted_boundary_scenario_catches_flip(self, monkeypatch):
         scenario = decode_scenario(BOUNDARY)
         assert run_scenario(scenario) == []
-        monkeypatch.setattr(SANITIZER, "enabled", False)
-        monkeypatch.setattr(
-            verification, "_verify_single_peer", flipped_verify_single
-        )
+        flip_lemma32(monkeypatch)
         checks = {f.check for f in run_scenario(scenario)}
         assert "single-peer-completeness" in checks
 
 
 class TestShrinking:
     def test_shrink_preserves_failure_and_validity(self, monkeypatch):
-        monkeypatch.setattr(SANITIZER, "enabled", False)
-        monkeypatch.setattr(
-            verification, "_verify_single_peer", flipped_verify_single
-        )
+        flip_lemma32(monkeypatch)
         scenario = next(
             s for _, s in ScenarioGen(seed=7).stream(100) if run_scenario(s)
         )
@@ -151,10 +148,7 @@ class TestCli:
         assert difftest_main(["--replay", "not-a-scenario"]) == 2
 
     def test_failing_run_writes_artifact(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(SANITIZER, "enabled", False)
-        monkeypatch.setattr(
-            verification, "_verify_single_peer", flipped_verify_single
-        )
+        flip_lemma32(monkeypatch)
         artifact = tmp_path / "repros.md"
         code = difftest_main(
             [

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.invariants import InvariantViolation, validate_rtree
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.rtree import RTree, RTreeConfig, SplitPolicy
+from repro.testing.invariants import InvariantViolation, validate_rtree
 
-from tests.test_index_rtree import check_invariants, make_points
+from tests.test_index_rtree import make_points
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 point_strategy = st.builds(Point, coord, coord)
@@ -76,7 +76,7 @@ class TestDelete:
                 victim = int(rng.choice(sorted(live)))
                 assert tree.delete(live.pop(victim), payload=victim)
         assert len(tree) == len(live)
-        assert check_invariants(tree) == len(live)
+        validate_rtree(tree)
         remaining = sorted(e.payload for e in tree.iter_entries())
         assert remaining == sorted(live)
 
@@ -112,7 +112,8 @@ class TestDelete:
             tree.insert(p, payload=i)
         for i in range(60):
             assert tree.delete(points[i], payload=i)
-        assert check_invariants(tree) == 60
+            validate_rtree(tree)
+        assert len(tree) == 60
 
     def test_delete_backtracks_across_leaves_for_duplicates(self):
         # Twelve copies of one point spill over several leaves (M=4), so
@@ -142,18 +143,19 @@ class TestDelete:
         expected = sorted(i for i in range(len(points)) if i != victim)
         found = sorted(e.payload for e in tree.range_search(window))
         assert found == expected
-        check_invariants(tree)
+        validate_rtree(tree)
 
 
 class TestCondenseAgainstValidator:
-    """Regressions driven by the repro.analysis structural validator.
+    """Regressions driven by the structural validator.
 
-    ``validate_rtree`` is stricter than :func:`check_invariants` above: it
-    additionally demands *tight* parent MBRs (catching shrink misses after
-    underflow), unique node objects (catching orphaned or doubly-linked
-    subtrees), an internal root with at least two children, and a reachable
-    leaf count equal to ``len(tree)``.  These tests run it after every
-    single mutation in the scenarios that historically stress CondenseTree.
+    Beyond containment and fill, ``validate_rtree`` demands *tight* parent
+    MBRs (catching shrink misses after underflow), unique node objects
+    (catching orphaned or doubly-linked subtrees), an internal root with at
+    least two children, a reachable leaf count equal to ``len(tree)`` and
+    column mirrors that agree with their entry lists.  These tests run it
+    after every single mutation in the scenarios that historically stress
+    CondenseTree.
     """
 
     @pytest.mark.parametrize("policy", [SplitPolicy.QUADRATIC, SplitPolicy.RSTAR])

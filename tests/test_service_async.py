@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.runtime import SANITIZER, Sanitizer, sanitized
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
@@ -46,6 +45,7 @@ from repro.service.protocol import (
 )
 from repro.service.engine import QueryService
 from repro.service.transport import LoopbackTransport, TcpTransport
+from repro.testing.invariants import verify_conservation
 
 
 def make_pois(count=300, seed=0, extent=4.0):
@@ -87,20 +87,20 @@ class TestTcpServing:
         """A client that vanishes mid-stream loses the server no page.
 
         The stream is closed by the session close on the connection-drop
-        path: no leftover, and the counter's history sums to its totals
-        once the server has stopped.
+        path: it joins the counter's history as exactly one entry, and
+        the history sums to its totals once the server has stopped.
         """
         server = make_server(make_pois())
-        leftovers = len(SANITIZER.accounting_leftovers())
-        with sanitized():
-            with BackgroundServer(server, ServiceConfig()) as running:
-                transport = TcpTransport(*running.address)
-                stream = ServiceClient(transport).incremental_query(Point(1.0, 1.0))
-                next(stream)  # open + one pulled chunk
-                transport.close()  # no StreamClose: the socket just goes
-            del stream
-        assert len(SANITIZER.accounting_leftovers()) == leftovers
-        assert Sanitizer.verify_conservation(server.counter) == []
+        history = server.counter.history
+        with BackgroundServer(server, ServiceConfig()) as running:
+            transport = TcpTransport(*running.address)
+            stream = ServiceClient(transport).incremental_query(Point(1.0, 1.0))
+            next(stream)  # open + one pulled chunk
+            assert history == []
+            transport.close()  # no StreamClose: the socket just goes
+        del stream
+        assert len(history) == 1
+        assert verify_conservation(server.counter) == []
 
     @pytest.mark.parametrize("kind", ["loopback", "tcp"])
     def test_a_closed_transport_stays_closed(self, kind, monkeypatch):
@@ -885,6 +885,7 @@ class TestConfigValidation:
             {"max_inflight": 0},
             {"queue_capacity": 0},
             {"request_timeout_s": 0.0},
+            {"stream_chunk": 0},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):

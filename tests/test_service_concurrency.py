@@ -18,7 +18,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.runtime import sanitized
 from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
 from repro.geometry.point import Point
 from repro.obs import OBS, MetricsRegistry, observed
@@ -202,7 +201,7 @@ class TestStress:
             finally:
                 client.close()
 
-        with sanitized(), observed():
+        with observed():
             served = make_server(pois)
             with BackgroundServer(served, ServiceConfig()) as running:
                 def tcp_factory():
