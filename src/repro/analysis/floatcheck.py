@@ -494,17 +494,18 @@ LEMMA_TABLE: Tuple[LemmaEntry, ...] = (
         ),
     ),
     LemmaEntry(
-        qualname="repro.core.verification._single_disk_covered",
+        qualname="repro.geometry.coverage.disk_covered_by_disks",
         lemma="Lemma 3.8 (single-circle fast path)",
         op="LtE",
-        left="separation + distance",
-        right="certain_radius - tolerance",
+        left="separation + tr",
+        right="r + -tolerance",
         rationale=(
-            "the batched pre-filter replicates Circle.contains_circle with "
+            "the coverage kernel's fast path is Circle.contains_circle with "
             "the negated conservative tolerance: a candidate disk is "
-            "certainly covered only when it sits strictly (by tolerance) "
-            "inside one certain circle; flipping <= to < would only shrink "
-            "the fast path, but any loosening would certify uncovered disks"
+            "certainly covered by one certain circle only when it sits "
+            "strictly (by tolerance) inside it; flipping <= to < would only "
+            "shrink the fast path, but any loosening would certify "
+            "uncovered disks"
         ),
     ),
     LemmaEntry(

@@ -26,32 +26,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.geometry.circle import Circle
 from repro.geometry.coverage import CertainRegion, CoverageMethod
 from repro.geometry.point import Point
-from repro.geometry.vecmath import point_distance_list, point_distances
+from repro.geometry.vecmath import point_distance_list
 from repro.index.knn import poi_key
 from repro.core.cache import CachedQueryResult
 from repro.core.heap import CandidateHeap
 
 __all__ = ["verify_single_peer", "verify_multi_peer", "collect_candidates"]
-
-#: ``_single_disk_covered`` keeps up to this many (circle, candidate)
-#: pairs on plain Python lists and broadcasts larger batches; both paths
-#: perform the same exact IEEE operations, so the verdicts are
-#: bit-identical.  Measured on a ``sim_rush``-shaped run the pair counts
-#: are median 42, p99 210, max 440 (147 / 575 / 960 at ``lambda_knn``
-#: 15), so the traffic lies on both sides of the bound.  Measured µs,
-#: list / ndarray, circles x candidates: 2x7 5.6 / 10.0, 3x10 7.7 / 9.7,
-#: 4x12 9.7 / 9.5, 5x20 15.6 / 10.8, 7x21 18.7 / 10.8, 10x32 32.1 /
-#: 12.8, 20x32 38.1 / 15.2 — the paths cross at 48 pairs.  The
-#: per-candidate kernels have no such fork — a peer cache
-#: holds at most ``c_size`` = 20 entries and a multi-peer union at most
-#: 21 candidates (32 at ``lambda_knn`` 15), where lists beat ndarrays.
-_LIST_PATH_PAIRS = 48
-
 
 def verify_single_peer(
     query: Point,
@@ -122,20 +105,17 @@ def verify_multi_peer(
         return 0
 
     candidates = collect_candidates(query, caches)
-    precovered = _single_disk_covered(
-        query, region, [candidate[0] for candidate in candidates]
-    )
     tally = heap.tally
     tally.multi_sizes += (len(candidates),)
 
     certified = 0
-    for index, (distance, point, payload) in enumerate(candidates):
+    for distance, point, payload in candidates:
         if heap.is_complete():
             break
         if heap.is_certain(point, payload):
             continue
         target = Circle(query, distance)
-        if precovered[index] or region.covers_disk(target):
+        if region.covers_disk(target):
             heap.add(point, payload, distance, certain=True)
             certified += 1
             tally.multi_certain += 1
@@ -147,57 +127,6 @@ def verify_multi_peer(
             tally.multi_uncertain += 1
             break
     return certified
-
-
-def _single_disk_covered(
-    query: Point,
-    region: CertainRegion,
-    distances: Sequence[float],
-) -> List[bool]:
-    """Vectorized Lemma 3.8 pre-filter: disks inside one certain circle.
-
-    ``disk_covered_by_disks`` starts with a single-circle containment
-    fast path: ``separation + target.radius <= disk.radius - tolerance``.
-    This computes that exact predicate for the *whole candidate batch*
-    against every certain circle in one broadcasted pass, so the full
-    arc-coverage test only runs for candidates the fast path cannot
-    settle.  ``True`` therefore always agrees with ``covers_disk``; a
-    ``False`` merely means "fall through to the exact test".
-
-    Restricted to the exact backend with the usual non-negative
-    tolerance — the polygon backend has different fast-path semantics.
-    """
-    if not distances:
-        return []
-    if region.method is not CoverageMethod.EXACT or region.tolerance < 0.0:
-        return [False] * len(distances)
-    circles = region.circles
-    count = len(circles)
-    tolerance = region.tolerance
-    if count * len(distances) <= _LIST_PATH_PAIRS:
-        separations = point_distance_list(
-            query.x,
-            query.y,
-            [c.center.x for c in circles],
-            [c.center.y for c in circles],
-        )
-        radii_list = [c.radius for c in circles]
-        return [
-            any(
-                separation + distance <= certain_radius - tolerance
-                for separation, certain_radius in zip(separations, radii_list)
-            )
-            for distance in distances
-        ]
-    cx = np.fromiter((c.center.x for c in circles), np.float64, count=count)
-    cy = np.fromiter((c.center.y for c in circles), np.float64, count=count)
-    radii = np.fromiter((c.radius for c in circles), np.float64, count=count)
-    separation = point_distances(query.x, query.y, cx, cy)[:, np.newaxis]
-    certain_radius = radii[:, np.newaxis]
-    distance = np.asarray(distances, dtype=np.float64)
-    covered = separation + distance <= certain_radius - tolerance
-    result: List[bool] = covered.any(axis=0).tolist()
-    return result
 
 
 def collect_candidates(

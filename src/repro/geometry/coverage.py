@@ -76,68 +76,130 @@ def disk_covered_by_disks(
     """Exact test: is the closed disk ``target`` inside the union of ``cover``?
 
     The test is sound under floating point: borderline configurations
-    (within ``tolerance``) are reported as not covered.
+    (within ``tolerance``) are reported as not covered.  It runs the
+    :class:`~repro.geometry.circle.Circle` predicates on plain floats,
+    with the same IEEE operations in the same order, so every verdict is
+    that of composing those methods
+    (:func:`repro.testing.scalar_reference.scalar_disk_covered_by_disks`).
     """
-    if target.radius < 0.0:
+    tx = target.center.x
+    ty = target.center.y
+    tr = target.radius
+    if tr < 0.0:
         raise ValueError("target radius must be non-negative")
-    relevant = [disk for disk in cover if disk.intersects_circle(target)]
+    hypot = math.hypot
+    # One row (x, y, radius, separation) per disk meeting the target;
+    # ``hypot(a - b, c - d)`` equals ``hypot(b - a, d - c)`` bit for bit,
+    # so one separation serves both directions.  The raw comparisons
+    # (noqa RPR011) are Circle's exact predicates and only sort disks
+    # into cases; every certification is tolerance-routed.
+    relevant: List[Tuple[float, float, float, float]] = []
+    for disk in cover:
+        center = disk.center
+        cx, cy, r = center.x, center.y, disk.radius
+        separation = hypot(cx - tx, cy - ty)
+        # Circle.intersects_circle, the relevance filter.
+        if separation <= r + tr:  # repro: noqa(RPR011)
+            # Fast path -- also the exact semantics of single-peer
+            # verification: Circle.contains_circle at -tolerance.
+            if separation + tr <= r + -tolerance:
+                return True
+            relevant.append((cx, cy, r, separation))
     if not relevant:
         return False
-    # Fast path -- also the exact semantics of single-peer verification.
-    for disk in relevant:
-        if disk.contains_circle(target, tolerance=-tolerance):
-            return True
-    if near_zero(target.radius, tolerance):
+    if near_zero(tr, tolerance):
         # A disk no larger than the tolerance degenerates to its center.
         return any(
-            disk.strictly_contains_point(target.center, tolerance) for disk in relevant
+            separation < r - tolerance for _, _, r, separation in relevant
         )
 
-    # Condition 1: the target boundary must be fully covered by arcs.
+    # Condition 1: the target boundary must be fully covered by arcs
+    # (Circle.boundary_arc_covered_by of the target against each disk).
     arcs = AngularIntervalSet(tolerance=1e-12)
-    angular_tol = tolerance / max(target.radius, tolerance)
-    for disk in relevant:
-        coverage = target.boundary_arc_covered_by(disk)
-        if coverage.full:
-            # The strict fast path above already failed for this disk, so
-            # the containment is borderline: the target is internally
-            # tangent (within ``tolerance``).  The tangency point -- the
-            # target boundary point opposite the covering center -- is not
-            # robustly covered, so leave a tolerance gap there instead of
-            # certifying the full circle.  (Found by repro-difftest: an
-            # uncached POI tied exactly at a peer's k-th distance sits on
-            # that tangency point.)
-            separation = target.center.distance_to(disk.center)
+    angular_tol = tolerance / max(tr, tolerance)
+    for cx, cy, r, separation in relevant:
+        if separation + tr <= r:  # repro: noqa(RPR011)
+            # Full coverage.  The strict fast path above already failed
+            # for this disk, so the containment is borderline: the target
+            # is internally tangent (within ``tolerance``).  The tangency
+            # point -- the target boundary point opposite the covering
+            # center -- is not robustly covered, so leave a tolerance gap
+            # there instead of certifying the full circle.  (Found by
+            # repro-difftest: an uncached POI tied exactly at a peer's
+            # k-th distance sits on that tangency point.)
             if near_zero(separation, tolerance):
                 # Borderline concentric ring: no direction is robust.
                 continue
             half = math.pi - angular_tol
-            if half > 0.0:
-                arcs.add_centered(
-                    target.center.angle_to(disk.center), half
-                )
-            continue
-        if not coverage.empty:
+        else:
+            # Empty coverage: the disk is strictly inside the target
+            # (disjoint ones were filtered out), or concentric; the exact
+            # zero guards the law-of-cosines division.
+            if (
+                separation + r < tr  # repro: noqa(RPR011)
+                or separation == 0.0  # repro: noqa(RPR001, RPR011)
+            ):
+                continue
+            cos_phi = (separation * separation + tr * tr - r * r) / (
+                2.0 * separation * tr
+            )
+            cos_phi = max(-1.0, min(1.0, cos_phi))
             # Shrink each arc by an angular tolerance so borderline
             # touching arcs do not spuriously certify coverage.
-            half = coverage.half_width - angular_tol
-            if half > 0.0:
-                arcs.add_centered(coverage.center, half)
+            half = math.acos(cos_phi) - angular_tol
+        if half > 0.0:
+            arcs.add_centered(math.atan2(cy - ty, cx - tx), half)
     if not arcs.covers_full_circle():
         return False
 
     # Condition 2: circle-circle intersection vertices strictly inside the
     # target must be strictly inside some covering disk.
-    count = len(relevant)
-    for i in range(count):
-        for j in range(i + 1, count):
-            for vertex in relevant[i].boundary_intersections(relevant[j]):
-                if not target.strictly_contains_point(vertex, tolerance):
-                    continue
-                if not any(
-                    disk.strictly_contains_point(vertex, tolerance)
-                    for disk in relevant
-                ):
+    tr_less_tolerance = tr - tolerance
+    containers = [(cx, cy, r - tolerance) for cx, cy, r, _ in relevant]
+    sqrt = math.sqrt
+    for i, (xi, yi, ri, _) in enumerate(relevant):
+        ri_sq = ri * ri
+        for xj, yj, rj, _ in relevant[i + 1 :]:
+            # Circle.boundary_intersections of disk i with disk j.
+            d = hypot(xi - xj, yi - yj)
+            # Exact zero guard: d divides the chord computation below.
+            if d == 0.0:  # repro: noqa(RPR001, RPR011)
+                continue
+            if d > ri + rj or d < abs(ri - rj):  # repro: noqa(RPR011)
+                continue
+            # ``ri*ri - rj*rj`` is taken as ``(ri - rj) * (ri + rj)``: for
+            # nearly equal radii the difference of squares cancels to
+            # rounding noise, which a tiny ``d`` would then blow up.
+            a = (d * d + (ri - rj) * (ri + rj)) / (2.0 * d)
+            h_sq = ri_sq - a * a
+            if h_sq < 0.0:
+                # Numerical noise around tangency.
+                h_sq = 0.0
+            h = sqrt(h_sq)
+            ux = (xj - xi) / d
+            uy = (yj - yi) / d
+            mx = xi + a * ux
+            my = yi + a * uy
+            # The two vertices in turn.  At exact tangency (h_sq clamped
+            # to literal 0.0) the first is the chord midpoint, up to the
+            # sign of a zero that hypot ignores, and there is no second.
+            vx = mx - h * uy
+            vy = my + h * ux
+            if hypot(tx - vx, ty - vy) < tr_less_tolerance:
+                for cx, cy, r_less_tolerance in containers:
+                    if hypot(cx - vx, cy - vy) < r_less_tolerance:
+                        break
+                else:
+                    return False
+            if h == 0.0:  # repro: noqa(RPR001, RPR011)
+                continue
+            vx = mx + h * uy
+            vy = my - h * ux
+            if hypot(tx - vx, ty - vy) < tr_less_tolerance:
+                for cx, cy, r_less_tolerance in containers:
+                    if hypot(cx - vx, cy - vy) < r_less_tolerance:
+                        break
+                else:
                     return False
     return True
 

@@ -202,12 +202,8 @@ class RTree:
                     if not (isinstance(e, ChildEntry) and e.child is node)
                 ]
             else:
-                self._refresh_child_entry(parent, node)
-        # Refresh surviving ancestors whose boxes may have shrunk.
-        for depth in range(len(path) - 1, 0, -1):
-            node = path[depth]
-            parent = path[depth - 1]
-            if any(isinstance(e, ChildEntry) and e.child is node for e in parent.entries):
+                # Bottom-up: the node's own subtree is settled by now, so
+                # one refresh per surviving level is enough.
                 self._refresh_child_entry(parent, node)
         # Shorten the root before reinserting: it may hold one child (or
         # none, when the whole population is in the orphan list).

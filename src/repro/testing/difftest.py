@@ -719,7 +719,8 @@ def _check_vectorized_verify(
                 )
             )
 
-        # Lemma 3.8: batched pre-filter + loop vs the all-scalar loop.
+        # Lemma 3.8: the float coverage kernel's loop vs the object-based
+        # scalar loop.
         live = CandidateHeap(capacity)
         live_certified = verify_multi_peer(
             m.query,

@@ -1,22 +1,28 @@
-"""Frozen scalar reference implementations for the vectorized index.
+"""Frozen scalar reference implementations for the fast kernels.
 
-The vectorized kernels in :mod:`repro.geometry.vecmath` and the batched
-verifiers in :mod:`repro.core.verification` promise to be *bit-identical*
-to the scalar code they replaced.  This module preserves that scalar code
-verbatim — the per-entry loops the pre-vectorization R-tree and the
-``kNN_single`` / ``kNN_multiple`` verifiers executed — as an oracle for:
+The vectorized kernels in :mod:`repro.geometry.vecmath`, the batched
+verifiers in :mod:`repro.core.verification` and the float-only Lemma
+3.8 kernel :func:`repro.geometry.coverage.disk_covered_by_disks` promise
+to be *bit-identical* to the code they replaced.  This module preserves
+that code verbatim — the per-entry loops the pre-vectorization R-tree
+and the ``kNN_single`` / ``kNN_multiple`` verifiers executed, and the
+coverage test composed of :class:`~repro.geometry.circle.Circle`
+methods (:func:`scalar_disk_covered_by_disks`) — as an oracle for:
 
-- the hypothesis property suite ``tests/test_index_vectorized.py``,
-  which fuzzes the kernels over adversarial geometry (degenerate boxes,
-  touching edges, corner queries, subnormal coordinates);
+- the hypothesis property suites ``tests/test_index_vectorized.py``,
+  which fuzzes the index kernels over adversarial geometry (degenerate
+  boxes, touching edges, corner queries, subnormal coordinates), and
+  ``tests/test_coverage_kernel.py``, which does the same for the
+  coverage kernel (exact ties, tangent, concentric and near-coincident
+  circles, zero-radius targets, subnormal separations);
 - the ``vectorized-verify`` differential-testing check
   (:mod:`repro.testing.difftest`), which replays every scenario's
   verification pass through this module and demands equal verdicts.
 
 Nothing here is ever called by production code, and nothing here may be
 "optimised": the value of the oracle is that it stays exactly the loop
-the formulas in :mod:`repro.geometry.bbox` / :mod:`repro.geometry.point`
-spell out.
+the formulas in :mod:`repro.geometry.bbox`, :mod:`repro.geometry.point`
+and :mod:`repro.geometry.circle` spell out.
 """
 
 from __future__ import annotations
@@ -28,10 +34,13 @@ from repro.core.cache import CachedQueryResult
 from repro.core.heap import CandidateHeap
 from repro.geometry.circle import Circle
 from repro.geometry.coverage import CertainRegion, CoverageMethod
+from repro.geometry.intervals import AngularIntervalSet
 from repro.geometry.point import Point
+from repro.geometry.tolerance import near_zero
 
 __all__ = [
     "scalar_collect_candidates",
+    "scalar_disk_covered_by_disks",
     "scalar_maxdist",
     "scalar_maxdists",
     "scalar_mindist",
@@ -148,6 +157,84 @@ def scalar_collect_candidates(
     return sorted(seen.values(), key=lambda item: item[0])
 
 
+def scalar_disk_covered_by_disks(
+    target: Circle,
+    cover: Sequence[Circle],
+    tolerance: float = 1e-9,
+) -> bool:
+    """The object-based Lemma 3.8 test, verbatim: ``Circle`` methods composed.
+
+    This is ``repro.geometry.coverage.disk_covered_by_disks`` as it was
+    before the float kernel: one ``Circle`` predicate per test, a
+    ``Point`` per circle-circle intersection and an ``ArcCoverage`` per
+    disk.  The kernel spells the same formulas out on plain floats and
+    must return the same verdict (or raise the same error) on every
+    input.
+    """
+    if target.radius < 0.0:
+        raise ValueError("target radius must be non-negative")
+    relevant = [disk for disk in cover if disk.intersects_circle(target)]
+    if not relevant:
+        return False
+    # Fast path -- also the exact semantics of single-peer verification.
+    for disk in relevant:
+        if disk.contains_circle(target, tolerance=-tolerance):
+            return True
+    if near_zero(target.radius, tolerance):
+        # A disk no larger than the tolerance degenerates to its center.
+        return any(
+            disk.strictly_contains_point(target.center, tolerance) for disk in relevant
+        )
+
+    # Condition 1: the target boundary must be fully covered by arcs.
+    arcs = AngularIntervalSet(tolerance=1e-12)
+    angular_tol = tolerance / max(target.radius, tolerance)
+    for disk in relevant:
+        coverage = target.boundary_arc_covered_by(disk)
+        if coverage.full:
+            # The strict fast path above already failed for this disk, so
+            # the containment is borderline: the target is internally
+            # tangent (within ``tolerance``).  The tangency point -- the
+            # target boundary point opposite the covering center -- is not
+            # robustly covered, so leave a tolerance gap there instead of
+            # certifying the full circle.  (Found by repro-difftest: an
+            # uncached POI tied exactly at a peer's k-th distance sits on
+            # that tangency point.)
+            separation = target.center.distance_to(disk.center)
+            if near_zero(separation, tolerance):
+                # Borderline concentric ring: no direction is robust.
+                continue
+            half = math.pi - angular_tol
+            if half > 0.0:
+                arcs.add_centered(
+                    target.center.angle_to(disk.center), half
+                )
+            continue
+        if not coverage.empty:
+            # Shrink each arc by an angular tolerance so borderline
+            # touching arcs do not spuriously certify coverage.
+            half = coverage.half_width - angular_tol
+            if half > 0.0:
+                arcs.add_centered(coverage.center, half)
+    if not arcs.covers_full_circle():
+        return False
+
+    # Condition 2: circle-circle intersection vertices strictly inside the
+    # target must be strictly inside some covering disk.
+    count = len(relevant)
+    for i in range(count):
+        for j in range(i + 1, count):
+            for vertex in relevant[i].boundary_intersections(relevant[j]):
+                if not target.strictly_contains_point(vertex, tolerance):
+                    continue
+                if not any(
+                    disk.strictly_contains_point(vertex, tolerance)
+                    for disk in relevant
+                ):
+                    return False
+    return True
+
+
 def scalar_verify_multi_peer(
     query: Point,
     caches: Sequence[CachedQueryResult],
@@ -157,9 +244,12 @@ def scalar_verify_multi_peer(
 ) -> int:
     """The pre-vectorization ``kNN_multiple`` loop, verbatim.
 
-    Every candidate's disk goes through ``CertainRegion.covers_disk``
-    directly — no batched single-circle pre-filter — with the same
-    early-exit and re-certification skips the production verifier keeps.
+    Every candidate's disk goes through the coverage test directly, with
+    the same early-exit and re-certification skips the production
+    verifier keeps.  The exact backend is
+    :func:`scalar_disk_covered_by_disks`, not the production kernel, so
+    the check stays independent of the code it checks; the polygon
+    backend still goes through ``CertainRegion.covers_disk``.
     """
     region = CertainRegion(method=method, polygon_sides=polygon_sides)
     for cache in caches:
@@ -174,7 +264,13 @@ def scalar_verify_multi_peer(
         if heap.is_certain(point, payload):
             continue
         target = Circle(query, distance)
-        if region.covers_disk(target):
+        if method is CoverageMethod.EXACT:
+            covered = scalar_disk_covered_by_disks(
+                target, region.circles, region.tolerance
+            )
+        else:
+            covered = region.covers_disk(target)
+        if covered:
             heap.add(point, payload, distance, certain=True)
             certified += 1
         else:

@@ -168,6 +168,26 @@ class TestLemmaConformance:
             assert "direction violates" in finding
             assert "requires `<=`" in finding
 
+    def test_coverage_fast_path_direction_flip_is_caught_statically(
+        self, head_analysis
+    ):
+        """Lemma 3.8's single-circle fast path in the coverage kernel."""
+        source = head_analysis.project.modules["repro.geometry.coverage"].source
+        pinned = "separation + tr <= r + -tolerance"
+        assert source.count(pinned) == 1
+        mutated = head_analysis.project.replace_source(
+            "repro.geometry.coverage",
+            source.replace(pinned, "separation + tr < r + -tolerance"),
+        )
+        findings = [
+            message
+            for _, _, message in lemma_conformance_violations(mutated)
+            if "single-circle fast path" in message
+        ]
+        assert len(findings) == 1
+        assert "direction violates" in findings[0]
+        assert "requires `<=`" in findings[0]
+
     @pytest.mark.parametrize(
         "pinned, flipped, lemma, required",
         [

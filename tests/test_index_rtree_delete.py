@@ -212,6 +212,39 @@ class TestCondenseAgainstValidator:
         with pytest.raises(InvariantViolation):
             validate_rtree(tree, strict_fill=True)
 
+    def test_condense_refreshes_each_surviving_level_once(self, monkeypatch):
+        # A delete that dissolves nothing walks the whole path bottom-up
+        # and refreshes each ancestor's child entry exactly once.
+        tree = RTree(RTreeConfig(max_entries=4))
+        points = make_points(200, seed=19)
+        for i, p in enumerate(points):
+            tree.insert(p, payload=i)
+        assert tree.height >= 3
+        min_entries = tree.config.min_entries
+        victim = None
+        for i, p in enumerate(points):
+            path, _ = tree._find_leaf_path(tree._root, p, i, [])
+            if all(len(node.entries) > min_entries for node in path[1:]):
+                victim = (i, p, len(path))
+                break
+        assert victim is not None
+        index, point, depth = victim
+
+        calls = []
+        refresh = RTree._refresh_child_entry
+
+        def counting_refresh(parent, child):
+            calls.append(child)
+            refresh(parent, child)
+
+        monkeypatch.setattr(
+            RTree, "_refresh_child_entry", staticmethod(counting_refresh)
+        )
+        assert tree.delete(point, payload=index)
+        assert len(calls) == depth - 1
+        assert len({id(child) for child in calls}) == depth - 1
+        validate_rtree(tree)
+
     def test_validator_clean_with_identical_points(self):
         tree = RTree(RTreeConfig(max_entries=4))
         p = Point(2.5, 2.5)
