@@ -6,16 +6,15 @@ A node is one disk page.  Leaf nodes hold :class:`LeafEntry` records
 unique ``page_id`` so access accounting and buffer modelling can identify
 it.
 
-The entry list remains the source of truth (splits and reinsertion
-manipulate it), but every node lazily mirrors its entries into a
-:class:`NodeArrays` column layout — coordinate lists for leaves, NumPy
-MBR bound arrays for internal nodes — so a traversal computes
-MINDIST/MAXDIST for a whole node in one vectorized pass
-(:mod:`repro.geometry.vecmath`).  The mirror is invalidated
-automatically: ``entries`` is a :class:`_TrackedList` whose mutators
-drop the cache, and rebinding ``node.entries`` wraps the new list.  The
-R-tree property tests cross-check the mirror against the entry list
-after each insert, delete and bulk load
+A node's entries are an immutable tuple, the source of truth, and every
+node lazily mirrors them into a :class:`NodeArrays` column layout —
+coordinate lists for leaves, NumPy MBR bound arrays for internal nodes —
+so a traversal computes MINDIST/MAXDIST for a whole node in one
+vectorized pass (:mod:`repro.geometry.vecmath`).  The ``entries`` setter
+is the only way a node's entries change, and it drops the mirror, so a
+stale mirror needs code that writes ``_entries`` behind the setter's
+back.  The R-tree property tests cross-check any materialized mirror
+against the entries after each insert, delete and bulk load
 (:func:`repro.testing.invariants.validate_rtree`).
 """
 
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, SupportsIndex, Tuple, Union
+from typing import Any, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,41 +48,16 @@ class LeafEntry:
         return BoundingBox.from_point(self.point)
 
 
+@dataclass(frozen=True, slots=True)
 class ChildEntry:
     """An internal-node entry: the child's MBR and the child itself.
 
-    ``bbox`` is a property: rebinding it (``refresh_bbox`` after a
-    subtree mutation, or a test corrupting an MBR on purpose) notifies
-    the node currently holding this entry so its array mirror is
-    rebuilt.  ``owner`` is maintained by the holding node's entry list.
+    An immutable value: when a subtree changes, its parent stores a new
+    entry (:meth:`Node.refresh_child`) instead of editing this one.
     """
 
-    __slots__ = ("_bbox", "child", "owner")
-
-    def __init__(self, bbox: BoundingBox, child: "Node") -> None:
-        self._bbox = bbox
-        self.child = child
-        self.owner: Optional["Node"] = None
-
-    @property
-    def bbox(self) -> BoundingBox:
-        """The child's minimum bounding rectangle as stored in this page."""
-        return self._bbox
-
-    @bbox.setter
-    def bbox(self, value: BoundingBox) -> None:
-        """Replace the stored MBR and drop the holding node's mirror."""
-        self._bbox = value
-        owner = self.owner
-        if owner is not None:
-            owner._arrays = None
-
-    def refresh_bbox(self) -> None:
-        """Recompute the MBR from the child's current entries."""
-        self.bbox = self.child.compute_bbox()
-
-    def __repr__(self) -> str:
-        return f"ChildEntry(bbox={self._bbox!r}, child={self.child!r})"
+    bbox: BoundingBox
+    child: "Node"
 
 
 Entry = Union[LeafEntry, ChildEntry]
@@ -100,11 +74,8 @@ class NodeArrays:
     per entry — together the ``lo[n, 2]``/``hi[n, 2]`` matrices of the
     vectorized layout) and the parallel ``children`` list.
 
-    Instances track the owning node's entry list: a plain ``append`` of
-    a matching entry extends the columns in place
-    (:meth:`append_entry`, the incremental-mirror path), while every
-    other mutation drops the whole object so the next access rebuilds
-    it.
+    A snapshot: setting the owning node's ``entries`` drops it, and the
+    next :meth:`Node.arrays` call builds a new one.
     """
 
     __slots__ = (
@@ -178,129 +149,6 @@ class NodeArrays:
     def __len__(self) -> int:
         return len(self.xs) if self.is_leaf else len(self.children)
 
-    def append_entry(self, entry: Entry) -> bool:
-        """Extend the columns in place for one appended entry.
-
-        Returns False on an entry/mirror kind mismatch, in which case
-        the caller must fall back to dropping the mirror.  The appended
-        values are the same float64 coordinates ``__init__`` would have
-        read, in the same order, so an extended mirror is bit-identical
-        to a rebuilt one; the kNN layer's ``tie_keys`` memo is reset
-        because it is parallel to the coordinate columns.
-        """
-        if self.is_leaf:
-            if not isinstance(entry, LeafEntry):
-                return False
-            self.xs.append(entry.point.x)
-            self.ys.append(entry.point.y)
-            self.payloads.append(entry.payload)
-            self.tie_keys = None
-            return True
-        if not isinstance(entry, ChildEntry):
-            return False
-        box = entry.bbox
-        self.lo_x = np.append(self.lo_x, box.min_x)
-        self.lo_y = np.append(self.lo_y, box.min_y)
-        self.hi_x = np.append(self.hi_x, box.max_x)
-        self.hi_y = np.append(self.hi_y, box.max_y)
-        self.children.append(entry.child)
-        return True
-
-
-class _TrackedList(List[Entry]):
-    """Entry list that drops the owner's array mirror on every mutation."""
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "Node", iterable: Iterable[Entry] = ()) -> None:
-        super().__init__(iterable)
-        self._owner = owner
-        for item in self:
-            if isinstance(item, ChildEntry):
-                item.owner = owner
-
-    # Every mutating list method funnels through here; additions also
-    # adopt child entries so in-place MBR refreshes reach this node.
-    def _touch(self) -> None:
-        self._owner._arrays = None
-
-    def _adopt(self, item: Entry) -> None:
-        if isinstance(item, ChildEntry):
-            item.owner = self._owner
-
-    def append(self, item: Entry) -> None:
-        super().append(item)
-        self._adopt(item)
-        # The incremental-mirror path (ROADMAP item 2): a live mirror is
-        # extended in place instead of dropped; on a kind mismatch fall
-        # back to invalidation.
-        arrays = self._owner._arrays
-        if arrays is None or not arrays.append_entry(item):
-            self._touch()
-
-    def extend(self, items: Iterable[Entry]) -> None:
-        start = len(self)
-        super().extend(items)
-        arrays = self._owner._arrays
-        for item in self[start:]:
-            self._adopt(item)
-            if arrays is not None and not arrays.append_entry(item):
-                arrays = None
-        if arrays is None:
-            self._touch()
-
-    def insert(self, index: SupportsIndex, item: Entry) -> None:
-        super().insert(index, item)
-        self._adopt(item)
-        self._touch()
-
-    def remove(self, item: Entry) -> None:
-        super().remove(item)
-        self._touch()
-
-    def pop(self, index: SupportsIndex = -1) -> Entry:
-        value = super().pop(index)
-        self._touch()
-        return value
-
-    def clear(self) -> None:
-        super().clear()
-        self._touch()
-
-    def sort(self, **kwargs: Any) -> None:
-        super().sort(**kwargs)
-        self._touch()
-
-    def reverse(self) -> None:
-        super().reverse()
-        self._touch()
-
-    def __setitem__(self, index: Any, value: Any) -> None:
-        super().__setitem__(index, value)
-        if isinstance(index, slice):
-            for item in value:
-                self._adopt(item)
-        else:
-            self._adopt(value)
-        self._touch()
-
-    def __delitem__(self, index: Any) -> None:
-        super().__delitem__(index)
-        self._touch()
-
-    def __iadd__(self, items: Iterable[Entry]) -> "_TrackedList":
-        start = len(self)
-        super().extend(items)
-        for item in self[start:]:
-            self._adopt(item)
-        self._touch()
-        return self
-
-    def __imul__(self, count: SupportsIndex) -> "_TrackedList":
-        result = super().__imul__(count)
-        self._touch()
-        return result
-
 
 class Node:
     """One page of the R-tree.
@@ -312,22 +160,32 @@ class Node:
 
     __slots__ = ("page_id", "level", "_entries", "_arrays")
 
-    def __init__(self, level: int, entries: Optional[List[Entry]] = None) -> None:
+    def __init__(self, level: int, entries: Iterable[Entry] = ()) -> None:
         self.page_id: int = next(_page_ids)
         self.level = level
         self._arrays: Optional[NodeArrays] = None
-        self._entries = _TrackedList(self, entries if entries is not None else ())
+        self._entries: Tuple[Entry, ...] = tuple(entries)
 
     @property
-    def entries(self) -> List[Entry]:
-        """The entry list; mutations invalidate the array mirror."""
+    def entries(self) -> Tuple[Entry, ...]:
+        """The node's entries, in page order."""
         return self._entries
 
     @entries.setter
-    def entries(self, value: List[Entry]) -> None:
-        """Rebind the entry list (splits do this) and drop the mirror."""
-        self._entries = _TrackedList(self, value)
+    def entries(self, value: Iterable[Entry]) -> None:
+        """Store a new entry tuple and drop the array mirror."""
+        self._entries = tuple(value)
         self._arrays = None
+
+    def refresh_child(self, child: "Node") -> None:
+        """Replace the entry linking ``child`` with one holding its current MBR."""
+        entries = self._entries
+        for index, entry in enumerate(entries):
+            if isinstance(entry, ChildEntry) and entry.child is child:
+                fresh = ChildEntry(child.compute_bbox(), child)
+                self.entries = entries[:index] + (fresh,) + entries[index + 1 :]
+                return
+        raise RuntimeError("parent/child relationship broken")
 
     @property
     def is_leaf(self) -> bool:

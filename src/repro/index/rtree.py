@@ -89,9 +89,6 @@ class RTree:
         self._size = 0
         self.split_count = 0
         self.reinsert_count = 0
-        # STR bulk loading legitimately leaves trailing under-filled nodes;
-        # validate_rtree relaxes its fill check for such trees.
-        self._relaxed_fill = False
 
     # ------------------------------------------------------------------
     # read-side interface (kNN search uses only these)
@@ -150,7 +147,7 @@ class RTree:
             return False
         path, entry = found
         leaf = path[-1]
-        leaf.entries.remove(entry)
+        leaf.entries = tuple(e for e in leaf.entries if e is not entry)
         self._size -= 1
         self._condense(path)
         return True
@@ -204,7 +201,7 @@ class RTree:
             else:
                 # Bottom-up: the node's own subtree is settled by now, so
                 # one refresh per surviving level is enough.
-                self._refresh_child_entry(parent, node)
+                parent.refresh_child(node)
         # Shorten the root before reinserting: it may hold one child (or
         # none, when the whole population is in the orphan list).
         while not self._root.is_leaf and len(self._root.entries) == 1:
@@ -228,7 +225,6 @@ class RTree:
         POI sets are static so the server uses this for large inputs.
         """
         tree = cls(config)
-        tree._relaxed_fill = True
         if not items:
             return tree
         leaf_entries: List[Entry] = [LeafEntry(p, payload) for p, payload in items]
@@ -317,7 +313,7 @@ class RTree:
     # ------------------------------------------------------------------
     def _insert_entry(self, entry: Entry, level: int, reinserted_levels: Set[int]) -> None:
         path = self._choose_path(entry.bbox, level)
-        path[-1].entries.append(entry)
+        path[-1].entries += (entry,)
         self._propagate_up(path, reinserted_levels)
 
     def _choose_path(self, bbox: BoundingBox, level: int) -> List[Node]:
@@ -385,7 +381,7 @@ class RTree:
             node = path[depth]
             parent = path[depth - 1] if depth > 0 else None
             if parent is not None:
-                self._refresh_child_entry(parent, node)
+                parent.refresh_child(node)
             if len(node.entries) > self.config.max_entries:
                 if (
                     self.config.split_policy is SplitPolicy.RSTAR
@@ -402,17 +398,9 @@ class RTree:
                 if parent is None:
                     self._grow_root(node, new_node)
                     return
-                self._refresh_child_entry(parent, node)
-                parent.entries.append(ChildEntry(new_node.compute_bbox(), new_node))
+                parent.refresh_child(node)
+                parent.entries += (ChildEntry(new_node.compute_bbox(), new_node),)
             depth -= 1
-
-    @staticmethod
-    def _refresh_child_entry(parent: Node, child: Node) -> None:
-        for entry in parent.entries:
-            if isinstance(entry, ChildEntry) and entry.child is child:
-                entry.refresh_bbox()
-                return
-        raise RuntimeError("parent/child relationship broken")
 
     def _grow_root(self, old_root: Node, sibling: Node) -> None:
         self._root = Node(
@@ -445,13 +433,13 @@ class RTree:
         evict_count = max(1, int(len(ordered) * self.config.reinsert_fraction))
         keep = ordered[: len(ordered) - evict_count]
         orphans = ordered[len(ordered) - evict_count :]
-        node.entries = list(keep)
+        node.entries = keep
         self.reinsert_count += 1
         if OBS.enabled:
             _REINSERTS().inc()
         # Ancestor MBRs must reflect the eviction before reinserting.
         for i in range(depth, 0, -1):
-            self._refresh_child_entry(path[i - 1], path[i])
+            path[i - 1].refresh_child(path[i])
         for orphan in orphans:
             self._insert_entry(orphan, node.level, reinserted_levels)
 

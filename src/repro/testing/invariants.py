@@ -11,8 +11,10 @@ Three families:
   MBR containment *and* tightness, fill bounds, uniform leaf depth,
   entry-count bookkeeping, and coherence of each node's materialized
   :class:`~repro.index.node.NodeArrays` column mirror against its entry
-  list (the vectorized kernels read the mirror, so a stale cache would
-  silently desynchronize every distance computation);
+  tuple (the vectorized kernels read the mirror, so a stale cache would
+  silently desynchronize every distance computation; the ``entries``
+  setter drops it, so only a write behind the setter can leave it
+  stale);
 - :func:`check_heap_structure` / :func:`check_heap_transition` -- the
   candidate heap's Table 1 layout and the legal Section 3.3 state
   machine (:data:`HEAP_TRANSITIONS`);
@@ -26,7 +28,7 @@ catches it); :func:`verify_conservation` returns its findings as a list.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.heap import CandidateHeap, HeapEntry, HeapState
 from repro.index.node import ChildEntry, LeafEntry, Node
@@ -160,7 +162,7 @@ def check_heap_structure(heap: CandidateHeap) -> None:
 # ----------------------------------------------------------------------
 # R*-tree structure
 # ----------------------------------------------------------------------
-def validate_rtree(tree: RTree, strict_fill: Optional[bool] = None) -> None:
+def validate_rtree(tree: RTree, strict_fill: bool = True) -> None:
     """Assert the structural invariants of ``tree``.
 
     Checks, for every node reachable from the root:
@@ -174,10 +176,10 @@ def validate_rtree(tree: RTree, strict_fill: Optional[bool] = None) -> None:
       tightness catches shrink misses after deletes);
     - no node is referenced twice (aliasing / orphan corruption);
     - fill bounds: at most ``max_entries`` everywhere; at least
-      ``min_entries`` for non-root nodes when ``strict_fill`` -- which
-      defaults to False for bulk-loaded trees (STR packing legitimately
-      leaves one trailing under-filled node per level) and True for
-      dynamically built ones;
+      ``min_entries`` for non-root nodes when ``strict_fill``, else at
+      least one -- callers validating a bulk-loaded tree pass
+      ``strict_fill=False``, because STR packing legitimately leaves one
+      trailing under-filled node per level;
     - an internal root has at least two children;
     - the number of reachable leaf entries equals ``len(tree)``;
     - any *materialized* :class:`~repro.index.node.NodeArrays` mirror
@@ -186,8 +188,6 @@ def validate_rtree(tree: RTree, strict_fill: Optional[bool] = None) -> None:
       length).  Unmaterialized mirrors are skipped — building one just
       to compare it against its own source would prove nothing.
     """
-    if strict_fill is None:
-        strict_fill = not getattr(tree, "_relaxed_fill", False)
     config = tree.config
     root = tree.root
     seen: Set[int] = set()
@@ -275,8 +275,9 @@ def validate_rtree(tree: RTree, strict_fill: Optional[bool] = None) -> None:
 def _check_node_arrays(node: Node) -> None:
     """Assert a materialized column mirror matches the entry list exactly.
 
-    The vectorized kernels trust ``node.arrays()`` blindly; every
-    mutation path must therefore either update or invalidate the cache.
+    The vectorized kernels trust ``node.arrays()`` blindly.  Setting
+    ``node.entries`` drops the mirror, so a stale one means some code
+    wrote the entries behind the setter's back.
     Comparison is bitwise on coordinates/bounds (``==`` on floats — the
     mirror stores the *same* values, not recomputed ones) and by object
     identity on payloads and children.

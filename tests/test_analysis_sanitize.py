@@ -10,7 +10,7 @@ import pytest
 from repro.core.heap import CandidateHeap, HeapEntry, HeapState
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
-from repro.index.node import ChildEntry
+from repro.index.node import ChildEntry, LeafEntry
 from repro.index.rtree import RTree, RTreeConfig
 from repro.testing.invariants import (
     HEAP_TRANSITIONS,
@@ -88,7 +88,8 @@ class TestRTreeValidator:
         tree = make_tree()
         entry = tree.root.entries[0]
         assert isinstance(entry, ChildEntry)
-        entry.bbox = entry.bbox.union(BoundingBox(50.0, 50.0, 60.0, 60.0))
+        wide = entry.bbox.union(BoundingBox(50.0, 50.0, 60.0, 60.0))
+        tree.root.entries = (ChildEntry(wide, entry.child),) + tree.root.entries[1:]
         with pytest.raises(InvariantViolation, match="tightness|shrink"):
             validate_rtree(tree)
 
@@ -97,7 +98,8 @@ class TestRTreeValidator:
         entry = tree.root.entries[0]
         assert isinstance(entry, ChildEntry)
         box = entry.bbox
-        entry.bbox = BoundingBox(box.min_x, box.min_y, box.min_x, box.min_y)
+        corner = BoundingBox(box.min_x, box.min_y, box.min_x, box.min_y)
+        tree.root.entries = (ChildEntry(corner, entry.child),) + tree.root.entries[1:]
         with pytest.raises(InvariantViolation, match="containment"):
             validate_rtree(tree)
 
@@ -113,7 +115,8 @@ class TestRTreeValidator:
         assert isinstance(first, ChildEntry)
         # Replace a sibling with a second link to the same child so the
         # entry count stays legal and only the aliasing check can fire.
-        tree.root.entries[1] = ChildEntry(first.bbox, first.child)
+        alias = ChildEntry(first.bbox, first.child)
+        tree.root.entries = (first, alias) + tree.root.entries[2:]
         with pytest.raises(InvariantViolation, match="referenced more than once"):
             validate_rtree(tree)
 
@@ -143,8 +146,8 @@ class TestNodeArraysCoherence:
         tree = make_tree()
         leaf = self._first_leaf(tree)
         leaf.arrays()
-        # Bypass the tracked-list mutators: the mirror goes stale.
-        list.append(leaf.entries, leaf.entries[0].__class__(Point(0.0, 0.0), "x"))
+        # Write the entries behind the setter's back: the mirror goes stale.
+        leaf._entries = leaf._entries + (LeafEntry(Point(0.0, 0.0), "x"),)
         with pytest.raises(InvariantViolation, match="stale array mirror"):
             validate_rtree(tree)
 
@@ -196,12 +199,24 @@ class TestNodeArraysCoherence:
         with pytest.raises(InvariantViolation, match="tie keys"):
             validate_rtree(tree)
 
+    def test_entries_change_only_through_the_setter(self):
+        tree = make_tree()
+        root = tree.root
+        root.arrays()
+        first = root.entries[0]
+        with pytest.raises(AttributeError):
+            root.entries.append(first)
+        with pytest.raises(AttributeError):
+            first.bbox = BoundingBox(0.0, 0.0, 0.0, 0.0)
+        assert root._arrays is not None
+        root.entries = root.entries
+        assert root._arrays is None
+        validate_rtree(tree)
+
     def test_unmaterialized_mirrors_are_skipped(self):
         tree = make_tree()
         # Freshly mutated nodes have no mirror; validation must not build
         # one just to compare it with itself.
-        tree.root.entries.sort(key=lambda e: e.bbox.min_x)
-        for entry in tree.root.entries:
-            entry.refresh_bbox()
+        tree.root.entries = sorted(tree.root.entries, key=lambda e: e.bbox.min_x)
         assert tree.root._arrays is None
         validate_rtree(tree)

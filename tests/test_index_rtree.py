@@ -97,7 +97,7 @@ class TestBulkLoad:
         tree = RTree.bulk_load([(p, i) for i, p in enumerate(points)])
         assert len(tree) == 10
         assert tree.height == 1
-        validate_rtree(tree)
+        validate_rtree(tree, strict_fill=False)
 
     def test_bulk_load_large_invariant_leafcount(self):
         points = make_points(2000)
@@ -106,9 +106,9 @@ class TestBulkLoad:
             RTreeConfig(max_entries=16),
         )
         assert len(tree) == 2000
-        # Bulk-loaded trees may have underfull nodes: the validator relaxes
-        # its fill check for them.
-        validate_rtree(tree)
+        # Bulk-loaded trees may have underfull nodes: STR packing leaves
+        # one trailing under-filled node per level.
+        validate_rtree(tree, strict_fill=False)
         assert sorted(e.payload for e in tree.iter_entries()) == list(range(2000))
         assert tree.height >= 2
 
@@ -119,7 +119,8 @@ class TestBulkLoad:
     def test_bulk_load_bbox_containment(self):
         points = make_points(800)
         tree = RTree.bulk_load([(p, None) for p in points], RTreeConfig(max_entries=10))
-        validate_rtree(tree)  # containment and tightness of every MBR
+        # containment and tightness of every MBR
+        validate_rtree(tree, strict_fill=False)
 
 
 class TestRangeSearch:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
+from repro.index.node import Node
 from repro.index.rtree import RTree, RTreeConfig, SplitPolicy
 from repro.testing.invariants import InvariantViolation, validate_rtree
 
@@ -128,6 +129,17 @@ class TestDelete:
             validate_rtree(tree)
         assert len(tree) == 0
 
+    def test_delete_removes_one_of_equal_entries(self):
+        # Entries equal in point and payload are still separate records:
+        # a delete takes out exactly one of them.
+        tree = RTree(RTreeConfig(max_entries=4))
+        p = Point(1.0, 1.0)
+        for _ in range(3):
+            tree.insert(p, payload="dup")
+        assert tree.delete(p, payload="dup")
+        validate_rtree(tree)
+        assert [e.payload for e in tree.iter_entries()] == ["dup", "dup"]
+
     @given(
         st.lists(point_strategy, min_size=1, max_size=60),
         st.integers(min_value=0, max_value=59),
@@ -188,16 +200,16 @@ class TestCondenseAgainstValidator:
         assert len(tree) == 0 and tree.height == 1
 
     def test_delete_from_bulk_loaded_tree(self):
-        # STR packing legitimately leaves trailing under-filled nodes; the
-        # tree marks itself relaxed so the validator's fill check adapts,
-        # and CondenseTree must keep the structure sound as entries leave.
+        # STR packing legitimately leaves trailing under-filled nodes, so
+        # the validator's fill check is relaxed for this tree, and
+        # CondenseTree must keep the structure sound as entries leave.
         points = make_points(90, seed=17)
         items = [(p, i) for i, p in enumerate(points)]
         tree = RTree.bulk_load(items, RTreeConfig(max_entries=5))
-        validate_rtree(tree)
+        validate_rtree(tree, strict_fill=False)
         for i in range(0, 90, 2):
             assert tree.delete(points[i], payload=i)
-            validate_rtree(tree)
+            validate_rtree(tree, strict_fill=False)
         survivors = sorted(e.payload for e in tree.iter_entries())
         assert survivors == list(range(1, 90, 2))
 
@@ -208,7 +220,7 @@ class TestCondenseAgainstValidator:
         # strict_fill=True must notice.
         items = [(Point(float(i), 0.0), i) for i in range(11)]
         tree = RTree.bulk_load(items, RTreeConfig(max_entries=5))
-        validate_rtree(tree)  # relaxed by default for bulk-loaded trees
+        validate_rtree(tree, strict_fill=False)
         with pytest.raises(InvariantViolation):
             validate_rtree(tree, strict_fill=True)
 
@@ -231,15 +243,13 @@ class TestCondenseAgainstValidator:
         index, point, depth = victim
 
         calls = []
-        refresh = RTree._refresh_child_entry
+        refresh = Node.refresh_child
 
         def counting_refresh(parent, child):
             calls.append(child)
             refresh(parent, child)
 
-        monkeypatch.setattr(
-            RTree, "_refresh_child_entry", staticmethod(counting_refresh)
-        )
+        monkeypatch.setattr(Node, "refresh_child", counting_refresh)
         assert tree.delete(point, payload=index)
         assert len(calls) == depth - 1
         assert len({id(child) for child in calls}) == depth - 1
