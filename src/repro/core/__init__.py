@@ -26,7 +26,7 @@ from repro.core.host import MobileHost
 from repro.core.naive_sharing import NaiveShareResult, naive_share_query
 from repro.core.range_queries import RangeQueryResult, sharing_range_query
 from repro.core.senn import ResolutionTier, SennConfig, SennResult, senn_query
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.core.snnn import SnnnResult, snnn_query
 from repro.core.verification import verify_multi_peer, verify_single_peer
 
@@ -42,7 +42,6 @@ __all__ = [
     "ResolutionTier",
     "SennConfig",
     "SennResult",
-    "ServerAlgorithm",
     "SnnnResult",
     "SpatialDatabaseServer",
     "derive_pruning_bounds",

@@ -117,36 +117,26 @@ class CandidateHeap:
         """Offer a candidate; returns True when it is (now) stored.
 
         Re-offering a stored POI as certain upgrades it; re-offering as
-        uncertain is a no-op.  Counted on :attr:`tally` like a batch of one.
+        uncertain is a no-op.  This is :meth:`add_batch` of one offer.
         """
-        stored = self._add(point, payload, distance, certain)
-        tally = self.tally
-        if stored:
-            if certain:
-                tally.certain_stored += 1
-            else:
-                tally.uncertain_stored += 1
-        elif certain:
-            tally.certain_rejected += 1
-        else:
-            tally.uncertain_rejected += 1
-        return stored
+        return self.add_batch(((point, payload, distance, certain),)) == 1
 
     def add_batch(
         self, offers: Iterable[Tuple[Point, Any, float, bool]]
     ) -> int:
         """Offer a pre-ordered batch of candidates; returns #stored.
 
-        The batched verifiers hand over one peer's candidates at once.
-        Each offer has the outcome :meth:`add` would give it and is
-        counted on ``tally`` as it is placed, so a batch that raises has
-        counted exactly the offers before the one that raised.
+        The batched verifiers hand over one peer's candidates at once;
+        :meth:`add` is a batch of one.  Each offer is placed and counted
+        on ``tally`` in turn, so a batch that raises has counted exactly
+        the offers before the one that raised.
 
         A complete heap settles an offer by its key: it holds ``k``
         certain entries and no uncertain one, so an offer at or beyond
         ``D_ct`` can displace nothing (ties keep the incumbent) and is
-        stored exactly when its POI is already held.  That holds for any
-        offer order; other offers go through :meth:`_add`.
+        stored exactly when its POI is already held -- the outcome
+        :meth:`_add` would give it, for any offer order.  Other offers
+        go through :meth:`_add`.
         """
         tally = self.tally
         place = self._add

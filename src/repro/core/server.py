@@ -1,12 +1,12 @@
 """The remote spatial database server.
 
 The server indexes the POI set with an R*-tree (branching factor 30, as
-in Section 4.4) and answers kNN queries with one of three algorithms:
-
-- ``EINN`` -- the paper's extended best-first search with pruning bounds
-  (the default; with empty bounds it behaves exactly like INN);
-- ``INN`` -- plain best-first incremental NN;
-- ``DEPTH_FIRST`` -- the classic branch-and-bound baseline.
+in Section 4.4) and answers every kNN query with EINN, the paper's
+best-first search extended by the client's pruning bounds and known
+POIs (Section 3.3).  Asked with nothing known, EINN reads exactly the
+pages INN reads: INN is EINN with default bounds and no known POIs.
+The plain INN and depth-first traversals stay in :mod:`repro.index.knn`
+as the paper's baselines.
 
 Every query is metered through a :class:`PageAccessCounter`, optionally
 backed by an LRU :class:`BufferPool`, producing the PAR statistics of
@@ -16,7 +16,6 @@ own counter and joins the shared history once, when it closes.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Any, Callable, Collection, Iterator, List, Optional, Sequence, Tuple
 
@@ -26,8 +25,6 @@ from repro.index.knn import (
     NeighborResult,
     PruningBounds,
     incremental_nearest,
-    k_nearest,
-    k_nearest_depth_first,
     k_nearest_einn,
     poi_key,
 )
@@ -37,7 +34,7 @@ from repro.index.rtree import RTree, RTreeConfig
 from repro.core.backend import QueryAnswer
 from repro.obs import DEFAULT_COUNT_BUCKETS, OBS, Counter, Histogram, Instrument
 
-__all__ = ["NeighborStream", "ServerAlgorithm", "SpatialDatabaseServer"]
+__all__ = ["NeighborStream", "SpatialDatabaseServer"]
 
 _RANGE_QUERIES = Instrument(Counter, "server.range_queries")
 _WINDOW_QUERIES = Instrument(Counter, "server.window_queries")
@@ -58,13 +55,13 @@ def _record_shipped(
     ``.payload``).
 
     The R*-tree leaves hold object ids; materializing each result record
-    costs a page.  EINN passes the ``poi_key`` of every record the client
-    already holds (``known_certain``) and does not re-ship those -- the
-    "fewer objects" half of Section 4.4's EINN advantage; INN and the
-    depth-first baseline pass none and ship everything.  The batching
-    executor calls this once per client.  Returns the records billed;
-    the answer and its shipped and skipped records go on the counter's
-    tally (``server.objects``).
+    costs a page.  ``held`` is the ``poi_key`` of every record the client
+    already holds (``known_certain``); those are not re-shipped -- the
+    "fewer objects" half of Section 4.4's EINN advantage.  A client that
+    holds nothing is shipped everything.  The batching executor calls
+    this once per client.  Returns the records billed; the answer and
+    its shipped and skipped records go on the counter's tally
+    (``server.objects``).
     """
     keys = [poi_key(result.point, result.payload) for result in results]
     if held:
@@ -78,21 +75,6 @@ def _record_shipped(
     return shipped
 
 
-class ServerAlgorithm(enum.Enum):
-    """kNN algorithm executed by the server."""
-
-    EINN = "einn"
-    INN = "inn"
-    DEPTH_FIRST = "depth-first"
-
-
-#: The ``ServerRecord`` fields of each algorithm: queries, pages observed.
-_TALLY_FIELDS = {
-    algorithm: (f"knn_{algorithm.name.lower()}", f"pages_{algorithm.name.lower()}")
-    for algorithm in ServerAlgorithm
-}
-
-
 class SpatialDatabaseServer:
     """A stationary spatial database reachable over the point-to-point
     channel.
@@ -102,14 +84,8 @@ class SpatialDatabaseServer:
     ['gas-1']
     """
 
-    def __init__(
-        self,
-        tree: RTree,
-        algorithm: ServerAlgorithm = ServerAlgorithm.EINN,
-        buffer_capacity: int = 0,
-    ) -> None:
+    def __init__(self, tree: RTree, buffer_capacity: int = 0) -> None:
         self.tree = tree
-        self.algorithm = algorithm
         pool = BufferPool(buffer_capacity) if buffer_capacity > 0 else None
         self.counter = PageAccessCounter(buffer_pool=pool)
         self.queries_served = 0
@@ -118,7 +94,6 @@ class SpatialDatabaseServer:
     def from_points(
         cls,
         items: Sequence[Tuple[Point, Any]],
-        algorithm: ServerAlgorithm = ServerAlgorithm.EINN,
         tree_config: Optional[RTreeConfig] = None,
         buffer_capacity: int = 0,
         bulk: bool = True,
@@ -135,7 +110,7 @@ class SpatialDatabaseServer:
             tree = RTree(config)
             for point, payload in items:
                 tree.insert(point, payload)
-        return cls(tree, algorithm=algorithm, buffer_capacity=buffer_capacity)
+        return cls(tree, buffer_capacity=buffer_capacity)
 
     @property
     def poi_count(self) -> int:
@@ -151,46 +126,31 @@ class SpatialDatabaseServer:
         k: int,
         bounds: PruningBounds = PruningBounds(),
         known_certain: Sequence[NeighborResult] = (),
-        algorithm: Optional[ServerAlgorithm] = None,
     ) -> QueryAnswer:
-        """Answer a kNN query, metering page accesses.
+        """Answer a kNN query with EINN, metering page accesses.
 
         ``bounds`` and ``known_certain`` are the client's partial result
-        (Algorithm 1, line 19-20); they are honored only by EINN -- the
-        other algorithms ignore them, which is exactly the INN-vs-EINN
-        comparison of Section 4.4.
+        (Algorithm 1, line 19-20).  Left at their defaults, the query is
+        plain INN -- the INN side of Section 4.4's INN-vs-EINN comparison.
 
         Returns the neighbors together with *this* query's access
         breakdown, so callers never have to read it back out of the
         shared counter (which another interleaved query may have moved
         on by then).
 
-        What the query counts -- node reads, pruned MBRs, shipped
-        records, its algorithm and pages -- is one record, flushed by
-        ``finish_query`` (or, if the query raises, by the handler here).
+        What the query counts -- node reads, pruned MBRs, shipped records
+        and pages -- is one record, flushed by ``finish_query`` (or, if
+        the query raises, by the handler here).
         """
-        chosen = algorithm if algorithm is not None else self.algorithm
         counter = self.counter
         counter.start_query()
         try:
-            if chosen is ServerAlgorithm.EINN:
-                results = k_nearest_einn(
-                    self.tree, query, k, bounds, known_certain, counter
-                )
-            elif chosen is ServerAlgorithm.INN:
-                results = k_nearest(self.tree, query, k, counter)
-            else:
-                results = k_nearest_depth_first(self.tree, query, k, counter)
-            held = (
-                {poi_key(r.point, r.payload) for r in known_certain}
-                if known_certain and chosen is ServerAlgorithm.EINN
-                else ()
-            )
+            results = k_nearest_einn(self.tree, query, k, bounds, known_certain, counter)
+            held = {poi_key(r.point, r.payload) for r in known_certain}
             _record_shipped(counter, results, held)
-            queries, pages = _TALLY_FIELDS[chosen]
             tally = counter.tally
-            setattr(tally, queries, getattr(tally, queries) + 1)
-            setattr(tally, pages, getattr(tally, pages) + (counter.current_total,))
+            tally.knn_einn += 1
+            tally.pages_einn += (counter.current_total,)
             breakdown = counter.finish_query()
         except BaseException:
             counter.flush_tally()
@@ -204,13 +164,10 @@ class SpatialDatabaseServer:
         k: int,
         bounds: PruningBounds = PruningBounds(),
         known_certain: Sequence[NeighborResult] = (),
-        algorithm: Optional[ServerAlgorithm] = None,
     ) -> List[NeighborResult]:
         """Neighbors-only convenience wrapper over
         :meth:`knn_query_detailed`."""
-        return self.knn_query_detailed(
-            query, k, bounds, known_certain, algorithm
-        ).neighbors
+        return self.knn_query_detailed(query, k, bounds, known_certain).neighbors
 
     def range_query_detailed(self, center: Point, radius: float) -> QueryAnswer:
         """All POIs within ``radius`` of ``center``, ascending by distance.
@@ -305,7 +262,7 @@ class SpatialDatabaseServer:
     def __repr__(self) -> str:
         return (
             f"SpatialDatabaseServer({self.poi_count} POIs, "
-            f"{self.algorithm.value}, {self.queries_served} queries served)"
+            f"{self.queries_served} queries served)"
         )
 
 

@@ -178,12 +178,18 @@ class Node:
         self._arrays = None
 
     def refresh_child(self, child: "Node") -> None:
-        """Replace the entry linking ``child`` with one holding its current MBR."""
+        """Replace the entry linking ``child`` with one holding its current MBR.
+
+        An unchanged MBR leaves the entries, and so the array mirror, as
+        they are.
+        """
         entries = self._entries
         for index, entry in enumerate(entries):
             if isinstance(entry, ChildEntry) and entry.child is child:
-                fresh = ChildEntry(child.compute_bbox(), child)
-                self.entries = entries[:index] + (fresh,) + entries[index + 1 :]
+                bbox = child.compute_bbox()
+                if bbox != entry.bbox:
+                    fresh = ChildEntry(bbox, child)
+                    self.entries = entries[:index] + (fresh,) + entries[index + 1 :]
                 return
         raise RuntimeError("parent/child relationship broken")
 

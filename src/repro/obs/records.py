@@ -13,7 +13,7 @@ query and published by that owner's ``flush_tally()``:
   is the query's state, so the verifiers and ``derive_pruning_bounds``
   reach it without a new argument.
 * :class:`ServerRecord` -- one metered server query: node reads, EINN
-  pruning, shipped records, and for a kNN answer its algorithm and
+  pruning, shipped records, and for a kNN answer its count and
   pages.  It is ``PageAccessCounter.tally``, flushed by
   ``finish_query``.
 * :class:`CacheRecord` -- a host's cache lookup and store around one
@@ -217,11 +217,7 @@ class ServerRecord(QueryRecord):
     shipped: int = 0
     skipped: int = 0
     knn_einn: int = 0
-    knn_inn: int = 0
-    knn_depth_first: int = 0
     pages_einn: Tuple[int, ...] = ()
-    pages_inn: Tuple[int, ...] = ()
-    pages_depth_first: Tuple[int, ...] = ()
     answers: int = 0
 
 
@@ -270,11 +266,7 @@ TABLES: Dict[Type[QueryRecord], RecordTable] = {
             _count("shipped", "server.objects", gate="answers", outcome="shipped"),
             _count("skipped", "server.objects", gate="answers", outcome="skipped"),
             _count("knn_einn", "server.knn_queries", algorithm="einn"),
-            _count("knn_inn", "server.knn_queries", algorithm="inn"),
-            _count("knn_depth_first", "server.knn_queries", algorithm="depth-first"),
             _observe("pages_einn", "server.pages_per_query", algorithm="einn"),
-            _observe("pages_inn", "server.pages_per_query", algorithm="inn"),
-            _observe("pages_depth_first", "server.pages_per_query", algorithm="depth-first"),
             _explain("answers"),
         ),
         event="server.knn",

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.obs import OBS
 from repro.service.asyncserver import (
     AsyncQueryServer,
@@ -54,7 +54,6 @@ def build_pois(
 def _build_server(args: argparse.Namespace) -> SpatialDatabaseServer:
     return SpatialDatabaseServer.from_points(
         build_pois(args.pois, args.seed, args.extent),
-        algorithm=ServerAlgorithm(args.algorithm),
         buffer_capacity=args.buffer_capacity,
     )
 
@@ -107,14 +106,10 @@ def selftest(args: argparse.Namespace) -> int:
     """Start a server, hammer it with concurrent clients, verify."""
     pois = build_pois(args.pois, args.seed, args.extent)
     served = SpatialDatabaseServer.from_points(
-        pois,
-        algorithm=ServerAlgorithm(args.algorithm),
-        buffer_capacity=args.buffer_capacity,
+        pois, buffer_capacity=args.buffer_capacity
     )
     reference = SpatialDatabaseServer.from_points(
-        pois,
-        algorithm=ServerAlgorithm(args.algorithm),
-        buffer_capacity=args.buffer_capacity,
+        pois, buffer_capacity=args.buffer_capacity
     )
     # Co-located query points: a tight cluster inside one batching cell,
     # so concurrent clients actually exercise the shared traversals.
@@ -192,8 +187,7 @@ def _serve(args: argparse.Namespace) -> int:
         host, port = running.address
         if not args.quiet:
             print(
-                f"repro-serve: {server.poi_count} POIs "
-                f"({server.algorithm.value}) on {host}:{port}"
+                f"repro-serve: {server.poi_count} POIs on {host}:{port}"
             )
         await running.serve_forever()
 
@@ -216,11 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pois", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--extent", type=float, default=10.0)
-    parser.add_argument(
-        "--algorithm",
-        choices=[algorithm.value for algorithm in ServerAlgorithm],
-        default=ServerAlgorithm.EINN.value,
-    )
     parser.add_argument("--buffer-capacity", type=int, default=0)
     parser.add_argument("--cell-size", type=float, default=0.25)
     parser.add_argument(

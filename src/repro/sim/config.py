@@ -26,7 +26,6 @@ from typing import Optional, Tuple
 
 from repro.geometry.coverage import CoverageMethod
 from repro.core.senn import SennConfig
-from repro.core.server import ServerAlgorithm
 from repro.sim.latency import LatencyModel
 
 __all__ = [
@@ -45,6 +44,11 @@ __all__ = [
 ]
 
 METERS_PER_MILE = 1609.344
+
+#: How much wider than asked a host's server range query reaches (miles):
+#: the policy-2 analogue for range queries, so the cached certain circle
+#: can cover nearby future queries.
+RANGE_OVERFETCH_MILES = 0.25
 
 
 class MovementMode(enum.Enum):
@@ -180,15 +184,11 @@ class SimulationConfig:
     k_range: Optional[Tuple[int, int]] = None  # uniform random k per query
     coverage_method: CoverageMethod = CoverageMethod.EXACT
     polygon_sides: int = 32
-    accept_uncertain: bool = False
-    server_algorithm: ServerAlgorithm = ServerAlgorithm.EINN
-    road_secondary_spacing: float = 0.25  # miles between streets
     snap_pois_to_roads: bool = True
     # Section-5 extension: fraction of queries issued as range queries
     # ("all POIs within range_radius_miles") instead of kNN.
     range_query_fraction: float = 0.0
     range_radius_miles: float = 0.25
-    range_overfetch_miles: float = 0.25
     cache_history: int = 1  # >1: retain the last N results (extension)
     latency_model: LatencyModel = LatencyModel()
     record_trace: bool = False  # keep a full per-query event trace
@@ -240,7 +240,6 @@ class SimulationConfig:
             cache_capacity=self.parameters.c_size,
             coverage_method=self.coverage_method,
             polygon_sides=self.polygon_sides,
-            accept_uncertain=self.accept_uncertain,
-            range_overfetch=self.range_overfetch_miles,
+            range_overfetch=RANGE_OVERFETCH_MILES,
             cache_history=self.cache_history,
         )

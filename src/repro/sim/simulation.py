@@ -69,19 +69,12 @@ class Simulation:
         # --- road network ------------------------------------------------
         self.network: Optional[SpatialNetwork] = None
         if config.movement_mode is MovementMode.ROAD_NETWORK:
-            spec = RoadNetworkSpec(
-                width=self.area,
-                height=self.area,
-                secondary_spacing=config.road_secondary_spacing,
-                seed=config.seed,
-            )
+            spec = RoadNetworkSpec(width=self.area, height=self.area, seed=config.seed)
             self.network = generate_road_network(spec)
 
         # --- POIs and server ---------------------------------------------
         self.pois = self._generate_pois()
-        self.server = SpatialDatabaseServer.from_points(
-            self.pois, algorithm=config.server_algorithm
-        )
+        self.server = SpatialDatabaseServer.from_points(self.pois)
         # The backend the hosts talk to: the server itself, or -- with
         # ``use_service`` -- the same server behind the query service's
         # loopback transport, so every query round-trips the wire codec.

@@ -53,7 +53,7 @@ from repro.core.heap import CandidateHeap
 from repro.core.naive_sharing import naive_share_query
 from repro.core.range_queries import sharing_range_query, sharing_window_query
 from repro.core.senn import ResolutionTier, SennConfig, senn_query
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.core.snnn import snnn_query
 from repro.core.verification import (
     collect_candidates,
@@ -409,7 +409,7 @@ def run_scenario(
 
     # -- SENN end to end -------------------------------------------------
     ran("senn")
-    server = SpatialDatabaseServer(m.tree, algorithm=ServerAlgorithm.EINN)
+    server = SpatialDatabaseServer(m.tree)
     senn = senn_query(
         m.query,
         scenario.k,
@@ -466,8 +466,8 @@ def run_scenario(
     # the batching executor (a singleton wave) to the in-process truth
     # bit for bit -- same floats, same tie order, same page breakdown.
     ran("service-knn")
-    served = SpatialDatabaseServer(m.tree, algorithm=ServerAlgorithm.EINN)
-    direct = SpatialDatabaseServer(m.tree, algorithm=ServerAlgorithm.EINN)
+    served = SpatialDatabaseServer(m.tree)
+    direct = SpatialDatabaseServer(m.tree)
     client = ServiceClient(LoopbackTransport(QueryService(served)))
     via_wire = client.knn_query_detailed(m.query, scenario.k)
     in_process = direct.knn_query_detailed(m.query, scenario.k)
@@ -500,7 +500,7 @@ def run_scenario(
         m.own_cache,
         m.peer_caches,
         m.config,
-        server=SpatialDatabaseServer(m.tree, algorithm=ServerAlgorithm.EINN),
+        server=SpatialDatabaseServer(m.tree),
         server_k=scenario.cache_capacity,
     )
     if senn_served.neighbors != senn_direct.neighbors:
@@ -789,7 +789,7 @@ def _check_snnn(scenario: Scenario, m: _Materialized) -> List[CheckFailure]:
         (network.snap(point).point, payload) for point, payload in m.pois
     ]
     tree = RTree.bulk_load(list(projected))
-    server = SpatialDatabaseServer(tree, algorithm=ServerAlgorithm.EINN)
+    server = SpatialDatabaseServer(tree)
     caches = [
         _build_cache(scenario, projected, peer.x, peer.y, peer.cache_k)
         for peer in scenario.peers

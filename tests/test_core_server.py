@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, PruningBounds
@@ -44,17 +44,6 @@ class TestQueries:
         expected = sorted(q.distance_to(p) for p, _ in pois)[:5]
         assert [r.distance for r in result] == pytest.approx(expected)
 
-    def test_all_algorithms_agree(self):
-        pois = make_pois(300, seed=3)
-        q = Point(20, 70)
-        distances = {}
-        for algorithm in ServerAlgorithm:
-            server = SpatialDatabaseServer.from_points(pois, algorithm=algorithm)
-            distances[algorithm] = [r.distance for r in server.knn_query(q, 6)]
-        baseline = distances[ServerAlgorithm.INN]
-        for algorithm, observed in distances.items():
-            assert observed == pytest.approx(baseline), algorithm
-
     def test_query_counts_pages(self):
         server = SpatialDatabaseServer.from_points(make_pois(500))
         server.knn_query(Point(10, 10), 3)
@@ -70,9 +59,9 @@ class TestQueries:
         known = [NeighborResult(p, f"poi-{i}", d) for d, i, p in ordered[:4]]
         bounds = PruningBounds(lower=ordered[3][0], upper=ordered[7][0])
 
-        einn_server = SpatialDatabaseServer.from_points(pois, ServerAlgorithm.EINN)
+        einn_server = SpatialDatabaseServer.from_points(pois)
         einn_result = einn_server.knn_query(q, 8, bounds, known)
-        inn_server = SpatialDatabaseServer.from_points(pois, ServerAlgorithm.INN)
+        inn_server = SpatialDatabaseServer.from_points(pois)
         inn_result = inn_server.knn_query(q, 8)
 
         assert [r.distance for r in einn_result] == pytest.approx(
@@ -82,11 +71,6 @@ class TestQueries:
             einn_server.last_query_breakdown().total
             <= inn_server.last_query_breakdown().total
         )
-
-    def test_algorithm_override_per_query(self):
-        server = SpatialDatabaseServer.from_points(make_pois(100))
-        result = server.knn_query(Point(0, 0), 2, algorithm=ServerAlgorithm.DEPTH_FIRST)
-        assert len(result) == 2
 
     def test_incremental_query(self):
         pois = make_pois(80)

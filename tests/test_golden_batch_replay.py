@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import PruningBounds
@@ -102,7 +102,7 @@ def make_requests(seed: int, reference: SpatialDatabaseServer) -> List[KnnReques
 
 def make_server(pois: List[Poi], seed: int) -> SpatialDatabaseServer:
     return SpatialDatabaseServer.from_points(
-        pois, algorithm=ServerAlgorithm.EINN, buffer_capacity=(0, 6, 64)[seed % 3]
+        pois, buffer_capacity=(0, 6, 64)[seed % 3]
     )
 
 

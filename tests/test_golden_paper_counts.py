@@ -38,7 +38,7 @@ import numpy as np
 import pytest
 
 from repro.core.heap import CandidateHeap
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.core.verification import verify_multi_peer, verify_single_peer
 from repro.experiments.figures import _true_knn_cache, fig17
 from repro.experiments.runner import Quality
@@ -168,7 +168,7 @@ def service() -> Dict[str, Any]:
     entries: List[float] = []
     for level in concurrency:
         executor = BatchExecutor(
-            SpatialDatabaseServer(tree, ServerAlgorithm.EINN), cell_size=cell
+            SpatialDatabaseServer(tree), cell_size=cell
         )
         answers = [
             answer

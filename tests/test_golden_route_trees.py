@@ -47,14 +47,7 @@ def simulation_network(seed: int) -> SpatialNetwork:
     """The road network ``Simulation`` builds for a ``sim_cruise`` block."""
     config = SimulationConfig(los_angeles_30x30().scaled_area(0.2), seed=seed)
     area = config.parameters.area_miles
-    return generate_road_network(
-        RoadNetworkSpec(
-            width=area,
-            height=area,
-            secondary_spacing=config.road_secondary_spacing,
-            seed=seed,
-        )
-    )
+    return generate_road_network(RoadNetworkSpec(width=area, height=area, seed=seed))
 
 
 def two_components() -> SpatialNetwork:

@@ -76,6 +76,24 @@ class TestInsertion:
         found = tree.range_search(BoundingBox(0, 0, 2, 2))
         assert len(found) == 50
 
+    def test_duplicate_point_keeps_ancestor_mirrors(self):
+        # A duplicate leaves its leaf's MBR as it was, so no entry above
+        # the leaf changes and every ancestor keeps its array mirror.
+        tree = RTree(RTreeConfig(max_entries=8))
+        points = make_points(200)
+        for i, p in enumerate(points):
+            tree.insert(p, payload=i)
+        for p in points:
+            path = tree._choose_path(BoundingBox(p.x, p.y, p.x, p.y), 0)
+            if len(path[-1].entries) < tree.config.max_entries:
+                break
+        ancestors = path[:-1]
+        assert ancestors
+        mirrors = [node.arrays() for node in ancestors]
+        tree.insert(p, payload="duplicate")
+        assert all(node.arrays() is mirror for node, mirror in zip(ancestors, mirrors))
+        validate_rtree(tree)
+
     def test_rstar_reinserts_happen(self):
         tree = RTree(RTreeConfig(max_entries=6, split_policy=SplitPolicy.RSTAR))
         for p in make_points(300):

@@ -16,7 +16,7 @@ from repro.geometry.point import Point
 from repro.index.knn import k_nearest_einn
 from repro.index.pagestats import PageAccessCounter
 from repro.index.rtree import RTree
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.service.client import ServiceClient
 from repro.service.engine import QueryService
 from repro.service.transport import LoopbackTransport
@@ -65,9 +65,7 @@ class TestPageAccounting:
             (Point(float(x), float(y)), f"poi-{i}")
             for i, (x, y) in enumerate(rng.uniform(0.0, 4.0, size=(250, 2)))
         ]
-        server = SpatialDatabaseServer.from_points(
-            pois, algorithm=ServerAlgorithm.EINN
-        )
+        server = SpatialDatabaseServer.from_points(pois)
         history = server.counter.history
         transport = LoopbackTransport(QueryService(server))
         client = ServiceClient(transport)

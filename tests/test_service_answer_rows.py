@@ -17,7 +17,7 @@ import repro.service.batching as batching_module
 import repro.service.protocol as protocol_module
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, PruningBounds, k_nearest_einn
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.service.batching import BatchExecutor
 from repro.service.engine import QueryService
 from repro.service.protocol import KnnRequest, decode_message, encode_message
@@ -34,7 +34,7 @@ def make_server(count=2000, seed=3, extent=10.0):
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, extent, size=(count, 2))
     pois = [(Point(float(x), float(y)), f"poi-{i}") for i, (x, y) in enumerate(coords)]
-    return SpatialDatabaseServer.from_points(pois, algorithm=ServerAlgorithm.EINN)
+    return SpatialDatabaseServer.from_points(pois)
 
 
 @contextlib.contextmanager

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.obs import DEFAULT_TIME_BUCKETS_S, OBS, MetricsRegistry, observed
 from repro.service.asyncserver import (
     AsyncQueryServer,
@@ -55,7 +55,7 @@ def make_pois(count=300, seed=0, extent=4.0):
 
 
 def make_server(pois):
-    return SpatialDatabaseServer.from_points(pois, algorithm=ServerAlgorithm.EINN)
+    return SpatialDatabaseServer.from_points(pois)
 
 
 def answer_key(neighbors):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import repro.service.batching as batching_module
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, PruningBounds, poi_key
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.obs import OBS, MetricsRegistry, ServerRecord, observed
 from repro.service.batching import BatchExecutor
 from repro.service.protocol import KnnRequest
@@ -32,7 +32,7 @@ def make_pois(count=400, seed=0, extent=4.0):
 
 
 def make_server(pois):
-    return SpatialDatabaseServer.from_points(pois, algorithm=ServerAlgorithm.EINN)
+    return SpatialDatabaseServer.from_points(pois)
 
 
 def cluster(seed, n, anchor=Point(2.05, 2.05), spread=CELL / 8.0):

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.geometry.point import Point
 from repro.obs import OBS, MetricsRegistry, observed
 from repro.service.asyncserver import BackgroundServer, ServiceConfig
@@ -37,7 +37,7 @@ def make_pois(count, seed, extent=4.0):
 
 
 def make_server(pois):
-    return SpatialDatabaseServer.from_points(pois, algorithm=ServerAlgorithm.EINN)
+    return SpatialDatabaseServer.from_points(pois)
 
 
 def answer_key(neighbors):

@@ -14,7 +14,7 @@ from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import PruningBounds
 from repro.core.senn import SennConfig, senn_query
-from repro.core.server import ServerAlgorithm, SpatialDatabaseServer
+from repro.core.server import SpatialDatabaseServer
 from repro.obs import OBS, MetricsRegistry, observed
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.engine import QueryService
@@ -28,7 +28,7 @@ def make_pois(count=350, seed=0, extent=4.0):
 
 
 def make_server(pois):
-    return SpatialDatabaseServer.from_points(pois, algorithm=ServerAlgorithm.EINN)
+    return SpatialDatabaseServer.from_points(pois)
 
 
 def served_and_direct(pois):

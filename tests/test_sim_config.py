@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.server import ServerAlgorithm
 from repro.sim.config import (
     METERS_PER_MILE,
     PARAMETER_SETS_2X2,
@@ -124,7 +123,6 @@ class TestSimulationConfig:
     def test_defaults(self):
         config = SimulationConfig(parameters=los_angeles_2x2())
         assert config.movement_mode is MovementMode.ROAD_NETWORK
-        assert config.server_algorithm is ServerAlgorithm.EINN
         assert config.duration_s == pytest.approx(3600.0)
         assert config.query_rate_per_s == pytest.approx(23.0 / 60.0)
 
