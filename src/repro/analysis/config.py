@@ -80,7 +80,6 @@ LAYER_RANKS: Dict[str, int] = {
     "repro.index": 1,
     "repro.network": 1,
     "repro.core": 2,
-    "repro.continuous": 3,
     "repro.io": 3,
     "repro.io.figures": 4,  # serializes experiments.runner.FigureResult
     "repro.service": 3,  # wire protocol + serving engine over core/index

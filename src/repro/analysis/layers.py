@@ -2,7 +2,7 @@
 
 The declared architecture is a strict DAG of layers::
 
-    geometry ──► index / network ──► core ──► continuous / io / sim /
+    geometry ──► index / network ──► core ──► io / service / sim /
                                               testing ──► experiments ──►
                                               cli / analysis
 

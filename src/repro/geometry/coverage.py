@@ -114,7 +114,7 @@ def disk_covered_by_disks(
         )
 
     # Condition 1: the target boundary must be fully covered by arcs
-    # (Circle.boundary_arc_covered_by of the target against each disk).
+    # (the scalar reference's boundary-arc kernel, target against each disk).
     arcs = AngularIntervalSet(tolerance=1e-12)
     angular_tol = tolerance / max(tr, tolerance)
     for cx, cy, r, separation in relevant:
@@ -160,7 +160,7 @@ def disk_covered_by_disks(
     for i, (xi, yi, ri, _) in enumerate(relevant):
         ri_sq = ri * ri
         for xj, yj, rj, _ in relevant[i + 1 :]:
-            # Circle.boundary_intersections of disk i with disk j.
+            # The scalar reference's boundary intersections of disks i and j.
             d = hypot(xi - xj, yi - yj)
             # Exact zero guard: d divides the chord computation below.
             if d == 0.0:  # repro: noqa(RPR001, RPR011)

@@ -21,7 +21,7 @@ the polygon substrate for that path:
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.circle import Circle
@@ -159,26 +159,11 @@ class Polygon:
     def area(self) -> float:
         return _signed_area(self._vertices)
 
-    @property
-    def perimeter(self) -> float:
-        return sum(a.distance_to(b) for a, b in self.edges())
-
     def edges(self) -> Iterator[Segment]:
         """Yield the polygon's edges as ``(start, end)`` pairs, CCW order."""
         count = len(self._vertices)
         for i in range(count):
             yield (self._vertices[i], self._vertices[(i + 1) % count])
-
-    def is_convex(self) -> bool:
-        """True for convex polygons (collinear runs allowed)."""
-        count = len(self._vertices)
-        for i in range(count):
-            o = self._vertices[i]
-            a = self._vertices[(i + 1) % count]
-            b = self._vertices[(i + 2) % count]
-            if _cross(o, a, b) < 0.0:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # containment
@@ -247,65 +232,6 @@ class Polygon:
                 if not self.contains_point(midpoint, tolerance):
                     return False
         return True
-
-    def clip_half_plane(
-        self, a: float, b: float, c: float, tolerance: float = 1e-12
-    ) -> Optional["Polygon"]:
-        """Clip against the half-plane ``a*x + b*y <= c`` (Sutherland-Hodgman).
-
-        Returns the clipped polygon, or ``None`` when nothing (of
-        positive area) remains.  Clipping a convex polygon stays convex,
-        which is what the Voronoi-cell construction needs.
-        """
-        if a == 0.0 and b == 0.0:
-            raise ValueError("degenerate half-plane: a and b cannot both be 0")
-        kept: List[Point] = []
-        vertices = self._vertices
-        count = len(vertices)
-        for i in range(count):
-            current = vertices[i]
-            following = vertices[(i + 1) % count]
-            current_in = a * current.x + b * current.y <= c + tolerance
-            following_in = a * following.x + b * following.y <= c + tolerance
-            if current_in:
-                kept.append(current)
-            if current_in != following_in:
-                # Edge crosses the boundary line: add the intersection.
-                denom = a * (following.x - current.x) + b * (following.y - current.y)
-                if abs(denom) > tolerance:
-                    t = (c - a * current.x - b * current.y) / denom
-                    t = min(1.0, max(0.0, t))
-                    kept.append(
-                        Point(
-                            current.x + t * (following.x - current.x),
-                            current.y + t * (following.y - current.y),
-                        )
-                    )
-        # Drop consecutive duplicates introduced by boundary touching.
-        deduped: List[Point] = []
-        for vertex in kept:
-            if not deduped or vertex.distance_to(deduped[-1]) > tolerance:
-                deduped.append(vertex)
-        if len(deduped) >= 2 and deduped[0].distance_to(deduped[-1]) <= tolerance:
-            deduped.pop()
-        if len(deduped) < 3:
-            return None
-        if abs(_signed_area(deduped)) <= tolerance:
-            return None
-        return Polygon(deduped)
-
-    def centroid(self) -> Point:
-        """Area centroid of the polygon."""
-        acc_x = 0.0
-        acc_y = 0.0
-        acc_area = 0.0
-        for a, b in self.edges():
-            cross = a.x * b.y - b.x * a.y
-            acc_x += (a.x + b.x) * cross
-            acc_y += (a.y + b.y) * cross
-            acc_area += cross
-        acc_area *= 0.5
-        return Point(acc_x / (6.0 * acc_area), acc_y / (6.0 * acc_area))
 
     def __repr__(self) -> str:
         return f"Polygon({len(self._vertices)} vertices, area={self.area:.4g})"

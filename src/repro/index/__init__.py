@@ -25,7 +25,6 @@ from repro.index.knn import (
 )
 from repro.index.pagestats import BufferPool, PageAccessCounter
 from repro.index.rtree import RTree, RTreeConfig, SplitPolicy
-from repro.index.voronoi import VoronoiSemanticCache, voronoi_cell
 
 __all__ = [
     "BufferPool",
@@ -35,10 +34,8 @@ __all__ = [
     "RTree",
     "RTreeConfig",
     "SplitPolicy",
-    "VoronoiSemanticCache",
     "incremental_nearest",
     "k_nearest",
     "k_nearest_depth_first",
     "k_nearest_einn",
-    "voronoi_cell",
 ]

@@ -140,9 +140,9 @@ class PageAccessCounter:
         self._current_misses = 0
         self._current_entries = 0
 
-    def finish_query(self) -> AccessBreakdown:
-        """Close the current query and append its breakdown to history."""
-        breakdown = AccessBreakdown(
+    def current_breakdown(self) -> AccessBreakdown:
+        """The open query's breakdown so far (nothing is closed or flushed)."""
+        return AccessBreakdown(
             total=self._current_index + self._current_leaf + self._current_data,
             index_nodes=self._current_index,
             leaf_nodes=self._current_leaf,
@@ -151,6 +151,10 @@ class PageAccessCounter:
             buffer_misses=self._current_misses,
             entries_scanned=self._current_entries,
         )
+
+    def finish_query(self) -> AccessBreakdown:
+        """Close the current query and append its breakdown to history."""
+        breakdown = self.current_breakdown()
         self.history.append(breakdown)
         self.flush_tally()
         return breakdown

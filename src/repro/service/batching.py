@@ -218,8 +218,10 @@ class BatchExecutor:
     ) -> List[QueryAnswer]:
         """One traversal, many clients (the amortization core).
 
-        Like ``knn_query_detailed``, a wave that raises publishes what it
-        counted before the raise.
+        The wave bills ``server.knn_queries`` and ``server.pages_per_query``
+        once per request it answers, each page observation that request's
+        amortized total.  Like ``knn_query_detailed``, a wave that raises
+        publishes what it counted before the raise.
         """
         server = self._server
         counter = server.counter
@@ -236,7 +238,11 @@ class BatchExecutor:
                 # EINN's accounting: what the client certified is not re-shipped.
                 sources = [source for _, _, source in client.finish()]
                 client.shipped = _record_shipped(counter, sources, client.known_keys)
-            breakdown = counter.finish_query()
+            answers = _amortize(clients, counter.current_breakdown())
+            tally = counter.tally
+            tally.knn_einn += len(answers)
+            tally.pages_einn += tuple(answer.pages.total for answer in answers)
+            counter.finish_query()
         except BaseException:
             counter.flush_tally()
             raise
@@ -244,7 +250,7 @@ class BatchExecutor:
         if OBS.enabled:
             _BATCHED_QUERIES().inc(len(clients))
             _SHARED_TRAVERSALS().inc()
-        return _amortize(clients, breakdown)
+        return answers
 
 
 def _offer_stream(

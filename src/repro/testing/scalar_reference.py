@@ -6,8 +6,9 @@ verifiers in :mod:`repro.core.verification` and the float-only Lemma
 to be *bit-identical* to the code they replaced.  This module preserves
 that code verbatim — the per-entry loops the pre-vectorization R-tree
 and the ``kNN_single`` / ``kNN_multiple`` verifiers executed, and the
-coverage test composed of :class:`~repro.geometry.circle.Circle`
-methods (:func:`scalar_disk_covered_by_disks`) — as an oracle for:
+object-based coverage test (:func:`scalar_disk_covered_by_disks`) with
+the two circle kernels it composes, boundary-arc coverage and
+boundary intersection points — as an oracle for:
 
 - the hypothesis property suites ``tests/test_index_vectorized.py``,
   which fuzzes the index kernels over adversarial geometry (degenerate
@@ -21,13 +22,14 @@ methods (:func:`scalar_disk_covered_by_disks`) — as an oracle for:
 
 Nothing here is ever called by production code, and nothing here may be
 "optimised": the value of the oracle is that it stays exactly the loop
-the formulas in :mod:`repro.geometry.bbox`, :mod:`repro.geometry.point`
-and :mod:`repro.geometry.circle` spell out.
+the formulas in :mod:`repro.geometry.bbox`, :mod:`repro.geometry.point`,
+:mod:`repro.geometry.circle` and the two circle kernels below spell out.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.cache import CachedQueryResult
@@ -166,7 +168,7 @@ def scalar_disk_covered_by_disks(
 
     This is ``repro.geometry.coverage.disk_covered_by_disks`` as it was
     before the float kernel: one ``Circle`` predicate per test, a
-    ``Point`` per circle-circle intersection and an ``ArcCoverage`` per
+    ``Point`` per circle-circle intersection and an ``_ArcCoverage`` per
     disk.  The kernel spells the same formulas out on plain floats and
     must return the same verdict (or raise the same error) on every
     input.
@@ -190,7 +192,7 @@ def scalar_disk_covered_by_disks(
     arcs = AngularIntervalSet(tolerance=1e-12)
     angular_tol = tolerance / max(target.radius, tolerance)
     for disk in relevant:
-        coverage = target.boundary_arc_covered_by(disk)
+        coverage = _boundary_arc_covered_by(target, disk)
         if coverage.full:
             # The strict fast path above already failed for this disk, so
             # the containment is borderline: the target is internally
@@ -224,7 +226,7 @@ def scalar_disk_covered_by_disks(
     count = len(relevant)
     for i in range(count):
         for j in range(i + 1, count):
-            for vertex in relevant[i].boundary_intersections(relevant[j]):
+            for vertex in _boundary_intersections(relevant[i], relevant[j]):
                 if not target.strictly_contains_point(vertex, tolerance):
                     continue
                 if not any(
@@ -233,6 +235,91 @@ def scalar_disk_covered_by_disks(
                 ):
                     return False
     return True
+
+
+@dataclass(frozen=True, slots=True)
+class _ArcCoverage:
+    """The arc of a circle's boundary covered by another disk.
+
+    ``full`` means the entire boundary is covered; otherwise the covered
+    arc is centered at angle ``center`` (radians, measured at the circle's
+    center) with angular half-width ``half_width``.  ``empty`` means no
+    boundary point is covered.
+    """
+
+    full: bool
+    empty: bool
+    center: float = 0.0
+    half_width: float = 0.0
+
+
+def _boundary_arc_covered_by(circle: Circle, other: Circle) -> _ArcCoverage:
+    """Which arc of ``circle``'s boundary lies inside ``other``'s disk.
+
+    Derivation: a boundary point of ``circle`` at angle ``theta`` is in
+    the other disk iff its distance to ``other.center`` is at most
+    ``other.radius``.  Writing ``d`` for the center separation and
+    ``r`` for ``circle``'s radius, the law of cosines gives the limit
+    angle ``phi = acos((d^2 + r^2 - other.radius^2) / (2 d r))`` around
+    the direction from ``circle``'s center to the other center.
+    """
+    d = circle.center.distance_to(other.center)
+    r = circle.radius
+    if d + r <= other.radius:
+        # The whole circle (boundary included) lies inside the other disk.
+        return _ArcCoverage(full=True, empty=False)
+    if d > r + other.radius or d + other.radius < r:
+        # Disks disjoint, or the other disk is strictly inside the circle
+        # without reaching the boundary: no boundary coverage.
+        return _ArcCoverage(full=False, empty=True)
+    # Exact zero guard for the concentric case: d divides the law-of-
+    # cosines expression below, so only a literal zero is degenerate.
+    if d == 0.0:  # repro: noqa(RPR001)
+        # Concentric with other.radius < r (the full-coverage case
+        # returned above): boundary not covered.
+        return _ArcCoverage(full=False, empty=True)
+    cos_phi = (d * d + r * r - other.radius * other.radius) / (2.0 * d * r)
+    cos_phi = max(-1.0, min(1.0, cos_phi))
+    half_width = math.acos(cos_phi)
+    center_angle = circle.center.angle_to(other.center)
+    return _ArcCoverage(full=False, empty=False, center=center_angle, half_width=half_width)
+
+
+def _boundary_intersections(circle: Circle, other: Circle) -> List[Point]:
+    """Intersection points of the two circle *boundaries* (0, 1 or 2).
+
+    Tangency returns a single point; coincident circles return an empty
+    list (infinitely many intersections are useless for the coverage
+    test and coincident certain circles never add information).
+    """
+    d = circle.center.distance_to(other.center)
+    r0, r1 = circle.radius, other.radius
+    # Exact zero guard: d divides the chord computation below.
+    if d == 0.0:  # repro: noqa(RPR001)
+        return []
+    if d > r0 + r1 or d < abs(r0 - r1):
+        return []
+    # Distance from circle.center to the chord midpoint along the center line.
+    # ``r0*r0 - r1*r1`` is taken as ``(r0 - r1) * (r0 + r1)``: for nearly
+    # equal radii the difference of squares cancels to rounding noise,
+    # which a tiny ``d`` (near-coincident circles) would then blow up.
+    a = (d * d + (r0 - r1) * (r0 + r1)) / (2.0 * d)
+    h_sq = r0 * r0 - a * a
+    if h_sq < 0.0:
+        # Numerical noise around tangency.
+        h_sq = 0.0
+    h = math.sqrt(h_sq)
+    ux = (other.center.x - circle.center.x) / d
+    uy = (other.center.y - circle.center.y) / d
+    mid = Point(circle.center.x + a * ux, circle.center.y + a * uy)
+    # Exact tangency: h_sq was clamped to literal 0.0 above, so the
+    # single-point case is an exact comparison by construction.
+    if h == 0.0:  # repro: noqa(RPR001)
+        return [mid]
+    return [
+        Point(mid.x - h * uy, mid.y + h * ux),
+        Point(mid.x + h * uy, mid.y - h * ux),
+    ]
 
 
 def scalar_verify_multi_peer(

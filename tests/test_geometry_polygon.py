@@ -44,19 +44,11 @@ class TestConstruction:
 
 class TestAreaPerimeter:
     def test_unit_square(self):
-        sq = square()
-        assert sq.area == pytest.approx(1.0)
-        assert sq.perimeter == pytest.approx(4.0)
+        assert square().area == pytest.approx(1.0)
 
     def test_triangle(self):
         tri = Polygon([Point(0, 0), Point(4, 0), Point(0, 3)])
         assert tri.area == pytest.approx(6.0)
-        assert tri.perimeter == pytest.approx(12.0)
-
-    def test_centroid_square(self):
-        c = square(2.0).centroid()
-        assert c.x == pytest.approx(1.0)
-        assert c.y == pytest.approx(1.0)
 
 
 class TestContainsPoint:
@@ -87,24 +79,6 @@ class TestContainsPoint:
         assert ell.contains_point(Point(0.5, 1.5))
         assert ell.contains_point(Point(1.5, 0.5))
         assert not ell.contains_point(Point(1.5, 1.5))
-
-
-class TestConvexity:
-    def test_square_convex(self):
-        assert square().is_convex()
-
-    def test_ell_not_convex(self):
-        ell = Polygon(
-            [
-                Point(0, 0),
-                Point(2, 0),
-                Point(2, 1),
-                Point(1, 1),
-                Point(1, 2),
-                Point(0, 2),
-            ]
-        )
-        assert not ell.is_convex()
 
 
 class TestPolygonization:

@@ -18,7 +18,14 @@ import repro.service.batching as batching_module
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, PruningBounds, poi_key
 from repro.core.server import SpatialDatabaseServer
-from repro.obs import OBS, MetricsRegistry, ServerRecord, observed
+from repro.obs import (
+    DEFAULT_COUNT_BUCKETS,
+    OBS,
+    Histogram,
+    MetricsRegistry,
+    ServerRecord,
+    observed,
+)
 from repro.service.batching import BatchExecutor
 from repro.service.protocol import KnnRequest
 
@@ -236,6 +243,32 @@ class TestSharedWaveProperties:
             assert answer.pages.data_records == len(shipped)
         sums = [sum(column) for column in zip(*(astuple(a.pages) for a in answers))]
         assert sums == list(astuple(wave_entry))
+
+
+class TestServerMetrics:
+    def test_a_shared_wave_bills_each_request_it_answers(self):
+        server = make_server(make_pois(seed=17))
+        requests = [KnnRequest(i + 1, p, 5) for i, p in enumerate(cluster(seed=18, n=4))]
+        previous = OBS.registry
+        with observed(enabled=True):
+            OBS.registry = registry = MetricsRegistry()
+            try:
+                answers = BatchExecutor(server, cell_size=CELL).execute(requests)
+            finally:
+                OBS.registry = previous
+        assert [a.batch_size for a in answers] == [4] * 4
+        assert registry.value("service.batched_queries") == 4.0
+        assert registry.value("server.knn_queries", algorithm="einn") == 4.0
+        # One observation per request: its amortized page total.
+        expected = Histogram("expected", (), DEFAULT_COUNT_BUCKETS)
+        for answer in answers:
+            expected.observe(float(answer.pages.total))
+        pages = registry.histogram(
+            "server.pages_per_query", DEFAULT_COUNT_BUCKETS, algorithm="einn"
+        )
+        assert pages.count == 4
+        assert pages.sum == expected.sum
+        assert pages.bucket_counts == expected.bucket_counts
 
 
 class TestRaisingWave:
