@@ -34,7 +34,6 @@ STRICT_FLOAT_MODULES: Tuple[str, ...] = (
     "repro.core.verification",
     "repro.core.heap",
     "repro.core.bounds",
-    "repro.core.range_queries",
     "repro.geometry.coverage",
     "repro.index.knn",
 )

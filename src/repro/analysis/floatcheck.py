@@ -93,7 +93,6 @@ _DISTANCE_ATTRS: FrozenSet[str] = frozenset({"distance", "radius", "certain_radi
 
 #: ... and, in the strict-float modules only, the bound attributes.
 _STRICT_DISTANCE_ATTRS: FrozenSet[str] = _DISTANCE_ATTRS | {
-    "known_radius",
     "lower",
     "upper",
     "half_width",
@@ -619,29 +618,6 @@ LEMMA_TABLE: Tuple[LemmaEntry, ...] = (
         rationale=(
             "insertion scans left while the predecessor strictly exceeds "
             "the new key, keeping equal keys in insertion order (stable)"
-        ),
-    ),
-    LemmaEntry(
-        qualname="repro.core.range_queries._cache_covers_disk",
-        lemma="Lemma 3.2 analogue (range)",
-        op="Lt",
-        left="separation + target.radius",
-        right="circle.radius",
-        rationale=(
-            "a kNN cache proves only the open certain disk: an uncached POI "
-            "may tie exactly at Dist(P,n_k), so containment must be strict "
-            "(found by repro-difftest on a zero-radius 1-NN cache)"
-        ),
-    ),
-    LemmaEntry(
-        qualname="repro.core.range_queries._answer_from_caches",
-        lemma="range semantics",
-        op="LtE",
-        left="distance",
-        right="radius",
-        rationale=(
-            "the query asks for the closed disk; candidates at exactly the "
-            "query radius are members of the answer"
         ),
     ),
 )

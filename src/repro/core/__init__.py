@@ -24,7 +24,6 @@ from repro.core.cache import CachedQueryResult, QueryCache
 from repro.core.heap import CandidateHeap, HeapEntry, HeapState
 from repro.core.host import MobileHost
 from repro.core.naive_sharing import NaiveShareResult, naive_share_query
-from repro.core.range_queries import RangeQueryResult, sharing_range_query
 from repro.core.senn import ResolutionTier, SennConfig, SennResult, senn_query
 from repro.core.server import SpatialDatabaseServer
 from repro.core.snnn import SnnnResult, snnn_query
@@ -38,7 +37,6 @@ __all__ = [
     "MobileHost",
     "NaiveShareResult",
     "QueryCache",
-    "RangeQueryResult",
     "ResolutionTier",
     "SennConfig",
     "SennResult",
@@ -47,7 +45,6 @@ __all__ = [
     "derive_pruning_bounds",
     "naive_share_query",
     "senn_query",
-    "sharing_range_query",
     "snnn_query",
     "verify_multi_peer",
     "verify_single_peer",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Protocol, Sequence, runtime_checkable
 
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, PruningBounds, Ranked, neighbors_of
 from repro.index.pagestats import AccessBreakdown
@@ -108,16 +107,6 @@ class SpatialBackend(Protocol):
         known_certain: Sequence[NeighborResult] = ...,
     ) -> QueryAnswer:
         """Answer a kNN query; breakdown attributed to this call only."""
-        ...
-
-    def range_query_detailed(
-        self, center: Point, radius: float
-    ) -> QueryAnswer:
-        """All POIs within ``radius``, ascending, with this call's pages."""
-        ...
-
-    def window_query_detailed(self, window: BoundingBox) -> QueryAnswer:
-        """All POIs inside ``window``, ascending from its center."""
         ...
 
     def incremental_query(self, query: Point) -> Iterator[NeighborResult]:

@@ -34,30 +34,16 @@ class CachedQueryResult:
     ``neighbors`` are certain NNs of ``query_location`` in ascending
     distance order; invalid orderings are rejected because every
     verification lemma depends on ``Dist(P, n_k)`` being the maximum.
-
-    ``known_radius`` widens the certain circle beyond the farthest
-    neighbor: a cached *range* result of radius ``r`` proves knowledge of
-    the whole disk, including the empty part beyond the last POI.  For
-    kNN results it stays ``None`` and the classic ``Dist(P, n_k)``
-    radius applies.
     """
 
     query_location: Point
     neighbors: Tuple[NeighborResult, ...]
     timestamp: float = 0.0
-    known_radius: Optional[float] = None
 
     def __post_init__(self) -> None:
         distances = [n.distance for n in self.neighbors]
         if any(b < a - 1e-9 for a, b in zip(distances, distances[1:])):
             raise ValueError("cached neighbors must be in ascending distance order")
-        if self.known_radius is not None:
-            if self.known_radius < 0.0:
-                raise ValueError("known_radius must be non-negative")
-            if distances and self.known_radius < distances[-1] - 1e-9:
-                raise ValueError(
-                    "known_radius cannot be smaller than the farthest neighbor"
-                )
 
     @property
     def k(self) -> int:
@@ -65,14 +51,12 @@ class CachedQueryResult:
         return len(self.neighbors)
 
     def is_empty(self) -> bool:
-        """True when the cache certifies nothing (no POIs and no radius)."""
-        return not self.neighbors and not self.known_radius
+        """True when the cache certifies nothing (no POIs)."""
+        return not self.neighbors
 
     @property
     def certain_radius(self) -> float:
         """Radius of the certain circle around ``query_location``."""
-        if self.known_radius is not None:
-            return self.known_radius
         return self.neighbors[-1].distance if self.neighbors else 0.0
 
     def certain_circle(self) -> Circle:
@@ -113,21 +97,17 @@ class QueryCache:
         query_location: Point,
         neighbors: Sequence[NeighborResult],
         timestamp: float = 0.0,
-        known_radius: Optional[float] = None,
     ) -> CachedQueryResult:
         """Replace the cache with the certain results of the newest query.
 
         Only the nearest ``capacity`` neighbors are retained; because the
         retained set is a distance-prefix, the certain-circle semantics
-        stay exact.  ``known_radius`` records range-query knowledge -- it
-        must be dropped if truncation removed neighbors, since the disk
-        is then no longer fully known.
+        stay exact.
         """
         ordered = sorted(neighbors, key=lambda n: n.distance)
         truncated = len(ordered) > self.capacity
         ordered = ordered[: self.capacity]
-        radius = None if truncated else known_radius
-        entry = CachedQueryResult(query_location, tuple(ordered), timestamp, radius)
+        entry = CachedQueryResult(query_location, tuple(ordered), timestamp)
         self._entries.append(entry)
         if len(self._entries) > self.history:
             self._entries.pop(0)

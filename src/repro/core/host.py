@@ -17,10 +17,7 @@ aggregates into the SQRR statistics of Section 4.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
-
-if TYPE_CHECKING:  # runtime import stays local to query_range (import cycle)
-    from repro.core.range_queries import RangeQueryResult
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.geometry.point import Point
 from repro.network.graph import SpatialNetwork
@@ -116,61 +113,6 @@ class MobileHost:
             )
             self._account(result.tier)
             self._store_result(result, timestamp)
-        finally:
-            self.cache.flush_tally()
-        return result
-
-    def query_range(
-        self,
-        radius: float,
-        peers: Sequence["MobileHost"] = (),
-        server: Optional[SpatialBackend] = None,
-        timestamp: float = 0.0,
-    ) -> "RangeQueryResult":
-        """Issue a range query ("all POIs within ``radius``").
-
-        Implements the paper's Section-5 extension via
-        :func:`repro.core.range_queries.sharing_range_query`.  The result
-        is cached with the query radius as the known radius, which makes
-        it *more* shareable than a kNN result of equal size (the empty
-        part of the disk counts as knowledge).
-        """
-        from repro.core.range_queries import sharing_range_query
-
-        from repro.core.range_queries import RangeQueryResult
-
-        peer_caches = self._collect_peer_caches(peers)
-        try:
-            result = sharing_range_query(
-                self.position,
-                radius,
-                self.cache.lookup(),
-                peer_caches,
-                self.config,
-                server=None,
-            )
-            if result.tier is ResolutionTier.SERVER and server is not None:
-                # Policy-2 analogue: over-fetch a slightly larger disk so the
-                # cached certain circle can cover future nearby queries.
-                fetch_radius = radius + self.config.range_overfetch
-                answer = server.range_query_detailed(self.position, fetch_radius)
-                fetched = answer.neighbors
-                self.cache.store(
-                    self.position, fetched, timestamp, known_radius=fetch_radius
-                )
-                result = RangeQueryResult(
-                    [n for n in fetched if n.distance <= radius],
-                    ResolutionTier.SERVER,
-                    peers_consulted=result.peers_consulted,
-                    server_pages=answer.pages.total,
-                )
-            elif result.answered_by_peers:
-                # Even an empty disk is knowledge: cache it with the query
-                # radius (QueryCache drops the radius if it must truncate).
-                self.cache.store(
-                    self.position, result.neighbors, timestamp, known_radius=radius
-                )
-            self._account(result.tier)
         finally:
             self.cache.flush_tally()
         return result

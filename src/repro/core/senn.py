@@ -21,7 +21,7 @@ only side effects are on the server's access counters when step 5 runs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.geometry.coverage import CoverageMethod
@@ -62,11 +62,6 @@ class SennConfig:
     coverage_method: CoverageMethod = CoverageMethod.EXACT
     polygon_sides: int = 32
     accept_uncertain: bool = False
-    # Range-query analogue of cache policy 2: when a range query must go
-    # to the server, fetch a disk larger by this margin so the cached
-    # certain circle can cover peers' (and the host's own) future
-    # queries.  Zero keeps the fetch minimal.
-    range_overfetch: float = 0.0
     # Extension over cache policy 1: retain the last N query results
     # instead of only the most recent one (1 = the paper's policy).
     cache_history: int = 1
@@ -80,8 +75,6 @@ class SennConfig:
             raise ValueError("cache_capacity must be at least 1")
         if self.polygon_sides < 3:
             raise ValueError("polygon_sides must be at least 3")
-        if self.range_overfetch < 0.0:
-            raise ValueError("range_overfetch must be non-negative")
         if self.cache_history < 1:
             raise ValueError("cache_history must be at least 1")
 
@@ -107,10 +100,10 @@ class SennResult:
     bounds: PruningBounds
     peers_consulted: int
     server_pages: int = 0
-    prefetched: List[NeighborResult] = field(default_factory=list)
+    prefetched: Sequence[NeighborResult] = ()
 
     @property
-    def cacheable(self) -> List[NeighborResult]:
+    def cacheable(self) -> Sequence[NeighborResult]:
         """What cache policies 1+2 retain: the over-fetched set if the
         server was consulted with ``server_k > k``, the answer itself
         otherwise."""
@@ -222,7 +215,7 @@ def senn_query(
             bounds,
             consulted,
             server_pages=answer.pages.total,
-            prefetched=answer.neighbors if effective_k > k else [],
+            prefetched=answer.neighbors if effective_k > k else (),
         )
     finally:
         heap.flush_tally()

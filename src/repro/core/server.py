@@ -17,9 +17,8 @@ own counter and joins the shared history once, when it closes.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Collection, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Iterator, List, Optional, Sequence, Tuple
 
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import (
     NeighborResult,
@@ -29,18 +28,10 @@ from repro.index.knn import (
     poi_key,
 )
 from repro.index.pagestats import AccessBreakdown, BufferPool, PageAccessCounter
-from repro.index.node import LeafEntry
 from repro.index.rtree import RTree, RTreeConfig
 from repro.core.backend import QueryAnswer
-from repro.obs import DEFAULT_COUNT_BUCKETS, OBS, Counter, Histogram, Instrument
 
 __all__ = ["NeighborStream", "SpatialDatabaseServer"]
-
-_RANGE_QUERIES = Instrument(Counter, "server.range_queries")
-_WINDOW_QUERIES = Instrument(Counter, "server.window_queries")
-_PAGES_PER_QUERY = Instrument(
-    Histogram, "server.pages_per_query", "algorithm", boundaries=DEFAULT_COUNT_BUCKETS
-)
 
 
 def _record_shipped(
@@ -168,62 +159,6 @@ class SpatialDatabaseServer:
         """Neighbors-only convenience wrapper over
         :meth:`knn_query_detailed`."""
         return self.knn_query_detailed(query, k, bounds, known_certain).neighbors
-
-    def range_query_detailed(self, center: Point, radius: float) -> QueryAnswer:
-        """All POIs within ``radius`` of ``center``, ascending by distance.
-
-        Uses the R-tree's circle search; page accesses and shipped result
-        records are metered like kNN queries, and the breakdown is
-        returned with the answer.
-        """
-        return self._metered_search(
-            self.tree.circle_search, (center, radius), center, _RANGE_QUERIES, "range"
-        )
-
-    def range_query(self, center: Point, radius: float) -> List[NeighborResult]:
-        """Neighbors-only convenience wrapper over
-        :meth:`range_query_detailed`."""
-        return self.range_query_detailed(center, radius).neighbors
-
-    def window_query_detailed(self, window: BoundingBox) -> QueryAnswer:
-        """All POIs inside ``window``, ascending by distance from its
-        center, metered like every other query."""
-        return self._metered_search(
-            self.tree.range_search, (window,), window.center, _WINDOW_QUERIES, "window"
-        )
-
-    def _metered_search(
-        self,
-        search: Callable[..., List[LeafEntry]],
-        args: Tuple[Any, ...],
-        center: Point,
-        queries: Instrument,
-        label: str,
-    ) -> QueryAnswer:
-        """Run one tree ``search`` as a metered query: every entry it
-        finds ships, ranked by distance from ``center``.  A search that
-        raises still publishes the node reads it made."""
-        counter = self.counter
-        counter.start_query()
-        try:
-            entries = search(*args, counter)
-            results = sorted(
-                (
-                    NeighborResult(e.point, e.payload, center.distance_to(e.point))
-                    for e in entries
-                ),
-                key=lambda r: r.distance,
-            )
-            counter.record_objects([poi_key(r.point, r.payload) for r in results])
-            breakdown = counter.finish_query()
-        except BaseException:
-            counter.flush_tally()
-            raise
-        self.queries_served += 1
-        if OBS.enabled:
-            queries().inc()
-            _PAGES_PER_QUERY(label).observe(float(breakdown.total))
-        return QueryAnswer(results, breakdown)
 
     def open_stream(self, query: Point) -> "NeighborStream":
         """An incremental ascending-distance stream around ``query``,

@@ -61,7 +61,6 @@ def run_one(
     mode: MovementMode = MovementMode.ROAD_NETWORK,
     seed: int = 0,
     t_execution_s: Optional[float] = None,
-    k_range: Optional[Tuple[int, int]] = None,
     config_overrides: Optional[dict] = None,
 ) -> SimulationMetrics:
     """Run a single simulation and return its metrics."""
@@ -71,7 +70,6 @@ def run_one(
         movement_mode=mode,
         seed=seed,
         t_execution_s=t_execution_s,
-        k_range=k_range,
         **overrides,
     )
     return Simulation(config).run()
@@ -88,15 +86,13 @@ def sweep_parameter(
     mode: MovementMode = MovementMode.ROAD_NETWORK,
     seed: int = 0,
     t_execution_s: Optional[float] = None,
-    k_range_of: Optional[Callable[[float], Optional[Tuple[int, int]]]] = None,
     config_overrides: Optional[dict] = None,
     notes: str = "",
 ) -> FigureResult:
     """Run one simulation per (region, x) pair and collect the series.
 
     ``make_params`` transforms the region's base parameter set for each x
-    value (e.g. override the transmission range).  ``k_range_of`` may
-    supply a per-x uniform k range (used by the k sweeps).
+    value (e.g. override the transmission range).
     """
     result = FigureResult(figure_id, title, x_label, list(xs))
     for region, factory in regions.items():
@@ -108,7 +104,6 @@ def sweep_parameter(
                 mode=mode,
                 seed=seed,
                 t_execution_s=t_execution_s,
-                k_range=k_range_of(x) if k_range_of is not None else None,
                 config_overrides=config_overrides,
             )
             percentages = metrics.percentages()

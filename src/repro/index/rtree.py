@@ -10,8 +10,7 @@ This module implements the full dynamic structure:
   closest-first) the first time a level overflows per insertion;
 - two split algorithms: Guttman's quadratic split and the R* axis/margin
   split, selectable per tree so the ablation benchmark can compare them;
-- STR bulk loading for building large static POI sets quickly;
-- window (range) and circle searches with page-access accounting.
+- STR bulk loading for building large static POI sets quickly.
 
 kNN search lives in :mod:`repro.index.knn`; it only needs the read-side
 interface (``root``, ``read_node``).
@@ -102,8 +101,8 @@ class RTree:
     def read_node(node: Node, counter: Optional[PageAccessCounter]) -> Node:
         """Account one page access and hand the node back.
 
-        This is the single chokepoint every traversal (window, circle,
-        INN, EINN, depth-first) reads nodes through.  A metered read is
+        This is the single chokepoint every traversal (INN, EINN,
+        depth-first) reads nodes through.  A metered read is
         billed to ``counter``, whose per-query record carries it to the
         global ``rtree.node_reads`` counter when the query finishes; an
         unmetered one (``counter is None``) is not a page access and
@@ -242,51 +241,6 @@ class RTree:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def range_search(
-        self, window: BoundingBox, counter: Optional[PageAccessCounter] = None
-    ) -> List[LeafEntry]:
-        """All leaf entries whose point lies in the closed ``window``."""
-        results: List[LeafEntry] = []
-        if self._size == 0:
-            return results
-        stack = [self._root]
-        while stack:
-            node = self.read_node(stack.pop(), counter)
-            if node.is_leaf:
-                for entry in node.entries:
-                    if window.contains_point(entry.point):  # type: ignore[union-attr]
-                        results.append(entry)  # type: ignore[arg-type]
-            else:
-                for entry in node.entries:
-                    if window.intersects(entry.bbox):
-                        stack.append(entry.child)  # type: ignore[union-attr]
-        return results
-
-    def circle_search(
-        self,
-        center: Point,
-        radius: float,
-        counter: Optional[PageAccessCounter] = None,
-    ) -> List[LeafEntry]:
-        """All leaf entries within ``radius`` of ``center`` (closed disk)."""
-        if radius < 0.0:
-            raise ValueError("radius must be non-negative")
-        results: List[LeafEntry] = []
-        if self._size == 0:
-            return results
-        stack = [self._root]
-        while stack:
-            node = self.read_node(stack.pop(), counter)
-            if node.is_leaf:
-                for entry in node.entries:
-                    if center.distance_to(entry.point) <= radius:  # type: ignore[union-attr]
-                        results.append(entry)  # type: ignore[arg-type]
-            else:
-                for entry in node.entries:
-                    if entry.bbox.mindist(center) <= radius:
-                        stack.append(entry.child)  # type: ignore[union-attr]
-        return results
-
     def iter_entries(self) -> Iterator[LeafEntry]:
         """Yield every stored leaf entry (no access accounting)."""
         stack = [self._root]

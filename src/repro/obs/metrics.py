@@ -25,9 +25,9 @@ Design constraints, in order:
   adds plain integers to a per-query record (:mod:`repro.obs.records`)
   and :meth:`MetricsRegistry.apply` takes the whole record -- a SENN
   query's eight or so events, a served query's dozen -- under one
-  acquisition.  Off-path sites (splits, range and window queries, the
-  service, the simulator) hold their instruments through
-  :class:`repro.obs.profiling.Instrument` and pay per event.  Measured
+  acquisition.  Off-path sites (splits, the service, the simulator) hold
+  their instruments through :class:`repro.obs.profiling.Instrument` and
+  pay per event.  Measured
   costs: the table and script in ``docs/observability.md``.  The
   *disabled* path never reaches this module at all (handle sites and
   record flushes guard on ``OBS.enabled`` first), which is what keeps

@@ -5,7 +5,7 @@ task per connection: each connection is a :class:`_Connection` that
 buffers what it receives and cuts out every whole frame (an
 ``asyncio.BufferedProtocol``: the socket is read into one kept buffer,
 not a fresh 256 KiB ``bytes`` per read as ``data_received`` would
-cost).  Range, window and stream requests are answered on the spot.
+cost).  Stream requests are answered on the spot.
 kNN requests go onto the batching dispatcher's ``deque``; one
 ``call_soon`` wakes an idle dispatcher, which hands what is in flight
 across all connections as one wave to the

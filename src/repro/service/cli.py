@@ -6,10 +6,10 @@ Two modes::
     repro-serve --selftest --clients 8           # CI smoke mode
 
 The self-test starts the asyncio server on an ephemeral port, drives N
-concurrent TCP clients issuing co-located kNN and range queries, and
-verifies every answer against a reference in-process server built from
-the same POIs -- the answers must match bit for bit.  It exits non-zero
-on any mismatch, which is what the ``service-smoke`` CI job checks.
+concurrent TCP clients issuing co-located kNN queries, and verifies
+every answer against a reference in-process server built from the same
+POIs -- the answers must match bit for bit.  It exits non-zero on any
+mismatch, which is what the CI job ``repro-serve (self-test)`` checks.
 With ``--clients 1`` nothing can batch, so it also exits non-zero if an
 answer reports a batch larger than one or the dispatcher held a wave.
 """

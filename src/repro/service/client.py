@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, List, Sequence, Type, TypeVar
 
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, PruningBounds
 from repro.core.backend import QueryAnswer
@@ -24,13 +23,11 @@ from repro.service.protocol import (
     KnnRequest,
     Message,
     ProtocolError,
-    RangeRequest,
     StreamClose,
     StreamHandle,
     StreamItems,
     StreamOpen,
     StreamPull,
-    WindowRequest,
     decode_message,
     encode_message,
 )
@@ -90,20 +87,6 @@ class ServiceClient:
     ) -> List[NeighborResult]:
         """Neighbors-only convenience over :meth:`knn_query_detailed`."""
         return self.knn_query_detailed(query, k, bounds, known_certain).neighbors
-
-    def range_query_detailed(self, center: Point, radius: float) -> QueryAnswer:
-        """Range query over the wire."""
-        reply = self._roundtrip(RangeRequest(next(self._ids), center, radius))
-        return _to_query_answer(_expect(reply, Answer))
-
-    def range_query(self, center: Point, radius: float) -> List[NeighborResult]:
-        """Neighbors-only convenience over :meth:`range_query_detailed`."""
-        return self.range_query_detailed(center, radius).neighbors
-
-    def window_query_detailed(self, window: BoundingBox) -> QueryAnswer:
-        """Window query over the wire."""
-        reply = self._roundtrip(WindowRequest(next(self._ids), window))
-        return _to_query_answer(_expect(reply, Answer))
 
     def incremental_query(self, query: Point) -> Iterator[NeighborResult]:
         """Lazy neighbor stream over the wire.

@@ -33,14 +33,12 @@ from repro.service.protocol import (
     KnnRequest,
     Message,
     ProtocolError,
-    RangeRequest,
     StreamClose,
     StreamEnd,
     StreamHandle,
     StreamItems,
     StreamOpen,
     StreamPull,
-    WindowRequest,
 )
 
 __all__ = ["QueryService", "ServiceSession"]
@@ -102,10 +100,6 @@ class ServiceSession:
         try:
             if isinstance(message, KnnRequest):
                 return self._service.execute_knn_batch([message])[0]
-            if isinstance(message, RangeRequest):
-                return self._range(message)
-            if isinstance(message, WindowRequest):
-                return self._window(message)
             if isinstance(message, StreamOpen):
                 return self._stream_open(message)
             if isinstance(message, StreamPull):
@@ -130,16 +124,6 @@ class ServiceSession:
     # ------------------------------------------------------------------
     # request handlers
     # ------------------------------------------------------------------
-    def _range(self, message: RangeRequest) -> Answer:
-        answer = self._service.server.range_query_detailed(
-            message.center, message.radius
-        )
-        return _reply(message.request_id, answer)
-
-    def _window(self, message: WindowRequest) -> Answer:
-        answer = self._service.server.window_query_detailed(message.window)
-        return _reply(message.request_id, answer)
-
     def _stream_open(self, message: StreamOpen) -> StreamHandle:
         stream_id = next(self._ids)
         self._streams[stream_id] = self._service.server.open_stream(message.query)

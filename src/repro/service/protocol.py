@@ -38,7 +38,6 @@ from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union, cast,
 )
 
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, PruningBounds, Ranked, neighbors_of
 from repro.index.pagestats import AccessBreakdown
@@ -54,14 +53,12 @@ __all__ = [
     "MessageType",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RangeRequest",
     "StreamClose",
     "StreamEnd",
     "StreamHandle",
     "StreamItems",
     "StreamOpen",
     "StreamPull",
-    "WindowRequest",
     "decode_message",
     "encode_message",
     "parse_header",
@@ -83,8 +80,7 @@ class MessageType(enum.IntEnum):
     """Message discriminator carried in the frame header."""
 
     KNN_REQUEST = 0x01
-    RANGE_REQUEST = 0x02
-    WINDOW_REQUEST = 0x03
+    # 0x02 and 0x03 (range and window requests) are retired, never reused.
     STREAM_OPEN = 0x04
     STREAM_PULL = 0x05
     STREAM_CLOSE = 0x06
@@ -131,23 +127,6 @@ class KnnRequest:
     k: int
     bounds: PruningBounds = PruningBounds()
     known_certain: Tuple[NeighborResult, ...] = ()
-
-
-@dataclass(frozen=True)
-class RangeRequest:
-    """All POIs within ``radius`` of ``center``."""
-
-    request_id: int
-    center: Point
-    radius: float
-
-
-@dataclass(frozen=True)
-class WindowRequest:
-    """All POIs inside an axis-aligned window."""
-
-    request_id: int
-    window: BoundingBox
 
 
 @dataclass(frozen=True)
@@ -267,8 +246,6 @@ class ErrorReply:
 
 Message = Union[
     KnnRequest,
-    RangeRequest,
-    WindowRequest,
     StreamOpen,
     StreamPull,
     StreamClose,
@@ -293,7 +270,7 @@ def _finite(value: float, may_be_infinite: bool = False) -> None:
 
 
 def _at_least(value: float, floor: float, name: str) -> None:
-    """Counts are at least 1; radii and distances at least 0."""
+    """Counts are at least 1; distances at least 0."""
     if value < floor:
         raise ProtocolError(f"{name} must be at least {floor}")
 
@@ -465,18 +442,6 @@ _LAYOUTS: Dict[type, _Layout] = {
         lambda rid, x, y, k, lower, upper, known: KnnRequest(
             rid, Point(x, y), k, PruningBounds(lower, upper), known),
         _NEIGHBORS, lambda v: _at_least(v[3], 1, "k"), upper=5,
-    ),
-    RangeRequest: _Layout(
-        MessageType.RANGE_REQUEST, ">Iddd",
-        lambda m: (m.request_id, m.center.x, m.center.y, m.radius),
-        lambda rid, x, y, radius: RangeRequest(rid, Point(x, y), radius),
-        rule=lambda v: _at_least(v[3], 0.0, "radius"),
-    ),
-    WindowRequest: _Layout(
-        MessageType.WINDOW_REQUEST, ">Idddd",
-        lambda m: (m.request_id, m.window.min_x, m.window.min_y,
-                   m.window.max_x, m.window.max_y),
-        lambda rid, *box: WindowRequest(rid, BoundingBox(*box)),
     ),
     StreamOpen: _Layout(
         MessageType.STREAM_OPEN, ">Idd",

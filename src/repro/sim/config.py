@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.geometry.coverage import CoverageMethod
 from repro.core.senn import SennConfig
@@ -44,12 +44,6 @@ __all__ = [
 ]
 
 METERS_PER_MILE = 1609.344
-
-#: How much wider than asked a host's server range query reaches (miles):
-#: the policy-2 analogue for range queries, so the cached certain circle
-#: can cover nearby future queries.
-RANGE_OVERFETCH_MILES = 0.25
-
 
 class MovementMode(enum.Enum):
     """The two movement generator modes of Section 4.1."""
@@ -181,14 +175,9 @@ class SimulationConfig:
     warmup_fraction: float = 0.2
     movement_tick_s: float = 2.0
     pause_max_s: float = 60.0
-    k_range: Optional[Tuple[int, int]] = None  # uniform random k per query
     coverage_method: CoverageMethod = CoverageMethod.EXACT
     polygon_sides: int = 32
     snap_pois_to_roads: bool = True
-    # Section-5 extension: fraction of queries issued as range queries
-    # ("all POIs within range_radius_miles") instead of kNN.
-    range_query_fraction: float = 0.0
-    range_radius_miles: float = 0.25
     cache_history: int = 1  # >1: retain the last N results (extension)
     latency_model: LatencyModel = LatencyModel()
     record_trace: bool = False  # keep a full per-query event trace
@@ -209,14 +198,6 @@ class SimulationConfig:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.movement_tick_s <= 0.0:
             raise ValueError("movement_tick_s must be positive")
-        if self.k_range is not None:
-            low, high = self.k_range
-            if low < 1 or high < low:
-                raise ValueError("k_range must satisfy 1 <= low <= high")
-        if not 0.0 <= self.range_query_fraction <= 1.0:
-            raise ValueError("range_query_fraction must be in [0, 1]")
-        if self.range_radius_miles <= 0.0:
-            raise ValueError("range_radius_miles must be positive")
         if self.poi_clusters is not None and self.poi_clusters < 1:
             raise ValueError("poi_clusters must be at least 1 when set")
         if self.poi_cluster_sigma_miles <= 0.0:
@@ -240,6 +221,5 @@ class SimulationConfig:
             cache_capacity=self.parameters.c_size,
             coverage_method=self.coverage_method,
             polygon_sides=self.polygon_sides,
-            range_overfetch=RANGE_OVERFETCH_MILES,
             cache_history=self.cache_history,
         )

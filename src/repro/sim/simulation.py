@@ -234,24 +234,10 @@ class Simulation:
         peers = [self._locate(self.hosts[peer_id]) for peer_id in peer_ids]
         probes_before = host.peer_probes_sent
         tuples_before = host.tuples_received
-        is_range = (
-            self.config.range_query_fraction > 0.0
-            and self.rng.uniform() < self.config.range_query_fraction
+        k = self.config.parameters.lambda_knn
+        result = host.query_knn(
+            k=k, peers=peers, server=self.backend, timestamp=timestamp
         )
-        if is_range:
-            parameter = self.config.range_radius_miles
-            result = host.query_range(
-                parameter,
-                peers=peers,
-                server=self.backend,
-                timestamp=timestamp,
-            )
-        else:
-            parameter = float(self._choose_k())
-            result = host.query_knn(
-                k=int(parameter), peers=peers, server=self.backend,
-                timestamp=timestamp,
-            )
         probes = host.peer_probes_sent - probes_before
         tuples = host.tuples_received - tuples_before
         latency = self.config.latency_model.query_latency_ms(
@@ -262,8 +248,8 @@ class Simulation:
                 QueryEvent(
                     timestamp=timestamp,
                     host_id=host.host_id,
-                    kind="range" if is_range else "knn",
-                    parameter=parameter,
+                    kind="knn",
+                    parameter=float(k),
                     tier=result.tier,
                     server_pages=result.server_pages,
                     peer_probes=probes,
@@ -281,12 +267,6 @@ class Simulation:
             )
         else:
             self.metrics.warmup_queries += 1
-
-    def _choose_k(self) -> int:
-        if self.config.k_range is not None:
-            low, high = self.config.k_range
-            return int(self.rng.integers(low, high + 1))
-        return self.config.parameters.lambda_knn
 
     def __repr__(self) -> str:
         mode = self.config.movement_mode.value

@@ -29,8 +29,8 @@ class QueryEvent:
 
     timestamp: float  # simulated seconds
     host_id: int
-    kind: str  # "knn" or "range"
-    parameter: float  # k for kNN, radius for range queries
+    kind: str  # "knn", the one query kind (the trace format keeps the column)
+    parameter: float  # the query's k
     tier: ResolutionTier
     server_pages: int
     peer_probes: int

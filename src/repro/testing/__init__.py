@@ -2,8 +2,8 @@
 
 Three cooperating pieces (see ``docs/differential_testing.md``):
 
-- :mod:`repro.testing.oracles` -- brute-force ground truth (kNN, range,
-  window, network kNN) plus a sampling-based re-derivation of the
+- :mod:`repro.testing.oracles` -- brute-force ground truth (kNN and
+  network kNN) plus a sampling-based re-derivation of the
   Lemma 3.2 / 3.8 certainty tests, deliberately independent of
   :mod:`repro.geometry.coverage` and :mod:`repro.index`;
 - :mod:`repro.testing.scenarios` -- a seeded generator of adversarial
@@ -28,8 +28,6 @@ from repro.testing.oracles import (
     certify_single_oracle,
     oracle_knn,
     oracle_network_knn,
-    oracle_range,
-    oracle_window,
 )
 from repro.testing.scenarios import (
     PeerSpec,
@@ -52,8 +50,6 @@ __all__ = [
     "encode_scenario",
     "oracle_knn",
     "oracle_network_knn",
-    "oracle_range",
-    "oracle_window",
     "run_scenario",
     "shrink_scenario",
 ]

@@ -6,8 +6,8 @@ For each :class:`~repro.testing.scenarios.Scenario` the runner
    truth* (the oracle kNN at the peer's location), so cache contents are
    valid by construction;
 2. executes the full cast side by side -- INN, depth-first, EINN (empty
-   and client-derived bounds), SENN, SNNN, naive sharing, sharing-based
-   range and window queries, ``kNN_single`` / ``kNN_multiple``;
+   and client-derived bounds), SENN, SNNN, naive sharing,
+   ``kNN_single`` / ``kNN_multiple``;
 3. diffs every result against the brute-force oracles and checks the
    cross-implementation invariants:
 
@@ -18,8 +18,7 @@ For each :class:`~repro.testing.scenarios.Scenario` the runner
      by distance class), and certified ranks are exact (Lemma 3.7);
    - ``kNN_single`` / ``kNN_multiple`` certainty flags agree with the
      sampling oracle, in both directions (soundness *and* completeness,
-     with margins wide enough for the backends' documented conservatism);
-   - shared range/window answers equal the oracle sets exactly.
+     with margins wide enough for the backends' documented conservatism).
 
 Failures are :class:`CheckFailure` records; :func:`shrink_scenario`
 greedily minimizes a failing scenario (drop POIs/peers, simplify
@@ -33,7 +32,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
 
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.coverage import CoverageMethod
 from repro.geometry.point import Point
 from repro.index.knn import (
@@ -51,7 +49,6 @@ from repro.network.index import DijkstraIndex, HierarchicalIndex
 from repro.core.cache import CachedQueryResult
 from repro.core.heap import CandidateHeap
 from repro.core.naive_sharing import naive_share_query
-from repro.core.range_queries import sharing_range_query, sharing_window_query
 from repro.core.senn import ResolutionTier, SennConfig, senn_query
 from repro.core.server import SpatialDatabaseServer
 from repro.core.snnn import snnn_query
@@ -245,20 +242,6 @@ def _rank_mismatch(
         if ours.payload in seen:
             return f"{label}: duplicate payload {ours.payload!r}"
         seen.add(ours.payload)
-    return None
-
-
-def _set_mismatch(
-    label: str,
-    got: Sequence[NeighborResult],
-    expected: Sequence[oracles.OracleNeighbor],
-) -> Optional[str]:
-    got_set = {n.payload for n in got}
-    expected_set = {n.payload for n in expected}
-    if got_set != expected_set:
-        missing = sorted(map(str, expected_set - got_set))
-        extra = sorted(map(str, got_set - expected_set))
-        return f"{label}: missing {missing}, extra {extra}"
     return None
 
 
@@ -570,45 +553,6 @@ def run_scenario(
         )
         if mismatch:
             fail("naive-sharing", mismatch)
-
-    # -- sharing-based range and window queries ---------------------------
-    if scenario.range_radius is not None:
-        ran("range-query")
-        range_truth = oracles.oracle_range(m.pois, m.query, scenario.range_radius)
-        range_result = sharing_range_query(
-            m.query,
-            scenario.range_radius,
-            m.own_cache,
-            m.peer_caches,
-            m.config,
-            server=server,
-        )
-        mismatch = _set_mismatch(
-            f"range({scenario.range_radius!r}) [{range_result.tier.value}] vs oracle",
-            range_result.neighbors,
-            range_truth,
-        )
-        if mismatch:
-            fail("range-query", mismatch)
-
-        ran("window-query")
-        half = scenario.range_radius * 0.75
-        window = BoundingBox(
-            m.query.x - half, m.query.y - half, m.query.x + half, m.query.y + half
-        )
-        window_truth = oracles.oracle_window(
-            m.pois, window.min_x, window.min_y, window.max_x, window.max_y, m.query
-        )
-        window_result = sharing_window_query(
-            window, m.own_cache, m.peer_caches, m.config, server=server
-        )
-        mismatch = _set_mismatch(
-            f"window [{window_result.tier.value}] vs oracle",
-            window_result.neighbors,
-            window_truth,
-        )
-        if mismatch:
-            fail("window-query", mismatch)
 
     # -- SNNN against the independent network oracle ----------------------
     if scenario.check_network:
@@ -944,8 +888,6 @@ def _shrink_candidates(scenario: Scenario) -> List[Scenario]:
         )
     if scenario.check_network:
         attempt(check_network=False)
-    if scenario.range_radius is not None:
-        attempt(range_radius=None)
     if scenario.use_own_cache:
         attempt(use_own_cache=False)
     if scenario.k > 1:

@@ -2,8 +2,7 @@
 
 Everything in this module recomputes ground truth from first principles:
 
-- :func:`oracle_knn` / :func:`oracle_range` / :func:`oracle_window` scan
-  the raw POI list -- no R-tree, no pruning;
+- :func:`oracle_knn` scans the raw POI list -- no R-tree, no pruning;
 - :func:`certify_single_oracle` / :func:`certify_multi_oracle` re-derive
   the Lemma 3.2 / 3.8 certainty decision by *direct circle-coverage
   sampling* of the candidate disk's boundary, reporting a signed slack
@@ -41,9 +40,7 @@ __all__ = [
     "certify_single_oracle",
     "oracle_knn",
     "oracle_network_knn",
-    "oracle_range",
     "oracle_snap",
-    "oracle_window",
     "tie_key",
 ]
 
@@ -84,39 +81,6 @@ def oracle_knn(
     ]
     scored.sort(key=lambda n: (n.distance, tie_key(n.payload)))
     return scored[:k]
-
-
-def oracle_range(
-    pois: Sequence[Tuple[Point, Any]], query: Point, radius: float
-) -> List[OracleNeighbor]:
-    """All POIs within ``radius`` of ``query`` (closed disk), ascending."""
-    if radius < 0.0:
-        raise ValueError("radius must be non-negative")
-    hits = [
-        OracleNeighbor(point, payload, query.distance_to(point))
-        for point, payload in pois
-        if query.distance_to(point) <= radius
-    ]
-    hits.sort(key=lambda n: (n.distance, tie_key(n.payload)))
-    return hits
-
-
-def oracle_window(
-    pois: Sequence[Tuple[Point, Any]],
-    min_x: float,
-    min_y: float,
-    max_x: float,
-    max_y: float,
-    center: Point,
-) -> List[OracleNeighbor]:
-    """All POIs inside the closed window, ascending by distance to ``center``."""
-    hits = [
-        OracleNeighbor(point, payload, center.distance_to(point))
-        for point, payload in pois
-        if min_x <= point.x <= max_x and min_y <= point.y <= max_y
-    ]
-    hits.sort(key=lambda n: (n.distance, tie_key(n.payload)))
-    return hits
 
 
 # ----------------------------------------------------------------------

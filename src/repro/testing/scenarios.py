@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 __all__ = [
     "PeerSpec",
@@ -72,7 +72,6 @@ class Scenario:
     #: Dyadic-grid scenario: float arithmetic on it is exact, so the
     #: completeness checks may demand certification at slack == 0.0.
     exact: bool = False
-    range_radius: Optional[float] = None
     check_network: bool = False
 
     def __post_init__(self) -> None:
@@ -86,8 +85,6 @@ class Scenario:
             raise ValueError(f"unknown coverage method {self.coverage!r}")
         if self.polygon_sides < 3:
             raise ValueError("polygon_sides must be at least 3")
-        if self.range_radius is not None and self.range_radius < 0.0:
-            raise ValueError("range_radius must be non-negative")
         seen = set()
         for _, _, poi_id in self.pois:
             if not _ID_RE.match(poi_id):
@@ -120,8 +117,6 @@ def encode_scenario(scenario: Scenario) -> str:
         f"net={int(scenario.check_network)}",
         f"q={_fmt(scenario.query[0])}:{_fmt(scenario.query[1])}",
     ]
-    if scenario.range_radius is not None:
-        parts.append(f"r={_fmt(scenario.range_radius)}")
     parts.append(
         "pois="
         + ",".join(f"{_fmt(x)}:{_fmt(y)}:{pid}" for x, y, pid in scenario.pois)
@@ -176,7 +171,6 @@ def decode_scenario(text: str) -> Scenario:
             polygon_sides=int(values.get("sides", "32")),
             use_own_cache=values.get("own", "0") == "1",
             exact=values.get("exact", "0") == "1",
-            range_radius=float(values["r"]) if "r" in values else None,
             check_network=values.get("net", "0") == "1",
         )
     except KeyError as exc:
@@ -252,7 +246,6 @@ class ScenarioGen:
             query=(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)),
             pois=pois,
             peers=peers,
-            range_radius=rng.uniform(0.05, 0.4) if rng.random() < 0.5 else None,
             **self._knobs(rng, exact=False),
         )
 
@@ -276,7 +269,6 @@ class ScenarioGen:
             query=(rng.gauss(cx, 0.05), rng.gauss(cy, 0.05)),
             pois=tuple(pois),
             peers=peers,
-            range_radius=rng.uniform(0.02, 0.2) if rng.random() < 0.5 else None,
             **self._knobs(rng, exact=False),
         )
 
@@ -307,7 +299,6 @@ class ScenarioGen:
             query=(lattice(rng), lattice(rng)),
             pois=pois,
             peers=peers,
-            range_radius=rng.randint(1, 4) / 8.0 if rng.random() < 0.5 else None,
             **knobs,
         )
 
@@ -376,7 +367,6 @@ class ScenarioGen:
             query=(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)),
             pois=pois,
             peers=peers,
-            range_radius=rng.uniform(0.05, 0.4) if rng.random() < 0.3 else None,
             **knobs,
         )
 
@@ -416,6 +406,5 @@ class ScenarioGen:
             query=(lattice(rng), lattice(rng)),
             pois=pois,
             peers=tuple(peers),
-            range_radius=rng.choice((0.0, 0.25, 0.5)) if rng.random() < 0.5 else None,
             **knobs,
         )

@@ -60,7 +60,7 @@ def _fill_cache(data, host):
     """Zero to four stores of every shape a cache can hold, maybe a clear."""
     for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
         kind = data.draw(
-            st.sampled_from(["knn", "empty", "zero radius", "range", "clear"])
+            st.sampled_from(["knn", "empty", "clear"])
         )
         where = Point(
             data.draw(st.floats(min_value=-3.0, max_value=3.0)),
@@ -77,10 +77,6 @@ def _fill_cache(data, host):
             )
         elif kind == "empty":
             host.cache.store(where, [])
-        elif kind == "zero radius":
-            host.cache.store(where, [], known_radius=0.0)
-        elif kind == "range":
-            host.cache.store(where, [], known_radius=1.5)
         else:
             host.cache.clear()
 

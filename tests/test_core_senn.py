@@ -161,7 +161,7 @@ class TestCorrectness:
         result = senn_query(
             Point(5, 5), 3, None, [], SennConfig(k=3), server=server
         )
-        assert result.prefetched == []
+        assert result.prefetched == ()
         assert result.cacheable is result.neighbors
 
     def test_heuristic_orders_peers_by_distance(self):

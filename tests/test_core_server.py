@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.server import SpatialDatabaseServer
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, PruningBounds
 from repro.index.rtree import RTreeConfig
@@ -108,25 +107,6 @@ class TestDetailedAnswers:
         # Single-threaded, the returned breakdown and the counter's last
         # history entry coincide.
         assert answer.pages == server.last_query_breakdown()
-
-    def test_range_query_detailed_returns_own_breakdown(self):
-        server = SpatialDatabaseServer.from_points(make_pois(300))
-        answer = server.range_query_detailed(Point(50, 50), 20.0)
-        assert answer.pages.total > 0
-        assert all(n.distance <= 20.0 for n in answer.neighbors)
-        assert answer.pages == server.last_query_breakdown()
-
-    def test_range_and_window_bill_one_data_record_per_shipped_neighbor(self):
-        server = SpatialDatabaseServer.from_points(make_pois(300))
-        for answer in (
-            server.range_query_detailed(Point(50, 50), 20.0),
-            server.window_query_detailed(BoundingBox(30, 30, 70, 60)),
-        ):
-            pages = answer.pages
-            assert pages.data_records == len(answer.neighbors) > 0
-            assert pages.total == (
-                pages.index_nodes + pages.leaf_nodes + pages.data_records
-            )
 
 
 class TestIncrementalStreamAccounting:

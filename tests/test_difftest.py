@@ -67,9 +67,10 @@ class TestSmoke:
             "senn-certified-ranks",
             "einn-bounds",
             "einn-page-accesses",
+            "service-knn",
+            "service-senn",
+            "service-stream",
             "naive-sharing",
-            "range-query",
-            "window-query",
             "snnn",
         ):
             assert stats.get(check, 0) > 0, f"{check} never ran"

@@ -152,17 +152,6 @@ class TestHostEdgeCases:
         result = host.query_knn(peers=[], server=server)
         assert result.neighbors == []
 
-    def test_range_query_empty_disk_cached(self):
-        """An empty range answer is still cached (empty-disk knowledge)."""
-        server = SpatialDatabaseServer.from_points([(Point(9, 9), "far")])
-        config = SennConfig(k=1, range_overfetch=0.0)
-        host = MobileHost(1, Point(0, 0), config)
-        first = host.query_range(1.0, peers=[], server=server)
-        assert first.neighbors == []
-        second = host.query_range(0.5, peers=[], server=server)
-        assert second.tier is ResolutionTier.LOCAL_CACHE
-        assert server.queries_served == 1
-
 
 class TestMobilityEdgeCases:
     def test_road_trajectory_on_disconnected_network(self):

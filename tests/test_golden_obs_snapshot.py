@@ -5,10 +5,10 @@ window touches; this pins the rest of the catalogue.  One enabled run of
 
 - the two scenarios of ``tests/test_obs_overhead.py`` (SENN tiers, both
   verifiers, both EINN pruning rules, the INN stream, a shared batch
-  traversal, range and window queries),
+  traversal),
 - a dynamically built tree (splits, forced reinserts),
-- two ``LoopbackTransport`` clients of one service (kNN, range, window,
-  a stream each, one request the engine rejects),
+- two ``LoopbackTransport`` clients of one service (kNN and a stream
+  each, one request the engine rejects),
 - one ``TcpTransport`` client of a ``BackgroundServer``, one request in
   flight, and one malformed frame,
 - one ``snnn_query`` and one kNN query per ``NetworkIndex`` on a small
@@ -22,8 +22,11 @@ histograms (``*_s``) keep their ``count`` and ``boundaries`` only.
 
 The snapshot was generated from the per-call
 ``OBS.registry.counter(name, **labels)`` lookups, before the
-:class:`repro.obs.Instrument` handle replaced them.  Regenerate (only
-when the workload or the catalogue changes on purpose) with::
+:class:`repro.obs.Instrument` handle replaced them.  When range and
+window queries were retired their steps left the workload and the file
+was regenerated once; the code from before that retirement writes the
+same bytes for the reduced workload.  Regenerate (only when the
+workload or the catalogue changes on purpose) with::
 
     PYTHONPATH=src:. python tests/test_golden_obs_snapshot.py --regen
 """
@@ -39,7 +42,6 @@ from typing import Dict
 from repro.core.senn import SennConfig
 from repro.core.server import SpatialDatabaseServer
 from repro.core.snnn import snnn_query
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 from repro.network.index import DijkstraIndex, HierarchicalIndex
@@ -47,7 +49,7 @@ from repro.obs import OBS, MetricsRegistry, observed
 from repro.service.asyncserver import BackgroundServer
 from repro.service.client import ServiceClient
 from repro.service.engine import QueryService
-from repro.service.protocol import ErrorReply, RangeRequest
+from repro.service.protocol import ErrorReply, KnnRequest
 from repro.service.transport import LoopbackTransport, TcpTransport
 
 from tests.test_obs_overhead import _quickstart_scenario, _wide_scenario
@@ -64,17 +66,15 @@ def _served_exchange() -> None:
     for index, client in enumerate(clients):
         here = Point(1.0 + index, 2.0)
         client.knn_query(here, 4)
-        client.range_query(here, 0.4)
-        client.window_query_detailed(BoundingBox(here.x, 1.5, here.x + 0.5, 2.5))
         stream = client.incremental_query(here)
         for _ in range(3):
             next(stream)
         stream.close()
     for client in clients:
         client.close()
-    # The codec refuses a negative radius on both sides of the wire, so the
+    # The codec refuses a k below 1 on both sides of the wire, so the
     # engine's own rejection is reached by handing the session the message.
-    reply = service.session().handle(RangeRequest(9, Point(1.0, 2.0), -1.0))
+    reply = service.session().handle(KnnRequest(9, Point(1.0, 2.0), -1))
     assert isinstance(reply, ErrorReply)
 
     with BackgroundServer(SpatialDatabaseServer.from_points(pois)) as running:

@@ -9,8 +9,11 @@ code against the committed snapshot ``tests/golden/page_histories.json``.
 
 The snapshot was generated from the scalar (pre-vectorization)
 implementation, so a green run proves the rewrite is page-identical,
-not just statistically close.  Regenerate (only when the workload
-itself changes, never to paper over a drift) with::
+not just statistically close.  When range and window queries were
+retired their steps left the workload and the file was regenerated
+once; the code from before that retirement writes the same bytes for
+the reduced workload.  Regenerate (only when the workload itself
+changes, never to paper over a drift) with::
 
     PYTHONPATH=src python tests/test_golden_page_history.py --regen
 """
@@ -24,7 +27,6 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import (
     NeighborResult,
@@ -124,17 +126,6 @@ def _scenario_history(scenario: Scenario) -> Dict[str, Any]:
     )
     counter.finish_query()
 
-    counter.start_query()
-    tree.range_search(
-        BoundingBox(query.x - kth, query.y - kth, query.x + kth, query.y + kth),
-        counter,
-    )
-    counter.finish_query()
-
-    counter.start_query()
-    tree.circle_search(query, kth, counter)
-    counter.finish_query()
-
     return {"history": [_breakdown_row(b) for b in counter.history]}
 
 
@@ -193,14 +184,6 @@ def _seed_tree_workloads() -> Dict[str, Any]:
                 counter.finish_query()
                 counter.start_query()
                 k_nearest_einn(tree, query, 8, counter=counter)
-                counter.finish_query()
-                counter.start_query()
-                tree.circle_search(query, 2.0, counter)
-                counter.finish_query()
-                counter.start_query()
-                tree.range_search(
-                    BoundingBox(qx - 1.5, qy - 1.5, qx + 1.5, qy + 1.5), counter
-                )
                 counter.finish_query()
             node_reads = {
                 "leaf": leaf_counter.value - base_leaf,

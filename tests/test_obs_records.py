@@ -25,7 +25,6 @@ from repro.core import MobileHost, SennConfig, SpatialDatabaseServer
 from repro.core.cache import CachedQueryResult
 from repro.core.heap import CandidateHeap
 from repro.core.senn import ResolutionTier, senn_query
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult
 from repro.index.rtree import RTree, RTreeConfig
@@ -178,9 +177,8 @@ class TestRaisingQuery:
         assert not any(name.startswith(("senn.", "bounds.")) for name in raised)
 
 
-    @pytest.mark.parametrize("kind", ["range", "window"])
     def test_a_search_that_raises_after_its_first_node_counts_that_node(
-        self, registry, monkeypatch, kind
+        self, registry, monkeypatch
     ):
         server = SpatialDatabaseServer.from_points(
             _stations(), tree_config=RTreeConfig(max_entries=4)
@@ -196,10 +194,7 @@ class TestRaisingQuery:
 
         monkeypatch.setattr(RTree, "read_node", staticmethod(first_then_raise))
         with pytest.raises(RuntimeError):
-            if kind == "range":
-                server.range_query_detailed(Point(1.0, 0.3), 5.0)
-            else:
-                server.window_query_detailed(BoundingBox(-1.0, -1.0, 5.0, 5.0))
+            server.knn_query_detailed(Point(1.0, 0.3), 5)
         assert not read[0].is_leaf  # the root, above the leaves
         assert registry.snapshot() == {"rtree.node_reads{kind=index}": 1.0}
 

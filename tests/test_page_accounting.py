@@ -11,9 +11,8 @@ import pathlib
 
 import numpy as np
 
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
-from repro.index.knn import k_nearest_einn
+from repro.index.knn import k_nearest, k_nearest_einn
 from repro.index.pagestats import PageAccessCounter
 from repro.index.rtree import RTree
 from repro.core.server import SpatialDatabaseServer
@@ -54,7 +53,7 @@ class TestPageAccounting:
             k_nearest_einn(tree, query, scenario.k, counter=counter)
             counter.finish_query()
             counter.start_query()
-            tree.circle_search(query, 1.0, counter)
+            k_nearest(tree, query, scenario.k, counter=counter)
             counter.finish_query()
             assert len(counter.history) == 2
             assert verify_conservation(counter) == []
@@ -73,24 +72,22 @@ class TestPageAccounting:
             qrng = np.random.default_rng(seed)
             query = Point(float(qrng.uniform(0, 4)), float(qrng.uniform(0, 4)))
             client.knn_query_detailed(query, 5)
-        client.range_query_detailed(Point(2.0, 2.0), 0.6)
-        client.window_query_detailed(BoundingBox(0.5, 0.5, 2.0, 2.0))
-        assert len(history) == 5
+        assert len(history) == 3
         stream = client.incremental_query(Point(1.0, 1.0))
         for _ in range(5):
             next(stream)
-        assert len(history) == 5  # an open stream has folded nothing
+        assert len(history) == 3  # an open stream has folded nothing
         stream.close()
-        assert len(history) == 6
+        assert len(history) == 4
         # A second stream is deliberately left open: closing the
         # transport (-> the session) must fold it, once.
         dangling = client.incremental_query(Point(3.0, 3.0))
         next(dangling)
-        assert len(history) == 6
+        assert len(history) == 4
         transport.close()
-        assert len(history) == 7
+        assert len(history) == 5
         del dangling
-        assert len(history) == 7
+        assert len(history) == 5
         assert verify_conservation(server.counter) == []
 
     def test_a_stream_left_open_is_a_leftover(self):

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.core.server import SpatialDatabaseServer
 from repro.obs import DEFAULT_TIME_BUCKETS_S, OBS, MetricsRegistry, observed
@@ -35,11 +34,9 @@ from repro.service.protocol import (
     ErrorReply,
     KnnRequest,
     MessageType,
-    RangeRequest,
     StreamClose,
     StreamOpen,
     StreamPull,
-    WindowRequest,
     decode_message,
     encode_message,
 )
@@ -208,19 +205,17 @@ class TestTcpServing:
             sock.settimeout(5.0)
             assert sock.recv(1) == b""
 
-    def test_negative_radius_is_malformed_and_closes_the_connection(
-        self, running_server
-    ):
+    def test_zero_k_is_malformed_and_closes_the_connection(self, running_server):
         # The decoder rejects the value before any session sees it, so the
         # stream is dropped; the header parsed and the whole frame arrived,
         # so the reply still carries the payload's leading request id.
         running, _ = running_server
-        payload = struct.pack(">Iddd", 42, 1.0, 1.0, -1.0)
+        payload = struct.pack(">IddHddI", 42, 1.0, 1.0, 0, 0.0, 1.0, 0)
         header = struct.pack(
             ">2sBBI",
             MAGIC,
             PROTOCOL_VERSION,
-            int(MessageType.RANGE_REQUEST),
+            int(MessageType.KNN_REQUEST),
             len(payload),
         )
         with socket.create_connection(running.address, timeout=5.0) as sock:
@@ -245,7 +240,7 @@ class TestTcpServing:
     ):
         running, _ = running_server
         header = struct.pack(
-            ">2sBBI", *header_fields, int(MessageType.RANGE_REQUEST), len(payload)
+            ">2sBBI", *header_fields, int(MessageType.KNN_REQUEST), len(payload)
         )
         with socket.create_connection(running.address, timeout=5.0) as sock:
             sock.sendall(header + payload)
@@ -255,6 +250,30 @@ class TestTcpServing:
             assert reply.request_id == 0
             sock.settimeout(5.0)
             assert sock.recv(1) == b""
+
+    @pytest.mark.parametrize("retired", [0x02, 0x03])
+    def test_a_retired_type_is_answered_like_an_unassigned_one(
+        self, running_server, retired
+    ):
+        """Range (0x02) and window (0x03) requests are retired: a frame of
+        either type gets what an unassigned type (0x07) gets, an
+        UNSUPPORTED error, and then the connection closes."""
+        running, _ = running_server
+
+        def exchange(mtype):
+            payload = struct.pack(">Iddd", 42, 1.0, 1.0, 1.0)
+            header = struct.pack(">2sBBI", MAGIC, PROTOCOL_VERSION, mtype, len(payload))
+            with socket.create_connection(running.address, timeout=5.0) as sock:
+                sock.sendall(header + payload)
+                reply = _read_frame(sock)
+                sock.settimeout(5.0)
+                closed = sock.recv(1) == b""
+            assert isinstance(reply, ErrorReply)
+            assert reply.message == f"unknown message type: {mtype}"
+            return reply.request_id, reply.code, closed
+
+        assert exchange(retired) == exchange(0x07)
+        assert exchange(retired)[1:] == (ErrorCode.UNSUPPORTED, True)
 
     def test_unknown_stream_pull_is_a_bad_stream_error(self, running_server):
         from repro.service.protocol import StreamPull
@@ -278,7 +297,7 @@ def framing_server():
         yield running
 
 
-_FRAME_KINDS = ("knn", "range", "window", "open", "pull", "close")
+_FRAME_KINDS = ("knn", "open", "pull", "close")
 
 
 def _mixed_frames(kinds):
@@ -293,12 +312,6 @@ def _mixed_frames(kinds):
         if kind == "knn":
             knn_ids.add(request_id)
             message = KnnRequest(request_id, here, 4)
-        elif kind == "range":
-            message = RangeRequest(request_id, here, 0.3)
-        elif kind == "window":
-            message = WindowRequest(
-                request_id, BoundingBox(here.x, here.y, here.x + 0.4, here.y + 0.3)
-            )
         elif kind == "open":
             opened += 1
             message = StreamOpen(request_id, here)
@@ -353,7 +366,7 @@ class TestFraming:
     def test_malformed_header_after_two_good_frames(self, framing_server):
         """Both requests are answered, then the error, then EOF."""
         good = encode_message(KnnRequest(1, Point(1.0, 1.0), 3)) + encode_message(
-            RangeRequest(2, Point(2.0, 2.0), 0.3)
+            StreamOpen(2, Point(2.0, 2.0))
         )
         with socket.create_connection(framing_server.address, timeout=5.0) as sock:
             sock.sendall(good + b"XX\x01\x01\x00\x00\x00\x00")
@@ -954,7 +967,7 @@ class TestRepliesTheWireCannotCarry:
         pois = make_pois(count=50) + [(Point(1.0, 1.0), ("not", "a", "label"))]
         with BackgroundServer(make_server(pois), ServiceConfig()) as running:
             with socket.create_connection(running.address, timeout=5.0) as sock:
-                sock.sendall(encode_message(RangeRequest(7, Point(1.0, 1.0), 0.01)))
+                sock.sendall(encode_message(KnnRequest(7, Point(1.0, 1.0), 1)))
                 error = _read_frame(sock)
                 _send_burst(sock, 8, [Point(3.6, 3.6)])  # far from the tuple
                 after = _read_frame(sock)

@@ -10,7 +10,6 @@ is the in-tree version of the difftest's ``service-*`` checks.
 import numpy as np
 import pytest
 
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import PruningBounds
 from repro.core.senn import SennConfig, senn_query
@@ -65,30 +64,6 @@ class TestQueriesMatchDirect:
         direct_answer = reference.knn_query_detailed(query, 4, bounds, known)
         assert answer_key(served_answer.neighbors) == answer_key(direct_answer.neighbors)
         assert served_answer.pages == direct_answer.pages
-
-    def test_range_and_window_match(self):
-        pois = make_pois(seed=2)
-        _, client, direct = served_and_direct(pois)
-        ranged = client.range_query_detailed(Point(2.0, 2.0), 0.7)
-        expected = direct.range_query_detailed(Point(2.0, 2.0), 0.7)
-        assert answer_key(ranged.neighbors) == answer_key(expected.neighbors)
-        assert ranged.pages == expected.pages
-        window = BoundingBox(0.5, 0.5, 2.5, 1.5)
-        windowed = client.window_query_detailed(window)
-        expected = direct.window_query_detailed(window)
-        assert answer_key(windowed.neighbors) == answer_key(expected.neighbors)
-        assert windowed.pages == expected.pages
-        # One data record per shipped neighbor survives the wire
-        # (``Answer.breakdown``); served == direct alone would also hold
-        # if both sides billed none.
-        for pages, shipped in (
-            (ranged.pages, len(ranged.neighbors)),
-            (windowed.pages, len(windowed.neighbors)),
-        ):
-            assert pages.data_records == shipped > 0
-            assert pages.total == (
-                pages.index_nodes + pages.leaf_nodes + pages.data_records
-            )
 
     def test_incremental_stream_prefix_matches(self):
         pois = make_pois(seed=3)

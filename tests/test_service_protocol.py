@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult, PruningBounds
 from repro.index.pagestats import AccessBreakdown
@@ -30,14 +29,12 @@ from repro.service.protocol import (
     KnnRequest,
     MessageType,
     ProtocolError,
-    RangeRequest,
     StreamClose,
     StreamEnd,
     StreamHandle,
     StreamItems,
     StreamOpen,
     StreamPull,
-    WindowRequest,
     decode_message,
     encode_message,
     parse_header,
@@ -90,19 +87,8 @@ def breakdowns(draw):
     )
 
 
-@st.composite
-def windows(draw):
-    min_x = draw(finite)
-    min_y = draw(finite)
-    return BoundingBox(
-        min_x, min_y, min_x + draw(nonneg), min_y + draw(nonneg)
-    )
-
-
 messages = st.one_of(
     st.builds(KnnRequest, request_ids, points, small_counts, bounds, neighbor_tuples),
-    st.builds(RangeRequest, request_ids, points, nonneg),
-    st.builds(WindowRequest, request_ids, windows()),
     st.builds(StreamOpen, request_ids, points),
     st.builds(StreamPull, request_ids, stream_ids, small_counts),
     st.builds(StreamClose, request_ids, stream_ids),
@@ -232,6 +218,13 @@ class TestFraming:
     def test_unknown_message_type(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_header(frame(0x7E, b"")[:HEADER_SIZE])
+        assert excinfo.value.code is ErrorCode.UNSUPPORTED
+
+    @pytest.mark.parametrize("retired", [0x02, 0x03])
+    def test_retired_message_types_are_unknown(self, retired):
+        """0x02 and 0x03 (range and window requests) are not reused."""
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_header(frame(retired, b"")[:HEADER_SIZE])
         assert excinfo.value.code is ErrorCode.UNSUPPORTED
 
     def test_oversized_declared_length_rejected_before_allocation(self):

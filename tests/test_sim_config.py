@@ -130,12 +130,6 @@ class TestSimulationConfig:
         config = SimulationConfig(parameters=los_angeles_2x2(), t_execution_s=120.0)
         assert config.duration_s == 120.0
 
-    def test_k_range_validation(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(parameters=los_angeles_2x2(), k_range=(0, 5))
-        with pytest.raises(ValueError):
-            SimulationConfig(parameters=los_angeles_2x2(), k_range=(5, 2))
-
     def test_warmup_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(parameters=los_angeles_2x2(), warmup_fraction=1.0)

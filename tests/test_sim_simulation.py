@@ -86,11 +86,6 @@ class TestRun:
         metrics = sim.run()
         assert metrics.total_queries > 0
 
-    def test_k_range_sampling(self):
-        sim = Simulation(quick_config(k_range=(1, 9)))
-        metrics = sim.run()
-        assert metrics.total_queries > 0
-
     def test_server_pages_accounted(self):
         sim = Simulation(quick_config())
         metrics = sim.run()

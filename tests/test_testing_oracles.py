@@ -14,8 +14,6 @@ from repro.testing.oracles import (
     certify_single_oracle,
     oracle_knn,
     oracle_network_knn,
-    oracle_range,
-    oracle_window,
     tie_key,
 )
 
@@ -51,19 +49,6 @@ class TestEuclideanOracles:
         payloads = [0, 1, 2.5, -3, "a", "p10", "p2", "", True, None, 10**6]
         for payload in payloads:
             assert tie_key(payload) == poi_tie_key(payload)
-
-    def test_range_closed_disk(self):
-        got = oracle_range(POIS, Point(0.0, 0.0), 1.0)
-        assert {n.payload for n in got} == {"origin", "east", "north"}
-        assert [n.payload for n in got] == ["origin", "east", "north"]
-
-    def test_range_zero_radius(self):
-        got = oracle_range(POIS, Point(1.0, 1.0), 0.0)
-        assert [n.payload for n in got] == ["corner"]
-
-    def test_window_closed_bounds(self):
-        got = oracle_window(POIS, 0.0, 0.0, 1.0, 1.0, Point(0.0, 0.0))
-        assert [n.payload for n in got] == ["origin", "east", "north", "corner"]
 
 
 class TestCertifySingle:

@@ -20,7 +20,6 @@ SAMPLE = Scenario(
     polygon_sides=16,
     use_own_cache=True,
     exact=False,
-    range_radius=0.2,
     check_network=True,
 )
 
@@ -67,7 +66,6 @@ class TestCodec:
         assert scenario.cache_capacity == 8
         assert scenario.coverage == "exact"
         assert scenario.peers == ()
-        assert scenario.range_radius is None
 
     def test_rejects_wrong_version(self):
         with pytest.raises(ValueError):
@@ -133,7 +131,6 @@ class TestScenarioGen:
             any(p.cache_k == 0 for p in s.peers) for s in scenarios
         ), "no cold caches generated"
         assert any(s.k > len(s.pois) for s in scenarios), "no k beyond POI count"
-        assert any(s.range_radius == 0.0 for s in scenarios), "no zero-radius range"
         assert any(s.coverage == "polygon" for s in scenarios)
         assert any(s.exact for s in scenarios)
         assert any(s.check_network for s in scenarios)
