@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core import SennConfig, SpatialDatabaseServer, snnn_query
 from repro.geometry.point import Point
-from repro.network.dijkstra import network_distance
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 from repro.network.ier import incremental_network_expansion
 from repro.sim.mobility import RoadTrajectory

@@ -27,7 +27,7 @@ from repro.io import (
     save_pois,
     write_figure_csv,
 )
-from repro.network.dijkstra import network_distance
+from repro.network.dijkstra import DijkstraSearch, network_distance, origin_seeds
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 
 
@@ -69,8 +69,10 @@ def main() -> None:
     loc_b = network2.snap(q)
     target_a = network.snap(pois[0][0])
     target_b = network2.snap(pois2[0][0])
-    nd_a = network_distance(network, loc_a, target_a)
-    nd_b = network_distance(network2, loc_b, target_b)
+    search_a = DijkstraSearch(network, origin_seeds(loc_a))
+    search_b = DijkstraSearch(network2, origin_seeds(loc_b))
+    nd_a = network_distance(search_a, loc_a, target_a)
+    nd_b = network_distance(search_b, loc_b, target_b)
     assert abs(nd_a - nd_b) < 1e-9
     print(f"network distances match after reload ({nd_a:.4f} mi)")
 

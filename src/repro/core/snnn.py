@@ -14,7 +14,14 @@ Restriction (Section 3.4):
 
 The incremental stream is exactly IER's contract, so the implementation
 delegates the loop to
-:func:`repro.network.ier.incremental_euclidean_restriction`.
+:func:`repro.network.ier.incremental_euclidean_restriction`.  Every
+candidate is measured from the same snapped query location, so one query
+opens one :class:`~repro.network.dijkstra.DijkstraSearch` and
+:func:`~repro.network.dijkstra.network_distance` resumes it per candidate
+only as far as that candidate's endpoints need, and never past IER's
+current ``S_bound``: a candidate beyond it cannot enter the answer.
+Settled distances do not depend on where a search stops, so each float
+equals what a fresh search would give.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple
 from repro.geometry.point import Point
 from repro.geometry.tolerance import near_zero
 from repro.index.knn import NeighborResult, poi_key
-from repro.network.dijkstra import network_distance
+from repro.network.dijkstra import DijkstraSearch, network_distance, origin_seeds
 from repro.network.graph import SpatialNetwork
 from repro.network.ier import NetworkNeighbor, incremental_euclidean_restriction
 from repro.core.cache import CachedQueryResult
@@ -78,6 +85,7 @@ def snnn_query(
         raise ValueError("k must be at least 1")
 
     origin = network.snap(query)
+    search = DijkstraSearch(network, origin_seeds(origin))
     # The query host may stand slightly off the network; IER's stop rule
     # needs ED <= ND, which only holds between *on-network* locations.
     # Shrinking every Euclidean distance by the snap displacement restores
@@ -116,8 +124,10 @@ def snnn_query(
             stats["server"] += 1
             yield adjusted(neighbor)
 
-    def network_distance_of(candidate: NeighborResult) -> float:
-        return network_distance(network, origin, network.snap(candidate.point))
+    def network_distance_of(candidate: NeighborResult, bound: float) -> float:
+        return network_distance(
+            search, origin, network.snap(candidate.point), bound
+        )
 
     neighbors = incremental_euclidean_restriction(
         euclidean_stream(), network_distance_of, k

@@ -1,7 +1,7 @@
 """Axis-aligned bounding boxes (minimum bounding rectangles).
 
 These are the MBRs stored in R-tree entries.  Besides the usual box
-algebra (union, intersection, containment) the class provides the three
+algebra (union, overlap, containment) the class provides the two
 point-to-box metrics spatial NN search relies on:
 
 - ``mindist`` -- the MINDIST metric of Roussopoulos et al.: the smallest
@@ -9,17 +9,14 @@ point-to-box metrics spatial NN search relies on:
 - ``maxdist`` -- the largest possible distance from the query point to a
   point of the box.  The paper's EINN algorithm (Section 3.3) prunes any
   MBR whose MAXDIST falls below the branch-expanding *lower* bound,
-  because every object in such a box is already known to be certain;
-- ``minmaxdist`` -- the classic MINMAXDIST upper bound on the distance to
-  the nearest object guaranteed to be inside the box (provided for the
-  depth-first baseline).
+  because every object in such a box is already known to be certain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.geometry.point import Point
 
@@ -67,23 +64,6 @@ class BoundingBox:
             max_y = max(max_y, point.y)
         return cls(min_x, min_y, max_x, max_y)
 
-    @classmethod
-    def union_all(cls, boxes: Iterable["BoundingBox"]) -> "BoundingBox":
-        """Smallest box covering all ``boxes`` (must be non-empty)."""
-        iterator = iter(boxes)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            raise ValueError("union_all() requires at least one box") from None
-        min_x, min_y = first.min_x, first.min_y
-        max_x, max_y = first.max_x, first.max_y
-        for box in iterator:
-            min_x = min(min_x, box.min_x)
-            min_y = min(min_y, box.min_y)
-            max_x = max(max_x, box.max_x)
-            max_y = max(max_y, box.max_y)
-        return cls(min_x, min_y, max_x, max_y)
-
     # ------------------------------------------------------------------
     # box algebra
     # ------------------------------------------------------------------
@@ -100,11 +80,6 @@ class BoundingBox:
         return self.width * self.height
 
     @property
-    def margin(self) -> float:
-        """Half-perimeter; the R*-tree split heuristic minimizes this."""
-        return self.width + self.height
-
-    @property
     def center(self) -> Point:
         return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
 
@@ -117,24 +92,11 @@ class BoundingBox:
             max(self.max_y, other.max_y),
         )
 
-    def intersection(self, other: "BoundingBox") -> Optional["BoundingBox"]:
-        """Overlapping region, or ``None`` when the boxes are disjoint."""
-        min_x = max(self.min_x, other.min_x)
-        min_y = max(self.min_y, other.min_y)
-        max_x = min(self.max_x, other.max_x)
-        max_y = min(self.max_y, other.max_y)
-        if min_x > max_x or min_y > max_y:
-            return None
-        return BoundingBox(min_x, min_y, max_x, max_y)
-
     def overlap_area(self, other: "BoundingBox") -> float:
         """Area of the overlap with ``other`` (0.0 when disjoint)."""
-        overlap = self.intersection(other)
-        return 0.0 if overlap is None else overlap.area
-
-    def enlargement(self, other: "BoundingBox") -> float:
-        """Area growth needed to absorb ``other`` (R-tree ChooseSubtree)."""
-        return self.union(other).area - self.area
+        width = min(self.max_x, other.max_x) - max(self.min_x, other.min_x)
+        height = min(self.max_y, other.max_y) - max(self.min_y, other.min_y)
+        return 0.0 if width < 0.0 or height < 0.0 else width * height
 
     def intersects(self, other: "BoundingBox") -> bool:
         """True when the closed boxes share at least one point."""
@@ -180,25 +142,3 @@ class BoundingBox:
         dx = max(point.x - self.min_x, self.max_x - point.x)
         dy = max(point.y - self.min_y, self.max_y - point.y)
         return math.hypot(dx, dy)
-
-    def minmaxdist(self, point: Point) -> float:
-        """MINMAXDIST: upper bound on the NN distance within a non-empty box.
-
-        Defined by Roussopoulos et al. as the minimum over the box faces of
-        the maximal distance to the nearer half of that face.  Any object
-        pruned at a distance above MINMAXDIST cannot be the nearest
-        neighbor.
-        """
-        # Midpoints of the box along each axis decide the "nearer" face.
-        rm_x = self.min_x if point.x <= (self.min_x + self.max_x) / 2.0 else self.max_x
-        rm_y = self.min_y if point.y <= (self.min_y + self.max_y) / 2.0 else self.max_y
-        # Farthest corner along each axis.
-        r_far_x = self.min_x if point.x >= (self.min_x + self.max_x) / 2.0 else self.max_x
-        r_far_y = self.min_y if point.y >= (self.min_y + self.max_y) / 2.0 else self.max_y
-        candidate_x = math.hypot(point.x - rm_x, point.y - r_far_y)
-        candidate_y = math.hypot(point.x - r_far_x, point.y - rm_y)
-        return min(candidate_x, candidate_y)
-
-    def fully_inside_circle(self, center: Point, radius: float) -> bool:
-        """True when every point of the box is within ``radius`` of ``center``."""
-        return self.maxdist(center) <= radius

@@ -212,7 +212,7 @@ class Node:
         """MBR of all entries (node must be non-empty).
 
         Reduced over the column mirror: one exact ``min``/``max`` per
-        bound, the same values the scalar ``union_all`` chain produced
+        bound, the same values a scalar min/max chain over the entries gives
         (min/max are order-independent; a zero's sign never feeds any
         comparison downstream of ``hypot``'s absolute values).
         """

@@ -10,8 +10,11 @@ back.  It walks the network's flat
 best distances and predecessors in lists by node id.  The functions are
 thin wrappers over it: one node-to-node path, one source's whole tree
 (the road-network mobility model plans trips from one per start node),
-and how an *on-edge* location seeds a search and folds a destination's
-two endpoint distances into its exact network distance.
+how an *on-edge* location seeds a search (:func:`origin_seeds`), and
+:func:`network_distance`, the one network-distance function, which folds
+a destination's two endpoint distances into its exact distance on a
+search the caller owns.  A one-shot caller builds the search inline;
+SNNN opens one per query and measures every candidate on it.
 
 Settled values and settle order are a function of the seeds and the graph
 alone: the frontier orders by ``(distance, node id)`` and a node is pushed
@@ -40,7 +43,6 @@ __all__ = [
     "shortest_path",
     "shortest_path_tree",
     "origin_seeds",
-    "distance_from",
     "network_distance",
 ]
 
@@ -117,11 +119,12 @@ class DijkstraSearch:
                 return node
         return None
 
-    def settle(self, node: int) -> float:
-        """Exact distance to ``node`` (``inf`` when unreachable),
-        expanding the search only as far as needed."""
+    def settle(self, node: int, bound: float = math.inf) -> float:
+        """Exact distance to ``node``, expanding the search only as far as
+        needed and never past ``bound``; ``inf`` when ``node`` is
+        unreachable, or lies beyond ``bound`` and is not settled yet."""
         if node not in self.settled:
-            self.expand((node,))
+            self.expand((node,), bound)
         return self.settled.get(node, math.inf)
 
     def path_to(self, node: int) -> Optional[List[int]]:
@@ -168,30 +171,29 @@ def origin_seeds(origin: NetworkLocation) -> List[Tuple[int, float]]:
     ]
 
 
-def distance_from(
-    search: DijkstraSearch, origin: NetworkLocation, destination: NetworkLocation
+def network_distance(
+    search: DijkstraSearch,
+    origin: NetworkLocation,
+    destination: NetworkLocation,
+    bound: float = math.inf,
 ) -> float:
-    """Distance to ``destination`` on a search seeded by ``origin_seeds(origin)``.
+    """Exact shortest network distance from ``origin`` to ``destination``;
+    ``inf`` when they are disconnected or farther apart than ``bound``.
 
+    ``search`` must be seeded by ``origin_seeds(origin)``; it is resumed
+    only as far as the destination's endpoints need and never past
+    ``bound``, so one search measures any number of destinations from
+    the same origin, each with the float a fresh search would give.
     Both the direct along-edge route (when the two locations share an
     edge) and the routes through the destination's endpoints are
-    considered; the minimum wins.  ``inf`` when disconnected.
+    considered; the minimum wins.
     """
     best = math.inf
     if origin.edge.key() == destination.edge.key():
         best = abs(origin.offset - destination.offset)
-    via_u = search.settle(destination.edge.u) + destination.offset
-    via_v = search.settle(destination.edge.v) + destination.offset_from_v
-    return min(best, via_u, via_v)
-
-
-def network_distance(
-    network: SpatialNetwork,
-    origin: NetworkLocation,
-    destination: NetworkLocation,
-) -> float:
-    """Exact shortest network distance between two on-edge locations
-    (``inf`` when they are disconnected)."""
-    return distance_from(
-        DijkstraSearch(network, origin_seeds(origin)), origin, destination
-    )
+    via_u = search.settle(destination.edge.u, bound) + destination.offset
+    via_v = search.settle(destination.edge.v, bound) + destination.offset_from_v
+    distance = min(best, via_u, via_v)
+    # An endpoint settled by an earlier, wider call may give a route
+    # beyond ``bound``; a fresh search would not have reached it.
+    return distance if distance <= bound else math.inf

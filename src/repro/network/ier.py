@@ -52,16 +52,19 @@ class NetworkNeighbor:
 
 def incremental_euclidean_restriction(
     euclidean_source: Iterator[NeighborResult],
-    network_distance_of: Callable[[NeighborResult], float],
+    network_distance_of: Callable[[NeighborResult, float], float],
     k: int,
 ) -> List[NetworkNeighbor]:
     """IER-kNN over an incremental Euclidean neighbor stream.
 
     ``euclidean_source`` must yield neighbors in ascending Euclidean
-    distance; ``network_distance_of`` evaluates the (expensive) network
-    metric.  Stops as soon as the next Euclidean distance exceeds the
-    k-th best network distance found so far (the search upper bound
-    ``S_bound`` of Algorithm 2).
+    distance; ``network_distance_of(candidate, bound)`` evaluates the
+    (expensive) network metric.  ``bound`` is the k-th best network
+    distance found so far (the search upper bound ``S_bound`` of
+    Algorithm 2, ``inf`` until k are found): a candidate farther than
+    it cannot enter the answer, so the function may report it as
+    ``inf`` instead of measuring it.  Stops as soon as the next
+    Euclidean distance exceeds ``S_bound``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -77,7 +80,7 @@ def incremental_euclidean_restriction(
     for candidate in euclidean_source:
         if candidate.distance > bound():
             break
-        nd = network_distance_of(candidate)
+        nd = network_distance_of(candidate, bound())
         if math.isinf(nd):
             continue
         if nd < bound() or len(best) < k:

@@ -3,8 +3,8 @@
 Two engines for exact network distances and ranked network kNN over a
 registered POI set, both reading every reported distance off the one
 Dijkstra kernel (:class:`repro.network.dijkstra.DijkstraSearch`).  SNNN
-itself does not use them -- ``snnn_query`` calls
-:func:`repro.network.dijkstra.network_distance` per candidate -- their
+itself does not use them -- ``snnn_query`` resumes one search per query
+through :func:`repro.network.dijkstra.network_distance` -- their
 callers are the ``network-index`` difftest check, the loader tests and
 the benchmark's traced pass (``docs/network.md`` records the verdict on
 the hierarchy).
@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.geometry.vecmath import FloatArray
 from repro.index.knn import TieKey, poi_tie_key
-from repro.network.dijkstra import DijkstraSearch, distance_from, origin_seeds
+from repro.network.dijkstra import DijkstraSearch, network_distance, origin_seeds
 from repro.network.graph import NetworkLocation, SpatialNetwork
 from repro.network.ier import NetworkNeighbor
 from repro.obs import OBS, Counter, Instrument
@@ -121,7 +121,8 @@ class NetworkIndex(Protocol):
 
     - :meth:`network_distance` returns the *exact* shortest network
       distance (``inf`` when disconnected), bit-identical to
-      :func:`repro.network.dijkstra.network_distance`;
+      :func:`repro.network.dijkstra.network_distance` on a search seeded
+      at the origin;
     - :meth:`knn` ranks the registered POIs by
       ``(network_distance, poi_tie_key(payload))`` exactly as
       ``repro.testing.oracles.oracle_network_knn`` does, including
@@ -193,7 +194,7 @@ class DijkstraIndex:
         """Exact distance via a fresh endpoint-targeted Dijkstra."""
         self._stats.distance_queries += 1
         search = DijkstraSearch(self._network, origin_seeds(origin))
-        distance = distance_from(search, origin, destination)
+        distance = network_distance(search, origin, destination)
         self._stats.settled_vertices += len(search.settled)
         return distance
 
@@ -217,7 +218,7 @@ class DijkstraIndex:
             _SETTLED_VERTICES("dijkstra").inc(settled)
         ranked: List[Tuple[float, TieKey, int, NetworkLocation, Any]] = []
         for order, (location, payload) in enumerate(self._pois):
-            distance = distance_from(search, origin, location)
+            distance = network_distance(search, origin, location)
             ranked.append(
                 (distance, poi_tie_key(payload), order, location, payload)
             )
@@ -375,7 +376,7 @@ class HierarchicalIndex:
             return math.inf
         search = self._search_for(origin)
         before = len(search.settled)
-        distance = distance_from(search, origin, destination)
+        distance = network_distance(search, origin, destination)
         self._stats.settled_vertices += len(search.settled) - before
         return distance
 
@@ -492,7 +493,7 @@ class HierarchicalIndex:
                 if self._component[location.edge.u] != origin_comp:
                     distance = math.inf
                 else:
-                    distance = distance_from(search, origin, location)
+                    distance = network_distance(search, origin, location)
                 bounds[ref] = distance
                 self._stats.pois_refined += 1
                 refined.append(

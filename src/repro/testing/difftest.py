@@ -43,7 +43,7 @@ from repro.index.knn import (
 )
 from repro.index.pagestats import PageAccessCounter
 from repro.index.rtree import RTree
-from repro.network.dijkstra import network_distance
+from repro.network.dijkstra import DijkstraSearch, network_distance, origin_seeds
 from repro.network.graph import NetworkLocation, SpatialNetwork
 from repro.network.index import DijkstraIndex, HierarchicalIndex
 from repro.core.cache import CachedQueryResult
@@ -846,7 +846,9 @@ def _check_network_index(scenario: Scenario, m: _Materialized) -> List[CheckFail
         )
 
     for location, payload in pois[:3]:
-        direct = network_distance(network, origin, location)
+        direct = network_distance(
+            DijkstraSearch(network, origin_seeds(origin)), origin, location
+        )
         indexed = hierarchy.network_distance(origin, location)
         # Point-to-point distances share the exactness contract.
         if direct != indexed and not (  # repro: noqa(RPR001)

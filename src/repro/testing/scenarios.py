@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = "repro1"
+#: Every key :func:`encode_scenario` writes; the only ones a string may hold.
+_FIELDS = frozenset(
+    ("k", "cap", "cov", "sides", "own", "exact", "net", "q", "pois", "peers")
+)
 _ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 
@@ -133,7 +137,9 @@ def encode_scenario(scenario: Scenario) -> str:
 def decode_scenario(text: str) -> Scenario:
     """Parse a scenario string back into a :class:`Scenario`.
 
-    Raises ``ValueError`` on malformed input; round-trips exactly with
+    Raises ``ValueError`` on malformed input, including a field
+    :func:`encode_scenario` does not write (a misspelt or retired key);
+    round-trips exactly with
     :func:`encode_scenario` (floats use ``repr`` form).
     """
     fields = text.strip().split(";")
@@ -146,6 +152,8 @@ def decode_scenario(text: str) -> Scenario:
         if "=" not in item:
             raise ValueError(f"malformed scenario field {item!r}")
         key, _, value = item.partition("=")
+        if key not in _FIELDS:
+            raise ValueError(f"unknown scenario field {key!r}")
         if key in values:
             raise ValueError(f"duplicate scenario field {key!r}")
         values[key] = value

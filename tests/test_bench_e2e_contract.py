@@ -4,8 +4,9 @@
 replaces program names by string (``bench_e2e.tracing.PATCHES``), so a
 rename in ``src/repro`` would otherwise surface only when someone runs
 the benchmark.  This resolves every patch target the way
-``bench_e2e.tracing.installed`` does and imports every ``repro.*`` name
-the benchmark's sources import.
+``bench_e2e.tracing.installed`` does, checks that every module-level
+target is a name its module actually calls, and imports every
+``repro.*`` name the benchmark's sources import.
 """
 
 import ast
@@ -45,6 +46,22 @@ def test_patch_target_resolves(target):
         owner = getattr(owner, parent)
     raw = inspect.getattr_static(owner, attribute)
     assert callable(raw) or isinstance(raw, (classmethod, staticmethod))
+
+
+@pytest.mark.parametrize(
+    "target",
+    sorted({target for target, _span, _attrs in PATCHES if "." not in target.partition(":")[2]}),
+)
+def test_module_target_is_called(target):
+    """A name kept bound only for the patch would trace zero calls."""
+    module_name, _, name = target.partition(":")
+    tree = ast.parse(inspect.getsource(importlib.import_module(module_name)))
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert name in loaded, f"{module_name} binds {name} but never calls it"
 
 
 @pytest.mark.parametrize("source, module_name, name", _repro_imports())

@@ -38,34 +38,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BoundingBox.from_points([])
 
-    def test_union_all(self):
-        box = BoundingBox.union_all(
-            [BoundingBox(0, 0, 1, 1), BoundingBox(2, -1, 3, 0.5)]
-        )
-        assert box == BoundingBox(0, -1, 3, 1)
-
-    def test_union_all_empty_raises(self):
-        with pytest.raises(ValueError):
-            BoundingBox.union_all([])
-
 
 class TestAlgebra:
-    def test_area_and_margin(self):
+    def test_area_and_center(self):
         box = BoundingBox(0, 0, 4, 3)
         assert box.area == 12.0
-        assert box.margin == 7.0
         assert box.center == Point(2.0, 1.5)
 
     def test_intersection_overlapping(self):
         a = BoundingBox(0, 0, 2, 2)
         b = BoundingBox(1, 1, 3, 3)
-        assert a.intersection(b) == BoundingBox(1, 1, 2, 2)
         assert a.overlap_area(b) == 1.0
 
     def test_intersection_disjoint_is_none(self):
         a = BoundingBox(0, 0, 1, 1)
         b = BoundingBox(2, 2, 3, 3)
-        assert a.intersection(b) is None
         assert a.overlap_area(b) == 0.0
         assert not a.intersects(b)
 
@@ -74,11 +61,6 @@ class TestAlgebra:
         b = BoundingBox(1, 0, 2, 1)
         assert a.intersects(b)
         assert a.overlap_area(b) == 0.0
-
-    def test_enlargement(self):
-        a = BoundingBox(0, 0, 1, 1)
-        b = BoundingBox(1, 1, 2, 2)
-        assert a.enlargement(b) == pytest.approx(3.0)
 
     def test_contains_box(self):
         outer = BoundingBox(0, 0, 10, 10)
@@ -105,27 +87,12 @@ class TestMetrics:
         box = BoundingBox(0, 0, 1, 1)
         assert box.maxdist(Point(2, 0.5)) == pytest.approx(math.hypot(2, 0.5))
 
-    def test_fully_inside_circle(self):
-        box = BoundingBox(0, 0, 1, 1)
-        assert box.fully_inside_circle(Point(0.5, 0.5), 1.0)
-        assert not box.fully_inside_circle(Point(0.5, 0.5), 0.5)
-
-    def test_minmaxdist_unit_square(self):
-        box = BoundingBox(0, 0, 1, 1)
-        # From the center the nearest face midpoint distance dominates.
-        value = box.minmaxdist(Point(0.5, 0.5))
-        assert value == pytest.approx(math.hypot(0.5, 0.5))
 
 
 class TestMetricProperties:
     @given(boxes(), points)
     def test_mindist_le_maxdist(self, box, p):
         assert box.mindist(p) <= box.maxdist(p) + 1e-9
-
-    @given(boxes(), points)
-    def test_minmaxdist_between_min_and_max(self, box, p):
-        assert box.mindist(p) <= box.minmaxdist(p) + 1e-9
-        assert box.minmaxdist(p) <= box.maxdist(p) + 1e-9
 
     @given(boxes(), points)
     def test_mindist_zero_iff_inside(self, box, p):
@@ -160,7 +127,3 @@ class TestMetricProperties:
     def test_intersection_symmetry(self, a, b):
         assert a.intersects(b) == b.intersects(a)
         assert a.overlap_area(b) == pytest.approx(b.overlap_area(a))
-
-    @given(boxes(), boxes())
-    def test_enlargement_non_negative(self, a, b):
-        assert a.enlargement(b) >= -1e-9

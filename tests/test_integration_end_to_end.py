@@ -17,7 +17,6 @@ from repro.core import (
     snnn_query,
 )
 from repro.geometry.point import Point
-from repro.network.dijkstra import network_distance
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 from repro.network.ier import incremental_network_expansion
 from repro.sim.config import MovementMode, SimulationConfig, suburbia_2x2

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.geometry.point import Point
 from repro.network.dijkstra import (
     DijkstraSearch,
-    distance_from,
     network_distance,
     origin_seeds,
     shortest_path,
@@ -164,7 +163,7 @@ class TestDijkstraSearch:
         lookups = DijkstraSearch(network, origin_seeds(origin), allowed)
         rng.shuffle(pois)
         for location, payload in pois:
-            assert bits(distance_from(lookups, origin, location)) == bits(
+            assert bits(network_distance(lookups, origin, location)) == bits(
                 expected[payload]
             )
 
@@ -319,15 +318,20 @@ class TestNetworkDistance:
         edge = net.add_edge(a, b)
         loc1 = net.location_at(edge, 2.0)
         loc2 = net.location_at(edge, 7.5)
-        assert network_distance(net, loc1, loc2) == pytest.approx(5.5)
+        search = DijkstraSearch(net, origin_seeds(loc1))
+        assert network_distance(search, loc1, loc2) == pytest.approx(5.5)
 
     def test_symmetric(self):
         network = random_network(1)
         edges = list(network.edges())
         loc1 = network.location_at(edges[0], edges[0].length * 0.3)
         loc2 = network.location_at(edges[-1], edges[-1].length * 0.8)
-        forward = network_distance(network, loc1, loc2)
-        backward = network_distance(network, loc2, loc1)
+        forward = network_distance(
+            DijkstraSearch(network, origin_seeds(loc1)), loc1, loc2
+        )
+        backward = network_distance(
+            DijkstraSearch(network, origin_seeds(loc2)), loc2, loc1
+        )
         assert forward == pytest.approx(backward)
 
     def test_euclidean_lower_bound_property(self):
@@ -341,14 +345,17 @@ class TestNetworkDistance:
             loc1 = network.location_at(e1, float(rng.uniform(0, e1.length)))
             loc2 = network.location_at(e2, float(rng.uniform(0, e2.length)))
             ed = loc1.point.distance_to(loc2.point)
-            nd = network_distance(network, loc1, loc2)
+            nd = network_distance(
+                DijkstraSearch(network, origin_seeds(loc1)), loc1, loc2
+            )
             assert ed <= nd + 1e-9
 
     def test_distance_to_self_is_zero(self):
         network = random_network(0)
         edge = next(network.edges())
         loc = network.location_at(edge, edge.length / 2)
-        assert network_distance(network, loc, loc) == pytest.approx(0.0)
+        search = DijkstraSearch(network, origin_seeds(loc))
+        assert network_distance(search, loc, loc) == pytest.approx(0.0)
 
     def test_disconnected_is_infinite(self):
         net = SpatialNetwork()
@@ -360,7 +367,37 @@ class TestNetworkDistance:
         e2 = net.add_edge(c, d)
         loc1 = net.location_at(e1, 0.5)
         loc2 = net.location_at(e2, 0.5)
-        assert math.isinf(network_distance(net, loc1, loc2))
+        search = DijkstraSearch(net, origin_seeds(loc1))
+        assert math.isinf(network_distance(search, loc1, loc2))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bound_on_one_resumed_search(self, seed):
+        """With ``bound``, a shared search answers exactly what a fresh
+        unbounded one does within the bound and ``inf`` beyond it, whether
+        the bounds that drove it so far were wider or narrower, and it
+        never settles a vertex beyond the widest bound it was given."""
+        network = random_network(seed)
+        edges = list(network.edges())
+        rng = np.random.default_rng(seed)
+
+        def location():
+            edge = edges[int(rng.integers(len(edges)))]
+            return network.location_at(edge, float(rng.uniform(0, edge.length)))
+
+        origin = location()
+        shared = DijkstraSearch(network, origin_seeds(origin))
+        widest = 0.0
+        for _ in range(40):
+            destination = location()
+            exact = network_distance(
+                DijkstraSearch(network, origin_seeds(origin)), origin, destination
+            )
+            bound = float(rng.choice([exact, exact * rng.uniform(0.3, 1.5), math.inf]))
+            want = exact if exact <= bound else math.inf
+            got = network_distance(shared, origin, destination, bound)
+            assert bits(got) == bits(want)
+            widest = max(widest, bound)
+            assert max(shared.settled.values(), default=0.0) <= widest
 
     def test_triangle_inequality_on_sample(self):
         network = random_network(5)
@@ -371,7 +408,9 @@ class TestNetworkDistance:
             for _ in range(3):
                 edge = edges[int(rng.integers(len(edges)))]
                 locs.append(network.location_at(edge, float(rng.uniform(0, edge.length))))
-            d_ab = network_distance(network, locs[0], locs[1])
-            d_bc = network_distance(network, locs[1], locs[2])
-            d_ac = network_distance(network, locs[0], locs[2])
+            from_a = DijkstraSearch(network, origin_seeds(locs[0]))
+            from_b = DijkstraSearch(network, origin_seeds(locs[1]))
+            d_ab = network_distance(from_a, locs[0], locs[1])
+            d_bc = network_distance(from_b, locs[1], locs[2])
+            d_ac = network_distance(from_a, locs[0], locs[2])
             assert d_ac <= d_ab + d_bc + 1e-9

@@ -7,7 +7,7 @@ import pytest
 
 from repro.geometry.point import Point
 from repro.index.knn import NeighborResult
-from repro.network.dijkstra import network_distance
+from repro.network.dijkstra import DijkstraSearch, network_distance, origin_seeds
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 from repro.network.graph import SpatialNetwork
 from repro.network.ier import (
@@ -36,7 +36,11 @@ def build_scene(seed=0, poi_count=25, size=2.0):
 def brute_force_network_knn(network, origin, pois, k):
     """Oracle: network distance to every POI, sorted."""
     distances = sorted(
-        (network_distance(network, origin, loc), payload) for loc, payload in pois
+        (
+            network_distance(DijkstraSearch(network, origin_seeds(origin)), origin, loc),
+            payload,
+        )
+        for loc, payload in pois
     )
     return distances[:k]
 
@@ -56,9 +60,11 @@ class TestIer:
     def test_matches_brute_force(self, seed, k):
         network, origin, pois = build_scene(seed)
 
-        def nd_of(candidate):
+        def nd_of(candidate, bound):
             _, loc = candidate.payload
-            return network_distance(network, origin, loc)
+            return network_distance(
+                DijkstraSearch(network, origin_seeds(origin)), origin, loc, bound
+            )
 
         result = incremental_euclidean_restriction(
             euclidean_stream(origin, pois), nd_of, k
@@ -69,14 +75,14 @@ class TestIer:
         )
 
     def test_k_zero(self):
-        assert incremental_euclidean_restriction(iter([]), lambda c: 0.0, 0) == []
+        assert incremental_euclidean_restriction(iter([]), lambda c, bound: 0.0, 0) == []
 
     def test_k_negative_raises(self):
         with pytest.raises(ValueError):
-            incremental_euclidean_restriction(iter([]), lambda c: 0.0, -1)
+            incremental_euclidean_restriction(iter([]), lambda c, bound: 0.0, -1)
 
     def test_empty_source(self):
-        assert incremental_euclidean_restriction(iter([]), lambda c: 0.0, 3) == []
+        assert incremental_euclidean_restriction(iter([]), lambda c, bound: 0.0, 3) == []
 
     def test_unreachable_pois_skipped(self):
         stream = iter(
@@ -87,7 +93,7 @@ class TestIer:
             ]
         )
 
-        def nd_of(candidate):
+        def nd_of(candidate, bound):
             if candidate.payload == "island":
                 return math.inf
             return candidate.distance * 1.5
@@ -107,7 +113,9 @@ class TestIer:
 
         # Network distance equals Euclidean: bound after k results is k-1,
         # so the stream stops as soon as ED exceeds it.
-        result = incremental_euclidean_restriction(stream(), lambda c: c.distance, 3)
+        result = incremental_euclidean_restriction(
+            stream(), lambda c, bound: c.distance, 3
+        )
         assert len(result) == 3
         assert len(consumed) < 100
 
@@ -122,7 +130,7 @@ class TestIer:
         )
         nd_map = {"euclid-close": 5.0, "network-close": 2.5, "far": 9.5}
         result = incremental_euclidean_restriction(
-            stream, lambda c: nd_map[c.payload], 2
+            stream, lambda c, bound: nd_map[c.payload], 2
         )
         assert [r.payload for r in result] == ["network-close", "euclid-close"]
 
@@ -141,9 +149,11 @@ class TestIne:
     def test_matches_ier(self):
         network, origin, pois = build_scene(3)
 
-        def nd_of(candidate):
+        def nd_of(candidate, bound):
             _, loc = candidate.payload
-            return network_distance(network, origin, loc)
+            return network_distance(
+                DijkstraSearch(network, origin_seeds(origin)), origin, loc, bound
+            )
 
         ine = incremental_network_expansion(network, origin, pois, 4)
         ier = incremental_euclidean_restriction(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.point import Point
 from repro.index.knn import poi_tie_key
-from repro.network.dijkstra import network_distance
+from repro.network.dijkstra import DijkstraSearch, network_distance, origin_seeds
 from repro.network.generator import RoadNetworkSpec, generate_road_network
 from repro.network.graph import NetworkLocation, SpatialNetwork
 from repro.network.index import (
@@ -210,7 +210,7 @@ class TestExactness:
         for _ in range(10):
             a = random_origin(network, rng)
             b = random_origin(network, rng)
-            direct = network_distance(network, a, b)
+            direct = network_distance(DijkstraSearch(network, origin_seeds(a)), a, b)
             indexed = hierarchy.network_distance(a, b)
             assert indexed == direct
 
@@ -288,7 +288,8 @@ class TestDisconnected:
         b = network.location_at(edges[3], 0.5)
         hierarchy = HierarchicalIndex(network, leaf_size=2)
         assert math.isinf(hierarchy.network_distance(a, b))
-        assert math.isinf(network_distance(network, a, b))
+        search = DijkstraSearch(network, origin_seeds(a))
+        assert math.isinf(network_distance(search, a, b))
 
     def test_disconnected_matches_reference(self):
         rng = random.Random(7)

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.geometry.point import Point
-from repro.network.dijkstra import network_distance
+from repro.network.dijkstra import DijkstraSearch, network_distance, origin_seeds
 from repro.network.graph import RoadClass, SpatialNetwork
 from repro.network.index import DijkstraIndex, HierarchicalIndex
 from repro.network.loaders import (
@@ -461,6 +461,5 @@ class TestBundledExtract:
             ea, eb = rng.sample(edges, 2)
             a = network.location_at(ea, ea.length * 0.5)
             b = network.location_at(eb, eb.length * 0.25)
-            assert hierarchy.network_distance(a, b) == network_distance(
-                network, a, b
-            )
+            search = DijkstraSearch(network, origin_seeds(a))
+            assert hierarchy.network_distance(a, b) == network_distance(search, a, b)

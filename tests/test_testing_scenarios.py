@@ -83,6 +83,12 @@ class TestCodec:
         with pytest.raises(ValueError):
             decode_scenario("repro1;k=1;garbage;q=0:0;pois=0:0:a;peers=")
 
+    @pytest.mark.parametrize("field", ["r=0.5", "cpa=4"])
+    def test_rejects_unknown_field(self, field):
+        """A retired (``r``) or misspelt (``cpa``) key names itself."""
+        with pytest.raises(ValueError, match=repr(field.split("=")[0])):
+            decode_scenario(f"repro1;k=1;q=0:0;{field};pois=0:0:a;peers=")
+
 
 class TestScenarioGen:
     def test_same_seed_same_scenarios(self):
